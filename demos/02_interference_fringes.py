@@ -9,7 +9,7 @@ probabilities add (|A1|^2 + |A2|^2): the fringes wash out.
 
 import numpy as np
 
-from causalkit import RunConfig, build_bundled_model, derive_seed, run
+from causalkit import RunConfig, build_bundled_model, run_ensemble
 
 TRIALS = 20_000
 BINS = 64
@@ -18,11 +18,9 @@ BINS = 64
 def histogram(detector: str) -> np.ndarray:
     model, state = build_bundled_model("double_slit", {"detector": detector})
     counts = np.zeros(BINS)
-    for t in range(TRIALS):
-        cfg = RunConfig(dt=1.0, max_steps=5, seed=derive_seed(7, t),
-                        record_every=5)
-        trace = run(model, state, cfg)
-        counts[trace.final_state.values["detected"].value] += 1
+    cfg = RunConfig(dt=1.0, max_steps=5, seed=7)
+    for _, final in run_ensemble(model, state, cfg, TRIALS):
+        counts[final.values["detected"].value] += 1
     return counts
 
 

@@ -85,6 +85,7 @@ from .interpreter import (
     WorldTree,
     branch_run,
     run,
+    run_ensemble,
     world_tree_to_json,
     write_trace,
 )

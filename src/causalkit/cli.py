@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import weakref
 from pathlib import Path
 
 from .analyzer import CheckStrategy, analyze, report_to_json
@@ -19,11 +20,11 @@ from .interpreter import (
     branch_run,
     format_scalar,
     run,
+    run_ensemble,
     world_tree_to_json,
     write_text,
     write_trace,
 )
-from .rng import derive_seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,25 +207,32 @@ def _cmd_branch(args) -> int:
 
 
 def _cmd_histogram(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
+    if args.bins is not None and args.bins < 1:
+        raise ValueError("--bins must be >= 1")
     model, state, _ = _load_model(args)
     observables = _compile_observables(args.observables, model.schema)
     if len(observables) != 1:
         raise CausalKitError("histogram needs exactly one outcome observable")
     label, expr = observables[0]
-    dt = args.dt if args.dt is not None else model.default_timestep
+    cfg = RunConfig(dt=args.dt if args.dt is not None else model.default_timestep,
+                    max_steps=args.steps, seed=args.seed, mode=args.mode)
     outcomes = []
-    for t in range(args.trials):
-        cfg = RunConfig(dt=dt, max_steps=args.steps,
-                        seed=derive_seed(args.seed, t), mode=args.mode,
-                        record_every=args.steps)
-        trace = run(model, state, cfg)
-        if trace.termination.is_error:
-            term = trace.termination
+    # id(final state) -> (weak reference to it, outcome); the reference
+    # tells the state apart from a later one that reuses a freed id
+    seen = {}
+    for t, (term, final) in enumerate(run_ensemble(model, state, cfg,
+                                                   args.trials)):
+        if term.is_error:
             print(f"trial {t} terminated: {term.kind}: {term.message}",
                   file=sys.stderr)
             return 1
-        env = Env(trace.final_state, model.consts)
-        outcomes.append(eval_expr(expr, env).value)
+        hit = seen.get(id(final))
+        if hit is None or hit[0]() is not final:
+            value = eval_expr(expr, Env(final, model.consts)).value
+            hit = seen[id(final)] = (weakref.ref(final), value)
+        outcomes.append(hit[1])
     rows = _bin_outcomes(outcomes, args.bins)
     lines = ["bin,count,frequency"]
     total = len(outcomes)

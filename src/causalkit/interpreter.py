@@ -27,7 +27,7 @@ from .errors import (
     NoApplicableLawError,
     SinkError,
 )
-from .rng import RngStream
+from .rng import RngStream, derive_seed
 from .state import SystemState, state_to_json
 
 # --- configuration and traces ---------------------------------------------------
@@ -85,6 +85,20 @@ class Trace:
         return tuple(label for label, _ in self.config.observables)
 
 
+# the errors that end a run with a termination record instead of raising
+_STEP_ERRORS = (NoApplicableLawError, MultipleApplicableError, EvalError)
+
+
+def _termination(exc) -> Termination:
+    """The termination record of a step that raised one of _STEP_ERRORS."""
+    if isinstance(exc, NoApplicableLawError):
+        return Termination("no-applicable-law", str(exc), witness=exc.witness)
+    if isinstance(exc, MultipleApplicableError):
+        return Termination("multiple-applicable", str(exc),
+                           witness=exc.witness, laws=tuple(exc.law_names))
+    return Termination("eval-error", str(exc))
+
+
 def _halts(model: CausalModel, s: SystemState) -> bool:
     if model.halt is None:
         return False
@@ -126,17 +140,8 @@ def run(model: CausalModel, init: SystemState, cfg: RunConfig) -> Trace:
             if steps % cfg.record_every == 0:
                 rows.append(TraceRow(steps, s.time,
                                      _observe(model, s, cfg.observables), s))
-        except NoApplicableLawError as exc:
-            termination = Termination("no-applicable-law", str(exc),
-                                      witness=exc.witness)
-            break
-        except MultipleApplicableError as exc:
-            termination = Termination("multiple-applicable", str(exc),
-                                      witness=exc.witness,
-                                      laws=tuple(exc.law_names))
-            break
-        except EvalError as exc:
-            termination = Termination("eval-error", str(exc))
+        except _STEP_ERRORS as exc:
+            termination = _termination(exc)
             break
     return Trace(model.name, cfg, tuple(rows), termination, s)
 
@@ -256,7 +261,7 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
                         settle(lin, Termination("max-steps"))
                         continue
                 except EvalError as exc:
-                    settle(lin, Termination("eval-error", str(exc)))
+                    settle(lin, _termination(exc))
                     continue
             law = None
             try:
@@ -292,17 +297,10 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
                     serial += 1
                 for item in reversed(children):
                     work.appendleft(item)
-            except NoApplicableLawError as exc:
-                settle(lin, Termination("no-applicable-law", str(exc),
-                                        witness=exc.witness))
-            except MultipleApplicableError as exc:
-                settle(lin, Termination("multiple-applicable", str(exc),
-                                        witness=exc.witness,
-                                        laws=tuple(exc.law_names)))
             except ContinuousRandomError:
                 raise ContinuousRandomError(law=law.name if law else None)
-            except EvalError as exc:
-                settle(lin, Termination("eval-error", str(exc)))
+            except _STEP_ERRORS as exc:
+                settle(lin, _termination(exc))
         if len(survivors) > width_bound:
             order = sorted(survivors, key=lambda l: (-l.weight, l.serial))
             for lin in order[width_bound:]:
@@ -313,6 +311,173 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
             survivors = sorted(order[:width_bound], key=lambda l: l.serial)
         active = survivors
     return WorldTree(root, pruned_mass)
+
+
+# --- ensemble execution -------------------------------------------------------------
+
+
+class _Draw:
+    """Outcome-trie node: what a law application does after one prefix of
+    categorical outcomes. ``probs`` is set once it is known to draw
+    categorically here, ``post`` once it is known to finish here. A node
+    with neither is unexplored, or live: the application draws a uniform
+    or normal value there, so every trial reaching it executes for real.
+    """
+
+    __slots__ = ("probs", "children", "post")
+
+    def __init__(self):
+        self.probs = None
+        self.children: dict = {}   # outcome index -> _Draw
+        self.post: SystemState | None = None
+
+
+class _Entry:
+    """What every trial reaching one shared pre-state would compute again."""
+
+    __slots__ = ("state", "halts", "law", "root")
+
+    def __init__(self, state: SystemState, halts: bool):
+        self.state = state         # holds the object, so its id stays unique
+        self.halts = halts
+        self.law = None            # selected on first use: run selects no
+                                   # law at a halting or max-steps state
+        self.root = _Draw()
+
+
+class _TrieSource(RandomSource):
+    """Replays the outcomes a trial already drew while walking the trie,
+    then draws from the trial's own stream. New categorical draws extend
+    the trie; the first continuous draw stops the recording, so the rest
+    of the application is not cached."""
+
+    def __init__(self, stream: RngStream, root: _Draw, prefix: list):
+        self.stream = stream
+        self.node = root           # None once recording has stopped
+        self.prefix = prefix
+        self.pos = 0
+
+    def categorical(self, probs, labels=None) -> int:
+        if self.pos < len(self.prefix):
+            k = self.prefix[self.pos]
+            self.pos += 1
+        else:
+            k = self.stream.categorical(probs)
+            if self.node is not None:
+                self.node.probs = probs
+                self.node.children[k] = _Draw()
+        if self.node is not None:
+            self.node = self.node.children[k]
+        return k
+
+    def uniform01(self) -> float:
+        self.node = None
+        return self.stream.uniform01()
+
+    def normal(self, mean, sigma) -> float:
+        self.node = None
+        return self.stream.normal(mean, sigma)
+
+
+class Ensemble:
+    """Iterable over the (termination, final state) pairs of ``trials``
+    seeded runs; see ``run_ensemble``.
+
+    ``memo`` maps id(pre-state) to the work shared by every trial that
+    reaches that state object. Only the initial state and finished trie
+    leaves are shareable, and at most ``trials`` states are admitted.
+    """
+
+    def __init__(self, model: CausalModel, init: SystemState,
+                 cfg: RunConfig, trials: int):
+        if cfg.observables:
+            raise ValueError("ensembles record no observables")
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
+        self.model = model
+        self.init = init
+        self.cfg = cfg
+        self.trials = trials
+        self.memo: dict = {}
+
+    def __iter__(self):
+        stream = RngStream(0)
+        source = RngSource(stream)
+        for t in range(self.trials):
+            stream.rekey(derive_seed(self.cfg.seed, t))
+            yield self._trial(stream, source)
+
+    def _entry(self, s: SystemState) -> _Entry | None:
+        entry = self.memo.get(id(s))
+        if entry is None and len(self.memo) < self.trials:
+            entry = self.memo[id(s)] = _Entry(s, _halts(self.model, s))
+        return entry
+
+    def _trial(self, stream: RngStream, source: RngSource):
+        model, cfg = self.model, self.cfg
+        s = self.init
+        steps = 0
+        shared = True   # s is the initial state or a trie leaf
+        try:
+            while True:
+                entry = self._entry(s) if shared else None
+                halts = _halts(model, s) if entry is None else entry.halts
+                if halts:
+                    return Termination("halted"), s
+                if steps >= cfg.max_steps:
+                    return Termination("max-steps"), s
+                time = self.init.time + (steps + 1) * cfg.dt
+                if entry is None:
+                    law = select_law(model, s, cfg.mode)
+                    s1 = apply_law(law, s, cfg.dt, source, model.consts)
+                    s = SystemState(s1.schema, time, s1.values)
+                    shared = False
+                else:
+                    if entry.law is None:
+                        entry.law = select_law(model, s, cfg.mode)
+                    s, shared = self._step(entry, stream, time)
+                steps += 1
+        except _STEP_ERRORS as exc:
+            return _termination(exc), s
+
+    def _step(self, entry: _Entry, stream: RngStream, time: float):
+        """Apply the entry's law: walk the trie with the trial's own draws
+        and execute only where it is unexplored or live. Returns the
+        post-state and whether it is a (shareable) trie leaf."""
+        node, prefix = entry.root, []
+        while node.post is None and node.probs is not None:
+            k = stream.categorical(node.probs)
+            prefix.append(k)
+            child = node.children.get(k)
+            if child is None:
+                child = node.children[k] = _Draw()
+            node = child
+        if node.post is not None:
+            return node.post, True
+        source = _TrieSource(stream, entry.root, prefix)
+        s1 = apply_law(entry.law, entry.state, self.cfg.dt, source,
+                       self.model.consts)
+        post = SystemState(s1.schema, time, s1.values)
+        if source.node is None:
+            return post, False
+        source.node.post = post
+        return post, True
+
+
+def run_ensemble(model: CausalModel, init: SystemState, cfg: RunConfig,
+                 trials: int) -> Ensemble:
+    """Run ``trials`` Monte Carlo trials from ``init``; iterating the result
+    yields one (termination, final state) pair per trial, in trial order.
+
+    Trial t equals ``run(model, init, replace(cfg, seed=derive_seed(
+    cfg.seed, t)))``: same termination, same final state, same draws. A
+    step from an immutable pre-state depends only on that state and the
+    categorical outcomes it draws, so the halt check, law selection and
+    every explored outcome path are computed once per distinct pre-state
+    and shared by all trials that reach it. Ensembles record no rows, so
+    ``cfg.observables`` must be empty.
+    """
+    return Ensemble(model, init, cfg, trials)
 
 
 # --- serialization ----------------------------------------------------------------

@@ -48,6 +48,20 @@ class RngStream:
         self.draw_count = 0
         self._buffer: np.ndarray | None = None
         self._buffer_pos = 0
+        self._fresh_state: dict | None = None
+
+    def rekey(self, seed: int) -> None:
+        """Restart as the stream ``RngStream(seed)`` would be, without
+        building a new generator: key ``[seed, 0]``, counter 0, empty
+        buffer, ``draw_count`` 0."""
+        self.seed = int(seed) & _MASK64
+        if self._fresh_state is None:
+            self._fresh_state = np.random.Philox(key=0).state
+        self._fresh_state["state"]["key"][0] = self.seed
+        self._bitgen.state = self._fresh_state
+        self.draw_count = 0
+        self._buffer = None
+        self._buffer_pos = 0
 
     def raw64(self) -> int:
         """Next raw 64-bit word of the stream."""

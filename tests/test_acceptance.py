@@ -28,9 +28,9 @@ from causalkit import (
     check_completeness,
     check_consistency,
     classify_determinism,
-    derive_seed,
     load_model,
     run,
+    run_ensemble,
     sample_random,
     validstate,
     write_trace,
@@ -83,12 +83,10 @@ def closed_form_two_path(coherent: bool) -> np.ndarray:
 def detection_histogram(detector: str, trials: int, seed: int) -> np.ndarray:
     model, state = build_bundled_model("double_slit", {"detector": detector})
     counts = np.zeros(BINS)
-    for t in range(trials):
-        cfg = RunConfig(dt=1.0, max_steps=5, seed=derive_seed(seed, t),
-                        record_every=5)
-        trace = run(model, state, cfg)
-        assert trace.termination.kind == "halted"
-        counts[trace.final_state.values["detected"].value] += 1
+    cfg = RunConfig(dt=1.0, max_steps=5, seed=seed)
+    for term, final in run_ensemble(model, state, cfg, trials):
+        assert term.kind == "halted"
+        counts[final.values["detected"].value] += 1
     return counts
 
 

@@ -246,6 +246,29 @@ class TestUsageErrors:
                               capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("flags, flag", [
+        (["--trials", "0"], "--trials"),
+        (["--trials", "-5"], "--trials"),
+        (["--bins", "0"], "--bins"),
+        (["--bins", "-3"], "--bins"),
+        (["--trials", "0", "--bins", "4"], "--trials"),
+    ])
+    def test_histogram_nonpositive_trials_or_bins_exit_2(self, capsys,
+                                                         flags, flag):
+        code, out, err = invoke(
+            ["histogram", "builtin:double_slit", "--observables", "detected"]
+            + flags, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: ") and flag in err
+
+    def test_histogram_one_bin_accepted(self, capsys):
+        code, out, _ = invoke(
+            ["histogram", "builtin:double_slit", "--observables", "detected",
+             "--trials", "20", "--bins", "1"], capsys)
+        assert code == 0
+        assert out.splitlines()[1].split(",")[1] == "20"
+
     def test_param_on_file_model_rejected(self, capsys):
         code, _, err = invoke(
             ["run", str(FIXTURES / "guard_true.cml"), "--param", "a=1"],
