@@ -69,7 +69,6 @@ from .engine import (
     Law,
     NativeTransition,
     RandomSpec,
-    RngSource,
     apply_law,
     build_initial_state,
     classify_determinism,

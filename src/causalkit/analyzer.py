@@ -14,19 +14,18 @@ from dataclasses import dataclass
 from .engine import (
     CausalModel,
     DeterminismVerdict,
-    Env,
     NativeTransition,
     apply_law,
     build_initial_state,
     classify_determinism,
-    eval_expr,
     eval_guard,
+    halts,
 )
 from .errors import (
     NoValidInStateFoundError,
     UnsampleableFieldError,
 )
-from .frontend.ast_nodes import Call, RandomExpr
+from .frontend.ast_nodes import Call, RandomExpr, walk
 from .frontend.typecheck import const_fold
 from . import intrinsics
 from .rng import RngStream, derive_seed
@@ -223,16 +222,10 @@ def _consistency_by_trace(model, strategy) -> ConsistencyVerdict:
                 return ConsistencyVerdict("fail", states_checked=checked,
                                           witness=s, laws=tuple(hits2),
                                           seed=strategy.seed)
-            if _model_halts(model, s):
+            if halts(model, s):
                 break
     return ConsistencyVerdict("pass", states_checked=checked,
                               seed=strategy.seed)
-
-
-def _model_halts(model, s) -> bool:
-    if model.halt is None:
-        return False
-    return bool(eval_expr(model.halt, Env(s, model.consts)).value)
 
 
 # --- completeness ----------------------------------------------------------------
@@ -304,7 +297,7 @@ def _completeness_by_trace(model, strategy) -> CompletenessVerdict:
                                            witness=s,
                                            producing_law=hits[0].name,
                                            seed=strategy.seed)
-            if _model_halts(model, s):
+            if halts(model, s):
                 break
     return CompletenessVerdict("pass-bounded", states_checked=checked,
                                seed=strategy.seed)
@@ -314,46 +307,20 @@ def _completeness_by_trace(model, strategy) -> CompletenessVerdict:
 
 
 def _intrinsic_inventory(model: CausalModel) -> list:
-    used = set()
-    uses_random = False
-
-    def scan(node):
-        nonlocal uses_random
-        if isinstance(node, RandomExpr):
-            uses_random = True
-            scan(node.dist.args)
-            if node.range_ is not None:
-                scan(node.range_)
-            return
-        if isinstance(node, Call):
-            if intrinsics.get(node.func) is not None:
-                used.add(node.func)
-            scan(node.args)
-            return
-        if isinstance(node, list):
-            for x in node:
-                scan(x)
-            return
-        if hasattr(node, "__dataclass_fields__"):
-            from dataclasses import fields as dc_fields
-            for f in dc_fields(node):
-                if f.name in ("loc", "ty"):
-                    continue
-                scan(getattr(node, f.name))
-
-    notes = []
-    for law in model.laws:
-        scan(law.guard)
-        if isinstance(law.transition, NativeTransition):
-            notes.append(f"law '{law.name}' uses a native transition "
-                         "(not inspectable as CML)")
-        else:
-            scan(law.transition)
-    for name in sorted(used):
-        intr = intrinsics.get(name)
-        flavor = "stochastic" if intr.stochastic else "deterministic"
+    cml = [law.transition for law in model.laws
+           if not isinstance(law.transition, NativeTransition)]
+    nodes = list(walk([law.guard for law in model.laws] + cml))
+    calls = (intrinsics.get(n.func) for n in nodes if isinstance(n, Call))
+    kit = {intr.name: intr for intr in calls
+           if intr is not None and not intr.builtin}
+    notes = [f"law '{law.name}' uses a native transition "
+             "(not inspectable as CML)"
+             for law in model.laws
+             if isinstance(law.transition, NativeTransition)]
+    for name in sorted(kit):
+        flavor = "stochastic" if kit[name].stochastic else "deterministic"
         notes.append(f"uses intrinsic '{name}' ({flavor})")
-    if uses_random:
+    if any(isinstance(n, RandomExpr) for n in nodes):
         notes.append("uses the random() primitive")
     return notes
 

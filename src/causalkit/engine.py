@@ -7,8 +7,6 @@ the post-state. All reads inside a transition see the pre-state
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +35,7 @@ from .frontend.ast_nodes import (
     SetLit,
     Unary,
 )
-from .rng import RngStream
+from .intrinsics import _WRAP, _rank
 from .state import (
     StateSchema,
     SystemState,
@@ -61,7 +59,7 @@ _MAX_TRUNCATION_TRIES = 100_000
 
 
 class RandomSource:
-    """Interface the evaluator draws through.
+    """Interface the evaluator draws through; ``RngStream`` satisfies it.
 
     Categorical draws are the branchable kind; uniform/normal draws are
     continuous and only a stream-backed source supports them.
@@ -77,30 +75,6 @@ class RandomSource:
 
     def normal(self, mean: float, sigma: float) -> float:
         raise NotImplementedError
-
-
-class RngSource(RandomSource):
-    """Stream-backed source for ordinary Monte Carlo execution."""
-
-    def __init__(self, stream: RngStream):
-        self.stream = stream
-
-    def categorical(self, probs, labels=None) -> int:
-        return self.stream.categorical(probs)
-
-    def uniform01(self) -> float:
-        return self.stream.uniform01()
-
-    def normal(self, mean: float, sigma: float) -> float:
-        return self.stream.normal(mean, sigma)
-
-
-def as_source(rng) -> RandomSource:
-    if isinstance(rng, RandomSource):
-        return rng
-    if isinstance(rng, RngStream):
-        return RngSource(rng)
-    raise TypeError(f"expected RngStream or RandomSource, got {type(rng)!r}")
 
 
 # --- random specifications ------------------------------------------------------
@@ -173,19 +147,18 @@ def sample_random(spec: RandomSpec, rng) -> Value:
     to squared amplitude moduli.
     """
     spec.validate()
-    rnd = as_source(rng)
     if spec.values is not None:
         labels = [v.value for v in spec.values]
-        i = rnd.categorical(spec.probabilities(), labels)
+        i = rng.categorical(spec.probabilities(), labels)
         return spec.values[i]
     if spec.dist == "FLAT":
-        return VReal(spec.lo + (spec.hi - spec.lo) * rnd.uniform01())
+        return VReal(spec.lo + (spec.hi - spec.lo) * rng.uniform01())
     # GAUSS
     mean, sigma = float(spec.params[0]), float(spec.params[1])
     if spec.lo is None:
-        return VReal(rnd.normal(mean, sigma))
+        return VReal(rng.normal(mean, sigma))
     for _ in range(_MAX_TRUNCATION_TRIES):
-        x = rnd.normal(mean, sigma)
+        x = rng.normal(mean, sigma)
         if spec.lo <= x <= spec.hi:
             return VReal(x)
     raise RandomError("truncated GAUSS: acceptance region too improbable")
@@ -319,19 +292,6 @@ def eval_expr(e, env: Env) -> Value:
     raise EvalError(f"cannot evaluate {type(e).__name__}", getattr(e, "loc", None))
 
 
-def _rank(v: Value, loc) -> int:
-    if isinstance(v, VInt):
-        return 0
-    if isinstance(v, VReal):
-        return 1
-    if isinstance(v, VComplex):
-        return 2
-    raise EvalError(f"expected a number, got {type(v).__name__}", loc)
-
-
-_WRAP = (VInt, VReal, VComplex)
-
-
 def _eval_binary(e: Binary, env: Env) -> Value:
     op = e.op
     if op == "&&":
@@ -427,92 +387,22 @@ def _eval_index(e: Index, env: Env) -> Value:
 def _eval_call(e: Call, env: Env) -> Value:
     f = e.func
     args = [eval_expr(a, env) for a in e.args]
+    intr = intrinsics.get(f)
+    if intr is None:
+        raise EvalError(f"unknown function '{f}'", e.loc)
+    if intr.stochastic and env.rnd is None:
+        raise EvalError(f"stochastic intrinsic '{f}' is not allowed here",
+                        e.loc)
     try:
-        return _dispatch_call(f, args, e, env)
-    except (IndexError, AttributeError, TypeError):
-        # only reachable through hand-built ASTs; typechecked code never
-        # gets here
-        raise EvalError(f"bad arguments for '{f}'", e.loc)
-
-
-def _dispatch_call(f: str, args: list, e: Call, env: Env) -> Value:
-    if f == "abs":
-        v = args[0]
-        if isinstance(v, VInt):
-            return VInt(abs(v.value))
-        if isinstance(v, VReal):
-            return VReal(abs(v.value))
-        if isinstance(v, VComplex):
-            return VReal(abs(v.value))
-    elif f == "abs2":
-        v = args[0]
-        if isinstance(v, (VInt, VReal, VComplex)):
-            return VReal(abs(v.value) ** 2)
-    elif f == "re":
-        return VReal(args[0].value.real)
-    elif f == "im":
-        return VReal(args[0].value.imag)
-    elif f == "conj":
-        return VComplex(args[0].value.conjugate())
-    elif f == "exp":
-        v = args[0]
-        if isinstance(v, VComplex):
-            return VComplex(cmath.exp(v.value))
-        try:
-            return VReal(math.exp(v.value))
-        except OverflowError:
-            raise EvalError("exp overflow", e.loc)
-    elif f in ("cos", "sin"):
-        fn = math.cos if f == "cos" else math.sin
-        return VReal(fn(args[0].value))
-    elif f == "sqrt":
-        x = args[0].value
-        if x < 0:
-            raise EvalError("sqrt of a negative number", e.loc)
-        return VReal(math.sqrt(x))
-    elif f == "sum":
-        v = args[0]
-        if isinstance(v, VVector):
-            return VReal(float(np.sum(v.values)))
-        if isinstance(v, VCGrid):
-            return VComplex(complex(np.sum(v.amps)))
-        if isinstance(v, VList):
-            total = 0
-            rank = 0
-            for item in v.items:
-                rank = max(rank, _rank(item, e.loc))
-                total = total + item.value
-            return _WRAP[rank](total)
-    elif f == "len":
-        v = args[0]
-        if isinstance(v, VList):
-            return VInt(len(v.items))
-        if isinstance(v, VVector):
-            return VInt(len(v.values))
-        if isinstance(v, VCGrid):
-            return VInt(len(v.amps))
-    elif f == "laplacian":
-        v = args[0]
-        if isinstance(v, VCGrid):
-            psi = v.amps
-            lap = (np.roll(psi, 1) + np.roll(psi, -1) - 2.0 * psi) / (v.dx ** 2)
-            return VCGrid(lap, v.dx)
-    elif f == "complex":
-        return VComplex(complex(args[0].value, args[1].value))
-    else:
-        intr = intrinsics.get(f)
-        if intr is None:
-            raise EvalError(f"unknown function '{f}'", e.loc)
-        if intr.stochastic and env.rnd is None:
-            raise EvalError(f"stochastic intrinsic '{f}' is not allowed here",
-                            e.loc)
-        try:
-            return intr.impl(args, env)
-        except (EvalError, ContinuousRandomError, BranchSignal):
+        return intr.impl(args, env)
+    except (ContinuousRandomError, BranchSignal):
+        raise
+    except EvalError as exc:
+        if exc.loc is not None:
             raise
-        except Exception as exc:
-            raise EvalError(f"{f}: {exc}", e.loc)
-    raise EvalError(f"bad arguments for '{f}'", e.loc)
+        raise EvalError(exc.message, e.loc)
+    except Exception as exc:
+        raise EvalError(f"{f}: {exc}", e.loc)
 
 
 def _eval_random(e: RandomExpr, env: Env) -> Value:
@@ -587,13 +477,12 @@ def apply_law(law: Law, s0: SystemState, dt: float, rng,
 
     All reads see s0; ``dt`` is available to expressions by that name.
     """
-    rnd = as_source(rng) if rng is not None else None
     consts = consts if consts is not None else _consts_of(s0.schema)
     schema = s0.schema
     try:
         if isinstance(law.transition, NativeTransition):
             try:
-                updates = law.transition.fn(s0, dt, rnd)
+                updates = law.transition.fn(s0, dt, rng)
             except (EvalError, ContinuousRandomError, BranchSignal):
                 raise
             except Exception as exc:
@@ -601,7 +490,7 @@ def apply_law(law: Law, s0: SystemState, dt: float, rng,
             for name, v in updates.items():
                 check_value(v, schema.fields[name], schema, where=name)
             return s0.with_updates(updates)
-        env = Env(s0, consts, dt=dt, rnd=rnd)
+        env = Env(s0, consts, dt=dt, rnd=rng)
         writes: list = []
         _exec_block(law.transition, env, writes)
     except EvalError as exc:
@@ -710,6 +599,13 @@ def _set_path(value: Value, parts: tuple, new: Value) -> Value:
 
 
 # --- stepping -----------------------------------------------------------------------
+
+
+def halts(model: CausalModel, s: SystemState) -> bool:
+    """Whether the model's halt condition holds on ``s``."""
+    if model.halt is None:
+        return False
+    return bool(eval_expr(model.halt, Env(s, model.consts)).value)
 
 
 def step(model: CausalModel, s0: SystemState, dt: float, rng,

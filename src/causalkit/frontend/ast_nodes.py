@@ -187,9 +187,22 @@ class ModelAst:
     laws: list = field(default_factory=list)
 
 
-# --- structural equality (ignores locations and type annotations) -----------
+# --- traversal and structural equality (both skip locations and types) ------
 
 _IGNORED = {"loc", "ty"}
+
+
+def walk(node):
+    """Yield every AST node in ``node`` (a node or a list of nodes), each
+    before the nodes below it."""
+    if isinstance(node, list):
+        for item in node:
+            yield from walk(item)
+    elif hasattr(node, "__dataclass_fields__"):
+        yield node
+        for f in dc_fields(node):
+            if f.name not in _IGNORED:
+                yield from walk(getattr(node, f.name))
 
 
 def structurally_equal(a, b) -> bool:

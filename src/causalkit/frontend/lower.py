@@ -5,37 +5,17 @@ from __future__ import annotations
 from .. import intrinsics
 from ..engine import CausalModel, Law
 from ..errors import CmlError, UnknownIntrinsicError
-from .ast_nodes import Call
+from .ast_nodes import Call, walk
 from .parser import parse
 from .typecheck import TypedModel, typecheck
-
-_BUILTIN_FUNCS = frozenset({"abs", "abs2", "re", "im", "conj", "exp", "cos",
-                            "sin", "sqrt", "sum", "len", "laplacian",
-                            "complex"})
-
-
-def _check_intrinsics_known(node):
-    if isinstance(node, Call):
-        if node.func not in _BUILTIN_FUNCS and intrinsics.get(node.func) is None:
-            raise UnknownIntrinsicError(node.func)
-    if isinstance(node, list):
-        for x in node:
-            _check_intrinsics_known(x)
-        return
-    if hasattr(node, "__dataclass_fields__"):
-        from dataclasses import fields as dc_fields
-        for f in dc_fields(node):
-            if f.name in ("loc", "ty"):
-                continue
-            _check_intrinsics_known(getattr(node, f.name))
 
 
 def lower(typed: TypedModel) -> CausalModel:
     """Package a typechecked model for the engine, laws in declaration order."""
     ast = typed.ast
-    for law in ast.laws:
-        _check_intrinsics_known(law.guard)
-        _check_intrinsics_known(law.body)
+    for call in walk([[law.guard, *law.body] for law in ast.laws]):
+        if isinstance(call, Call) and intrinsics.get(call.func) is None:
+            raise UnknownIntrinsicError(call.func)
     laws = tuple(
         Law(name=law.name, guard=law.guard, transition=law.body,
             uses_random=typed.uses_random[law.name])

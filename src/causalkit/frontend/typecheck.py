@@ -30,6 +30,7 @@ from .ast_nodes import (
     SetLit,
     TypeExpr,
     Unary,
+    walk,
 )
 
 _NUMERIC = ("int", "real", "complex")
@@ -120,7 +121,10 @@ def typecheck(ast: ModelAst):
         bctx = _Ctx(fields, consts_td, records, diags, consts_val=consts_val)
         for stmt in law.body:
             _check_stmt(stmt, bctx)
-        uses_random[law.name] = _scan_random(law.body)
+        uses_random[law.name] = any(
+            isinstance(n, RandomExpr) or isinstance(n, Call)
+            and getattr(intrinsics.get(n.func), "stochastic", False)
+            for n in walk(law.body))
 
     if any(d.severity == "error" for d in diags):
         return None, diags
@@ -589,90 +593,18 @@ def _list_lit_type(e: ListLit, ctx: _Ctx) -> TypeDesc:
     return TypeDesc.list_of(elem)
 
 
-_PURE_BUILTINS = ("abs", "abs2", "re", "im", "conj", "exp", "cos", "sin",
-                  "sqrt", "sum", "len", "laplacian", "complex")
-
-
 def _call_type(e: Call, ctx: _Ctx) -> TypeDesc:
     args = [_check_expr(a, ctx) for a in e.args]
-
-    def arity(n):
-        if len(args) != n:
-            raise _err("bad-arity",
-                       f"{e.func} takes {n} argument{'s' if n != 1 else ''}",
-                       e.loc)
-
     f = e.func
-    if f == "abs":
-        arity(1)
-        if args[0].kind == "complex":
-            return TypeDesc("real")
-        if args[0].kind in ("int", "real"):
-            return TypeDesc(args[0].kind)
-        raise _err("type-mismatch", f"abs needs a number, got {args[0]}", e.loc)
-    if f == "abs2":
-        arity(1)
-        if args[0].kind not in _NUMERIC:
-            raise _err("type-mismatch", f"abs2 needs a number, got {args[0]}",
-                       e.loc)
-        return TypeDesc("real")
-    if f in ("re", "im"):
-        arity(1)
-        _expect_kind(args[0], "complex", e.loc, f"argument of {f}")
-        return TypeDesc("real")
-    if f == "conj":
-        arity(1)
-        _expect_kind(args[0], "complex", e.loc, "argument of conj")
-        return TypeDesc("complex")
-    if f == "exp":
-        arity(1)
-        if args[0].kind == "complex":
-            return TypeDesc("complex")
-        if args[0].kind in ("int", "real"):
-            return TypeDesc("real")
-        raise _err("type-mismatch", f"exp needs a number, got {args[0]}", e.loc)
-    if f in ("cos", "sin", "sqrt"):
-        arity(1)
-        if args[0].kind not in ("int", "real"):
-            raise _err("type-mismatch", f"{f} needs int or real, got {args[0]}",
-                       e.loc)
-        return TypeDesc("real")
-    if f == "sum":
-        arity(1)
-        td = args[0]
-        if td.kind == "vector":
-            return TypeDesc("real")
-        if td.kind == "cgrid":
-            return TypeDesc("complex")
-        if td.kind == "list":
-            elem = td.element
-            if isinstance(elem, TypeDesc) and elem.kind in _NUMERIC:
-                return TypeDesc(elem.kind)
-        raise _err("type-mismatch", f"sum needs a numeric list, got {td}", e.loc)
-    if f == "len":
-        arity(1)
-        if args[0].kind not in ("list", "vector", "cgrid"):
-            raise _err("type-mismatch", f"len needs a collection, got {args[0]}",
-                       e.loc)
-        return TypeDesc("int")
-    if f == "laplacian":
-        arity(1)
-        _expect_kind(args[0], "cgrid", e.loc, "argument of laplacian")
-        return args[0]
-    if f == "complex":
-        arity(2)
-        for td in args:
-            if td.kind not in ("int", "real"):
-                raise _err("type-mismatch",
-                           "complex(re, im) needs real arguments", e.loc)
-        return TypeDesc("complex")
-
     intr = intrinsics.get(f)
     if intr is None:
         raise _err("unknown-intrinsic", f"unknown function '{f}'", e.loc)
     if intr.stochastic and not ctx.allow_random:
         raise _err(ctx.random_ban_code,
                    f"stochastic intrinsic '{f}' is not allowed here", e.loc)
+    if len(args) != intr.arity:
+        raise _err("bad-arity", f"{f} takes {intr.arity} "
+                   f"argument{'s' if intr.arity != 1 else ''}", e.loc)
     try:
         check_ctx = intrinsics.CheckContext(
             e.args, lambda ex: const_fold(ex, ctx.consts_val))
@@ -757,7 +689,7 @@ def _gauss_args(dist: DistExpr):
             raise _err("type-mismatch", "GAUSS parameters must be real", a.loc)
 
 
-# --- constant folding & random scan -----------------------------------------------
+# --- constant folding ------------------------------------------------------------
 
 
 def const_fold(e: Expr, consts_val: dict):
@@ -826,24 +758,3 @@ def _fold_binary(op, a, b):
     if op == "!=":
         return a != b
     raise TypeError(op)
-
-
-def _scan_random(node) -> bool:
-    """Syntactic scan for random() calls and stochastic intrinsic calls."""
-    if isinstance(node, RandomExpr):
-        return True
-    if isinstance(node, Call):
-        intr = intrinsics.get(node.func)
-        if intr is not None and intr.stochastic:
-            return True
-        return any(_scan_random(a) for a in node.args)
-    if isinstance(node, list):
-        return any(_scan_random(x) for x in node)
-    if hasattr(node, "__dataclass_fields__"):
-        from dataclasses import fields as dc_fields
-        for f in dc_fields(node):
-            if f.name in ("loc", "ty"):
-                continue
-            if _scan_random(getattr(node, f.name)):
-                return True
-    return False

@@ -14,9 +14,9 @@ from .engine import (
     CausalModel,
     Env,
     RandomSource,
-    RngSource,
     apply_law,
     eval_expr,
+    halts,
     select_law,
 )
 from .errors import (
@@ -99,13 +99,6 @@ def _termination(exc) -> Termination:
     return Termination("eval-error", str(exc))
 
 
-def _halts(model: CausalModel, s: SystemState) -> bool:
-    if model.halt is None:
-        return False
-    env = Env(s, model.consts)
-    return bool(eval_expr(model.halt, env).value)
-
-
 def _observe(model: CausalModel, s: SystemState, observables) -> tuple:
     env = Env(s, model.consts)
     return tuple(eval_expr(expr, env).value for _, expr in observables)
@@ -119,14 +112,14 @@ def run(model: CausalModel, init: SystemState, cfg: RunConfig) -> Trace:
     Row times are computed as init.time + stepIndex * dt (not accumulated),
     and rows are recorded exactly at record_every strides.
     """
-    rng = RngSource(RngStream(cfg.seed))
+    rng = RngStream(cfg.seed)
     rows = [TraceRow(0, init.time, _observe(model, init, cfg.observables),
                      init)]
     s = init
     steps = 0
     while True:
         try:
-            if _halts(model, s):
+            if halts(model, s):
                 termination = Termination("halted")
                 break
             if steps >= cfg.max_steps:
@@ -254,7 +247,7 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
             lin, script = work.popleft()
             if not script:
                 try:
-                    if _halts(model, lin.state):
+                    if halts(model, lin.state):
                         settle(lin, Termination("halted"))
                         continue
                     if lin.steps >= cfg.max_steps:
@@ -402,18 +395,17 @@ class Ensemble:
 
     def __iter__(self):
         stream = RngStream(0)
-        source = RngSource(stream)
         for t in range(self.trials):
             stream.rekey(derive_seed(self.cfg.seed, t))
-            yield self._trial(stream, source)
+            yield self._trial(stream)
 
     def _entry(self, s: SystemState) -> _Entry | None:
         entry = self.memo.get(id(s))
         if entry is None and len(self.memo) < self.trials:
-            entry = self.memo[id(s)] = _Entry(s, _halts(self.model, s))
+            entry = self.memo[id(s)] = _Entry(s, halts(self.model, s))
         return entry
 
-    def _trial(self, stream: RngStream, source: RngSource):
+    def _trial(self, stream: RngStream):
         model, cfg = self.model, self.cfg
         s = self.init
         steps = 0
@@ -421,15 +413,15 @@ class Ensemble:
         try:
             while True:
                 entry = self._entry(s) if shared else None
-                halts = _halts(model, s) if entry is None else entry.halts
-                if halts:
+                halted = halts(model, s) if entry is None else entry.halts
+                if halted:
                     return Termination("halted"), s
                 if steps >= cfg.max_steps:
                     return Termination("max-steps"), s
                 time = self.init.time + (steps + 1) * cfg.dt
                 if entry is None:
                     law = select_law(model, s, cfg.mode)
-                    s1 = apply_law(law, s, cfg.dt, source, model.consts)
+                    s1 = apply_law(law, s, cfg.dt, stream, model.consts)
                     s = SystemState(s1.schema, time, s1.values)
                     shared = False
                 else:

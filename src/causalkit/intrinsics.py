@@ -1,14 +1,22 @@
-"""Registry of engine-provided intrinsic functions callable from CML.
+"""The one table of functions callable from CML.
 
-An intrinsic bundles a type rule, a runtime implementation, and a
-stochastic flag (stochastic intrinsics make a law count as random).
-The quantum kit registers its numeric intrinsics here on import.
+An intrinsic bundles its arity, a type rule, a runtime implementation and
+a stochastic flag (stochastic intrinsics make a law count as random).
+The language built-ins are registered below; the quantum kit registers
+its numeric intrinsics on import.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
+
+from .errors import EvalError
+from .state import TypeDesc, VCGrid, VComplex, VInt, VList, VReal, VVector
 
 
 class IntrinsicTypeError(Exception):
@@ -30,9 +38,11 @@ class CheckContext:
 @dataclass(frozen=True)
 class Intrinsic:
     name: str
+    arity: int
     stochastic: bool
     check: Callable   # (arg_types: list[TypeDesc], ctx: CheckContext) -> TypeDesc
     impl: Callable    # (args: list[Value], env) -> Value
+    builtin: bool = False  # part of the language, not of a numeric kit
 
 
 _REGISTRY: dict[str, Intrinsic] = {}
@@ -48,3 +58,142 @@ def get(name: str) -> Intrinsic | None:
 
 def registered_names() -> list[str]:
     return sorted(_REGISTRY)
+
+
+# --- numeric rank -------------------------------------------------------------
+
+
+def _rank(v, loc) -> int:
+    """0, 1, 2 for int, real, complex; the wider rank wins in arithmetic."""
+    if isinstance(v, VInt):
+        return 0
+    if isinstance(v, VReal):
+        return 1
+    if isinstance(v, VComplex):
+        return 2
+    raise EvalError(f"expected a number, got {type(v).__name__}", loc)
+
+
+_WRAP = (VInt, VReal, VComplex)
+
+
+# --- language built-ins ---------------------------------------------------------
+
+_NUMBER = ("int", "real", "complex")
+_REAL = ("int", "real")
+_COLLECTION = ("list", "vector", "cgrid")
+
+
+def _want(td: TypeDesc, kinds: tuple, what: str):
+    if td.kind not in kinds:
+        raise IntrinsicTypeError(f"needs {what}, got {td}")
+
+
+def _rule(kinds: tuple, what: str, result):
+    """Type rule that wants every argument's kind in ``kinds``. ``result``
+    is the result kind, or a dict from the first argument's kind to it."""
+    def check(args, ctx):
+        for td in args:
+            _want(td, kinds, what)
+        return TypeDesc(result if isinstance(result, str)
+                        else result[args[0].kind])
+    return check
+
+
+def _check_sum(args, ctx):
+    td = args[0]
+    if td.kind == "list" and isinstance(td.element, TypeDesc) \
+            and td.element.kind in _NUMBER:
+        return TypeDesc(td.element.kind)
+    _want(td, ("vector", "cgrid"), "a numeric list")
+    return TypeDesc("real" if td.kind == "vector" else "complex")
+
+
+def _check_laplacian(args, ctx):
+    _want(args[0], ("cgrid",), "cgrid")
+    return args[0]
+
+
+def _abs(args, env):
+    v = args[0]
+    return _WRAP[min(_rank(v, None), 1)](abs(v.value))
+
+
+def _exp(args, env):
+    v = args[0]
+    try:
+        if isinstance(v, VComplex):
+            return VComplex(cmath.exp(v.value))
+        return VReal(math.exp(v.value))
+    except OverflowError:
+        raise EvalError("exp overflow")
+
+
+def _sqrt(args, env):
+    x = args[0].value
+    if x < 0:
+        raise EvalError("sqrt of a negative number")
+    return VReal(math.sqrt(x))
+
+
+def _sum(args, env):
+    v = args[0]
+    if isinstance(v, VVector):
+        return VReal(float(np.sum(v.values)))
+    if isinstance(v, VCGrid):
+        return VComplex(complex(np.sum(v.amps)))
+    total = 0
+    rank = 0
+    for item in v.items:
+        rank = max(rank, _rank(item, None))
+        total = total + item.value
+    return _WRAP[rank](total)
+
+
+def _len(args, env):
+    v = args[0]
+    if isinstance(v, VList):
+        return VInt(len(v.items))
+    if isinstance(v, VVector):
+        return VInt(len(v.values))
+    return VInt(len(v.amps))
+
+
+def _laplacian(args, env):
+    v = args[0]
+    psi = v.amps
+    return VCGrid((np.roll(psi, 1) + np.roll(psi, -1) - 2.0 * psi) / v.dx ** 2,
+                  v.dx)
+
+
+def _real_of(fn):
+    return lambda args, env: VReal(fn(args[0].value))
+
+
+def _register_builtins():
+    number = (_NUMBER, "a number")
+    real = (_REAL, "int or real")
+    cplx = (("complex",), "complex")
+    for name, arity, check, impl in (
+        ("abs", 1, _rule(*number, {"int": "int", "real": "real",
+                                   "complex": "real"}), _abs),
+        ("abs2", 1, _rule(*number, "real"), _real_of(lambda x: abs(x) ** 2)),
+        ("re", 1, _rule(*cplx, "real"), _real_of(lambda z: z.real)),
+        ("im", 1, _rule(*cplx, "real"), _real_of(lambda z: z.imag)),
+        ("conj", 1, _rule(*cplx, "complex"),
+         lambda args, env: VComplex(args[0].value.conjugate())),
+        ("exp", 1, _rule(*number, {"int": "real", "real": "real",
+                                   "complex": "complex"}), _exp),
+        ("cos", 1, _rule(*real, "real"), _real_of(math.cos)),
+        ("sin", 1, _rule(*real, "real"), _real_of(math.sin)),
+        ("sqrt", 1, _rule(*real, "real"), _sqrt),
+        ("sum", 1, _check_sum, _sum),
+        ("len", 1, _rule(_COLLECTION, "a collection", "int"), _len),
+        ("laplacian", 1, _check_laplacian, _laplacian),
+        ("complex", 2, _rule(*real, "complex"),
+         lambda args, env: VComplex(complex(args[0].value, args[1].value))),
+    ):
+        register(Intrinsic(name, arity, False, check, impl, builtin=True))
+
+
+_register_builtins()

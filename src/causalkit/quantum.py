@@ -14,7 +14,6 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import intrinsics
-from .engine import as_source
 from .errors import (
     MissingAttributeError,
     PositionOutOfBinsError,
@@ -204,13 +203,12 @@ def pw_interact(pw: PwCollection, rng):
     fixes the attributes of all particles jointly, entangled correlations
     survive the collapse.
     """
-    rnd = as_source(rng)
     amps = pw.amplitudes()
     weights = np.abs(amps) ** 2
     total = weights.sum()
     if total <= 0:
         raise ZeroNormError("all path amplitudes vanish")
-    idx = rnd.categorical(weights / total)
+    idx = rng.categorical(weights / total)
     survivor = pw.paths[idx]
     amp = survivor.amplitude / abs(survivor.amplitude)
     collapsed = PwCollection(pw.attr_decls,
@@ -227,7 +225,6 @@ def pw_detect(pw: PwCollection, bin_edges, rng, coherent: bool = True) -> int:
     (coherent=False): proportional to the sum of |amplitude|^2 per bin
     (which-path information exists, interference is lost).
     """
-    rnd = as_source(rng)
     edges = np.asarray(bin_edges, dtype=float)
     if len(edges) < 2:
         raise ValueError("need at least two bin edges")
@@ -248,7 +245,7 @@ def pw_detect(pw: PwCollection, bin_edges, rng, coherent: bool = True) -> int:
     total = probs.sum()
     if total <= 0:
         raise ZeroNormError("all detection probabilities vanish")
-    return int(rnd.categorical(probs / total))
+    return int(rng.categorical(probs / total))
 
 
 # --- toy cellular automaton ---------------------------------------------------------
@@ -343,8 +340,6 @@ def _is_real(td) -> bool:
 
 
 def _check_schrodinger(args, ctx):
-    _want(len(args) == 5,
-          "schrodinger_step takes (psi, V, dt, mass, hbar)")
     psi, v = args[0], args[1]
     _want(psi.kind == "cgrid", "first argument must be a cgrid")
     _want(v.kind == "vector", "potential must be a vector")
@@ -362,7 +357,6 @@ def _impl_schrodinger(args, env):
 
 
 def _check_pw_propagate(args, ctx):
-    _want(len(args) == 2, "pw_propagate takes (pw, dt)")
     _want(args[0].kind == "pwcollection", "first argument must be a pw collection")
     names = [n for n, _ in args[0].attrs]
     _want("position" in names and "velocity" in names,
@@ -376,7 +370,6 @@ def _impl_pw_propagate(args, env):
 
 
 def _check_pw_interact(args, ctx):
-    _want(len(args) == 1, "pw_interact takes (pw)")
     _want(args[0].kind == "pwcollection", "argument must be a pw collection")
     return args[0]
 
@@ -387,8 +380,6 @@ def _impl_pw_interact(args, env):
 
 
 def _check_pw_detect(args, ctx):
-    _want(len(args) == 5,
-          "pw_detect takes (pw, nbins, lo, hi, coherent)")
     _want(args[0].kind == "pwcollection", "first argument must be a pw collection")
     names = [n for n, _ in args[0].attrs]
     _want("position" in names, "pw needs a 'position' attribute")
@@ -405,7 +396,6 @@ def _impl_pw_detect(args, env):
 
 
 def _check_ca_step(args, ctx):
-    _want(len(args) == 1, "ca_step takes (world)")
     _want(args[0].kind == "record", "argument must be a world record")
     return args[0]
 
@@ -421,7 +411,6 @@ def _impl_ca_step(args, env):
 
 
 def _check_gauss_packet(args, ctx):
-    _want(len(args) == 5, "gauss_packet takes (n, dx, x0, sigma, k0)")
     _want(args[0].kind == "int", "n must be int")
     for td in args[1:]:
         _want(_is_real(td), "dx, x0, sigma, k0 must be real")
@@ -440,7 +429,6 @@ def _impl_gauss_packet(args, env):
 
 
 def _check_fill(args, ctx):
-    _want(len(args) == 2, "fill takes (n, value)")
     _want(args[0].kind == "int", "n must be int")
     _want(_is_real(args[1]), "value must be real")
     n = ctx.fold(0)
@@ -453,19 +441,16 @@ def _impl_fill(args, env):
 
 
 def _register_all():
-    intrinsics.register(Intrinsic("schrodinger_step", False,
-                                  _check_schrodinger, _impl_schrodinger))
-    intrinsics.register(Intrinsic("pw_propagate", False,
-                                  _check_pw_propagate, _impl_pw_propagate))
-    intrinsics.register(Intrinsic("pw_interact", True,
-                                  _check_pw_interact, _impl_pw_interact))
-    intrinsics.register(Intrinsic("pw_detect", True,
-                                  _check_pw_detect, _impl_pw_detect))
-    intrinsics.register(Intrinsic("ca_step", False,
-                                  _check_ca_step, _impl_ca_step))
-    intrinsics.register(Intrinsic("gauss_packet", False,
-                                  _check_gauss_packet, _impl_gauss_packet))
-    intrinsics.register(Intrinsic("fill", False, _check_fill, _impl_fill))
+    for name, arity, stochastic, check, impl in (
+        ("schrodinger_step", 5, False, _check_schrodinger, _impl_schrodinger),
+        ("pw_propagate", 2, False, _check_pw_propagate, _impl_pw_propagate),
+        ("pw_interact", 1, True, _check_pw_interact, _impl_pw_interact),
+        ("pw_detect", 5, True, _check_pw_detect, _impl_pw_detect),
+        ("ca_step", 1, False, _check_ca_step, _impl_ca_step),
+        ("gauss_packet", 5, False, _check_gauss_packet, _impl_gauss_packet),
+        ("fill", 2, False, _check_fill, _impl_fill),
+    ):
+        intrinsics.register(Intrinsic(name, arity, stochastic, check, impl))
 
 
 _register_all()

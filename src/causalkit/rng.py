@@ -93,8 +93,9 @@ class RngStream:
             raise ValueError("n must be positive")
         return min(int(self.uniform01() * n), n - 1)
 
-    def categorical(self, probs) -> int:
-        """Index drawn from a probability vector (assumed to sum to 1)."""
+    def categorical(self, probs, labels=None) -> int:
+        """Index drawn from a probability vector (assumed to sum to 1).
+        ``labels`` is the ``RandomSource`` signature; a stream ignores it."""
         u = self.uniform01()
         if len(probs) > 8:
             cum = np.cumsum(probs)

@@ -45,6 +45,14 @@ INVOCATIONS = (
     ("run", "builtin:harmonic_oscillator", "--steps", "200",
      "--observables", "x,v"),
     ("branch", "builtin:entangled_pair"),
+    ("run", "tests/fixtures/builtins.cml", "--observables",
+     "abs(k),abs(r),abs(z),abs2(k),abs2(r),abs2(z),re(z),im(z),conj(z),"
+     "exp(k),exp(r),exp(z),cos(k),cos(r),sin(k),sin(r),sqrt(n),"
+     "sqrt(abs(r)),sum(v),sum(g),sum(li),sum(lr),sum(lz),len(li),len(v),"
+     "len(g),laplacian(g)[3],sum(laplacian(g)),complex(k, r),complex(r, n)"),
+    ("analyze", "cmlbench/models/quadrants.cml", "--strategy", "trace"),
+    ("analyze", "src/causalkit/models/schrodinger_1d.cml", "--runs", "2",
+     "--steps", "5"),
 )
 
 
