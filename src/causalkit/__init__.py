@@ -72,6 +72,7 @@ from .engine import (
     apply_law,
     build_initial_state,
     classify_determinism,
+    compile_observable,
     eval_guard,
     sample_random,
     select_law,

@@ -10,7 +10,6 @@ source: double_slit, entangled_pair, qftca_toy.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -56,7 +55,7 @@ def build_bundled_model(name: str, params: dict | None = None):
             raise BadParamError(f"model '{name}' takes no parameters")
         filename, dt = _CML_MODELS[name]
         source = (resources.files("causalkit") / "models" / filename).read_text()
-        model = replace(load_model(source), default_timestep=dt)
+        model = load_model(source, default_timestep=dt)
         return model, build_initial_state(model)
     if name == "double_slit":
         return _build_double_slit(params)
@@ -223,7 +222,7 @@ def _build_entangled_pair():
     law = Law(name="Measure",
               guard=_guard("!measured", schema),
               transition=NativeTransition(measure, uses_random=True),
-              uses_random=True)
+              uses_random=True, schema=schema)
     model = CausalModel(name="entangled_pair", schema=schema, laws=(law,),
                         halt=_guard("measured", schema))
 

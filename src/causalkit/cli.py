@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .analyzer import CheckStrategy, analyze, report_to_json
 from .bundled import build_bundled_model, list_bundled_models
-from .engine import Env, build_initial_state, eval_expr
+from .engine import build_initial_state, compile_observable
 from .errors import CausalKitError, CmlError
 from .frontend import parse_expression
 from .frontend.lower import compile_model
@@ -165,7 +165,7 @@ def _compile_observables(spec: str, schema):
         if td.kind not in ("real", "int", "bool", "complex"):
             raise CausalKitError(
                 f"observable '{text}' must be scalar, got {td.kind}")
-        observables.append((text, expr))
+        observables.append((text, compile_observable(expr, schema)))
     return tuple(observables)
 
 
@@ -215,7 +215,7 @@ def _cmd_histogram(args) -> int:
     observables = _compile_observables(args.observables, model.schema)
     if len(observables) != 1:
         raise CausalKitError("histogram needs exactly one outcome observable")
-    label, expr = observables[0]
+    label, observe = observables[0]
     cfg = RunConfig(dt=args.dt if args.dt is not None else model.default_timestep,
                     max_steps=args.steps, seed=args.seed, mode=args.mode)
     outcomes = []
@@ -230,7 +230,7 @@ def _cmd_histogram(args) -> int:
             return 1
         hit = seen.get(id(final))
         if hit is None or hit[0]() is not final:
-            value = eval_expr(expr, Env(final, model.consts)).value
+            value = observe(final)
             hit = seen[id(final)] = (weakref.ref(final), value)
         outcomes.append(hit[1])
     rows = _bin_outcomes(outcomes, args.bins)

@@ -3,11 +3,16 @@
 One causal step reads the pre-state, picks the applicable law, and builds
 the post-state. All reads inside a transition see the pre-state
 (simultaneous update); writes are collected and merged at the end.
+
+Guards, transitions, the halt condition, ``init`` expressions and
+observables are compiled once, when the model (or observable) is built,
+into nested Python closures; see "Compiled closures" below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 
@@ -35,7 +40,6 @@ from .frontend.ast_nodes import (
     SetLit,
     Unary,
 )
-from .intrinsics import _WRAP, _rank
 from .state import (
     StateSchema,
     SystemState,
@@ -177,10 +181,24 @@ class NativeTransition:
 
 @dataclass(frozen=True)
 class Law:
+    """A guarded transition, compiled against ``schema`` when constructed."""
+
     name: str
     guard: object                 # typed Expr, bool-valued
     transition: object            # list of statements, or NativeTransition
     uses_random: bool = False
+    _: KW_ONLY
+    schema: InitVar[StateSchema]
+    compiled_guard: object = field(init=False, repr=False, compare=False)
+    compiled_transition: object = field(init=False, repr=False,
+                                        compare=False)  # None if native
+
+    def __post_init__(self, schema):
+        native = isinstance(self.transition, NativeTransition)
+        object.__setattr__(self, "compiled_guard",
+                           _compile(self.guard, _Scope(schema)))
+        object.__setattr__(self, "compiled_transition", None if native
+                           else _compile_transition(self.transition, schema))
 
 
 @dataclass(frozen=True)
@@ -192,6 +210,8 @@ class CausalModel:
     halt: object | None = None
     default_timestep: float = 1.0
     consts: dict = field(default_factory=dict)  # name -> Value
+    compiled_halt: object = field(init=False, repr=False, compare=False)
+    compiled_init: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.laws:
@@ -201,6 +221,12 @@ class CausalModel:
         names = [l.name for l in self.laws]
         if len(set(names)) != len(names):
             raise ValueError("law names must be unique")
+        scope = _Scope(self.schema)
+        object.__setattr__(self, "compiled_halt", None if self.halt is None
+                           else _compile(self.halt, scope))
+        object.__setattr__(self, "compiled_init", tuple(
+            (name, _as_value(_compile(expr, scope), self.schema.fields[name]))
+            for name, expr in self.init))
 
     def law(self, name: str) -> Law:
         for l in self.laws:
@@ -209,242 +235,399 @@ class CausalModel:
         raise KeyError(name)
 
 
-# --- evaluation environment -----------------------------------------------------
+# --- compiled closures ------------------------------------------------------------
+#
+# Every expression node is compiled once into a closure that takes one
+# argument, ``env``: anything with a ``values`` dict of field Values. Guards,
+# the halt condition, init expressions and observables get the SystemState
+# itself; a transition gets an Env, which adds dt, the random source, the
+# loop slots and the list of writes. The typechecker has fixed every node's
+# type, so operators and names are resolved here, once: a closure of scalar
+# type (int, real, bool, complex) returns a raw Python payload, any other
+# returns a Value. Payloads are wrapped only where they leave the compiled
+# code: a write, an intrinsic argument, a list literal's item or a random
+# value set's member.
 
-
-@dataclass
-class _LoopBinding:
-    value: Value
-    root: str
-    index: int
+_SCALAR = {"int": VInt, "real": VReal, "bool": VBool, "complex": VComplex}
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "<": operator.lt, "<=": operator.le, ">": operator.gt,
+              ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 
 
 class Env:
-    __slots__ = ("state", "consts", "dt", "rnd", "locals")
+    """What a transition's closures read and write."""
 
-    def __init__(self, state, consts, dt=None, rnd=None, locals_=None):
-        self.state = state
-        self.consts = consts
-        self.dt = dt
+    __slots__ = ("values", "dt", "rnd", "locals", "writes")
+
+    def __init__(self, values: dict, dt, rnd, slots: int = 0):
+        self.values = values            # pre-state field Values
+        self.dt = None if dt is None else float(dt)
         self.rnd = rnd
-        self.locals = locals_ if locals_ is not None else {}
+        self.locals = [None] * slots    # (index, item) per for loop
+        self.writes = []                # (root field, path or None, Value)
 
 
-def eval_expr(e, env: Env) -> Value:
-    if isinstance(e, Name):
-        name = e.id
-        binding = env.locals.get(name)
-        if binding is not None:
-            return binding.value
-        v = env.state.values.get(name)
-        if v is not None:
-            return v
-        v = env.consts.get(name)
-        if v is not None:
-            return v
-        if name == "dt":
-            if env.dt is None:
-                raise EvalError("'dt' is not available here", e.loc)
-            return VReal(env.dt)
-        raise EvalError(f"unknown name '{name}'", e.loc)
-    if isinstance(e, Lit):
-        kind = e.kind
-        if kind == "int":
-            return VInt(e.value)
-        if kind == "real":
-            return VReal(e.value)
-        if kind == "bool":
-            return VBool(e.value)
-        return VComplex(e.value)
-    if isinstance(e, Binary):
-        return _eval_binary(e, env)
-    if isinstance(e, Unary):
-        v = eval_expr(e.operand, env)
-        if e.op == "-":
-            if isinstance(v, VInt):
-                return VInt(-v.value)
-            if isinstance(v, VReal):
-                return VReal(-v.value)
-            if isinstance(v, VComplex):
-                return VComplex(-v.value)
-            raise EvalError(f"cannot negate {type(v).__name__}", e.loc)
-        if not isinstance(v, VBool):
-            raise EvalError("'!' needs a bool", e.loc)
-        return VBool(not v.value)
-    if isinstance(e, Call):
-        return _eval_call(e, env)
-    if isinstance(e, RandomExpr):
-        return _eval_random(e, env)
-    if isinstance(e, Member):
-        obj = eval_expr(e.obj, env)
-        if not isinstance(obj, VRecord):
-            raise EvalError("member access on non-record", e.loc)
+class _Const:
+    """A payload or Value known at compile time; calling it returns it."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __call__(self, env):
+        return self.value
+
+
+class _Scope:
+    """The names an expression can read: state fields, constants (folded
+    to payloads) and, in a transition, ``dt``, draws and loop variables."""
+
+    def __init__(self, schema: StateSchema, transition: bool = False):
+        self.fields = schema.fields
+        self.consts = {n: v.value for n, (_, v) in schema.constants.items()}
+        self.transition = transition
+        self.loops: dict = {}   # loop variable -> (slot, list field)
+        self.slots = 0          # loop slots handed out so far
+
+
+def compile_observable(expr, schema: StateSchema):
+    """Compile a typechecked expression once; the closure maps a state to
+    the expression's value there (a payload for a scalar type)."""
+    return _compile(expr, _Scope(schema))
+
+
+def _compile(e, scope: _Scope):
+    compile_node = _COMPILERS.get(type(e))
+    if compile_node is None:   # a value set or distribution out of place
+        raise EvalError(f"cannot evaluate {type(e).__name__}", e.loc)
+    return compile_node(e, scope)
+
+
+def _as_value(code, td):
+    """``code`` made to give a Value of type ``td``: a scalar payload is
+    wrapped (and promoted) here, once."""
+    wrap = _SCALAR.get(td.kind)
+    if wrap is None:
+        return code
+    if isinstance(code, _Const):
+        return _Const(wrap(code.value))
+    return lambda env: wrap(code(env))
+
+
+def _apply(fn, *codes):
+    """fn over the operands' values; folded when every operand is constant
+    (unless fn raises, which is then left to happen at run time)."""
+    if all(isinstance(c, _Const) for c in codes):
         try:
-            return obj.fields[e.name]
-        except KeyError:
-            raise EvalError(f"record has no field '{e.name}'", e.loc)
-    if isinstance(e, Index):
-        return _eval_index(e, env)
-    if isinstance(e, ListLit):
-        return VList([eval_expr(x, env) for x in e.items])
-    if isinstance(e, SetLit):
-        raise EvalError("value set outside random()", e.loc)
-    raise EvalError(f"cannot evaluate {type(e).__name__}", getattr(e, "loc", None))
+            return _Const(fn(*(c.value for c in codes)))
+        except Exception:
+            pass
+    if len(codes) == 1:
+        x, = codes
+        return lambda env: fn(x(env))
+    left, right = codes
+    if isinstance(left, _Const):
+        a = left.value
+        return lambda env: fn(a, right(env))
+    if isinstance(right, _Const):
+        b = right.value
+        return lambda env: fn(left(env), b)
+    return lambda env: fn(left(env), right(env))
 
 
-def _eval_binary(e: Binary, env: Env) -> Value:
-    op = e.op
+def _lit(e: Lit, scope):
+    return _Const(e.value)
+
+
+def _name(e: Name, scope: _Scope):
+    name, scalar = e.id, e.ty.kind in _SCALAR
+    if name in scope.loops:
+        slot = scope.loops[name][0]
+        if scalar:
+            return lambda env: env.locals[slot][1].value
+        return lambda env: env.locals[slot][1]
+    if name in scope.fields:
+        if scalar:
+            return lambda env: env.values[name].value
+        return lambda env: env.values[name]
+    if name in scope.consts:
+        return _Const(scope.consts[name])
+    if name != "dt":
+        raise EvalError(f"unknown name '{name}'", e.loc)
+    loc = e.loc
+    if not scope.transition:
+        raise EvalError("'dt' is not available here", loc)
+
+    def dt(env):
+        d = env.dt
+        if d is None:
+            raise EvalError("'dt' is not available here", loc)
+        return d
+    return dt
+
+
+def _unary(e: Unary, scope):
+    return _apply(operator.neg if e.op == "-" else operator.not_,
+                  _compile(e.operand, scope))
+
+
+def _binary(e: Binary, scope):
+    op, loc = e.op, e.loc
+    left, right = _compile(e.left, scope), _compile(e.right, scope)
     if op == "&&":
-        left = eval_expr(e.left, env)
-        if not isinstance(left, VBool):
-            raise EvalError("'&&' needs bools", e.loc)
-        if not left.value:
-            return VBool(False)
-        return eval_expr(e.right, env)
+        if isinstance(left, _Const):
+            return right if left.value else _Const(False)
+        return lambda env: left(env) and right(env)
     if op == "||":
-        left = eval_expr(e.left, env)
-        if not isinstance(left, VBool):
-            raise EvalError("'||' needs bools", e.loc)
-        if left.value:
-            return VBool(True)
-        return eval_expr(e.right, env)
-
-    lv = eval_expr(e.left, env)
-    rv = eval_expr(e.right, env)
-
-    if op in ("==", "!="):
-        if isinstance(lv, VBool) and isinstance(rv, VBool):
-            eq = lv.value == rv.value
-        else:
-            _rank(lv, e.loc)
-            _rank(rv, e.loc)
-            eq = lv.value == rv.value
-        return VBool(eq if op == "==" else not eq)
-    if op in ("<", "<=", ">", ">="):
-        if isinstance(lv, (VInt, VReal)) and isinstance(rv, (VInt, VReal)):
-            a, b = lv.value, rv.value
-            if op == "<":
-                return VBool(a < b)
-            if op == "<=":
-                return VBool(a <= b)
-            if op == ">":
-                return VBool(a > b)
-            return VBool(a >= b)
-        raise EvalError("ordering needs int or real operands", e.loc)
-
-    rank = max(_rank(lv, e.loc), _rank(rv, e.loc))
-    a, b = lv.value, rv.value
-    if op == "+":
-        return _WRAP[rank](a + b)
-    if op == "-":
-        return _WRAP[rank](a - b)
-    if op == "*":
-        return _WRAP[rank](a * b)
+        if isinstance(left, _Const):
+            return _Const(True) if left.value else right
+        return lambda env: left(env) or right(env)
     if op == "/":
-        if b == 0:
-            raise EvalError("division by zero", e.loc)
-        return VComplex(a / b) if rank == 2 else VReal(a / b)
+        def divide(a, b):
+            if b == 0:
+                raise EvalError("division by zero", loc)
+            return a / b
+        return _apply(divide, left, right)
     if op == "^":
-        if rank == 2:
-            raise EvalError("'^' is not defined for complex", e.loc)
+        return _apply(_int_power(loc) if e.ty.kind == "int"
+                      else _real_power(loc), left, right)
+    return _apply(_OPERATORS[op], left, right)
+
+
+def _int_power(loc):
+    def power(a, b):
+        if b < 0:
+            raise EvalError("int '^' needs a non-negative exponent", loc)
+        # |a| >= 2 and b >= 64 is out of range; test it before computing
+        if b > 63 and abs(a) > 1:
+            raise EvalError("int '^' overflows int64", loc)
+        r = a ** b
+        if not _INT64_MIN <= r <= _INT64_MAX:
+            raise EvalError("int '^' overflows int64", loc)
+        return r
+    return power
+
+
+def _real_power(loc):
+    def power(a, b):
         try:
             r = a ** b
         except (OverflowError, ZeroDivisionError, ValueError) as exc:
-            raise EvalError(f"power failed: {exc}", e.loc)
-        if rank == 0 and isinstance(r, int):
-            return VInt(r)
+            raise EvalError(f"power failed: {exc}", loc)
         if isinstance(r, complex):
             raise EvalError("power of a negative base with fractional "
-                            "exponent", e.loc)
-        return VReal(r)
-    raise EvalError(f"unknown operator '{op}'", e.loc)
+                            "exponent", loc)
+        return r
+    return power
 
 
-def _eval_index(e: Index, env: Env) -> Value:
-    obj = eval_expr(e.obj, env)
-    idx = eval_expr(e.index, env)
-    if not isinstance(idx, VInt):
-        raise EvalError("index must be int", e.index.loc)
-    i = idx.value
-    if isinstance(obj, VList):
-        if not 0 <= i < len(obj.items):
-            raise EvalError(f"index {i} out of range (len {len(obj.items)})",
-                            e.loc)
-        return obj.items[i]
-    if isinstance(obj, VVector):
-        if not 0 <= i < len(obj.values):
-            raise EvalError(f"index {i} out of range (len {len(obj.values)})",
-                            e.loc)
-        return VReal(obj.values[i])
-    if isinstance(obj, VCGrid):
-        if not 0 <= i < len(obj.amps):
-            raise EvalError(f"index {i} out of range (len {len(obj.amps)})",
-                            e.loc)
-        return VComplex(obj.amps[i])
-    raise EvalError("indexing needs a list, vector, or cgrid", e.loc)
+def _member(e: Member, scope):
+    obj, name = _compile(e.obj, scope), e.name
+    if e.ty.kind in _SCALAR:
+        return lambda env: obj(env).fields[name].value
+    return lambda env: obj(env).fields[name]
 
 
-def _eval_call(e: Call, env: Env) -> Value:
-    f = e.func
-    args = [eval_expr(a, env) for a in e.args]
+def _index(e: Index, scope):
+    obj, index, loc = _compile(e.obj, scope), _compile(e.index, scope), e.loc
+    kind = e.obj.ty.kind
+    # a list holds Values, a vector floats, a cgrid complex amplitudes
+    items, item = {"list": (operator.attrgetter("items"), None),
+                   "vector": (operator.attrgetter("values"), float),
+                   "cgrid": (operator.attrgetter("amps"), complex)}[kind]
+    if item is None and e.ty.kind in _SCALAR:
+        item = operator.attrgetter("value")
+
+    def at(env):
+        seq = items(obj(env))
+        i = index(env)
+        if not 0 <= i < len(seq):
+            raise EvalError(f"index {i} out of range (len {len(seq)})", loc)
+        return seq[i] if item is None else item(seq[i])
+    return at
+
+
+def _call(e: Call, scope: _Scope):
+    f, loc = e.func, e.loc
     intr = intrinsics.get(f)
     if intr is None:
-        raise EvalError(f"unknown function '{f}'", e.loc)
-    if intr.stochastic and env.rnd is None:
-        raise EvalError(f"stochastic intrinsic '{f}' is not allowed here",
-                        e.loc)
-    try:
-        return intr.impl(args, env)
-    except (ContinuousRandomError, BranchSignal):
-        raise
-    except EvalError as exc:
-        if exc.loc is not None:
+        raise EvalError(f"unknown function '{f}'", loc)
+    args = [_as_value(_compile(a, scope), a.ty) for a in e.args]
+    impl, stochastic = intr.impl, intr.stochastic
+    if stochastic and not scope.transition:
+        raise EvalError(f"stochastic intrinsic '{f}' is not allowed here", loc)
+
+    def call(env):
+        values = [a(env) for a in args]
+        if stochastic and env.rnd is None:
+            raise EvalError(f"stochastic intrinsic '{f}' is not allowed here",
+                            loc)
+        try:
+            return impl(values, env)
+        except (ContinuousRandomError, BranchSignal):
             raise
-        raise EvalError(exc.message, e.loc)
-    except Exception as exc:
-        raise EvalError(f"{f}: {exc}", e.loc)
+        except EvalError as exc:
+            if exc.loc is not None:
+                raise
+            raise EvalError(exc.message, loc)
+        except Exception as exc:
+            raise EvalError(f"{f}: {exc}", loc)
+    if e.ty.kind in _SCALAR:
+        return lambda env: call(env).value
+    return call
 
 
-def _eval_random(e: RandomExpr, env: Env) -> Value:
-    if env.rnd is None:
-        raise EvalError("random() is not allowed here", e.loc)
-    spec = build_random_spec(e, env)
-    try:
-        return sample_random(spec, env.rnd)
-    except RandomError as exc:
-        raise EvalError(f"random: {exc}", e.loc)
+def _random(e: RandomExpr, scope: _Scope):
+    loc = e.loc
+    if not scope.transition:
+        raise EvalError("random() is not allowed here", loc)
+    spec = _random_spec(e, scope)
+
+    def draw(env):
+        rnd = env.rnd
+        if rnd is None:
+            raise EvalError("random() is not allowed here", loc)
+        s = spec(env)
+        try:
+            return sample_random(s, rnd).value
+        except RandomError as exc:
+            raise EvalError(f"random: {exc}", loc)
+    return draw
 
 
-def build_random_spec(e: RandomExpr, env: Env) -> RandomSpec:
+def _random_spec(e: RandomExpr, scope):
+    """Closure building the RandomSpec: parameters first, then the range."""
     dist = e.dist.name
-    params = tuple(eval_expr(a, env).value for a in e.dist.args)
+    params = [_compile(a, scope) for a in e.dist.args]
     if e.range_ is None:
-        return RandomSpec(dist, params=params)
-    if isinstance(e.range_, SetLit):
-        values = tuple(eval_expr(item, env) for item in e.range_.items)
-        return RandomSpec(dist, values=values, params=params)
-    lo = eval_expr(e.range_.items[0], env).value
-    hi = eval_expr(e.range_.items[1], env).value
-    return RandomSpec(dist, lo=float(lo), hi=float(hi), params=params)
+        parts, build = [], lambda p: RandomSpec(dist, params=p)
+    elif isinstance(e.range_, SetLit):
+        parts = [_as_value(_compile(x, scope), x.ty) for x in e.range_.items]
+        build = lambda p, *values: RandomSpec(dist, values=values, params=p)
+    else:
+        parts = [_compile(x, scope) for x in e.range_.items]
+        build = lambda p, lo, hi: RandomSpec(dist, lo=float(lo), hi=float(hi),
+                                             params=p)
+    if all(isinstance(c, _Const) for c in params + parts):
+        return _Const(build(tuple(c.value for c in params),
+                            *(c.value for c in parts)))
+    return lambda env: build(tuple([c(env) for c in params]),
+                             *[c(env) for c in parts])
+
+
+def _list(e: ListLit, scope):
+    # items take the literal's element type: [1, 2.5] is a list of reals
+    items = [_as_value(_compile(x, scope), e.ty.element) for x in e.items]
+    return lambda env: VList([item(env) for item in items])
+
+
+_COMPILERS = {Lit: _lit, Name: _name, Unary: _unary, Binary: _binary,
+              Member: _member, Index: _index, Call: _call,
+              RandomExpr: _random, ListLit: _list}
+
+
+# --- compiled statements: each appends its writes to env.writes ----------------
+
+
+def _compile_transition(stmts, schema: StateSchema):
+    """Closure (pre-state values, dt, random source) -> list of writes."""
+    scope = _Scope(schema, transition=True)
+    body = _block(stmts, scope)
+    slots = scope.slots
+
+    def transition(values, dt, rnd):
+        env = Env(values, dt, rnd, slots)
+        body(env)
+        return env.writes
+    return transition
+
+
+def _block(stmts, scope):
+    parts = [_STATEMENTS[type(s)](s, scope) for s in stmts]
+    if len(parts) == 1:
+        return parts[0]
+
+    def block(env):
+        for part in parts:
+            part(env)
+    return block
+
+
+def _assign(stmt: Assign, scope):
+    root, path = _target(stmt.target, scope)
+    value = _as_value(_compile(stmt.value, scope), stmt.target.ty)
+    if path is None:
+        # a whole scalar field is wrapped in its own class above, so it
+        # needs no check_value; a whole composite field does (path ())
+        whole = None if stmt.target.ty.kind in _SCALAR else ()
+        return lambda env: env.writes.append((root, whole, value(env)))
+    return lambda env: env.writes.append((root, path(env), value(env)))
+
+
+def _target(t, scope: _Scope):
+    """(root field, path): path is None for a whole field, else a closure
+    giving the parts below the root, innermost index evaluated first."""
+    if isinstance(t, Name):
+        if t.id in scope.loops:
+            slot, root = scope.loops[t.id]
+            return root, lambda env: (env.locals[slot][0],)
+        if t.id in scope.fields:
+            return t.id, None
+        raise EvalError(f"cannot assign to '{t.id}'", t.loc)
+    root, base = _target(t.obj, scope)
+    if base is None:
+        base = _Const(())
+    if isinstance(t, Member):
+        name = t.name
+        return root, lambda env: base(env) + (name,)
+    index = _compile(t.index, scope)
+
+    def path(env):
+        i = index(env)
+        return base(env) + (i,)
+    return root, path
+
+
+def _if(stmt: If, scope):
+    cond = _compile(stmt.cond, scope)
+    then, orelse = _block(stmt.then, scope), _block(stmt.orelse, scope)
+    if isinstance(cond, _Const):
+        return then if cond.value else orelse
+    return lambda env: (then if cond(env) else orelse)(env)
+
+
+def _for(stmt: For, scope: _Scope):
+    source, slot = stmt.source.id, scope.slots
+    scope.slots += 1
+    scope.loops[stmt.var] = (slot, source)
+    body = _block(stmt.body, scope)
+    del scope.loops[stmt.var]
+
+    def loop(env):
+        slots = env.locals
+        for slots[slot] in enumerate(env.values[source].items):
+            body(env)
+    return loop
+
+
+_STATEMENTS = {Assign: _assign, If: _if, For: _for}
 
 
 # --- guards and law selection ------------------------------------------------------
 
 
 def eval_guard(law: Law, s: SystemState, consts: dict | None = None) -> bool:
-    """Evaluate a law's guard on a state. Pure: no randomness, no mutation."""
-    env = Env(s, consts if consts is not None else _consts_of(s.schema))
+    """Evaluate a law's guard on a state. Pure: no randomness, no mutation.
+
+    ``consts`` is accepted for compatibility; constants were folded into
+    the guard when the law was compiled.
+    """
     try:
-        v = eval_expr(law.guard, env)
+        return law.compiled_guard(s)
     except EvalError as exc:
         raise EvalError(exc.message, exc.loc, law=law.name)
-    if not isinstance(v, VBool):
-        raise EvalError("guard did not evaluate to bool", law=law.name)
-    return v.value
-
-
-def _consts_of(schema: StateSchema) -> dict:
-    return {n: v for n, (_, v) in schema.constants.items()}
 
 
 def select_law(model: CausalModel, s: SystemState, mode: str = "strict") -> Law:
@@ -476,11 +659,11 @@ def apply_law(law: Law, s0: SystemState, dt: float, rng,
     """Apply a law's transition to s0 and return s1 (time unchanged).
 
     All reads see s0; ``dt`` is available to expressions by that name.
+    ``consts`` is accepted for compatibility, like ``eval_guard``'s.
     """
-    consts = consts if consts is not None else _consts_of(s0.schema)
     schema = s0.schema
     try:
-        if isinstance(law.transition, NativeTransition):
+        if law.compiled_transition is None:
             try:
                 updates = law.transition.fn(s0, dt, rng)
             except (EvalError, ContinuousRandomError, BranchSignal):
@@ -490,77 +673,20 @@ def apply_law(law: Law, s0: SystemState, dt: float, rng,
             for name, v in updates.items():
                 check_value(v, schema.fields[name], schema, where=name)
             return s0.with_updates(updates)
-        env = Env(s0, consts, dt=dt, rnd=rng)
-        writes: list = []
-        _exec_block(law.transition, env, writes)
+        writes = law.compiled_transition(s0.values, dt, rng)
     except EvalError as exc:
         raise EvalError(exc.message, exc.loc, law=law.name)
     values = dict(s0.values)
-    touched = set()
-    for path, target_td, value in writes:
-        root = path[0]
-        if len(path) == 1:
-            values[root] = _coerce(value, target_td)
+    composite = {}
+    for root, path, value in writes:
+        if path is None:
+            values[root] = value
         else:
-            values[root] = _set_path(values[root], path[1:],
-                                     _coerce(value, target_td))
-        touched.add(root)
-    for root in touched:
+            values[root] = _set_path(values[root], path, value)
+            composite[root] = None
+    for root in composite:
         check_value(values[root], schema.fields[root], schema, where=root)
     return SystemState(schema, s0.time, values)
-
-
-def _coerce(value: Value, td) -> Value:
-    """Numeric promotion approved by the typechecker (int->real->complex)."""
-    if td is None:
-        return value
-    if td.kind == "real" and isinstance(value, VInt):
-        return VReal(float(value.value))
-    if td.kind == "complex" and isinstance(value, (VInt, VReal)):
-        return VComplex(complex(value.value))
-    return value
-
-
-def _exec_block(stmts, env: Env, writes: list):
-    for stmt in stmts:
-        if isinstance(stmt, Assign):
-            path = _resolve_target(stmt.target, env)
-            value = eval_expr(stmt.value, env)
-            writes.append((path, stmt.target.ty, value))
-        elif isinstance(stmt, If):
-            cond = eval_expr(stmt.cond, env)
-            if not isinstance(cond, VBool):
-                raise EvalError("if condition must be bool", stmt.loc)
-            _exec_block(stmt.then if cond.value else stmt.orelse, env, writes)
-        elif isinstance(stmt, For):
-            src = env.state.values.get(stmt.source.id)
-            if not isinstance(src, VList):
-                raise EvalError(f"'{stmt.source.id}' is not a list", stmt.loc)
-            for i, item in enumerate(src.items):
-                env.locals[stmt.var] = _LoopBinding(item, stmt.source.id, i)
-                _exec_block(stmt.body, env, writes)
-            env.locals.pop(stmt.var, None)
-        else:
-            raise EvalError(f"unknown statement {type(stmt).__name__}",
-                            stmt.loc)
-
-
-def _resolve_target(target, env: Env) -> tuple:
-    if isinstance(target, Name):
-        binding = env.locals.get(target.id)
-        if binding is not None:
-            return (binding.root, binding.index)
-        if target.id in env.state.values:
-            return (target.id,)
-        raise EvalError(f"cannot assign to '{target.id}'", target.loc)
-    if isinstance(target, Member):
-        return _resolve_target(target.obj, env) + (target.name,)
-    if isinstance(target, Index):
-        idx = eval_expr(target.index, env)
-        if not isinstance(idx, VInt):
-            raise EvalError("index must be int", target.loc)
-        return _resolve_target(target.obj, env) + (idx.value,)
-    raise EvalError("invalid assignment target", getattr(target, "loc", None))
 
 
 def _set_path(value: Value, parts: tuple, new: Value) -> Value:
@@ -603,9 +729,8 @@ def _set_path(value: Value, parts: tuple, new: Value) -> Value:
 
 def halts(model: CausalModel, s: SystemState) -> bool:
     """Whether the model's halt condition holds on ``s``."""
-    if model.halt is None:
-        return False
-    return bool(eval_expr(model.halt, Env(s, model.consts)).value)
+    halt = model.compiled_halt
+    return halt is not None and halt(s)
 
 
 def step(model: CausalModel, s0: SystemState, dt: float, rng,
@@ -622,13 +747,9 @@ def step(model: CausalModel, s0: SystemState, dt: float, rng,
 def build_initial_state(model: CausalModel) -> SystemState:
     """Evaluate the model's init block into a time-0 state."""
     assigned: dict = {}
-    partial = SystemState(model.schema, 0.0,
-                          {n: v for n, v in assigned.items()})
-    for name, expr in model.init:
-        env = Env(partial, model.consts)
-        value = _coerce(eval_expr(expr, env), model.schema.fields[name])
-        assigned[name] = value
-        partial = SystemState(model.schema, 0.0, dict(assigned))
+    partial = SystemState(model.schema, 0.0, assigned)  # fields so far
+    for name, value in model.compiled_init:
+        assigned[name] = value(partial)
     return make_initial_state(model.schema, assigned)
 
 

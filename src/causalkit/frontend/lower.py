@@ -10,24 +10,26 @@ from .parser import parse
 from .typecheck import TypedModel, typecheck
 
 
-def lower(typed: TypedModel) -> CausalModel:
-    """Package a typechecked model for the engine, laws in declaration order."""
+def lower(typed: TypedModel, default_timestep: float = 1.0) -> CausalModel:
+    """Package a typechecked model for the engine, laws in declaration order;
+    constructing it compiles every guard, transition and expression."""
     ast = typed.ast
     for call in walk([[law.guard, *law.body] for law in ast.laws]):
         if isinstance(call, Call) and intrinsics.get(call.func) is None:
             raise UnknownIntrinsicError(call.func)
     laws = tuple(
         Law(name=law.name, guard=law.guard, transition=law.body,
-            uses_random=typed.uses_random[law.name])
+            uses_random=typed.uses_random[law.name], schema=typed.schema)
         for law in ast.laws)
     init = tuple((a.target.id, a.value) for a in ast.init)
     consts = {n: v for n, (_, v) in typed.schema.constants.items()}
     return CausalModel(name=typed.name, schema=typed.schema, laws=laws,
-                       init=init, halt=ast.halt, default_timestep=1.0,
+                       init=init, halt=ast.halt,
+                       default_timestep=default_timestep,
                        consts=consts)
 
 
-def compile_model(source: str):
+def compile_model(source: str, default_timestep: float = 1.0):
     """parse + typecheck + lower. Returns (CausalModel | None, diagnostics)."""
     ast, diags = parse(source)
     if ast is None:
@@ -36,12 +38,12 @@ def compile_model(source: str):
     diags = diags + [d for d in tdiags if d not in diags]
     if typed is None:
         return None, diags
-    return lower(typed), diags
+    return lower(typed, default_timestep), diags
 
 
-def load_model(source: str) -> CausalModel:
+def load_model(source: str, default_timestep: float = 1.0) -> CausalModel:
     """Compile CML source, raising CmlError with diagnostics on failure."""
-    model, diags = compile_model(source)
+    model, diags = compile_model(source, default_timestep)
     if model is None:
         raise CmlError([d for d in diags if d.severity == "error"])
     return model

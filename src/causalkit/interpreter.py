@@ -12,10 +12,8 @@ import numpy as np
 
 from .engine import (
     CausalModel,
-    Env,
     RandomSource,
     apply_law,
-    eval_expr,
     halts,
     select_law,
 )
@@ -40,7 +38,7 @@ class RunConfig:
     seed: int = 0
     mode: str = "strict"
     record_every: int = 1
-    observables: tuple = ()  # (label, typed Expr) pairs
+    observables: tuple = ()  # (label, compile_observable closure) pairs
 
     def __post_init__(self):
         if not (self.dt > 0):
@@ -99,9 +97,8 @@ def _termination(exc) -> Termination:
     return Termination("eval-error", str(exc))
 
 
-def _observe(model: CausalModel, s: SystemState, observables) -> tuple:
-    env = Env(s, model.consts)
-    return tuple(eval_expr(expr, env).value for _, expr in observables)
+def _observe(observables, s: SystemState) -> tuple:
+    return tuple([observe(s) for _, observe in observables])
 
 
 def run(model: CausalModel, init: SystemState, cfg: RunConfig) -> Trace:
@@ -113,12 +110,13 @@ def run(model: CausalModel, init: SystemState, cfg: RunConfig) -> Trace:
     and rows are recorded exactly at record_every strides.
     """
     rng = RngStream(cfg.seed)
-    rows = [TraceRow(0, init.time, _observe(model, init, cfg.observables),
-                     init)]
+    rows = []
     s = init
     steps = 0
-    while True:
-        try:
+    try:
+        rows.append(TraceRow(0, init.time, _observe(cfg.observables, init),
+                             init))
+        while True:
             if halts(model, s):
                 termination = Termination("halted")
                 break
@@ -132,10 +130,9 @@ def run(model: CausalModel, init: SystemState, cfg: RunConfig) -> Trace:
             steps += 1
             if steps % cfg.record_every == 0:
                 rows.append(TraceRow(steps, s.time,
-                                     _observe(model, s, cfg.observables), s))
-        except _STEP_ERRORS as exc:
-            termination = _termination(exc)
-            break
+                                     _observe(cfg.observables, s), s))
+    except _STEP_ERRORS as exc:
+        termination = _termination(exc)
     return Trace(model.name, cfg, tuple(rows), termination, s)
 
 

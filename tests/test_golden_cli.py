@@ -2,9 +2,13 @@
 compare the SHA-256 of their stdout with `fixtures/golden_cli.json`.
 
 The fixture was generated from a tree whose outputs were taken as the
-reference. Regenerate it only when a change is meant to alter output:
+reference. After adding an invocation, pin it with
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+which records digests only for invocations not yet in the fixture and
+leaves every existing entry untouched. Run it before changing the
+program, so the new digests come from the reference tree.
 """
 
 from __future__ import annotations
@@ -21,6 +25,10 @@ from causalkit.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "fixtures" / "golden_cli.json"
+
+# a second `run builtin:harmonic_oscillator`, named apart in ``_id``
+ENERGY_RUN = ("run", "builtin:harmonic_oscillator", "--observables",
+              "x,v,0.5*v*v+0.5*x*x", "--steps", "300", "--dt", "0.001")
 
 # argv of each pinned invocation; .cml paths are relative to the repo root
 INVOCATIONS = (
@@ -53,6 +61,17 @@ INVOCATIONS = (
     ("analyze", "cmlbench/models/quadrants.cml", "--strategy", "trace"),
     ("analyze", "src/causalkit/models/schrodinger_1d.cml", "--runs", "2",
      "--steps", "5"),
+    ENERGY_RUN,
+    ("run", "builtin:qftca_toy", "--param", "cells=12", "--observables",
+     "world.particles[0].vel + world.particles[1].vel", "--steps", "300"),
+    ("run", "builtin:schrodinger_1d", "--steps", "20", "--record-every", "20",
+     "--observables", "psi[0],psi[255],psi[511]"),
+    ("branch", "cmlbench/models/walk.cml", "--depth", "10", "--width", "16",
+     "--steps", "11"),
+    ("run", "tests/fixtures/language.cml", "--observables",
+     "n,j,k,x,y,z,flag,hits,v[0],v[3],g[0],g[3],li[0],li[3],lr[0],lr[2],"
+     "lz[0],lz[1],flag == on,n != 2.5,-x,!flag,-z,abs(x) ^ 0.5,k ^ 2,n / 4,"
+     "y == -2.5"),
 )
 
 
@@ -77,16 +96,27 @@ def test_every_invocation_is_pinned():
     assert set(_golden()) == set(INVOCATIONS)
 
 
-@pytest.mark.parametrize("argv", INVOCATIONS, ids=lambda a: " ".join(a[:2]))
+def _id(argv) -> str:
+    """Test id: command and model (pytest numbers repeated ids)."""
+    if argv == ENERGY_RUN:
+        return "run builtin:harmonic_oscillator energy"
+    return " ".join(argv[:2])
+
+
+@pytest.mark.parametrize("argv", INVOCATIONS, ids=_id)
 def test_stdout_matches_golden_digest(argv):
     entry = _golden()[argv]
     assert invoke(argv) == (entry["exit"], entry["sha256"])
 
 
 if __name__ == "__main__":
-    records = []
+    records = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    pinned = {tuple(e["argv"]) for e in records}
     for argv in INVOCATIONS:
-        code, digest = invoke(argv)
-        records.append({"argv": list(argv), "exit": code, "sha256": digest})
+        if argv not in pinned:
+            code, digest = invoke(argv)
+            records.append({"argv": list(argv), "exit": code,
+                            "sha256": digest})
+            print("added:", " ".join(argv))
     GOLDEN.write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {len(records)} digests to {GOLDEN}")
+    print(f"{len(records) - len(pinned)} added, {len(pinned)} kept in {GOLDEN}")

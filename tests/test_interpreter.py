@@ -10,6 +10,7 @@ from causalkit import (
     branch_run,
     build_bundled_model,
     build_initial_state,
+    compile_observable,
     load_model,
     run,
     world_tree_to_json,
@@ -23,7 +24,7 @@ def observable(model, text):
     expr, _ = parse_expression(text)
     td, diags = check_standalone_expr(expr, model.schema)
     assert td is not None, diags
-    return (text, expr)
+    return (text, compile_observable(expr, model.schema))
 
 
 class TestRun:
