@@ -9,7 +9,7 @@ disjunction to fold to the constant true.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .engine import (
     CausalModel,
@@ -20,6 +20,7 @@ from .engine import (
     classify_determinism,
     eval_guard,
     halts,
+    select_law,
 )
 from .errors import (
     NoValidInStateFoundError,
@@ -28,6 +29,7 @@ from .errors import (
 from .frontend.ast_nodes import Call, RandomExpr, walk
 from .frontend.typecheck import const_fold
 from . import intrinsics
+from .interpreter import RunConfig, run
 from .rng import RngStream, derive_seed
 from .state import (
     SystemState,
@@ -49,8 +51,8 @@ class CheckStrategy:
     """How to bound a property check.
 
     enumerate: all states of finite domains; sample: ``count`` random
-    states with per-trial derived seeds; trace: ``runs`` runs of
-    ``steps_per_run`` steps from valid start states.
+    states with per-trial derived seeds; trace: ``runs`` runs (``run``
+    itself) of at most ``steps_per_run`` steps from valid start states.
     """
 
     kind: str = "sample"
@@ -99,7 +101,7 @@ class AnalysisReport:
 
 def validstate(model: CausalModel, s: SystemState) -> bool:
     """Disjunction of all law guards on the state."""
-    return any(eval_guard(law, s, model.consts) for law in model.laws)
+    return any(eval_guard(law, s) for law in model.laws)
 
 
 # --- state generation ---------------------------------------------------------
@@ -156,10 +158,8 @@ def _sampled_states(model: CausalModel, strategy: CheckStrategy):
         yield sample_state(model.schema, rng)
 
 
-def _trace_start(model: CausalModel, run_idx: int, strategy: CheckStrategy,
-                 can_sample: bool) -> SystemState:
-    if not can_sample:
-        return build_initial_state(model)
+def _sampled_start(model: CausalModel, run_idx: int,
+                   strategy: CheckStrategy) -> SystemState:
     rng = RngStream(derive_seed(strategy.seed, run_idx))
     for _ in range(_REJECTION_TRIES):
         s = sample_state(model.schema, rng)
@@ -169,24 +169,41 @@ def _trace_start(model: CausalModel, run_idx: int, strategy: CheckStrategy,
         f"no valid in-state found in {_REJECTION_TRIES} draws")
 
 
+def _trace_runs(model: CausalModel, strategy: CheckStrategy, mode: str,
+                init: SystemState | None):
+    """The trace strategy: one ``run`` per trace run, in ``mode``, from a
+    sampled valid start state, or from ``init`` (default: the model's
+    initial state) if the model has unsampleable fields."""
+    can_sample = not unsampleable_fields(model)
+    if not can_sample and init is None:
+        init = build_initial_state(model)
+    for r in range(strategy.runs):
+        start = _sampled_start(model, r, strategy) if can_sample else init
+        cfg = RunConfig(dt=model.default_timestep,
+                        max_steps=strategy.steps_per_run,
+                        seed=derive_seed(strategy.seed ^ 0x7472616365, r),
+                        mode=mode)
+        yield run(model, start, cfg)
+
+
 # --- consistency ----------------------------------------------------------------
 
 
-def check_consistency(model: CausalModel,
-                      strategy: CheckStrategy) -> ConsistencyVerdict:
+def check_consistency(model: CausalModel, strategy: CheckStrategy,
+                      init: SystemState | None = None) -> ConsistencyVerdict:
     """At most one guard may hold. enumerate/sample check arbitrary states
-    (the stronger condition); trace checks encountered out-states only."""
+    (the stronger condition); trace checks the states strict runs reach,
+    from ``init`` if the model cannot be sampled."""
     if len(model.laws) == 1:
         return ConsistencyVerdict("pass", states_checked=0,
                                   message="single law: vacuously consistent")
     if strategy.kind == "trace":
-        return _consistency_by_trace(model, strategy)
+        return _consistency_by_trace(model, strategy, init)
     states = (enumerate_states(model) if strategy.kind == "enumerate"
               else _sampled_states(model, strategy))
     checked = 0
     for s in states:
-        hits = [law.name for law in model.laws
-                if eval_guard(law, s, model.consts)]
+        hits = [law.name for law in model.laws if eval_guard(law, s)]
         if len(hits) > 1:
             return ConsistencyVerdict("fail", states_checked=checked,
                                       witness=s, laws=tuple(hits),
@@ -196,34 +213,22 @@ def check_consistency(model: CausalModel,
                               seed=strategy.seed)
 
 
-def _consistency_by_trace(model, strategy) -> ConsistencyVerdict:
-    can_sample = not unsampleable_fields(model)
+def _consistency_by_trace(model, strategy, init) -> ConsistencyVerdict:
     checked = 0
-    for r in range(strategy.runs):
-        s = _trace_start(model, r, strategy, can_sample)
-        rng = RngStream(derive_seed(strategy.seed ^ 0x7472616365, r))
-        for _ in range(strategy.steps_per_run):
-            hits = [law for law in model.laws
-                    if eval_guard(law, s, model.consts)]
-            if len(hits) > 1:
-                return ConsistencyVerdict(
-                    "fail", states_checked=checked, witness=s,
-                    laws=tuple(l.name for l in hits), seed=strategy.seed)
-            if not hits:
-                break
-            s1 = apply_law(hits[0], s, model.default_timestep, rng,
-                           model.consts)
-            s = SystemState(s1.schema, s.time + model.default_timestep,
-                            s1.values)
-            checked += 1
-            hits2 = [law.name for law in model.laws
-                     if eval_guard(law, s, model.consts)]
-            if len(hits2) > 1:
-                return ConsistencyVerdict("fail", states_checked=checked,
-                                          witness=s, laws=tuple(hits2),
-                                          seed=strategy.seed)
-            if halts(model, s):
-                break
+    for trace in _trace_runs(model, strategy, "strict", init):
+        term = trace.termination
+        if term.kind == "eval-error":
+            return ConsistencyVerdict("error", message=term.message)
+        checked += len(trace.rows) - 1
+        witness, laws = term.witness, term.laws
+        if term.kind == "max-steps":   # run selects no law at its last state
+            witness = trace.final_state
+            laws = tuple(law.name for law in model.laws
+                         if eval_guard(law, witness))
+        if len(laws) > 1:
+            return ConsistencyVerdict("fail", states_checked=checked,
+                                      witness=witness, laws=laws,
+                                      seed=strategy.seed)
     return ConsistencyVerdict("pass", states_checked=checked,
                               seed=strategy.seed)
 
@@ -238,31 +243,32 @@ def guard_disjunction_trivially_true(model: CausalModel) -> bool:
                for law in model.laws)
 
 
-def check_completeness(model: CausalModel,
-                       strategy: CheckStrategy) -> CompletenessVerdict:
-    """Every generated out-state must satisfy some guard.
+def check_completeness(model: CausalModel, strategy: CheckStrategy,
+                       init: SystemState | None = None) -> CompletenessVerdict:
+    """Every generated out-state that does not halt must satisfy some guard.
 
     pass-trivially requires the guard disjunction to constant-fold to
-    true; otherwise out-states are generated per the strategy and the
-    first invalid one is returned as a witness with its producing law.
+    true; otherwise out-states are generated per the strategy (trace:
+    first-match runs, from ``init`` if the model cannot be sampled) and
+    the first invalid one is returned as a witness with its producing law.
     """
     if guard_disjunction_trivially_true(model):
         return CompletenessVerdict("pass-trivially")
     if strategy.kind == "trace":
-        return _completeness_by_trace(model, strategy)
+        return _completeness_by_trace(model, strategy, init)
     states = (enumerate_states(model) if strategy.kind == "enumerate"
               else _sampled_states(model, strategy))
     checked = 0
     found_valid = False
     for i, s in enumerate(states):
-        hits = [law for law in model.laws if eval_guard(law, s, model.consts)]
+        hits = [law for law in model.laws if eval_guard(law, s)]
         if not hits:
             continue
         found_valid = True
         rng = RngStream(derive_seed(strategy.seed ^ 0x6F7574, i))
-        out = apply_law(hits[0], s, model.default_timestep, rng, model.consts)
+        out = apply_law(hits[0], s, model.default_timestep, rng)
         checked += 1
-        if not validstate(model, out):
+        if not halts(model, out) and not validstate(model, out):
             return CompletenessVerdict("fail", states_checked=checked,
                                        witness=out,
                                        producing_law=hits[0].name,
@@ -274,31 +280,24 @@ def check_completeness(model: CausalModel,
                                seed=strategy.seed)
 
 
-def _completeness_by_trace(model, strategy) -> CompletenessVerdict:
-    can_sample = not unsampleable_fields(model)
+def _completeness_by_trace(model, strategy, init) -> CompletenessVerdict:
     checked = 0
-    for r in range(strategy.runs):
-        s = _trace_start(model, r, strategy, can_sample)
-        if not validstate(model, s):
-            continue  # model-init start state may be a halt-only state
-        rng = RngStream(derive_seed(strategy.seed ^ 0x7472616365, r))
-        for _ in range(strategy.steps_per_run):
-            hits = [law for law in model.laws
-                    if eval_guard(law, s, model.consts)]
-            if not hits:
-                break
-            s1 = apply_law(hits[0], s, model.default_timestep, rng,
-                           model.consts)
-            s = SystemState(s1.schema, s.time + model.default_timestep,
-                            s1.values)
-            checked += 1
-            if not validstate(model, s):
-                return CompletenessVerdict("fail", states_checked=checked,
-                                           witness=s,
-                                           producing_law=hits[0].name,
-                                           seed=strategy.seed)
-            if halts(model, s):
-                break
+    for trace in _trace_runs(model, strategy, "first-match", init):
+        term = trace.termination
+        if term.kind == "eval-error":
+            return CompletenessVerdict("error", message=term.message)
+        steps = len(trace.rows) - 1
+        checked += steps
+        # a halted run is done; run selects no law at its last state
+        stuck = (term.kind == "no-applicable-law"
+                 or term.kind == "max-steps"
+                 and not validstate(model, trace.final_state))
+        if stuck and steps:
+            law = select_law(model, trace.rows[-2].snapshot, "first-match")
+            return CompletenessVerdict("fail", states_checked=checked,
+                                       witness=trace.final_state,
+                                       producing_law=law.name,
+                                       seed=strategy.seed)
     return CompletenessVerdict("pass-bounded", states_checked=checked,
                                seed=strategy.seed)
 
@@ -325,28 +324,27 @@ def _intrinsic_inventory(model: CausalModel) -> list:
     return notes
 
 
-def analyze(model: CausalModel, strategy: CheckStrategy) -> AnalysisReport:
+def analyze(model: CausalModel, strategy: CheckStrategy,
+            init: SystemState | None = None) -> AnalysisReport:
     """Bundle consistency, bounded completeness, determinism, and
-    computability bookkeeping. Check failures are recorded in the report,
-    never raised."""
+    computability bookkeeping. ``init`` is the trace start state of a
+    model with unsampleable fields (default: its initial state). Check
+    failures are recorded in the report, never raised."""
     notes = []
     bad = unsampleable_fields(model)
     for name in bad:
         notes.append(f"field '{name}' is unsampleable")
     effective = strategy
     if strategy.kind == "sample" and bad:
-        effective = CheckStrategy("trace", count=strategy.count,
-                                  runs=strategy.runs,
-                                  steps_per_run=strategy.steps_per_run,
-                                  seed=strategy.seed, tol=strategy.tol)
+        effective = replace(strategy, kind="trace")
         notes.append("sample strategy downgraded to trace "
                      "(unsampleable fields)")
     try:
-        consistency = check_consistency(model, effective)
+        consistency = check_consistency(model, effective, init)
     except Exception as exc:  # noqa: BLE001 - report, never crash
         consistency = ConsistencyVerdict("error", message=str(exc))
     try:
-        completeness = check_completeness(model, effective)
+        completeness = check_completeness(model, effective, init)
     except Exception as exc:  # noqa: BLE001
         completeness = CompletenessVerdict("error", message=str(exc))
     determinism = classify_determinism(model)

@@ -186,11 +186,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    model, _, _ = _load_model(args)
+    model, state, _ = _load_model(args)
     strategy = CheckStrategy(kind=args.strategy, count=args.samples,
                              runs=args.runs, steps_per_run=args.steps,
                              seed=args.seed)
-    report = analyze(model, strategy)
+    report = analyze(model, strategy, state)
     text = json.dumps(report_to_json(report), indent=2) + "\n"
     write_text(text, args.out)
     return 0

@@ -209,7 +209,6 @@ class CausalModel:
     init: tuple = ()              # ((field name, Expr), ...)
     halt: object | None = None
     default_timestep: float = 1.0
-    consts: dict = field(default_factory=dict)  # name -> Value
     compiled_halt: object = field(init=False, repr=False, compare=False)
     compiled_init: tuple = field(init=False, repr=False, compare=False)
 
@@ -249,7 +248,6 @@ class CausalModel:
 # value set's member.
 
 _SCALAR = {"int": VInt, "real": VReal, "bool": VBool, "complex": VComplex}
-_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "<": operator.lt, "<=": operator.le, ">": operator.gt,
               ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
@@ -391,23 +389,11 @@ def _binary(e: Binary, scope):
             return a / b
         return _apply(divide, left, right)
     if op == "^":
-        return _apply(_int_power(loc) if e.ty.kind == "int"
-                      else _real_power(loc), left, right)
+        if e.ty.kind == "int":
+            return _apply(lambda a, b: intrinsics.int_power(a, b, loc),
+                          left, right)
+        return _apply(_real_power(loc), left, right)
     return _apply(_OPERATORS[op], left, right)
-
-
-def _int_power(loc):
-    def power(a, b):
-        if b < 0:
-            raise EvalError("int '^' needs a non-negative exponent", loc)
-        # |a| >= 2 and b >= 64 is out of range; test it before computing
-        if b > 63 and abs(a) > 1:
-            raise EvalError("int '^' overflows int64", loc)
-        r = a ** b
-        if not _INT64_MIN <= r <= _INT64_MAX:
-            raise EvalError("int '^' overflows int64", loc)
-        return r
-    return power
 
 
 def _real_power(loc):
@@ -618,12 +604,8 @@ _STATEMENTS = {Assign: _assign, If: _if, For: _for}
 # --- guards and law selection ------------------------------------------------------
 
 
-def eval_guard(law: Law, s: SystemState, consts: dict | None = None) -> bool:
-    """Evaluate a law's guard on a state. Pure: no randomness, no mutation.
-
-    ``consts`` is accepted for compatibility; constants were folded into
-    the guard when the law was compiled.
-    """
+def eval_guard(law: Law, s: SystemState) -> bool:
+    """Evaluate a law's guard on a state. Pure: no randomness, no mutation."""
     try:
         return law.compiled_guard(s)
     except EvalError as exc:
@@ -638,12 +620,12 @@ def select_law(model: CausalModel, s: SystemState, mode: str = "strict") -> Law:
     """
     if mode == "first-match":
         for law in model.laws:
-            if eval_guard(law, s, model.consts):
+            if eval_guard(law, s):
                 return law
         raise NoApplicableLawError(s)
     if mode != "strict":
         raise ValueError(f"unknown mode '{mode}'")
-    hits = [law for law in model.laws if eval_guard(law, s, model.consts)]
+    hits = [law for law in model.laws if eval_guard(law, s)]
     if not hits:
         raise NoApplicableLawError(s)
     if len(hits) > 1:
@@ -654,12 +636,11 @@ def select_law(model: CausalModel, s: SystemState, mode: str = "strict") -> Law:
 # --- transition application ----------------------------------------------------------
 
 
-def apply_law(law: Law, s0: SystemState, dt: float, rng,
-              consts: dict | None = None) -> SystemState:
+def apply_law(law: Law, s0: SystemState, dt: float, rng) -> SystemState:
     """Apply a law's transition to s0 and return s1 (time unchanged).
 
     All reads see s0; ``dt`` is available to expressions by that name.
-    ``consts`` is accepted for compatibility, like ``eval_guard``'s.
+    An ``EvalError`` or ``ContinuousRandomError`` leaves with the law's name.
     """
     schema = s0.schema
     try:
@@ -676,6 +657,8 @@ def apply_law(law: Law, s0: SystemState, dt: float, rng,
         writes = law.compiled_transition(s0.values, dt, rng)
     except EvalError as exc:
         raise EvalError(exc.message, exc.loc, law=law.name)
+    except ContinuousRandomError:
+        raise ContinuousRandomError(law=law.name)
     values = dict(s0.values)
     composite = {}
     for root, path, value in writes:
@@ -735,11 +718,12 @@ def halts(model: CausalModel, s: SystemState) -> bool:
 
 def step(model: CausalModel, s0: SystemState, dt: float, rng,
          mode: str = "strict", time_after: float | None = None) -> SystemState:
-    """One causal step: select the law, apply it, advance time by dt."""
+    """One causal step: select the law, apply it, stamp ``time_after``
+    (default s0.time + dt). ``run``, ensembles and branching step here."""
     if not (dt > 0):
         raise ValueError("dt must be positive")
     law = select_law(model, s0, mode)
-    s1 = apply_law(law, s0, dt, rng, model.consts)
+    s1 = apply_law(law, s0, dt, rng)
     t = s0.time + dt if time_after is None else time_after
     return SystemState(s1.schema, t, s1.values)
 

@@ -22,11 +22,9 @@ def lower(typed: TypedModel, default_timestep: float = 1.0) -> CausalModel:
             uses_random=typed.uses_random[law.name], schema=typed.schema)
         for law in ast.laws)
     init = tuple((a.target.id, a.value) for a in ast.init)
-    consts = {n: v for n, (_, v) in typed.schema.constants.items()}
     return CausalModel(name=typed.name, schema=typed.schema, laws=laws,
                        init=init, halt=ast.halt,
-                       default_timestep=default_timestep,
-                       consts=consts)
+                       default_timestep=default_timestep)
 
 
 def compile_model(source: str, default_timestep: float = 1.0):

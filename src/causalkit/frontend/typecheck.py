@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import intrinsics
-from ..errors import SchemaError
+from ..errors import EvalError, SchemaError
 from ..state import Domain, StateSchema, TypeDesc, VBool, VComplex, VInt, VReal
 from .ast_nodes import (
     Assign,
@@ -191,7 +191,11 @@ def _collect_consts(ast: ModelAst, records, diags):
             td = _resolve_type(c.type_, set(records))
             if td.kind not in _SCALAR_TYPE_NAMES:
                 raise _err("bad-type", "constants must be scalar", c.loc)
-            raw = const_fold(c.value, consts_val)
+            try:
+                raw = _fold(c.value, consts_val)
+            except EvalError as exc:   # the int '^' rule
+                raise _err("bad-constant", f"initializer of constant "
+                           f"'{c.name}': {exc.message}", c.value.loc)
             if raw is None:
                 raise _err("not-constant",
                            f"initializer of constant '{c.name}' is not constant",
@@ -693,24 +697,30 @@ def _gauss_args(dist: DistExpr):
 
 
 def const_fold(e: Expr, consts_val: dict):
-    """Fold an expression to a raw Python value, or None if not constant.
+    """Fold an expression to a raw Python value, or None if it is not
+    constant or fails. ``consts_val`` maps constant names to Values."""
+    try:
+        return _fold(e, consts_val)
+    except EvalError:
+        return None
 
-    ``consts_val`` maps constant names to Values.
-    """
+
+def _fold(e: Expr, consts_val: dict):
+    """``const_fold``, but int ``^`` outside its rule raises EvalError."""
     if isinstance(e, Lit):
         return e.value
     if isinstance(e, Name):
         v = consts_val.get(e.id)
         return None if v is None else v.value
     if isinstance(e, Unary):
-        x = const_fold(e.operand, consts_val)
+        x = _fold(e.operand, consts_val)
         if x is None:
             return None
         if e.op == "-":
             return -x if not isinstance(x, bool) else None
         return (not x) if isinstance(x, bool) else None
     if isinstance(e, Binary):
-        left = const_fold(e.left, consts_val)
+        left = _fold(e.left, consts_val)
         if left is None:
             return None
         # short-circuit boolean folding
@@ -718,7 +728,7 @@ def const_fold(e: Expr, consts_val: dict):
             return False
         if e.op == "||" and left is True:
             return True
-        right = const_fold(e.right, consts_val)
+        right = _fold(e.right, consts_val)
         if right is None:
             return None
         try:
@@ -744,6 +754,8 @@ def _fold_binary(op, a, b):
             raise ArithmeticError()
         return a / b
     if op == "^":
+        if type(a) is int and type(b) is int:
+            return intrinsics.int_power(a, b)
         return a ** b
     if op == "<":
         return a < b

@@ -16,6 +16,7 @@ from .engine import (
     apply_law,
     halts,
     select_law,
+    step,
 )
 from .errors import (
     BranchSignal,
@@ -106,34 +107,15 @@ def run(model: CausalModel, init: SystemState, cfg: RunConfig) -> Trace:
     or an engine error occurs. Failures land in the termination record,
     never as exceptions.
 
-    Row times are computed as init.time + stepIndex * dt (not accumulated),
-    and rows are recorded exactly at record_every strides.
+    This is the one-trial case of ``run_ensemble``'s loop, seeded with
+    ``cfg.seed`` itself. Row times are computed as init.time + stepIndex *
+    dt (not accumulated), and rows are recorded exactly at record_every
+    strides.
     """
-    rng = RngStream(cfg.seed)
-    rows = []
-    s = init
-    steps = 0
-    try:
-        rows.append(TraceRow(0, init.time, _observe(cfg.observables, init),
-                             init))
-        while True:
-            if halts(model, s):
-                termination = Termination("halted")
-                break
-            if steps >= cfg.max_steps:
-                termination = Termination("max-steps")
-                break
-            law = select_law(model, s, cfg.mode)
-            s1 = apply_law(law, s, cfg.dt, rng, model.consts)
-            s = SystemState(s1.schema, init.time + (steps + 1) * cfg.dt,
-                            s1.values)
-            steps += 1
-            if steps % cfg.record_every == 0:
-                rows.append(TraceRow(steps, s.time,
-                                     _observe(cfg.observables, s), s))
-    except _STEP_ERRORS as exc:
-        termination = _termination(exc)
-    return Trace(model.name, cfg, tuple(rows), termination, s)
+    rows: list = []
+    termination, final = Ensemble(model, init, cfg, 1)._trial(
+        RngStream(cfg.seed), rows)
+    return Trace(model.name, cfg, tuple(rows), termination, final)
 
 
 # --- branching execution -----------------------------------------------------------
@@ -253,14 +235,10 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
                 except EvalError as exc:
                     settle(lin, _termination(exc))
                     continue
-            law = None
             try:
-                law = select_law(model, lin.state, cfg.mode)
-                s1 = apply_law(law, lin.state, cfg.dt, ReplaySource(script),
-                               model.consts)
-                lin.state = SystemState(
-                    s1.schema, init.time + (lin.steps + 1) * cfg.dt,
-                    s1.values)
+                lin.state = step(model, lin.state, cfg.dt,
+                                 ReplaySource(script), cfg.mode,
+                                 init.time + (lin.steps + 1) * cfg.dt)
                 lin.steps += 1
                 lin.draws += len(script)
                 lin.node.snapshot = lin.state
@@ -287,8 +265,6 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
                     serial += 1
                 for item in reversed(children):
                     work.appendleft(item)
-            except ContinuousRandomError:
-                raise ContinuousRandomError(law=law.name if law else None)
             except _STEP_ERRORS as exc:
                 settle(lin, _termination(exc))
         if len(survivors) > width_bound:
@@ -375,19 +351,20 @@ class Ensemble:
 
     ``memo`` maps id(pre-state) to the work shared by every trial that
     reaches that state object. Only the initial state and finished trie
-    leaves are shareable, and at most ``trials`` states are admitted.
+    leaves are shareable, and at most ``trials`` states are admitted. A
+    lone trial never reaches a state object twice, so one trial admits
+    none: it steps exactly like a plain loop.
     """
 
     def __init__(self, model: CausalModel, init: SystemState,
                  cfg: RunConfig, trials: int):
-        if cfg.observables:
-            raise ValueError("ensembles record no observables")
         if trials < 1:
             raise ValueError("trials must be >= 1")
         self.model = model
         self.init = init
         self.cfg = cfg
         self.trials = trials
+        self.capacity = trials if trials > 1 else 0
         self.memo: dict = {}
 
     def __iter__(self):
@@ -398,16 +375,23 @@ class Ensemble:
 
     def _entry(self, s: SystemState) -> _Entry | None:
         entry = self.memo.get(id(s))
-        if entry is None and len(self.memo) < self.trials:
+        if entry is None and len(self.memo) < self.capacity:
             entry = self.memo[id(s)] = _Entry(s, halts(self.model, s))
         return entry
 
-    def _trial(self, stream: RngStream):
-        model, cfg = self.model, self.cfg
-        s = self.init
+    def _trial(self, stream: RngStream, rows: list | None = None):
+        """One trial from the initial state, drawing from ``stream``: the
+        halt -> max-steps -> step loop of every run. Returns (termination,
+        final state); appends a TraceRow to ``rows``, if given, at step 0
+        and every record_every steps."""
+        model, cfg, init = self.model, self.cfg, self.init
+        s = init
         steps = 0
         shared = True   # s is the initial state or a trie leaf
         try:
+            if rows is not None:
+                rows.append(TraceRow(0, init.time,
+                                     _observe(cfg.observables, s), s))
             while True:
                 entry = self._entry(s) if shared else None
                 halted = halts(model, s) if entry is None else entry.halts
@@ -415,17 +399,16 @@ class Ensemble:
                     return Termination("halted"), s
                 if steps >= cfg.max_steps:
                     return Termination("max-steps"), s
-                time = self.init.time + (steps + 1) * cfg.dt
+                steps += 1
+                time = init.time + steps * cfg.dt
                 if entry is None:
-                    law = select_law(model, s, cfg.mode)
-                    s1 = apply_law(law, s, cfg.dt, stream, model.consts)
-                    s = SystemState(s1.schema, time, s1.values)
+                    s = step(model, s, cfg.dt, stream, cfg.mode, time)
                     shared = False
                 else:
-                    if entry.law is None:
-                        entry.law = select_law(model, s, cfg.mode)
                     s, shared = self._step(entry, stream, time)
-                steps += 1
+                if rows is not None and steps % cfg.record_every == 0:
+                    rows.append(TraceRow(steps, time,
+                                         _observe(cfg.observables, s), s))
         except _STEP_ERRORS as exc:
             return _termination(exc), s
 
@@ -433,6 +416,8 @@ class Ensemble:
         """Apply the entry's law: walk the trie with the trial's own draws
         and execute only where it is unexplored or live. Returns the
         post-state and whether it is a (shareable) trie leaf."""
+        if entry.law is None:
+            entry.law = select_law(self.model, entry.state, self.cfg.mode)
         node, prefix = entry.root, []
         while node.post is None and node.probs is not None:
             k = stream.categorical(node.probs)
@@ -444,8 +429,7 @@ class Ensemble:
         if node.post is not None:
             return node.post, True
         source = _TrieSource(stream, entry.root, prefix)
-        s1 = apply_law(entry.law, entry.state, self.cfg.dt, source,
-                       self.model.consts)
+        s1 = apply_law(entry.law, entry.state, self.cfg.dt, source)
         post = SystemState(s1.schema, time, s1.values)
         if source.node is None:
             return post, False
@@ -466,6 +450,8 @@ def run_ensemble(model: CausalModel, init: SystemState, cfg: RunConfig,
     and shared by all trials that reach it. Ensembles record no rows, so
     ``cfg.observables`` must be empty.
     """
+    if cfg.observables:
+        raise ValueError("ensembles record no observables")
     return Ensemble(model, init, cfg, trials)
 
 

@@ -76,6 +76,23 @@ def _rank(v, loc) -> int:
 
 _WRAP = (VInt, VReal, VComplex)
 
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
+def int_power(a: int, b: int, loc=None) -> int:
+    """int ``a ^ b``, the one rule for the compiler and the constant folder:
+    a negative exponent or a result outside int64 is an EvalError, raised
+    before a power that large is computed."""
+    if b < 0:
+        raise EvalError("int '^' needs a non-negative exponent", loc)
+    # |a| >= 2 and b >= 64 is out of range; test it before computing
+    if b > 63 and abs(a) > 1:
+        raise EvalError("int '^' overflows int64", loc)
+    r = a ** b
+    if not _INT64_MIN <= r <= _INT64_MAX:
+        raise EvalError("int '^' overflows int64", loc)
+    return r
+
 
 # --- language built-ins ---------------------------------------------------------
 

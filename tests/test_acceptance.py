@@ -146,7 +146,7 @@ def test_criterion_3_consistency_completeness():
                                                   seed=4))
         assert verdict.status == "fail"
         hits = [l.name for l in overlap.laws
-                if eval_guard(l, verdict.witness, overlap.consts)]
+                if eval_guard(l, verdict.witness)]
         assert len(hits) >= 2  # witness replays
 
         partition = load_model(fixture_source("partition.cml"))

@@ -3,6 +3,7 @@ import pytest
 from causalkit import (
     CheckStrategy,
     RngStream,
+    RunConfig,
     analyze,
     build_bundled_model,
     build_initial_state,
@@ -10,6 +11,7 @@ from causalkit import (
     check_consistency,
     load_model,
     report_to_json,
+    run,
     sample_state,
     state_from_json,
     state_to_json,
@@ -17,6 +19,8 @@ from causalkit import (
 )
 from causalkit.analyzer import enumerate_states
 from causalkit.engine import eval_guard
+from causalkit.errors import MissingFieldError
+from causalkit.state import VInt
 
 from conftest import BROKEN, FIXTURES
 
@@ -62,7 +66,7 @@ class TestConsistency:
         assert -1.0 < x < 1.0  # interval-intersection oracle
         # replay: the witness itself makes >= 2 guards true
         hits = [l.name for l in model.laws
-                if eval_guard(l, verdict.witness, model.consts)]
+                if eval_guard(l, verdict.witness)]
         assert len(hits) >= 2
 
     def test_single_law_vacuous(self, load_fixture_model):
@@ -131,6 +135,44 @@ class TestCompleteness:
         assert verdict.status == "fail"
         assert verdict.producing_law == "Step"
         assert not validstate(model, verdict.witness)
+
+    @pytest.mark.parametrize("kind", ["enumerate", "sample", "trace"])
+    def test_halting_out_states_are_not_failures(self, load_fixture_model,
+                                                 kind):
+        # two_coin halts once both coins are drawn; no guard holds there
+        model = load_fixture_model("two_coin.cml")
+        verdict = check_completeness(model, CheckStrategy(
+            kind, count=500, runs=10, steps_per_run=10, seed=0))
+        assert verdict.status == "pass-bounded"
+        assert verdict.states_checked > 0
+
+    def test_trace_witness_is_the_runs_termination_witness(self):
+        # `n` has no domain, so the trace runs start from the init block
+        model = load_model(
+            "model up { state { n: int; } init { n = 0; } "
+            "law Up { when n < 10; then { n = n + 1; } } }",
+            default_timestep=0.1)
+        verdict = check_completeness(
+            model, CheckStrategy("trace", runs=1, steps_per_run=20))
+        assert verdict.status == "fail"
+        assert verdict.producing_law == "Up"
+        assert verdict.states_checked == 10
+        trace = run(model, build_initial_state(model),
+                    RunConfig(dt=0.1, max_steps=20, mode="first-match"))
+        assert trace.termination.kind == "no-applicable-law"
+        witness = trace.termination.witness
+        assert verdict.witness.values == witness.values == {"n": VInt(10)}
+        # init.time + k*dt, not ten accumulated additions of 0.1
+        assert verdict.witness.time == witness.time == 10 * 0.1
+
+    def test_trace_starts_from_the_given_state(self):
+        model, state = build_bundled_model("double_slit")
+        strategy = CheckStrategy("trace", runs=2, steps_per_run=5)
+        with pytest.raises(MissingFieldError):
+            check_completeness(model, strategy)
+        verdict = check_completeness(model, strategy, state)
+        assert verdict.status == "pass-bounded"
+        assert verdict.states_checked == 2
 
     def test_witness_survives_serialization(self, load_fixture_model):
         model = load_fixture_model("escaping.cml")

@@ -112,6 +112,16 @@ class TestAnalyze:
         assert report["determinism"]["deterministic"] is True
         assert any("unsampleable" in n for n in report["computabilityNotes"])
 
+    @pytest.mark.parametrize("name", ["double_slit", "entangled_pair"])
+    def test_builtin_traces_start_from_the_bundled_state(self, capsys, name):
+        # both have an unsampleable `pw` field the init block cannot build
+        code, out, _ = invoke(["analyze", f"builtin:{name}", "--runs", "2",
+                               "--steps", "5"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["completeness"]["status"] == "pass-bounded"
+        assert report["consistency"]["status"] == "pass"
+
     def test_analyze_broken_sources_exit_1_no_crash(self, capsys):
         for path in sorted(BROKEN.glob("*.cml")):
             code, out, err = invoke(["analyze", str(path)], capsys)

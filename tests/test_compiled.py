@@ -24,6 +24,7 @@ from causalkit import engine
 from causalkit.cli import main
 from causalkit.engine import compile_observable
 from causalkit.frontend import parse_expression
+from causalkit.frontend.lower import compile_model
 from causalkit.frontend.typecheck import check_standalone_expr
 from causalkit.state import VComplex, VInt, VList, VReal, VRecord
 
@@ -60,7 +61,7 @@ def test_record_member_writes():
         "w": VRecord("W", {"p": _p(1, 0, 0), "n": VInt(0)}),
         "count": VInt(0)})
     for _ in range(2):
-        s = apply_law(model.laws[0], s, 0.5, RngStream(0), model.consts)
+        s = apply_law(model.laws[0], s, 0.5, RngStream(0))
     ps = [p.fields for p in s.values["ps"].items]
     assert [p["x"] for p in ps] == [VReal(1.0), VReal(1.0), VReal(2.25)]
     assert ps[1]["v"] == VReal(-0.5)
@@ -168,6 +169,41 @@ def test_int_power_cli(tmp_path):
     assert code == 1
     assert out == "step,time,n ^ (0 - 1)\n"
     assert "int '^' needs a non-negative exponent at 1:3" in err
+
+
+CONST_POWER = """model c {{
+  const c: int = {value};
+  state {{ x: int; }}
+  init {{ x = 0; }}
+  law L {{ when {guard}; then {{ x = c; }} }}
+}}
+"""
+
+
+def _timed_compile(value, guard):
+    start = time.perf_counter()
+    model, diags = compile_model(CONST_POWER.format(value=value, guard=guard))
+    assert time.perf_counter() - start < 1.0
+    return model, [d for d in diags if d.severity == "error"]
+
+
+def test_constant_folding_keeps_the_int_power_rule():
+    model, errors = _timed_compile("7 ^ 7 ^ 7", "true")
+    assert model is None
+    (d,) = errors
+    # the initializer's location: its outermost operator, the first '^'
+    assert (d.code, d.loc.line, d.loc.col) == ("bad-constant", 2, 20)
+    assert d.message == "initializer of constant 'c': int '^' overflows int64"
+    model, errors = _timed_compile("0 - 2 ^ (0 - 1)", "true")
+    assert "needs a non-negative exponent" in errors[0].message
+    # a guard over constants is folded for a warning, then left to run time
+    model, errors = _timed_compile("1", "9 ^ 9 ^ 9 > 0")
+    assert model is not None and not errors
+    trace = run(model, build_initial_state(model),
+                RunConfig(dt=1.0, max_steps=1))
+    assert "int '^' overflows int64" in trace.termination.message
+    model, errors = _timed_compile("2 ^ 62", "true")
+    assert model.schema.constants["c"][1] == VInt(2 ** 62)
 
 
 # --- step-0 observables ------------------------------------------------------------

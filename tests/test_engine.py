@@ -43,14 +43,14 @@ class TestEvalGuard:
     def test_constant_true(self, load_fixture_model):
         model = load_fixture_model("guard_true.cml")
         s = real_state(model, x=3.0)
-        assert eval_guard(model.laws[0], s, model.consts) is True
+        assert eval_guard(model.laws[0], s) is True
 
     def test_boundary(self):
         model = load_model(
             "model m { state { n: int in [0, 200]; } init { n = 0; } "
             "law L { when n < 100; then { n = n + 1; } } }")
         s = make_initial_state(model.schema, {"n": VInt(100)})
-        assert eval_guard(model.laws[0], s, model.consts) is False
+        assert eval_guard(model.laws[0], s) is False
 
     def test_index_out_of_range_is_eval_error(self):
         model = load_model(
@@ -61,7 +61,7 @@ class TestEvalGuard:
             "xs": VList([VReal(1.0), VReal(2.0), VReal(3.0)]),
             "ok": VBool(False)})
         with pytest.raises(EvalError) as exc:
-            eval_guard(model.laws[0], s, model.consts)
+            eval_guard(model.laws[0], s)
         assert exc.value.law == "L"
         assert "out of range" in str(exc.value)
 
@@ -77,7 +77,7 @@ class TestEvalGuard:
                 before = rng.draw_count
                 snapshot = dict(s.values)
                 for law in model.laws:
-                    eval_guard(law, s, model.consts)
+                    eval_guard(law, s)
                 assert rng.draw_count == before
                 assert s.values == snapshot
 
@@ -117,7 +117,7 @@ class TestApplyLaw:
             "model m { state { n: int in [0, 100]; } init { n = 7; } "
             "law Inc { when true; then { n = n + 1; } } }")
         s0 = build_initial_state(model)
-        s1 = apply_law(model.laws[0], s0, 1.0, RngStream(0), model.consts)
+        s1 = apply_law(model.laws[0], s0, 1.0, RngStream(0))
         assert s1.values["n"].value == 8
         assert s1.time == s0.time  # time advance is the interpreter's job
         assert s0.values["n"].value == 7  # s0 untouched
@@ -128,7 +128,7 @@ class TestApplyLaw:
         for _ in range(1000):
             a, b = rng.uniform(-10, 10), rng.uniform(-10, 10)
             s0 = real_state(model, a=a, b=b)
-            s1 = apply_law(model.laws[0], s0, 1.0, rng, model.consts)
+            s1 = apply_law(model.laws[0], s0, 1.0, rng)
             assert s1.values["a"].value == b
             assert s1.values["b"].value == a
 
@@ -139,7 +139,7 @@ class TestApplyLaw:
         s0 = build_initial_state(model)
         rng = RngStream(1)
         for _ in range(200):
-            s1 = apply_law(model.laws[0], s0, 1.0, rng, model.consts)
+            s1 = apply_law(model.laws[0], s0, 1.0, rng)
             assert s1.values["n"].value == 0
 
     def test_dt_available_in_transition(self):
@@ -147,7 +147,7 @@ class TestApplyLaw:
             "model m { state { x: real in [0.0, 10.0]; } init { x = 0.0; } "
             "law L { when true; then { x = x + dt; } } }")
         s0 = build_initial_state(model)
-        s1 = apply_law(model.laws[0], s0, 0.25, RngStream(0), model.consts)
+        s1 = apply_law(model.laws[0], s0, 0.25, RngStream(0))
         assert s1.values["x"].value == 0.25
 
     def test_for_loop_updates_each_element(self, load_fixture_model):
@@ -161,7 +161,7 @@ class TestApplyLaw:
             "ps": VList([particle(1, 0.0, 1.0), particle(1, 5.0, -2.0),
                          particle(2, 1.0, 0.0)]),
             "count": VInt(0)})
-        s1 = apply_law(model.law("Drift"), s0, 0.5, RngStream(0), model.consts)
+        s1 = apply_law(model.law("Drift"), s0, 0.5, RngStream(0))
         xs = [p.fields["x"].value for p in s1.values["ps"].items]
         assert xs == [0.5, 4.0, 1.0]
         assert s1.values["count"].value == 1
@@ -172,7 +172,7 @@ class TestApplyLaw:
             "law L { when true; then { x = 1.0 / x; } } }")
         s0 = build_initial_state(model)
         with pytest.raises(EvalError) as exc:
-            apply_law(model.laws[0], s0, 1.0, RngStream(0), model.consts)
+            apply_law(model.laws[0], s0, 1.0, RngStream(0))
         assert "division by zero" in str(exc.value)
         assert exc.value.law == "L"
 

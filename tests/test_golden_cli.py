@@ -72,6 +72,16 @@ INVOCATIONS = (
      "n,j,k,x,y,z,flag,hits,v[0],v[3],g[0],g[3],li[0],li[3],lr[0],lr[2],"
      "lz[0],lz[1],flag == on,n != 2.5,-x,!flag,-z,abs(x) ^ 0.5,k ^ 2,n / 4,"
      "y == -2.5"),
+    ("run", "tests/fixtures/overlap.cml", "--format", "jsonl"),
+    ("run", "tests/fixtures/escaping.cml", "--format", "jsonl", "--steps",
+     "5"),
+    ("run", "builtin:counter", "--format", "jsonl", "--record-every", "3",
+     "--steps", "20"),
+    ("branch", "tests/fixtures/two_coin.cml"),
+    ("analyze", "tests/fixtures/overlap.cml", "--strategy", "trace",
+     "--runs", "6", "--steps", "30", "--seed", "3"),
+    ("analyze", "tests/fixtures/escaping.cml", "--strategy", "trace",
+     "--runs", "10", "--steps", "10", "--seed", "2"),
 )
 
 

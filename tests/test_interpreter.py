@@ -221,9 +221,10 @@ class TestBranchRun:
             "law L { when x <= 0.5; "
             "then { x = random([0.0, 1.0], FLAT); } } }")
         state = build_initial_state(model)
-        with pytest.raises(ContinuousRandomError):
+        with pytest.raises(ContinuousRandomError) as exc:
             branch_run(model, state, RunConfig(dt=1.0, max_steps=10),
                        depth_bound=4, width_bound=4)
+        assert exc.value.law == "L"
 
     def test_weight_conservation_across_fixtures(self, load_fixture_model):
         for name in ("psi_draw.cml", "two_coin.cml"):

@@ -35,7 +35,7 @@ def one_shot(field_decls, init, body, dt=1.0, assignments=None):
         state = make_initial_state(model.schema, assignments)
     else:
         state = build_initial_state(model)
-    return apply_law(model.laws[0], state, dt, RngStream(0), model.consts)
+    return apply_law(model.laws[0], state, dt, RngStream(0))
 
 
 class TestExpressions:
@@ -76,7 +76,7 @@ class TestExpressions:
         amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
         state = make_initial_state(model.schema,
                                    {"psi": VCGrid(amps, 0.5)})
-        out = apply_law(model.laws[0], state, 1.0, RngStream(0), model.consts)
+        out = apply_law(model.laws[0], state, 1.0, RngStream(0))
         expected = (np.roll(amps, 1) + np.roll(amps, -1) - 2 * amps) / 0.25
         np.testing.assert_allclose(out.values["psi"].amps, expected)
 
@@ -102,8 +102,7 @@ class TestExpressions:
         model = load_model(src)
         state = build_initial_state(model)
         rng = RngStream(4)
-        draws = [apply_law(model.laws[0], state, 1.0, rng,
-                           model.consts).values["x"].value
+        draws = [apply_law(model.laws[0], state, 1.0, rng).values["x"].value
                  for _ in range(5000)]
         assert abs(sum(draws) / len(draws)) < 0.05
 
@@ -117,7 +116,7 @@ class TestExpressions:
         state = build_initial_state(model)
         rng = RngStream(5)
         for _ in range(500):
-            out = apply_law(model.laws[0], state, 1.0, rng, model.consts)
+            out = apply_law(model.laws[0], state, 1.0, rng)
             assert 0.25 <= out.values["x"].value < 0.75
 
 
@@ -129,10 +128,10 @@ class TestStatements:
                "if x > 0.0 { x = x - 1.0; } else { x = x + 1.0; } } } }")
         model = load_model(src)
         s = build_initial_state(model)
-        s = apply_law(model.laws[0], s, 1.0, RngStream(0), model.consts)
+        s = apply_law(model.laws[0], s, 1.0, RngStream(0))
         assert s.values["x"].value == 2.0
         down = make_initial_state(model.schema, {"x": VReal(-3.0)})
-        out = apply_law(model.laws[0], down, 1.0, RngStream(0), model.consts)
+        out = apply_law(model.laws[0], down, 1.0, RngStream(0))
         assert out.values["x"].value == -2.0
 
     def test_elif_chain(self):
@@ -143,7 +142,7 @@ class TestStatements:
                "else { tag = 3; } } } }")
         model = load_model(src)
         s = apply_law(model.laws[0], build_initial_state(model), 1.0,
-                      RngStream(0), model.consts)
+                      RngStream(0))
         assert s.values["tag"].value == 2
 
     def test_nested_for_writes(self):
@@ -156,7 +155,7 @@ class TestStatements:
         state = make_initial_state(model.schema, {
             "rs": VList([VRecord("R", {"x": VReal(1.0)}),
                          VRecord("R", {"x": VReal(3.0)})])})
-        out = apply_law(model.laws[0], state, 1.0, RngStream(0), model.consts)
+        out = apply_law(model.laws[0], state, 1.0, RngStream(0))
         assert [r.fields["x"].value for r in out.values["rs"].items] == [2.0, 6.0]
 
     def test_whole_loop_variable_assignment(self):
@@ -168,7 +167,7 @@ class TestStatements:
         from causalkit import VList
         state = make_initial_state(model.schema, {
             "xs": VList([VReal(1.0), VReal(2.0), VReal(3.0)])})
-        out = apply_law(model.laws[0], state, 1.0, RngStream(0), model.consts)
+        out = apply_law(model.laws[0], state, 1.0, RngStream(0))
         assert [v.value for v in out.values["xs"].items] == [11.0, 12.0, 13.0]
 
 
@@ -183,7 +182,7 @@ class TestPwIntrinsics:
             (("position", "real"), ("velocity", "real")),
             (PwPath(({"position": 0.0, "velocity": 2.0},), 1.0 + 0j),))
         state = make_initial_state(model.schema, {"pw": VPw(pw)})
-        out = apply_law(model.laws[0], state, 0.5, RngStream(0), model.consts)
+        out = apply_law(model.laws[0], state, 0.5, RngStream(0))
         assert out.values["pw"].pw.paths[0].attrs[0]["position"] == 1.0
         assert not model.laws[0].uses_random
 
