@@ -65,9 +65,9 @@ def main():
     print("bouncer trajectory (x, up):")
     for row in trace.rows:
         s = row.snapshot
-        bar = "#" * int(s.values["x"].value)
-        print(f"  step {row.step:2d}  x={s.values['x'].value:4.1f} "
-              f"up={str(s.values['up'].value):5s} |{bar}")
+        bar = "#" * int(s.values["x"])
+        print(f"  step {row.step:2d}  x={s.values['x']:4.1f} "
+              f"up={str(s.values['up']):5s} |{bar}")
     print(f"termination: {trace.termination.kind}")
     print()
 
@@ -76,7 +76,7 @@ def main():
                 RunConfig(dt=1.0, max_steps=10))
     t = trace.termination
     print(f"gappy model terminated with '{t.kind}'")
-    print(f"witness state: x = {t.witness.values['x'].value}")
+    print(f"witness state: x = {t.witness.values['x']}")
     print("(no guard covers x = 2.0, so the run stops with a completeness "
           "witness)")
 

@@ -20,7 +20,7 @@ def histogram(detector: str) -> np.ndarray:
     counts = np.zeros(BINS)
     cfg = RunConfig(dt=1.0, max_steps=5, seed=7)
     for _, final in run_ensemble(model, state, cfg, TRIALS):
-        counts[final.values["detected"].value] += 1
+        counts[final.values["detected"]] += 1
     return counts
 
 

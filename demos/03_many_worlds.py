@@ -56,7 +56,7 @@ def main():
     counts = {0: 0, 1: 0}
     for seed in range(n):
         trace = run(model, state, RunConfig(dt=1.0, max_steps=10, seed=seed))
-        counts[trace.final_state.values["outcome"].value] += 1
+        counts[trace.final_state.values["outcome"]] += 1
     print(f"Monte Carlo over {n} seeded runs:")
     for outcome, count in sorted(counts.items()):
         print(f"  outcome {outcome}: frequency {count / n:.4f}")

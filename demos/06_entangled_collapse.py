@@ -17,8 +17,8 @@ def main():
     opposite = 0
     for seed in range(n):
         trace = run(model, state, RunConfig(dt=1.0, max_steps=5, seed=seed))
-        s1 = trace.final_state.values["s1"].value
-        s2 = trace.final_state.values["s2"].value
+        s1 = trace.final_state.values["s1"]
+        s2 = trace.final_state.values["s2"]
         ups += s1 == 1
         opposite += s1 == -s2
     print(f"{n} measurements of the entangled pair:")

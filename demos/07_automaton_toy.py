@@ -12,8 +12,8 @@ from causalkit import RunConfig, build_bundled_model, run
 def render(world_value, cells):
     occupied = {}
     for p in world_value.fields["particles"].items:
-        pos = p.fields["pos"].value
-        vel = p.fields["vel"].value
+        pos = p.fields["pos"]
+        vel = p.fields["vel"]
         occupied[pos] = ">" if vel > 0 else ("<" if vel < 0 else "o")
     return "".join(occupied.get(i, ".") for i in range(cells))
 
@@ -25,7 +25,7 @@ def main():
     print("ring evolution ('>' right-mover, '<' left-mover):")
     for row in trace.rows:
         world = row.snapshot.values["world"]
-        momentum = sum(p.fields["vel"].value
+        momentum = sum(p.fields["vel"]
                        for p in world.fields["particles"].items)
         print(f"  step {row.step:2d}  {render(world, cells)}  "
               f"total momentum {momentum:+d}")

@@ -37,13 +37,9 @@ from .state import (
     StateSchema,
     SystemState,
     TypeDesc,
-    VBool,
     VCGrid,
-    VComplex,
-    VInt,
     VList,
     VPw,
-    VReal,
     VRecord,
     VVector,
     Value,

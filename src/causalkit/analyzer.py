@@ -32,11 +32,9 @@ from . import intrinsics
 from .interpreter import RunConfig, run
 from .rng import RngStream, derive_seed
 from .state import (
+    PAYLOAD_TYPES,
     SystemState,
     TypeDesc,
-    VBool,
-    VInt,
-    VReal,
     sample_state,
     sample_value,
     state_to_json,
@@ -122,18 +120,17 @@ def unsampleable_fields(model: CausalModel) -> list:
 def _enumerate_domain(td: TypeDesc, name: str):
     if td.kind == "bool":
         if td.domain is not None and td.domain.is_finite:
-            return [VBool(bool(v)) for v in td.domain.values]
-        return [VBool(False), VBool(True)]
+            return [bool(v) for v in td.domain.values]
+        return [False, True]
     if td.domain is None:
         raise UnsampleableFieldError(name, "no domain to enumerate")
     if td.domain.is_finite:
-        wrap = {"int": VInt, "real": VReal}.get(td.kind)
-        if wrap is None:
+        if td.kind not in ("int", "real"):
             raise UnsampleableFieldError(name, f"cannot enumerate {td.kind}")
-        return [wrap(v) for v in td.domain.values]
+        return [PAYLOAD_TYPES[td.kind](v) for v in td.domain.values]
     if td.kind == "int":
         lo, hi = int(td.domain.lo), int(td.domain.hi)
-        return [VInt(v) for v in range(lo, hi + 1)]
+        return list(range(lo, hi + 1))
     raise UnsampleableFieldError(name, "interval domains are not enumerable")
 
 
@@ -203,6 +200,8 @@ def check_consistency(model: CausalModel, strategy: CheckStrategy,
               else _sampled_states(model, strategy))
     checked = 0
     for s in states:
+        if halts(model, s):   # run selects no law where the model halts
+            continue
         hits = [law.name for law in model.laws if eval_guard(law, s)]
         if len(hits) > 1:
             return ConsistencyVerdict("fail", states_checked=checked,

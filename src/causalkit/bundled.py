@@ -25,8 +25,6 @@ from .state import (
     StateSchema,
     SystemState,
     TypeDesc,
-    VBool,
-    VInt,
     VPw,
     make_initial_state,
 )
@@ -190,9 +188,9 @@ def _build_double_slit(params: dict):
                                 complex(amps[s, b])))
     pw = PwCollection((("slit", "int"), ("position", "real")),
                       tuple(paths), normalized=True)
-    assignments = {"pw": VPw(pw), "detected": VInt(-1)}
+    assignments = {"pw": VPw(pw), "detected": -1}
     if detector == "on":
-        assignments["marked"] = VBool(False)
+        assignments["marked"] = False
     state = make_initial_state(model.schema, assignments)
     return model, state
 
@@ -215,9 +213,9 @@ def _build_entangled_pair():
         _, collapsed = pw_interact(s0.values["pw"].pw, rnd)
         path = collapsed.paths[0]
         return {"pw": VPw(collapsed),
-                "s1": VInt(path.attrs[0]["spin"]),
-                "s2": VInt(path.attrs[1]["spin"]),
-                "measured": VBool(True)}
+                "s1": path.attrs[0]["spin"],
+                "s2": path.attrs[1]["spin"],
+                "measured": True}
 
     law = Law(name="Measure",
               guard=_guard("!measured", schema),
@@ -232,9 +230,8 @@ def _build_entangled_pair():
         (PwPath(({"spin": 1}, {"spin": -1}), complex(amp)),
          PwPath(({"spin": -1}, {"spin": 1}), complex(amp))),
         normalized=True)
-    state = make_initial_state(schema, {"pw": VPw(pw), "s1": VInt(0),
-                                        "s2": VInt(0),
-                                        "measured": VBool(False)})
+    state = make_initial_state(schema, {"pw": VPw(pw), "s1": 0, "s2": 0,
+                                        "measured": False})
     return model, state
 
 

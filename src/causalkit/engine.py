@@ -11,6 +11,8 @@ into nested Python closures; see "Compiled closures" below.
 
 from __future__ import annotations
 
+import cmath
+import math
 import operator
 from dataclasses import KW_ONLY, InitVar, dataclass, field
 
@@ -39,16 +41,14 @@ from .frontend.ast_nodes import (
     RandomExpr,
     SetLit,
     Unary,
+    format_expr,
 )
 from .state import (
+    PAYLOAD_TYPES,
     StateSchema,
     SystemState,
-    VBool,
     VCGrid,
-    VComplex,
-    VInt,
     VList,
-    VReal,
     VRecord,
     Value,
     VVector,
@@ -89,7 +89,7 @@ class RandomSpec:
     """Value range plus distribution, validated before sampling."""
 
     dist: str                    # FLAT | GAUSS | WEIGHTS | PSI
-    values: tuple | None = None  # finite range (tuple of Values)
+    values: tuple | None = None  # finite range (tuple of payloads)
     lo: float | None = None      # interval range
     hi: float | None = None
     params: tuple = ()           # GAUSS: (mean, sigma); WEIGHTS/PSI: numbers
@@ -142,7 +142,7 @@ class RandomSpec:
         raise RandomError(f"{self.dist} has no categorical form")
 
 
-def sample_random(spec: RandomSpec, rng) -> Value:
+def sample_random(spec: RandomSpec, rng):
     """Draw one value according to ``spec``.
 
     FLAT over an interval is uniform; FLAT over a finite set equiprobable;
@@ -152,19 +152,18 @@ def sample_random(spec: RandomSpec, rng) -> Value:
     """
     spec.validate()
     if spec.values is not None:
-        labels = [v.value for v in spec.values]
-        i = rng.categorical(spec.probabilities(), labels)
+        i = rng.categorical(spec.probabilities(), spec.values)
         return spec.values[i]
     if spec.dist == "FLAT":
-        return VReal(spec.lo + (spec.hi - spec.lo) * rng.uniform01())
+        return spec.lo + (spec.hi - spec.lo) * rng.uniform01()
     # GAUSS
     mean, sigma = float(spec.params[0]), float(spec.params[1])
     if spec.lo is None:
-        return VReal(rng.normal(mean, sigma))
+        return rng.normal(mean, sigma)
     for _ in range(_MAX_TRUNCATION_TRIES):
         x = rng.normal(mean, sigma)
         if spec.lo <= x <= spec.hi:
-            return VReal(x)
+            return x
     raise RandomError("truncated GAUSS: acceptance region too improbable")
 
 
@@ -224,7 +223,8 @@ class CausalModel:
         object.__setattr__(self, "compiled_halt", None if self.halt is None
                            else _compile(self.halt, scope))
         object.__setattr__(self, "compiled_init", tuple(
-            (name, _as_value(_compile(expr, scope), self.schema.fields[name]))
+            (name, _write(expr, self.schema.fields[name].kind, scope,
+                          expr.loc, name))
             for name, expr in self.init))
 
     def law(self, name: str) -> Law:
@@ -237,17 +237,16 @@ class CausalModel:
 # --- compiled closures ------------------------------------------------------------
 #
 # Every expression node is compiled once into a closure that takes one
-# argument, ``env``: anything with a ``values`` dict of field Values. Guards,
+# argument, ``env``: anything with a ``values`` dict of field values. Guards,
 # the halt condition, init expressions and observables get the SystemState
 # itself; a transition gets an Env, which adds dt, the random source, the
 # loop slots and the list of writes. The typechecker has fixed every node's
 # type, so operators and names are resolved here, once: a closure of scalar
-# type (int, real, bool, complex) returns a raw Python payload, any other
-# returns a Value. Payloads are wrapped only where they leave the compiled
-# code: a write, an intrinsic argument, a list literal's item or a random
-# value set's member.
+# type (int, real, bool, complex) returns a payload of exactly that kind's
+# Python type, any other returns a Value. An int is promoted to real or
+# complex, or a real to complex, only where the static kinds differ: at a
+# write, a list literal's item or a random value set's member.
 
-_SCALAR = {"int": VInt, "real": VReal, "bool": VBool, "complex": VComplex}
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "<": operator.lt, "<=": operator.le, ">": operator.gt,
               ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
@@ -259,11 +258,11 @@ class Env:
     __slots__ = ("values", "dt", "rnd", "locals", "writes")
 
     def __init__(self, values: dict, dt, rnd, slots: int = 0):
-        self.values = values            # pre-state field Values
+        self.values = values            # pre-state field values
         self.dt = None if dt is None else float(dt)
         self.rnd = rnd
         self.locals = [None] * slots    # (index, item) per for loop
-        self.writes = []                # (root field, path or None, Value)
+        self.writes = []                # (root field, path or None, value)
 
 
 class _Const:
@@ -284,7 +283,7 @@ class _Scope:
 
     def __init__(self, schema: StateSchema, transition: bool = False):
         self.fields = schema.fields
-        self.consts = {n: v.value for n, (_, v) in schema.constants.items()}
+        self.consts = {n: v for n, (_, v) in schema.constants.items()}
         self.transition = transition
         self.loops: dict = {}   # loop variable -> (slot, list field)
         self.slots = 0          # loop slots handed out so far
@@ -303,15 +302,13 @@ def _compile(e, scope: _Scope):
     return compile_node(e, scope)
 
 
-def _as_value(code, td):
-    """``code`` made to give a Value of type ``td``: a scalar payload is
-    wrapped (and promoted) here, once."""
-    wrap = _SCALAR.get(td.kind)
-    if wrap is None:
+def _promoted(e, kind: str, scope):
+    """``e`` compiled to give a value of ``kind``: an int or real payload
+    is promoted to a wider kind here, and only here."""
+    code = _compile(e, scope)
+    if e.ty.kind == kind or kind not in PAYLOAD_TYPES:
         return code
-    if isinstance(code, _Const):
-        return _Const(wrap(code.value))
-    return lambda env: wrap(code(env))
+    return _apply(PAYLOAD_TYPES[kind], code)
 
 
 def _apply(fn, *codes):
@@ -340,15 +337,11 @@ def _lit(e: Lit, scope):
 
 
 def _name(e: Name, scope: _Scope):
-    name, scalar = e.id, e.ty.kind in _SCALAR
+    name = e.id
     if name in scope.loops:
         slot = scope.loops[name][0]
-        if scalar:
-            return lambda env: env.locals[slot][1].value
         return lambda env: env.locals[slot][1]
     if name in scope.fields:
-        if scalar:
-            return lambda env: env.values[name].value
         return lambda env: env.values[name]
     if name in scope.consts:
         return _Const(scope.consts[name])
@@ -411,20 +404,16 @@ def _real_power(loc):
 
 def _member(e: Member, scope):
     obj, name = _compile(e.obj, scope), e.name
-    if e.ty.kind in _SCALAR:
-        return lambda env: obj(env).fields[name].value
     return lambda env: obj(env).fields[name]
 
 
 def _index(e: Index, scope):
     obj, index, loc = _compile(e.obj, scope), _compile(e.index, scope), e.loc
     kind = e.obj.ty.kind
-    # a list holds Values, a vector floats, a cgrid complex amplitudes
+    # a list holds values, a vector numpy floats, a cgrid numpy complexes
     items, item = {"list": (operator.attrgetter("items"), None),
                    "vector": (operator.attrgetter("values"), float),
                    "cgrid": (operator.attrgetter("amps"), complex)}[kind]
-    if item is None and e.ty.kind in _SCALAR:
-        item = operator.attrgetter("value")
 
     def at(env):
         seq = items(obj(env))
@@ -440,7 +429,7 @@ def _call(e: Call, scope: _Scope):
     intr = intrinsics.get(f)
     if intr is None:
         raise EvalError(f"unknown function '{f}'", loc)
-    args = [_as_value(_compile(a, scope), a.ty) for a in e.args]
+    args = [_compile(a, scope) for a in e.args]
     impl, stochastic = intr.impl, intr.stochastic
     if stochastic and not scope.transition:
         raise EvalError(f"stochastic intrinsic '{f}' is not allowed here", loc)
@@ -460,8 +449,8 @@ def _call(e: Call, scope: _Scope):
             raise EvalError(exc.message, loc)
         except Exception as exc:
             raise EvalError(f"{f}: {exc}", loc)
-    if e.ty.kind in _SCALAR:
-        return lambda env: call(env).value
+    if f == "sum" and e.ty.kind != "int":   # an empty list sums to int 0
+        return _apply(PAYLOAD_TYPES[e.ty.kind], call)
     return call
 
 
@@ -477,7 +466,7 @@ def _random(e: RandomExpr, scope: _Scope):
             raise EvalError("random() is not allowed here", loc)
         s = spec(env)
         try:
-            return sample_random(s, rnd).value
+            return sample_random(s, rnd)
         except RandomError as exc:
             raise EvalError(f"random: {exc}", loc)
     return draw
@@ -490,7 +479,8 @@ def _random_spec(e: RandomExpr, scope):
     if e.range_ is None:
         parts, build = [], lambda p: RandomSpec(dist, params=p)
     elif isinstance(e.range_, SetLit):
-        parts = [_as_value(_compile(x, scope), x.ty) for x in e.range_.items]
+        kind = e.range_.ty.element.kind
+        parts = [_promoted(x, kind, scope) for x in e.range_.items]
         build = lambda p, *values: RandomSpec(dist, values=values, params=p)
     else:
         parts = [_compile(x, scope) for x in e.range_.items]
@@ -505,7 +495,8 @@ def _random_spec(e: RandomExpr, scope):
 
 def _list(e: ListLit, scope):
     # items take the literal's element type: [1, 2.5] is a list of reals
-    items = [_as_value(_compile(x, scope), e.ty.element) for x in e.items]
+    kind = e.ty.element.kind
+    items = [_promoted(x, kind, scope) for x in e.items]
     return lambda env: VList([item(env) for item in items])
 
 
@@ -541,13 +532,31 @@ def _block(stmts, scope):
     return block
 
 
+def _write(e, kind: str, scope, loc, target: str):
+    """``e`` compiled for a write to a target of ``kind``: promoted, and
+    for a real or complex target checked to be finite."""
+    code = _promoted(e, kind, scope)
+    isfinite = {"real": math.isfinite, "complex": cmath.isfinite}.get(kind)
+    if isfinite is None or isinstance(code, _Const) and isfinite(code.value):
+        return code
+
+    def finite(env):
+        v = code(env)
+        if isfinite(v):
+            return v
+        raise EvalError(f"non-finite value {v} written to '{target}'", loc)
+    return finite
+
+
 def _assign(stmt: Assign, scope):
     root, path = _target(stmt.target, scope)
-    value = _as_value(_compile(stmt.value, scope), stmt.target.ty)
+    kind = stmt.target.ty.kind
+    value = _write(stmt.value, kind, scope, stmt.loc,
+                   format_expr(stmt.target))
     if path is None:
-        # a whole scalar field is wrapped in its own class above, so it
-        # needs no check_value; a whole composite field does (path ())
-        whole = None if stmt.target.ty.kind in _SCALAR else ()
+        # a whole scalar field has its kind's payload type by construction,
+        # so it needs no check_value; a whole composite field does (path ())
+        whole = None if kind in PAYLOAD_TYPES else ()
         return lambda env: env.writes.append((root, whole, value(env)))
     return lambda env: env.writes.append((root, path(env), value(env)))
 
@@ -672,7 +681,7 @@ def apply_law(law: Law, s0: SystemState, dt: float, rng) -> SystemState:
     return SystemState(schema, s0.time, values)
 
 
-def _set_path(value: Value, parts: tuple, new: Value) -> Value:
+def _set_path(value: Value, parts: tuple, new):
     if not parts:
         return new
     p = parts[0]
@@ -694,7 +703,7 @@ def _set_path(value: Value, parts: tuple, new: Value) -> Value:
         if not 0 <= p < len(value.values):
             raise EvalError(f"index {p} out of range")
         arr = value.values.copy()
-        arr[p] = new.value
+        arr[p] = new
         return VVector(arr)
     if isinstance(value, VCGrid):
         if parts[1:] or not isinstance(p, int):
@@ -702,7 +711,7 @@ def _set_path(value: Value, parts: tuple, new: Value) -> Value:
         if not 0 <= p < len(value.amps):
             raise EvalError(f"index {p} out of range")
         arr = value.amps.copy()
-        arr[p] = new.value
+        arr[p] = new
         return VCGrid(arr, value.dx)
     raise EvalError("cannot assign into this value")
 

@@ -2,6 +2,13 @@
 
 ``parse`` never raises on malformed input: it returns the AST (or None)
 together with a list of diagnostics locating the first offending token.
+
+Nesting is bounded by ``MAX_DEPTH`` (code ``too-deep``), so that no later
+stage recurses past Python's stack. Counted are the brackets and blocks
+open around a token, and the blocks around an expression plus the height
+of its tree; operator chains are read by loops and bounded by height. A
+parenthesis adds no tree node, so pretty-printed text (one pair around
+each operator) is never deeper than its source.
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ _BUILTIN_TYPES = ("real", "int", "bool", "complex",
 
 _CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
 
+MAX_DEPTH = 50
+
 
 class _ParseAbort(Exception):
     pass
@@ -51,6 +60,11 @@ class _Parser:
         self.tokens = tokens
         self.diags = diags
         self.pos = 0
+        self.depth = 0       # open brackets and blocks
+        self.blocks = 0      # open blocks
+        # id(expression node) -> (node, height of its tree); holding the
+        # node keeps its id from being reused while the parse runs
+        self.heights = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -82,6 +96,34 @@ class _Parser:
         if self.at(kind):
             return self.advance()
         return None
+
+    # -- nesting -------------------------------------------------------------
+
+    def too_deep(self, loc: Loc):
+        self.diags.append(Diagnostic(
+            "error", "too-deep", f"nesting deeper than {MAX_DEPTH} levels",
+            loc))
+        raise _ParseAbort()
+
+    def open(self, kind: str):
+        """Consume an opening bracket, one level deeper."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.too_deep(self.tok.loc)
+        return self.expect(kind)
+
+    def close(self, kind: str):
+        self.expect(kind)
+        self.depth -= 1
+
+    def node(self, node: Expr, *children) -> Expr:
+        """Record the tree height of a new expression node."""
+        height = 1 + max((self.heights.get(id(c), (c, 0))[1]
+                          for c in children), default=0)
+        if self.blocks + height > MAX_DEPTH:
+            self.too_deep(node.loc)
+        self.heights[id(node)] = node, height
+        return node
 
     # -- model structure ----------------------------------------------------
 
@@ -207,12 +249,23 @@ class _Parser:
 
     # -- statements ----------------------------------------------------------
 
-    def block(self) -> list:
-        self.expect("{")
-        stmts = []
-        while not self.at("}"):
-            stmts.append(self.statement())
-        self.expect("}")
+    def block(self, braced: bool = True) -> list:
+        """The statements of a block, one level deeper; an else-if is an
+        unbraced block of one statement."""
+        self.depth += 1
+        self.blocks += 1
+        if self.depth > MAX_DEPTH:
+            self.too_deep(self.tok.loc)
+        if braced:
+            self.expect("{")
+            stmts = []
+            while not self.at("}"):
+                stmts.append(self.statement())
+            self.expect("}")
+        else:
+            stmts = [self.statement()]
+        self.depth -= 1
+        self.blocks -= 1
         return stmts
 
     def statement(self):
@@ -229,10 +282,7 @@ class _Parser:
             then = self.block()
             orelse = []
             if self.accept("else"):
-                if self.at("if"):
-                    orelse = [self.statement()]
-                else:
-                    orelse = self.block()
+                orelse = self.block(braced=not self.at("if"))
             return If(loc, cond, then, orelse)
         return self.assignment()
 
@@ -245,18 +295,7 @@ class _Parser:
 
     def lvalue(self) -> Expr:
         tok = self.expect("IDENT", "assignment target")
-        node: Expr = Name(tok.loc, id=tok.text)
-        while True:
-            if self.accept("."):
-                member = self.expect("IDENT", "member name")
-                node = Member(member.loc, obj=node, name=member.text)
-            elif self.at("["):
-                loc = self.advance().loc
-                idx = self.expression()
-                self.expect("]")
-                node = Index(loc, obj=node, index=idx)
-            else:
-                return node
+        return self.postfix(Name(tok.loc, id=tok.text))
 
     # -- types and domains -----------------------------------------------------
 
@@ -276,15 +315,15 @@ class _Parser:
             self.expect(")")
             return TypeExpr(loc, name, [length, dx])
         if name == "list":
-            self.expect("(")
+            self.open("(")
             elem = self.type_expr()
             args = [elem]
             if self.accept(","):
                 args.append(self.literal_number())
-            self.expect(")")
+            self.close(")")
             return TypeExpr(loc, name, args)
         if name == "pwcollection":
-            self.expect("(")
+            self.open("(")
             attrs = []
             while True:
                 attr = self.expect("IDENT", "attribute name")
@@ -292,7 +331,7 @@ class _Parser:
                 attrs.append((attr.text, self.type_expr()))
                 if not self.accept(","):
                     break
-            self.expect(")")
+            self.close(")")
             return TypeExpr(loc, name, attrs=attrs)
         return TypeExpr(loc, name)
 
@@ -328,25 +367,38 @@ class _Parser:
     def expression(self) -> Expr:
         return self.or_expr()
 
+    def binary(self, op_tok, left, right) -> Expr:
+        return self.node(Binary(op_tok.loc, op=op_tok.kind, left=left,
+                                right=right), left, right)
+
+    def prefixed(self, locs: list, op: str, operand) -> Expr:
+        """``operand`` under the prefix operators at ``locs``, outermost
+        first."""
+        for loc in reversed(locs):
+            operand = self.node(Unary(loc, op=op, operand=operand), operand)
+        return operand
+
+    def prefix_locs(self, op: str) -> list:
+        locs = []
+        while self.at(op):
+            locs.append(self.advance().loc)
+        return locs
+
     def or_expr(self) -> Expr:
         left = self.and_expr()
         while self.at("||"):
-            loc = self.advance().loc
-            left = Binary(loc, op="||", left=left, right=self.and_expr())
+            left = self.binary(self.advance(), left, self.and_expr())
         return left
 
     def and_expr(self) -> Expr:
         left = self.not_expr()
         while self.at("&&"):
-            loc = self.advance().loc
-            left = Binary(loc, op="&&", left=left, right=self.not_expr())
+            left = self.binary(self.advance(), left, self.not_expr())
         return left
 
     def not_expr(self) -> Expr:
-        if self.at("!"):
-            loc = self.advance().loc
-            return Unary(loc, op="!", operand=self.not_expr())
-        return self.cmp_expr()
+        nots = self.prefix_locs("!")
+        return self.prefixed(nots, "!", self.cmp_expr())
 
     def cmp_expr(self) -> Expr:
         left = self.add_expr()
@@ -355,49 +407,50 @@ class _Parser:
             right = self.add_expr()
             if self.tok.kind in _CMP_OPS:
                 self.error("comparisons cannot be chained")
-            return Binary(op_tok.loc, op=op_tok.kind, left=left, right=right)
+            return self.binary(op_tok, left, right)
         return left
 
     def add_expr(self) -> Expr:
         left = self.mul_expr()
         while self.tok.kind in ("+", "-"):
-            op_tok = self.advance()
-            left = Binary(op_tok.loc, op=op_tok.kind, left=left,
-                          right=self.mul_expr())
+            left = self.binary(self.advance(), left, self.mul_expr())
         return left
 
     def mul_expr(self) -> Expr:
         left = self.unary_expr()
         while self.tok.kind in ("*", "/"):
-            op_tok = self.advance()
-            left = Binary(op_tok.loc, op=op_tok.kind, left=left,
-                          right=self.unary_expr())
+            left = self.binary(self.advance(), left, self.unary_expr())
         return left
 
     def unary_expr(self) -> Expr:
-        if self.at("-"):
-            loc = self.advance().loc
-            return Unary(loc, op="-", operand=self.unary_expr())
-        return self.pow_expr()
-
-    def pow_expr(self) -> Expr:
-        base = self.postfix_expr()
-        if self.at("^"):
-            loc = self.advance().loc
-            return Binary(loc, op="^", left=base, right=self.unary_expr())
-        return base
+        """Prefix '-' binds looser than '^', which is right-associative
+        (-a ^ -b ^ c is -(a ^ -(b ^ c))); both are read by a loop."""
+        chain = []   # (prefix '-' locs, base, '^' token) per link
+        while True:
+            minus = self.prefix_locs("-")
+            base = self.postfix_expr()
+            if not self.at("^"):
+                break
+            chain.append((minus, base, self.advance()))
+        node = self.prefixed(minus, "-", base)
+        for minus, base, caret in reversed(chain):
+            node = self.prefixed(minus, "-", self.binary(caret, base, node))
+        return node
 
     def postfix_expr(self) -> Expr:
-        node = self.primary()
+        return self.postfix(self.primary())
+
+    def postfix(self, node: Expr) -> Expr:
         while True:
             if self.accept("."):
                 member = self.expect("IDENT", "member name")
-                node = Member(member.loc, obj=node, name=member.text)
+                node = self.node(Member(member.loc, obj=node,
+                                        name=member.text), node)
             elif self.at("["):
-                loc = self.advance().loc
+                loc = self.open("[").loc
                 idx = self.expression()
-                self.expect("]")
-                node = Index(loc, obj=node, index=idx)
+                self.close("]")
+                node = self.node(Index(loc, obj=node, index=idx), node, idx)
             else:
                 return node
 
@@ -414,20 +467,18 @@ class _Parser:
             self.advance()
             return Lit(tok.loc, value=tok.value, kind="bool")
         if tok.kind == "(":
-            self.advance()
+            self.open("(")
             inner = self.expression()
-            self.expect(")")
+            self.close(")")
             return inner
         if tok.kind == "[":
-            self.advance()
-            items = self.expr_list("]")
-            return ListLit(tok.loc, items=items)
+            items = self.expr_list("[", "]")
+            return self.node(ListLit(tok.loc, items=items), *items)
         if tok.kind == "{":
-            self.advance()
-            items = self.expr_list("}")
+            items = self.expr_list("{", "}")
             if not items:
                 self.error("value set cannot be empty", tok.loc)
-            return SetLit(tok.loc, items=items)
+            return self.node(SetLit(tok.loc, items=items), *items)
         if tok.kind == "IDENT":
             self.advance()
             if self.at("("):
@@ -435,22 +486,22 @@ class _Parser:
             return Name(tok.loc, id=tok.text)
         self.error(f"expected an expression, found '{tok.text or 'end of input'}'")
 
-    def expr_list(self, closing: str) -> list:
+    def expr_list(self, opening: str, closing: str) -> list:
+        self.open(opening)
         items = []
         if not self.at(closing):
             items.append(self.expression())
             while self.accept(","):
                 items.append(self.expression())
-        self.expect(closing)
+        self.close(closing)
         return items
 
     def call(self, name_tok) -> Expr:
-        self.expect("(")
-        args = self.expr_list(")")
+        args = self.expr_list("(", ")")
         loc = name_tok.loc
         if name_tok.text == "random":
             return self.random_expr(loc, args)
-        return Call(loc, func=name_tok.text, args=args)
+        return self.node(Call(loc, func=name_tok.text, args=args), *args)
 
     def random_expr(self, loc, args) -> RandomExpr:
         if len(args) not in (1, 2):
@@ -460,13 +511,14 @@ class _Parser:
         if isinstance(dist_arg, Name) and dist_arg.id in DIST_NAMES:
             dist = DistExpr(dist_arg.loc, name=dist_arg.id)
         elif isinstance(dist_arg, Call) and dist_arg.func in DIST_NAMES:
-            dist = DistExpr(dist_arg.loc, name=dist_arg.func, args=dist_arg.args)
+            dist = self.node(DistExpr(dist_arg.loc, name=dist_arg.func,
+                                      args=dist_arg.args), *dist_arg.args)
         else:
             self.error("expected a distribution (FLAT, GAUSS, WEIGHTS, PSI)",
                        dist_arg.loc)
         if range_ is not None and not isinstance(range_, (ListLit, SetLit)):
             self.error("random range must be [lo, hi] or {v, ...}", range_.loc)
-        return RandomExpr(loc, range_=range_, dist=dist)
+        return self.node(RandomExpr(loc, range_=range_, dist=dist), *args)
 
 
 def parse(source: str):

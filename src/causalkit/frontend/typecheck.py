@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from .. import intrinsics
 from ..errors import EvalError, SchemaError
-from ..state import Domain, StateSchema, TypeDesc, VBool, VComplex, VInt, VReal
+from ..state import PAYLOAD_TYPES, Domain, StateSchema, TypeDesc
 from .ast_nodes import (
     Assign,
     Binary,
@@ -67,7 +67,7 @@ class _Ctx:
     allow_dt: bool = True
     random_ban_code: str = "random-in-guard"
     init_assigned: set | None = None  # init context: fields readable so far
-    consts_val: dict = field(default_factory=dict)  # name -> Value
+    consts_val: dict = field(default_factory=dict)  # name -> payload
 
 
 def typecheck(ast: ModelAst):
@@ -208,20 +208,14 @@ def _collect_consts(ast: ModelAst, records, diags):
     return consts_td, consts_val
 
 
+# the folded payload types a constant of each kind accepts
+_CONST_SOURCES = {"bool": (bool,), "int": (int,), "real": (int, float),
+                  "complex": (int, float, complex)}
+
+
 def _coerce_const(raw, td: TypeDesc, loc: Loc):
-    kind = td.kind
-    if kind == "bool":
-        if isinstance(raw, bool):
-            return VBool(raw)
-    elif kind == "int":
-        if isinstance(raw, int) and not isinstance(raw, bool):
-            return VInt(raw)
-    elif kind == "real":
-        if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-            return VReal(float(raw))
-    elif kind == "complex":
-        if isinstance(raw, (int, float, complex)) and not isinstance(raw, bool):
-            return VComplex(complex(raw))
+    if type(raw) in _CONST_SOURCES[td.kind]:
+        return PAYLOAD_TYPES[td.kind](raw)
     raise _err("type-mismatch", f"constant value does not fit type {td}", loc)
 
 
@@ -698,7 +692,7 @@ def _gauss_args(dist: DistExpr):
 
 def const_fold(e: Expr, consts_val: dict):
     """Fold an expression to a raw Python value, or None if it is not
-    constant or fails. ``consts_val`` maps constant names to Values."""
+    constant or fails. ``consts_val`` maps constant names to payloads."""
     try:
         return _fold(e, consts_val)
     except EvalError:
@@ -710,8 +704,7 @@ def _fold(e: Expr, consts_val: dict):
     if isinstance(e, Lit):
         return e.value
     if isinstance(e, Name):
-        v = consts_val.get(e.id)
-        return None if v is None else v.value
+        return consts_val.get(e.id)
     if isinstance(e, Unary):
         x = _fold(e.operand, consts_val)
         if x is None:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvalError
-from .state import TypeDesc, VCGrid, VComplex, VInt, VList, VReal, VVector
+from .state import TypeDesc, VCGrid, VList, VVector
 
 
 class IntrinsicTypeError(Exception):
@@ -41,7 +41,7 @@ class Intrinsic:
     arity: int
     stochastic: bool
     check: Callable   # (arg_types: list[TypeDesc], ctx: CheckContext) -> TypeDesc
-    impl: Callable    # (args: list[Value], env) -> Value
+    impl: Callable    # (args: list of values, env) -> value
     builtin: bool = False  # part of the language, not of a numeric kit
 
 
@@ -60,21 +60,8 @@ def registered_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-# --- numeric rank -------------------------------------------------------------
+# --- integer power ------------------------------------------------------------
 
-
-def _rank(v, loc) -> int:
-    """0, 1, 2 for int, real, complex; the wider rank wins in arithmetic."""
-    if isinstance(v, VInt):
-        return 0
-    if isinstance(v, VReal):
-        return 1
-    if isinstance(v, VComplex):
-        return 2
-    raise EvalError(f"expected a number, got {type(v).__name__}", loc)
-
-
-_WRAP = (VInt, VReal, VComplex)
 
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
@@ -132,48 +119,47 @@ def _check_laplacian(args, ctx):
 
 
 def _abs(args, env):
-    v = args[0]
-    return _WRAP[min(_rank(v, None), 1)](abs(v.value))
+    return abs(args[0])   # an int for an int, a float for a real or complex
 
 
 def _exp(args, env):
     v = args[0]
     try:
-        if isinstance(v, VComplex):
-            return VComplex(cmath.exp(v.value))
-        return VReal(math.exp(v.value))
+        if type(v) is complex:
+            return cmath.exp(v)
+        return math.exp(v)
     except OverflowError:
         raise EvalError("exp overflow")
 
 
 def _sqrt(args, env):
-    x = args[0].value
+    x = args[0]
     if x < 0:
         raise EvalError("sqrt of a negative number")
-    return VReal(math.sqrt(x))
+    return math.sqrt(x)
 
 
 def _sum(args, env):
     v = args[0]
     if isinstance(v, VVector):
-        return VReal(float(np.sum(v.values)))
+        return float(np.sum(v.values))
     if isinstance(v, VCGrid):
-        return VComplex(complex(np.sum(v.amps)))
+        return complex(np.sum(v.amps))
+    # a list's items share one kind, so their sum has it (the compiler
+    # promotes the int 0 that an empty list of reals or complexes sums to)
     total = 0
-    rank = 0
     for item in v.items:
-        rank = max(rank, _rank(item, None))
-        total = total + item.value
-    return _WRAP[rank](total)
+        total = total + item
+    return total
 
 
 def _len(args, env):
     v = args[0]
     if isinstance(v, VList):
-        return VInt(len(v.items))
+        return len(v.items)
     if isinstance(v, VVector):
-        return VInt(len(v.values))
-    return VInt(len(v.amps))
+        return len(v.values)
+    return len(v.amps)
 
 
 def _laplacian(args, env):
@@ -184,7 +170,7 @@ def _laplacian(args, env):
 
 
 def _real_of(fn):
-    return lambda args, env: VReal(fn(args[0].value))
+    return lambda args, env: float(fn(args[0]))
 
 
 def _register_builtins():
@@ -198,7 +184,7 @@ def _register_builtins():
         ("re", 1, _rule(*cplx, "real"), _real_of(lambda z: z.real)),
         ("im", 1, _rule(*cplx, "real"), _real_of(lambda z: z.imag)),
         ("conj", 1, _rule(*cplx, "complex"),
-         lambda args, env: VComplex(args[0].value.conjugate())),
+         lambda args, env: args[0].conjugate()),
         ("exp", 1, _rule(*number, {"int": "real", "real": "real",
                                    "complex": "complex"}), _exp),
         ("cos", 1, _rule(*real, "real"), _real_of(math.cos)),
@@ -208,7 +194,7 @@ def _register_builtins():
         ("len", 1, _rule(_COLLECTION, "a collection", "int"), _len),
         ("laplacian", 1, _check_laplacian, _laplacian),
         ("complex", 2, _rule(*real, "complex"),
-         lambda args, env: VComplex(complex(args[0].value, args[1].value))),
+         lambda args, env: complex(args[0], args[1])),
     ):
         register(Intrinsic(name, arity, False, check, impl, builtin=True))
 

@@ -22,16 +22,7 @@ from .errors import (
 )
 from .intrinsics import Intrinsic, IntrinsicTypeError
 from .pw import PwCollection, PwPath
-from .state import (
-    TypeDesc,
-    VCGrid,
-    VInt,
-    VList,
-    VPw,
-    VReal,
-    VRecord,
-    VVector,
-)
+from .state import TypeDesc, VCGrid, VList, VPw, VRecord, VVector
 
 # --- classical mechanics ------------------------------------------------------
 
@@ -308,23 +299,21 @@ def ca_step(world: CaWorld) -> CaWorld:
 def ca_world_to_value(world: CaWorld, record: str = "CaWorld",
                       particle_record: str = "CaParticle") -> VRecord:
     particles = VList([
-        VRecord(particle_record, {"id": VInt(p.id), "pos": VInt(p.pos),
-                                  "vel": VInt(p.vel),
-                                  "species": VInt(p.species)})
+        VRecord(particle_record, {"id": int(p.id), "pos": int(p.pos),
+                                  "vel": int(p.vel),
+                                  "species": int(p.species)})
         for p in world.particles])
     return VRecord(record, {"phi": VVector(world.phi),
                             "particles": particles,
-                            "alpha": VReal(world.alpha)})
+                            "alpha": float(world.alpha)})
 
 
 def ca_world_from_value(v: VRecord) -> CaWorld:
     particles = tuple(
-        CaParticle(id=p.fields["id"].value, pos=p.fields["pos"].value,
-                   vel=p.fields["vel"].value,
-                   species=p.fields["species"].value)
+        CaParticle(id=p.fields["id"], pos=p.fields["pos"],
+                   vel=p.fields["vel"], species=p.fields["species"])
         for p in v.fields["particles"].items)
-    return CaWorld(v.fields["phi"].values, particles,
-                   v.fields["alpha"].value)
+    return CaWorld(v.fields["phi"].values, particles, v.fields["alpha"])
 
 
 # --- intrinsic registration ----------------------------------------------------------
@@ -351,8 +340,8 @@ def _check_schrodinger(args, ctx):
 
 def _impl_schrodinger(args, env):
     psi, v, dt, mass, hbar = args
-    wave = GridWave(psi.amps, psi.dx, float(mass.value), float(hbar.value))
-    out = schrodinger_step(wave, v.values, float(dt.value))
+    wave = GridWave(psi.amps, psi.dx, float(mass), float(hbar))
+    out = schrodinger_step(wave, v.values, float(dt))
     return VCGrid(out.psi, psi.dx)
 
 
@@ -366,7 +355,7 @@ def _check_pw_propagate(args, ctx):
 
 
 def _impl_pw_propagate(args, env):
-    return VPw(pw_propagate(args[0].pw, float(args[1].value)))
+    return VPw(pw_propagate(args[0].pw, float(args[1])))
 
 
 def _check_pw_interact(args, ctx):
@@ -391,8 +380,8 @@ def _check_pw_detect(args, ctx):
 
 def _impl_pw_detect(args, env):
     pw, nbins, lo, hi, coherent = args
-    edges = np.linspace(float(lo.value), float(hi.value), nbins.value + 1)
-    return VInt(pw_detect(pw.pw, edges, env.rnd, coherent=coherent.value))
+    edges = np.linspace(float(lo), float(hi), nbins + 1)
+    return pw_detect(pw.pw, edges, env.rnd, coherent=coherent)
 
 
 def _check_ca_step(args, ctx):
@@ -423,7 +412,7 @@ def _check_gauss_packet(args, ctx):
 
 
 def _impl_gauss_packet(args, env):
-    n, dx, x0, sigma, k0 = [a.value for a in args]
+    n, dx, x0, sigma, k0 = args
     wave = gaussian_packet(n, float(dx), float(x0), float(sigma), float(k0))
     return VCGrid(wave.psi, float(dx))
 
@@ -437,7 +426,7 @@ def _check_fill(args, ctx):
 
 
 def _impl_fill(args, env):
-    return VVector(np.full(args[0].value, float(args[1].value)))
+    return VVector(np.full(args[0], float(args[1])))
 
 
 def _register_all():

@@ -1,8 +1,12 @@
 """Typed value universe, state schemas, and system states.
 
 A schema declares the fields of the system state (with optional sampling
-domains); values are tagged and checked against their declared type at
-construction, so any state obtained through this module is well-typed.
+domains) and so fixes each field's type: an int, real, bool or complex
+value is a plain Python ``int``, ``float``, ``bool`` or ``complex``
+payload, and only composite values (vectors, lists, records, grids, path
+collections) are ``Value`` objects. Values are checked against their
+declared type at construction, so any state obtained through this module
+is well-typed.
 """
 
 from __future__ import annotations
@@ -141,7 +145,7 @@ class StateSchema:
 
     fields: dict  # name -> TypeDesc (insertion-ordered)
     records: dict = field(default_factory=dict)  # name -> ((field, TypeDesc), ...)
-    constants: dict = field(default_factory=dict)  # name -> (TypeDesc, Value)
+    constants: dict = field(default_factory=dict)  # name -> (TypeDesc, payload)
     time_domain: Domain | None = None
 
     def __post_init__(self):
@@ -213,38 +217,15 @@ class StateSchema:
 
 
 class Value:
-    """Base of the tagged value union. Instances are immutable by convention."""
+    """Base of the composite values. Instances are immutable by convention."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class VReal(Value):
-    value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-
-
-@dataclass(frozen=True, slots=True)
-class VInt(Value):
-    value: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", int(self.value))
-
-
-@dataclass(frozen=True, slots=True)
-class VBool(Value):
-    value: bool
-
-
-@dataclass(frozen=True, slots=True)
-class VComplex(Value):
-    value: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
+# the exact Python type of each scalar kind's payload, and back (bool is
+# a subclass of int, so payloads are told apart by exact type)
+PAYLOAD_TYPES = {"int": int, "real": float, "bool": bool, "complex": complex}
+_SCALAR_KIND = {t: k for k, t in PAYLOAD_TYPES.items()}
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -285,19 +266,14 @@ class VPw(Value):
     pw: PwCollection
 
 
-def check_value(value: Value, td: TypeDesc, schema: StateSchema, where: str = "value"):
-    """Raise TypeMismatchError unless ``value``'s tag matches ``td``."""
+def check_value(value, td: TypeDesc, schema: StateSchema, where: str = "value"):
+    """Raise TypeMismatchError unless ``value`` has the type ``td``; a
+    scalar payload must have exactly its kind's Python type."""
     td = schema.resolve(td)
     kind = td.kind
     ok = True
-    if kind == "real":
-        ok = isinstance(value, VReal)
-    elif kind == "int":
-        ok = isinstance(value, VInt)
-    elif kind == "bool":
-        ok = isinstance(value, VBool)
-    elif kind == "complex":
-        ok = isinstance(value, VComplex)
+    if kind in PAYLOAD_TYPES:
+        ok = type(value) is PAYLOAD_TYPES[kind]
     elif kind == "vector":
         ok = isinstance(value, VVector) and len(value.values) == td.length
     elif kind == "cgrid":
@@ -333,7 +309,9 @@ def _describe(value) -> str:
         return f"cgrid({len(value.amps)})"
     if isinstance(value, VRecord):
         return value.record
-    return type(value).__name__.lstrip("V").lower()
+    if isinstance(value, Value):
+        return type(value).__name__.lstrip("V").lower()
+    return _SCALAR_KIND.get(type(value), type(value).__name__)
 
 
 # --- system states ----------------------------------------------------------
@@ -345,13 +323,13 @@ class SystemState:
 
     schema: StateSchema
     time: float
-    values: dict  # field name -> Value
+    values: dict  # field name -> payload or Value
 
     def __post_init__(self):
         if not math.isfinite(self.time):
             raise SchemaError("state time must be finite")
 
-    def get(self, name: str) -> Value:
+    def get(self, name: str):
         return self.values[name]
 
     def with_updates(self, updates: dict, time: float | None = None) -> "SystemState":
@@ -395,22 +373,22 @@ def _sample_raw_from_domain(domain: Domain, kind: str, rng: RngStream):
     return rng.uniform(domain.lo, domain.hi)
 
 
-def sample_value(td: TypeDesc, schema: StateSchema, rng: RngStream, name: str) -> Value:
+def sample_value(td: TypeDesc, schema: StateSchema, rng: RngStream, name: str):
     td = schema.resolve(td)
     kind = td.kind
     if kind in ("cgrid", "pwcollection"):
         raise UnsampleableFieldError(name, f"{kind} fields are unsampleable")
     if kind == "bool":
         if td.domain is not None:
-            return VBool(bool(_sample_raw_from_domain(td.domain, kind, rng)))
-        return VBool(rng.randint_below(2) == 1)
+            return bool(_sample_raw_from_domain(td.domain, kind, rng))
+        return rng.randint_below(2) == 1
     if kind in ("real", "int", "complex"):
         if td.domain is None:
             raise UnsampleableFieldError(name)
         if kind == "complex" and not td.domain.is_finite:
             raise UnsampleableFieldError(name, "complex needs a finite domain")
-        raw = _sample_raw_from_domain(td.domain, kind, rng)
-        return {"real": VReal, "int": VInt, "complex": VComplex}[kind](raw)
+        # a finite domain may list ints for a real or complex field
+        return PAYLOAD_TYPES[kind](_sample_raw_from_domain(td.domain, kind, rng))
     if kind == "vector":
         if td.domain is None or td.domain.is_finite:
             raise UnsampleableFieldError(name, "vector needs an interval domain")
@@ -441,15 +419,15 @@ def _close(x: float, y: float, tol: float) -> bool:
     return abs(x - y) <= tol
 
 
-def _value_equal(a: Value, b: Value, tol: float) -> bool:
+def _value_equal(a, b, tol: float) -> bool:
     if type(a) is not type(b):
         return False
-    if isinstance(a, (VInt, VBool)):
-        return a.value == b.value
-    if isinstance(a, VReal):
-        return _close(a.value, b.value, tol)
-    if isinstance(a, VComplex):
-        return abs(a.value - b.value) <= tol
+    if type(a) in (int, bool):
+        return a == b
+    if type(a) is float:
+        return _close(a, b, tol)
+    if type(a) is complex:
+        return abs(a - b) <= tol
     if isinstance(a, VVector):
         return (len(a.values) == len(b.values)
                 and bool(np.all(np.abs(a.values - b.values) <= tol)))
@@ -485,11 +463,12 @@ def _value_equal(a: Value, b: Value, tol: float) -> bool:
 # --- serialization ----------------------------------------------------------
 
 
-def value_to_json(v: Value):
-    if isinstance(v, (VReal, VInt, VBool)):
-        return {"kind": type(v).__name__[1:].lower(), "v": v.value}
-    if isinstance(v, VComplex):
-        return {"kind": "complex", "re": v.value.real, "im": v.value.imag}
+def value_to_json(v):
+    kind = _SCALAR_KIND.get(type(v))
+    if kind == "complex":
+        return {"kind": "complex", "re": v.real, "im": v.imag}
+    if kind is not None:
+        return {"kind": kind, "v": v}
     if isinstance(v, VVector):
         return {"kind": "vector", "v": [float(x) for x in v.values]}
     if isinstance(v, VList):
@@ -511,16 +490,12 @@ def value_to_json(v: Value):
     raise TypeError(f"unsupported value type {type(v)!r}")
 
 
-def value_from_json(data) -> Value:
+def value_from_json(data):
     kind = data["kind"]
-    if kind == "real":
-        return VReal(data["v"])
-    if kind == "int":
-        return VInt(data["v"])
-    if kind == "bool":
-        return VBool(data["v"])
     if kind == "complex":
-        return VComplex(complex(data["re"], data["im"]))
+        return complex(data["re"], data["im"])
+    if kind in PAYLOAD_TYPES:
+        return PAYLOAD_TYPES[kind](data["v"])
     if kind == "vector":
         return VVector(data["v"])
     if kind == "list":

@@ -20,3 +20,15 @@ def load_fixture_model():
         return load_model(fixture_source(name))
 
     return _load
+
+
+def typed(value):
+    """``value`` with the exact Python type of every scalar payload made
+    explicit, so that ``==`` tells 1 from 1.0 and True from 1."""
+    from causalkit.state import VList, VRecord
+
+    if isinstance(value, VList):
+        return [typed(v) for v in value.items]
+    if isinstance(value, VRecord):
+        return (value.record, {k: typed(v) for k, v in value.fields.items()})
+    return (type(value).__name__, value)

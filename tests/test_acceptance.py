@@ -20,7 +20,6 @@ from causalkit import (
     RandomSpec,
     RngStream,
     RunConfig,
-    VInt,
     branch_run,
     build_bundled_model,
     build_initial_state,
@@ -86,7 +85,7 @@ def detection_histogram(detector: str, trials: int, seed: int) -> np.ndarray:
     cfg = RunConfig(dt=1.0, max_steps=5, seed=seed)
     for term, final in run_ensemble(model, state, cfg, trials):
         assert term.kind == "halted"
-        counts[final.values["detected"].value] += 1
+        counts[final.values["detected"]] += 1
     return counts
 
 
@@ -120,11 +119,11 @@ def test_criterion_1_interference_rule():
 
 def test_criterion_2_born_weights():
     with criterion(2, "Born weights"):
-        spec = RandomSpec("PSI", values=(VInt(0), VInt(1)),
+        spec = RandomSpec("PSI", values=(0, 1),
                           params=(0.6, 0.8j))
         rng = RngStream(77)
         n = 100_000
-        ones = sum(sample_random(spec, rng).value for _ in range(n))
+        ones = sum(sample_random(spec, rng) for _ in range(n))
         sigma = math.sqrt(n * 0.36 * 0.64)
         assert abs(ones - 0.64 * n) < 3 * sigma
         # global phase invariance, exact on the probability vector
@@ -188,7 +187,7 @@ def test_criterion_5_interpreter_loop():
         trace = run(model, state, cfg)
         assert trace.termination.kind == "halted"
         assert trace.rows[-1].step == 10
-        assert trace.final_state.values["n"].value == 10
+        assert trace.final_state.values["n"] == 10
         for row in trace.rows:
             assert row.time == row.step * cfg.dt  # exact multiples
 
@@ -234,7 +233,7 @@ def test_criterion_6_branching():
         counts = {0: 0, 1: 0}
         for i in range(n):
             trace = run(psi, state, RunConfig(dt=1.0, max_steps=10, seed=i))
-            counts[trace.final_state.values["outcome"].value] += 1
+            counts[trace.final_state.values["outcome"]] += 1
         for leaf in leaves:
             w = leaf.weight
             sigma = math.sqrt(n * w * (1 - w))
@@ -257,8 +256,8 @@ def test_criterion_7_numerics():
         worst = 0.0
         x_at_2pi = None
         for row in trace.rows:
-            x = row.snapshot.values["x"].value
-            v = row.snapshot.values["v"].value
+            x = row.snapshot.values["x"]
+            v = row.snapshot.values["v"]
             energy = 0.5 * v * v + 0.5 * x * x
             worst = max(worst, abs(energy - e0) / e0)
             if x_at_2pi is None and row.time >= 2 * math.pi:
@@ -297,8 +296,8 @@ def test_criterion_8_entanglement():
             trace = run(model, state,
                         RunConfig(dt=1.0, max_steps=5, seed=seed,
                                   record_every=5))
-            s1 = trace.final_state.values["s1"].value
-            s2 = trace.final_state.values["s2"].value
+            s1 = trace.final_state.values["s1"]
+            s2 = trace.final_state.values["s2"]
             if s1 != -s2 or s1 not in (-1, 1):
                 exceptions += 1
         assert exceptions == 0

@@ -43,7 +43,7 @@ class TestCounter:
     def test_runs_to_ten(self):
         model, state = build_bundled_model("counter")
         trace = run(model, state, RunConfig(dt=1.0, max_steps=50, seed=7))
-        assert trace.final_state.values["n"].value == 10
+        assert trace.final_state.values["n"] == 10
         assert trace.rows[-1].step == 10
 
     def test_deterministic(self):
@@ -71,7 +71,7 @@ class TestDoubleSlit:
         model, state = build_bundled_model("double_slit")
         trace = run(model, state, RunConfig(dt=1.0, max_steps=5, seed=1))
         assert trace.termination.kind == "halted"
-        assert 0 <= trace.final_state.values["detected"].value < 64
+        assert 0 <= trace.final_state.values["detected"] < 64
 
     def test_initial_amplitudes_normalized(self):
         _, state = build_bundled_model("double_slit")
@@ -113,8 +113,8 @@ class TestHarmonicOscillator:
         for _ in range(200):
             particles = classical_step(particles, lambda x: x, dt)
         _, x, v = particles[0]
-        assert trace.final_state.values["x"].value == pytest.approx(x, abs=1e-12)
-        assert trace.final_state.values["v"].value == pytest.approx(v, abs=1e-12)
+        assert trace.final_state.values["x"] == pytest.approx(x, abs=1e-12)
+        assert trace.final_state.values["v"] == pytest.approx(v, abs=1e-12)
 
 
 class TestDoubleSlitBranchWeights:
@@ -130,7 +130,7 @@ class TestDoubleSlitBranchWeights:
                           depth_bound=2, width_bound=10_000)
         weights = np.zeros(bins)
         for leaf in tree.leaves():
-            weights[leaf.snapshot.values["detected"].value] += leaf.weight
+            weights[leaf.snapshot.values["detected"]] += leaf.weight
         edges = np.linspace(-half_width, half_width, bins + 1)
         centers = 0.5 * (edges[:-1] + edges[1:])
         amp = sum(np.exp(1j * k * np.sqrt(dist ** 2 + (centers - sy) ** 2))
@@ -146,8 +146,8 @@ class TestEntangledPair:
         for seed in range(200):
             trace = run(model, state, RunConfig(dt=1.0, max_steps=5,
                                                 seed=seed))
-            s1 = trace.final_state.values["s1"].value
-            s2 = trace.final_state.values["s2"].value
+            s1 = trace.final_state.values["s1"]
+            s2 = trace.final_state.values["s2"]
             assert s1 in (-1, 1)
             assert s1 == -s2
 
@@ -159,8 +159,8 @@ class TestEntangledPair:
         assert len(leaves) == 2
         for leaf in leaves:
             assert leaf.weight == pytest.approx(0.5, abs=1e-12)
-            s1 = leaf.snapshot.values["s1"].value
-            s2 = leaf.snapshot.values["s2"].value
+            s1 = leaf.snapshot.values["s1"]
+            s2 = leaf.snapshot.values["s2"]
             assert s1 == -s2
 
 
@@ -169,7 +169,7 @@ class TestQftcaToy:
         model, state = build_bundled_model("qftca_toy")
         world = state.values["world"]
         particles = world.fields["particles"].items
-        assert [(p.fields["pos"].value, p.fields["vel"].value)
+        assert [(p.fields["pos"], p.fields["vel"])
                 for p in particles] == [(2, 1), (8, -1)]
 
     def test_cells_param(self):
@@ -182,7 +182,7 @@ class TestQftcaToy:
         trace = run(model, state, cfg)
         for row in trace.rows:
             world = row.snapshot.values["world"]
-            total = sum(p.fields["vel"].value
+            total = sum(p.fields["vel"]
                         for p in world.fields["particles"].items)
             assert total == 0
 

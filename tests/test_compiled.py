@@ -26,9 +26,9 @@ from causalkit.engine import compile_observable
 from causalkit.frontend import parse_expression
 from causalkit.frontend.lower import compile_model
 from causalkit.frontend.typecheck import check_standalone_expr
-from causalkit.state import VComplex, VInt, VList, VReal, VRecord
+from causalkit.state import VList, VRecord
 
-from conftest import FIXTURES
+from conftest import FIXTURES, typed
 
 RECORDS = """
 model recs {
@@ -51,24 +51,24 @@ model recs {
 
 
 def _p(m, x, v):
-    return VRecord("P", {"m": VReal(m), "x": VReal(x), "v": VReal(v)})
+    return VRecord("P", {"m": float(m), "x": float(x), "v": float(v)})
 
 
 def test_record_member_writes():
     model = load_model(RECORDS)
     s = make_initial_state(model.schema, {
         "ps": VList([_p(1, 0, 1), _p(2, 1, -0.5), _p(3, 2, 0.25)]),
-        "w": VRecord("W", {"p": _p(1, 0, 0), "n": VInt(0)}),
-        "count": VInt(0)})
+        "w": VRecord("W", {"p": _p(1, 0, 0), "n": 0}),
+        "count": 0})
     for _ in range(2):
         s = apply_law(model.laws[0], s, 0.5, RngStream(0))
     ps = [p.fields for p in s.values["ps"].items]
-    assert [p["x"] for p in ps] == [VReal(1.0), VReal(1.0), VReal(2.25)]
-    assert ps[1]["v"] == VReal(-0.5)
+    assert [typed(p["x"]) for p in ps] == [typed(1.0), typed(1.0), typed(2.25)]
+    assert typed(ps[1]["v"]) == typed(-0.5)
     w = s.values["w"].fields
-    assert w["n"] == VInt(2)
-    assert w["p"].fields["m"] == VReal(2.0)     # int promoted on write
-    assert s.values["count"] == VInt(2)
+    assert typed(w["n"]) == typed(2)
+    assert typed(w["p"].fields["m"]) == typed(2.0)   # int promoted on write
+    assert typed(s.values["count"]) == typed(2)
 
 
 def test_list_literal_items_take_the_element_type():
@@ -77,10 +77,10 @@ def test_list_literal_items_take_the_element_type():
         "init { lr = [1, 2.5]; lz = [2, 0.5i]; } "
         "law L { when true; then { lr = [3, lr[1]]; } } }")
     s = build_initial_state(model)
-    assert s.values["lr"] == VList([VReal(1.0), VReal(2.5)])
-    assert s.values["lz"] == VList([VComplex(2), VComplex(0.5j)])
+    assert typed(s.values["lr"]) == typed(VList([1.0, 2.5]))
+    assert typed(s.values["lz"]) == typed(VList([2 + 0j, 0.5j]))
     s = apply_law(model.laws[0], s, 1.0, None)
-    assert s.values["lr"] == VList([VReal(3.0), VReal(2.5)])
+    assert typed(s.values["lr"]) == typed(VList([3.0, 2.5]))
 
 
 # --- the int '^' rule ------------------------------------------------------------
@@ -119,10 +119,10 @@ def test_int_power_in_range():
     trace = run(model, build_initial_state(model),
                 RunConfig(dt=1.0, max_steps=1))
     assert trace.termination.kind == "max-steps"
-    assert trace.final_state.values["n"] == VInt(-2 ** 63)
+    assert typed(trace.final_state.values["n"]) == typed(-2 ** 63)
     model = _power_model(-1, "n ^ 1000000001")
     s = build_initial_state(model)
-    assert apply_law(model.laws[0], s, 1.0, None).values["n"] == VInt(-1)
+    assert typed(apply_law(model.laws[0], s, 1.0, None).values["n"]) == typed(-1)
 
 
 def test_int_power_hang_case_is_bounded():
@@ -132,7 +132,7 @@ def test_int_power_hang_case_is_bounded():
                 RunConfig(dt=1.0, max_steps=100))
     assert time.perf_counter() - start < 1.0
     # 7 ^ 7 fits; 823543 ^ 823543 is refused before it is computed
-    assert trace.final_state.values["n"] == VInt(7 ** 7)
+    assert typed(trace.final_state.values["n"]) == typed(7 ** 7)
     assert trace.termination.kind == "eval-error"
 
 
@@ -203,7 +203,7 @@ def test_constant_folding_keeps_the_int_power_rule():
                 RunConfig(dt=1.0, max_steps=1))
     assert "int '^' overflows int64" in trace.termination.message
     model, errors = _timed_compile("2 ^ 62", "true")
-    assert model.schema.constants["c"][1] == VInt(2 ** 62)
+    assert typed(model.schema.constants["c"][1]) == typed(2 ** 62)
 
 
 # --- step-0 observables ------------------------------------------------------------

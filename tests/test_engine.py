@@ -14,10 +14,7 @@ from causalkit import (
     StateSchema,
     SystemState,
     TypeDesc,
-    VBool,
-    VInt,
     VList,
-    VReal,
     apply_law,
     build_initial_state,
     classify_determinism,
@@ -35,7 +32,7 @@ from conftest import fixture_source
 
 
 def real_state(model, **values):
-    assignments = {k: VReal(float(v)) for k, v in values.items()}
+    assignments = {k: float(v) for k, v in values.items()}
     return make_initial_state(model.schema, assignments)
 
 
@@ -49,7 +46,7 @@ class TestEvalGuard:
         model = load_model(
             "model m { state { n: int in [0, 200]; } init { n = 0; } "
             "law L { when n < 100; then { n = n + 1; } } }")
-        s = make_initial_state(model.schema, {"n": VInt(100)})
+        s = make_initial_state(model.schema, {"n": 100})
         assert eval_guard(model.laws[0], s) is False
 
     def test_index_out_of_range_is_eval_error(self):
@@ -58,8 +55,8 @@ class TestEvalGuard:
             "init { ok = false; } "
             "law L { when xs[5] > 0.0; then { ok = true; } } }")
         s = make_initial_state(model.schema, {
-            "xs": VList([VReal(1.0), VReal(2.0), VReal(3.0)]),
-            "ok": VBool(False)})
+            "xs": VList([1.0, 2.0, 3.0]),
+            "ok": False})
         with pytest.raises(EvalError) as exc:
             eval_guard(model.laws[0], s)
         assert exc.value.law == "L"
@@ -118,9 +115,9 @@ class TestApplyLaw:
             "law Inc { when true; then { n = n + 1; } } }")
         s0 = build_initial_state(model)
         s1 = apply_law(model.laws[0], s0, 1.0, RngStream(0))
-        assert s1.values["n"].value == 8
+        assert s1.values["n"] == 8
         assert s1.time == s0.time  # time advance is the interpreter's job
-        assert s0.values["n"].value == 7  # s0 untouched
+        assert s0.values["n"] == 7  # s0 untouched
 
     def test_swap_simultaneous_semantics(self, load_fixture_model):
         model = load_fixture_model("swap.cml")
@@ -129,8 +126,8 @@ class TestApplyLaw:
             a, b = rng.uniform(-10, 10), rng.uniform(-10, 10)
             s0 = real_state(model, a=a, b=b)
             s1 = apply_law(model.laws[0], s0, 1.0, rng)
-            assert s1.values["a"].value == b
-            assert s1.values["b"].value == a
+            assert s1.values["a"] == b
+            assert s1.values["b"] == a
 
     def test_degenerate_weights_always_zero(self):
         model = load_model(
@@ -140,7 +137,7 @@ class TestApplyLaw:
         rng = RngStream(1)
         for _ in range(200):
             s1 = apply_law(model.laws[0], s0, 1.0, rng)
-            assert s1.values["n"].value == 0
+            assert s1.values["n"] == 0
 
     def test_dt_available_in_transition(self):
         model = load_model(
@@ -148,23 +145,23 @@ class TestApplyLaw:
             "law L { when true; then { x = x + dt; } } }")
         s0 = build_initial_state(model)
         s1 = apply_law(model.laws[0], s0, 0.25, RngStream(0))
-        assert s1.values["x"].value == 0.25
+        assert s1.values["x"] == 0.25
 
     def test_for_loop_updates_each_element(self, load_fixture_model):
         from causalkit import VRecord
         model = load_fixture_model("drift_particles.cml")
 
         def particle(m, x, v):
-            return VRecord("P", {"m": VReal(m), "x": VReal(x), "v": VReal(v)})
+            return VRecord("P", {"m": float(m), "x": x, "v": v})
 
         s0 = make_initial_state(model.schema, {
             "ps": VList([particle(1, 0.0, 1.0), particle(1, 5.0, -2.0),
                          particle(2, 1.0, 0.0)]),
-            "count": VInt(0)})
+            "count": 0})
         s1 = apply_law(model.law("Drift"), s0, 0.5, RngStream(0))
-        xs = [p.fields["x"].value for p in s1.values["ps"].items]
+        xs = [p.fields["x"] for p in s1.values["ps"].items]
         assert xs == [0.5, 4.0, 1.0]
-        assert s1.values["count"].value == 1
+        assert s1.values["count"] == 1
 
     def test_division_by_zero_is_eval_error(self):
         model = load_model(
@@ -183,7 +180,7 @@ class TestStep:
         s0 = build_initial_state(model)
         s1 = step(model, s0, 1.0, RngStream(0))
         assert s1.time == 1.0
-        assert s1.values["x"].value == 0.5
+        assert s1.values["x"] == 0.5
 
     def test_strict_mode_propagates_overlap(self, load_fixture_model):
         model = load_fixture_model("overlap.cml")
@@ -220,22 +217,22 @@ class TestSampleRandom:
         rng = RngStream(101)
         spec = RandomSpec("FLAT", lo=0.0, hi=1.0)
         n = 100_000
-        total = sum(sample_random(spec, rng).value for _ in range(n))
+        total = sum(sample_random(spec, rng) for _ in range(n))
         assert abs(total / n - 0.5) < 0.01
 
     def test_psi_born_weights(self):
         # |0.6|^2 = 0.36 and |0.8i|^2 = 0.64; empirical frequency within
         # 3 sigma of the binomial at 1e5 draws
         rng = RngStream(102)
-        spec = RandomSpec("PSI", values=(VInt(0), VInt(1)),
+        spec = RandomSpec("PSI", values=(0, 1),
                           params=(0.6, 0.8j))
         n = 100_000
-        ones = sum(sample_random(spec, rng).value for _ in range(n))
+        ones = sum(sample_random(spec, rng) for _ in range(n))
         sigma = math.sqrt(0.36 * 0.64 * n)
         assert abs(ones - 0.64 * n) < 3 * sigma
 
     def test_zero_weights_error(self):
-        spec = RandomSpec("WEIGHTS", values=(VInt(0), VInt(1)),
+        spec = RandomSpec("WEIGHTS", values=(0, 1),
                           params=(0.0, 0.0))
         with pytest.raises(RandomError):
             sample_random(spec, RngStream(0))
@@ -251,16 +248,16 @@ class TestSampleRandom:
     def test_gauss_unbounded_and_truncated(self):
         rng = RngStream(103)
         unbounded = RandomSpec("GAUSS", params=(0.0, 1.0))
-        xs = [sample_random(unbounded, rng).value for _ in range(20_000)]
+        xs = [sample_random(unbounded, rng) for _ in range(20_000)]
         assert abs(sum(xs) / len(xs)) < 0.03
         truncated = RandomSpec("GAUSS", lo=0.0, hi=1.0, params=(0.0, 1.0))
-        ys = [sample_random(truncated, rng).value for _ in range(2000)]
+        ys = [sample_random(truncated, rng) for _ in range(2000)]
         assert all(0.0 <= y <= 1.0 for y in ys)
 
     def test_psi_normalization_invariance(self):
         # scaling all amplitudes by a common complex factor leaves the
         # categorical distribution identical
-        base = RandomSpec("PSI", values=(VInt(0), VInt(1), VInt(2)),
+        base = RandomSpec("PSI", values=(0, 1, 2),
                           params=(0.5, 0.5j, -0.70710678118654752))
         factor = 2.3 * np.exp(1j * 0.77)
         scaled = RandomSpec("PSI", values=base.values,

@@ -14,6 +14,7 @@ import pytest
 from causalkit import (
     RngStream,
     RunConfig,
+    branch_run,
     build_bundled_model,
     build_initial_state,
     derive_seed,
@@ -121,7 +122,7 @@ class TestMatchesRun:
         pairs = assert_matches_run(model, init,
                                    RunConfig(dt=1.0, max_steps=5, seed=4),
                                    100)
-        spins = {(f.values["s1"].value, f.values["s2"].value)
+        spins = {(f.values["s1"], f.values["s2"])
                  for _, f in pairs}
         assert spins == {(1, -1), (-1, 1)}
 
@@ -152,7 +153,7 @@ class TestMatchesRun:
         pairs = assert_matches_run(model, build_initial_state(model),
                                    RunConfig(dt=1.0, max_steps=10, seed=6),
                                    300)
-        xs = [f.values["x"].value for _, f in pairs]
+        xs = [f.values["x"] for _, f in pairs]
         assert any(x != int(x) for x in xs)   # some took the uniform branch
         assert any(x == int(x) for x in xs)   # some stayed categorical
 
@@ -214,6 +215,56 @@ class TestSharing:
                                    observables=(("n", expr),)), 3)
         with pytest.raises(ValueError, match="trials"):
             run_ensemble(model, init, RunConfig(dt=1.0, max_steps=5), 0)
+
+
+class TestMatchesBranchWeights:
+    """Monte Carlo frequencies against the exact distribution that
+    ``branch_run`` enumerates, so that the two executors check each other
+    (McKeeman, "Differential Testing for Software", 1998)."""
+
+    TRIALS = 20_000
+
+    @staticmethod
+    def _exact(detector: str) -> dict:
+        model, init = build_bundled_model("double_slit",
+                                          {"detector": detector})
+        tree = branch_run(model, init, RunConfig(dt=1.0, max_steps=5),
+                          depth_bound=4, width_bound=10_000)
+        leaves = tree.leaves()
+        assert len(leaves) == {"off": 64, "on": 128}[detector]
+        assert tree.pruned_mass == 0.0
+        exact: dict = {}
+        for leaf in leaves:
+            assert leaf.termination.kind == "halted"
+            d = leaf.snapshot.values["detected"]
+            exact[d] = exact.get(d, 0.0) + leaf.weight
+        assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
+        return exact
+
+    @staticmethod
+    def _l1(counts: dict, trials: int, exact: dict) -> float:
+        return sum(abs(counts.get(b, 0) / trials - exact.get(b, 0.0))
+                   for b in set(counts) | set(exact))
+
+    @pytest.mark.parametrize("detector", ["off", "on"])
+    def test_double_slit_frequencies(self, detector):
+        model, init = build_bundled_model("double_slit",
+                                          {"detector": detector})
+        counts: dict = {}
+        for term, final in run_ensemble(
+                model, init, RunConfig(dt=1.0, max_steps=5, seed=23),
+                self.TRIALS):
+            assert term.kind == "halted"
+            d = final.values["detected"]
+            counts[d] = counts.get(d, 0) + 1
+        bins = 64
+        # E[L1] <= sqrt(2 bins / (pi trials)) ~= 0.045; the bound is 1.5
+        # times sqrt(bins / trials) ~= 0.085
+        bound = 1.5 * (bins / self.TRIALS) ** 0.5
+        assert self._l1(counts, self.TRIALS, self._exact(detector)) < bound
+        # and the bound tells the two distributions apart
+        other = self._exact("on" if detector == "off" else "off")
+        assert self._l1(counts, self.TRIALS, other) > 2 * bound
 
 
 class TestRekey:

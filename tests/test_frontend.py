@@ -4,7 +4,7 @@ import pytest
 
 from causalkit import classify_determinism, load_model, parse, typecheck
 from causalkit.frontend import format_model, lower, structurally_equal
-from causalkit.frontend.parser import parse_expression
+from causalkit.frontend.parser import MAX_DEPTH, parse_expression
 
 from conftest import BROKEN, FIXTURES, fixture_source
 
@@ -239,3 +239,106 @@ class TestParseExpression:
         expr, diags = parse_expression("x + 1 garbage")
         assert expr is None
         assert diags
+
+
+class TestNesting:
+    """One fixed depth limit: past it the frontend gives a ``too-deep``
+    diagnostic, never a RecursionError; at it every stage runs."""
+
+    DEEP = 3000
+
+    @staticmethod
+    def _model(init: str = "1.0", body: str = "x = 1.0;") -> str:
+        return ("model m {\n  state { x: real; }\n"
+                f"  init {{ x = {init}; }}\n"
+                f"  law L {{ when true; then {{ {body} }} }}\n}}\n")
+
+    @staticmethod
+    def _nested_ifs(n: int) -> str:
+        return "if true { " * n + "x = 1.0; " + "} " * n
+
+    def _too_deep(self, src: str, token: str):
+        ast, diags = parse(src)
+        assert ast is None
+        (d,) = diags
+        assert (d.code, d.message) == ("too-deep",
+                                       f"nesting deeper than {MAX_DEPTH} "
+                                       "levels")
+        line = src.splitlines()[d.loc.line - 1]
+        assert line[d.loc.col - 1:].startswith(token)
+        return d
+
+    def test_parentheses(self):
+        d = self._too_deep(self._model("(" * self.DEEP + "1.0"
+                                       + ")" * self.DEEP), "(")
+        # the first parenthesis past the limit
+        assert d.loc.col == len("  init { x = ") + MAX_DEPTH + 1
+
+    def test_unary_minus(self):
+        self._too_deep(self._model("- " * self.DEEP + "1.0"), "-")
+
+    def test_sum(self):
+        d = self._too_deep(self._model(" + ".join(["1.0"] * self.DEEP)),
+                           "+")
+        # the operator whose node is one level past the limit
+        assert d.loc.col == len("  init { x = ") + 6 * MAX_DEPTH + 5
+
+    def test_nested_if_blocks(self):
+        self._too_deep(self._model(body=self._nested_ifs(self.DEEP)), "{")
+
+    def test_else_if_chain(self):
+        # an else-if nests one level, its block one more
+        chain = " else ".join(["if false { x = 1.0; }"] * self.DEEP)
+        self._too_deep(self._model(body=chain), ("if", "{"))
+
+    def test_observable(self):
+        expr, diags = parse_expression("(" * self.DEEP + "x" + ")" * self.DEEP)
+        assert expr is None
+        assert diags[0].code == "too-deep"
+
+    def test_cli_reports_the_location_and_exits_1(self, tmp_path, capsys):
+        from causalkit.cli import main
+        path = tmp_path / "deep.cml"
+        path.write_text(self._model("(" * self.DEEP + "1.0"
+                                    + ")" * self.DEEP), encoding="utf-8")
+        assert main(["run", str(path), "--steps", "1"]) == 1
+        col = len("  init { x = ") + MAX_DEPTH + 1
+        assert capsys.readouterr().err == \
+            f"{path}:3:{col}: nesting deeper than {MAX_DEPTH} levels\n"
+
+    def test_model_at_the_limit_runs_and_round_trips(self):
+        from causalkit import RunConfig, build_initial_state, run
+        n = MAX_DEPTH
+        src = ("model m {\n"
+               "  state { a: real; b: real; c: real; d: real; x: real; }\n"
+               "  init {\n"
+               f"    a = {'(' * n}1.0{')' * n};\n"
+               f"    b = {'- ' * n}1.0;\n"
+               f"    c = {' + '.join(['1.0'] * (n + 1))};\n"
+               f"    d = {'abs(' * n}1.0{')' * n};\n"
+               "    x = 0.0;\n"
+               "  }\n"
+               # the law body is one block, so n - 1 ifs nest inside it
+               f"  law L {{ when true; then {{ {self._nested_ifs(n - 1)} }} }}\n"
+               "}\n")
+        ast, diags = parse(src)
+        assert ast is not None and not diags
+        text = format_model(ast)
+        again, diags = parse(text)
+        assert again is not None and not diags
+        assert structurally_equal(ast, again)
+        for source in (src, text):
+            model = load_model(source)
+            trace = run(model, build_initial_state(model),
+                        RunConfig(dt=1.0, max_steps=3))
+            values = trace.final_state.values
+            assert (values["a"], values["b"], values["c"], values["d"],
+                    values["x"]) == (1.0, 1.0, n + 1.0, 1.0, 1.0)
+        # one level more of each is too deep
+        for grown in (src.replace("(1.0)", "((1.0))"),
+                      src.replace("- 1.0", "- - 1.0"),
+                      src.replace("1.0 + 1.0", "1.0 + 1.0 + 1.0"),
+                      src.replace("abs(1.0)", "abs(abs(1.0))"),
+                      src.replace("if true { x", "if true { if true { x")
+                      .replace("} } }", "} } } }")):
+            assert parse(grown)[1][0].code == "too-deep"

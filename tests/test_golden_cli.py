@@ -26,9 +26,17 @@ from causalkit.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "fixtures" / "golden_cli.json"
 
-# a second `run builtin:harmonic_oscillator`, named apart in ``_id``
+# second invocations of a command on one model, named apart in ``_id``
 ENERGY_RUN = ("run", "builtin:harmonic_oscillator", "--observables",
               "x,v,0.5*v*v+0.5*x*x", "--steps", "300", "--dt", "0.001")
+OVERLAP_SAMPLE = ("analyze", "tests/fixtures/overlap.cml", "--samples", "200")
+ESCAPING_SAMPLE = ("analyze", "tests/fixtures/escaping.cml", "--samples",
+                   "200")
+NAMED = {
+    ENERGY_RUN: "run builtin:harmonic_oscillator energy",
+    OVERLAP_SAMPLE: "analyze tests/fixtures/overlap.cml sample",
+    ESCAPING_SAMPLE: "analyze tests/fixtures/escaping.cml sample",
+}
 
 # argv of each pinned invocation; .cml paths are relative to the repo root
 INVOCATIONS = (
@@ -82,6 +90,11 @@ INVOCATIONS = (
      "--runs", "6", "--steps", "30", "--seed", "3"),
     ("analyze", "tests/fixtures/escaping.cml", "--strategy", "trace",
      "--runs", "10", "--steps", "10", "--seed", "2"),
+    # every scalar kind inside serialized states
+    ("branch", "tests/fixtures/language.cml", "--steps", "2"),
+    ("branch", "builtin:qftca_toy", "--param", "cells=8", "--steps", "2"),
+    OVERLAP_SAMPLE,
+    ESCAPING_SAMPLE,
 )
 
 
@@ -108,8 +121,8 @@ def test_every_invocation_is_pinned():
 
 def _id(argv) -> str:
     """Test id: command and model (pytest numbers repeated ids)."""
-    if argv == ENERGY_RUN:
-        return "run builtin:harmonic_oscillator energy"
+    if argv in NAMED:
+        return NAMED[argv]
     return " ".join(argv[:2])
 
 

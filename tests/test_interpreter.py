@@ -35,7 +35,7 @@ class TestRun:
         trace = run(model, state, cfg)
         assert trace.termination.kind == "halted"
         assert trace.rows[-1].step == 10
-        assert trace.final_state.values["n"].value == 10
+        assert trace.final_state.values["n"] == 10
         # recorded times are exact multiples of dt
         for row in trace.rows:
             assert row.time == row.step * 1.0
@@ -47,7 +47,7 @@ class TestRun:
         trace = run(model, build_initial_state(model),
                     RunConfig(dt=1.0, max_steps=10))
         assert trace.termination.kind == "no-applicable-law"
-        assert trace.termination.witness.values["x"].value == 2.0
+        assert trace.termination.witness.values["x"] == 2.0
         assert trace.termination.is_error
 
     def test_max_steps(self):
@@ -65,7 +65,7 @@ class TestRun:
                     RunConfig(dt=1.0, max_steps=10))
         assert trace.termination.kind == "halted"
         assert len(trace.rows) == 1
-        assert trace.final_state.values["n"].value == 5
+        assert trace.final_state.values["n"] == 5
 
     def test_csv_floats_have_17_significant_digits(self):
         model, state = build_bundled_model("free_particle")
@@ -177,7 +177,7 @@ class TestBranchRun:
         assert [l.outcome for l in leaves] == ["0", "1"]
         assert leaves[0].weight == pytest.approx(0.36, abs=1e-12)
         assert leaves[1].weight == pytest.approx(0.64, abs=1e-12)
-        assert [l.snapshot.values["outcome"].value for l in leaves] == [0, 1]
+        assert [l.snapshot.values["outcome"] for l in leaves] == [0, 1]
 
     def test_two_fair_coins_four_leaves(self, load_fixture_model):
         model = load_fixture_model("two_coin.cml")
@@ -259,13 +259,13 @@ class TestBranchRun:
         state = build_initial_state(model)
         tree = branch_run(model, state, RunConfig(dt=1.0, max_steps=10),
                           depth_bound=4, width_bound=16)
-        weights = {l.snapshot.values["outcome"].value: l.weight
+        weights = {l.snapshot.values["outcome"]: l.weight
                    for l in tree.leaves()}
         n = 10_000
         counts = {0: 0, 1: 0}
         for i in range(n):
             trace = run(model, state, RunConfig(dt=1.0, max_steps=10, seed=i))
-            counts[trace.final_state.values["outcome"].value] += 1
+            counts[trace.final_state.values["outcome"]] += 1
         for outcome, w in weights.items():
             sigma = (n * w * (1 - w)) ** 0.5
             assert abs(counts[outcome] - n * w) < 3 * sigma

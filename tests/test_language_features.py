@@ -13,8 +13,6 @@ from causalkit import (
     StateSchema,
     TypeDesc,
     VCGrid,
-    VInt,
-    VReal,
     VVector,
     apply_law,
     build_initial_state,
@@ -42,31 +40,31 @@ class TestExpressions:
     def test_power_operator(self):
         s = one_shot("x: real in [0.0, 100.0]; n: int in [0, 100];",
                      "x = 3.0; n = 2;", "x = x ^ 2.0; n = n ^ 3;")
-        assert s.values["x"].value == 9.0
-        assert s.values["n"].value == 8
+        assert s.values["x"] == 9.0
+        assert s.values["n"] == 8
 
     def test_unary_minus_and_precedence(self):
         s = one_shot("x: real in [-100.0, 100.0];", "x = 0.0;",
                      "x = -2.0 ^ 2.0 + 3.0 * 4.0;")
         # -(2^2) + 12 = 8 under standard precedence
-        assert s.values["x"].value == 8.0
+        assert s.values["x"] == 8.0
 
     def test_complex_arithmetic(self):
         s = one_shot("z: complex;", "z = complex(1.0, 2.0);",
                      "z = conj(z) * 2.0i + exp(complex(0.0, 0.0));")
         # conj(1+2i) = 1-2i; (1-2i)*2i = 4+2i; + exp(0) = 5+2i
-        assert s.values["z"].value == pytest.approx(5 + 2j)
+        assert s.values["z"] == pytest.approx(5 + 2j)
 
     def test_abs2_and_re_im(self):
         s = one_shot("a: real in [0.0, 100.0]; b: real in [-10.0, 10.0];",
                      "a = 0.0; b = 0.0;",
                      "a = abs2(complex(3.0, 4.0)); b = im(complex(1.0, -2.5));")
-        assert s.values["a"].value == 25.0
-        assert s.values["b"].value == -2.5
+        assert s.values["a"] == 25.0
+        assert s.values["b"] == -2.5
 
     def test_imaginary_literal(self):
         s = one_shot("z: complex;", "z = 0.5i;", "z = z * z;")
-        assert s.values["z"].value == pytest.approx(-0.25)
+        assert s.values["z"] == pytest.approx(-0.25)
 
     def test_laplacian_periodic(self):
         schema_src = "psi: cgrid(4, 0.5);"
@@ -85,14 +83,14 @@ class TestExpressions:
                      "n: int in [0, 10];",
                      "v = fill(3, 2.5); total = 0.0; n = 0;",
                      "total = sum(v); n = len(v);")
-        assert s.values["total"].value == 7.5
-        assert s.values["n"].value == 3
+        assert s.values["total"] == 7.5
+        assert s.values["n"] == 3
 
     def test_vector_element_read_and_write(self):
         s = one_shot("v: vector(3); x: real in [-10.0, 10.0];",
                      "v = fill(3, 1.0); x = 0.0;",
                      "x = v[2] + 1.0; v[0] = 5.0;")
-        assert s.values["x"].value == 2.0
+        assert s.values["x"] == 2.0
         np.testing.assert_allclose(s.values["v"].values, [5.0, 1.0, 1.0])
 
     def test_gauss_one_arg_unbounded(self):
@@ -102,7 +100,7 @@ class TestExpressions:
         model = load_model(src)
         state = build_initial_state(model)
         rng = RngStream(4)
-        draws = [apply_law(model.laws[0], state, 1.0, rng).values["x"].value
+        draws = [apply_law(model.laws[0], state, 1.0, rng).values["x"]
                  for _ in range(5000)]
         assert abs(sum(draws) / len(draws)) < 0.05
 
@@ -117,7 +115,7 @@ class TestExpressions:
         rng = RngStream(5)
         for _ in range(500):
             out = apply_law(model.laws[0], state, 1.0, rng)
-            assert 0.25 <= out.values["x"].value < 0.75
+            assert 0.25 <= out.values["x"] < 0.75
 
 
 class TestStatements:
@@ -129,10 +127,10 @@ class TestStatements:
         model = load_model(src)
         s = build_initial_state(model)
         s = apply_law(model.laws[0], s, 1.0, RngStream(0))
-        assert s.values["x"].value == 2.0
-        down = make_initial_state(model.schema, {"x": VReal(-3.0)})
+        assert s.values["x"] == 2.0
+        down = make_initial_state(model.schema, {"x": -3.0})
         out = apply_law(model.laws[0], down, 1.0, RngStream(0))
-        assert out.values["x"].value == -2.0
+        assert out.values["x"] == -2.0
 
     def test_elif_chain(self):
         src = ("model t { state { n: int in [0, 10]; tag: int in [0, 9]; } "
@@ -143,7 +141,7 @@ class TestStatements:
         model = load_model(src)
         s = apply_law(model.laws[0], build_initial_state(model), 1.0,
                       RngStream(0))
-        assert s.values["tag"].value == 2
+        assert s.values["tag"] == 2
 
     def test_nested_for_writes(self):
         src = ("model t { record R { x: real; } "
@@ -153,10 +151,10 @@ class TestStatements:
         model = load_model(src)
         from causalkit import VList, VRecord
         state = make_initial_state(model.schema, {
-            "rs": VList([VRecord("R", {"x": VReal(1.0)}),
-                         VRecord("R", {"x": VReal(3.0)})])})
+            "rs": VList([VRecord("R", {"x": 1.0}),
+                         VRecord("R", {"x": 3.0})])})
         out = apply_law(model.laws[0], state, 1.0, RngStream(0))
-        assert [r.fields["x"].value for r in out.values["rs"].items] == [2.0, 6.0]
+        assert [r.fields["x"] for r in out.values["rs"].items] == [2.0, 6.0]
 
     def test_whole_loop_variable_assignment(self):
         # P_i = f(P_i) style: assigning the loop variable replaces the element
@@ -166,9 +164,9 @@ class TestStatements:
         model = load_model(src)
         from causalkit import VList
         state = make_initial_state(model.schema, {
-            "xs": VList([VReal(1.0), VReal(2.0), VReal(3.0)])})
+            "xs": VList([1.0, 2.0, 3.0])})
         out = apply_law(model.laws[0], state, 1.0, RngStream(0))
-        assert [v.value for v in out.values["xs"].items] == [11.0, 12.0, 13.0]
+        assert list(out.values["xs"].items) == [11.0, 12.0, 13.0]
 
 
 class TestPwIntrinsics:
@@ -198,9 +196,9 @@ class TestPwIntrinsics:
 class TestMisc:
     def test_deep_equal_schema_mismatch(self):
         a = make_initial_state(
-            StateSchema(fields={"x": TypeDesc.real()}), {"x": VReal(1.0)})
+            StateSchema(fields={"x": TypeDesc.real()}), {"x": 1.0})
         b = make_initial_state(
-            StateSchema(fields={"y": TypeDesc.real()}), {"y": VReal(1.0)})
+            StateSchema(fields={"y": TypeDesc.real()}), {"y": 1.0})
         with pytest.raises(SchemaMismatchError):
             deep_equal(a, b, tol=0.0)
 
@@ -217,4 +215,4 @@ class TestMisc:
                "law L { when n < n_max * 2; then { n = n + 1; } } }")
         model = load_model(src)
         s = build_initial_state(model)
-        assert s.values["n"].value == 5
+        assert s.values["n"] == 5

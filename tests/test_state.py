@@ -10,11 +10,8 @@ from causalkit import (
     TypeDesc,
     TypeMismatchError,
     UnsampleableFieldError,
-    VBool,
     VCGrid,
-    VInt,
     VList,
-    VReal,
     VRecord,
     deep_equal,
     make_initial_state,
@@ -30,9 +27,9 @@ def int_schema():
 
 class TestMakeInitialState:
     def test_direct_construction(self):
-        s = make_initial_state(int_schema(), {"n": VInt(0)})
+        s = make_initial_state(int_schema(), {"n": 0})
         assert s.time == 0.0
-        assert s.values["n"].value == 0
+        assert s.values["n"] == 0
 
     def test_missing_field(self):
         with pytest.raises(MissingFieldError):
@@ -41,21 +38,21 @@ class TestMakeInitialState:
     def test_type_mismatch(self):
         schema = StateSchema(fields={"x": TypeDesc.real()})
         with pytest.raises(TypeMismatchError):
-            make_initial_state(schema, {"x": VBool(True)})
+            make_initial_state(schema, {"x": True})
 
     def test_unknown_field_rejected(self):
         with pytest.raises(SchemaError):
-            make_initial_state(int_schema(), {"n": VInt(0), "zz": VInt(1)})
+            make_initial_state(int_schema(), {"n": 0, "zz": 1})
 
     def test_nested_record_checked(self):
         schema = StateSchema(
             fields={"p": TypeDesc.record_ref("P")},
             records={"P": (("x", TypeDesc.real()),)})
         good = make_initial_state(
-            schema, {"p": VRecord("P", {"x": VReal(1.0)})})
-        assert good.values["p"].fields["x"].value == 1.0
+            schema, {"p": VRecord("P", {"x": 1.0})})
+        assert good.values["p"].fields["x"] == 1.0
         with pytest.raises(TypeMismatchError):
-            make_initial_state(schema, {"p": VRecord("P", {"x": VInt(1)})})
+            make_initial_state(schema, {"p": VRecord("P", {"x": 1})})
 
 
 class TestSchemaInvariants:
@@ -72,7 +69,7 @@ class TestSchemaInvariants:
     def test_field_constant_overlap(self):
         with pytest.raises(SchemaError):
             StateSchema(fields={"x": TypeDesc.real()},
-                        constants={"x": (TypeDesc.real(), VReal(1.0))})
+                        constants={"x": (TypeDesc.real(), 1.0)})
 
     def test_bad_domain(self):
         with pytest.raises(SchemaError):
@@ -93,12 +90,12 @@ class TestSampleState:
         rng = RngStream(1)
         for _ in range(100):
             s = sample_state(schema, rng)
-            assert 0.0 <= s.values["x"].value <= 1.0
+            assert 0.0 <= s.values["x"] <= 1.0
 
     def test_bool_both_seen(self):
         schema = StateSchema(fields={"b": TypeDesc.bool_()})
         rng = RngStream(2)
-        seen = {sample_state(schema, rng).values["b"].value
+        seen = {sample_state(schema, rng).values["b"]
                 for _ in range(100)}
         assert seen == {False, True}
 
@@ -123,9 +120,9 @@ class TestSampleState:
         rng = RngStream(3)
         for _ in range(10_000):
             s = sample_state(schema, rng)
-            assert -2.0 <= s.values["x"].value <= 3.0
-            assert -5 <= s.values["n"].value <= 5
-            assert s.values["k"].value in (2, 4, 8)
+            assert -2.0 <= s.values["x"] <= 3.0
+            assert -5 <= s.values["n"] <= 5
+            assert s.values["k"] in (2, 4, 8)
 
     def test_list_needs_bound(self):
         schema = StateSchema(fields={
@@ -182,14 +179,14 @@ class TestConstructionTotality:
 
 class TestDeepEqual:
     def test_identity_zero_tol(self):
-        s = make_initial_state(int_schema(), {"n": VInt(3)})
+        s = make_initial_state(int_schema(), {"n": 3})
         assert deep_equal(s, s, tol=0.0)
 
     def test_tolerance(self):
         schema = StateSchema(fields={"x": TypeDesc.real()})
-        a = make_initial_state(schema, {"x": VReal(1.0)})
-        b = make_initial_state(schema, {"x": VReal(1.0 + 1e-12)})
-        c = make_initial_state(schema, {"x": VReal(2.0)})
+        a = make_initial_state(schema, {"x": 1.0})
+        b = make_initial_state(schema, {"x": 1.0 + 1e-12})
+        c = make_initial_state(schema, {"x": 2.0})
         assert deep_equal(a, b, tol=1e-9)
         assert not deep_equal(a, c, tol=1e-9)
 
@@ -222,8 +219,8 @@ class TestStateJson:
                     "ns": TypeDesc.list_of(TypeDesc.int_()),
                     "psi": TypeDesc.cgrid(3, 0.5)})
         s = make_initial_state(schema, {
-            "x": VReal(2.5),
-            "ns": VList([VInt(1), VInt(2)]),
+            "x": 2.5,
+            "ns": VList([1, 2]),
             "psi": VCGrid(np.array([1 + 2j, 0, -1j]), 0.5),
         })
         data = state_to_json(s)
