@@ -59,28 +59,6 @@ from .state import (
 _MAX_TRUNCATION_TRIES = 100_000
 
 
-# --- random sources -----------------------------------------------------------
-
-
-class RandomSource:
-    """Interface the evaluator draws through; ``RngStream`` satisfies it.
-
-    Categorical draws are the branchable kind; uniform/normal draws are
-    continuous and only a stream-backed source supports them.
-    """
-
-    def categorical(self, probs, labels=None) -> int:
-        """Finite draw; ``labels`` (outcome values) are only used by
-        branching sources to name tree edges."""
-        raise NotImplementedError
-
-    def uniform01(self) -> float:
-        raise NotImplementedError
-
-    def normal(self, mean: float, sigma: float) -> float:
-        raise NotImplementedError
-
-
 # --- random specifications ------------------------------------------------------
 
 
@@ -291,8 +269,10 @@ class _Scope:
 
 def compile_observable(expr, schema: StateSchema):
     """Compile a typechecked expression once; the closure maps a state to
-    the expression's value there (a payload for a scalar type)."""
-    return _compile(expr, _Scope(schema))
+    the expression's value there (a payload for a scalar type). A real or
+    complex value must be finite, as a write's must."""
+    return _finite(_compile(expr, _Scope(schema)), expr.ty.kind, expr.loc,
+                   f"in observable '{format_expr(expr)}'")
 
 
 def _compile(e, scope: _Scope):
@@ -535,7 +515,13 @@ def _block(stmts, scope):
 def _write(e, kind: str, scope, loc, target: str):
     """``e`` compiled for a write to a target of ``kind``: promoted, and
     for a real or complex target checked to be finite."""
-    code = _promoted(e, kind, scope)
+    return _finite(_promoted(e, kind, scope), kind, loc,
+                   f"written to '{target}'")
+
+
+def _finite(code, kind: str, loc, where: str):
+    """``code`` checked to give a finite value if ``kind`` is real or
+    complex; else EvalError "non-finite value <v> <where>"."""
     isfinite = {"real": math.isfinite, "complex": cmath.isfinite}.get(kind)
     if isfinite is None or isinstance(code, _Const) and isfinite(code.value):
         return code
@@ -544,7 +530,7 @@ def _write(e, kind: str, scope, loc, target: str):
         v = code(env)
         if isfinite(v):
             return v
-        raise EvalError(f"non-finite value {v} written to '{target}'", loc)
+        raise EvalError(f"non-finite value {v} {where}", loc)
     return finite
 
 

@@ -73,9 +73,11 @@ class MultipleApplicableError(CausalKitError):
 
 
 class BranchSignal(Exception):
-    """Internal control-flow signal raised by branching random sources.
+    """Internal control-flow signal: a replaying random source was asked
+    for more new draws than its room, the branching depth bound.
 
-    Not an error: the branching interpreter catches it to fork lineages.
+    Not an error: the branching interpreter catches it and ends the
+    lineage with a "depth-bound" leaf.
     """
 
 

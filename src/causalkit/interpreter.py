@@ -8,11 +8,8 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .engine import (
     CausalModel,
-    RandomSource,
     apply_law,
     halts,
     select_law,
@@ -118,35 +115,57 @@ def run(model: CausalModel, init: SystemState, cfg: RunConfig) -> Trace:
     return Trace(model.name, cfg, tuple(rows), termination, final)
 
 
-# --- branching execution -----------------------------------------------------------
+# --- outcome enumeration -----------------------------------------------------------
 
 
-class _BranchPoint(BranchSignal):
-    def __init__(self, probs, labels):
-        self.probs = probs
-        self.labels = labels
+class ReplaySource:
+    """The random source of branching and of the ensemble trie: replays
+    the categorical outcomes in ``prefix``, then draws from ``stream``.
+    With no stream it takes each draw's first outcome of positive
+    probability and refuses continuous draws (ContinuousRandomError).
 
+    Each new categorical draw is recorded in ``draws`` as (probs, labels,
+    outcome) until the first continuous draw, which sets ``live``. A step
+    asking for more than ``room`` new draws raises BranchSignal.
+    """
 
-class ReplaySource(RandomSource):
-    """Replays a scripted prefix of categorical outcomes; the first
-    unscripted draw raises a branch point. Continuous draws refuse."""
-
-    def __init__(self, script):
-        self.script = list(script)
+    def __init__(self, prefix, stream=None, room=None):
+        self.prefix = prefix
+        self.stream = stream
+        self.room = room
         self.pos = 0
+        self.draws: list = []
+        self.live = False
 
     def categorical(self, probs, labels=None) -> int:
-        if self.pos < len(self.script):
-            i = self.script[self.pos]
+        if self.pos < len(self.prefix):
+            k = self.prefix[self.pos]
             self.pos += 1
-            return i
-        raise _BranchPoint(np.asarray(probs, dtype=float), labels)
+            return k
+        if self.room is not None and len(self.draws) >= self.room:
+            raise BranchSignal()
+        if self.stream is None:
+            k = next(i for i, p in enumerate(probs) if p > 0.0)
+        else:
+            k = self.stream.categorical(probs)
+        if not self.live:
+            self.draws.append((probs, labels, k))
+        return k
 
     def uniform01(self) -> float:
-        raise ContinuousRandomError()
+        return self._continuous().uniform01()
 
     def normal(self, mean, sigma) -> float:
-        raise ContinuousRandomError()
+        return self._continuous().normal(mean, sigma)
+
+    def _continuous(self) -> RngStream:
+        if self.stream is None:
+            raise ContinuousRandomError()
+        self.live = True
+        return self.stream
+
+
+# --- branching execution -----------------------------------------------------------
 
 
 @dataclass
@@ -197,12 +216,14 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
     """Execute like ``run`` but fork one weighted child per outcome at
     every categorical random draw.
 
-    A lineage stops branching once it has consumed depth_bound draws
-    (leaf kind "depth-bound"). After each synchronous round of steps the
-    frontier is pruned to width_bound lineages, dropping the lowest
-    weights deterministically; pruned stubs stay in the tree and their
-    total mass is reported. Continuous draws are not branchable and
-    raise ContinuousRandomError.
+    A step runs once down the first outcome of each new draw; the other
+    outcomes are queued with a replay prefix, so a k-way fork costs k
+    executions. A lineage stops branching once it has consumed
+    depth_bound draws (leaf kind "depth-bound"). After each synchronous
+    round of steps the frontier is pruned to width_bound lineages,
+    dropping the lowest weights deterministically; pruned stubs stay in
+    the tree and their total mass is reported. Continuous draws are not
+    branchable and raise ContinuousRandomError.
     """
     if depth_bound < 1:
         raise ValueError("depth_bound must be >= 1")
@@ -219,12 +240,12 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
 
     while active:
         survivors: list = []
-        # work items: (lineage, script); a non-empty script means the
-        # lineage is re-executing the current step after a fork
+        # work items: (lineage, prefix); a non-empty prefix means the
+        # lineage takes a queued outcome of the current step
         work = deque((lin, []) for lin in active)
         while work:
-            lin, script = work.popleft()
-            if not script:
+            lin, prefix = work.popleft()
+            if not prefix:
                 try:
                     if halts(model, lin.state):
                         settle(lin, Termination("halted"))
@@ -235,38 +256,45 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
                 except EvalError as exc:
                     settle(lin, _termination(exc))
                     continue
+            source = ReplaySource(
+                prefix, room=depth_bound - lin.draws - len(prefix))
+            end = None
             try:
-                lin.state = step(model, lin.state, cfg.dt,
-                                 ReplaySource(script), cfg.mode,
-                                 init.time + (lin.steps + 1) * cfg.dt)
-                lin.steps += 1
-                lin.draws += len(script)
-                lin.node.snapshot = lin.state
-                survivors.append(lin)
-            except _BranchPoint as bp:
-                if lin.draws + len(script) >= depth_bound:
-                    settle(lin, Termination(
-                        "depth-bound",
-                        f"branching depth {depth_bound} reached"))
-                    continue
-                children = []
-                for k, p in enumerate(bp.probs):
+                post = step(model, lin.state, cfg.dt, source, cfg.mode,
+                            init.time + (lin.steps + 1) * cfg.dt)
+            except BranchSignal:
+                end = Termination("depth-bound",
+                                  f"branching depth {depth_bound} reached")
+            except _STEP_ERRORS as exc:
+                end = _termination(exc)
+            # fork each new draw: this execution went on with its first
+            # outcome; queue the others, deepest draw first
+            path = list(prefix)
+            for probs, labels, k in source.draws:
+                parent, queued = lin, []
+                for j, p in enumerate(probs):
                     if p <= 0.0:
                         continue
-                    label = (str(bp.labels[k]) if bp.labels is not None
-                             else str(k))
-                    node = WorldNode(weight=lin.weight * float(p),
-                                     outcome=label)
-                    lin.node.children.append(node)
-                    children.append(
-                        (_Lineage(lin.state, lin.weight * float(p),
-                                  lin.draws, lin.steps, node, serial),
-                         script + [k]))
+                    weight = parent.weight * float(p)
+                    node = WorldNode(weight=weight, outcome=str(
+                        j if labels is None else labels[j]))
+                    parent.node.children.append(node)
+                    child = _Lineage(parent.state, weight, parent.draws,
+                                     parent.steps, node, serial)
                     serial += 1
-                for item in reversed(children):
-                    work.appendleft(item)
-            except _STEP_ERRORS as exc:
-                settle(lin, _termination(exc))
+                    if j == k:
+                        lin = child
+                    else:
+                        queued.append((child, path + [j]))
+                path.append(k)
+                work.extendleft(reversed(queued))
+            if end is not None:
+                settle(lin, end)
+                continue
+            lin.state = lin.node.snapshot = post
+            lin.steps += 1
+            lin.draws += len(path)
+            survivors.append(lin)
         if len(survivors) > width_bound:
             order = sorted(survivors, key=lambda l: (-l.weight, l.serial))
             for lin in order[width_bound:]:
@@ -309,40 +337,6 @@ class _Entry:
         self.law = None            # selected on first use: run selects no
                                    # law at a halting or max-steps state
         self.root = _Draw()
-
-
-class _TrieSource(RandomSource):
-    """Replays the outcomes a trial already drew while walking the trie,
-    then draws from the trial's own stream. New categorical draws extend
-    the trie; the first continuous draw stops the recording, so the rest
-    of the application is not cached."""
-
-    def __init__(self, stream: RngStream, root: _Draw, prefix: list):
-        self.stream = stream
-        self.node = root           # None once recording has stopped
-        self.prefix = prefix
-        self.pos = 0
-
-    def categorical(self, probs, labels=None) -> int:
-        if self.pos < len(self.prefix):
-            k = self.prefix[self.pos]
-            self.pos += 1
-        else:
-            k = self.stream.categorical(probs)
-            if self.node is not None:
-                self.node.probs = probs
-                self.node.children[k] = _Draw()
-        if self.node is not None:
-            self.node = self.node.children[k]
-        return k
-
-    def uniform01(self) -> float:
-        self.node = None
-        return self.stream.uniform01()
-
-    def normal(self, mean, sigma) -> float:
-        self.node = None
-        return self.stream.normal(mean, sigma)
 
 
 class Ensemble:
@@ -428,12 +422,16 @@ class Ensemble:
             node = child
         if node.post is not None:
             return node.post, True
-        source = _TrieSource(stream, entry.root, prefix)
+        source = ReplaySource(prefix, stream)
         s1 = apply_law(entry.law, entry.state, self.cfg.dt, source)
         post = SystemState(s1.schema, time, s1.values)
-        if source.node is None:
+        for probs, _, k in source.draws:
+            node.probs = probs
+            # targets bind left to right: the parent's slot, then the cursor
+            node.children[k] = node = _Draw()
+        if source.live:
             return post, False
-        source.node.post = post
+        node.post = post
         return post, True
 
 

@@ -49,10 +49,6 @@ class PwCollection:
                             f"path lacks attribute '{name}'")
 
     @property
-    def n_particles(self) -> int:
-        return len(self.paths[0].attrs)
-
-    @property
     def n_paths(self) -> int:
         return len(self.paths)
 

@@ -95,7 +95,8 @@ class RngStream:
 
     def categorical(self, probs, labels=None) -> int:
         """Index drawn from a probability vector (assumed to sum to 1).
-        ``labels`` is the ``RandomSource`` signature; a stream ignores it."""
+        ``labels`` names outcomes for ``interpreter.ReplaySource``, which
+        records them as branch labels; a stream ignores it."""
         u = self.uniform01()
         if len(probs) > 8:
             cum = np.cumsum(probs)

@@ -51,11 +51,6 @@ class Domain:
     def is_finite(self) -> bool:
         return self.values is not None
 
-    def contains(self, raw) -> bool:
-        if self.values is not None:
-            return any(raw == v for v in self.values)
-        return self.lo <= raw <= self.hi
-
 
 @dataclass(frozen=True)
 class TypeDesc:
@@ -98,10 +93,6 @@ class TypeDesc:
     @classmethod
     def bool_(cls):
         return cls("bool")
-
-    @classmethod
-    def complex_(cls, domain: Domain | None = None):
-        return cls("complex", domain=domain)
 
     @classmethod
     def vector(cls, length: int, domain: Domain | None = None):

@@ -53,21 +53,6 @@ model gauss_walk {
 }
 """
 
-# A walk whose second draw divides by zero on some branches (after the
-# first draw was made), reaches x = -2 where two laws apply, or x = 3
-# where none does.
-FALLIBLE = """
-model fallible {
-  state { x: int in [-10, 10]; y: real; }
-  init { x = 0; y = 0.0; }
-  law Walk { when x > -3 && x < 3; then {
-    x = x + random({-1, 1}, FLAT);
-    y = 1.0 / (x + 1 + random({0, 1}, FLAT));
-  } }
-  law Clash { when x == -2; then { x = x; } }
-}
-"""
-
 # Overlapping guards: only first-match mode can run it.
 OVERLAP_WALK = """
 model overlap_walk {
@@ -158,7 +143,10 @@ class TestMatchesRun:
         assert any(x == int(x) for x in xs)   # some stayed categorical
 
     def test_errors_on_some_branches(self):
-        model = load_model(FALLIBLE)
+        # fallible.cml: a walk whose second draw divides by zero on some
+        # branches (after the first draw was made), reaches x = -2 where
+        # two laws apply, or x = 3 where none does
+        model = load_model(fixture_source("fallible.cml"))
         pairs = assert_matches_run(model, build_initial_state(model),
                                    RunConfig(dt=1.0, max_steps=30, seed=1),
                                    200)
@@ -199,6 +187,29 @@ class TestSharing:
                            RunConfig(dt=1.0, max_steps=30, seed=0), 20)
         list(ens)
         assert len(ens.memo) == 20
+
+    def test_outcome_paths_share_one_trie(self, monkeypatch):
+        import causalkit.interpreter as interpreter
+
+        calls = []
+
+        def counting_apply_law(*args, **kwargs):
+            calls.append(args[0].name)
+            return apply_law(*args, **kwargs)
+
+        apply_law = interpreter.apply_law
+        monkeypatch.setattr(interpreter, "apply_law", counting_apply_law)
+        model = load_model(
+            "model two_draws { state { a: int in [0, 2]; b: int in [0, 2]; } "
+            "init { a = 0; b = 0; } "
+            "law L { when true; then { a = random({1, 2}, FLAT); "
+            "b = random({1, 2}, FLAT); } } }")
+        pairs = list(run_ensemble(model, build_initial_state(model),
+                                  RunConfig(dt=1.0, max_steps=1, seed=4),
+                                  200))
+        finals = {(f.values["a"], f.values["b"]) for _, f in pairs}
+        assert finals == {(1, 1), (1, 2), (2, 1), (2, 2)}
+        assert calls == ["L"] * 4
 
     def test_iterating_twice_gives_the_same_pairs(self):
         model, init = build_bundled_model("double_slit", {"detector": "on"})

@@ -32,10 +32,19 @@ ENERGY_RUN = ("run", "builtin:harmonic_oscillator", "--observables",
 OVERLAP_SAMPLE = ("analyze", "tests/fixtures/overlap.cml", "--samples", "200")
 ESCAPING_SAMPLE = ("analyze", "tests/fixtures/escaping.cml", "--samples",
                    "200")
+FALLIBLE_DEPTH3 = ("branch", "tests/fixtures/fallible.cml", "--depth", "3",
+                   "--width", "8", "--steps", "4")
+FALLIBLE_DEPTH5 = ("branch", "tests/fixtures/fallible.cml", "--depth", "5",
+                   "--width", "8", "--steps", "4")
+DETECTOR_BRANCH = ("branch", "builtin:double_slit", "--param", "detector=on",
+                   "--depth", "4", "--width", "64")
 NAMED = {
     ENERGY_RUN: "run builtin:harmonic_oscillator energy",
     OVERLAP_SAMPLE: "analyze tests/fixtures/overlap.cml sample",
     ESCAPING_SAMPLE: "analyze tests/fixtures/escaping.cml sample",
+    FALLIBLE_DEPTH3: "branch tests/fixtures/fallible.cml depth 3",
+    FALLIBLE_DEPTH5: "branch tests/fixtures/fallible.cml depth 5",
+    DETECTOR_BRANCH: "branch builtin:double_slit detector on",
 }
 
 # argv of each pinned invocation; .cml paths are relative to the repo root
@@ -95,6 +104,11 @@ INVOCATIONS = (
     ("branch", "builtin:qftca_toy", "--param", "cells=8", "--steps", "2"),
     OVERLAP_SAMPLE,
     ESCAPING_SAMPLE,
+    # two categorical draws in one step: a depth cut mid-step, eval-error
+    # and multiple-applicable leaves, and width pruning
+    FALLIBLE_DEPTH3,
+    FALLIBLE_DEPTH5,
+    DETECTOR_BRANCH,
 )
 
 

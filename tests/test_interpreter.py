@@ -226,6 +226,41 @@ class TestBranchRun:
                        depth_bound=4, width_bound=4)
         assert exc.value.law == "L"
 
+    def test_k_way_fork_costs_k_steps(self, monkeypatch):
+        import causalkit.interpreter as interpreter
+
+        calls = []
+
+        def counting_step(*args, **kwargs):
+            calls.append(args[1])
+            return step(*args, **kwargs)
+
+        step = interpreter.step
+        monkeypatch.setattr(interpreter, "step", counting_step)
+        model = load_model(
+            "model m { state { x: int in [0, 3]; } init { x = 0; } "
+            "halt when x > 0; "
+            "law L { when x == 0; then { x = random({1, 2, 3}, FLAT); } } }")
+        tree = branch_run(model, build_initial_state(model),
+                          RunConfig(dt=1.0, max_steps=10),
+                          depth_bound=4, width_bound=16)
+        assert [l.snapshot.values["x"] for l in tree.leaves()] == [1, 2, 3]
+        assert len(calls) == 3
+
+    def test_depth_cut_before_a_continuous_draw(self):
+        model = load_model(
+            "model m { state { a: int in [0, 1]; b: int in [0, 1]; "
+            "x: real in [0.0, 1.0]; } init { a = 0; b = 0; x = 0.0; } "
+            "law L { when true; then { a = random({0, 1}, FLAT); "
+            "b = random({0, 1}, FLAT); x = random([0.0, 1.0], FLAT); } } }")
+        tree = branch_run(model, build_initial_state(model),
+                          RunConfig(dt=1.0, max_steps=10),
+                          depth_bound=1, width_bound=16)
+        leaves = tree.leaves()
+        assert [(l.outcome, l.termination.kind) for l in leaves] == \
+            [("0", "depth-bound"), ("1", "depth-bound")]
+        assert [l.weight for l in leaves] == [0.5, 0.5]
+
     def test_weight_conservation_across_fixtures(self, load_fixture_model):
         for name in ("psi_draw.cml", "two_coin.cml"):
             model = load_fixture_model(name)

@@ -27,6 +27,9 @@ from causalkit import (
 )
 from causalkit.analyzer import unsampleable_fields
 from causalkit.cli import main
+from causalkit.engine import compile_observable
+from causalkit.frontend.parser import parse_expression
+from causalkit.frontend.typecheck import check_standalone_expr
 
 from conftest import FIXTURES, fixture_source
 
@@ -205,3 +208,45 @@ def test_record_member_writes_are_checked():
     assert term.kind == "eval-error"
     assert term.message == \
         "law 'W': non-finite value inf written to 'r.a' at 1:86"
+
+
+# --- non-finite observables ---------------------------------------------------------
+
+OVERFLOW_OBSERVABLE = ("non-finite value inf in observable "
+                       "'((n * 1e+308) * 10.0)' at 1:8")
+
+
+def test_non_finite_observable_ends_run_with_valid_jsonl(capsys):
+    code = main(["run", "builtin:counter", "--observables", "n*1e308*10.0",
+                 "--format", "jsonl", "--steps", "2"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    lines = [json.loads(line, parse_constant=lambda c: pytest.fail(c))
+             for line in out.splitlines()]
+    assert [row["values"] for row in lines[:-1]] == \
+        [{"n*1e308*10.0": 0.0}]
+    assert lines[-1]["terminationReason"] == \
+        {"kind": "eval-error", "message": OVERFLOW_OBSERVABLE}
+    assert OVERFLOW_OBSERVABLE in err
+
+
+def test_non_finite_observable_fails_histogram(capsys):
+    code = main(["histogram", "builtin:counter", "--observables",
+                 "n*1e308*10.0", "--trials", "5", "--steps", "2"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {OVERFLOW_OBSERVABLE}\n"
+
+
+def test_non_finite_complex_observable_ends_run():
+    model, init = build_bundled_model("counter")
+    expr, _ = parse_expression("complex(0.0, n * 1e308 * 10.0)")
+    check_standalone_expr(expr, model.schema)
+    cfg = RunConfig(dt=1.0, max_steps=2, observables=(
+        ("z", compile_observable(expr, model.schema)),))
+    trace = run(model, init, cfg)
+    assert [row.values for row in trace.rows] == [(0j,)]
+    assert trace.termination.kind == "eval-error"
+    assert trace.termination.message.startswith(
+        "non-finite value infj in observable 'complex(")
