@@ -24,9 +24,7 @@ from .errors import (
     SinkError,
     SolveError,
     TypeMismatchError,
-    UnknownIntrinsicError,
     UnknownModelError,
-    UnknownObservableError,
     UnsampleableFieldError,
     ZeroNormError,
 )

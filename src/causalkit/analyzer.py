@@ -58,7 +58,6 @@ class CheckStrategy:
     runs: int = 20
     steps_per_run: int = 50
     seed: int = 0
-    tol: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("enumerate", "sample", "trace"):

@@ -11,7 +11,7 @@ from pathlib import Path
 from .analyzer import CheckStrategy, analyze, report_to_json
 from .bundled import build_bundled_model, list_bundled_models
 from .engine import build_initial_state, compile_observable
-from .errors import CausalKitError, CmlError
+from .errors import CausalKitError, CmlError, EvalError
 from .frontend import parse_expression
 from .frontend.lower import compile_model
 from .frontend.typecheck import check_standalone_expr
@@ -230,7 +230,12 @@ def _cmd_histogram(args) -> int:
             return 1
         hit = seen.get(id(final))
         if hit is None or hit[0]() is not final:
-            value = observe(final)
+            try:
+                value = observe(final)
+            except EvalError as exc:
+                print(f"trial {t} terminated: eval-error: {exc}",
+                      file=sys.stderr)
+                return 1
             hit = seen[id(final)] = (weakref.ref(final), value)
         outcomes.append(hit[1])
     rows = _bin_outcomes(outcomes, args.bins)

@@ -219,15 +219,13 @@ class CausalModel:
 # the halt condition, init expressions and observables get the SystemState
 # itself; a transition gets an Env, which adds dt, the random source, the
 # loop slots and the list of writes. The typechecker has fixed every node's
-# type, so operators and names are resolved here, once: a closure of scalar
+# type and rejected every node out of place (an unknown name or function,
+# ``dt`` or a draw outside a transition), so nothing is checked again here;
+# operators and names are resolved once: a closure of scalar
 # type (int, real, bool, complex) returns a payload of exactly that kind's
 # Python type, any other returns a Value. An int is promoted to real or
 # complex, or a real to complex, only where the static kinds differ: at a
 # write, a list literal's item or a random value set's member.
-
-_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-              "<": operator.lt, "<=": operator.le, ">": operator.gt,
-              ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 
 
 class Env:
@@ -257,12 +255,11 @@ class _Const:
 
 class _Scope:
     """The names an expression can read: state fields, constants (folded
-    to payloads) and, in a transition, ``dt``, draws and loop variables."""
+    to payloads), loop variables and, in a transition, ``dt``."""
 
-    def __init__(self, schema: StateSchema, transition: bool = False):
+    def __init__(self, schema: StateSchema):
         self.fields = schema.fields
         self.consts = {n: v for n, (_, v) in schema.constants.items()}
-        self.transition = transition
         self.loops: dict = {}   # loop variable -> (slot, list field)
         self.slots = 0          # loop slots handed out so far
 
@@ -276,10 +273,7 @@ def compile_observable(expr, schema: StateSchema):
 
 
 def _compile(e, scope: _Scope):
-    compile_node = _COMPILERS.get(type(e))
-    if compile_node is None:   # a value set or distribution out of place
-        raise EvalError(f"cannot evaluate {type(e).__name__}", e.loc)
-    return compile_node(e, scope)
+    return _COMPILERS[type(e)](e, scope)
 
 
 def _promoted(e, kind: str, scope):
@@ -325,13 +319,9 @@ def _name(e: Name, scope: _Scope):
         return lambda env: env.values[name]
     if name in scope.consts:
         return _Const(scope.consts[name])
-    if name != "dt":
-        raise EvalError(f"unknown name '{name}'", e.loc)
     loc = e.loc
-    if not scope.transition:
-        raise EvalError("'dt' is not available here", loc)
 
-    def dt(env):
+    def dt(env):   # the one other name a typed transition can read
         d = env.dt
         if d is None:
             raise EvalError("'dt' is not available here", loc)
@@ -355,31 +345,7 @@ def _binary(e: Binary, scope):
         if isinstance(left, _Const):
             return _Const(True) if left.value else right
         return lambda env: left(env) or right(env)
-    if op == "/":
-        def divide(a, b):
-            if b == 0:
-                raise EvalError("division by zero", loc)
-            return a / b
-        return _apply(divide, left, right)
-    if op == "^":
-        if e.ty.kind == "int":
-            return _apply(lambda a, b: intrinsics.int_power(a, b, loc),
-                          left, right)
-        return _apply(_real_power(loc), left, right)
-    return _apply(_OPERATORS[op], left, right)
-
-
-def _real_power(loc):
-    def power(a, b):
-        try:
-            r = a ** b
-        except (OverflowError, ZeroDivisionError, ValueError) as exc:
-            raise EvalError(f"power failed: {exc}", loc)
-        if isinstance(r, complex):
-            raise EvalError("power of a negative base with fractional "
-                            "exponent", loc)
-        return r
-    return power
+    return _apply(intrinsics.binary(op, e.ty.kind, loc), left, right)
 
 
 def _member(e: Member, scope):
@@ -407,12 +373,8 @@ def _index(e: Index, scope):
 def _call(e: Call, scope: _Scope):
     f, loc = e.func, e.loc
     intr = intrinsics.get(f)
-    if intr is None:
-        raise EvalError(f"unknown function '{f}'", loc)
     args = [_compile(a, scope) for a in e.args]
     impl, stochastic = intr.impl, intr.stochastic
-    if stochastic and not scope.transition:
-        raise EvalError(f"stochastic intrinsic '{f}' is not allowed here", loc)
 
     def call(env):
         values = [a(env) for a in args]
@@ -436,8 +398,6 @@ def _call(e: Call, scope: _Scope):
 
 def _random(e: RandomExpr, scope: _Scope):
     loc = e.loc
-    if not scope.transition:
-        raise EvalError("random() is not allowed here", loc)
     spec = _random_spec(e, scope)
 
     def draw(env):
@@ -490,7 +450,7 @@ _COMPILERS = {Lit: _lit, Name: _name, Unary: _unary, Binary: _binary,
 
 def _compile_transition(stmts, schema: StateSchema):
     """Closure (pre-state values, dt, random source) -> list of writes."""
-    scope = _Scope(schema, transition=True)
+    scope = _Scope(schema)
     body = _block(stmts, scope)
     slots = scope.slots
 
@@ -554,9 +514,7 @@ def _target(t, scope: _Scope):
         if t.id in scope.loops:
             slot, root = scope.loops[t.id]
             return root, lambda env: (env.locals[slot][0],)
-        if t.id in scope.fields:
-            return t.id, None
-        raise EvalError(f"cannot assign to '{t.id}'", t.loc)
+        return t.id, None
     root, base = _target(t.obj, scope)
     if base is None:
         base = _Const(())

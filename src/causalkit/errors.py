@@ -90,12 +90,6 @@ class ContinuousRandomError(CausalKitError):
         self.law = law
 
 
-class UnknownIntrinsicError(CausalKitError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown intrinsic '{name}'")
-        self.name = name
-
-
 class MissingAttributeError(CausalKitError):
     """A path collection lacks a required attribute."""
 
@@ -120,12 +114,6 @@ class BadParamError(CausalKitError):
 
 class NoValidInStateFoundError(CausalKitError):
     """Sampling never produced a state satisfying any guard."""
-
-
-class UnknownObservableError(CausalKitError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown observable '{name}'")
-        self.name = name
 
 
 class SinkError(CausalKitError):

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from .. import intrinsics
 from ..engine import CausalModel, Law
-from ..errors import CmlError, UnknownIntrinsicError
-from .ast_nodes import Call, walk
+from ..errors import CmlError
 from .parser import parse
 from .typecheck import TypedModel, typecheck
 
@@ -14,9 +12,6 @@ def lower(typed: TypedModel, default_timestep: float = 1.0) -> CausalModel:
     """Package a typechecked model for the engine, laws in declaration order;
     constructing it compiles every guard, transition and expression."""
     ast = typed.ast
-    for call in walk([[law.guard, *law.body] for law in ast.laws]):
-        if isinstance(call, Call) and intrinsics.get(call.func) is None:
-            raise UnknownIntrinsicError(call.func)
     laws = tuple(
         Law(name=law.name, guard=law.guard, transition=law.body,
             uses_random=typed.uses_random[law.name], schema=typed.schema)
@@ -32,8 +27,8 @@ def compile_model(source: str, default_timestep: float = 1.0):
     ast, diags = parse(source)
     if ast is None:
         return None, diags
-    typed, tdiags = typecheck(ast)
-    diags = diags + [d for d in tdiags if d not in diags]
+    # a parse that gives an AST gives no diagnostics
+    typed, diags = typecheck(ast)
     if typed is None:
         return None, diags
     return lower(typed, default_timestep), diags

@@ -174,14 +174,6 @@ class _Parser:
             self.diags.append(Diagnostic("error", "no-laws",
                                          "model declares no laws", start))
             raise _ParseAbort()
-        seen_laws = set()
-        for law in m.laws:
-            if law.name in seen_laws:
-                self.diags.append(Diagnostic(
-                    "error", "duplicate-name",
-                    f"duplicate law name '{law.name}'", law.loc))
-                raise _ParseAbort()
-            seen_laws.add(law.name)
         return m
 
     def const_decl(self) -> ConstDecl:

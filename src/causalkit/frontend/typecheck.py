@@ -5,7 +5,7 @@ assignments only to state fields).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .. import intrinsics
 from ..errors import EvalError, SchemaError
@@ -62,10 +62,10 @@ class _Ctx:
     consts: dict          # name -> TypeDesc
     records: dict         # name -> ((field, TypeDesc), ...)
     diags: list
+    # None in a law body; elsewhere dt, random() and stochastic intrinsics
+    # are banned, and this is the diagnostic code a draw gets
+    ban: str | None
     locals: dict = field(default_factory=dict)
-    allow_random: bool = True
-    allow_dt: bool = True
-    random_ban_code: str = "random-in-guard"
     init_assigned: set | None = None  # init context: fields readable so far
     consts_val: dict = field(default_factory=dict)  # name -> payload
 
@@ -76,7 +76,8 @@ def typecheck(ast: ModelAst):
 
     records = _collect_records(ast, diags)
     consts_td, consts_val = _collect_consts(ast, records, diags)
-    fields = _collect_fields(ast, records, consts_val, diags)
+    fields = _collect_fields(ast, _Ctx({}, consts_td, records, diags,
+                                       "bad-domain", consts_val=consts_val))
     if any(d.severity == "error" for d in diags):
         return None, diags
 
@@ -88,20 +89,15 @@ def typecheck(ast: ModelAst):
         diags.append(Diagnostic("error", "bad-schema", str(exc), ast.loc))
         return None, diags
 
-    ctx = _Ctx(fields=fields, consts=consts_td, records=records, diags=diags,
-               consts_val=consts_val)
+    def ctx(ban, **kw):
+        return _Ctx(fields, consts_td, records, diags, ban,
+                    consts_val=consts_val, **kw)
 
-    _check_init(ast, ctx)
+    _check_init(ast, ctx("random-in-init", init_assigned=set()))
 
     if ast.halt is not None:
-        hctx = _Ctx(fields, consts_td, records, diags, allow_random=False,
-                    allow_dt=False, random_ban_code="random-in-halt",
-                    consts_val=consts_val)
-        _expect_bool(ast.halt, hctx, "halt condition")
+        _expect_bool(ast.halt, ctx("random-in-halt"), "halt condition")
 
-    if not ast.laws:
-        diags.append(Diagnostic("error", "no-laws",
-                                "model declares no laws", ast.loc))
     seen = set()
     uses_random = {}
     for law in ast.laws:
@@ -109,16 +105,14 @@ def typecheck(ast: ModelAst):
             diags.append(Diagnostic("error", "duplicate-name",
                                     f"duplicate law name '{law.name}'", law.loc))
         seen.add(law.name)
-        gctx = _Ctx(fields, consts_td, records, diags, allow_random=False,
-                    allow_dt=False, random_ban_code="random-in-guard",
-                    consts_val=consts_val)
-        _expect_bool(law.guard, gctx, f"guard of law '{law.name}'")
-        folded = const_fold(law.guard, consts_val)
-        if folded is False:
+        typed = _expect_bool(law.guard, ctx("random-in-guard"),
+                             f"guard of law '{law.name}'")
+        # folding reads the types, so only a guard that typechecked folds
+        if typed and const_fold(law.guard, consts_val) is False:
             diags.append(Diagnostic("warning", "guard-never-true",
                                     f"guard of law '{law.name}' is constantly false",
                                     law.guard.loc))
-        bctx = _Ctx(fields, consts_td, records, diags, consts_val=consts_val)
+        bctx = ctx(None)
         for stmt in law.body:
             _check_stmt(stmt, bctx)
         uses_random[law.name] = any(
@@ -137,8 +131,7 @@ def check_standalone_expr(expr: Expr, schema: StateSchema):
     consts_td = {n: td for n, (td, _) in schema.constants.items()}
     consts_val = {n: v for n, (_, v) in schema.constants.items()}
     ctx = _Ctx(dict(schema.fields), consts_td, dict(schema.records), diags,
-               allow_random=False, allow_dt=False,
-               random_ban_code="random-in-observable", consts_val=consts_val)
+               "random-in-observable", consts_val=consts_val)
     try:
         td = _check_expr(expr, ctx)
     except _Fail as f:
@@ -176,8 +169,10 @@ def _collect_records(ast: ModelAst, diags) -> dict:
 
 
 def _collect_consts(ast: ModelAst, records, diags):
-    consts_td: dict = {}
-    consts_val: dict = {}
+    """Type and fold each initializer in turn; it reads only the constants
+    declared before it."""
+    ctx = _Ctx({}, {}, records, diags, "not-constant")
+    consts_td, consts_val = ctx.consts, ctx.consts_val
     for c in ast.consts:
         if c.name in consts_td:
             diags.append(Diagnostic("error", "duplicate-name",
@@ -191,35 +186,28 @@ def _collect_consts(ast: ModelAst, records, diags):
             td = _resolve_type(c.type_, set(records))
             if td.kind not in _SCALAR_TYPE_NAMES:
                 raise _err("bad-type", "constants must be scalar", c.loc)
+            value_td = _check_expr(c.value, ctx)
             try:
                 raw = _fold(c.value, consts_val)
-            except EvalError as exc:   # the int '^' rule
+            except EvalError as exc:
                 raise _err("bad-constant", f"initializer of constant "
                            f"'{c.name}': {exc.message}", c.value.loc)
             if raw is None:
                 raise _err("not-constant",
                            f"initializer of constant '{c.name}' is not constant",
                            c.value.loc)
-            value = _coerce_const(raw, td, c.loc)
+            _require_assignable(value_td, td, c.loc, f"constant '{c.name}'")
             consts_td[c.name] = td
-            consts_val[c.name] = value
+            consts_val[c.name] = PAYLOAD_TYPES[td.kind](raw)
         except _Fail as fail:
             diags.append(fail.diag)
     return consts_td, consts_val
 
 
-# the folded payload types a constant of each kind accepts
-_CONST_SOURCES = {"bool": (bool,), "int": (int,), "real": (int, float),
-                  "complex": (int, float, complex)}
-
-
-def _coerce_const(raw, td: TypeDesc, loc: Loc):
-    if type(raw) in _CONST_SOURCES[td.kind]:
-        return PAYLOAD_TYPES[td.kind](raw)
-    raise _err("type-mismatch", f"constant value does not fit type {td}", loc)
-
-
-def _collect_fields(ast: ModelAst, records, consts_val, diags) -> dict:
+def _collect_fields(ast: ModelAst, bound_ctx: _Ctx) -> dict:
+    """Resolve each field's type; its domain bounds are typed and folded
+    in ``bound_ctx``, which reads only constants."""
+    records, diags = bound_ctx.records, bound_ctx.diags
     fields: dict = {}
     for f in ast.state_fields:
         if f.name in fields:
@@ -233,7 +221,7 @@ def _collect_fields(ast: ModelAst, records, consts_val, diags) -> dict:
         try:
             td = _resolve_type(f.type_, set(records))
             if f.domain is not None:
-                td = _attach_domain(td, f.domain, consts_val)
+                td = _attach_domain(td, f.domain, bound_ctx)
             fields[f.name] = td
         except _Fail as fail:
             diags.append(fail.diag)
@@ -270,9 +258,10 @@ def _int_arg(lit, what: str) -> int:
     return lit.value
 
 
-def _attach_domain(td: TypeDesc, dom, consts_val) -> TypeDesc:
+def _attach_domain(td: TypeDesc, dom, ctx: _Ctx) -> TypeDesc:
     def fold(e):
-        raw = const_fold(e, consts_val)
+        _check_expr(e, ctx)
+        raw = const_fold(e, ctx.consts_val)
         if raw is None or isinstance(raw, bool) and td.kind != "bool":
             raise _err("bad-domain", "domain bounds must be constant", e.loc)
         return raw
@@ -304,12 +293,7 @@ def _attach_domain(td: TypeDesc, dom, consts_val) -> TypeDesc:
 
 
 def _check_init(ast: ModelAst, ctx: _Ctx):
-    assigned: set = set()
     for stmt in ast.init:
-        ictx = _Ctx(ctx.fields, ctx.consts, ctx.records, ctx.diags,
-                    allow_random=False, allow_dt=False,
-                    random_ban_code="random-in-init", init_assigned=assigned,
-                    consts_val=ctx.consts_val)
         try:
             if not isinstance(stmt.target, Name):
                 raise _err("bad-init", "init assigns whole fields only",
@@ -320,11 +304,11 @@ def _check_init(ast: ModelAst, ctx: _Ctx):
                            f"cannot assign to constant '{name}'", stmt.loc)
             if name not in ctx.fields:
                 raise _err("unknown-name", f"unknown field '{name}'", stmt.loc)
-            td = _check_expr(stmt.value, ictx)
+            td = _check_expr(stmt.value, ctx)
             _require_assignable(td, ctx.fields[name], stmt.loc,
                                 f"field '{name}'")
             stmt.target.ty = ctx.fields[name]
-            assigned.add(name)
+            ctx.init_assigned.add(name)
         except _Fail as fail:
             ctx.diags.append(fail.diag)
 
@@ -366,14 +350,8 @@ def _check_for(stmt: For, ctx: _Ctx):
                    stmt.loc)
     if stmt.var in RESERVED_NAMES:
         raise _err("reserved-name", f"'{stmt.var}' is reserved", stmt.loc)
-    elem = src_td.element
-    elem_td = TypeDesc.record_ref(elem) if isinstance(elem, str) else elem
     stmt.source.ty = src_td
-    inner = _Ctx(ctx.fields, ctx.consts, ctx.records, ctx.diags,
-                 locals={**ctx.locals, stmt.var: elem_td},
-                 allow_random=ctx.allow_random, allow_dt=ctx.allow_dt,
-                 random_ban_code=ctx.random_ban_code,
-                 consts_val=ctx.consts_val)
+    inner = replace(ctx, locals={**ctx.locals, stmt.var: src_td.element})
     for s in stmt.body:
         _check_stmt(s, inner)
 
@@ -422,9 +400,7 @@ def _same_shape(a: TypeDesc, b: TypeDesc) -> bool:
     if a.kind in ("vector", "cgrid"):
         return a.length == b.length and (a.kind != "cgrid" or a.dx == b.dx)
     if a.kind == "list":
-        ea = TypeDesc.record_ref(a.element) if isinstance(a.element, str) else a.element
-        eb = TypeDesc.record_ref(b.element) if isinstance(b.element, str) else b.element
-        return _same_shape(ea, eb)
+        return _same_shape(a.element, b.element)
     if a.kind == "record":
         return a.record == b.record
     if a.kind == "pwcollection":
@@ -436,14 +412,17 @@ def _same_shape(a: TypeDesc, b: TypeDesc) -> bool:
 # --- expressions -----------------------------------------------------------------
 
 
-def _expect_bool(expr: Expr, ctx: _Ctx, what: str):
+def _expect_bool(expr: Expr, ctx: _Ctx, what: str) -> bool:
+    """Whether ``expr`` typechecks as bool; if not, the diagnostic is kept."""
     try:
         td = _check_expr(expr, ctx)
         if td.kind != "bool":
             raise _err("type-mismatch", f"{what} must be bool, got {td}",
                        expr.loc)
+        return True
     except _Fail as fail:
         ctx.diags.append(fail.diag)
+        return False
 
 
 def _expect_kind(td: TypeDesc, kind: str, loc: Loc, what: str):
@@ -505,7 +484,7 @@ def _lookup(e: Name, ctx: _Ctx) -> TypeDesc:
                        f"field '{e.id}' read before initialization", e.loc)
         return ctx.fields[e.id]
     if e.id == "dt":
-        if not ctx.allow_dt:
+        if ctx.ban is not None:
             raise _err("unknown-name",
                        "'dt' is only available in transition blocks", e.loc)
         return TypeDesc("real")
@@ -525,8 +504,7 @@ def _member_type(base: TypeDesc, name: str, loc: Loc, ctx: _Ctx) -> TypeDesc:
 
 def _element_type(base: TypeDesc, loc: Loc, ctx: _Ctx, writing: bool) -> TypeDesc:
     if base.kind == "list":
-        elem = base.element
-        return TypeDesc.record_ref(elem) if isinstance(elem, str) else elem
+        return base.element
     if base.kind == "vector":
         return TypeDesc("real")
     if base.kind == "cgrid":
@@ -597,8 +575,8 @@ def _call_type(e: Call, ctx: _Ctx) -> TypeDesc:
     intr = intrinsics.get(f)
     if intr is None:
         raise _err("unknown-intrinsic", f"unknown function '{f}'", e.loc)
-    if intr.stochastic and not ctx.allow_random:
-        raise _err(ctx.random_ban_code,
+    if intr.stochastic and ctx.ban is not None:
+        raise _err(ctx.ban,
                    f"stochastic intrinsic '{f}' is not allowed here", e.loc)
     if len(args) != intr.arity:
         raise _err("bad-arity", f"{f} takes {intr.arity} "
@@ -612,8 +590,8 @@ def _call_type(e: Call, ctx: _Ctx) -> TypeDesc:
 
 
 def _random_type(e: RandomExpr, ctx: _Ctx) -> TypeDesc:
-    if not ctx.allow_random:
-        raise _err(ctx.random_ban_code, "random() is not allowed here", e.loc)
+    if ctx.ban is not None:
+        raise _err(ctx.ban, "random() is not allowed here", e.loc)
     dist = e.dist
     for a in dist.args:
         _check_expr(a, ctx)
@@ -691,7 +669,7 @@ def _gauss_args(dist: DistExpr):
 
 
 def const_fold(e: Expr, consts_val: dict):
-    """Fold an expression to a raw Python value, or None if it is not
+    """Fold a typed expression to a payload, or None if it is not
     constant or fails. ``consts_val`` maps constant names to payloads."""
     try:
         return _fold(e, consts_val)
@@ -700,7 +678,8 @@ def const_fold(e: Expr, consts_val: dict):
 
 
 def _fold(e: Expr, consts_val: dict):
-    """``const_fold``, but int ``^`` outside its rule raises EvalError."""
+    """Fold a typed expression as the compiled closure would evaluate it:
+    None if it reads anything but constants; a failure raises EvalError."""
     if isinstance(e, Lit):
         return e.value
     if isinstance(e, Name):
@@ -709,57 +688,19 @@ def _fold(e: Expr, consts_val: dict):
         x = _fold(e.operand, consts_val)
         if x is None:
             return None
-        if e.op == "-":
-            return -x if not isinstance(x, bool) else None
-        return (not x) if isinstance(x, bool) else None
+        return -x if e.op == "-" else not x
     if isinstance(e, Binary):
         left = _fold(e.left, consts_val)
         if left is None:
             return None
-        # short-circuit boolean folding
-        if e.op == "&&" and left is False:
-            return False
-        if e.op == "||" and left is True:
-            return True
+        # && and || short-circuit, as the compiled closure does
+        if e.op == "&&" and not left or e.op == "||" and left:
+            return left
         right = _fold(e.right, consts_val)
-        if right is None:
-            return None
+        if right is None or e.op in ("&&", "||"):
+            return right
         try:
-            return _fold_binary(e.op, left, right)
-        except (ArithmeticError, TypeError):
-            return None
+            return intrinsics.binary(e.op, e.ty.kind, e.loc)(left, right)
+        except OverflowError as exc:   # an int too large for a float
+            raise EvalError(str(exc), e.loc)
     return None
-
-
-def _fold_binary(op, a, b):
-    if op == "&&":
-        return a and b
-    if op == "||":
-        return a or b
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise ArithmeticError()
-        return a / b
-    if op == "^":
-        if type(a) is int and type(b) is int:
-            return intrinsics.int_power(a, b)
-        return a ** b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    raise TypeError(op)

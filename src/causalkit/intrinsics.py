@@ -1,15 +1,18 @@
-"""The one table of functions callable from CML.
+"""The one table of functions callable from CML, and of its binary
+operators.
 
 An intrinsic bundles its arity, a type rule, a runtime implementation and
 a stochastic flag (stochastic intrinsics make a law count as random).
 The language built-ins are registered below; the quantum kit registers
-its numeric intrinsics on import.
+its numeric intrinsics on import. ``binary`` gives what an operator
+computes, for the compiler and the typechecker's constant folder alike.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,16 +63,15 @@ def registered_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-# --- integer power ------------------------------------------------------------
+# --- binary operators -----------------------------------------------------------
 
 
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
 def int_power(a: int, b: int, loc=None) -> int:
-    """int ``a ^ b``, the one rule for the compiler and the constant folder:
-    a negative exponent or a result outside int64 is an EvalError, raised
-    before a power that large is computed."""
+    """int ``a ^ b``: a negative exponent or a result outside int64 is an
+    EvalError, raised before a power that large is computed."""
     if b < 0:
         raise EvalError("int '^' needs a non-negative exponent", loc)
     # |a| >= 2 and b >= 64 is out of range; test it before computing
@@ -79,6 +81,39 @@ def int_power(a: int, b: int, loc=None) -> int:
     if not _INT64_MIN <= r <= _INT64_MAX:
         raise EvalError("int '^' overflows int64", loc)
     return r
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "<": operator.lt, "<=": operator.le, ">": operator.gt,
+              ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+
+
+def binary(op: str, kind: str, loc=None):
+    """The function (a, b) -> ``a op b`` for a typed ``op`` whose result
+    has ``kind``, the one rule for the compiler and the constant folder;
+    a failure is an EvalError at ``loc``. ``&&`` and ``||`` short-circuit,
+    so their callers evaluate them."""
+    if op == "/":
+        def divide(a, b):
+            if b == 0:
+                raise EvalError("division by zero", loc)
+            return a / b
+        return divide
+    if op != "^":
+        return _OPERATORS[op]
+    if kind == "int":
+        return lambda a, b: int_power(a, b, loc)
+
+    def power(a, b):
+        try:
+            r = a ** b
+        except (OverflowError, ZeroDivisionError, ValueError) as exc:
+            raise EvalError(f"power failed: {exc}", loc)
+        if isinstance(r, complex):
+            raise EvalError("power of a negative base with fractional "
+                            "exponent", loc)
+        return r
+    return power
 
 
 # --- language built-ins ---------------------------------------------------------
@@ -106,8 +141,7 @@ def _rule(kinds: tuple, what: str, result):
 
 def _check_sum(args, ctx):
     td = args[0]
-    if td.kind == "list" and isinstance(td.element, TypeDesc) \
-            and td.element.kind in _NUMBER:
+    if td.kind == "list" and td.element.kind in _NUMBER:
         return TypeDesc(td.element.kind)
     _want(td, ("vector", "cgrid"), "a numeric list")
     return TypeDesc("real" if td.kind == "vector" else "complex")

@@ -59,7 +59,7 @@ class TypeDesc:
     kind: str
     length: int | None = None          # vector, cgrid
     dx: float | None = None            # cgrid spacing
-    element: "TypeDesc | str | None" = None  # list element (or record name)
+    element: "TypeDesc | None" = None  # list element
     bound: int | None = None           # list length used for sampling
     record: str | None = None          # record reference
     attrs: tuple | None = None         # pwcollection: ((name, TypeDesc), ...)
@@ -120,8 +120,8 @@ class TypeDesc:
         if self.kind == "cgrid":
             return f"cgrid({self.length}, {self.dx})"
         if self.kind == "list":
-            elem = self.element if isinstance(self.element, str) else str(self.element)
-            return f"list({elem})" if self.bound is None else f"list({elem}, {self.bound})"
+            bound = "" if self.bound is None else f", {self.bound}"
+            return f"list({self.element}{bound})"
         if self.kind == "record":
             return self.record
         if self.kind == "pwcollection":
@@ -160,14 +160,9 @@ class StateSchema:
         if td.kind == "record" and td.record not in self.records:
             raise SchemaError(f"{where}: unknown record '{td.record}'")
         if td.kind == "list":
-            elem = td.element
-            if isinstance(elem, str):
-                if elem not in self.records:
-                    raise SchemaError(f"{where}: unknown record '{elem}'")
-            elif isinstance(elem, TypeDesc):
-                self._check_refs_resolve(elem, where)
-            else:
+            if not isinstance(td.element, TypeDesc):
                 raise SchemaError(f"{where}: list has no element type")
+            self._check_refs_resolve(td.element, where)
 
     def _check_record_cycles(self):
         # DFS over record -> record references
@@ -177,10 +172,7 @@ class StateSchema:
             if td.kind == "record":
                 yield td.record
             elif td.kind == "list":
-                if isinstance(td.element, str):
-                    yield td.element
-                elif isinstance(td.element, TypeDesc):
-                    yield from refs(td.element)
+                yield from refs(td.element)
 
         def visit(name):
             if name in done:
@@ -196,12 +188,6 @@ class StateSchema:
 
         for name in self.records:
             visit(name)
-
-    def resolve(self, td: TypeDesc) -> TypeDesc:
-        """Expand a bare record-name list element into a record TypeDesc."""
-        if td.kind == "list" and isinstance(td.element, str):
-            return TypeDesc.list_of(TypeDesc.record_ref(td.element), td.bound)
-        return td
 
 
 # --- values -----------------------------------------------------------------
@@ -260,7 +246,6 @@ class VPw(Value):
 def check_value(value, td: TypeDesc, schema: StateSchema, where: str = "value"):
     """Raise TypeMismatchError unless ``value`` has the type ``td``; a
     scalar payload must have exactly its kind's Python type."""
-    td = schema.resolve(td)
     kind = td.kind
     ok = True
     if kind in PAYLOAD_TYPES:
@@ -365,7 +350,6 @@ def _sample_raw_from_domain(domain: Domain, kind: str, rng: RngStream):
 
 
 def sample_value(td: TypeDesc, schema: StateSchema, rng: RngStream, name: str):
-    td = schema.resolve(td)
     kind = td.kind
     if kind in ("cgrid", "pwcollection"):
         raise UnsampleableFieldError(name, f"{kind} fields are unsampleable")

@@ -172,17 +172,18 @@ def test_int_power_cli(tmp_path):
 
 
 CONST_POWER = """model c {{
-  const c: int = {value};
-  state {{ x: int; }}
+  const c: {ty} = {value};
+  state {{ x: int{domain}; }}
   init {{ x = 0; }}
   law L {{ when {guard}; then {{ x = c; }} }}
 }}
 """
 
 
-def _timed_compile(value, guard):
+def _timed_compile(value, guard, ty="int", domain=""):
     start = time.perf_counter()
-    model, diags = compile_model(CONST_POWER.format(value=value, guard=guard))
+    model, diags = compile_model(CONST_POWER.format(
+        value=value, guard=guard, ty=ty, domain=domain))
     assert time.perf_counter() - start < 1.0
     return model, [d for d in diags if d.severity == "error"]
 
@@ -204,6 +205,39 @@ def test_constant_folding_keeps_the_int_power_rule():
     assert "int '^' overflows int64" in trace.termination.message
     model, errors = _timed_compile("2 ^ 62", "true")
     assert typed(model.schema.constants["c"][1]) == typed(2 ** 62)
+
+
+NEGATIVE_POWER = ("initializer of constant 'c': power of a negative base "
+                  "with fractional exponent")
+
+
+@pytest.mark.parametrize("ty, value, domain, code, message, loc", [
+    # folded with the compiler's operators, so with its errors
+    ("complex", "(0.0 - 1.0) ^ 0.5", "", "bad-constant", NEGATIVE_POWER,
+     (2, 34)),
+    ("real", "(0.0 - 8.0) ^ (1.0 / 3.0)", "", "bad-constant", NEGATIVE_POWER,
+     (2, 31)),
+    ("real", "1.0 / 0", "", "bad-constant",
+     "initializer of constant 'c': division by zero", (2, 23)),
+    # typed like any other expression
+    ("bool", "1 == true", "", "type-mismatch",
+     "'==' needs numeric operands, got int and bool", (2, 21)),
+    ("int", "1 + true", "", "type-mismatch",
+     "'+' needs numeric operands, got int and bool", (2, 20)),
+    ("int", "1", " in [0, 1 + true]", "type-mismatch",
+     "'+' needs numeric operands, got int and bool", (3, 27)),
+    # a constant expression sees no state fields
+    ("int", "x + 1", "", "unknown-name", "unknown name 'x'", (2, 18)),
+    ("int", "1", " in [0, x]", "unknown-name", "unknown name 'x'", (3, 25)),
+], ids=["complex-power", "real-power", "divide-by-zero", "int-eq-bool",
+        "int-plus-bool", "bound-int-plus-bool", "field-in-constant",
+        "field-in-bound"])
+def test_constant_expressions_are_typechecked(ty, value, domain, code,
+                                              message, loc):
+    model, errors = _timed_compile(value, "true", ty, domain)
+    assert model is None
+    (d,) = errors
+    assert (d.code, d.message, (d.loc.line, d.loc.col)) == (code, message, loc)
 
 
 # --- step-0 observables ------------------------------------------------------------

@@ -162,6 +162,22 @@ class TestTypecheck:
         assert any(d.severity == "warning" and d.code == "guard-never-true"
                    for d in diags)
 
+    def test_ill_typed_guard_is_reported_not_folded(self):
+        typed, diags = self.check(
+            "model m { state { x: int; } init { x = 0; } "
+            "law L { when 1 + true > 0; then { } } }")
+        assert typed is None
+        assert [(d.code, d.loc.col) for d in diags] == [("type-mismatch", 60)]
+
+    def test_duplicate_law_name_is_a_typechecker_diagnostic(self):
+        typed, diags = self.check(
+            "model m { state { x: int; } init { x = 0; }\n"
+            "law L { when x < 1; then { x = 1; } }\n"
+            "  law L { when x >= 1; then { x = 0; } } }")
+        assert typed is None
+        assert [(d.code, d.message, d.loc.line, d.loc.col) for d in diags] \
+            == [("duplicate-name", "duplicate law name 'L'", 3, 3)]
+
 
 class TestLower:
     def test_uses_random_flags(self):

@@ -40,7 +40,6 @@ EXACT = {"int": int, "real": float, "bool": bool, "complex": complex}
 
 
 def _assert_payloads(value, td, schema, where):
-    td = schema.resolve(td)
     if td.kind in EXACT:
         assert type(value) is EXACT[td.kind], (where, type(value), value)
     elif td.kind == "list":
@@ -236,7 +235,7 @@ def test_non_finite_observable_fails_histogram(capsys):
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
-    assert err == f"error: {OVERFLOW_OBSERVABLE}\n"
+    assert err == f"trial 0 terminated: eval-error: {OVERFLOW_OBSERVABLE}\n"
 
 
 def test_non_finite_complex_observable_ends_run():
