@@ -25,6 +25,7 @@ from .interpreter import (
     write_text,
     write_trace,
 )
+from .jsontext import IndentedEncoder
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,7 +192,8 @@ def _cmd_analyze(args) -> int:
                              runs=args.runs, steps_per_run=args.steps,
                              seed=args.seed)
     report = analyze(model, strategy, state)
-    text = json.dumps(report_to_json(report), indent=2) + "\n"
+    text = json.dumps(report_to_json(report), indent=2,
+                      cls=IndentedEncoder) + "\n"
     write_text(text, args.out)
     return 0
 
@@ -201,7 +203,8 @@ def _cmd_branch(args) -> int:
     cfg = RunConfig(dt=args.dt if args.dt is not None else model.default_timestep,
                     max_steps=args.steps, seed=args.seed, mode=args.mode)
     tree = branch_run(model, state, cfg, args.depth, args.width)
-    text = json.dumps(world_tree_to_json(tree), indent=2) + "\n"
+    text = json.dumps(world_tree_to_json(tree), indent=2,
+                      cls=IndentedEncoder) + "\n"
     write_text(text, args.out)
     return 0
 

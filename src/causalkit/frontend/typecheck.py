@@ -5,6 +5,7 @@ assignments only to state fields).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field, replace
 
 from .. import intrinsics
@@ -187,11 +188,8 @@ def _collect_consts(ast: ModelAst, records, diags):
             if td.kind not in _SCALAR_TYPE_NAMES:
                 raise _err("bad-type", "constants must be scalar", c.loc)
             value_td = _check_expr(c.value, ctx)
-            try:
-                raw = _fold(c.value, consts_val)
-            except EvalError as exc:
-                raise _err("bad-constant", f"initializer of constant "
-                           f"'{c.name}': {exc.message}", c.value.loc)
+            raw = _fold_constant(c.value, consts_val,
+                                 f"initializer of constant '{c.name}'")
             if raw is None:
                 raise _err("not-constant",
                            f"initializer of constant '{c.name}' is not constant",
@@ -202,6 +200,19 @@ def _collect_consts(ast: ModelAst, records, diags):
         except _Fail as fail:
             diags.append(fail.diag)
     return consts_td, consts_val
+
+
+def _fold_constant(e: Expr, consts_val: dict, what: str):
+    """Fold the typed constant expression ``e``, or None if it reads
+    anything but constants; a failing evaluation or a non-finite value is
+    a bad-constant diagnostic about ``what``."""
+    try:
+        raw = _fold(e, consts_val)
+    except EvalError as exc:
+        raise _err("bad-constant", f"{what}: {exc.message}", e.loc)
+    if isinstance(raw, (float, complex)) and not cmath.isfinite(raw):
+        raise _err("bad-constant", f"{what}: non-finite value {raw}", e.loc)
+    return raw
 
 
 def _collect_fields(ast: ModelAst, bound_ctx: _Ctx) -> dict:
@@ -260,9 +271,13 @@ def _int_arg(lit, what: str) -> int:
 
 def _attach_domain(td: TypeDesc, dom, ctx: _Ctx) -> TypeDesc:
     def fold(e):
-        _check_expr(e, ctx)
-        raw = const_fold(e, ctx.consts_val)
-        if raw is None or isinstance(raw, bool) and td.kind != "bool":
+        bound_td = _check_expr(e, ctx)
+        if (bound_td.kind == "bool") != (td.kind == "bool"):
+            want = "bool" if td.kind == "bool" else "numeric"
+            raise _err("type-mismatch",
+                       f"domain bound must be {want}, got {bound_td}", e.loc)
+        raw = _fold_constant(e, ctx.consts_val, "domain bound")
+        if raw is None:
             raise _err("bad-domain", "domain bounds must be constant", e.loc)
         return raw
 

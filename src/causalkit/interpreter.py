@@ -553,7 +553,15 @@ def world_tree_to_json(tree: WorldTree) -> dict:
         if node.snapshot is not None and not node.children:
             out["state"] = state_to_json(node.snapshot)
         if node.children:
-            out["children"] = [node_json(c) for c in node.children]
+            out["children"] = []
+            todo.append((node, out["children"]))
         return out
 
-    return {"prunedMass": tree.pruned_mass, "root": node_json(tree.root)}
+    # a stack, not recursion, so a tree's depth is not bounded by the
+    # interpreter's recursion limit
+    todo: list = []
+    root = node_json(tree.root)
+    while todo:
+        node, children = todo.pop()
+        children.extend(node_json(c) for c in node.children)
+    return {"prunedMass": tree.pruned_mass, "root": root}

@@ -91,14 +91,24 @@ _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 def binary(op: str, kind: str, loc=None):
     """The function (a, b) -> ``a op b`` for a typed ``op`` whose result
     has ``kind``, the one rule for the compiler and the constant folder;
-    a failure is an EvalError at ``loc``. ``&&`` and ``||`` short-circuit,
-    so their callers evaluate them."""
+    a failure, such as an int result outside int64, is an EvalError at
+    ``loc``. ``&&`` and ``||`` short-circuit, so their callers evaluate
+    them."""
     if op == "/":
         def divide(a, b):
             if b == 0:
                 raise EvalError("division by zero", loc)
             return a / b
         return divide
+    if kind == "int" and op in ("+", "-", "*"):
+        fn = _OPERATORS[op]
+
+        def int64(a, b):
+            r = fn(a, b)
+            if not _INT64_MIN <= r <= _INT64_MAX:
+                raise EvalError(f"int '{op}' overflows int64", loc)
+            return r
+        return int64
     if op != "^":
         return _OPERATORS[op]
     if kind == "int":

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -151,6 +152,27 @@ class TestBranch:
         tree = json.loads(out)
         weights = sorted(c["weight"] for c in tree["root"]["children"])
         assert weights == pytest.approx([0.36, 0.64], abs=1e-12)
+
+    def test_deep_tree_is_written(self, capsys, tmp_path):
+        # deeper than the interpreter's recursion limit: building the
+        # tree's JSON and encoding it both walk with explicit stacks
+        out = tmp_path / "tree.json"
+        code, _, err = invoke(
+            ["branch", str(FIXTURES / "walk.cml"), "--depth", "1000",
+             "--width", "1", "--steps", "1001", "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)   # the C decoder counts its depth
+        try:
+            node = json.loads(out.read_text(encoding="utf-8"))["root"]
+        finally:
+            sys.setrecursionlimit(limit)
+        levels = 0
+        while "children" in node:
+            (node,) = [c for c in node["children"] if not c.get("pruned")]
+            levels += 1
+        assert levels == 1000
+        assert node["termination"]["kind"] == "depth-bound"
 
     def test_continuous_not_branchable_exit_1(self, capsys, tmp_path):
         src = ("model m { state { x: real in [0.0, 1.0]; } init { x = 0.0; } "

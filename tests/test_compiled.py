@@ -114,6 +114,20 @@ def test_int_power_errors_end_the_run(init, rhs, message):
     assert term.message == f"law 'P': {message} at 5:35"
 
 
+@pytest.mark.parametrize("init, rhs, op", [
+    (3037000500, "n * n", "*"),
+    (9223372036854775807, "n + 1", "+"),
+    (-9223372036854775807, "n - 2", "-"),
+])
+def test_int_arithmetic_overflow_ends_the_run(init, rhs, op):
+    model = _power_model(init, rhs)
+    trace = run(model, build_initial_state(model),
+                RunConfig(dt=1.0, max_steps=5))
+    assert trace.termination.kind == "eval-error"
+    assert trace.termination.message \
+        == f"law 'P': int '{op}' overflows int64 at 5:35"
+
+
 def test_int_power_in_range():
     model = _power_model(-2, "n ^ 63")
     trace = run(model, build_initial_state(model),
@@ -153,6 +167,20 @@ def _cml(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def test_int_overflow_before_a_mixed_operation_cli(tmp_path):
+    # an int past int64 stops the run before `n + 0.5` can overflow a float
+    path = tmp_path / "grow.cml"
+    path.write_text("model grow { state { n: int; x: real; }\n"
+                    "init { n = 3; x = 0.0; }\n"
+                    "law Sq { when true; then { n = n * n; x = n + 0.5; } } }")
+    code, out, err = _cml(["run", str(path), "--steps", "12",
+                           "--observables", "n"])
+    assert code == 1
+    assert out.splitlines()[-1] == "5,5,1853020188851841"
+    assert err == ("terminated: eval-error: law 'Sq': int '*' overflows "
+                   "int64 at 3:34\n")
 
 
 def test_int_power_cli(tmp_path):
@@ -219,6 +247,8 @@ NEGATIVE_POWER = ("initializer of constant 'c': power of a negative base "
      (2, 31)),
     ("real", "1.0 / 0", "", "bad-constant",
      "initializer of constant 'c': division by zero", (2, 23)),
+    ("int", "9223372036854775807 + 1", "", "bad-constant",
+     "initializer of constant 'c': int '+' overflows int64", (2, 38)),
     # typed like any other expression
     ("bool", "1 == true", "", "type-mismatch",
      "'==' needs numeric operands, got int and bool", (2, 21)),
@@ -229,7 +259,8 @@ NEGATIVE_POWER = ("initializer of constant 'c': power of a negative base "
     # a constant expression sees no state fields
     ("int", "x + 1", "", "unknown-name", "unknown name 'x'", (2, 18)),
     ("int", "1", " in [0, x]", "unknown-name", "unknown name 'x'", (3, 25)),
-], ids=["complex-power", "real-power", "divide-by-zero", "int-eq-bool",
+], ids=["complex-power", "real-power", "divide-by-zero", "int-plus-overflow",
+        "int-eq-bool",
         "int-plus-bool", "bound-int-plus-bool", "field-in-constant",
         "field-in-bound"])
 def test_constant_expressions_are_typechecked(ty, value, domain, code,

@@ -178,6 +178,31 @@ class TestTypecheck:
         assert [(d.code, d.message, d.loc.line, d.loc.col) for d in diags] \
             == [("duplicate-name", "duplicate law name 'L'", 3, 3)]
 
+    def errors(self, src):
+        typed, diags = self.check(src)
+        assert typed is None
+        return [(d.code, d.message, d.loc.col) for d in diags]
+
+    def test_non_finite_constant_is_rejected(self):
+        assert self.errors(
+            "model m { const c: real = 1e308 * 10.0; state { x: real; } "
+            "init { x = c; } law L { when x < c; then { } } }") \
+            == [("bad-constant",
+                 "initializer of constant 'c': non-finite value inf", 33)]
+
+    def test_failing_domain_bound_gives_its_evaluation_message(self):
+        assert self.errors(
+            "model m { state { x: int in [0, 1 / 0]; } init { x = 0; } "
+            "law L { when true; then { } } }") \
+            == [("bad-constant", "domain bound: division by zero", 35)]
+
+    def test_bool_in_an_int_domain_is_a_type_mismatch(self):
+        assert self.errors(
+            "model m { state { x: int in {true, 2}; } init { x = 2; } "
+            "law L { when true; then { } } }") \
+            == [("type-mismatch", "domain bound must be numeric, got bool",
+                 30)]
+
 
 class TestLower:
     def test_uses_random_flags(self):

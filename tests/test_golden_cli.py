@@ -38,6 +38,9 @@ FALLIBLE_DEPTH5 = ("branch", "tests/fixtures/fallible.cml", "--depth", "5",
                    "--width", "8", "--steps", "4")
 DETECTOR_BRANCH = ("branch", "builtin:double_slit", "--param", "detector=on",
                    "--depth", "4", "--width", "64")
+# the tree the benchmark's `branch` workload encodes: 1.9 MB, width-pruned
+WALK_PRUNED = ("branch", "tests/fixtures/walk.cml", "--depth", "24",
+               "--width", "64", "--steps", "25", "--seed", "1")
 NAMED = {
     ENERGY_RUN: "run builtin:harmonic_oscillator energy",
     OVERLAP_SAMPLE: "analyze tests/fixtures/overlap.cml sample",
@@ -45,6 +48,7 @@ NAMED = {
     FALLIBLE_DEPTH3: "branch tests/fixtures/fallible.cml depth 3",
     FALLIBLE_DEPTH5: "branch tests/fixtures/fallible.cml depth 5",
     DETECTOR_BRANCH: "branch builtin:double_slit detector on",
+    WALK_PRUNED: "branch tests/fixtures/walk.cml pruned",
 }
 
 # argv of each pinned invocation; .cml paths are relative to the repo root
@@ -109,6 +113,7 @@ INVOCATIONS = (
     FALLIBLE_DEPTH3,
     FALLIBLE_DEPTH5,
     DETECTOR_BRANCH,
+    WALK_PRUNED,
 )
 
 
