@@ -330,7 +330,7 @@ def _name(e: Name, scope: _Scope):
 
 
 def _unary(e: Unary, scope):
-    return _apply(operator.neg if e.op == "-" else operator.not_,
+    return _apply(intrinsics.unary(e.op, e.ty.kind, e.loc),
                   _compile(e.operand, scope))
 
 

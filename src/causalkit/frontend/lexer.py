@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..intrinsics import INT64_MAX
 from .ast_nodes import Diagnostic, Loc
 
 KEYWORDS = frozenset({
@@ -86,6 +87,13 @@ def tokenize(source: str) -> tuple[list, list]:
                                     start_loc))
             elif is_real:
                 tokens.append(Token("REAL", text, float(text), start_loc))
+            # an int64 has at most 19 digits; int() refuses strings of
+            # more than 4300, so longer ones are not parsed
+            elif len(text.lstrip("0")) > 19 or int(text) > INT64_MAX:
+                diags.append(Diagnostic(
+                    "error", "bad-literal",
+                    f"int literal outside int64 (largest is {INT64_MAX})",
+                    start_loc))
             else:
                 tokens.append(Token("INT", text, int(text), start_loc))
             col += j - i

@@ -703,7 +703,7 @@ def _fold(e: Expr, consts_val: dict):
         x = _fold(e.operand, consts_val)
         if x is None:
             return None
-        return -x if e.op == "-" else not x
+        return intrinsics.unary(e.op, e.ty.kind, e.loc)(x)
     if isinstance(e, Binary):
         left = _fold(e.left, consts_val)
         if left is None:

@@ -66,7 +66,7 @@ def registered_names() -> list[str]:
 # --- binary operators -----------------------------------------------------------
 
 
-_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
 def int_power(a: int, b: int, loc=None) -> int:
@@ -78,7 +78,7 @@ def int_power(a: int, b: int, loc=None) -> int:
     if b > 63 and abs(a) > 1:
         raise EvalError("int '^' overflows int64", loc)
     r = a ** b
-    if not _INT64_MIN <= r <= _INT64_MAX:
+    if not INT64_MIN <= r <= INT64_MAX:
         raise EvalError("int '^' overflows int64", loc)
     return r
 
@@ -105,7 +105,7 @@ def binary(op: str, kind: str, loc=None):
 
         def int64(a, b):
             r = fn(a, b)
-            if not _INT64_MIN <= r <= _INT64_MAX:
+            if not INT64_MIN <= r <= INT64_MAX:
                 raise EvalError(f"int '{op}' overflows int64", loc)
             return r
         return int64
@@ -124,6 +124,17 @@ def binary(op: str, kind: str, loc=None):
                             "exponent", loc)
         return r
     return power
+
+
+def unary(op: str, kind: str, loc=None):
+    """The function x -> ``op x`` for a typed unary ``op``; int negation
+    keeps the int64 rule of ``binary`` (-(-2^63) overflows)."""
+    if op == "!":
+        return operator.not_
+    if kind == "int":
+        sub = binary("-", "int", loc)
+        return lambda x: sub(0, x)
+    return operator.neg
 
 
 # --- language built-ins ---------------------------------------------------------

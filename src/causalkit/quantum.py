@@ -8,10 +8,11 @@ gauss_packet, fill).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import get_lapack_funcs
 
 from . import intrinsics
 from .errors import (
@@ -86,41 +87,76 @@ def grid_coordinates(n: int, dx: float) -> np.ndarray:
     return (np.arange(n) - n // 2) * dx
 
 
-def _solve_cyclic_tridiagonal(diag, off, corner, rhs):
-    """Solve A x = rhs where A is tridiagonal with constant off-diagonal
-    ``off`` plus periodic corner entries ``corner`` (Sherman-Morrison)."""
+# Factored Crank-Nicolson operators kept at once: a fixed potential uses
+# one, a potential that alternates between two values two.
+CN_CACHE_SIZE = 8
+
+_gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(1, complex),))
+
+
+def _cyclic_solver(diag, off, corner):
+    """Factor A, tridiagonal with constant off-diagonal ``off`` plus periodic
+    corner entries ``corner``, and return the solver rhs -> A^-1 rhs.
+
+    For n >= 3 the corners are a rank-one update of a tridiagonal matrix
+    (Sherman-Morrison; Press et al., Numerical Recipes, section 2.7). LAPACK
+    ``gttrf`` + ``gttrs`` run the elimination of ``gtsv``, so a solve gives
+    the bytes of a fresh ``solve_banded`` on the same bands.
+    """
     n = len(diag)
     if n < 3:
         a = np.diag(diag).astype(complex)
         for i in range(n):
             a[i, (i + 1) % n] += off
             a[i, (i - 1) % n] += corner if n == 1 else off
-        try:
-            return np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolveError(str(exc))
+
+        def solve_dense(rhs):
+            try:
+                return np.linalg.solve(a, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise SolveError(str(exc))
+        return solve_dense
     gamma = -diag[0]
-    dmod = diag.astype(complex).copy()
+    dmod = diag.astype(complex)
     dmod[0] -= gamma
     dmod[-1] -= corner * corner / gamma
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = off
-    ab[1, :] = dmod
-    ab[2, :-1] = off
+    band = np.full(n - 1, off, dtype=complex)
+    dl, d, du, du2, ipiv, info = _gttrf(band, dmod, band)
+    if info != 0:
+        raise SolveError("singular matrix")
+    if not np.isfinite(d).all():
+        raise SolveError("non-finite tridiagonal factor")
     u = np.zeros(n, dtype=complex)
     u[0] = gamma
     u[-1] = corner
-    try:
-        y = solve_banded((1, 1), ab, rhs)
-        z = solve_banded((1, 1), ab, u)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SolveError(str(exc))
-    vy = y[0] + (corner / gamma) * y[-1]
-    vz = z[0] + (corner / gamma) * z[-1]
-    denom = 1.0 + vz
+    z, _ = _gttrs(dl, d, du, du2, ipiv, u)
+    ratio = corner / gamma
+    denom = 1.0 + (z[0] + ratio * z[-1])
     if denom == 0:
         raise SolveError("singular cyclic system")
-    return y - z * (vy / denom)
+
+    def solve(rhs):
+        y, _ = _gttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
+        return y - z * ((y[0] + ratio * y[-1]) / denom)
+    return solve
+
+
+@functools.lru_cache(maxsize=CN_CACHE_SIZE)
+def _cn_operator(n, dx, mass, hbar, dt, v_bytes):
+    """The psi-independent part of a Crank-Nicolson step: the right-hand
+    diagonal 1 - sigma*hdiag, the off-diagonal sigma*hoff and the solver of
+    the left-hand matrix."""
+    v = np.frombuffer(v_bytes, dtype=float)
+    if not np.isfinite(v).all():
+        raise SolveError("non-finite potential")
+    kin = hbar ** 2 / (2.0 * mass * dx ** 2)
+    hdiag = 2.0 * kin + v
+    hoff = -kin
+    sigma = 1j * dt / (2.0 * hbar)
+    off = sigma * hoff
+    coef = 1.0 - sigma * hdiag
+    coef.setflags(write=False)   # shared by every step that hits the cache
+    return coef, off, _cyclic_solver(1.0 + sigma * hdiag, off, off)
 
 
 def schrodinger_step(wave: GridWave, potential, dt: float) -> GridWave:
@@ -128,22 +164,25 @@ def schrodinger_step(wave: GridWave, potential, dt: float) -> GridWave:
 
     The Cayley form (1 + i dt H / 2hbar)^-1 (1 - i dt H / 2hbar) is
     unitary for Hermitian H, so the norm is conserved to solver roundoff.
+    The operator is factored once per (grid, constants, dt, potential).
     """
     v = np.asarray(potential, dtype=float)
     psi = wave.psi
-    if len(v) != len(psi):
+    n = len(psi)
+    if len(v) != n:
         raise ValueError("potential grid length does not match psi")
     if not (dt > 0):
         raise ValueError("dt must be positive")
-    kin = wave.hbar ** 2 / (2.0 * wave.mass * wave.dx ** 2)
-    hdiag = 2.0 * kin + v
-    hoff = -kin
-    sigma = 1j * dt / (2.0 * wave.hbar)
-    rhs = (1.0 - sigma * hdiag) * psi \
-        - sigma * hoff * (np.roll(psi, 1) + np.roll(psi, -1))
-    diag = 1.0 + sigma * hdiag
-    out = _solve_cyclic_tridiagonal(diag, sigma * hoff, sigma * hoff, rhs)
-    return replace(wave, psi=out)
+    coef, off, solve = _cn_operator(n, wave.dx, wave.mass, wave.hbar, dt,
+                                    v.tobytes())
+    if not np.isfinite(psi).all():
+        raise SolveError("non-finite wavefunction")
+    # ring[i] + ring[i + 2] == psi[i - 1] + psi[i + 1] on the periodic grid
+    ring = np.concatenate((psi[-1:], psi, psi[:1]))
+    rhs = coef * psi - off * (ring[:-2] + ring[2:])
+    if not np.isfinite(rhs).all():
+        raise SolveError("non-finite right-hand side")
+    return replace(wave, psi=solve(rhs))
 
 
 def discrete_hamiltonian(n: int, dx: float, potential, mass: float = 1.0,
@@ -319,9 +358,18 @@ def ca_world_from_value(v: VRecord) -> CaWorld:
 # --- intrinsic registration ----------------------------------------------------------
 
 
+# the largest grid gauss_packet and fill build: 16 MiB of complex cells
+MAX_CELLS = 2 ** 20
+
+
 def _want(cond: bool, msg: str):
     if not cond:
         raise IntrinsicTypeError(msg)
+
+
+def _want_cells(n):
+    _want(isinstance(n, int) and n >= 1, "n must be a positive int literal")
+    _want(n <= MAX_CELLS, f"n must be at most {MAX_CELLS} cells")
 
 
 def _is_real(td) -> bool:
@@ -405,7 +453,7 @@ def _check_gauss_packet(args, ctx):
         _want(_is_real(td), "dx, x0, sigma, k0 must be real")
     n = ctx.fold(0)
     dx = ctx.fold(1)
-    _want(isinstance(n, int) and n >= 1, "n must be a positive int literal")
+    _want_cells(n)
     _want(isinstance(dx, (int, float)) and dx > 0,
           "dx must be a positive literal")
     return TypeDesc.cgrid(n, float(dx))
@@ -421,7 +469,7 @@ def _check_fill(args, ctx):
     _want(args[0].kind == "int", "n must be int")
     _want(_is_real(args[1]), "value must be real")
     n = ctx.fold(0)
-    _want(isinstance(n, int) and n >= 1, "n must be a positive int literal")
+    _want_cells(n)
     return TypeDesc.vector(n)
 
 

@@ -128,6 +128,21 @@ def test_int_arithmetic_overflow_ends_the_run(init, rhs, op):
         == f"law 'P': int '{op}' overflows int64 at 5:35"
 
 
+def test_int_negation_follows_the_int64_rule():
+    model = _power_model("0 - 9223372036854775807", "-n")
+    trace = run(model, build_initial_state(model),
+                RunConfig(dt=1.0, max_steps=3))
+    assert trace.termination.kind == "max-steps"
+    assert typed(trace.final_state.values["n"]) == typed(2 ** 63 - 1)
+    # the least int64 has no negation in int64
+    model = _power_model("0 - 9223372036854775807 - 1", "-n")
+    trace = run(model, build_initial_state(model),
+                RunConfig(dt=1.0, max_steps=3))
+    assert trace.termination.kind == "eval-error"
+    assert trace.termination.message \
+        == "law 'P': int '-' overflows int64 at 5:33"
+
+
 def test_int_power_in_range():
     model = _power_model(-2, "n ^ 63")
     trace = run(model, build_initial_state(model),
@@ -249,6 +264,8 @@ NEGATIVE_POWER = ("initializer of constant 'c': power of a negative base "
      "initializer of constant 'c': division by zero", (2, 23)),
     ("int", "9223372036854775807 + 1", "", "bad-constant",
      "initializer of constant 'c': int '+' overflows int64", (2, 38)),
+    ("int", "-(0 - 9223372036854775807 - 1)", "", "bad-constant",
+     "initializer of constant 'c': int '-' overflows int64", (2, 18)),
     # typed like any other expression
     ("bool", "1 == true", "", "type-mismatch",
      "'==' needs numeric operands, got int and bool", (2, 21)),
@@ -260,7 +277,7 @@ NEGATIVE_POWER = ("initializer of constant 'c': power of a negative base "
     ("int", "x + 1", "", "unknown-name", "unknown name 'x'", (2, 18)),
     ("int", "1", " in [0, x]", "unknown-name", "unknown name 'x'", (3, 25)),
 ], ids=["complex-power", "real-power", "divide-by-zero", "int-plus-overflow",
-        "int-eq-bool",
+        "int-negate-overflow", "int-eq-bool",
         "int-plus-bool", "bound-int-plus-bool", "field-in-constant",
         "field-in-bound"])
 def test_constant_expressions_are_typechecked(ty, value, domain, code,

@@ -196,6 +196,26 @@ class TestTypecheck:
             "law L { when true; then { } } }") \
             == [("bad-constant", "domain bound: division by zero", 35)]
 
+    @pytest.mark.parametrize("field, call, col", [
+        ("vector(100000000000)", "fill(100000000000, 0.0)", 57),
+        ("cgrid(100000000000, 0.5)", "gauss_packet(100000000000, 0.5, 0.0, "
+         "1.0, 0.0)", 61),
+    ], ids=["fill", "gauss_packet"])
+    def test_grid_literal_above_the_cap_is_rejected(self, field, call, col):
+        # rejected by the typechecker, before anything is allocated
+        f = call.split("(")[0]
+        assert self.errors(
+            f"model m {{ state {{ g: {field}; }} init {{ g = {call}; }} "
+            "law L { when true; then { } } }") \
+            == [("type-mismatch", f"{f}: n must be at most 1048576 cells",
+                 col)]
+
+    def test_grid_literal_at_the_cap_typechecks(self):
+        typed, diags = self.check(
+            "model m { state { g: vector(1048576); } "
+            "init { g = fill(1048576, 0.0); } law L { when true; then { } } }")
+        assert typed is not None
+
     def test_bool_in_an_int_domain_is_a_type_mismatch(self):
         assert self.errors(
             "model m { state { x: int in {true, 2}; } init { x = 2; } "
@@ -269,6 +289,45 @@ class TestBrokenCorpus:
             assert 1 <= d.loc.line <= nlines, path.name
             assert d.loc.col >= 1, path.name
             assert d.message
+
+
+class TestIntLiterals:
+    """An int literal is an int64: a larger one is a located ``bad-literal``
+    diagnostic, never an int that a real promotion overflows later."""
+
+    BIG = "1" + "0" * 400
+    MESSAGE = "int literal outside int64 (largest is 9223372036854775807)"
+
+    def _model(self, const, update):
+        return ("model m {\n"
+                f"  const c: real = {const};\n"
+                "  state { x: real; } init { x = 0.0; }\n"
+                f"  law L {{ when true; then {{ x = {update}; }} }} }}\n")
+
+    @pytest.mark.parametrize("const, update, line, col", [
+        ("1.0", BIG, 4, 33),
+        (BIG, "c", 2, 19),
+        ("1.0", "9223372036854775808", 4, 33),
+        ("1.0", "9" * 5000, 4, 33),
+    ], ids=["assigned", "constant", "int64-max-plus-one", "5000-digits"])
+    def test_rejected_with_location(self, const, update, line, col):
+        ast, diags = parse(self._model(const, update))
+        assert ast is None
+        assert [(d.code, d.message, d.loc.line, d.loc.col) for d in diags] \
+            == [("bad-literal", self.MESSAGE, line, col)]
+
+    @pytest.mark.parametrize("literal", ["9223372036854775807",
+                                         "0" * 30 + "17"])
+    def test_int64_literals_accepted(self, literal):
+        model = load_model(self._model("1.0", literal))
+        assert model.laws[0].name == "L"
+
+    def test_cli_reports_the_location_and_exits_1(self, tmp_path, capsys):
+        from causalkit.cli import main
+        path = tmp_path / "big.cml"
+        path.write_text(self._model(self.BIG, "c"), encoding="utf-8")
+        assert main(["run", str(path), "--steps", "1"]) == 1
+        assert capsys.readouterr().err == f"{path}:2:19: {self.MESSAGE}\n"
 
 
 class TestParseExpression:

@@ -114,6 +114,9 @@ INVOCATIONS = (
     FALLIBLE_DEPTH5,
     DETECTOR_BRANCH,
     WALK_PRUNED,
+    # a potential that alternates every step: two Crank-Nicolson operators
+    ("run", "tests/fixtures/toggle_well.cml", "--dt", "0.05", "--steps", "40",
+     "--record-every", "8", "--observables", "k,sum(V),psi[0],psi[32]"),
 )
 
 

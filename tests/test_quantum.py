@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from causalkit import (
     CaParticle,
@@ -13,6 +14,7 @@ from causalkit import (
     PwCollection,
     PwPath,
     RngStream,
+    SolveError,
     ZeroNormError,
     ca_step,
     classical_step,
@@ -23,6 +25,7 @@ from causalkit import (
     pw_propagate,
     schrodinger_step,
 )
+from causalkit import quantum
 from causalkit.quantum import grid_coordinates
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -138,6 +141,88 @@ class TestSchrodingerStep:
         wave = gaussian_packet(64, 0.25)
         out = schrodinger_step(wave, np.zeros(64), 0.01)
         assert out.normalized is True
+
+
+def reference_step(wave, potential, dt):
+    """Oracle: the Crank-Nicolson step as it ran before its operator was
+    cached, rebuilding the bands and calling solve_banded twice per step."""
+    v = np.asarray(potential, dtype=float)
+    psi = wave.psi
+    kin = wave.hbar ** 2 / (2.0 * wave.mass * wave.dx ** 2)
+    hdiag = 2.0 * kin + v
+    hoff = -kin
+    sigma = 1j * dt / (2.0 * wave.hbar)
+    rhs = (1.0 - sigma * hdiag) * psi \
+        - sigma * hoff * (np.roll(psi, 1) + np.roll(psi, -1))
+    diag = 1.0 + sigma * hdiag
+    off = corner = sigma * hoff
+    gamma = -diag[0]
+    dmod = diag.astype(complex).copy()
+    dmod[0] -= gamma
+    dmod[-1] -= corner * corner / gamma
+    ab = np.zeros((3, len(diag)), dtype=complex)
+    ab[0, 1:] = off
+    ab[1, :] = dmod
+    ab[2, :-1] = off
+    u = np.zeros(len(diag), dtype=complex)
+    u[0] = gamma
+    u[-1] = corner
+    y = solve_banded((1, 1), ab, rhs)
+    z = solve_banded((1, 1), ab, u)
+    vy = y[0] + (corner / gamma) * y[-1]
+    vz = z[0] + (corner / gamma) * z[-1]
+    return y - z * (vy / (1.0 + vz))
+
+
+class TestCachedOperator:
+    @pytest.mark.parametrize("n", [3, 4, 64, 512])
+    def test_bit_identical_to_reference(self, n):
+        # operators cycle over more keys than the cache holds, then over
+        # two, so steps meet both evictions and hits; a fine grid with a
+        # large dt and a deep well makes the elimination pivot
+        rng = np.random.default_rng(n)
+        keys = [(dx, mass, hbar, dt, rng.uniform(-80.0, 80.0, n))
+                for dx in (0.05, 0.5) for mass, hbar in ((1.0, 1.0), (0.7, 1.3))
+                for dt in (0.01, 0.1, 0.3)]
+        assert len(keys) > quantum.CN_CACHE_SIZE
+        order = [k % len(keys) for k in range(2 * len(keys))] + [0, 5] * 10
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        quantum._cn_operator.cache_clear()
+        for k in order:
+            dx, mass, hbar, dt, v = keys[k]
+            wave = GridWave(psi, dx, mass, hbar)
+            out = schrodinger_step(wave, v, dt).psi
+            assert np.array_equal(out, reference_step(wave, v, dt))
+            psi = out / np.sqrt(np.sum(np.abs(out) ** 2) * dx)
+        info = quantum._cn_operator.cache_info()
+        assert info.hits > 0 and info.misses > len(keys)
+        assert info.currsize <= quantum.CN_CACHE_SIZE
+
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_psi_or_potential_raises(self, n, bad):
+        # checked before any arithmetic, so no RuntimeWarning escapes
+        wave = gaussian_packet(n, 0.25)
+        psi = wave.psi.copy()
+        psi[n // 2] = complex(0.0, bad)
+        with pytest.raises(SolveError):
+            schrodinger_step(GridWave(psi, 0.25), np.zeros(n), 0.01)
+        v = np.zeros(n)
+        v[0] = bad
+        with pytest.raises(SolveError):
+            schrodinger_step(wave, v, 0.01)
+
+    def test_singular_factorization_raises(self):
+        diag = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        with pytest.raises(SolveError, match="singular matrix"):
+            quantum._cyclic_solver(diag, 0j, 0j)
+
+    @pytest.mark.parametrize("n", [3, 4, 16])
+    def test_singular_cyclic_system_raises(self, n):
+        # the periodic second difference: the modified tridiagonal factor
+        # is regular, the rank-one update makes it singular (1 + v.z == 0)
+        with pytest.raises(SolveError, match="singular cyclic system"):
+            quantum._cyclic_solver(np.full(n, 2.0 + 0j), -1 + 0j, -1 + 0j)
 
 
 def one_particle_pw(paths):
