@@ -12,6 +12,7 @@ from .errors import (
     CausalKitError,
     CmlError,
     ContinuousRandomError,
+    EnumerationCapError,
     EvalError,
     MissingAttributeError,
     MissingFieldError,
@@ -61,7 +62,6 @@ from .engine import (
     CausalModel,
     DeterminismVerdict,
     Law,
-    NativeTransition,
     RandomSpec,
     apply_law,
     build_initial_state,
@@ -104,7 +104,8 @@ from .quantum import (
     pw_interact,
     pw_propagate,
     schrodinger_step,
+    two_slit,
 )
-from .bundled import build_bundled_model, list_bundled_models, two_slit_amplitudes
+from .bundled import build_bundled_model, list_bundled_models
 
 __version__ = "0.1.0"

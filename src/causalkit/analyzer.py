@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from .engine import (
     CausalModel,
     DeterminismVerdict,
-    NativeTransition,
     apply_law,
     build_initial_state,
     classify_determinism,
@@ -23,6 +22,8 @@ from .engine import (
     select_law,
 )
 from .errors import (
+    CausalKitError,
+    EnumerationCapError,
     NoValidInStateFoundError,
     UnsampleableFieldError,
 )
@@ -142,7 +143,7 @@ def enumerate_states(model: CausalModel):
     for d in domains:
         total *= len(d)
         if total > _ENUMERATION_CAP:
-            raise ValueError(
+            raise EnumerationCapError(
                 f"enumeration exceeds {_ENUMERATION_CAP} states")
     for combo in itertools.product(*domains):
         yield SystemState(schema, 0.0, dict(zip(names, combo)))
@@ -304,16 +305,11 @@ def _completeness_by_trace(model, strategy, init) -> CompletenessVerdict:
 
 
 def _intrinsic_inventory(model: CausalModel) -> list:
-    cml = [law.transition for law in model.laws
-           if not isinstance(law.transition, NativeTransition)]
-    nodes = list(walk([law.guard for law in model.laws] + cml))
+    nodes = list(walk([[law.guard, law.transition] for law in model.laws]))
     calls = (intrinsics.get(n.func) for n in nodes if isinstance(n, Call))
     kit = {intr.name: intr for intr in calls
            if intr is not None and not intr.builtin}
-    notes = [f"law '{law.name}' uses a native transition "
-             "(not inspectable as CML)"
-             for law in model.laws
-             if isinstance(law.transition, NativeTransition)]
+    notes = []
     for name in sorted(kit):
         flavor = "stochastic" if kit[name].stochastic else "deterministic"
         notes.append(f"uses intrinsic '{name}' ({flavor})")
@@ -326,8 +322,9 @@ def analyze(model: CausalModel, strategy: CheckStrategy,
             init: SystemState | None = None) -> AnalysisReport:
     """Bundle consistency, bounded completeness, determinism, and
     computability bookkeeping. ``init`` is the trace start state of a
-    model with unsampleable fields (default: its initial state). Check
-    failures are recorded in the report, never raised."""
+    model with unsampleable fields (default: its initial state). A check
+    that fails with a toolkit error is recorded in the report as an
+    ``error`` verdict; any other exception is a bug and propagates."""
     notes = []
     bad = unsampleable_fields(model)
     for name in bad:
@@ -339,11 +336,11 @@ def analyze(model: CausalModel, strategy: CheckStrategy,
                      "(unsampleable fields)")
     try:
         consistency = check_consistency(model, effective, init)
-    except Exception as exc:  # noqa: BLE001 - report, never crash
+    except CausalKitError as exc:
         consistency = ConsistencyVerdict("error", message=str(exc))
     try:
         completeness = check_completeness(model, effective, init)
-    except Exception as exc:  # noqa: BLE001
+    except CausalKitError as exc:
         completeness = CompletenessVerdict("error", message=str(exc))
     determinism = classify_determinism(model)
     notes.extend(_intrinsic_inventory(model))

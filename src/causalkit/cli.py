@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to a .cml file, or builtin:<name>")
         p.add_argument("--param", action="append", default=[],
                        metavar="KEY=VALUE",
-                       help="builtin model parameter (repeatable)")
+                       help="value of a model `param` (repeatable)")
 
     def add_run_flags(p):
         p.add_argument("--dt", type=float, default=None,
@@ -128,28 +128,23 @@ def _parse_params(pairs):
 
 
 def _load_model(args):
-    """Resolve the model argument to (model, initial state, label)."""
+    """Resolve the model argument to (model, initial state)."""
     src = args.model
     params = _parse_params(args.param)
     if src.startswith("builtin:"):
-        name = src[len("builtin:"):]
-        model, state = build_bundled_model(name, params)
-        return model, state, src
-    if params:
-        raise CausalKitError("--param only applies to builtin models")
+        return build_bundled_model(src[len("builtin:"):], params)
     try:
         text = Path(src).read_text(encoding="utf-8")
     except OSError as exc:
         raise CausalKitError(f"cannot read '{src}': {exc.strerror}")
-    model, diags = compile_model(text)
+    model, diags = compile_model(text, params=params)
     errors = [d for d in diags if d.severity == "error"]
     if model is None or errors:
         for d in errors:
             print(f"{src}:{d.loc.line}:{d.loc.col}: {d.message}",
                   file=sys.stderr)
         raise SystemExit(1)
-    state = build_initial_state(model)
-    return model, state, src
+    return model, build_initial_state(model)
 
 
 def _compile_observables(spec: str, schema):
@@ -171,7 +166,7 @@ def _compile_observables(spec: str, schema):
 
 
 def _cmd_run(args) -> int:
-    model, state, _ = _load_model(args)
+    model, state = _load_model(args)
     observables = _compile_observables(args.observables, model.schema)
     cfg = RunConfig(dt=args.dt if args.dt is not None else model.default_timestep,
                     max_steps=args.steps, seed=args.seed, mode=args.mode,
@@ -187,7 +182,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    model, state, _ = _load_model(args)
+    model, state = _load_model(args)
     strategy = CheckStrategy(kind=args.strategy, count=args.samples,
                              runs=args.runs, steps_per_run=args.steps,
                              seed=args.seed)
@@ -199,7 +194,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_branch(args) -> int:
-    model, state, _ = _load_model(args)
+    model, state = _load_model(args)
     cfg = RunConfig(dt=args.dt if args.dt is not None else model.default_timestep,
                     max_steps=args.steps, seed=args.seed, mode=args.mode)
     tree = branch_run(model, state, cfg, args.depth, args.width)
@@ -214,7 +209,7 @@ def _cmd_histogram(args) -> int:
         raise ValueError("--trials must be >= 1")
     if args.bins is not None and args.bins < 1:
         raise ValueError("--bins must be >= 1")
-    model, state, _ = _load_model(args)
+    model, state = _load_model(args)
     observables = _compile_observables(args.observables, model.schema)
     if len(observables) != 1:
         raise CausalKitError("histogram needs exactly one outcome observable")

@@ -34,6 +34,7 @@ from .frontend.ast_nodes import (
     For,
     If,
     Index,
+    Let,
     ListLit,
     Lit,
     Member,
@@ -149,33 +150,24 @@ def sample_random(spec: RandomSpec, rng):
 
 
 @dataclass(frozen=True)
-class NativeTransition:
-    """Transition implemented in Python: (state, dt, rnd) -> field updates."""
-
-    fn: object
-    uses_random: bool = False
-
-
-@dataclass(frozen=True)
 class Law:
     """A guarded transition, compiled against ``schema`` when constructed."""
 
     name: str
     guard: object                 # typed Expr, bool-valued
-    transition: object            # list of statements, or NativeTransition
+    transition: list              # typed statements
     uses_random: bool = False
     _: KW_ONLY
     schema: InitVar[StateSchema]
     compiled_guard: object = field(init=False, repr=False, compare=False)
     compiled_transition: object = field(init=False, repr=False,
-                                        compare=False)  # None if native
+                                        compare=False)
 
     def __post_init__(self, schema):
-        native = isinstance(self.transition, NativeTransition)
         object.__setattr__(self, "compiled_guard",
                            _compile(self.guard, _Scope(schema)))
-        object.__setattr__(self, "compiled_transition", None if native
-                           else _compile_transition(self.transition, schema))
+        object.__setattr__(self, "compiled_transition",
+                           _compile_transition(self.transition, schema))
 
 
 @dataclass(frozen=True)
@@ -218,9 +210,10 @@ class CausalModel:
 # argument, ``env``: anything with a ``values`` dict of field values. Guards,
 # the halt condition, init expressions and observables get the SystemState
 # itself; a transition gets an Env, which adds dt, the random source, the
-# loop slots and the list of writes. The typechecker has fixed every node's
-# type and rejected every node out of place (an unknown name or function,
-# ``dt`` or a draw outside a transition), so nothing is checked again here;
+# slots of loop variables and lets, and the list of writes. The typechecker
+# has fixed every node's type and rejected every node out of place (an
+# unknown name or function, ``dt`` or a draw outside a transition), so
+# nothing is checked again here;
 # operators and names are resolved once: a closure of scalar
 # type (int, real, bool, complex) returns a payload of exactly that kind's
 # Python type, any other returns a Value. An int is promoted to real or
@@ -237,7 +230,7 @@ class Env:
         self.values = values            # pre-state field values
         self.dt = None if dt is None else float(dt)
         self.rnd = rnd
-        self.locals = [None] * slots    # (index, item) per for loop
+        self.locals = [None] * slots    # (index, item) per loop, value per let
         self.writes = []                # (root field, path or None, value)
 
 
@@ -255,13 +248,14 @@ class _Const:
 
 class _Scope:
     """The names an expression can read: state fields, constants (folded
-    to payloads), loop variables and, in a transition, ``dt``."""
+    to payloads), loop variables, lets and, in a transition, ``dt``."""
 
     def __init__(self, schema: StateSchema):
         self.fields = schema.fields
         self.consts = {n: v for n, (_, v) in schema.constants.items()}
-        self.loops: dict = {}   # loop variable -> (slot, list field)
-        self.slots = 0          # loop slots handed out so far
+        # loop variable -> (slot, list field); let -> (slot, None)
+        self.locals: dict = {}
+        self.slots = 0          # slots handed out so far
 
 
 def compile_observable(expr, schema: StateSchema):
@@ -312,8 +306,10 @@ def _lit(e: Lit, scope):
 
 def _name(e: Name, scope: _Scope):
     name = e.id
-    if name in scope.loops:
-        slot = scope.loops[name][0]
+    if name in scope.locals:
+        slot, source = scope.locals[name]
+        if source is None:
+            return lambda env: env.locals[slot]
         return lambda env: env.locals[slot][1]
     if name in scope.fields:
         return lambda env: env.values[name]
@@ -462,7 +458,9 @@ def _compile_transition(stmts, schema: StateSchema):
 
 
 def _block(stmts, scope):
+    outer = dict(scope.locals)
     parts = [_STATEMENTS[type(s)](s, scope) for s in stmts]
+    scope.locals = outer   # a let is visible to the end of its block
     if len(parts) == 1:
         return parts[0]
 
@@ -511,8 +509,8 @@ def _target(t, scope: _Scope):
     """(root field, path): path is None for a whole field, else a closure
     giving the parts below the root, innermost index evaluated first."""
     if isinstance(t, Name):
-        if t.id in scope.loops:
-            slot, root = scope.loops[t.id]
+        if t.id in scope.locals:   # a loop variable: lets are not written
+            slot, root = scope.locals[t.id]
             return root, lambda env: (env.locals[slot][0],)
         return t.id, None
     root, base = _target(t.obj, scope)
@@ -537,12 +535,18 @@ def _if(stmt: If, scope):
     return lambda env: (then if cond(env) else orelse)(env)
 
 
-def _for(stmt: For, scope: _Scope):
-    source, slot = stmt.source.id, scope.slots
+def _new_slot(name: str, source, scope: _Scope) -> int:
+    slot = scope.slots
     scope.slots += 1
-    scope.loops[stmt.var] = (slot, source)
+    scope.locals[name] = (slot, source)
+    return slot
+
+
+def _for(stmt: For, scope: _Scope):
+    source = stmt.source.id
+    slot = _new_slot(stmt.var, source, scope)
     body = _block(stmt.body, scope)
-    del scope.loops[stmt.var]
+    del scope.locals[stmt.var]
 
     def loop(env):
         slots = env.locals
@@ -551,7 +555,16 @@ def _for(stmt: For, scope: _Scope):
     return loop
 
 
-_STATEMENTS = {Assign: _assign, If: _if, For: _for}
+def _let(stmt: Let, scope: _Scope):
+    value = _compile(stmt.value, scope)
+    slot = _new_slot(stmt.name, None, scope)
+
+    def let(env):
+        env.locals[slot] = value(env)
+    return let
+
+
+_STATEMENTS = {Assign: _assign, If: _if, For: _for, Let: _let}
 
 
 # --- guards and law selection ------------------------------------------------------
@@ -597,16 +610,6 @@ def apply_law(law: Law, s0: SystemState, dt: float, rng) -> SystemState:
     """
     schema = s0.schema
     try:
-        if law.compiled_transition is None:
-            try:
-                updates = law.transition.fn(s0, dt, rng)
-            except (EvalError, ContinuousRandomError, BranchSignal):
-                raise
-            except Exception as exc:
-                raise EvalError(f"native transition failed: {exc}")
-            for name, v in updates.items():
-                check_value(v, schema.fields[name], schema, where=name)
-            return s0.with_updates(updates)
         writes = law.compiled_transition(s0.values, dt, rng)
     except EvalError as exc:
         raise EvalError(exc.message, exc.loc, law=law.name)

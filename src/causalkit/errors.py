@@ -109,7 +109,11 @@ class UnknownModelError(CausalKitError):
 
 
 class BadParamError(CausalKitError):
-    """Invalid parameter passed to a bundled model builder."""
+    """An unknown or invalid --param value for a model's `param`."""
+
+
+class EnumerationCapError(CausalKitError):
+    """The enumerate strategy would check more states than its cap."""
 
 
 class NoValidInStateFoundError(CausalKitError):

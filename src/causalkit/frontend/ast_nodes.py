@@ -120,6 +120,12 @@ class For(Stmt):
 
 
 @dataclass
+class Let(Stmt):
+    name: str = ""       # visible to the statements after it in its block
+    value: Expr = None
+
+
+@dataclass
 class If(Stmt):
     cond: Expr = None
     then: list = field(default_factory=list)
@@ -133,7 +139,7 @@ class If(Stmt):
 class TypeExpr:
     loc: Loc
     name: str
-    args: list = field(default_factory=list)   # literal exprs (lengths, dx) or TypeExpr
+    args: list = field(default_factory=list)   # constant exprs (lengths, dx) or TypeExpr
     attrs: list | None = None                  # pwcollection: [(name, TypeExpr)]
 
 
@@ -158,6 +164,7 @@ class ConstDecl:
     name: str
     type_: TypeExpr
     value: Expr = None
+    param: bool = False   # a `param`, which --param NAME=VALUE may replace
 
 
 @dataclass
@@ -283,6 +290,8 @@ def _format_stmt(s: Stmt, indent: int) -> list:
     pad = "  " * indent
     if isinstance(s, Assign):
         return [f"{pad}{format_expr(s.target)} = {format_expr(s.value)};"]
+    if isinstance(s, Let):
+        return [f"{pad}let {s.name} = {format_expr(s.value)};"]
     if isinstance(s, For):
         lines = [f"{pad}for {s.var} in {s.source.id} {{"]
         for st in s.body:
@@ -305,7 +314,9 @@ def _format_stmt(s: Stmt, indent: int) -> list:
 def format_model(m: ModelAst) -> str:
     lines = [f"model {m.name} {{"]
     for c in m.consts:
-        lines.append(f"  const {c.name}: {format_type(c.type_)} = {format_expr(c.value)};")
+        keyword = "param" if c.param else "const"
+        lines.append(f"  {keyword} {c.name}: {format_type(c.type_)} = "
+                     f"{format_expr(c.value)};")
     for r in m.records:
         lines.append(f"  record {r.name} {{")
         for f in r.fields:

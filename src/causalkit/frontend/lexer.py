@@ -8,8 +8,8 @@ from ..intrinsics import INT64_MAX
 from .ast_nodes import Diagnostic, Loc
 
 KEYWORDS = frozenset({
-    "model", "const", "record", "state", "init", "halt", "law",
-    "when", "then", "if", "else", "for", "in", "true", "false",
+    "model", "const", "param", "record", "state", "init", "halt", "law",
+    "when", "then", "if", "else", "for", "let", "in", "true", "false",
 })
 
 _TWO_CHAR = ("==", "!=", "<=", ">=", "&&", "||")
@@ -46,8 +46,9 @@ def tokenize(source: str) -> tuple[list, list]:
             col += 1
             continue
         if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
+            i = source.find("\n", i)
+            if i < 0:
+                i = n
             continue
         start_loc = loc()
         if c.isalpha() or c == "_":

@@ -22,21 +22,24 @@ def lower(typed: TypedModel, default_timestep: float = 1.0) -> CausalModel:
                        default_timestep=default_timestep)
 
 
-def compile_model(source: str, default_timestep: float = 1.0):
-    """parse + typecheck + lower. Returns (CausalModel | None, diagnostics)."""
+def compile_model(source: str, default_timestep: float = 1.0,
+                  params: dict | None = None):
+    """parse + typecheck + lower. Returns (CausalModel | None, diagnostics);
+    ``params`` sets `param` values (see ``typecheck``)."""
     ast, diags = parse(source)
     if ast is None:
         return None, diags
     # a parse that gives an AST gives no diagnostics
-    typed, diags = typecheck(ast)
+    typed, diags = typecheck(ast, params)
     if typed is None:
         return None, diags
     return lower(typed, default_timestep), diags
 
 
-def load_model(source: str, default_timestep: float = 1.0) -> CausalModel:
+def load_model(source: str, default_timestep: float = 1.0,
+               params: dict | None = None) -> CausalModel:
     """Compile CML source, raising CmlError with diagnostics on failure."""
-    model, diags = compile_model(source, default_timestep)
+    model, diags = compile_model(source, default_timestep, params)
     if model is None:
         raise CmlError([d for d in diags if d.severity == "error"])
     return model

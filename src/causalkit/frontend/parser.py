@@ -27,6 +27,7 @@ from .ast_nodes import (
     If,
     Index,
     LawDecl,
+    Let,
     ListLit,
     Lit,
     Loc,
@@ -134,7 +135,7 @@ class _Parser:
         m = ModelAst(start, name)
         seen_state = seen_init = False
         while not self.at("}"):
-            if self.at("const"):
+            if self.at("const") or self.at("param"):
                 m.consts.append(self.const_decl())
             elif self.at("record"):
                 m.records.append(self.record_decl())
@@ -158,7 +159,8 @@ class _Parser:
             elif self.at("law"):
                 m.laws.append(self.law_decl())
             else:
-                self.error("expected const, record, state, init, halt, or law")
+                self.error("expected const, param, record, state, init, halt, "
+                           "or law")
         self.expect("}")
         if not self.at("EOF"):
             self.error("unexpected input after model")
@@ -177,14 +179,15 @@ class _Parser:
         return m
 
     def const_decl(self) -> ConstDecl:
-        loc = self.expect("const").loc
+        keyword = self.advance()   # const or param
         name = self.expect("IDENT", "constant name").text
         self.expect(":")
         ty = self.type_expr()
         self.expect("=")
         value = self.expression()
         self.expect(";")
-        return ConstDecl(loc, name, ty, value)
+        return ConstDecl(keyword.loc, name, ty, value,
+                         param=keyword.kind == "param")
 
     def record_decl(self) -> RecordDecl:
         loc = self.expect("record").loc
@@ -276,6 +279,13 @@ class _Parser:
             if self.accept("else"):
                 orelse = self.block(braced=not self.at("if"))
             return If(loc, cond, then, orelse)
+        if self.at("let"):
+            loc = self.advance().loc
+            name = self.expect("IDENT", "let name").text
+            self.expect("=")
+            value = self.expression()
+            self.expect(";")
+            return Let(loc, name, value)
         return self.assignment()
 
     def assignment(self) -> Assign:
@@ -294,24 +304,14 @@ class _Parser:
     def type_expr(self) -> TypeExpr:
         tok = self.expect("IDENT", "type name")
         name, loc = tok.text, tok.loc
-        if name == "vector":
-            self.expect("(")
-            length = self.literal_number()
-            self.expect(")")
-            return TypeExpr(loc, name, [length])
-        if name == "cgrid":
-            self.expect("(")
-            length = self.literal_number()
-            self.expect(",")
-            dx = self.literal_number()
-            self.expect(")")
-            return TypeExpr(loc, name, [length, dx])
+        if name in ("vector", "cgrid"):   # lengths and dx are constants
+            return TypeExpr(loc, name, self.expr_list("(", ")"))
         if name == "list":
             self.open("(")
             elem = self.type_expr()
             args = [elem]
             if self.accept(","):
-                args.append(self.literal_number())
+                args.append(self.expression())
             self.close(")")
             return TypeExpr(loc, name, args)
         if name == "pwcollection":
@@ -326,16 +326,6 @@ class _Parser:
             self.close(")")
             return TypeExpr(loc, name, attrs=attrs)
         return TypeExpr(loc, name)
-
-    def literal_number(self) -> Lit:
-        neg = self.accept("-")
-        tok = self.tok
-        if tok.kind not in ("INT", "REAL"):
-            self.error("expected a number")
-        self.advance()
-        value = -tok.value if neg else tok.value
-        return Lit(tok.loc, value=value,
-                   kind="int" if tok.kind == "INT" else "real")
 
     def domain_expr(self) -> DomainExpr:
         if self.at("["):

@@ -9,7 +9,8 @@ import cmath
 from dataclasses import dataclass, field, replace
 
 from .. import intrinsics
-from ..errors import EvalError, SchemaError
+from ..errors import BadParamError, EvalError, SchemaError
+from ..quantum import MAX_CELLS
 from ..state import PAYLOAD_TYPES, Domain, StateSchema, TypeDesc
 from .ast_nodes import (
     Assign,
@@ -21,6 +22,7 @@ from .ast_nodes import (
     For,
     If,
     Index,
+    Let,
     ListLit,
     Lit,
     Loc,
@@ -33,6 +35,7 @@ from .ast_nodes import (
     Unary,
     walk,
 )
+from .parser import parse_expression
 
 _NUMERIC = ("int", "real", "complex")
 _SCALAR_TYPE_NAMES = ("real", "int", "bool", "complex")
@@ -66,19 +69,26 @@ class _Ctx:
     # None in a law body; elsewhere dt, random() and stochastic intrinsics
     # are banned, and this is the diagnostic code a draw gets
     ban: str | None
-    locals: dict = field(default_factory=dict)
+    locals: dict = field(default_factory=dict)   # loop variable -> TypeDesc
+    lets: dict = field(default_factory=dict)     # let name -> TypeDesc
     init_assigned: set | None = None  # init context: fields readable so far
     consts_val: dict = field(default_factory=dict)  # name -> payload
 
 
-def typecheck(ast: ModelAst):
-    """Typecheck a parsed model. Returns (TypedModel | None, diagnostics)."""
+def typecheck(ast: ModelAst, params: dict | None = None):
+    """Typecheck a parsed model. Returns (TypedModel | None, diagnostics).
+
+    ``params`` maps `param` names to the source text of their values; an
+    unknown name, or a value that is not a finite constant of the
+    declared type, raises BadParamError.
+    """
     diags: list[Diagnostic] = []
 
-    records = _collect_records(ast, diags)
-    consts_td, consts_val = _collect_consts(ast, records, diags)
-    fields = _collect_fields(ast, _Ctx({}, consts_td, records, diags,
-                                       "bad-domain", consts_val=consts_val))
+    const_ctx = _collect_consts(ast, diags, params or {})
+    consts_td, consts_val = const_ctx.consts, const_ctx.consts_val
+    records = _collect_records(ast, const_ctx)
+    fields = _collect_fields(ast, replace(const_ctx, records=records,
+                                          ban="bad-domain"))
     if any(d.severity == "error" for d in diags):
         return None, diags
 
@@ -113,9 +123,7 @@ def typecheck(ast: ModelAst):
             diags.append(Diagnostic("warning", "guard-never-true",
                                     f"guard of law '{law.name}' is constantly false",
                                     law.guard.loc))
-        bctx = ctx(None)
-        for stmt in law.body:
-            _check_stmt(stmt, bctx)
+        _check_block(law.body, ctx(None))
         uses_random[law.name] = any(
             isinstance(n, RandomExpr) or isinstance(n, Call)
             and getattr(intrinsics.get(n.func), "stochastic", False)
@@ -144,8 +152,9 @@ def check_standalone_expr(expr: Expr, schema: StateSchema):
 # --- declaration collection ---------------------------------------------------
 
 
-def _collect_records(ast: ModelAst, diags) -> dict:
+def _collect_records(ast: ModelAst, const_ctx: _Ctx) -> dict:
     names = {r.name for r in ast.records}
+    diags = const_ctx.diags
     records: dict = {}
     for r in ast.records:
         if r.name in records:
@@ -162,17 +171,24 @@ def _collect_records(ast: ModelAst, diags) -> dict:
                 continue
             seen.add(f.name)
             try:
-                fields.append((f.name, _resolve_type(f.type_, names)))
+                fields.append((f.name, _resolve_type(f.type_, names,
+                                                     const_ctx)))
             except _Fail as fail:
                 diags.append(fail.diag)
         records[r.name] = tuple(fields)
     return records
 
 
-def _collect_consts(ast: ModelAst, records, diags):
-    """Type and fold each initializer in turn; it reads only the constants
-    declared before it."""
-    ctx = _Ctx({}, {}, records, diags, "not-constant")
+def _collect_consts(ast: ModelAst, diags, params: dict) -> _Ctx:
+    """Type and fold each initializer in turn, or a param's value in
+    ``params``; it reads only the constants declared before it. Returns
+    the context that reads them all."""
+    unknown = set(params) - {c.name for c in ast.consts if c.param}
+    if unknown:
+        raise BadParamError(f"unknown parameter(s) for '{ast.name}': "
+                            f"{', '.join(sorted(unknown))}")
+    record_names = {r.name for r in ast.records}
+    ctx = _Ctx({}, {}, {}, diags, "not-constant")
     consts_td, consts_val = ctx.consts, ctx.consts_val
     for c in ast.consts:
         if c.name in consts_td:
@@ -184,22 +200,42 @@ def _collect_consts(ast: ModelAst, records, diags):
                                     f"'{c.name}' is reserved", c.loc))
             continue
         try:
-            td = _resolve_type(c.type_, set(records))
+            td = _resolve_type(c.type_, record_names, ctx)
             if td.kind not in _SCALAR_TYPE_NAMES:
                 raise _err("bad-type", "constants must be scalar", c.loc)
-            value_td = _check_expr(c.value, ctx)
-            raw = _fold_constant(c.value, consts_val,
-                                 f"initializer of constant '{c.name}'")
-            if raw is None:
-                raise _err("not-constant",
-                           f"initializer of constant '{c.name}' is not constant",
-                           c.value.loc)
-            _require_assignable(value_td, td, c.loc, f"constant '{c.name}'")
+            value = _constant(c.value, td, ctx, c)
+            if c.name in params:
+                value = _param_value(params[c.name], td, ctx, c)
             consts_td[c.name] = td
-            consts_val[c.name] = PAYLOAD_TYPES[td.kind](raw)
+            consts_val[c.name] = value
         except _Fail as fail:
             diags.append(fail.diag)
-    return consts_td, consts_val
+    return ctx
+
+
+def _constant(e: Expr, td: TypeDesc, ctx: _Ctx, c):
+    """The payload of constant ``c`` with initializer ``e`` of type ``td``."""
+    value_td = _check_expr(e, ctx)
+    raw = _fold_constant(e, ctx.consts_val,
+                         f"initializer of constant '{c.name}'")
+    if raw is None:
+        raise _err("not-constant",
+                   f"initializer of constant '{c.name}' is not constant",
+                   e.loc)
+    _require_assignable(value_td, td, c.loc, f"constant '{c.name}'")
+    return PAYLOAD_TYPES[td.kind](raw)
+
+
+def _param_value(text: str, td: TypeDesc, ctx: _Ctx, c):
+    """The payload of param ``c`` given the value ``text``, checked as its
+    initializer is; a value that is not is a BadParamError."""
+    expr, _ = parse_expression(text)
+    try:
+        if expr is not None:
+            return _constant(expr, td, ctx, c)
+    except _Fail:
+        pass
+    raise BadParamError(f"bad value for parameter '{c.name}': {text!r}")
 
 
 def _fold_constant(e: Expr, consts_val: dict, what: str):
@@ -230,7 +266,7 @@ def _collect_fields(ast: ModelAst, bound_ctx: _Ctx) -> dict:
                                     f"'{f.name}' is reserved", f.loc))
             continue
         try:
-            td = _resolve_type(f.type_, set(records))
+            td = _resolve_type(f.type_, set(records), bound_ctx)
             if f.domain is not None:
                 td = _attach_domain(td, f.domain, bound_ctx)
             fields[f.name] = td
@@ -239,22 +275,33 @@ def _collect_fields(ast: ModelAst, bound_ctx: _Ctx) -> dict:
     return fields
 
 
-def _resolve_type(t: TypeExpr, record_names: set) -> TypeDesc:
+def _resolve_type(t: TypeExpr, record_names: set, ctx: _Ctx) -> TypeDesc:
+    """The type ``t`` names; its lengths, dx and list bound are constant
+    expressions, folded in ``ctx``."""
     try:
         if t.name in _SCALAR_TYPE_NAMES:
             return TypeDesc(t.name)
-        if t.name == "vector":
-            return TypeDesc.vector(_int_arg(t.args[0], "vector length"))
-        if t.name == "cgrid":
-            length = _int_arg(t.args[0], "cgrid length")
-            dx = t.args[1].value
+        if t.name in ("vector", "cgrid"):
+            arity = 1 if t.name == "vector" else 2
+            if len(t.args) != arity:
+                raise _err("bad-type", f"{t.name} takes {arity} argument"
+                           f"{'s' if arity > 1 else ''}", t.loc)
+            length = _const_arg(t.args[0], ("int",), f"{t.name} length", ctx)
+            if length > MAX_CELLS:
+                raise _err("bad-type", f"{t.name} length must be at most "
+                           f"{MAX_CELLS}", t.loc)
+            if t.name == "vector":
+                return TypeDesc.vector(length)
+            dx = _const_arg(t.args[1], ("int", "real"), "cgrid dx", ctx)
             return TypeDesc.cgrid(length, float(dx))
         if t.name == "list":
-            elem = _resolve_type(t.args[0], record_names)
-            bound = _int_arg(t.args[1], "list bound") if len(t.args) > 1 else None
+            elem = _resolve_type(t.args[0], record_names, ctx)
+            bound = _const_arg(t.args[1], ("int",), "list bound", ctx) \
+                if len(t.args) > 1 else None
             return TypeDesc.list_of(elem, bound)
         if t.name == "pwcollection":
-            attrs = [(n, _resolve_type(ty, record_names)) for n, ty in t.attrs]
+            attrs = [(n, _resolve_type(ty, record_names, ctx))
+                     for n, ty in t.attrs]
             return TypeDesc.pwcollection(attrs)
         if t.name in record_names:
             return TypeDesc.record_ref(t.name)
@@ -263,10 +310,15 @@ def _resolve_type(t: TypeExpr, record_names: set) -> TypeDesc:
     raise _err("unknown-name", f"unknown type '{t.name}'", t.loc)
 
 
-def _int_arg(lit, what: str) -> int:
-    if lit.kind != "int":
-        raise _err("bad-type", f"{what} must be an integer literal", lit.loc)
-    return lit.value
+def _const_arg(e: Expr, kinds: tuple, what: str, ctx: _Ctx):
+    """A type argument: a constant of one of ``kinds``, folded."""
+    td = _check_expr(e, ctx)
+    raw = _fold_constant(e, ctx.consts_val, what) if td.kind in kinds \
+        else None
+    if raw is None:
+        raise _err("bad-type", f"{what} must be an {' or '.join(kinds)} "
+                   "constant", e.loc)
+    return raw
 
 
 def _attach_domain(td: TypeDesc, dom, ctx: _Ctx) -> TypeDesc:
@@ -331,20 +383,30 @@ def _check_init(ast: ModelAst, ctx: _Ctx):
 # --- statements -----------------------------------------------------------------
 
 
+def _check_block(stmts: list, ctx: _Ctx):
+    """Check statements in order; a let is visible to the statements after
+    it in its block."""
+    inner = replace(ctx, lets=dict(ctx.lets))
+    for stmt in stmts:
+        _check_stmt(stmt, inner)
+
+
 def _check_stmt(stmt, ctx: _Ctx):
     try:
         if isinstance(stmt, Assign):
             target_td = _check_target(stmt.target, ctx)
             value_td = _check_expr(stmt.value, ctx)
             _require_assignable(value_td, target_td, stmt.loc, "assignment")
+        elif isinstance(stmt, Let):
+            td = _check_expr(stmt.value, ctx)
+            _check_new_name(stmt.name, stmt.loc, ctx, "let")
+            ctx.lets[stmt.name] = td
         elif isinstance(stmt, For):
             _check_for(stmt, ctx)
         elif isinstance(stmt, If):
             _expect_bool(stmt.cond, ctx, "if condition")
-            for s in stmt.then:
-                _check_stmt(s, ctx)
-            for s in stmt.orelse:
-                _check_stmt(s, ctx)
+            _check_block(stmt.then, ctx)
+            _check_block(stmt.orelse, ctx)
         else:
             raise _err("internal", f"unknown statement {type(stmt)}", stmt.loc)
     except _Fail as fail:
@@ -359,16 +421,20 @@ def _check_for(stmt: For, ctx: _Ctx):
     if src_td.kind != "list":
         raise _err("type-mismatch", f"'for' needs a list field, got {src_td}",
                    stmt.source.loc)
-    if stmt.var in ctx.fields or stmt.var in ctx.consts or stmt.var in ctx.locals:
-        raise _err("duplicate-name",
-                   f"loop variable '{stmt.var}' shadows an existing name",
-                   stmt.loc)
-    if stmt.var in RESERVED_NAMES:
-        raise _err("reserved-name", f"'{stmt.var}' is reserved", stmt.loc)
+    _check_new_name(stmt.var, stmt.loc, ctx, "loop variable")
     stmt.source.ty = src_td
-    inner = replace(ctx, locals={**ctx.locals, stmt.var: src_td.element})
-    for s in stmt.body:
-        _check_stmt(s, inner)
+    _check_block(stmt.body, replace(ctx, locals={**ctx.locals,
+                                                 stmt.var: src_td.element}))
+
+
+def _check_new_name(name: str, loc: Loc, ctx: _Ctx, what: str):
+    """A loop variable or let may not shadow another name."""
+    if any(name in names for names in (ctx.fields, ctx.consts, ctx.locals,
+                                       ctx.lets)):
+        raise _err("duplicate-name",
+                   f"{what} '{name}' shadows an existing name", loc)
+    if name in RESERVED_NAMES:
+        raise _err("reserved-name", f"'{name}' is reserved", loc)
 
 
 def _check_target(target: Expr, ctx: _Ctx) -> TypeDesc:
@@ -377,6 +443,9 @@ def _check_target(target: Expr, ctx: _Ctx) -> TypeDesc:
         if target.id in ctx.consts:
             raise _err("assign-to-constant",
                        f"cannot assign to constant '{target.id}'", target.loc)
+        if target.id in ctx.lets:
+            raise _err("assign-to-let",
+                       f"cannot assign to let '{target.id}'", target.loc)
         if target.id in ctx.locals:
             target.ty = ctx.locals[target.id]
             return target.ty
@@ -491,6 +560,8 @@ def _infer(e: Expr, ctx: _Ctx) -> TypeDesc:
 def _lookup(e: Name, ctx: _Ctx) -> TypeDesc:
     if e.id in ctx.locals:
         return ctx.locals[e.id]
+    if e.id in ctx.lets:
+        return ctx.lets[e.id]
     if e.id in ctx.consts:
         return ctx.consts[e.id]
     if e.id in ctx.fields:
@@ -599,9 +670,13 @@ def _call_type(e: Call, ctx: _Ctx) -> TypeDesc:
     try:
         check_ctx = intrinsics.CheckContext(
             e.args, lambda ex: const_fold(ex, ctx.consts_val))
-        return intr.check(args, check_ctx)
+        td = intr.check(args, check_ctx)
     except intrinsics.IntrinsicTypeError as exc:
         raise _err("type-mismatch", f"{f}: {exc}", e.loc)
+    if td.kind == "record" and td.record not in ctx.records:
+        raise _err("unknown-name", f"{f}: the model declares no record "
+                   f"'{td.record}'", e.loc)
+    return td
 
 
 def _random_type(e: RandomExpr, ctx: _Ctx) -> TypeDesc:

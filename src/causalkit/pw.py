@@ -8,11 +8,11 @@ attributes jointly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingAttributeError, ZeroNormError
+from .errors import MissingAttributeError
 
 # Path attributes are scalars; kinds mirror the scalar state types.
 ATTR_KINDS = ("real", "int", "bool")
@@ -63,12 +63,3 @@ class PwCollection:
         if not any(name == n for n, _ in self.attr_decls):
             raise MissingAttributeError(f"no attribute '{name}'")
         return np.array([p.attrs[particle][name] for p in self.paths])
-
-    def normalize(self) -> "PwCollection":
-        """Rescale amplitudes so the squared moduli sum to one."""
-        w = self.total_weight()
-        if w <= 0.0:
-            raise ZeroNormError("cannot normalize zero-weight collection")
-        s = 1.0 / np.sqrt(w)
-        paths = tuple(replace(p, amplitude=p.amplitude * s) for p in self.paths)
-        return PwCollection(self.attr_decls, paths, normalized=True)

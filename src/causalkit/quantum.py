@@ -3,19 +3,20 @@ particle/wave collection operations, and a toy cellular-automaton world.
 
 Importing this module registers the corresponding CML intrinsics
 (schrodinger_step, pw_propagate, pw_interact, pw_detect, ca_step,
-gauss_packet, fill).
+gauss_packet, fill, two_slit, pw_spins, pw_spin, ca_world).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from . import intrinsics
 from .errors import (
+    EvalError,
     MissingAttributeError,
     PositionOutOfBinsError,
     SolveError,
@@ -91,7 +92,14 @@ def grid_coordinates(n: int, dx: float) -> np.ndarray:
 # one, a potential that alternates between two values two.
 CN_CACHE_SIZE = 8
 
-_gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(1, complex),))
+
+@functools.cache
+def _gt_lapack():
+    """LAPACK ``gttrf`` and ``gttrs``, imported on first use: importing
+    scipy.linalg takes about half of a cold ``import causalkit.cli``, and
+    only the Crank-Nicolson solve needs it."""
+    from scipy.linalg.lapack import get_lapack_funcs
+    return get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(1, complex),))
 
 
 def _cyclic_solver(diag, off, corner):
@@ -116,12 +124,13 @@ def _cyclic_solver(diag, off, corner):
             except np.linalg.LinAlgError as exc:
                 raise SolveError(str(exc))
         return solve_dense
+    gttrf, gttrs = _gt_lapack()
     gamma = -diag[0]
     dmod = diag.astype(complex)
     dmod[0] -= gamma
     dmod[-1] -= corner * corner / gamma
     band = np.full(n - 1, off, dtype=complex)
-    dl, d, du, du2, ipiv, info = _gttrf(band, dmod, band)
+    dl, d, du, du2, ipiv, info = gttrf(band, dmod, band)
     if info != 0:
         raise SolveError("singular matrix")
     if not np.isfinite(d).all():
@@ -129,14 +138,14 @@ def _cyclic_solver(diag, off, corner):
     u = np.zeros(n, dtype=complex)
     u[0] = gamma
     u[-1] = corner
-    z, _ = _gttrs(dl, d, du, du2, ipiv, u)
+    z, _ = gttrs(dl, d, du, du2, ipiv, u)
     ratio = corner / gamma
     denom = 1.0 + (z[0] + ratio * z[-1])
     if denom == 0:
         raise SolveError("singular cyclic system")
 
     def solve(rhs):
-        y, _ = _gttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
+        y, _ = gttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
         return y - z * ((y[0] + ratio * y[-1]) / denom)
     return solve
 
@@ -197,6 +206,35 @@ def discrete_hamiltonian(n: int, dx: float, potential, mass: float = 1.0,
 
 
 # --- particle/wave collections -----------------------------------------------------
+
+
+def two_slit(bins: int, half_width: float, separation: float,
+             distance: float, wavenumber: float) -> PwCollection:
+    """The two-path collection of a double slit: for each of ``bins``
+    screen bins on [-half_width, half_width], one path through each slit.
+
+    The phase of each alternative is wavenumber times the straight-line
+    length from the slit to the bin center; moduli are equal.
+    """
+    edges = np.linspace(-half_width, half_width, bins + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    slit_y = np.array([-0.5 * separation, 0.5 * separation])
+    lengths = np.sqrt(distance ** 2
+                      + (centers[None, :] - slit_y[:, None]) ** 2)
+    amps = (np.exp(1j * wavenumber * lengths) / math.sqrt(2 * bins)).tolist()
+    paths = tuple(PwPath(({"slit": s, "position": c},), amps[s][b])
+                  for b, c in enumerate(centers.tolist()) for s in range(2))
+    return PwCollection((("slit", "int"), ("position", "real")), paths,
+                        normalized=True)
+
+
+def pw_spins(paths) -> PwCollection:
+    """Equal-amplitude paths, each giving one spin per particle."""
+    amp = complex(1.0 / math.sqrt(len(paths)))
+    return PwCollection((("spin", "int"),),
+                        tuple(PwPath(tuple({"spin": s} for s in spins), amp)
+                              for spins in paths),
+                        normalized=True)
 
 
 def pw_propagate(pw: PwCollection, dt: float,
@@ -332,6 +370,15 @@ def ca_step(world: CaWorld) -> CaWorld:
     return CaWorld(phi1, tuple(moved), world.alpha)
 
 
+def ca_world(cells: int, alpha: float) -> CaWorld:
+    """A zero field and two particles approaching head-on; on a 10-cell
+    ring they meet after three steps."""
+    return CaWorld(np.zeros(cells),
+                   (CaParticle(id=1, pos=2 % cells, vel=1),
+                    CaParticle(id=2, pos=8 % cells, vel=-1)),
+                   alpha=alpha)
+
+
 # --- value marshalling -----------------------------------------------------------
 
 
@@ -358,7 +405,8 @@ def ca_world_from_value(v: VRecord) -> CaWorld:
 # --- intrinsic registration ----------------------------------------------------------
 
 
-# the largest grid gauss_packet and fill build: 16 MiB of complex cells
+# the longest vector or cgrid, and the most cells or bins an intrinsic
+# builds: 16 MiB of complex cells
 MAX_CELLS = 2 ** 20
 
 
@@ -367,9 +415,10 @@ def _want(cond: bool, msg: str):
         raise IntrinsicTypeError(msg)
 
 
-def _want_cells(n):
-    _want(isinstance(n, int) and n >= 1, "n must be a positive int literal")
-    _want(n <= MAX_CELLS, f"n must be at most {MAX_CELLS} cells")
+def _want_cells(n, name: str = "n", least: int = 1):
+    _want(isinstance(n, int) and n >= least,
+          f"{name} must be an int constant >= {least}")
+    _want(n <= MAX_CELLS, f"{name} must be at most {MAX_CELLS} cells")
 
 
 def _is_real(td) -> bool:
@@ -477,6 +526,61 @@ def _impl_fill(args, env):
     return VVector(np.full(args[0], float(args[1])))
 
 
+def _check_two_slit(args, ctx):
+    _want(args[0].kind == "int", "bins must be int")
+    _want(all(_is_real(td) for td in args[1:]),
+          "halfwidth, separation, distance and k must be real")
+    _want_cells(ctx.fold(0), "bins", 2)
+    return TypeDesc.pwcollection([("slit", TypeDesc.int_()),
+                                  ("position", TypeDesc.real())])
+
+
+def _impl_two_slit(args, env):
+    bins, *lengths = args
+    return VPw(two_slit(bins, *map(float, lengths)))
+
+
+def _check_pw_spins(args, ctx):
+    td = args[0]
+    _want(td.kind == "list" and td.element.kind == "list"
+          and td.element.element.kind == "int",
+          "argument must be a list of int lists, one per path")
+    return TypeDesc.pwcollection([("spin", TypeDesc.int_())])
+
+
+def _impl_pw_spins(args, env):
+    return VPw(pw_spins([spins.items for spins in args[0].items]))
+
+
+def _check_pw_spin(args, ctx):
+    _want(args[0].kind == "pwcollection"
+          and ("spin", "int") in ((n, t.kind) for n, t in args[0].attrs),
+          "first argument must be a pw collection with a 'spin: int'")
+    _want(args[1].kind == "int", "particle must be int")
+    return TypeDesc.int_()
+
+
+def _impl_pw_spin(args, env):
+    pw, i = args[0].pw, args[1]
+    if pw.n_paths != 1:
+        raise EvalError(f"pw_spin needs one path, got {pw.n_paths}")
+    particles = pw.paths[0].attrs
+    if not 0 <= i < len(particles):
+        raise EvalError(f"particle {i} out of range ({len(particles)})")
+    return particles[i]["spin"]
+
+
+def _check_ca_world(args, ctx):
+    _want(args[0].kind == "int", "cells must be int")
+    _want(_is_real(args[1]), "alpha must be real")
+    _want_cells(ctx.fold(0), "cells", 3)
+    return TypeDesc.record_ref("CaWorld")
+
+
+def _impl_ca_world(args, env):
+    return ca_world_to_value(ca_world(args[0], float(args[1])))
+
+
 def _register_all():
     for name, arity, stochastic, check, impl in (
         ("schrodinger_step", 5, False, _check_schrodinger, _impl_schrodinger),
@@ -486,6 +590,10 @@ def _register_all():
         ("ca_step", 1, False, _check_ca_step, _impl_ca_step),
         ("gauss_packet", 5, False, _check_gauss_packet, _impl_gauss_packet),
         ("fill", 2, False, _check_fill, _impl_fill),
+        ("two_slit", 5, False, _check_two_slit, _impl_two_slit),
+        ("pw_spins", 1, False, _check_pw_spins, _impl_pw_spins),
+        ("pw_spin", 2, False, _check_pw_spin, _impl_pw_spin),
+        ("ca_world", 2, False, _check_ca_world, _impl_ca_world),
     ):
         intrinsics.register(Intrinsic(name, arity, stochastic, check, impl))
 

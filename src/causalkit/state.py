@@ -308,11 +308,6 @@ class SystemState:
     def get(self, name: str):
         return self.values[name]
 
-    def with_updates(self, updates: dict, time: float | None = None) -> "SystemState":
-        values = dict(self.values)
-        values.update(updates)
-        return SystemState(self.schema, self.time if time is None else time, values)
-
 
 def make_initial_state(schema: StateSchema, assignments: dict) -> SystemState:
     """Build the time-0 state from a complete set of field assignments."""

@@ -353,17 +353,18 @@ def test_criterion_10_frontend_robustness(capsys):
             line, col = location.rstrip(":").split(":")[:2]
             assert int(line) >= 1 and int(col) >= 1, path.name
 
-        # every bundled .cml source parses, typechecks, and runs
+        # every bundled .cml source parses, typechecks, and runs: seven
+        # models, double_slit with one source per detector setting
         models_dir = Path(__file__).parents[1] / "src" / "causalkit" / "models"
         sources = sorted(models_dir.glob("*.cml"))
-        assert len(sources) == 4
+        assert len(sources) == 8
         for path in sources:
             model = load_model(path.read_text())
             state = build_initial_state(model)
             trace = run(model, state,
                         RunConfig(dt=model.default_timestep, max_steps=20))
             assert not trace.termination.is_error, path.name
-        # and every bundled model (native ones included) runs via the CLI
+        # and every bundled model runs via the CLI
         for name in ("counter", "free_particle", "harmonic_oscillator",
                      "schrodinger_1d", "double_slit", "entangled_pair",
                      "qftca_toy"):

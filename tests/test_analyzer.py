@@ -10,6 +10,7 @@ from causalkit import (
     check_completeness,
     check_consistency,
     load_model,
+    make_initial_state,
     report_to_json,
     run,
     sample_state,
@@ -19,7 +20,7 @@ from causalkit import (
 )
 from causalkit.analyzer import enumerate_states
 from causalkit.engine import eval_guard
-from causalkit.errors import MissingFieldError
+from causalkit.errors import EnumerationCapError, MissingFieldError
 
 from conftest import BROKEN, FIXTURES, typed
 
@@ -182,8 +183,12 @@ class TestCompleteness:
         # init.time + k*dt, not ten accumulated additions of 0.1
         assert verdict.witness.time == witness.time == 10 * 0.1
 
-    def test_trace_starts_from_the_given_state(self):
-        model, state = build_bundled_model("double_slit")
+    def test_trace_starts_from_the_given_state(self, load_fixture_model):
+        # the fixture's init leaves the path collection unset
+        model = load_fixture_model("double_slit.cml")
+        _, bundled = build_bundled_model("double_slit")
+        state = make_initial_state(model.schema, {"pw": bundled.values["pw"],
+                                                  "detected": -1})
         strategy = CheckStrategy("trace", runs=2, steps_per_run=5)
         with pytest.raises(MissingFieldError):
             check_completeness(model, strategy)
@@ -221,6 +226,29 @@ class TestAnalyze:
         assert "psi" in notes and "unsampleable" in notes
         assert "downgraded to trace" in notes
         assert report.consistency.status == "pass"
+
+    def test_non_toolkit_exception_in_a_guard_propagates(self,
+                                                         load_fixture_model):
+        # an error verdict is for toolkit errors; anything else is a bug
+        model = load_fixture_model("partition.cml")
+
+        def broken_guard(state):
+            raise RuntimeError("bug in a guard")
+        object.__setattr__(model.laws[0], "compiled_guard", broken_guard)
+        with pytest.raises(RuntimeError, match="bug in a guard"):
+            analyze(model, CheckStrategy("sample", count=10, seed=1))
+
+    def test_enumeration_cap_is_an_error_verdict(self):
+        model = load_model(
+            "model big { state { a: int in [0, 999]; b: int in [0, 999]; "
+            "c: int in [0, 1]; } init { a = 0; b = 0; c = 0; } "
+            "law L { when c == 0; then { } } law M { when c == 1; then { } } }")
+        with pytest.raises(EnumerationCapError):
+            list(enumerate_states(model))
+        report = analyze(model, CheckStrategy("enumerate"))
+        for verdict in (report.consistency, report.completeness):
+            assert (verdict.status, verdict.message) \
+                == ("error", "enumeration exceeds 1000000 states")
 
     def test_intrinsic_inventory(self):
         model, _ = build_bundled_model("schrodinger_1d")

@@ -79,19 +79,6 @@ class TestDoubleSlit:
         assert pw.total_weight() == pytest.approx(1.0, abs=1e-9)
         assert pw.n_paths == 128
 
-    def test_committed_source_fixture_in_sync(self):
-        # the committed double_slit.cml fixture is the rendered default
-        # template; drift between them fails here
-        from pathlib import Path
-        from causalkit.bundled import _DOUBLE_SLIT_OFF
-        fixture = (Path(__file__).parent / "fixtures"
-                   / "double_slit.cml").read_text()
-        rendered = _DOUBLE_SLIT_OFF.format(bins=64, last_bin=63,
-                                           lo=-60.0, hi=60.0)
-        body = "\n".join(line for line in fixture.splitlines()
-                         if not line.startswith("//"))
-        assert body.strip() == rendered.strip()
-
     def test_branchable_detection(self):
         model, state = build_bundled_model("double_slit", {"bins": "8"})
         tree = branch_run(model, state, RunConfig(dt=1.0, max_steps=5),

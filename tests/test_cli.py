@@ -301,12 +301,12 @@ class TestUsageErrors:
         assert code == 0
         assert out.splitlines()[1].split(",")[1] == "20"
 
-    def test_param_on_file_model_rejected(self, capsys):
+    def test_unknown_param_on_file_model_exit_1(self, capsys):
         code, _, err = invoke(
             ["run", str(FIXTURES / "guard_true.cml"), "--param", "a=1"],
             capsys)
         assert code == 1
-        assert "builtin" in err
+        assert err == "error: unknown parameter(s) for 'guard_true': a\n"
 
     def test_unknown_builtin_exit_1(self, capsys):
         code, _, err = invoke(["run", "builtin:nope"], capsys)

@@ -197,18 +197,30 @@ class TestTypecheck:
             == [("bad-constant", "domain bound: division by zero", 35)]
 
     @pytest.mark.parametrize("field, call, col", [
-        ("vector(100000000000)", "fill(100000000000, 0.0)", 57),
-        ("cgrid(100000000000, 0.5)", "gauss_packet(100000000000, 0.5, 0.0, "
-         "1.0, 0.0)", 61),
+        ("vector(8)", "fill(100000000000, 0.0)", 46),
+        ("cgrid(8, 0.5)", "gauss_packet(100000000000, 0.5, 0.0, "
+         "1.0, 0.0)", 50),
     ], ids=["fill", "gauss_packet"])
     def test_grid_literal_above_the_cap_is_rejected(self, field, call, col):
-        # rejected by the typechecker, before anything is allocated
+        # rejected by the typechecker, before anything is allocated (the
+        # field is short: a field type over the cap is rejected first)
         f = call.split("(")[0]
         assert self.errors(
             f"model m {{ state {{ g: {field}; }} init {{ g = {call}; }} "
             "law L { when true; then { } } }") \
             == [("type-mismatch", f"{f}: n must be at most 1048576 cells",
                  col)]
+
+    @pytest.mark.parametrize("ty, message, col", [
+        ("vector(1048577)", "vector length", 46),
+        ("cgrid(n + 1, 0.5)", "cgrid length", 46),
+        ("list(vector(n + 1))", "vector length", 51),
+    ], ids=["vector", "cgrid", "list-item"])
+    def test_field_length_above_the_cap_is_rejected(self, ty, message, col):
+        assert self.errors(
+            f"model m {{ const n: int = 1048576; state {{ g: {ty}; }} "
+            "init { } law L { when true; then { } } }") \
+            == [("bad-type", f"{message} must be at most 1048576", col)]
 
     def test_grid_literal_at_the_cap_typechecks(self):
         typed, diags = self.check(

@@ -60,6 +60,10 @@ CALLS = {
     "gauss_packet": ("gauss_packet(8, 0.5, 0.0, 1.0)",
                      "gauss_packet(8.0, 0.5, 0.0, 1.0, 0.0)"),
     "fill": ("fill(8)", "fill(8, z)"),
+    "two_slit": ("two_slit(8, r, r, r)", "two_slit(8, r, r, r, b)"),
+    "pw_spins": ("pw_spins()", "pw_spins(li)"),
+    "pw_spin": ("pw_spin(pw)", "pw_spin(pw, 0)"),
+    "ca_world": ("ca_world(8)", "ca_world(8, b)"),
 }
 
 

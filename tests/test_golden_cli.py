@@ -41,6 +41,22 @@ DETECTOR_BRANCH = ("branch", "builtin:double_slit", "--param", "detector=on",
 # the tree the benchmark's `branch` workload encodes: 1.9 MB, width-pruned
 WALK_PRUNED = ("branch", "tests/fixtures/walk.cml", "--depth", "24",
                "--width", "64", "--steps", "25", "--seed", "1")
+# the bundled models with parameters, pinned before they became .cml files
+SLIT_OFF_BRANCH = ("branch", "builtin:double_slit", "--param", "bins=8",
+                   "--depth", "2")
+SLIT_ALL_PARAMS = ("branch", "builtin:double_slit", "--param", "detector=on",
+                   "--param", "bins=4", "--param", "halfwidth=30",
+                   "--param", "separation=2.5", "--param", "distance=80",
+                   "--param", "k=3.5", "--depth", "4")
+QFTCA_PARAMS = ("branch", "builtin:qftca_toy", "--param", "cells=5",
+                "--param", "alpha=0.35", "--steps", "3")
+SLIT_K_HISTOGRAM = ("histogram", "builtin:double_slit", "--param", "bins=16",
+                    "--param", "k=3.0", "--observables", "detected",
+                    "--trials", "500", "--seed", "4")
+SLIT_ANALYZE = ("analyze", "builtin:double_slit", "--runs", "2", "--steps",
+                "5")
+QFTCA_ANALYZE = ("analyze", "builtin:qftca_toy", "--runs", "2", "--steps",
+                 "5")
 NAMED = {
     ENERGY_RUN: "run builtin:harmonic_oscillator energy",
     OVERLAP_SAMPLE: "analyze tests/fixtures/overlap.cml sample",
@@ -49,6 +65,12 @@ NAMED = {
     FALLIBLE_DEPTH5: "branch tests/fixtures/fallible.cml depth 5",
     DETECTOR_BRANCH: "branch builtin:double_slit detector on",
     WALK_PRUNED: "branch tests/fixtures/walk.cml pruned",
+    SLIT_OFF_BRANCH: "branch builtin:double_slit detector off",
+    SLIT_ALL_PARAMS: "branch builtin:double_slit every parameter",
+    QFTCA_PARAMS: "branch builtin:qftca_toy cells and alpha",
+    SLIT_K_HISTOGRAM: "histogram builtin:double_slit bins and k",
+    SLIT_ANALYZE: "analyze builtin:double_slit",
+    QFTCA_ANALYZE: "analyze builtin:qftca_toy",
 }
 
 # argv of each pinned invocation; .cml paths are relative to the repo root
@@ -117,6 +139,12 @@ INVOCATIONS = (
     # a potential that alternates every step: two Crank-Nicolson operators
     ("run", "tests/fixtures/toggle_well.cml", "--dt", "0.05", "--steps", "40",
      "--record-every", "8", "--observables", "k,sum(V),psi[0],psi[32]"),
+    SLIT_OFF_BRANCH,
+    SLIT_ALL_PARAMS,
+    QFTCA_PARAMS,
+    SLIT_K_HISTOGRAM,
+    SLIT_ANALYZE,
+    QFTCA_ANALYZE,
 )
 
 

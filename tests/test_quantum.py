@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +226,22 @@ class TestCachedOperator:
         # is regular, the rank-one update makes it singular (1 + v.z == 0)
         with pytest.raises(SolveError, match="singular cyclic system"):
             quantum._cyclic_solver(np.full(n, 2.0 + 0j), -1 + 0j, -1 + 0j)
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg is loaded by the first Crank-Nicolson operator, not at
+    # import: only models that call schrodinger_step pay for it
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, causalkit.cli\n"
+             "print('scipy.linalg' in sys.modules)\n"
+             "from causalkit.cli import main\n"
+             "main(['run', 'builtin:schrodinger_1d', '--steps', '1', "
+             "'--out', '/dev/null'])\n"
+             "print('scipy.linalg' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.split() == ["False", "True"]
 
 
 def one_particle_pw(paths):
