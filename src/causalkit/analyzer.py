@@ -150,14 +150,15 @@ def enumerate_states(model: CausalModel):
 
 
 def _sampled_states(model: CausalModel, strategy: CheckStrategy):
+    rng = RngStream(0)   # re-keyed per state: the words of a new stream
     for i in range(strategy.count):
-        rng = RngStream(derive_seed(strategy.seed, i))
+        rng.rekey(derive_seed(strategy.seed, i))
         yield sample_state(model.schema, rng)
 
 
 def _sampled_start(model: CausalModel, run_idx: int,
-                   strategy: CheckStrategy) -> SystemState:
-    rng = RngStream(derive_seed(strategy.seed, run_idx))
+                   strategy: CheckStrategy, rng: RngStream) -> SystemState:
+    rng.rekey(derive_seed(strategy.seed, run_idx))
     for _ in range(_REJECTION_TRIES):
         s = sample_state(model.schema, rng)
         if validstate(model, s):
@@ -174,8 +175,10 @@ def _trace_runs(model: CausalModel, strategy: CheckStrategy, mode: str,
     can_sample = not unsampleable_fields(model)
     if not can_sample and init is None:
         init = build_initial_state(model)
+    rng = RngStream(0)
     for r in range(strategy.runs):
-        start = _sampled_start(model, r, strategy) if can_sample else init
+        start = (_sampled_start(model, r, strategy, rng) if can_sample
+                 else init)
         cfg = RunConfig(dt=model.default_timestep,
                         max_steps=strategy.steps_per_run,
                         seed=derive_seed(strategy.seed ^ 0x7472616365, r),
@@ -259,12 +262,13 @@ def check_completeness(model: CausalModel, strategy: CheckStrategy,
               else _sampled_states(model, strategy))
     checked = 0
     found_valid = False
+    rng = RngStream(0)
     for i, s in enumerate(states):
         hits = [law for law in model.laws if eval_guard(law, s)]
         if not hits:
             continue
         found_valid = True
-        rng = RngStream(derive_seed(strategy.seed ^ 0x6F7574, i))
+        rng.rekey(derive_seed(strategy.seed ^ 0x6F7574, i))
         out = apply_law(hits[0], s, model.default_timestep, rng)
         checked += 1
         if not halts(model, out) and not validstate(model, out):

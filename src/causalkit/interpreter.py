@@ -8,6 +8,8 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .engine import (
     CausalModel,
     apply_law,
@@ -23,7 +25,7 @@ from .errors import (
     NoApplicableLawError,
     SinkError,
 )
-from .rng import RngStream, derive_seed
+from .rng import RngStream, WordBlocks, categorical_indices, derive_seeds
 from .state import SystemState, state_to_json
 
 # --- configuration and traces ---------------------------------------------------
@@ -309,6 +311,13 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
 
 # --- ensemble execution -------------------------------------------------------------
 
+# Trials routed through the memo and the tries together; a batch's results
+# are kept until it is yielded, so memory is O(_BATCH) past the memo.
+_BATCH = 4096
+# Smaller groups at a trie node finish trial by trial: the node's array
+# operations cost more than that many walks on a trial's own stream.
+_MIN_GROUP = 8
+
 
 class _Draw:
     """Outcome-trie node: what a law application does after one prefix of
@@ -318,12 +327,25 @@ class _Draw:
     or normal value there, so every trial reaching it executes for real.
     """
 
-    __slots__ = ("probs", "children", "post")
+    __slots__ = ("probs", "cum", "children", "post")
 
     def __init__(self):
         self.probs = None
+        self.cum = None            # np.cumsum(probs), once a batch walks here
         self.children: dict = {}   # outcome index -> _Draw
         self.post: SystemState | None = None
+
+
+def _partition(picks: np.ndarray, rows: np.ndarray) -> list:
+    """(outcome, rows that picked it) pairs, rows kept in their order."""
+    first = picks[0]
+    if (picks == first).all():
+        return [(int(first), rows)]
+    order = np.argsort(picks, kind="stable")
+    picked, rows = picks[order], rows[order]
+    cuts = (np.flatnonzero(picked[1:] != picked[:-1]) + 1).tolist()
+    return [(int(picked[a]), rows[a:b])
+            for a, b in zip([0] + cuts, cuts + [len(rows)])]
 
 
 class _Entry:
@@ -362,10 +384,8 @@ class Ensemble:
         self.memo: dict = {}
 
     def __iter__(self):
-        stream = RngStream(0)
-        for t in range(self.trials):
-            stream.rekey(derive_seed(self.cfg.seed, t))
-            yield self._trial(stream)
+        for first in range(0, self.trials, _BATCH):
+            yield from self._batch(first, min(_BATCH, self.trials - first))
 
     def _entry(self, s: SystemState) -> _Entry | None:
         entry = self.memo.get(id(s))
@@ -373,14 +393,105 @@ class Ensemble:
             entry = self.memo[id(s)] = _Entry(s, halts(self.model, s))
         return entry
 
-    def _trial(self, stream: RngStream, rows: list | None = None):
-        """One trial from the initial state, drawing from ``stream``: the
-        halt -> max-steps -> step loop of every run. Returns (termination,
-        final state); appends a TraceRow to ``rows``, if given, at step 0
-        and every record_every steps."""
+    def _batch(self, first: int, n: int) -> list:
+        """The (termination, final state) pairs of trials ``first`` to
+        ``first + n - 1``, in trial order.
+
+        The trials are routed through the memo and the outcome tries
+        together: a group of trials at one shared state takes the entry's
+        halt and max-steps exits at once, and at a trie node one
+        ``searchsorted`` of the node's cumulative probabilities picks
+        every trial's outcome from its own next word. A trial whose group
+        meets work not yet shared (a full memo, an entry with no selected
+        law, an unexplored or live node), or is one of fewer than
+        _MIN_GROUP at a node, finishes in ``_trial``, resumed at its
+        group's state.
+        """
+        cfg = self.cfg
+        keys = derive_seeds(cfg.seed, np.arange(first, first + n,
+                                                dtype=np.uint64))
+        words = WordBlocks(keys)
+        out: list = [None] * n
+        stream = RngStream(0)
+
+        def finish(s, steps, pos, rows):
+            """Run trials ``rows`` on from state ``s``, reached after
+            ``steps`` steps and ``pos`` words, each on its own stream."""
+            words.retire(rows)
+            for i in rows.tolist():
+                stream.rekey(int(keys[i]))
+                for _ in range(pos):
+                    stream.raw64()
+                out[i] = self._trial(stream, s=s, steps=steps)
+
+        def settle(rows, result):
+            words.retire(rows)
+            for i in rows.tolist():
+                out[i] = result
+
+        # groups of trials at one shared state: (state, steps taken, words
+        # drawn, trial rows); every trial at a state took the same path.
+        # First in, first out, so the groups move on step by step and ask
+        # for the same few blocks of words.
+        todo = deque([(self.init, 0, 0, np.arange(n))])
+        while todo:
+            s, steps, pos, rows = todo.popleft()
+            try:
+                entry = self._entry(s)
+            except _STEP_ERRORS:   # the halt check fails on every trial
+                entry = None
+            if entry is not None and entry.halts:
+                settle(rows, (Termination("halted"), s))
+                continue
+            if entry is not None and steps >= cfg.max_steps:
+                settle(rows, (Termination("max-steps"), s))
+                continue
+            if entry is None or entry.law is None:
+                # with no entry every trial runs on alone; with no law the
+                # first trial selects it, and the rest follow unless the
+                # selection failed
+                finish(s, steps, pos, rows[:1])
+                if entry is None or entry.law is None:
+                    finish(s, steps, pos, rows[1:])
+                else:
+                    todo.append((s, steps, pos, rows[1:]))
+                continue
+            nodes = [(entry.root, pos, rows)]
+            while nodes:
+                node, p, rows = nodes.pop()
+                while node.post is None and node.probs is None and len(rows):
+                    # unexplored or live: trials execute it one at a time
+                    # until one records what it does
+                    finish(s, steps, pos, rows[:1])
+                    rows = rows[1:]
+                if not len(rows):
+                    continue
+                if node.post is not None:
+                    todo.append((node.post, steps + 1, p, rows))
+                elif len(rows) < _MIN_GROUP:
+                    finish(s, steps, pos, rows)
+                else:
+                    if node.cum is None:
+                        node.cum = np.cumsum(node.probs)
+                    picks = categorical_indices(node.cum,
+                                                words.uniform01(rows, p))
+                    for k, part in _partition(picks, rows):
+                        child = node.children.get(k)
+                        if child is None:
+                            child = node.children[k] = _Draw()
+                        nodes.append((child, p + 1, part))
+        return out
+
+    def _trial(self, stream: RngStream, rows: list | None = None,
+               s: SystemState | None = None, steps: int = 0):
+        """One trial drawing from ``stream``: the halt -> max-steps -> step
+        loop of every run, from the initial state or, resumed, from the
+        shared state ``s`` reached after ``steps`` steps. Returns
+        (termination, final state); appends a TraceRow to ``rows``, if
+        given, at step 0 and every record_every steps."""
         model, cfg, init = self.model, self.cfg, self.init
-        s = init
-        steps = 0
+        if s is None:
+            s = init
         shared = True   # s is the initial state or a trie leaf
         try:
             if rows is not None:

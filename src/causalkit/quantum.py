@@ -296,6 +296,9 @@ def pw_detect(pw: PwCollection, bin_edges, rng, coherent: bool = True) -> int:
     edges = np.asarray(bin_edges, dtype=float)
     if len(edges) < 2:
         raise ValueError("need at least two bin edges")
+    if not edges[0] < edges[-1]:
+        raise PositionOutOfBinsError(
+            f"empty detection range [{edges[0]}, {edges[-1]}]")
     positions = pw.attr_array("position")
     if np.any(positions < edges[0]) or np.any(positions > edges[-1]):
         raise PositionOutOfBinsError(

@@ -5,6 +5,11 @@ words to uniforms and normals is fixed here (not delegated to numpy's
 Generator methods) so that a seed produces bit-identical draw sequences
 everywhere. The committed fixture ``tests/fixtures/rng_vectors.json`` pins
 the word stream and the seed-derivation hash.
+
+``derive_seeds`` and ``WordBlocks`` compute the same seeds and words for
+many trials at once with numpy array arithmetic (Philox is counter-based,
+so any block of any stream can be computed directly: Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _BUFFER_WORDS = 256
+_MASK32 = np.uint64(0xFFFFFFFF)
+_KEPT_BLOCKS = 4   # WordBlocks holds at most this many blocks per key
 
 
 def splitmix64(z: int) -> int:
@@ -33,6 +40,107 @@ def derive_seed(base_seed: int, index: int) -> int:
     but fully reproducible from the base seed.
     """
     return splitmix64((int(base_seed) ^ ((index + 1) * _GOLDEN)) & _MASK64)
+
+
+def derive_seeds(base_seed: int, indices) -> np.ndarray:
+    """``derive_seed(base_seed, i)`` for every i of ``indices``, as uint64
+    (array products wrap modulo 2^64, as the scalar hash masks them)."""
+    idx = np.atleast_1d(np.asarray(indices, dtype=np.uint64))
+    z = np.uint64(int(base_seed) & _MASK64) ^ (
+        (idx + np.uint64(1)) * np.uint64(_GOLDEN))
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+# The two Philox multipliers as a column, so that one array product
+# serves both lanes of a round.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]],
+                     dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]],
+                     dtype=np.uint64)
+_M_LO, _M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> 32
+
+
+def _mulhilo(x: np.ndarray):
+    """High and low words of the 128-bit products ``_PHILOX_M * x``, from
+    32-bit limbs (uint64 array products wrap, so the low word is the plain
+    product)."""
+    x_lo, x_hi = x & _MASK32, x >> 32
+    t = x_hi * _M_LO
+    t += (x_lo * _M_LO) >> 32
+    w = x_lo * _M_HI
+    w += t & _MASK32
+    hi = x_hi * _M_HI
+    hi += t >> 32
+    hi += w >> 32
+    return hi, x * _PHILOX_M
+
+
+def philox_block(keys: np.ndarray, block: int) -> np.ndarray:
+    """Words ``4*block`` to ``4*block + 3`` of ``RngStream(key)`` for every
+    uint64 key, one row per key: Philox4x64-10 with key [key, 0] on the
+    counter [block + 1, 0, 0, 0] (numpy's Philox steps its counter before
+    each block)."""
+    n = len(keys)
+    # lanes: x holds counter words 0 and 2, y words 1 and 3
+    x = np.zeros((2, n), dtype=np.uint64)
+    x[0] = block + 1
+    y = np.zeros((2, n), dtype=np.uint64)
+    key = np.zeros((2, n), dtype=np.uint64)
+    key[0] = keys
+    for r in range(10):
+        if r:
+            key += _PHILOX_W
+        hi, lo = _mulhilo(x)
+        # c0 = hi1 ^ c1 ^ k0, c2 = hi0 ^ c3 ^ k1; c1 = lo1, c3 = lo0
+        x = hi[::-1]
+        x ^= y
+        x ^= key
+        y = lo[::-1]
+    return np.stack([x[0], y[0], x[1], y[1]], axis=1)
+
+
+class WordBlocks:
+    """The word streams of many keys at once: word ``pos`` of
+    ``RngStream(keys[i])`` for chosen rows i, where each row asks for its
+    words in order. A 4-word block is computed the first time any row asks
+    for one of its words, for every row not yet retired, and kept while it
+    is one of the newest ``_KEPT_BLOCKS``; a row that lags further behind
+    gets its older block computed again."""
+
+    def __init__(self, keys: np.ndarray):
+        self.keys = keys
+        self.drawing = np.ones(len(keys), dtype=bool)
+        self._blocks: dict = {}   # block -> words, one row per key
+        self._newest = -1
+
+    def retire(self, rows) -> None:
+        """Rows that will ask for no more words."""
+        self.drawing[rows] = False
+
+    def uniform01(self, rows: np.ndarray, pos: int) -> np.ndarray:
+        """``RngStream.uniform01`` of word ``pos`` for each row."""
+        block, word = divmod(pos, 4)
+        words = self._blocks.get(block)
+        if words is None and block <= self._newest:   # dropped
+            words = philox_block(self.keys[rows], block)
+            rows = slice(None)
+        elif words is None:
+            drawing = np.flatnonzero(self.drawing)
+            words = self._blocks[block] = np.empty((len(self.keys), 4),
+                                                   dtype=np.uint64)
+            words[drawing] = philox_block(self.keys[drawing], block)
+            self._newest = block
+            self._blocks.pop(block - _KEPT_BLOCKS, None)
+        return (words[rows, word] >> 11) * 2.0**-53
+
+
+def categorical_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``RngStream.categorical`` for many uniforms at once, given the
+    cumulative sum of its probability vector: the first index whose
+    cumulative probability exceeds u, or the last index."""
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
 
 
 class RngStream:

@@ -3,6 +3,7 @@
 Run with:  pytest -v -s tests/test_acceptance.py
 """
 
+import hashlib
 import io
 import json
 import math
@@ -89,6 +90,17 @@ def detection_histogram(detector: str, trials: int, seed: int) -> np.ndarray:
     return counts
 
 
+# SHA-256 of the int64 little-endian count vectors of criterion 1
+FRINGES_OFF_SHA256 = \
+    "8a105b27162b6ed0bd7ebb07754a6694a040b86912fe3ea54ae5126f4083a64c"
+FRINGES_ON_SHA256 = \
+    "51be4cbc39e6d880bf0eda818841e3f54bc6b4485700ea7f13123cb14a23da21"
+
+
+def counts_digest(counts: np.ndarray) -> str:
+    return hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
+
+
 def visibility(counts: np.ndarray) -> float:
     central = counts[CENTRAL]
     return (central.max() - central.min()) / (central.max() + central.min())
@@ -110,6 +122,10 @@ def test_criterion_1_interference_rule():
         assert l1_off < 0.05, f"coherent L1 {l1_off:.4f}"
         assert l1_on < 0.05, f"marked L1 {l1_on:.4f}"
         assert elapsed < 60.0, f"runtime {elapsed:.1f}s"
+        # the exact counts, so every trial of the flagship ensemble is
+        # pinned bit for bit, not only its statistics
+        assert counts_digest(off) == FRINGES_OFF_SHA256
+        assert counts_digest(on) == FRINGES_ON_SHA256
         print(f"  [visibility off={vis_off:.3f} on={vis_on:.3f}; "
               f"L1 off={l1_off:.4f} on={l1_on:.4f}; {elapsed:.1f}s]")
 

@@ -251,6 +251,30 @@ class TestHistogram:
         assert len(rows) == 4
         assert sum(int(r.split(",")[1]) for r in rows) == 300
 
+    @pytest.mark.parametrize("halfwidth, shown", [("0", "[0.0, 0.0]"),
+                                                  ("-1", "[1.0, -1.0]")])
+    def test_degenerate_screen_is_an_eval_error(self, capsys, halfwidth,
+                                                shown):
+        code, out, err = invoke(
+            ["histogram", "builtin:double_slit", "--param",
+             f"halfwidth={halfwidth}", "--param", "bins=4",
+             "--observables", "detected", "--trials", "20"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == ("trial 0 terminated: eval-error: law 'Detect': "
+                       f"pw_detect: empty detection range {shown} at 21:18\n")
+
+    def test_names_the_lowest_failing_trial(self, capsys):
+        # fallible.cml divides by zero on some branches; trials past the
+        # first failing one may fail too, and only the first is reported
+        code, out, err = invoke(
+            ["histogram", str(FIXTURES / "fallible.cml"), "--observables",
+             "x", "--trials", "50", "--steps", "2", "--seed", "1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == ("trial 12 terminated: eval-error: law 'Walk': "
+                       "division by zero at 6:13\n")
+
 
 class TestUsageErrors:
     def test_no_command_exit_2(self, capsys):

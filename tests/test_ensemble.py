@@ -23,6 +23,7 @@ from causalkit import (
     run,
     run_ensemble,
 )
+from causalkit.interpreter import _BATCH, Ensemble
 from causalkit.state import state_to_json
 
 from conftest import fixture_source
@@ -61,6 +62,35 @@ model overlap_walk {
   halt when x >= 3 || x <= -3;
   law Up { when x >= 0; then { x = x + random({-1, 2}, WEIGHTS(2, 1)); } }
   law Any { when true; then { x = x + random({-1, 1}, FLAT); } }
+}
+"""
+
+
+# The halt check itself fails where x = -2.
+FALLIBLE_HALT = """
+model fallible_halt {
+  state { x: int in [-100, 100]; }
+  init { x = 0; }
+  halt when 1.0 / (x + 2) > 5.0;
+  law Step { when true; then { x = x + random({-1, 1}, FLAT); } }
+}
+"""
+
+# Three draws a step, most trials on the likeliest outcome: twelve words
+# per trial, so groups of trials still share nodes in the third block.
+SKEWED_DRAWS = """
+model skewed_draws {
+  state { x: int in [-100, 100]; n: int in [0, 10]; }
+  init { x = 0; n = 0; }
+  halt when n >= 4;
+  law Step {
+    when true;
+    then {
+      x = x + random({0, 1}, WEIGHTS(15, 1)) + random({0, 2}, WEIGHTS(15, 1))
+            + random({0, 4}, WEIGHTS(15, 1));
+      n = n + 1;
+    }
+  }
 }
 """
 
@@ -165,6 +195,50 @@ class TestMatchesRun:
                                     20)
         assert _kinds(strict) == {"multiple-applicable"}
 
+    def test_walk_past_one_batch(self):
+        # a full batch and three trials of the next, which starts with a
+        # memo and tries the first batch filled
+        model = load_model(WALK)
+        assert_matches_run(model, build_initial_state(model),
+                           RunConfig(dt=1.0, max_steps=6, seed=5),
+                           _BATCH + 3)
+
+    def test_memo_fills_mid_batch(self, monkeypatch):
+        # the walk's distinct states double every step, so its 300 memo
+        # entries run out while groups of trials are still being routed
+        entries = []
+
+        def counting_entry(self, s):
+            entry = real_entry(self, s)
+            entries.append(entry is not None)
+            return entry
+
+        real_entry = Ensemble._entry
+        monkeypatch.setattr(Ensemble, "_entry", counting_entry)
+        model = load_model(WALK)
+        cfg = RunConfig(dt=1.0, max_steps=12, seed=9)
+        ens = run_ensemble(model, build_initial_state(model), cfg, 300)
+        list(ens)
+        assert len(ens.memo) == 300
+        assert entries.count(True) > 300 and entries.count(False) > 0
+        monkeypatch.undo()   # run's own trials look up no entries
+        assert_matches_run(model, build_initial_state(model), cfg, 300)
+
+    def test_more_than_one_block_of_words(self):
+        model = load_model(SKEWED_DRAWS)
+        pairs = assert_matches_run(model, build_initial_state(model),
+                                   RunConfig(dt=1.0, max_steps=10, seed=14),
+                                   600)
+        assert _kinds(pairs) == {"halted"}
+        assert len({f.values["x"] for _, f in pairs}) > 8
+
+    def test_halt_check_fails_on_some_states(self):
+        model = load_model(FALLIBLE_HALT)
+        pairs = assert_matches_run(model, build_initial_state(model),
+                                   RunConfig(dt=1.0, max_steps=10, seed=3),
+                                   300)
+        assert _kinds(pairs) == {"eval-error", "max-steps"}
+
     def test_nonzero_initial_time(self):
         model = load_model(WALK)
         init = replace(build_initial_state(model), time=2.5)
@@ -215,6 +289,20 @@ class TestSharing:
         model, init = build_bundled_model("double_slit", {"detector": "on"})
         ens = run_ensemble(model, init, RunConfig(dt=1.0, max_steps=5), 50)
         first = [(t.kind, _state_key(f)) for t, f in ens]
+        assert [(t.kind, _state_key(f)) for t, f in ens] == first
+
+    def test_explored_ensemble_runs_no_step(self, monkeypatch):
+        # every group of this walk is large enough to be routed in batch,
+        # so a second pass takes every exit from the memo and the trie
+        model = load_model(WALK)
+        ens = run_ensemble(model, build_initial_state(model),
+                           RunConfig(dt=1.0, max_steps=3, seed=7), 400)
+        first = [(t.kind, _state_key(f)) for t, f in ens]
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran on its own")
+
+        monkeypatch.setattr(Ensemble, "_trial", no_trial)
         assert [(t.kind, _state_key(f)) for t, f in ens] == first
 
     def test_rejects_observables_and_empty_ensembles(self):

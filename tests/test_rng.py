@@ -1,7 +1,17 @@
 import json
 from pathlib import Path
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from causalkit import RngStream, derive_seed
+from causalkit.rng import (
+    WordBlocks,
+    categorical_indices,
+    derive_seeds,
+    philox_block,
+)
 
 VECTORS = json.loads(
     (Path(__file__).parent / "fixtures" / "rng_vectors.json").read_text())
@@ -71,3 +81,76 @@ class TestStreamBehavior:
     def test_derive_seed_spreads(self):
         seeds = {derive_seed(0, i) for i in range(1000)}
         assert len(seeds) == 1000
+
+
+class TestVectorStreams:
+    """The array Philox and seed hash give the scalar stream's own words."""
+
+    KEYS = [0, 1, 2 ** 63, 2 ** 64 - 1] + \
+        [int(entry["seed"], 16) for entry in VECTORS["streams"]]
+
+    def test_blocks_equal_stream_words(self):
+        keys = np.array(self.KEYS, dtype=np.uint64)
+        blocks = [philox_block(keys, b) for b in range(3)]
+        for i, key in enumerate(self.KEYS):
+            s = RngStream(key)
+            want = [s.raw64() for _ in range(12)]
+            got = [int(w) for b in blocks for w in b[i]]
+            assert got == want, f"key {key:#x}"
+
+    def test_word_blocks_on_demand(self):
+        keys = np.array(self.KEYS, dtype=np.uint64)
+        words = WordBlocks(keys)
+        streams = [RngStream(k) for k in self.KEYS]
+        want = [[s.raw64() for _ in range(44)] for s in streams]
+        rows = np.arange(len(keys))
+        words.retire(rows[:2])
+        ahead, behind = rows[2::2], rows[3::2]
+        asks = [(ahead, pos) for pos in range(40)]   # blocks 0-5 dropped
+        asks += [(behind, 0), (behind, 5), (ahead, 40), (behind, 6)]
+        for sub, pos in asks:
+            assert words.uniform01(sub, pos).tolist() == \
+                [(want[i][pos] >> 11) * 2.0 ** -53 for i in sub]
+
+    def test_derived_seeds_equal_scalar(self):
+        indices = [0, 1, 7, 2 ** 32 - 2, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1,
+                   2 ** 40 + 3]
+        for base in (0, -1, 2 ** 64 - 1, 2 ** 64 + 5,
+                     *(int(e["base"], 16) for e in VECTORS["derived"])):
+            got = derive_seeds(base, np.array(indices, dtype=np.uint64))
+            assert got.dtype == np.uint64
+            assert got.tolist() == [derive_seed(base, i) for i in indices]
+
+
+class _FixedWord(RngStream):
+    """A stream whose every word is ``word``."""
+
+    def __init__(self, word):
+        super().__init__(0)
+        self.word = word
+
+    def raw64(self):
+        return self.word
+
+
+PROBS = st.lists(st.sampled_from([0.0, 0.0, 0.125, 0.25, 0.5, 1.0])
+                 | st.floats(min_value=0.0, max_value=1.0),
+                 min_size=1, max_size=20)
+
+
+@settings(max_examples=400, deadline=None)
+@given(PROBS, st.integers(min_value=0, max_value=2 ** 64 - 1),
+       st.integers(min_value=0, max_value=20))
+def test_searchsorted_picks_what_categorical_picks(weights, word, at):
+    # the vectors need not sum to 1, and zeros repeat cumulative values;
+    # ``at`` sometimes puts u exactly on a cumulative probability
+    probs = np.array(weights)
+    total = probs.sum()
+    if total > 0:
+        probs = probs / total
+    cum = np.cumsum(probs)
+    if at < len(cum) and cum[at] < 1.0:
+        word = int(cum[at] * 2.0 ** 53) << 11
+    u = (word >> 11) * 2.0 ** -53
+    got = categorical_indices(cum, np.array([u]))
+    assert got.tolist() == [_FixedWord(word).categorical(probs)]
