@@ -30,7 +30,7 @@ from .errors import (
     ZeroNormError,
 )
 from .rng import RngStream, derive_seed
-from .pw import PwCollection, PwPath
+from .pw import PwCollection
 from .state import (
     Domain,
     StateSchema,
@@ -93,10 +93,8 @@ from .analyzer import (
     validstate,
 )
 from .quantum import (
-    CaParticle,
-    CaWorld,
-    GridWave,
     ca_step,
+    ca_world,
     classical_step,
     discrete_hamiltonian,
     gaussian_packet,

@@ -669,7 +669,7 @@ def _call_type(e: Call, ctx: _Ctx) -> TypeDesc:
                    f"argument{'s' if intr.arity != 1 else ''}", e.loc)
     try:
         check_ctx = intrinsics.CheckContext(
-            e.args, lambda ex: const_fold(ex, ctx.consts_val))
+            e.args, lambda ex: const_fold(ex, ctx.consts_val), ctx.records)
         td = intr.check(args, check_ctx)
     except intrinsics.IntrinsicTypeError as exc:
         raise _err("type-mismatch", f"{f}: {exc}", e.loc)

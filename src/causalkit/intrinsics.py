@@ -28,10 +28,12 @@ class IntrinsicTypeError(Exception):
 
 @dataclass
 class CheckContext:
-    """Lets a type rule inspect argument expressions (constant folding)."""
+    """Lets a type rule inspect argument expressions (constant folding)
+    and the model's record declarations."""
 
     exprs: list
     fold_expr: Callable
+    records: dict   # name -> ((field, TypeDesc), ...)
 
     def fold(self, i: int):
         """Literal value of argument i, or None if not a constant."""
@@ -217,11 +219,16 @@ def _len(args, env):
     return len(v.amps)
 
 
+def neighbour_sum(a: np.ndarray) -> np.ndarray:
+    """a[i - 1] + a[i + 1] on a periodic grid, through one padded ring."""
+    ring = np.concatenate((a[-1:], a, a[:1]))
+    return ring[:-2] + ring[2:]
+
+
 def _laplacian(args, env):
     v = args[0]
     psi = v.amps
-    return VCGrid((np.roll(psi, 1) + np.roll(psi, -1) - 2.0 * psi) / v.dx ** 2,
-                  v.dx)
+    return VCGrid((neighbour_sum(psi) - 2.0 * psi) / v.dx ** 2, v.dx)
 
 
 def _real_of(fn):

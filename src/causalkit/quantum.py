@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,8 +21,8 @@ from .errors import (
     SolveError,
     ZeroNormError,
 )
-from .intrinsics import Intrinsic, IntrinsicTypeError
-from .pw import PwCollection, PwPath
+from .intrinsics import Intrinsic, IntrinsicTypeError, neighbour_sum
+from .pw import PwCollection
 from .state import TypeDesc, VCGrid, VList, VPw, VRecord, VVector
 
 # --- classical mechanics ------------------------------------------------------
@@ -53,27 +52,9 @@ def classical_step(particles, potential_gradient, dt: float):
 # --- 1D Schrodinger evolution ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridWave:
-    """Wavefunction samples on a periodic 1D grid."""
-
-    psi: np.ndarray
-    dx: float
-    mass: float = 1.0
-    hbar: float = 1.0
-    normalized: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "psi", np.asarray(self.psi, dtype=np.complex128))
-
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.psi) ** 2) * self.dx)
-
-
 def gaussian_packet(n: int, dx: float, x0: float = 0.0, sigma: float = 1.0,
-                    k0: float = 0.0, mass: float = 1.0,
-                    hbar: float = 1.0) -> GridWave:
-    """Normalized Gaussian wave packet centered at x0 with momentum hbar*k0.
+                    k0: float = 0.0) -> VCGrid:
+    """Normalized Gaussian wave packet centered at x0 with wavenumber k0.
 
     Grid coordinates run from -(n//2)*dx, so the packet should fit well
     inside the box to avoid periodic wrap-around.
@@ -81,7 +62,7 @@ def gaussian_packet(n: int, dx: float, x0: float = 0.0, sigma: float = 1.0,
     x = (np.arange(n) - n // 2) * dx
     psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma ** 2) + 1j * k0 * x)
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
-    return GridWave(psi, dx, mass, hbar, normalized=True)
+    return VCGrid(psi, dx)
 
 
 def grid_coordinates(n: int, dx: float) -> np.ndarray:
@@ -168,7 +149,8 @@ def _cn_operator(n, dx, mass, hbar, dt, v_bytes):
     return coef, off, _cyclic_solver(1.0 + sigma * hdiag, off, off)
 
 
-def schrodinger_step(wave: GridWave, potential, dt: float) -> GridWave:
+def schrodinger_step(grid: VCGrid, potential, dt: float, mass: float = 1.0,
+                     hbar: float = 1.0) -> VCGrid:
     """One Crank-Nicolson step with periodic boundary.
 
     The Cayley form (1 + i dt H / 2hbar)^-1 (1 - i dt H / 2hbar) is
@@ -176,22 +158,19 @@ def schrodinger_step(wave: GridWave, potential, dt: float) -> GridWave:
     The operator is factored once per (grid, constants, dt, potential).
     """
     v = np.asarray(potential, dtype=float)
-    psi = wave.psi
+    psi = grid.amps
     n = len(psi)
     if len(v) != n:
         raise ValueError("potential grid length does not match psi")
     if not (dt > 0):
         raise ValueError("dt must be positive")
-    coef, off, solve = _cn_operator(n, wave.dx, wave.mass, wave.hbar, dt,
-                                    v.tobytes())
+    coef, off, solve = _cn_operator(n, grid.dx, mass, hbar, dt, v.tobytes())
     if not np.isfinite(psi).all():
         raise SolveError("non-finite wavefunction")
-    # ring[i] + ring[i + 2] == psi[i - 1] + psi[i + 1] on the periodic grid
-    ring = np.concatenate((psi[-1:], psi, psi[:1]))
-    rhs = coef * psi - off * (ring[:-2] + ring[2:])
+    rhs = coef * psi - off * neighbour_sum(psi)
     if not np.isfinite(rhs).all():
         raise SolveError("non-finite right-hand side")
-    return replace(wave, psi=solve(rhs))
+    return VCGrid(solve(rhs), grid.dx)
 
 
 def discrete_hamiltonian(n: int, dx: float, potential, mass: float = 1.0,
@@ -221,46 +200,33 @@ def two_slit(bins: int, half_width: float, separation: float,
     slit_y = np.array([-0.5 * separation, 0.5 * separation])
     lengths = np.sqrt(distance ** 2
                       + (centers[None, :] - slit_y[:, None]) ** 2)
-    amps = (np.exp(1j * wavenumber * lengths) / math.sqrt(2 * bins)).tolist()
-    paths = tuple(PwPath(({"slit": s, "position": c},), amps[s][b])
-                  for b, c in enumerate(centers.tolist()) for s in range(2))
-    return PwCollection((("slit", "int"), ("position", "real")), paths,
+    amps = np.exp(1j * wavenumber * lengths) / math.sqrt(2 * bins)
+    # path 2b + s goes through slit s to bin b
+    return PwCollection((("slit", "int"), ("position", "real")),
+                        amps.T.ravel(),
+                        {"slit": np.tile([[0], [1]], (bins, 1)),
+                         "position": np.repeat(centers, 2)[:, None]},
                         normalized=True)
 
 
 def pw_spins(paths) -> PwCollection:
     """Equal-amplitude paths, each giving one spin per particle."""
     amp = complex(1.0 / math.sqrt(len(paths)))
-    return PwCollection((("spin", "int"),),
-                        tuple(PwPath(tuple({"spin": s} for s in spins), amp)
-                              for spins in paths),
-                        normalized=True)
+    return PwCollection((("spin", "int"),), [amp] * len(paths),
+                        {"spin": paths}, normalized=True)
 
 
-def pw_propagate(pw: PwCollection, dt: float,
-                 omega_attr: str | None = None) -> PwCollection:
-    """Advance every particle's position by velocity * dt on each path.
-
-    Amplitudes are unchanged unless ``omega_attr`` names a per-path
-    frequency attribute (read from particle 0), in which case each
-    amplitude picks up the phase exp(i * omega * dt).
-    """
-    names = [n for n, _ in pw.attr_decls]
-    if "position" not in names or "velocity" not in names:
+def pw_propagate(pw: PwCollection, dt: float) -> PwCollection:
+    """Advance every particle's position by velocity * dt on each path;
+    amplitudes are unchanged."""
+    columns = pw.columns
+    if "position" not in columns or "velocity" not in columns:
         raise MissingAttributeError(
             "propagation needs 'position' and 'velocity' attributes")
-    paths = []
-    for path in pw.paths:
-        particles = tuple(
-            {**p, "position": p["position"] + p["velocity"] * dt}
-            for p in path.attrs)
-        amp = path.amplitude
-        if omega_attr is not None:
-            if omega_attr not in path.attrs[0]:
-                raise MissingAttributeError(f"no attribute '{omega_attr}'")
-            amp = amp * np.exp(1j * path.attrs[0][omega_attr] * dt)
-        paths.append(PwPath(particles, amp))
-    return PwCollection(pw.attr_decls, tuple(paths), normalized=pw.normalized)
+    moved = columns["position"] + columns["velocity"] * dt
+    return PwCollection(pw.attr_decls, pw.amps,
+                        {**columns, "position": moved},
+                        normalized=pw.normalized)
 
 
 def pw_interact(pw: PwCollection, rng):
@@ -277,10 +243,10 @@ def pw_interact(pw: PwCollection, rng):
     if total <= 0:
         raise ZeroNormError("all path amplitudes vanish")
     idx = rng.categorical(weights / total)
-    survivor = pw.paths[idx]
-    amp = survivor.amplitude / abs(survivor.amplitude)
-    collapsed = PwCollection(pw.attr_decls,
-                             (PwPath(survivor.attrs, amp),),
+    amp = complex(amps[idx])   # Python's complex division, not numpy's
+    collapsed = PwCollection(pw.attr_decls, [amp / abs(amp)],
+                             {name: col[idx:idx + 1]
+                              for name, col in pw.columns.items()},
                              normalized=True)
     return idx, collapsed
 
@@ -322,87 +288,47 @@ def pw_detect(pw: PwCollection, bin_edges, rng, coherent: bool = True) -> int:
 # --- toy cellular automaton ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CaParticle:
-    id: int
-    pos: int
-    vel: int
-    species: int = 0
-
-
-@dataclass(frozen=True)
-class CaWorld:
-    phi: np.ndarray                 # one field value per cell
-    particles: tuple                # CaParticle entries
-    alpha: float = 0.2              # field diffusion coefficient
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", np.asarray(self.phi, dtype=float))
-        object.__setattr__(self, "particles", tuple(self.particles))
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.phi)
-
-    def momentum(self) -> int:
-        return sum(p.vel for p in self.particles)
-
-
-def ca_step(world: CaWorld) -> CaWorld:
-    """One automaton step: diffuse the field, move particles, and exchange
-    velocities when two or more particles land in the same cell.
+def ca_step(world: VRecord) -> VRecord:
+    """One automaton step on a world record: diffuse the field, move
+    particles, and exchange velocities when two or more particles land in
+    the same cell.
 
     Velocity exchange permutes velocities within a cell (reversal over the
-    id-sorted occupants), so total momentum is conserved exactly.
+    id-sorted occupants), so total momentum is conserved exactly. Fields
+    other than phi, pos and vel are carried over unchanged.
     """
-    phi = world.phi
-    lap = np.roll(phi, 1) + np.roll(phi, -1) - 2.0 * phi
-    phi1 = phi + world.alpha * lap
-    n = world.n_cells
-    moved = [replace(p, pos=(p.pos + p.vel) % n) for p in world.particles]
+    fields = world.fields
+    phi = fields["phi"].values
+    phi1 = phi + fields["alpha"] * (neighbour_sum(phi) - 2.0 * phi)
+    n = len(phi)
+    particles = fields["particles"].items
+    vel = [p.fields["vel"] for p in particles]
+    pos = [(p.fields["pos"] + v) % n for p, v in zip(particles, vel)]
     by_cell: dict = {}
-    for i, p in enumerate(moved):
-        by_cell.setdefault(p.pos, []).append(i)
-    for cell, members in by_cell.items():
+    for i, cell in enumerate(pos):
+        by_cell.setdefault(cell, []).append(i)
+    for members in by_cell.values():
         if len(members) < 2:
             continue
-        members.sort(key=lambda i: moved[i].id)
-        vels = [moved[i].vel for i in members]
+        members.sort(key=lambda i: particles[i].fields["id"])
+        vels = [vel[i] for i in members]
         for i, v in zip(members, reversed(vels)):
-            moved[i] = replace(moved[i], vel=v)
-    return CaWorld(phi1, tuple(moved), world.alpha)
+            vel[i] = v
+    moved = VList([VRecord(p.record, {**p.fields, "pos": x, "vel": v})
+                   for p, x, v in zip(particles, pos, vel)])
+    return VRecord(world.record, {**fields, "phi": VVector(phi1),
+                                  "particles": moved})
 
 
-def ca_world(cells: int, alpha: float) -> CaWorld:
+def ca_world(cells: int, alpha: float) -> VRecord:
     """A zero field and two particles approaching head-on; on a 10-cell
     ring they meet after three steps."""
-    return CaWorld(np.zeros(cells),
-                   (CaParticle(id=1, pos=2 % cells, vel=1),
-                    CaParticle(id=2, pos=8 % cells, vel=-1)),
-                   alpha=alpha)
-
-
-# --- value marshalling -----------------------------------------------------------
-
-
-def ca_world_to_value(world: CaWorld, record: str = "CaWorld",
-                      particle_record: str = "CaParticle") -> VRecord:
     particles = VList([
-        VRecord(particle_record, {"id": int(p.id), "pos": int(p.pos),
-                                  "vel": int(p.vel),
-                                  "species": int(p.species)})
-        for p in world.particles])
-    return VRecord(record, {"phi": VVector(world.phi),
-                            "particles": particles,
-                            "alpha": float(world.alpha)})
-
-
-def ca_world_from_value(v: VRecord) -> CaWorld:
-    particles = tuple(
-        CaParticle(id=p.fields["id"], pos=p.fields["pos"],
-                   vel=p.fields["vel"], species=p.fields["species"])
-        for p in v.fields["particles"].items)
-    return CaWorld(v.fields["phi"].values, particles, v.fields["alpha"])
+        VRecord("CaParticle", {"id": i, "pos": pos % cells, "vel": vel,
+                               "species": 0})
+        for i, pos, vel in ((1, 2, 1), (2, 8, -1))])
+    return VRecord("CaWorld", {"phi": VVector(np.zeros(cells)),
+                               "particles": particles, "alpha": alpha})
 
 
 # --- intrinsic registration ----------------------------------------------------------
@@ -440,16 +366,16 @@ def _check_schrodinger(args, ctx):
 
 def _impl_schrodinger(args, env):
     psi, v, dt, mass, hbar = args
-    wave = GridWave(psi.amps, psi.dx, float(mass), float(hbar))
-    out = schrodinger_step(wave, v.values, float(dt))
-    return VCGrid(out.psi, psi.dx)
+    return schrodinger_step(psi, v.values, float(dt), float(mass),
+                            float(hbar))
 
 
 def _check_pw_propagate(args, ctx):
     _want(args[0].kind == "pwcollection", "first argument must be a pw collection")
-    names = [n for n, _ in args[0].attrs]
-    _want("position" in names and "velocity" in names,
-          "pw needs 'position' and 'velocity' attributes")
+    kinds = {n: t.kind for n, t in args[0].attrs}
+    _want(kinds.get("position") == "real"
+          and kinds.get("velocity") in ("int", "real"),
+          "pw needs 'position: real' and 'velocity: real' attributes")
     _want(_is_real(args[1]), "dt must be real")
     return args[0]
 
@@ -475,28 +401,56 @@ def _check_pw_detect(args, ctx):
     _want(args[1].kind == "int", "nbins must be int")
     _want(_is_real(args[2]) and _is_real(args[3]), "lo and hi must be real")
     _want(args[4].kind == "bool", "coherent flag must be bool")
+    nbins = ctx.fold(1)
+    if nbins is not None:
+        _want_cells(nbins, "nbins")
     return TypeDesc.int_()
 
 
 def _impl_pw_detect(args, env):
     pw, nbins, lo, hi, coherent = args
+    if not 1 <= nbins <= MAX_CELLS:
+        raise EvalError(f"pw_detect: nbins must be in [1, {MAX_CELLS}], "
+                        f"got {nbins}")
     edges = np.linspace(float(lo), float(hi), nbins + 1)
     return pw_detect(pw.pw, edges, env.rnd, coherent=coherent)
 
 
+_CA_PARTICLE_FIELDS = ("id", "pos", "vel", "species")
+
+
+def _want_ca_world(records: dict, name: str, cells=None, exact=False):
+    """Record ``name`` must have ``phi: vector(cells)`` (any length when
+    ``cells`` is None), ``particles: list(R)`` where R has the int fields
+    id, pos, vel and species, and ``alpha: real``. ``exact``: no other
+    fields, and R is CaParticle, as ``ca_world`` builds them."""
+    fields = dict(records[name])
+    phi, parts, alpha = (fields.get(f, TypeDesc("missing"))
+                         for f in ("phi", "particles", "alpha"))
+    _want(phi.kind == "vector" and cells in (None, phi.length),
+          f"record {name} needs phi: vector({cells or 'n'})")
+    _want(alpha.kind == "real", f"record {name} needs alpha: real")
+    _want(parts.kind == "list" and parts.element.kind == "record",
+          f"record {name} needs particles: list of a particle record")
+    particle = parts.element.record
+    kinds = {f: td.kind for f, td in records.get(particle, ())}
+    _want(all(kinds.get(f) == "int" for f in _CA_PARTICLE_FIELDS),
+          f"record {particle} needs the int fields id, pos, vel and species")
+    if exact:
+        _want(len(fields) == 3 and particle == "CaParticle"
+              and len(kinds) == len(_CA_PARTICLE_FIELDS),
+              "builds exactly CaWorld { phi, particles, alpha } "
+              "and CaParticle { id, pos, vel, species }")
+
+
 def _check_ca_step(args, ctx):
     _want(args[0].kind == "record", "argument must be a world record")
+    _want_ca_world(ctx.records, args[0].record)
     return args[0]
 
 
 def _impl_ca_step(args, env):
-    v = args[0]
-    particle_record = "CaParticle"
-    if v.fields["particles"].items:
-        particle_record = v.fields["particles"].items[0].record
-    world = ca_step(ca_world_from_value(v))
-    return ca_world_to_value(world, record=v.record,
-                             particle_record=particle_record)
+    return ca_step(args[0])
 
 
 def _check_gauss_packet(args, ctx):
@@ -512,9 +466,8 @@ def _check_gauss_packet(args, ctx):
 
 
 def _impl_gauss_packet(args, env):
-    n, dx, x0, sigma, k0 = args
-    wave = gaussian_packet(n, float(dx), float(x0), float(sigma), float(k0))
-    return VCGrid(wave.psi, float(dx))
+    n, *lengths = args
+    return gaussian_packet(n, *map(float, lengths))
 
 
 def _check_fill(args, ctx):
@@ -567,21 +520,24 @@ def _impl_pw_spin(args, env):
     pw, i = args[0].pw, args[1]
     if pw.n_paths != 1:
         raise EvalError(f"pw_spin needs one path, got {pw.n_paths}")
-    particles = pw.paths[0].attrs
-    if not 0 <= i < len(particles):
-        raise EvalError(f"particle {i} out of range ({len(particles)})")
-    return particles[i]["spin"]
+    spins = pw.columns["spin"][0]
+    if not 0 <= i < len(spins):
+        raise EvalError(f"particle {i} out of range ({len(spins)})")
+    return spins[i].item()
 
 
 def _check_ca_world(args, ctx):
     _want(args[0].kind == "int", "cells must be int")
     _want(_is_real(args[1]), "alpha must be real")
-    _want_cells(ctx.fold(0), "cells", 3)
+    cells = ctx.fold(0)
+    _want_cells(cells, "cells", 3)
+    if "CaWorld" in ctx.records:   # else the typechecker names it missing
+        _want_ca_world(ctx.records, "CaWorld", cells, exact=True)
     return TypeDesc.record_ref("CaWorld")
 
 
 def _impl_ca_world(args, env):
-    return ca_world_to_value(ca_world(args[0], float(args[1])))
+    return ca_world(args[0], float(args[1]))
 
 
 def _register_all():

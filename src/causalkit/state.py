@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    MissingAttributeError,
     MissingFieldError,
     SchemaError,
     SchemaMismatchError,
     TypeMismatchError,
     UnsampleableFieldError,
 )
-from .pw import ATTR_KINDS, PwCollection, PwPath
+from .pw import ATTR_KINDS, PwCollection
 from .rng import RngStream
 
 
@@ -238,7 +239,7 @@ class VCGrid(Value):
                            np.asarray(self.amps, dtype=np.complex128))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class VPw(Value):
     pw: PwCollection
 
@@ -399,35 +400,28 @@ def _value_equal(a, b, tol: float) -> bool:
     if type(a) is complex:
         return abs(a - b) <= tol
     if isinstance(a, VVector):
-        return (len(a.values) == len(b.values)
-                and bool(np.all(np.abs(a.values - b.values) <= tol)))
+        return _arrays_close(a.values, b.values, tol)
     if isinstance(a, VCGrid):
-        return (len(a.amps) == len(b.amps) and a.dx == b.dx
-                and bool(np.all(np.abs(a.amps - b.amps) <= tol)))
+        return a.dx == b.dx and _arrays_close(a.amps, b.amps, tol)
     if isinstance(a, VList):
         return (len(a.items) == len(b.items)
                 and all(_value_equal(x, y, tol) for x, y in zip(a.items, b.items)))
     if isinstance(a, VRecord):
         return (a.record == b.record and set(a.fields) == set(b.fields)
                 and all(_value_equal(v, b.fields[k], tol) for k, v in a.fields.items()))
-    if isinstance(a, VPw):
+    if isinstance(a, VPw):   # real attributes within tol, the rest exactly
         pa, pb = a.pw, b.pw
-        if pa.attr_decls != pb.attr_decls or pa.n_paths != pb.n_paths:
-            return False
-        for x, y in zip(pa.paths, pb.paths):
-            if abs(x.amplitude - y.amplitude) > tol:
-                return False
-            for px, py in zip(x.attrs, y.attrs):
-                if set(px) != set(py):
-                    return False
-                for k, v in px.items():
-                    if isinstance(v, float):
-                        if not _close(v, py[k], tol):
-                            return False
-                    elif v != py[k]:
-                        return False
-        return True
+        return (pa.attr_decls == pb.attr_decls
+                and _arrays_close(pa.amps, pb.amps, tol)
+                and all(_arrays_close(pa.columns[n], pb.columns[n], tol)
+                        if k == "real"
+                        else np.array_equal(pa.columns[n], pb.columns[n])
+                        for n, k in pa.attr_decls))
     raise TypeError(f"unsupported value type {type(a)!r}")
+
+
+def _arrays_close(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
+    return x.shape == y.shape and bool(np.all(np.abs(x - y) <= tol))
 
 
 # --- serialization ----------------------------------------------------------
@@ -451,12 +445,17 @@ def value_to_json(v):
                 "re": [float(x) for x in v.amps.real],
                 "im": [float(x) for x in v.amps.imag]}
     if isinstance(v, VPw):
+        pw = v.pw
+        names = [n for n, _ in pw.attr_decls]
+        # per path, per attribute: that attribute's value for each particle
+        rows = zip(*(pw.columns[n].tolist() for n in names))
         return {"kind": "pw",
-                "attrs": [[n, k] for n, k in v.pw.attr_decls],
-                "normalized": v.pw.normalized,
-                "paths": [{"amp": [p.amplitude.real, p.amplitude.imag],
-                           "particles": [dict(d) for d in p.attrs]}
-                          for p in v.pw.paths]}
+                "attrs": [[n, k] for n, k in pw.attr_decls],
+                "normalized": pw.normalized,
+                "paths": [{"amp": [a.real, a.imag],
+                           "particles": [dict(zip(names, values))
+                                         for values in zip(*row)]}
+                          for a, row in zip(pw.amps.tolist(), rows)]}
     raise TypeError(f"unsupported value type {type(v)!r}")
 
 
@@ -476,12 +475,17 @@ def value_from_json(data):
     if kind == "cgrid":
         return VCGrid(np.array(data["re"]) + 1j * np.array(data["im"]), data["dx"])
     if kind == "pw":
-        paths = tuple(
-            PwPath(tuple(dict(d) for d in p["particles"]),
-                   complex(p["amp"][0], p["amp"][1]))
-            for p in data["paths"])
-        return VPw(PwCollection(tuple((n, k) for n, k in data["attrs"]),
-                                paths, normalized=data.get("normalized", False)))
+        decls = tuple((n, k) for n, k in data["attrs"])
+        paths = data["paths"]
+        names = {n for p in paths for d in p["particles"] for n in d}
+        try:   # an undeclared name is left to PwCollection to reject
+            columns = {n: [[d[n] for d in p["particles"]] for p in paths]
+                       for n in names.union(n for n, _ in decls)}
+        except KeyError as exc:
+            raise MissingAttributeError(f"path lacks attribute {exc}")
+        return VPw(PwCollection(decls,
+                                [complex(*p["amp"]) for p in paths], columns,
+                                normalized=data.get("normalized", False)))
     raise ValueError(f"unknown value kind '{kind}'")
 
 

@@ -32,3 +32,27 @@ def typed(value):
     if isinstance(value, VRecord):
         return (value.record, {k: typed(v) for k, v in value.fields.items()})
     return (type(value).__name__, value)
+
+
+def ca_world_value(phi, particles=(), alpha=0.2):
+    """A CaWorld record with the field ``phi`` and one CaParticle per
+    (id, pos, vel) or (id, pos, vel, species) tuple."""
+    from causalkit.state import VList, VRecord, VVector
+
+    def particle(id, pos, vel, species=0):
+        return VRecord("CaParticle", {"id": id, "pos": pos, "vel": vel,
+                                      "species": species})
+    return VRecord("CaWorld", {"phi": VVector(phi),
+                               "particles": VList([particle(*p)
+                                                   for p in particles]),
+                               "alpha": alpha})
+
+
+def ca_particles(world):
+    """[pos, vel] of each particle of a CaWorld record."""
+    return [[p.fields["pos"], p.fields["vel"]]
+            for p in world.fields["particles"].items]
+
+
+def ca_momentum(world) -> int:
+    return sum(vel for _, vel in ca_particles(world))

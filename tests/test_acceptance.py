@@ -15,8 +15,6 @@ import numpy as np
 import pytest
 
 from causalkit import (
-    CaParticle,
-    CaWorld,
     CheckStrategy,
     RandomSpec,
     RngStream,
@@ -39,7 +37,14 @@ from causalkit.cli import main as cli_main
 from causalkit.engine import eval_guard
 from causalkit.quantum import grid_coordinates
 
-from conftest import BROKEN, FIXTURES, fixture_source
+from conftest import (
+    BROKEN,
+    FIXTURES,
+    ca_momentum,
+    ca_particles,
+    ca_world_value,
+    fixture_source,
+)
 
 
 @contextmanager
@@ -329,26 +334,22 @@ def test_criterion_9_qftca_toy():
         for _ in range(1000):
             n = int(rng.integers(4, 24))
             k = int(rng.integers(0, 8))
-            particles = tuple(
-                CaParticle(i, int(rng.integers(0, n)),
-                           int(rng.integers(-3, 4)), int(rng.integers(0, 3)))
-                for i in range(k))
-            world = CaWorld(rng.normal(size=n), particles)
-            p0 = world.momentum()
+            particles = [(i, int(rng.integers(0, n)), int(rng.integers(-3, 4)),
+                          int(rng.integers(0, 3))) for i in range(k)]
+            world = ca_world_value(rng.normal(size=n), particles)
+            p0 = ca_momentum(world)
             for _ in range(100):
                 world = ca_step(world)
-            assert world.momentum() == p0
+            assert ca_momentum(world) == p0
 
         # head-on fixture matches the committed hand-traced evolution
         data = json.loads(
             (FIXTURES / "ca_headon_trace.json").read_text())
         rows = data["steps"]
-        world = CaWorld(np.zeros(data["cells"]),
-                        (CaParticle(1, rows[0][0][0], rows[0][0][1]),
-                         CaParticle(2, rows[0][1][0], rows[0][1][1])))
+        world = ca_world_value(np.zeros(data["cells"]),
+                               [(1, *rows[0][0]), (2, *rows[0][1])])
         for idx, expected in enumerate(rows):
-            assert [[p.pos, p.vel] for p in world.particles] == expected, \
-                f"step {idx}"
+            assert ca_particles(world) == expected, f"step {idx}"
             world = ca_step(world)
 
 

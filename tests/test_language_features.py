@@ -171,17 +171,16 @@ class TestStatements:
 
 class TestPwIntrinsics:
     def test_pw_propagate_through_cml(self):
-        from causalkit import PwCollection, PwPath, VPw
+        from causalkit import PwCollection, VPw
         src = ("model t { state { pw: pwcollection(position: real, "
                "velocity: real); } init { } "
                "law Move { when true; then { pw = pw_propagate(pw, dt); } } }")
         model = load_model(src)
-        pw = PwCollection(
-            (("position", "real"), ("velocity", "real")),
-            (PwPath(({"position": 0.0, "velocity": 2.0},), 1.0 + 0j),))
+        pw = PwCollection((("position", "real"), ("velocity", "real")),
+                          [1.0], {"position": [[0.0]], "velocity": [[2.0]]})
         state = make_initial_state(model.schema, {"pw": VPw(pw)})
         out = apply_law(model.laws[0], state, 0.5, RngStream(0))
-        assert out.values["pw"].pw.paths[0].attrs[0]["position"] == 1.0
+        assert out.values["pw"].pw.attr_array("position").tolist() == [1.0]
         assert not model.laws[0].uses_random
 
     def test_pw_propagate_requires_attributes(self):
@@ -191,6 +190,16 @@ class TestPwIntrinsics:
         model, diags = compile_model(src)
         assert model is None
         assert any("position" in d.message for d in diags)
+
+    def test_pw_propagate_requires_a_real_position(self):
+        # a moved position is a real, so an int position cannot hold it
+        from causalkit.frontend.lower import compile_model
+        src = ("model t { state { pw: pwcollection(position: int, "
+               "velocity: real); } init { } "
+               "law Move { when true; then { pw = pw_propagate(pw, dt); } } }")
+        model, diags = compile_model(src)
+        assert model is None
+        assert any("position: real" in d.message for d in diags)
 
 
 class TestMisc:

@@ -257,19 +257,20 @@ class TestConstructors:
         assert pw.total_weight() == pytest.approx(1.0, abs=1e-12)
         centers = 0.5 * (np.linspace(-half, half, bins + 1)[:-1]
                          + np.linspace(-half, half, bins + 1)[1:])
-        for i, path in enumerate(pw.paths):
+        slits = pw.attr_array("slit").tolist()
+        positions = pw.attr_array("position").tolist()
+        for i, amp in enumerate(pw.amplitudes()):
             b, s = divmod(i, 2)
-            (attrs,) = path.attrs
-            assert attrs == {"slit": s, "position": float(centers[b])}
+            assert (slits[i], positions[i]) == (s, float(centers[b]))
             y = (s - 0.5) * sep
             length = math.sqrt(dist ** 2 + (centers[b] - y) ** 2)
-            assert path.amplitude == pytest.approx(
+            assert amp == pytest.approx(
                 np.exp(1j * k * length) / math.sqrt(2 * bins), abs=1e-15)
 
     def test_bundled_double_slit_params_reach_the_paths(self):
         _, state = build_bundled_model("double_slit", {"bins": "4",
                                                        "halfwidth": "30"})
-        positions = [p.attrs[0]["position"] for p in state.values["pw"].pw.paths]
+        positions = state.values["pw"].pw.attr_array("position").tolist()
         assert positions == [-22.5, -22.5, -7.5, -7.5, 7.5, 7.5, 22.5, 22.5]
 
     def test_pw_spin_needs_one_path(self):
@@ -289,6 +290,112 @@ class TestConstructors:
                        "law L { when true; then { } } }") \
             == [("unknown-name",
                  "ca_world: the model declares no record 'CaWorld'", 1, 41)]
+
+    @staticmethod
+    def _world_model(records: str, call: str = "ca_world(10, 0.2)") -> str:
+        return (f"model m {{\n{records}\n"
+                "  state { w: CaWorld; }\n"
+                f"  init {{ w = {call}; }}\n"
+                "  law L { when true; then { w = ca_step(w); } }\n}")
+
+    PARTICLE = ("  record CaParticle "
+                "{ id: int; pos: int; vel: int; species: int; }")
+
+    def test_ca_world_record_without_phi_is_located(self):
+        assert _errors(self._world_model("  record CaWorld { a: int; }")) == [
+            ("type-mismatch",
+             "ca_world: record CaWorld needs phi: vector(10)", 4, 14),
+            ("type-mismatch",
+             "ca_step: record CaWorld needs phi: vector(n)", 5, 33)]
+
+    def test_ca_particle_without_vel_and_species_is_located(self):
+        records = ("  record CaParticle { id: int; pos: int; }\n"
+                   "  record CaWorld { phi: vector(10); "
+                   "particles: list(CaParticle); alpha: real; }")
+        message = "record CaParticle needs the int fields id, pos, vel and " \
+                  "species"
+        assert _errors(self._world_model(records)) == [
+            ("type-mismatch", f"ca_world: {message}", 5, 14),
+            ("type-mismatch", f"ca_step: {message}", 6, 33)]
+
+    def test_ca_world_phi_length_must_be_cells(self):
+        records = (f"{self.PARTICLE}\n  record CaWorld {{ phi: vector(12); "
+                   "particles: list(CaParticle); alpha: real; }")
+        assert _errors(self._world_model(records)) == [
+            ("type-mismatch",
+             "ca_world: record CaWorld needs phi: vector(10)", 5, 14)]
+        # ca_step steps a ring of any length
+        load_model(self._world_model(records, "ca_world(12, 0.2)"))
+
+    def test_ca_world_builds_exactly_its_records(self):
+        records = (f"{self.PARTICLE}\n  record CaWorld {{ phi: vector(10); "
+                   "particles: list(CaParticle); alpha: real; tag: int; }")
+        assert _errors(self._world_model(records)) == [
+            ("type-mismatch", "ca_world: builds exactly CaWorld "
+             "{ phi, particles, alpha } and CaParticle { id, pos, vel, "
+             "species }", 5, 14)]
+
+    def test_ca_step_needs_a_real_alpha_and_particle_records(self):
+        for fields, message in (
+                ("phi: vector(4); particles: list(CaParticle); alpha: int;",
+                 "record CaWorld needs alpha: real"),
+                ("phi: vector(4); particles: list(int); alpha: real;",
+                 "record CaWorld needs particles: list of a particle record")):
+            source = (f"model m {{\n{self.PARTICLE}\n"
+                      f"  record CaWorld {{ {fields} }}\n"
+                      "  state { w: CaWorld; }\n  init { }\n"
+                      "  law L { when true; then { w = ca_step(w); } }\n}")
+            assert _errors(source) == [
+                ("type-mismatch", f"ca_step: {message}", 6, 33)]
+
+    def test_ca_step_keeps_other_records_and_fields(self):
+        from causalkit import VList, VRecord, VVector, make_initial_state
+        model = load_model(
+            "model m {\n"
+            "  record Ion { id: int; pos: int; vel: int; species: int; "
+            "charge: int; }\n"
+            "  record Ring { phi: vector(3); particles: list(Ion); "
+            "alpha: real; label: int; }\n"
+            "  state { w: Ring; }\n  init { }\n"
+            "  law L { when true; then { w = ca_step(w); } }\n}")
+        ion = VRecord("Ion", {"id": 1, "pos": 0, "vel": 1, "species": 0,
+                              "charge": -1})
+        ring = VRecord("Ring", {"phi": VVector(np.ones(3)),
+                                "particles": VList([ion]), "alpha": 0.5,
+                                "label": 7})
+        trace = run(model, make_initial_state(model.schema, {"w": ring}), CFG)
+        assert trace.termination.kind == "max-steps"
+        world = trace.final_state.values["w"]
+        assert world.record == "Ring" and world.fields["label"] == 7
+        (ion,) = world.fields["particles"].items
+        assert ion.record == "Ion"
+        assert (ion.fields["pos"], ion.fields["charge"]) == (2, -1)
+
+    def test_pw_detect_constant_nbins_is_capped(self):
+        source = ("model m {{ state {{ pw: pwcollection(slit: int, "
+                  "position: real); d: int; }} "
+                  "init {{ pw = two_slit(4, 1.0, 0.5, 10.0, 1.0); d = -1; }} "
+                  "law L {{ when true; then {{ "
+                  "d = pw_detect(pw, {}, -1.0, 1.0, true); }} }} }}")
+        for nbins, message in (
+                ("3000000", "nbins must be at most 1048576 cells"),
+                ("0", "nbins must be an int constant >= 1")):
+            assert _errors(source.format(nbins)) == [
+                ("type-mismatch", f"pw_detect: {message}", 1, 160)]
+        load_model(source.format(2 ** 20))
+
+    @pytest.mark.parametrize("nbins", [0, 3000000])
+    def test_pw_detect_nbins_out_of_range_ends_the_run(self, nbins):
+        model = load_model(
+            f"model m {{ state {{ pw: pwcollection(slit: int, "
+            f"position: real); d: int; k: int; }} "
+            f"init {{ pw = two_slit(4, 1.0, 0.5, 10.0, 1.0); d = -1; "
+            f"k = {nbins}; }} halt when d >= 0; "
+            f"law L {{ when true; then {{ "
+            f"d = pw_detect(pw, k, -1.0, 1.0, true); }} }} }}")
+        term = run(model, build_initial_state(model), CFG).termination
+        assert term.kind == "eval-error"
+        assert f"nbins must be in [1, 1048576], got {nbins}" in term.message
 
     def test_qftca_world_follows_cells_and_alpha(self):
         _, state = build_bundled_model("qftca_toy", {"cells": "5",

@@ -10,14 +10,12 @@ import pytest
 from scipy.linalg import solve_banded
 
 from causalkit import (
-    CaParticle,
-    CaWorld,
-    GridWave,
     PositionOutOfBinsError,
     PwCollection,
-    PwPath,
     RngStream,
     SolveError,
+    TypeMismatchError,
+    VCGrid,
     ZeroNormError,
     ca_step,
     classical_step,
@@ -30,8 +28,11 @@ from causalkit import (
 )
 from causalkit import quantum
 from causalkit.quantum import grid_coordinates
+from conftest import FIXTURES, ca_momentum, ca_particles, ca_world_value
 
-FIXTURES = Path(__file__).parent / "fixtures"
+
+def norm(grid):
+    return float(np.sum(np.abs(grid.amps) ** 2) * grid.dx)
 
 
 class TestClassicalStep:
@@ -80,16 +81,15 @@ class TestClassicalStep:
 
 class TestSchrodingerStep:
     def test_zero_stays_zero(self):
-        wave = GridWave(np.zeros(32), dx=0.5)
-        out = schrodinger_step(wave, np.zeros(32), 0.01)
-        assert np.all(out.psi == 0)
+        out = schrodinger_step(VCGrid(np.zeros(32), 0.5), np.zeros(32), 0.01)
+        assert np.all(out.amps == 0) and out.dx == 0.5
 
     def test_norm_conserved_1000_steps(self):
         wave = gaussian_packet(512, 0.125, x0=0.0, sigma=1.0, k0=0.0)
         v = np.zeros(512)
         for _ in range(1000):
             wave = schrodinger_step(wave, v, 0.01)
-        assert abs(wave.norm() - 1.0) < 1e-8
+        assert abs(norm(wave) - 1.0) < 1e-8
 
     def test_free_gaussian_spreading_matches_closed_form(self):
         # position variance of a free packet: sigma0^2 (1 + (hbar t / (2 m sigma0^2))^2)
@@ -99,7 +99,7 @@ class TestSchrodingerStep:
         for _ in range(steps):
             wave = schrodinger_step(wave, v, dt)
         x = grid_coordinates(n, dx)
-        rho = np.abs(wave.psi) ** 2 * dx
+        rho = np.abs(wave.amps) ** 2 * dx
         mean = float(np.sum(x * rho))
         var = float(np.sum((x - mean) ** 2 * rho))
         t = steps * dt
@@ -116,13 +116,13 @@ class TestSchrodingerStep:
         energies, vecs = np.linalg.eigh(h)
         ground = vecs[:, 0].astype(complex)
         ground /= np.sqrt(np.sum(np.abs(ground) ** 2) * dx)
-        wave = GridWave(ground, dx, normalized=True)
+        wave = VCGrid(ground, dx)
         period = 2.0 * math.pi / abs(energies[0])
         dt = period / 200.0
-        density0 = np.abs(wave.psi) ** 2
+        density0 = np.abs(wave.amps) ** 2
         for _ in range(200):
             wave = schrodinger_step(wave, v, dt)
-        assert np.max(np.abs(np.abs(wave.psi) ** 2 - density0)) < 1e-6
+        assert np.max(np.abs(np.abs(wave.amps) ** 2 - density0)) < 1e-6
 
     def test_unitarity_on_random_grids(self):
         rng = np.random.default_rng(7)
@@ -130,31 +130,26 @@ class TestSchrodingerStep:
             psi = rng.normal(size=n) + 1j * rng.normal(size=n)
             dx = 0.2
             psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
-            wave = GridWave(psi, dx)
+            wave = VCGrid(psi, dx)
             v = rng.normal(size=n)
             out = schrodinger_step(wave, v, 0.05)
-            assert abs(out.norm() - wave.norm()) < 1e-10
+            assert abs(norm(out) - norm(wave)) < 1e-10
 
     def test_potential_length_mismatch(self):
-        wave = GridWave(np.zeros(16), dx=0.5)
+        wave = VCGrid(np.zeros(16), 0.5)
         with pytest.raises(ValueError):
             schrodinger_step(wave, np.zeros(8), 0.01)
 
-    def test_normalized_flag_preserved(self):
-        wave = gaussian_packet(64, 0.25)
-        out = schrodinger_step(wave, np.zeros(64), 0.01)
-        assert out.normalized is True
 
-
-def reference_step(wave, potential, dt):
+def reference_step(wave, potential, dt, mass, hbar):
     """Oracle: the Crank-Nicolson step as it ran before its operator was
     cached, rebuilding the bands and calling solve_banded twice per step."""
     v = np.asarray(potential, dtype=float)
-    psi = wave.psi
-    kin = wave.hbar ** 2 / (2.0 * wave.mass * wave.dx ** 2)
+    psi = wave.amps
+    kin = hbar ** 2 / (2.0 * mass * wave.dx ** 2)
     hdiag = 2.0 * kin + v
     hoff = -kin
-    sigma = 1j * dt / (2.0 * wave.hbar)
+    sigma = 1j * dt / (2.0 * hbar)
     rhs = (1.0 - sigma * hdiag) * psi \
         - sigma * hoff * (np.roll(psi, 1) + np.roll(psi, -1))
     diag = 1.0 + sigma * hdiag
@@ -193,9 +188,10 @@ class TestCachedOperator:
         quantum._cn_operator.cache_clear()
         for k in order:
             dx, mass, hbar, dt, v = keys[k]
-            wave = GridWave(psi, dx, mass, hbar)
-            out = schrodinger_step(wave, v, dt).psi
-            assert np.array_equal(out, reference_step(wave, v, dt))
+            wave = VCGrid(psi, dx)
+            out = schrodinger_step(wave, v, dt, mass, hbar).amps
+            assert np.array_equal(out, reference_step(wave, v, dt, mass,
+                                                      hbar))
             psi = out / np.sqrt(np.sum(np.abs(out) ** 2) * dx)
         info = quantum._cn_operator.cache_info()
         assert info.hits > 0 and info.misses > len(keys)
@@ -206,10 +202,10 @@ class TestCachedOperator:
     def test_non_finite_psi_or_potential_raises(self, n, bad):
         # checked before any arithmetic, so no RuntimeWarning escapes
         wave = gaussian_packet(n, 0.25)
-        psi = wave.psi.copy()
+        psi = wave.amps.copy()
         psi[n // 2] = complex(0.0, bad)
         with pytest.raises(SolveError):
-            schrodinger_step(GridWave(psi, 0.25), np.zeros(n), 0.01)
+            schrodinger_step(VCGrid(psi, 0.25), np.zeros(n), 0.01)
         v = np.zeros(n)
         v[0] = bad
         with pytest.raises(SolveError):
@@ -246,16 +242,82 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
 
 def one_particle_pw(paths):
     return PwCollection((("position", "real"), ("velocity", "real")),
-                        tuple(PwPath(({"position": p, "velocity": v},),
-                                     complex(a)) for p, v, a in paths))
+                        [complex(a) for _, _, a in paths],
+                        {"position": [[p] for p, _, _ in paths],
+                         "velocity": [[v] for _, v, _ in paths]})
+
+
+class TestPwCollection:
+    def test_columns_are_read_only_arrays_of_the_kinds_dtype(self):
+        pw = PwCollection((("slit", "int"), ("position", "real"),
+                           ("seen", "bool")), [0.6, 0.8j],
+                          {"slit": [[0], [1]], "position": [[0.5], [-1]],
+                           "seen": [[True], [False]]})
+        assert pw.amplitudes().dtype == np.complex128
+        assert [pw.columns[n].dtype for n in ("slit", "position", "seen")] \
+            == [np.int64, np.float64, np.bool_]
+        assert pw.columns["position"].shape == (2, 1)
+        for a in (pw.amplitudes(), *pw.columns.values()):
+            with pytest.raises(ValueError):
+                a[0] = 0
+        assert pw.attr_array("position").tolist() == [0.5, -1.0]
+
+    def test_the_input_arrays_are_copied(self):
+        position = np.array([[0.5]])
+        pw = PwCollection((("position", "real"),), [1.0],
+                          {"position": position})
+        position[0, 0] = 2.0
+        assert pw.attr_array("position")[0] == 0.5
+
+    @pytest.mark.parametrize("kind, values", [
+        ("int", [[0.5]]), ("int", [[True]]), ("int", [[2 ** 70]]),
+        ("real", [["left"]]), ("real", [[True]]), ("bool", [[1]]),
+        ("str", [["left"]])])
+    def test_a_value_that_does_not_fit_its_kind_is_rejected(self, kind,
+                                                            values):
+        with pytest.raises(TypeMismatchError):
+            PwCollection((("a", kind),), [1.0], {"a": values})
+
+    def test_an_int_converts_to_a_real_attribute(self):
+        pw = PwCollection((("a", "real"),), [1.0], {"a": [[3]]})
+        assert pw.attr_array("a").tolist() == [3.0]
+
+    @pytest.mark.parametrize("a, b", [
+        ([[0]], [[0], [1]]),        # one row per path
+        ([[0]], [[0, 1]]),          # one particle count
+        ([[]], [[]]),               # at least one particle
+        ([0], [0])])                # one column per particle
+    def test_shapes_must_agree(self, a, b):
+        with pytest.raises(ValueError, match="share one shape"):
+            PwCollection((("a", "int"), ("b", "int")), [1.0],
+                         {"a": np.array(a, int), "b": np.array(b, int)})
+
+    def test_at_least_one_path(self):
+        with pytest.raises(ValueError, match="at least one path"):
+            PwCollection((("a", "int"),), [], {"a": np.zeros((0, 1), int)})
+
+    def test_collections_share_read_only_arrays(self):
+        pw = one_particle_pw([(0.0, 1.0, 0.6), (1.0, -1.0, 0.8j)])
+        out = pw_propagate(pw, 0.5)
+        assert out.amplitudes() is pw.amplitudes()
+        assert out.columns["velocity"] is pw.columns["velocity"]
+
+    def test_attributes_must_match_the_declarations(self):
+        from causalkit.errors import MissingAttributeError
+        with pytest.raises(MissingAttributeError):
+            PwCollection((("a", "int"),), [1.0], {"b": [[0]]})
+        with pytest.raises(TypeMismatchError):
+            PwCollection((("a", "int"),), [1.0], {"a": [[0]], "b": [[0]]})
+        with pytest.raises(MissingAttributeError):
+            one_particle_pw([(0.0, 0.0, 1.0)]).attr_array("spin")
 
 
 class TestPwPropagate:
     def test_position_advance(self):
         pw = one_particle_pw([(0.0, 2.0, 1.0)])
         out = pw_propagate(pw, 0.5)
-        assert out.paths[0].attrs[0]["position"] == pytest.approx(1.0)
-        assert out.paths[0].amplitude == 1.0
+        assert out.attr_array("position")[0] == pytest.approx(1.0)
+        assert out.amplitudes()[0] == 1.0
 
     def test_norm_preserved(self):
         pw = one_particle_pw([(0.0, 1.0, 0.6), (1.0, -1.0, 0.8j)])
@@ -265,21 +327,13 @@ class TestPwPropagate:
     def test_zero_dt_identity(self):
         pw = one_particle_pw([(0.3, 1.5, 0.5), (2.0, -0.5, 0.5)])
         out = pw_propagate(pw, 0.0)
-        assert [p.attrs[0]["position"] for p in out.paths] == \
-            [p.attrs[0]["position"] for p in pw.paths]
-
-    def test_optional_phase_evolution(self):
-        pw = PwCollection(
-            (("position", "real"), ("velocity", "real"), ("omega", "real")),
-            (PwPath(({"position": 0.0, "velocity": 0.0, "omega": 2.0},),
-                    1.0 + 0j),))
-        out = pw_propagate(pw, 0.5, omega_attr="omega")
-        assert out.paths[0].amplitude == pytest.approx(np.exp(1j * 1.0))
+        assert out.attr_array("position").tolist() == \
+            pw.attr_array("position").tolist()
 
     def test_missing_attribute(self):
         from causalkit.errors import MissingAttributeError
-        pw = PwCollection((("position", "real"),),
-                          (PwPath(({"position": 0.0},), 1.0 + 0j),))
+        pw = PwCollection((("position", "real"),), [1.0],
+                          {"position": [[0.0]]})
         with pytest.raises(MissingAttributeError):
             pw_propagate(pw, 1.0)
 
@@ -289,9 +343,10 @@ class TestPwInteract:
         pw = one_particle_pw([(0.0, 0.0, 0.3 + 0.4j)])
         idx, collapsed = pw_interact(pw, RngStream(0))
         assert idx == 0
-        assert abs(collapsed.paths[0].amplitude) == pytest.approx(1.0)
+        (amp,) = collapsed.amplitudes()
+        assert abs(amp) == pytest.approx(1.0)
         # phase is kept, modulus renormalized
-        assert collapsed.paths[0].amplitude == pytest.approx((0.3 + 0.4j) / 0.5)
+        assert amp == pytest.approx((0.3 + 0.4j) / 0.5)
         assert collapsed.normalized
 
     def test_equal_amplitudes_binomial(self):
@@ -307,15 +362,13 @@ class TestPwInteract:
 
     def test_entangled_spins_anticorrelated(self):
         amp = 1 / math.sqrt(2)
-        pw = PwCollection(
-            (("spin", "int"),),
-            (PwPath(({"spin": 1}, {"spin": -1}), complex(amp)),
-             PwPath(({"spin": -1}, {"spin": 1}), complex(amp))))
+        pw = PwCollection((("spin", "int"),), [amp, amp],
+                          {"spin": [[1, -1], [-1, 1]]})
         rng = RngStream(12)
         for _ in range(1000):
             _, collapsed = pw_interact(pw, rng)
-            path = collapsed.paths[0]
-            assert path.attrs[0]["spin"] == -path.attrs[1]["spin"]
+            (spins,) = collapsed.columns["spin"].tolist()
+            assert spins[0] == -spins[1]
 
     def test_zero_norm(self):
         pw = one_particle_pw([(0.0, 0.0, 0.0)])
@@ -374,69 +427,84 @@ class TestPwDetect:
 
 class TestCaStep:
     def test_empty_world_zero_field(self):
-        world = CaWorld(np.zeros(8), ())
-        out = ca_step(world)
-        assert np.all(out.phi == 0.0)
-        assert out.particles == ()
+        out = ca_step(ca_world_value(np.zeros(8)))
+        assert np.all(out.fields["phi"].values == 0.0)
+        assert out.fields["particles"].items == ()
 
     def test_field_diffusion_conserves_total(self):
         rng = np.random.default_rng(3)
-        world = CaWorld(rng.normal(size=16), ())
-        total = world.phi.sum()
+        world = ca_world_value(rng.normal(size=16))
+        total = world.fields["phi"].values.sum()
         for _ in range(50):
             world = ca_step(world)
-        assert world.phi.sum() == pytest.approx(total)
+        phi = world.fields["phi"].values
+        assert phi.sum() == pytest.approx(total)
         # diffusion smooths: variance decreases
-        assert world.phi.var() < rng.normal(size=16).var() * 10
+        assert phi.var() < rng.normal(size=16).var() * 10
+
+    def test_diffusion_matches_the_rolled_laplacian(self):
+        phi = np.random.default_rng(4).normal(size=11)
+        out = ca_step(ca_world_value(phi, alpha=0.3)).fields["phi"].values
+        lap = np.roll(phi, 1) + np.roll(phi, -1) - 2.0 * phi
+        assert np.array_equal(out, phi + 0.3 * lap)
 
     def test_single_particle_displacement(self):
-        world = CaWorld(np.zeros(10), (CaParticle(1, 0, 1),))
+        world = ca_world_value(np.zeros(10), [(1, 0, 1)])
         for _ in range(5):
             world = ca_step(world)
-        assert world.particles[0].pos == 5
+        assert ca_particles(world) == [[5, 1]]
 
     def test_wraparound(self):
-        world = CaWorld(np.zeros(10), (CaParticle(1, 8, 1),))
+        world = ca_world_value(np.zeros(10), [(1, 8, 1)])
         for _ in range(5):
             world = ca_step(world)
-        assert world.particles[0].pos == 3
+        assert ca_particles(world) == [[3, 1]]
 
     def test_head_on_matches_committed_trace(self):
         data = json.loads((FIXTURES / "ca_headon_trace.json").read_text())
         rows = data["steps"]
-        world = CaWorld(np.zeros(data["cells"]),
-                        (CaParticle(1, rows[0][0][0], rows[0][0][1]),
-                         CaParticle(2, rows[0][1][0], rows[0][1][1])))
+        world = ca_world_value(np.zeros(data["cells"]),
+                               [(1, *rows[0][0]), (2, *rows[0][1])])
         for step_idx, expected in enumerate(rows):
-            got = [[p.pos, p.vel] for p in world.particles]
-            assert got == expected, f"step {step_idx}"
-            assert world.momentum() == 0
+            assert ca_particles(world) == expected, f"step {step_idx}"
+            assert ca_momentum(world) == 0
             world = ca_step(world)
+
+    def test_record_names_and_other_fields_are_kept(self):
+        from causalkit.state import VList, VRecord
+        world = ca_world_value(np.zeros(4), [(1, 0, 1, 7)])
+        ion = VRecord("Ion", {**world.fields["particles"].items[0].fields,
+                              "charge": -1})
+        world = VRecord("Ring", {**world.fields, "particles": VList([ion]),
+                                 "label": 3})
+        out = ca_step(world)
+        (moved,) = out.fields["particles"].items
+        assert out.record == "Ring" and out.fields["label"] == 3
+        assert moved.record == "Ion"
+        assert moved.fields == {"id": 1, "pos": 1, "vel": 1, "species": 7,
+                                "charge": -1}
 
     def test_momentum_conserved_random_worlds(self):
         rng = np.random.default_rng(9)
         for trial in range(100):
             n = int(rng.integers(4, 20))
             k = int(rng.integers(0, 6))
-            particles = tuple(
-                CaParticle(i, int(rng.integers(0, n)),
-                           int(rng.integers(-2, 3)), int(rng.integers(0, 2)))
-                for i in range(k))
-            world = CaWorld(rng.normal(size=n), particles)
-            p0 = world.momentum()
+            particles = [(i, int(rng.integers(0, n)), int(rng.integers(-2, 3)),
+                          int(rng.integers(0, 2))) for i in range(k)]
+            world = ca_world_value(rng.normal(size=n), particles)
+            p0 = ca_momentum(world)
             for _ in range(20):
                 world = ca_step(world)
-                assert world.momentum() == p0
+                assert ca_momentum(world) == p0
 
 
 class TestGaussianPacket:
     def test_normalized(self):
         wave = gaussian_packet(256, 0.1, x0=1.0, sigma=0.7, k0=2.0)
-        assert wave.norm() == pytest.approx(1.0, abs=1e-12)
-        assert wave.normalized
+        assert norm(wave) == pytest.approx(1.0, abs=1e-12)
 
     def test_centered(self):
         wave = gaussian_packet(256, 0.1, x0=1.0, sigma=0.5)
         x = grid_coordinates(256, 0.1)
-        mean = np.sum(x * np.abs(wave.psi) ** 2 * 0.1)
+        mean = np.sum(x * np.abs(wave.amps) ** 2 * 0.1)
         assert mean == pytest.approx(1.0, abs=1e-6)

@@ -226,3 +226,52 @@ class TestStateJson:
         data = state_to_json(s)
         back = state_from_json(data, schema)
         assert deep_equal(s, back, tol=0.0)
+
+
+class TestPwJson:
+    SCHEMA = StateSchema(fields={"pw": TypeDesc.pwcollection(
+        [("slit", TypeDesc.int_()), ("position", TypeDesc.real())])})
+
+    @staticmethod
+    def data(**particle):
+        return {"time": 0.0, "values": {"pw": {
+            "kind": "pw", "attrs": [["slit", "int"], ["position", "real"]],
+            "normalized": True,
+            "paths": [{"amp": [1.0, 0.0], "particles": [particle]}]}}}
+
+    def test_loads_a_fitting_collection(self):
+        state = state_from_json(self.data(slit=1, position=-2.5), self.SCHEMA)
+        pw = state.values["pw"].pw
+        assert pw.attr_array("slit").tolist() == [1]
+        assert pw.attr_array("position").tolist() == [-2.5]
+
+    @pytest.mark.parametrize("particle", [{"slit": 0.5, "position": 0.0},
+                                          {"slit": 0, "position": "left"}])
+    def test_an_attribute_that_does_not_fit_its_kind_is_rejected(self,
+                                                                 particle):
+        with pytest.raises(TypeMismatchError):
+            state_from_json(self.data(**particle), self.SCHEMA)
+
+    def test_missing_and_undeclared_attributes_are_rejected(self):
+        from causalkit import MissingAttributeError
+        with pytest.raises(MissingAttributeError):
+            state_from_json(self.data(slit=0), self.SCHEMA)
+        with pytest.raises(TypeMismatchError):
+            state_from_json(self.data(slit=0, position=0.0, side=1),
+                            self.SCHEMA)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("double_slit", {"detector": "off"}), ("double_slit", {"detector": "on"}),
+    ("entangled_pair", {}), ("qftca_toy", {})])
+@pytest.mark.parametrize("steps", [0, 2])
+def test_state_json_is_a_fixed_point(name, params, steps):
+    from causalkit import RunConfig, build_bundled_model, run
+    model, state = build_bundled_model(name, params)
+    if steps:
+        state = run(model, state, RunConfig(dt=1.0, max_steps=steps,
+                                            seed=3)).final_state
+    data = state_to_json(state)
+    back = state_from_json(data, model.schema)
+    assert state_to_json(back) == data
+    assert deep_equal(state, back)
