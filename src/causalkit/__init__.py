@@ -19,7 +19,6 @@ from .errors import (
     MultipleApplicableError,
     NoApplicableLawError,
     PositionOutOfBinsError,
-    RandomError,
     SchemaError,
     SchemaMismatchError,
     SinkError,
@@ -62,13 +61,11 @@ from .engine import (
     CausalModel,
     DeterminismVerdict,
     Law,
-    RandomSpec,
     apply_law,
     build_initial_state,
     classify_determinism,
     compile_observable,
     eval_guard,
-    sample_random,
     select_law,
     step,
 )

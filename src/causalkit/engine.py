@@ -25,7 +25,6 @@ from .errors import (
     EvalError,
     MultipleApplicableError,
     NoApplicableLawError,
-    RandomError,
 )
 from .frontend.ast_nodes import (
     Assign,
@@ -58,92 +57,6 @@ from .state import (
 )
 
 _MAX_TRUNCATION_TRIES = 100_000
-
-
-# --- random specifications ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RandomSpec:
-    """Value range plus distribution, validated before sampling."""
-
-    dist: str                    # FLAT | GAUSS | WEIGHTS | PSI
-    values: tuple | None = None  # finite range (tuple of payloads)
-    lo: float | None = None      # interval range
-    hi: float | None = None
-    params: tuple = ()           # GAUSS: (mean, sigma); WEIGHTS/PSI: numbers
-
-    def validate(self):
-        if self.dist == "GAUSS":
-            if len(self.params) != 2:
-                raise RandomError("GAUSS takes (mean, sigma)")
-            if not (self.params[1] > 0):
-                raise RandomError("GAUSS sigma must be > 0")
-            if self.values is not None:
-                raise RandomError("GAUSS needs an interval range")
-            return
-        if self.values is not None:
-            if len(self.values) == 0:
-                raise RandomError("empty value range")
-            if self.dist in ("WEIGHTS", "PSI"):
-                if len(self.params) != len(self.values):
-                    raise RandomError(
-                        f"{self.dist} needs one parameter per value")
-            elif self.dist != "FLAT":
-                raise RandomError(f"{self.dist} needs a finite value set")
-            return
-        if self.lo is None or self.hi is None:
-            raise RandomError("missing value range")
-        if self.dist == "FLAT" and not (self.lo < self.hi):
-            raise RandomError("continuous FLAT requires lo < hi")
-        if self.dist in ("WEIGHTS", "PSI"):
-            raise RandomError(f"{self.dist} needs a finite value set")
-
-    def probabilities(self) -> np.ndarray:
-        """Categorical probabilities for a finite value range."""
-        m = len(self.values)
-        if self.dist == "FLAT":
-            return np.full(m, 1.0 / m)
-        if self.dist == "WEIGHTS":
-            w = np.array([float(x) for x in self.params])
-            if np.any(w < 0):
-                raise RandomError("weights must be >= 0")
-            total = w.sum()
-            if total <= 0:
-                raise RandomError("weights sum to zero")
-            return w / total
-        if self.dist == "PSI":
-            p = np.abs(np.array([complex(x) for x in self.params])) ** 2
-            total = p.sum()
-            if total <= 0:
-                raise RandomError("amplitudes sum to zero")
-            return p / total
-        raise RandomError(f"{self.dist} has no categorical form")
-
-
-def sample_random(spec: RandomSpec, rng):
-    """Draw one value according to ``spec``.
-
-    FLAT over an interval is uniform; FLAT over a finite set equiprobable;
-    GAUSS is normal (optionally truncated to the interval by rejection);
-    WEIGHTS and PSI are categorical, PSI with probabilities proportional
-    to squared amplitude moduli.
-    """
-    spec.validate()
-    if spec.values is not None:
-        i = rng.categorical(spec.probabilities(), spec.values)
-        return spec.values[i]
-    if spec.dist == "FLAT":
-        return spec.lo + (spec.hi - spec.lo) * rng.uniform01()
-    # GAUSS
-    mean, sigma = float(spec.params[0]), float(spec.params[1])
-    if spec.lo is None:
-        return rng.normal(mean, sigma)
-    for _ in range(_MAX_TRUNCATION_TRIES):
-        x = rng.normal(mean, sigma)
-        if spec.lo <= x <= spec.hi:
-            return x
-    raise RandomError("truncated GAUSS: acceptance region too improbable")
 
 
 # --- model structure ----------------------------------------------------------
@@ -393,40 +306,119 @@ def _call(e: Call, scope: _Scope):
 
 
 def _random(e: RandomExpr, scope: _Scope):
-    loc = e.loc
-    spec = _random_spec(e, scope)
+    """A draw compiled to the sampler of its form, one of the six rows of
+    the ``random`` table in docs/cml.md, which the typechecker has fixed.
+    Each draw evaluates the parameters, then the range, checks that each
+    is finite and lets the form check the rest of what depends on their
+    values. A form whose parameters and range are all constant is
+    prepared once (unless that fails, which is then left to the draw)."""
+    loc, dist, range_ = e.loc, e.dist.name, e.range_
+    codes = [_compile(a, scope) for a in e.dist.args]
+    n = len(codes)
+    if range_ is None:
+        form, names = _gauss, ("mean", "sigma")
+    elif isinstance(range_, SetLit):
+        kind = range_.ty.element.kind
+        codes += [_promoted(x, kind, scope) for x in range_.items]
+        form, name = {"FLAT": (_flat_set, ""), "WEIGHTS": (_weights, "weight"),
+                      "PSI": (_psi, "amplitude")}[dist]
+        names = (name,) * n + ("value",) * len(range_.items)
+    else:
+        codes += [_compile(x, scope) for x in range_.items]
+        form = _flat_interval if dist == "FLAT" else _gauss
+        names = ("mean", "sigma")[:n] + ("lo", "hi")
+
+    def prepare(args):
+        for name, x in zip(names, args):
+            if not cmath.isfinite(x):
+                raise EvalError(f"random: non-finite {name} {x}", loc)
+        return form(args[:n], args[n:], loc)
+    sampler = lambda env: prepare(tuple([c(env) for c in codes]))
+    if all(isinstance(c, _Const) for c in codes):
+        try:
+            sampler = _Const(prepare(tuple(c.value for c in codes)))
+        except EvalError:
+            pass
 
     def draw(env):
         rnd = env.rnd
         if rnd is None:
             raise EvalError("random() is not allowed here", loc)
-        s = spec(env)
-        try:
-            return sample_random(s, rnd)
-        except RandomError as exc:
-            raise EvalError(f"random: {exc}", loc)
+        return sampler(env)(rnd)
     return draw
 
 
-def _random_spec(e: RandomExpr, scope):
-    """Closure building the RandomSpec: parameters first, then the range."""
-    dist = e.dist.name
-    params = [_compile(a, scope) for a in e.dist.args]
-    if e.range_ is None:
-        parts, build = [], lambda p: RandomSpec(dist, params=p)
-    elif isinstance(e.range_, SetLit):
-        kind = e.range_.ty.element.kind
-        parts = [_promoted(x, kind, scope) for x in e.range_.items]
-        build = lambda p, *values: RandomSpec(dist, values=values, params=p)
-    else:
-        parts = [_compile(x, scope) for x in e.range_.items]
-        build = lambda p, lo, hi: RandomSpec(dist, lo=float(lo), hi=float(hi),
-                                             params=p)
-    if all(isinstance(c, _Const) for c in params + parts):
-        return _Const(build(tuple(c.value for c in params),
-                            *(c.value for c in parts)))
-    return lambda env: build(tuple([c(env) for c in params]),
-                             *[c(env) for c in parts])
+def _categorical(probs, values):
+    """A finite set's sampler. The outcome is drawn by index, so a
+    branching source records the probabilities and the values."""
+    return lambda rnd: values[rnd.categorical(probs, values)]
+
+
+def _normalized(probs, exact_sum: float, what: str, loc):
+    """probs() / its sum. ``exact_sum``, taken in Python first, must be
+    finite (numpy would warn as it overflowed), and the sum positive."""
+    if not math.isfinite(exact_sum):
+        raise EvalError(f"random: non-finite {what} sum {exact_sum}", loc)
+    p = probs()
+    total = p.sum()
+    if total <= 0:
+        raise EvalError(f"random: {what}s sum to zero", loc)
+    return p / total
+
+
+def _flat_set(params, values, loc):
+    return _categorical(np.full(len(values), 1.0 / len(values)), values)
+
+
+def _weights(params, values, loc):
+    w = np.array([float(x) for x in params])
+    if np.any(w < 0):
+        raise EvalError("random: weights must be >= 0", loc)
+    probs = _normalized(lambda: w, sum(params), "weight", loc)
+    return _categorical(probs, values)
+
+
+def _psi(params, values, loc):
+    amps = [complex(x) for x in params]
+    exact = sum(a.real * a.real + a.imag * a.imag for a in amps)
+    probs = _normalized(lambda: np.abs(np.array(amps)) ** 2, exact,
+                        "amplitude", loc)
+    return _categorical(probs, values)
+
+
+def _flat_interval(params, bounds, loc):
+    lo, hi = float(bounds[0]), float(bounds[1])
+    if not lo < hi:
+        raise EvalError("random: continuous FLAT requires lo < hi", loc)
+    width = hi - lo
+    if not math.isfinite(width):
+        raise EvalError(f"random: non-finite interval width {width}", loc)
+    return lambda rnd: lo + width * rnd.uniform01()
+
+
+def _gauss(params, bounds, loc):
+    """Unbounded, or truncated to ``bounds`` by rejection."""
+    mean, sigma = params
+    if not sigma > 0:
+        raise EvalError("random: GAUSS sigma must be > 0", loc)
+    mean, sigma = float(mean), float(sigma)
+    if not bounds:
+        def sample(rnd):
+            x = rnd.normal(mean, sigma)
+            if not math.isfinite(x):
+                raise EvalError(f"random: non-finite draw {x}", loc)
+            return x
+        return sample
+    lo, hi = float(bounds[0]), float(bounds[1])
+
+    def truncated(rnd):
+        for _ in range(_MAX_TRUNCATION_TRIES):
+            x = rnd.normal(mean, sigma)
+            if lo <= x <= hi:
+                return x
+        raise EvalError(
+            "random: truncated GAUSS: acceptance region too improbable", loc)
+    return truncated
 
 
 def _list(e: ListLit, scope):
@@ -629,38 +621,32 @@ def apply_law(law: Law, s0: SystemState, dt: float, rng) -> SystemState:
 
 
 def _set_path(value: Value, parts: tuple, new):
+    """``value`` with ``new`` at ``parts``. The typechecker has matched
+    each part to the value it walks into, so only an index can be wrong."""
     if not parts:
         return new
     p = parts[0]
     if isinstance(value, VList):
-        if not isinstance(p, int) or not 0 <= p < len(value.items):
+        if not 0 <= p < len(value.items):
             raise EvalError(f"index {p} out of range")
         items = list(value.items)
         items[p] = _set_path(items[p], parts[1:], new)
         return VList(items)
     if isinstance(value, VRecord):
-        if p not in value.fields:
-            raise EvalError(f"record has no field '{p}'")
         fields = dict(value.fields)
         fields[p] = _set_path(fields[p], parts[1:], new)
         return VRecord(value.record, fields)
     if isinstance(value, VVector):
-        if parts[1:] or not isinstance(p, int):
-            raise EvalError("bad vector assignment")
         if not 0 <= p < len(value.values):
             raise EvalError(f"index {p} out of range")
         arr = value.values.copy()
         arr[p] = new
         return VVector(arr)
-    if isinstance(value, VCGrid):
-        if parts[1:] or not isinstance(p, int):
-            raise EvalError("bad cgrid assignment")
-        if not 0 <= p < len(value.amps):
-            raise EvalError(f"index {p} out of range")
-        arr = value.amps.copy()
-        arr[p] = new
-        return VCGrid(arr, value.dx)
-    raise EvalError("cannot assign into this value")
+    if not 0 <= p < len(value.amps):   # a cgrid
+        raise EvalError(f"index {p} out of range")
+    arr = value.amps.copy()
+    arr[p] = new
+    return VCGrid(arr, value.dx)
 
 
 # --- stepping -----------------------------------------------------------------------

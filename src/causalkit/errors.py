@@ -47,10 +47,6 @@ class EvalError(CausalKitError):
         self.message = message
 
 
-class RandomError(CausalKitError):
-    """Invalid random specification at runtime."""
-
-
 class SolveError(CausalKitError):
     """Implicit linear solve failed."""
 

@@ -412,7 +412,11 @@ def _impl_pw_detect(args, env):
     if not 1 <= nbins <= MAX_CELLS:
         raise EvalError(f"pw_detect: nbins must be in [1, {MAX_CELLS}], "
                         f"got {nbins}")
-    edges = np.linspace(float(lo), float(hi), nbins + 1)
+    lo, hi = float(lo), float(hi)
+    for name, x in (("lo", lo), ("hi", hi), ("hi - lo", hi - lo)):
+        if not math.isfinite(x):
+            raise EvalError(f"pw_detect: non-finite {name} {x}")
+    edges = np.linspace(lo, hi, nbins + 1)
     return pw_detect(pw.pw, edges, env.rnd, coherent=coherent)
 
 

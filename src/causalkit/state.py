@@ -495,6 +495,8 @@ def state_to_json(state: SystemState) -> dict:
 
 
 def state_from_json(data: dict, schema: StateSchema) -> SystemState:
+    for name, v in data["values"].items():
+        _check_finite(v, name)
     values = {n: value_from_json(v) for n, v in data["values"].items()}
     state = SystemState(schema, float(data["time"]), values)
     for name, td in schema.fields.items():
@@ -502,3 +504,15 @@ def state_from_json(data: dict, schema: StateSchema) -> SystemState:
             raise MissingFieldError(name)
         check_value(values[name], td, schema, where=name)
     return state
+
+
+def _check_finite(data, where: str):
+    """TypeMismatchError naming field ``where`` if its JSON ``data`` holds
+    ``inf`` or ``nan`` anywhere, which no state holds."""
+    if isinstance(data, dict):
+        data = list(data.values())
+    if isinstance(data, list):
+        for x in data:
+            _check_finite(x, where)
+    elif isinstance(data, float) and not math.isfinite(data):
+        raise TypeMismatchError(where, "a finite value", data)

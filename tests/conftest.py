@@ -56,3 +56,20 @@ def ca_particles(world):
 
 def ca_momentum(world) -> int:
     return sum(vel for _, vel in ca_particles(world))
+
+
+def draw_model(draw: str, kind: str = "real"):
+    """A one-law model whose transition writes ``draw`` to ``x``."""
+    from causalkit import load_model
+
+    return load_model(f"model draw {{ state {{ x: {kind}; }} init {{ x = 0; }} "
+                      f"law Draw {{ when true; then {{ x = {draw}; }} }} }}")
+
+
+def draws(model, rng, n: int) -> list:
+    """``x`` after each of ``n`` applications of the model's one law to
+    its initial state, all drawing from ``rng``."""
+    from causalkit import apply_law, build_initial_state
+
+    law, s = model.laws[0], build_initial_state(model)
+    return [apply_law(law, s, 1.0, rng).values["x"] for _ in range(n)]

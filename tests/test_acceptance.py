@@ -16,7 +16,6 @@ import pytest
 
 from causalkit import (
     CheckStrategy,
-    RandomSpec,
     RngStream,
     RunConfig,
     branch_run,
@@ -29,7 +28,6 @@ from causalkit import (
     load_model,
     run,
     run_ensemble,
-    sample_random,
     validstate,
     write_trace,
 )
@@ -43,6 +41,8 @@ from conftest import (
     ca_momentum,
     ca_particles,
     ca_world_value,
+    draw_model,
+    draws,
     fixture_source,
 )
 
@@ -140,18 +140,22 @@ def test_criterion_1_interference_rule():
 
 def test_criterion_2_born_weights():
     with criterion(2, "Born weights"):
-        spec = RandomSpec("PSI", values=(0, 1),
-                          params=(0.6, 0.8j))
+        psi = draw_model("random({0, 1}, PSI(0.6, 0.8i))", "int")
         rng = RngStream(77)
         n = 100_000
-        ones = sum(sample_random(spec, rng) for _ in range(n))
+        ones = sum(draws(psi, rng, n))
         sigma = math.sqrt(n * 0.36 * 0.64)
         assert abs(ones - 0.64 * n) < 3 * sigma
-        # global phase invariance, exact on the probability vector
-        phase = np.exp(1j * 2.345)
-        rotated = RandomSpec("PSI", values=spec.values,
-                             params=(0.6 * phase, 0.8j * phase))
-        diff = np.abs(spec.probabilities() - rotated.probabilities()).max()
+        # global phase invariance, exact on the branch weights
+        rotated = draw_model("random({0, 1}, PSI(0.6 * exp(2.345i), "
+                             "0.8i * exp(2.345i)))", "int")
+
+        def leaf_weights(model):
+            tree = branch_run(model, build_initial_state(model),
+                              RunConfig(dt=1.0, max_steps=1),
+                              depth_bound=1, width_bound=2)
+            return np.array([leaf.weight for leaf in tree.leaves()])
+        diff = np.abs(leaf_weights(psi) - leaf_weights(rotated)).max()
         assert diff <= 1e-12
 
 

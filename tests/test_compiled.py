@@ -316,7 +316,8 @@ def test_step_zero_observable_error_is_a_termination():
 def test_the_tree_walker_is_gone():
     for name in ("eval_expr", "_eval_binary", "_eval_index", "_eval_call",
                  "_eval_random", "build_random_spec", "_exec_block",
-                 "_resolve_target"):
+                 "_resolve_target", "RandomSpec", "sample_random",
+                 "_random_spec"):
         assert not hasattr(engine, name), name
 
 
@@ -338,3 +339,39 @@ def test_each_node_is_compiled_once(monkeypatch):
     s = apply_law(model.law("Even"), s, 1.0, RngStream(0))
     engine.halts(model, s)
     assert len(calls) == n
+
+
+# --- draws: one sampler per form ----------------------------------------------------
+
+
+@pytest.mark.parametrize("draw, prepared", [
+    ("random({-1, 1}, FLAT)", 1),           # constant: prepared once
+    ("random({-1, x}, FLAT)", 20),          # reads the state: every draw
+])
+def test_a_constant_draw_is_prepared_once(monkeypatch, draw, prepared):
+    calls = []
+    flat_set = engine._flat_set
+
+    def counting(params, values, loc):
+        calls.append(values)
+        return flat_set(params, values, loc)
+
+    monkeypatch.setattr(engine, "_flat_set", counting)
+    model = load_model("model w { state { x: int; } init { x = 0; } "
+                       f"law S {{ when true; then {{ x = x + {draw}; }} }} }}")
+    trace = run(model, build_initial_state(model),
+                RunConfig(dt=1.0, max_steps=20))
+    assert trace.termination.kind == "max-steps"
+    assert len(calls) == prepared
+
+
+def test_an_invalid_constant_draw_fails_only_when_it_runs():
+    model = load_model(
+        "model m { state { n: int; } init { n = 0; } "
+        "law A { when n == 0; then { n = 1; } } "
+        "law B { when n == 1; then { n = random({0, 1}, WEIGHTS(0, 0)); } } }")
+    trace = run(model, build_initial_state(model),
+                RunConfig(dt=1.0, max_steps=3, record_every=1))
+    assert [row.snapshot.values["n"] for row in trace.rows] == [0, 1]
+    assert trace.termination.message == \
+        "law 'B': random: weights sum to zero at 1:116"

@@ -8,27 +8,27 @@ from causalkit import (
     EvalError,
     MultipleApplicableError,
     NoApplicableLawError,
-    RandomError,
-    RandomSpec,
     RngStream,
+    RunConfig,
     StateSchema,
     SystemState,
     TypeDesc,
     VList,
     apply_law,
+    branch_run,
     build_initial_state,
     classify_determinism,
     deep_equal,
     eval_guard,
     load_model,
     make_initial_state,
-    sample_random,
+    run,
     sample_state,
     select_law,
     step,
 )
 
-from conftest import fixture_source
+from conftest import draw_model, draws, fixture_source
 
 
 def real_state(model, **values):
@@ -212,58 +212,69 @@ class TestStep:
 
 
 class TestSampleRandom:
+    """Each draw form, applied through a one-law model. A categorical draw
+    takes one word of the stream and a normal draw two, so each seed
+    gives the same draws as sampling the form directly did."""
+
     def test_flat_interval_mean(self):
         # law of large numbers against the closed-form mean of U[0,1)
         rng = RngStream(101)
-        spec = RandomSpec("FLAT", lo=0.0, hi=1.0)
         n = 100_000
-        total = sum(sample_random(spec, rng) for _ in range(n))
+        total = sum(draws(draw_model("random([0.0, 1.0], FLAT)"), rng, n))
         assert abs(total / n - 0.5) < 0.01
 
     def test_psi_born_weights(self):
         # |0.6|^2 = 0.36 and |0.8i|^2 = 0.64; empirical frequency within
         # 3 sigma of the binomial at 1e5 draws
         rng = RngStream(102)
-        spec = RandomSpec("PSI", values=(0, 1),
-                          params=(0.6, 0.8j))
+        model = draw_model("random({0, 1}, PSI(0.6, 0.8i))", "int")
         n = 100_000
-        ones = sum(sample_random(spec, rng) for _ in range(n))
+        ones = sum(draws(model, rng, n))
         sigma = math.sqrt(0.36 * 0.64 * n)
         assert abs(ones - 0.64 * n) < 3 * sigma
 
+    @staticmethod
+    def draw_error(draw: str, kind: str = "real") -> str:
+        model = draw_model(draw, kind)
+        term = run(model, build_initial_state(model),
+                   RunConfig(dt=1.0, max_steps=1)).termination
+        assert term.kind == "eval-error"
+        return term.message
+
     def test_zero_weights_error(self):
-        spec = RandomSpec("WEIGHTS", values=(0, 1),
-                          params=(0.0, 0.0))
-        with pytest.raises(RandomError):
-            sample_random(spec, RngStream(0))
+        assert self.draw_error("random({0, 1}, WEIGHTS(0.0, 0.0))", "int") == \
+            "law 'Draw': random: weights sum to zero at 1:81"
 
     def test_empty_interval_error(self):
-        with pytest.raises(RandomError):
-            sample_random(RandomSpec("FLAT", lo=1.0, hi=1.0), RngStream(0))
+        assert self.draw_error("random([1.0, 1.0], FLAT)") == \
+            "law 'Draw': random: continuous FLAT requires lo < hi at 1:82"
 
     def test_gauss_requires_positive_sigma(self):
-        with pytest.raises(RandomError):
-            sample_random(RandomSpec("GAUSS", params=(0.0, 0.0)), RngStream(0))
+        assert self.draw_error("random(GAUSS(0.0, 0.0))") == \
+            "law 'Draw': random: GAUSS sigma must be > 0 at 1:82"
 
     def test_gauss_unbounded_and_truncated(self):
         rng = RngStream(103)
-        unbounded = RandomSpec("GAUSS", params=(0.0, 1.0))
-        xs = [sample_random(unbounded, rng) for _ in range(20_000)]
+        xs = draws(draw_model("random(GAUSS(0.0, 1.0))"), rng, 20_000)
         assert abs(sum(xs) / len(xs)) < 0.03
-        truncated = RandomSpec("GAUSS", lo=0.0, hi=1.0, params=(0.0, 1.0))
-        ys = [sample_random(truncated, rng) for _ in range(2000)]
+        truncated = draw_model("random([0.0, 1.0], GAUSS(0.0, 1.0))")
+        ys = draws(truncated, rng, 2000)
         assert all(0.0 <= y <= 1.0 for y in ys)
 
     def test_psi_normalization_invariance(self):
         # scaling all amplitudes by a common complex factor leaves the
-        # categorical distribution identical
-        base = RandomSpec("PSI", values=(0, 1, 2),
-                          params=(0.5, 0.5j, -0.70710678118654752))
-        factor = 2.3 * np.exp(1j * 0.77)
-        scaled = RandomSpec("PSI", values=base.values,
-                            params=tuple(factor * a for a in base.params))
-        np.testing.assert_allclose(base.probabilities(),
-                                   scaled.probabilities(), atol=1e-12)
+        # branch weights of the categorical draw identical
+        def leaf_weights(f):
+            model = draw_model(f"random({{0, 1, 2}}, PSI({f}0.5, {f}0.5i, "
+                               f"{f}(-0.70710678118654752)))", "int")
+            tree = branch_run(model, build_initial_state(model),
+                              RunConfig(dt=1.0, max_steps=1),
+                              depth_bound=1, width_bound=4)
+            return [leaf.weight for leaf in tree.leaves()]
+        base = leaf_weights("")
+        scaled = leaf_weights("2.3 * exp(0.77i) * ")
+        np.testing.assert_allclose(base, [0.25, 0.25, 0.5], atol=1e-12)
+        np.testing.assert_allclose(base, scaled, rtol=0.0, atol=1e-12)
 
 
 class TestClassifyDeterminism:

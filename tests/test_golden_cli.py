@@ -145,6 +145,16 @@ INVOCATIONS = (
     SLIT_K_HISTOGRAM,
     SLIT_ANALYZE,
     QFTCA_ANALYZE,
+    # the draw forms the models above leave unpinned: PSI, unbounded and
+    # truncated GAUSS, and every form whose parameters read the state
+    ("branch", "tests/fixtures/psi_draw.cml"),
+    ("histogram", "tests/fixtures/psi_draw.cml", "--observables", "outcome",
+     "--trials", "1000", "--seed", "3"),
+    ("run", "tests/fixtures/gauss_draw.cml", "--observables", "x,y"),
+    ("run", "tests/fixtures/truncated_gauss.cml", "--observables", "x,y"),
+    ("run", "tests/fixtures/varying_draws.cml", "--observables", "k,x,b,n"),
+    ("histogram", "tests/fixtures/varying_draws.cml", "--observables", "k",
+     "--trials", "200", "--seed", "9"),
 )
 
 

@@ -397,6 +397,23 @@ class TestConstructors:
         assert term.kind == "eval-error"
         assert f"nbins must be in [1, 1048576], got {nbins}" in term.message
 
+    @pytest.mark.parametrize("lo, hi, message", [
+        ("-1e308 * 10.0", "1.0", "lo -inf"),
+        ("-1.0", "h * 1e308 * 10.0", "hi inf"),
+        ("-1e308", "1e308", "hi - lo inf"),
+    ])
+    def test_pw_detect_non_finite_range_ends_the_run(self, lo, hi, message):
+        model = load_model(
+            f"model m {{ state {{ pw: pwcollection(slit: int, "
+            f"position: real); d: int; h: real; }} "
+            f"init {{ pw = two_slit(4, 1.0, 0.5, 10.0, 1.0); d = -1; "
+            f"h = 1.0; }} halt when d >= 0; "
+            f"law L {{ when true; then {{ "
+            f"d = pw_detect(pw, 4, {lo}, {hi}, true); }} }} }}")
+        term = run(model, build_initial_state(model), CFG).termination
+        assert (term.kind, term.message) == (
+            "eval-error", f"law 'L': pw_detect: non-finite {message} at 1:196")
+
     def test_qftca_world_follows_cells_and_alpha(self):
         _, state = build_bundled_model("qftca_toy", {"cells": "5",
                                                      "alpha": "0.35"})

@@ -249,3 +249,62 @@ def test_non_finite_complex_observable_ends_run():
     assert trace.termination.kind == "eval-error"
     assert trace.termination.message.startswith(
         "non-finite value infj in observable 'complex(")
+
+
+# --- non-finite draw parameters -----------------------------------------------------
+
+# one draw per form whose parameter or bound overflows, as a constant
+# (folded when the model is built) or as an expression of the state
+DRAWS = [
+    ("random({0.0, big * 10.0}, FLAT)", "value inf"),
+    ("random([0.0, big * 10.0], FLAT)", "hi inf"),
+    ("random({0, 1}, WEIGHTS(big * 10.0, 1.0))", "weight inf"),
+    ("random({0, 1}, PSI(big * 10.0, 1.0))", "amplitude inf"),
+    ("random(GAUSS(0.0, big * 10.0))", "sigma inf"),
+    ("random([-big * 10.0, 1.0], GAUSS(0.0, 1.0))", "lo -inf"),
+]
+
+
+def _draw_model(draw: str) -> str:
+    """The draw feeds an ``if`` through a let, so no write checks it."""
+    return ("model m {\n  const big: real = 1e308;\n"
+            "  state { x: real; n: int in [0, 10]; }\n"
+            "  init { x = 0.0; n = 0; }\n  halt when n >= 1;\n"
+            "  law Draw { when n < 1; then {\n"
+            f"    let r = {draw};\n"
+            "    if r > 0 { x = 1.0; }\n    n = n + 1;\n  } }\n}\n")
+
+
+@pytest.mark.parametrize("read", ["", "(x + 1.0) * "],
+                         ids=["constant", "state"])
+@pytest.mark.parametrize("draw, what", DRAWS, ids=[d[1] for d in DRAWS])
+def test_non_finite_draw_parameter_ends_every_command(draw, what, read,
+                                                      tmp_path, capsys):
+    path = tmp_path / "m.cml"
+    path.write_text(_draw_model(draw.replace("big", read + "big")),
+                    encoding="utf-8")
+    message = f"law 'Draw': random: non-finite {what} at 7:13"
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == f"terminated: eval-error: {message}\n"
+    assert main(["histogram", str(path), "--observables", "x",
+                 "--trials", "3"]) == 1
+    assert capsys.readouterr() == \
+        ("", f"trial 0 terminated: eval-error: {message}\n")
+    assert main(["branch", str(path)]) == 0
+    tree = json.loads(capsys.readouterr().out)
+    assert tree["root"]["termination"] == {"kind": "eval-error",
+                                           "message": message}
+
+
+@pytest.mark.parametrize("draw, message", [
+    ("random({0, 1}, WEIGHTS(1e308, 1e308))", "weight sum inf"),
+    ("random({0, 1}, PSI(1e200, 1.0))", "amplitude sum inf"),
+    ("random([-1e308, 1e308], FLAT)", "interval width inf"),
+    ("random(GAUSS(1.7e308, 1e308))", "draw inf"),   # z > 0 at seed 0
+])
+def test_finite_parameters_that_overflow_end_the_run(draw, message):
+    model = load_model(_draw_model(draw))
+    term = run(model, build_initial_state(model),
+               RunConfig(dt=1.0, max_steps=1, seed=0)).termination
+    assert (term.kind, term.message) == \
+        ("eval-error", f"law 'Draw': random: non-finite {message} at 7:13")

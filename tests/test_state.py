@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,43 @@ class TestStateJson:
         data = state_to_json(s)
         back = state_from_json(data, schema)
         assert deep_equal(s, back, tol=0.0)
+
+
+PW_TYPE = TypeDesc.pwcollection([("slit", TypeDesc.int_()),
+                                  ("position", TypeDesc.real())])
+
+
+def _pw_json(amp, position):
+    return (f'{{"kind": "pw", "attrs": [["slit", "int"], ["position", '
+            f'"real"]], "paths": [{{"amp": {amp}, "particles": '
+            f'[{{"slit": 0, "position": {position}}}]}}]}}')
+
+
+# JSON text allows NaN and Infinity; no state may hold them
+@pytest.mark.parametrize("td, text, message", [
+    (TypeDesc.real(), '{"kind": "real", "v": NaN}',
+     "field 'f': expected a finite value, got nan"),
+    (TypeDesc("complex"), '{"kind": "complex", "re": 1.0, "im": -Infinity}',
+     "field 'f': expected a finite value, got -inf"),
+    (TypeDesc.vector(2), '{"kind": "vector", "v": [1.0, Infinity]}',
+     "field 'f': expected a finite value, got inf"),
+    (TypeDesc.cgrid(2, 0.5),
+     '{"kind": "cgrid", "dx": 0.5, "re": [0.0, NaN], "im": [0.0, 0.0]}',
+     "field 'f': expected a finite value, got nan"),
+    (PW_TYPE, _pw_json("[NaN, 0.0]", "0.0"),
+     "field 'f': expected a finite value, got nan"),
+    (PW_TYPE, _pw_json("[1.0, 0.0]", "NaN"),
+     "field 'f': expected a finite value, got nan"),
+    (TypeDesc.list_of(TypeDesc.real()),
+     '{"kind": "list", "items": [{"kind": "real", "v": 1.0}, '
+     '{"kind": "real", "v": -Infinity}]}',
+     "field 'f': expected a finite value, got -inf"),
+])
+def test_state_from_json_rejects_non_finite_values(td, text, message):
+    data = {"time": 0.0, "values": {"f": json.loads(text)}}
+    with pytest.raises(TypeMismatchError) as exc:
+        state_from_json(data, StateSchema(fields={"f": td}))
+    assert str(exc.value) == message
 
 
 class TestPwJson:
