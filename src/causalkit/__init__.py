@@ -77,7 +77,7 @@ from .interpreter import (
     branch_run,
     run,
     run_ensemble,
-    world_tree_to_json,
+    world_tree_text,
     write_trace,
 )
 from .analyzer import (

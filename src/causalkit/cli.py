@@ -21,7 +21,7 @@ from .interpreter import (
     format_scalar,
     run,
     run_ensemble,
-    world_tree_to_json,
+    world_tree_text,
     write_text,
     write_trace,
 )
@@ -198,8 +198,7 @@ def _cmd_branch(args) -> int:
     cfg = RunConfig(dt=args.dt if args.dt is not None else model.default_timestep,
                     max_steps=args.steps, seed=args.seed, mode=args.mode)
     tree = branch_run(model, state, cfg, args.depth, args.width)
-    text = json.dumps(world_tree_to_json(tree), indent=2,
-                      cls=IndentedEncoder) + "\n"
+    text = world_tree_text(tree) + "\n"
     write_text(text, args.out)
     return 0
 

@@ -410,6 +410,9 @@ def _gauss(params, bounds, loc):
             return x
         return sample
     lo, hi = float(bounds[0]), float(bounds[1])
+    if not lo < hi:
+        raise EvalError(f"random: truncated GAUSS requires lo < hi, got "
+                        f"lo {lo} and hi {hi}", loc)
 
     def truncated(rnd):
         for _ in range(_MAX_TRUNCATION_TRIES):
@@ -594,8 +597,10 @@ def select_law(model: CausalModel, s: SystemState, mode: str = "strict") -> Law:
 # --- transition application ----------------------------------------------------------
 
 
-def apply_law(law: Law, s0: SystemState, dt: float, rng) -> SystemState:
-    """Apply a law's transition to s0 and return s1 (time unchanged).
+def apply_law(law: Law, s0: SystemState, dt: float, rng,
+              time: float | None = None) -> SystemState:
+    """Apply a law's transition to s0 and return s1 at ``time`` (default
+    s0's time).
 
     All reads see s0; ``dt`` is available to expressions by that name.
     An ``EvalError`` or ``ContinuousRandomError`` leaves with the law's name.
@@ -617,7 +622,7 @@ def apply_law(law: Law, s0: SystemState, dt: float, rng) -> SystemState:
             composite[root] = None
     for root in composite:
         check_value(values[root], schema.fields[root], schema, where=root)
-    return SystemState(schema, s0.time, values)
+    return SystemState(schema, s0.time if time is None else time, values)
 
 
 def _set_path(value: Value, parts: tuple, new):
@@ -665,9 +670,8 @@ def step(model: CausalModel, s0: SystemState, dt: float, rng,
     if not (dt > 0):
         raise ValueError("dt must be positive")
     law = select_law(model, s0, mode)
-    s1 = apply_law(law, s0, dt, rng)
-    t = s0.time + dt if time_after is None else time_after
-    return SystemState(s1.schema, t, s1.values)
+    return apply_law(law, s0, dt, rng,
+                     s0.time + dt if time_after is None else time_after)
 
 
 def build_initial_state(model: CausalModel) -> SystemState:

@@ -238,7 +238,7 @@ def format_expr(e: Expr) -> str:
         if e.kind == "bool":
             return "true" if e.value else "false"
         if e.kind == "complex":
-            return f"{e.value.imag:g}i"
+            return repr(e.value.imag) + "i"
         if e.kind == "real":
             s = repr(float(e.value))
             return s

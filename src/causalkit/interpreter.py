@@ -25,6 +25,7 @@ from .errors import (
     NoApplicableLawError,
     SinkError,
 )
+from .jsontext import _float, _string, dumps_indented
 from .rng import RngStream, WordBlocks, categorical_indices, derive_seeds
 from .state import SystemState, state_to_json
 
@@ -534,8 +535,7 @@ class Ensemble:
         if node.post is not None:
             return node.post, True
         source = ReplaySource(prefix, stream)
-        s1 = apply_law(entry.law, entry.state, self.cfg.dt, source)
-        post = SystemState(s1.schema, time, s1.values)
+        post = apply_law(entry.law, entry.state, self.cfg.dt, source, time)
         for probs, _, k in source.draws:
             node.probs = probs
             # targets bind left to right: the parent's slot, then the cursor
@@ -652,27 +652,96 @@ def write_text(text: str, sink) -> int:
     return len(data)
 
 
-def world_tree_to_json(tree: WorldTree) -> dict:
-    def node_json(node: WorldNode) -> dict:
-        out: dict = {"weight": node.weight}
-        if node.outcome is not None:
-            out["outcome"] = node.outcome
-        if node.pruned:
-            out["pruned"] = True
-        if node.termination is not None and not node.pruned:
-            out["termination"] = termination_to_json(node.termination)
-        if node.snapshot is not None and not node.children:
-            out["state"] = state_to_json(node.snapshot)
-        if node.children:
-            out["children"] = []
-            todo.append((node, out["children"]))
-        return out
+# payload types whose repr tells apart every value they print apart
+_REPR_KEYED = frozenset((int, float, bool, complex))
 
-    # a stack, not recursion, so a tree's depth is not bounded by the
-    # interpreter's recursion limit
-    todo: list = []
-    root = node_json(tree.root)
-    while todo:
-        node, children = todo.pop()
-        children.extend(node_json(c) for c in node.children)
-    return {"prunedMass": tree.pruned_mass, "root": root}
+
+def world_tree_text(tree: WorldTree) -> str:
+    """``json.dumps`` of the tree's JSON form with ``indent=2``, written
+    straight from the nodes.
+
+    Each node carries, in this order, its ``weight``, its ``outcome`` if
+    any, ``"pruned": true`` or else its ``termination`` if any, its
+    ``state`` if it is a leaf with a snapshot, and its ``children`` if
+    any. The nodes are walked with an explicit stack, so a tree deeper
+    than the recursion limit is written like any other. A leaf's state
+    and termination text is built once per distinct value and depth in
+    one call: a state of scalar payloads is keyed by the ``repr`` of its
+    time and values (``-0.0 == 0.0`` and ``True == 1``, but their reprs
+    differ, as their JSON does), any other state by identity; a
+    termination without a witness by its kind, message and laws, one
+    with a witness by identity. The tree holds every keyed object, so no
+    id is reused while the call runs.
+    """
+    # (depth, key) -> a leaf's state or termination text; a state's key is
+    # a pair or an id, a termination's a triple or an id, so none collide
+    fragments: dict = {}
+    layouts: dict = {}
+
+    def fragment(d: int, key, to_json, leaf) -> str:
+        text = fragments.get((d, key))
+        if text is None:
+            text = fragments[d, key] = dumps_indented(
+                to_json(leaf)).replace("\n", "\n" + "  " * d)
+        return text
+
+    def layout(d: int) -> tuple:
+        """The fixed text of a node whose keys are indented to depth d."""
+        outer, pad, inner = ("\n" + "  " * i for i in (d - 1, d, d + 1))
+        sep = "," + pad
+        text = layouts[d] = (
+            "{" + pad + '"weight": ', sep + '"outcome": ',
+            sep + '"pruned": true', sep + '"termination": ',
+            sep + '"state": ', outer + "}", sep + '"children": [' + inner,
+            "," + inner, pad + "]" + outer + "}")
+        return text
+
+    out = ['{\n  "prunedMass": ', _float(tree.pruned_mass), ',\n  "root": ']
+    emit = out.append
+    # one entry per node whose children are being written: (iterator over
+    # the rest of them, text before the next one, text after the last one)
+    stack: list = []
+    node, d = tree.root, 2      # d: indent depth of the node's keys
+    while True:
+        (head, outcome, pruned, termination, state, close, children_,
+         sibling, close_children) = layouts.get(d) or layout(d)
+        emit(head)
+        emit(_float(node.weight))
+        if node.outcome is not None:
+            emit(outcome)
+            emit(_string(node.outcome))
+        if node.pruned:
+            emit(pruned)
+        elif node.termination is not None:
+            t = node.termination
+            key = (id(t) if t.witness is not None
+                   else (t.kind, t.message, tuple(t.laws)))
+            emit(termination)
+            emit(fragment(d, key, termination_to_json, t))
+        if node.children:
+            emit(children_)
+            children = iter(node.children)
+            node = next(children)
+            stack.append((children, sibling, close_children))
+            d += 2
+            continue
+        if node.snapshot is not None:
+            s = node.snapshot
+            key = ((repr(s.time), repr(s.values))
+                   if all(type(v) in _REPR_KEYED for v in s.values.values())
+                   else id(s))
+            emit(state)
+            emit(fragment(d, key, state_to_json, s))
+        emit(close)
+        while stack:
+            children, sibling, close_children = stack[-1]
+            node = next(children, None)
+            if node is not None:
+                emit(sibling)
+                break
+            stack.pop()
+            emit(close_children)
+            d -= 2
+        else:
+            emit("\n}")
+            return "".join(out)

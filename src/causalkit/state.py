@@ -254,7 +254,8 @@ def check_value(value, td: TypeDesc, schema: StateSchema, where: str = "value"):
     elif kind == "vector":
         ok = isinstance(value, VVector) and len(value.values) == td.length
     elif kind == "cgrid":
-        ok = isinstance(value, VCGrid) and len(value.amps) == td.length
+        ok = (isinstance(value, VCGrid) and len(value.amps) == td.length
+              and value.dx == td.dx)
     elif kind == "list":
         ok = isinstance(value, VList)
         if ok:
@@ -283,7 +284,7 @@ def _describe(value) -> str:
     if isinstance(value, VVector):
         return f"vector({len(value.values)})"
     if isinstance(value, VCGrid):
-        return f"cgrid({len(value.amps)})"
+        return f"cgrid({len(value.amps)}, {value.dx})"
     if isinstance(value, VRecord):
         return value.record
     if isinstance(value, Value):

@@ -375,3 +375,13 @@ def test_an_invalid_constant_draw_fails_only_when_it_runs():
     assert [row.snapshot.values["n"] for row in trace.rows] == [0, 1]
     assert trace.termination.message == \
         "law 'B': random: weights sum to zero at 1:116"
+    model = load_model(
+        "model m { state { x: real; n: int; } init { x = 0.0; n = 0; } "
+        "law A { when n == 0; then { n = 1; } } "
+        "law B { when n == 1; then { x = random([1.0, 0.0], GAUSS(0, 1)); } } }")
+    trace = run(model, build_initial_state(model),
+                RunConfig(dt=1.0, max_steps=3, record_every=1))
+    assert [row.snapshot.values["n"] for row in trace.rows] == [0, 1]
+    assert trace.termination.message == \
+        ("law 'B': random: truncated GAUSS requires lo < hi, got lo 1.0 "
+         "and hi 0.0 at 1:134")

@@ -249,6 +249,12 @@ class TestSampleRandom:
         assert self.draw_error("random([1.0, 1.0], FLAT)") == \
             "law 'Draw': random: continuous FLAT requires lo < hi at 1:82"
 
+    def test_empty_truncated_gauss_fails_before_a_draw(self):
+        # rejected before the first of the 100,000 rejection tries
+        assert self.draw_error("random([1.0, 0.0], GAUSS(0.0, 1.0))") == \
+            ("law 'Draw': random: truncated GAUSS requires lo < hi, got lo "
+             "1.0 and hi 0.0 at 1:82")
+
     def test_gauss_requires_positive_sigma(self):
         assert self.draw_error("random(GAUSS(0.0, 0.0))") == \
             "law 'Draw': random: GAUSS sigma must be > 0 at 1:82"

@@ -41,6 +41,10 @@ DETECTOR_BRANCH = ("branch", "builtin:double_slit", "--param", "detector=on",
 # the tree the benchmark's `branch` workload encodes: 1.9 MB, width-pruned
 WALK_PRUNED = ("branch", "tests/fixtures/walk.cml", "--depth", "24",
                "--width", "64", "--steps", "25", "--seed", "1")
+# leaves that compare equal but print apart: 0.0 and -0.0 at one depth, in
+# a real and in both parts of a complex, next to a bool drawn by FLAT
+SIGNED_ZERO = ("branch", "tests/fixtures/signed_zero.cml", "--depth", "8",
+               "--width", "64")
 # the bundled models with parameters, pinned before they became .cml files
 SLIT_OFF_BRANCH = ("branch", "builtin:double_slit", "--param", "bins=8",
                    "--depth", "2")
@@ -65,6 +69,7 @@ NAMED = {
     FALLIBLE_DEPTH5: "branch tests/fixtures/fallible.cml depth 5",
     DETECTOR_BRANCH: "branch builtin:double_slit detector on",
     WALK_PRUNED: "branch tests/fixtures/walk.cml pruned",
+    SIGNED_ZERO: "branch tests/fixtures/signed_zero.cml",
     SLIT_OFF_BRANCH: "branch builtin:double_slit detector off",
     SLIT_ALL_PARAMS: "branch builtin:double_slit every parameter",
     QFTCA_PARAMS: "branch builtin:qftca_toy cells and alpha",
@@ -136,6 +141,7 @@ INVOCATIONS = (
     FALLIBLE_DEPTH5,
     DETECTOR_BRANCH,
     WALK_PRUNED,
+    SIGNED_ZERO,
     # a potential that alternates every step: two Crank-Nicolson operators
     ("run", "tests/fixtures/toggle_well.cml", "--dt", "0.05", "--steps", "40",
      "--record-every", "8", "--observables", "k,sum(V),psi[0],psi[32]"),

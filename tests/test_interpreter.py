@@ -13,7 +13,7 @@ from causalkit import (
     compile_observable,
     load_model,
     run,
-    world_tree_to_json,
+    world_tree_text,
     write_trace,
 )
 from causalkit.frontend.parser import parse_expression
@@ -204,7 +204,7 @@ class TestBranchRun:
         state = build_initial_state(model)
 
         def shape(tree):
-            return json.dumps(world_tree_to_json(tree), sort_keys=True)
+            return json.dumps(json.loads(world_tree_text(tree)), sort_keys=True)
 
         t1 = branch_run(model, state, RunConfig(dt=1.0, max_steps=10),
                         depth_bound=4, width_bound=2)
@@ -312,7 +312,7 @@ class TestWorldTreeJson:
         state = build_initial_state(model)
         tree = branch_run(model, state, RunConfig(dt=1.0, max_steps=10),
                           depth_bound=4, width_bound=16)
-        data = world_tree_to_json(tree)
+        data = json.loads(world_tree_text(tree))
         assert data["prunedMass"] == 0.0
         root = data["root"]
         assert root["weight"] == 1.0

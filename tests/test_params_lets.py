@@ -163,6 +163,15 @@ model shared {
 }
 """
 
+# complex literals whose imaginary part needs every digit, or an exponent
+COMPLEX_LITERALS = """
+model literals {
+  state { z: complex; }
+  init { z = 0.1234567891i; }
+  law L { when true; then { z = z * 2.5e-300i + 1e16i - 3i; } }
+}
+"""
+
 
 CFG = RunConfig(dt=1.0, max_steps=5)
 
@@ -244,6 +253,13 @@ class TestLet:
         printed = format_model(ast)
         assert "      let d = random({0, 1}, FLAT);\n" in printed
         assert "        let e = (1 - d);\n" in printed
+        again, diags = parse(printed)
+        assert structurally_equal(ast, again), diags
+        assert format_model(again) == printed
+        ast, _ = parse(COMPLEX_LITERALS)
+        printed = format_model(ast)
+        assert "    z = 0.1234567891i;\n" in printed
+        assert "(((z * 2.5e-300i) + 1e+16i) - 3.0i)" in printed
         again, diags = parse(printed)
         assert structurally_equal(ast, again), diags
         assert format_model(again) == printed

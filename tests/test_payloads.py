@@ -296,6 +296,19 @@ def test_non_finite_draw_parameter_ends_every_command(draw, what, read,
                                            "message": message}
 
 
+def test_empty_truncated_gauss_ends_branch(capsys, tmp_path):
+    # the upper bound reads the state, so the range is checked as it draws
+    path = tmp_path / "m.cml"
+    path.write_text(_draw_model("random([1.0, x], GAUSS(0.0, 1.0))"),
+                    encoding="utf-8")
+    assert main(["branch", str(path)]) == 0
+    tree = json.loads(capsys.readouterr().out)
+    assert tree["root"]["termination"] == {
+        "kind": "eval-error",
+        "message": "law 'Draw': random: truncated GAUSS requires lo < hi, "
+                   "got lo 1.0 and hi 0.0 at 7:13"}
+
+
 @pytest.mark.parametrize("draw, message", [
     ("random({0, 1}, WEIGHTS(1e308, 1e308))", "weight sum inf"),
     ("random({0, 1}, PSI(1e200, 1.0))", "amplitude sum inf"),

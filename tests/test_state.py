@@ -267,6 +267,16 @@ def test_state_from_json_rejects_non_finite_values(td, text, message):
     assert str(exc.value) == message
 
 
+def test_state_from_json_rejects_a_cgrid_of_another_dx():
+    data = {"time": 0.0, "values": {"psi": {
+        "kind": "cgrid", "dx": 0.7, "re": [1.0, 0.0], "im": [0.0, 0.0]}}}
+    with pytest.raises(TypeMismatchError) as exc:
+        state_from_json(data, StateSchema(fields={
+            "psi": TypeDesc.cgrid(2, 0.5)}))
+    assert str(exc.value) == \
+        "field 'psi': expected cgrid(2, 0.5), got cgrid(2, 0.7)"
+
+
 class TestPwJson:
     SCHEMA = StateSchema(fields={"pw": TypeDesc.pwcollection(
         [("slit", TypeDesc.int_()), ("position", TypeDesc.real())])})
