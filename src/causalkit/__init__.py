@@ -92,8 +92,6 @@ from .analyzer import (
 from .quantum import (
     ca_step,
     ca_world,
-    classical_step,
-    discrete_hamiltonian,
     gaussian_packet,
     pw_detect,
     pw_interact,

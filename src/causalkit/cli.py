@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import weakref
@@ -10,7 +11,7 @@ from pathlib import Path
 
 from .analyzer import CheckStrategy, analyze, report_to_json
 from .bundled import build_bundled_model, list_bundled_models
-from .engine import build_initial_state, compile_observable
+from .engine import build_initial_state, compile_observables
 from .errors import CausalKitError, CmlError, EvalError
 from .frontend import parse_expression
 from .frontend.lower import compile_model
@@ -28,7 +29,10 @@ from .interpreter import (
 from .jsontext import IndentedEncoder
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was (an ``append`` option copies its default list before adding)."""
     parser = argparse.ArgumentParser(
         prog="cml",
         description="Author, execute, and analyze causal models of "
@@ -148,7 +152,7 @@ def _load_model(args):
 
 
 def _compile_observables(spec: str, schema):
-    observables = []
+    labelled = []
     for text in _split_observables(spec):
         expr, diags = parse_expression(text)
         if expr is None:
@@ -161,8 +165,8 @@ def _compile_observables(spec: str, schema):
         if td.kind not in ("real", "int", "bool", "complex"):
             raise CausalKitError(
                 f"observable '{text}' must be scalar, got {td.kind}")
-        observables.append((text, compile_observable(expr, schema)))
-    return tuple(observables)
+        labelled.append((text, expr))
+    return compile_observables(labelled, schema)
 
 
 def _cmd_run(args) -> int:

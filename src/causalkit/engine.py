@@ -4,17 +4,20 @@ One causal step reads the pre-state, picks the applicable law, and builds
 the post-state. All reads inside a transition see the pre-state
 (simultaneous update); writes are collected and merged at the end.
 
-Guards, transitions, the halt condition, ``init`` expressions and
-observables are compiled once, when the model (or observable) is built,
-into nested Python closures; see "Compiled closures" below.
+When a model (or an observable list) is built, its guards, transitions,
+law selectors, halt condition, ``init`` expressions and observables are
+emitted as the source of one Python module, compiled once; see
+"Generated code" below.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
+import linecache
 import math
-import operator
-from dataclasses import KW_ONLY, InitVar, dataclass, field
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,20 +31,12 @@ from .errors import (
 )
 from .frontend.ast_nodes import (
     Assign,
-    Binary,
-    Call,
-    For,
-    If,
-    Index,
-    Let,
-    ListLit,
-    Lit,
+    Loc,
     Member,
     Name,
-    RandomExpr,
     SetLit,
-    Unary,
     format_expr,
+    walk,
 )
 from .state import (
     PAYLOAD_TYPES,
@@ -64,23 +59,16 @@ _MAX_TRUNCATION_TRIES = 100_000
 
 @dataclass(frozen=True)
 class Law:
-    """A guarded transition, compiled against ``schema`` when constructed."""
+    """A guarded transition. The model that holds it compiles it and sets
+    ``guard_fn`` (state -> bool) and ``apply_fn`` (pre-state, dt, random
+    source, time -> post-state)."""
 
     name: str
     guard: object                 # typed Expr, bool-valued
     transition: list              # typed statements
     uses_random: bool = False
-    _: KW_ONLY
-    schema: InitVar[StateSchema]
-    compiled_guard: object = field(init=False, repr=False, compare=False)
-    compiled_transition: object = field(init=False, repr=False,
-                                        compare=False)
-
-    def __post_init__(self, schema):
-        object.__setattr__(self, "compiled_guard",
-                           _compile(self.guard, _Scope(schema)))
-        object.__setattr__(self, "compiled_transition",
-                           _compile_transition(self.transition, schema))
+    guard_fn: object = field(default=None, repr=False, compare=False)
+    apply_fn: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -91,8 +79,11 @@ class CausalModel:
     init: tuple = ()              # ((field name, Expr), ...)
     halt: object | None = None
     default_timestep: float = 1.0
-    compiled_halt: object = field(init=False, repr=False, compare=False)
-    compiled_init: tuple = field(init=False, repr=False, compare=False)
+    # mode -> state -> the applicable law; the generated module's source
+    selectors: dict = field(init=False, repr=False, compare=False)
+    halt_fn: object = field(init=False, repr=False, compare=False)
+    init_fn: object = field(init=False, repr=False, compare=False)
+    source: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.laws:
@@ -102,13 +93,7 @@ class CausalModel:
         names = [l.name for l in self.laws]
         if len(set(names)) != len(names):
             raise ValueError("law names must be unique")
-        scope = _Scope(self.schema)
-        object.__setattr__(self, "compiled_halt", None if self.halt is None
-                           else _compile(self.halt, scope))
-        object.__setattr__(self, "compiled_init", tuple(
-            (name, _write(expr, self.schema.fields[name].kind, scope,
-                          expr.loc, name))
-            for name, expr in self.init))
+        _compile_model(self)
 
     def law(self, name: str) -> Law:
         for l in self.laws:
@@ -117,181 +102,85 @@ class CausalModel:
         raise KeyError(name)
 
 
-# --- compiled closures ------------------------------------------------------------
+# --- generated code ---------------------------------------------------------------
 #
-# Every expression node is compiled once into a closure that takes one
-# argument, ``env``: anything with a ``values`` dict of field values. Guards,
-# the halt condition, init expressions and observables get the SystemState
-# itself; a transition gets an Env, which adds dt, the random source, the
-# slots of loop variables and lets, and the list of writes. The typechecker
-# has fixed every node's type and rejected every node out of place (an
-# unknown name or function, ``dt`` or a draw outside a transition), so
-# nothing is checked again here;
-# operators and names are resolved once: a closure of scalar
-# type (int, real, bool, complex) returns a payload of exactly that kind's
-# Python type, any other returns a Value. An int is promoted to real or
-# complex, or a real to complex, only where the static kinds differ: at a
-# write, a list literal's item or a random value set's member.
+# An _Emitter walks typed AST nodes once and writes Python source. The
+# typechecker has fixed every node's type and rejected every node out of
+# place (an unknown name or function, ``dt`` or a draw outside a
+# transition), so nothing is checked again here. An expression becomes
+# Python text: a state field a local loaded once per function, a constant
+# a literal (by ``repr``) or a name bound in the module's namespace, an
+# operator that cannot fail the inline text of ``intrinsics.inline``, and
+# anything that can fail (int64 arithmetic, ``/``, ``^``, indexing, calls,
+# draws) a call of a function bound with its location. An operator whose
+# operands are all constant is folded with ``intrinsics.binary``, the
+# typechecker's folder, unless that raises (then it raises at run time).
+# Scalar texts give a payload of exactly their kind's Python type, any
+# other a Value; an int is promoted to real or complex, or a real to
+# complex, only where the static kinds differ: at a write, a list
+# literal's item or a random value set's member.
+
+_SERIAL = itertools.count(1)
 
 
-class Env:
-    """What a transition's closures read and write."""
-
-    __slots__ = ("values", "dt", "rnd", "locals", "writes")
-
-    def __init__(self, values: dict, dt, rnd, slots: int = 0):
-        self.values = values            # pre-state field values
-        self.dt = None if dt is None else float(dt)
-        self.rnd = rnd
-        self.locals = [None] * slots    # (index, item) per loop, value per let
-        self.writes = []                # (root field, path or None, value)
+def _no_dt(loc):
+    raise EvalError("'dt' is not available here", loc)
 
 
-class _Const:
-    """A payload or Value known at compile time; calling it returns it."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __call__(self, env):
-        return self.value
+def _no_rnd(loc):
+    raise EvalError("random() is not allowed here", loc)
 
 
-class _Scope:
-    """The names an expression can read: state fields, constants (folded
-    to payloads), loop variables, lets and, in a transition, ``dt``."""
-
-    def __init__(self, schema: StateSchema):
-        self.fields = schema.fields
-        self.consts = {n: v for n, (_, v) in schema.constants.items()}
-        # loop variable -> (slot, list field); let -> (slot, None)
-        self.locals: dict = {}
-        self.slots = 0          # slots handed out so far
+def _nonfinite(value, where: str, loc) -> EvalError:
+    return EvalError(f"non-finite value {value} {where}", loc)
 
 
-def compile_observable(expr, schema: StateSchema):
-    """Compile a typechecked expression once; the closure maps a state to
-    the expression's value there (a payload for a scalar type). A real or
-    complex value must be finite, as a write's must."""
-    return _finite(_compile(expr, _Scope(schema)), expr.ty.kind, expr.loc,
-                   f"in observable '{format_expr(expr)}'")
+def _finite(isfinite, expr):
+    """x -> x, or EvalError "non-finite value <x> in observable '<expr>'"
+    at expr's location (the text is made only then)."""
+    def finite(x):
+        if isfinite(x):
+            return x
+        raise _nonfinite(x, f"in observable '{format_expr(expr)}'", expr.loc)
+    return finite
 
 
-def _compile(e, scope: _Scope):
-    return _COMPILERS[type(e)](e, scope)
+def _at_list(value, i, loc):
+    items = value.items
+    if 0 <= i < len(items):
+        return items[i]
+    raise EvalError(f"index {i} out of range (len {len(items)})", loc)
 
 
-def _promoted(e, kind: str, scope):
-    """``e`` compiled to give a value of ``kind``: an int or real payload
-    is promoted to a wider kind here, and only here."""
-    code = _compile(e, scope)
-    if e.ty.kind == kind or kind not in PAYLOAD_TYPES:
-        return code
-    return _apply(PAYLOAD_TYPES[kind], code)
+def _at_vector(value, i, loc):
+    values = value.values
+    if 0 <= i < len(values):
+        return float(values[i])
+    raise EvalError(f"index {i} out of range (len {len(values)})", loc)
 
 
-def _apply(fn, *codes):
-    """fn over the operands' values; folded when every operand is constant
-    (unless fn raises, which is then left to happen at run time)."""
-    if all(isinstance(c, _Const) for c in codes):
-        try:
-            return _Const(fn(*(c.value for c in codes)))
-        except Exception:
-            pass
-    if len(codes) == 1:
-        x, = codes
-        return lambda env: fn(x(env))
-    left, right = codes
-    if isinstance(left, _Const):
-        a = left.value
-        return lambda env: fn(a, right(env))
-    if isinstance(right, _Const):
-        b = right.value
-        return lambda env: fn(left(env), b)
-    return lambda env: fn(left(env), right(env))
+def _at_cgrid(value, i, loc):
+    amps = value.amps
+    if 0 <= i < len(amps):
+        return complex(amps[i])
+    raise EvalError(f"index {i} out of range (len {len(amps)})", loc)
 
 
-def _lit(e: Lit, scope):
-    return _Const(e.value)
+_AT = {"list": "_at_list", "vector": "_at_vector", "cgrid": "_at_cgrid"}
 
 
-def _name(e: Name, scope: _Scope):
-    name = e.id
-    if name in scope.locals:
-        slot, source = scope.locals[name]
-        if source is None:
-            return lambda env: env.locals[slot]
-        return lambda env: env.locals[slot][1]
-    if name in scope.fields:
-        return lambda env: env.values[name]
-    if name in scope.consts:
-        return _Const(scope.consts[name])
-    loc = e.loc
+def _intrinsic_call(intr, loc):
+    """(random source, *args) -> ``intr``'s value at the call at ``loc``.
+    Branching signals pass through; an EvalError without a location gets
+    ``loc``; any other exception becomes EvalError "<function>: <exc>"."""
+    f, impl, stochastic = intr.name, intr.impl, intr.stochastic
 
-    def dt(env):   # the one other name a typed transition can read
-        d = env.dt
-        if d is None:
-            raise EvalError("'dt' is not available here", loc)
-        return d
-    return dt
-
-
-def _unary(e: Unary, scope):
-    return _apply(intrinsics.unary(e.op, e.ty.kind, e.loc),
-                  _compile(e.operand, scope))
-
-
-def _binary(e: Binary, scope):
-    op, loc = e.op, e.loc
-    left, right = _compile(e.left, scope), _compile(e.right, scope)
-    if op == "&&":
-        if isinstance(left, _Const):
-            return right if left.value else _Const(False)
-        return lambda env: left(env) and right(env)
-    if op == "||":
-        if isinstance(left, _Const):
-            return _Const(True) if left.value else right
-        return lambda env: left(env) or right(env)
-    return _apply(intrinsics.binary(op, e.ty.kind, loc), left, right)
-
-
-def _member(e: Member, scope):
-    obj, name = _compile(e.obj, scope), e.name
-    return lambda env: obj(env).fields[name]
-
-
-def _index(e: Index, scope):
-    obj, index, loc = _compile(e.obj, scope), _compile(e.index, scope), e.loc
-    kind = e.obj.ty.kind
-    # a list holds values, a vector numpy floats, a cgrid numpy complexes
-    items, item = {"list": (operator.attrgetter("items"), None),
-                   "vector": (operator.attrgetter("values"), float),
-                   "cgrid": (operator.attrgetter("amps"), complex)}[kind]
-
-    def at(env):
-        seq = items(obj(env))
-        i = index(env)
-        if not 0 <= i < len(seq):
-            raise EvalError(f"index {i} out of range (len {len(seq)})", loc)
-        return seq[i] if item is None else item(seq[i])
-    return at
-
-
-def _call(e: Call, scope: _Scope):
-    f, loc = e.func, e.loc
-    intr = intrinsics.get(f)
-    args = [_compile(a, scope) for a in e.args]
-    impl, stochastic = intr.impl, intr.stochastic
-
-    def call(env):
-        values = [a(env) for a in args]
-        if stochastic and env.rnd is None:
+    def call(rnd, *args):
+        if stochastic and rnd is None:
             raise EvalError(f"stochastic intrinsic '{f}' is not allowed here",
                             loc)
         try:
-            return impl(values, env)
+            return impl(args, rnd)
         except (ContinuousRandomError, BranchSignal):
             raise
         except EvalError as exc:
@@ -300,52 +189,515 @@ def _call(e: Call, scope: _Scope):
             raise EvalError(exc.message, loc)
         except Exception as exc:
             raise EvalError(f"{f}: {exc}", loc)
-    if f == "sum" and e.ty.kind != "int":   # an empty list sums to int 0
-        return _apply(PAYLOAD_TYPES[e.ty.kind], call)
     return call
 
 
-def _random(e: RandomExpr, scope: _Scope):
-    """A draw compiled to the sampler of its form, one of the six rows of
-    the ``random`` table in docs/cml.md, which the typechecker has fixed.
-    Each draw evaluates the parameters, then the range, checks that each
-    is finite and lets the form check the rest of what depends on their
-    values. A form whose parameters and range are all constant is
-    prepared once (unless that fails, which is then left to the draw)."""
-    loc, dist, range_ = e.loc, e.dist.name, e.range_
-    codes = [_compile(a, scope) for a in e.dist.args]
-    n = len(codes)
-    if range_ is None:
-        form, names = _gauss, ("mean", "sigma")
-    elif isinstance(range_, SetLit):
-        kind = range_.ty.element.kind
-        codes += [_promoted(x, kind, scope) for x in range_.items]
-        form, name = {"FLAT": (_flat_set, ""), "WEIGHTS": (_weights, "weight"),
-                      "PSI": (_psi, "amplitude")}[dist]
-        names = (name,) * n + ("value",) * len(range_.items)
-    else:
-        codes += [_compile(x, scope) for x in range_.items]
-        form = _flat_interval if dist == "FLAT" else _gauss
-        names = ("mean", "sigma")[:n] + ("lo", "hi")
+def _namespace(schema: StateSchema) -> dict:
+    """What every generated module reads besides its own bound constants.
+    ``rnd`` and ``dt`` are None outside a transition, whose parameters
+    shadow them."""
+    return {"EvalError": EvalError, "ContinuousRandomError":
+            ContinuousRandomError, "NoApplicableLawError":
+            NoApplicableLawError, "MultipleApplicableError":
+            MultipleApplicableError, "SystemState": SystemState,
+            "VList": VList, "_set_path": _set_path, "_merge": _merge,
+            "_no_dt": _no_dt, "_no_rnd": _no_rnd, "_nonfinite": _nonfinite,
+            "_at_list": _at_list, "_at_vector": _at_vector,
+            "_at_cgrid": _at_cgrid, "_isfinite": math.isfinite,
+            "_cisfinite": cmath.isfinite, "_schema": schema, "rnd": None,
+            "dt": None}
 
-    def prepare(args):
-        for name, x in zip(names, args):
-            if not cmath.isfinite(x):
-                raise EvalError(f"random: non-finite {name} {x}", loc)
-        return form(args[:n], args[n:], loc)
-    sampler = lambda env: prepare(tuple([c(env) for c in codes]))
-    if all(isinstance(c, _Const) for c in codes):
-        try:
-            sampler = _Const(prepare(tuple(c.value for c in codes)))
-        except EvalError:
-            pass
 
-    def draw(env):
-        rnd = env.rnd
-        if rnd is None:
-            raise EvalError("random() is not allowed here", loc)
-        return sampler(env)(rnd)
-    return draw
+class _Emitter:
+    """Python source for one model or observable list, and the namespace
+    it runs in. ``expr`` gives an expression's text; statements append
+    lines to ``body``, each with its CML ``line:col`` in a comment."""
+
+    def __init__(self, schema: StateSchema):
+        self.schema = schema
+        self.ns = _namespace(schema)
+        self.field_locals = {n: f"f{i}" for i, n in enumerate(schema.fields)}
+        self.consts = {n: v for n, (_, v) in schema.constants.items()}
+        self.known: dict = {}     # text of a folded constant -> its value
+        self.bound: dict = {}     # id or loc of a bound object -> its name
+        self.serial = itertools.count()
+        self.start(reads_state=True)
+
+    def start(self, reads_state: bool):
+        """Begin a function. ``reads_state``: fields are read through
+        locals loaded from the state at its top, else through ``v``."""
+        self.reads_state = reads_state
+        self.reads: dict = {}     # field -> its local, in first-read order
+        self.locals: dict = {}    # let or loop variable -> (text, index, list)
+        self.body: list = []
+        self.depth = 1
+        self.log = False          # writes go to the list W
+        self.merges: list = []    # (root, path text) of each direct write
+        self.reads_dt = False
+
+    def prologue(self, head: str, state: str = "s") -> list:
+        lines = [head, f"    v = {state}.values"]
+        lines += [f"    {local} = v[{name!r}]"
+                  for name, local in self.reads.items()]
+        return lines
+
+    def line(self, text: str, loc=None):
+        note = "" if loc is None else f"  # {loc}"
+        self.body.append("    " * self.depth + text + note)
+
+    def name(self, prefix: str) -> str:
+        return f"{prefix}{next(self.serial)}"
+
+    def bind(self, obj, prefix: str = "_k") -> str:
+        """A name for ``obj`` in the namespace (a location keyed by value,
+        anything else by identity)."""
+        key = (obj.line, obj.col) if type(obj) is Loc else id(obj)
+        name = self.bound.get(key)
+        if name is None:
+            name = self.bound[key] = self.name(prefix)
+            self.ns[name] = obj
+        return name
+
+    def const(self, value) -> str:
+        t = type(value)
+        if t is bool or t is int or t is float and math.isfinite(value):
+            text = repr(value)
+            if text.startswith("-"):
+                text = f"({text})"
+        else:
+            text = self.bind(value)
+        self.known[text] = value
+        return text
+
+    def apply(self, fn, template, *args) -> str:
+        """``fn`` over the operands' texts: folded when every operand is
+        constant (unless fn raises, which is then left to run time), else
+        the inline ``template`` or, with none, a call of ``fn``."""
+        if all(a in self.known for a in args):
+            try:
+                return self.const(fn(*(self.known[a] for a in args)))
+            except Exception:
+                pass
+        if template is None:
+            return f"{self.bind(fn, '_f')}({', '.join(args)})"
+        return template.format(*args)
+
+    def promoted(self, e, kind: str) -> str:
+        """``e``'s text, giving a value of ``kind``: an int or real payload
+        is promoted to a wider kind here, and only here."""
+        text = self.expr(e)
+        if e.ty.kind == kind or kind not in PAYLOAD_TYPES:
+            return text
+        t = PAYLOAD_TYPES[kind]
+        return self.apply(t, t.__name__ + "({})", text)
+
+    # --- expressions: one method per node type ---------------------------
+
+    def expr(self, e) -> str:
+        return getattr(self, "_" + type(e).__name__)(e)
+
+    def _Lit(self, e):
+        return self.const(e.value)
+
+    def _Name(self, e):
+        name = e.id
+        if name in self.locals:
+            return self.locals[name][0]
+        if name in self.field_locals:
+            if not self.reads_state:
+                return f"v[{name!r}]"
+            return self.reads.setdefault(name, self.field_locals[name])
+        if name in self.consts:
+            return self.const(self.consts[name])
+        self.reads_dt = True   # the one other name a transition can read
+        return f"(dt if dt is not None else _no_dt({self.bind(e.loc)}))"
+
+    def _Unary(self, e):
+        return self.apply(intrinsics.unary(e.op, e.ty.kind, e.loc),
+                          intrinsics.inline_unary(e.op, e.ty.kind),
+                          self.expr(e.operand))
+
+    def _Binary(self, e):
+        op, kind = e.op, e.ty.kind
+        left, right = self.expr(e.left), self.expr(e.right)
+        if op in ("&&", "||"):
+            if left in self.known:   # decided by the left, or the right
+                return right if self.known[left] == (op == "&&") else left
+            return intrinsics.inline(op, kind).format(left, right)
+        return self.apply(intrinsics.binary(op, kind, e.loc),
+                          intrinsics.inline(op, kind), left, right)
+
+    def _Member(self, e):
+        return f"{self.expr(e.obj)}.fields[{e.name!r}]"
+
+    def _Index(self, e):
+        obj, index = self.expr(e.obj), self.expr(e.index)
+        return f"{_AT[e.obj.ty.kind]}({obj}, {index}, {self.bind(e.loc)})"
+
+    def _Call(self, e):
+        args = "".join(", " + self.expr(a) for a in e.args)
+        call = self.bind(_intrinsic_call(intrinsics.get(e.func), e.loc), "_c")
+        text = f"{call}(rnd{args})"
+        if e.func == "sum" and e.ty.kind != "int":   # an empty list sums to 0
+            return f"{PAYLOAD_TYPES[e.ty.kind].__name__}({text})"
+        return text
+
+    def _ListLit(self, e):
+        # items take the literal's element type: [1, 2.5] is a list of reals
+        kind = e.ty.element.kind
+        return f"VList([{', '.join(self.promoted(x, kind) for x in e.items)}])"
+
+    def _RandomExpr(self, e):
+        """A draw: the sampler of its form, one of the six rows of the
+        ``random`` table in docs/cml.md, which the typechecker has fixed.
+        Each draw evaluates the parameters, then the range, checks that
+        each is finite and lets the form check the rest of what depends
+        on their values. A form whose parameters and range are all
+        constant is prepared once (unless that fails, which is then left
+        to the draw)."""
+        loc, dist, range_ = e.loc, e.dist.name, e.range_
+        args = [self.expr(a) for a in e.dist.args]
+        n = len(args)
+        if range_ is None:
+            form, names = _gauss, ("mean", "sigma")
+        elif isinstance(range_, SetLit):
+            kind = range_.ty.element.kind
+            args += [self.promoted(x, kind) for x in range_.items]
+            form, name = {"FLAT": (_flat_set, ""),
+                          "WEIGHTS": (_weights, "weight"),
+                          "PSI": (_psi, "amplitude")}[dist]
+            names = (name,) * n + ("value",) * len(range_.items)
+        else:
+            args += [self.expr(x) for x in range_.items]
+            form = _flat_interval if dist == "FLAT" else _gauss
+            names = ("mean", "sigma")[:n] + ("lo", "hi")
+
+        def prepare(*args):
+            for name, x in zip(names, args):
+                if not cmath.isfinite(x):
+                    raise EvalError(f"random: non-finite {name} {x}", loc)
+            return form(args[:n], args[n:], loc)
+        sampler = None
+        if all(a in self.known for a in args):
+            try:
+                sampler = self.bind(prepare(*(self.known[a] for a in args)),
+                                    "_s")
+            except EvalError:
+                pass
+        if sampler is None:
+            sampler = f"{self.bind(prepare, '_p')}({', '.join(args)})"
+        return f"({sampler}(rnd) if rnd is not None else " \
+               f"_no_rnd({self.bind(loc)}))"
+
+    # --- statements: each appends lines to body ----------------------------
+
+    def block(self, stmts):
+        outer = dict(self.locals)   # a let is visible to the end of its block
+        self.depth += 1
+        size = len(self.body)
+        for s in stmts:
+            getattr(self, "_" + type(s).__name__)(s)
+        if len(self.body) == size:
+            self.line("pass")
+        self.depth -= 1
+        self.locals = outer
+
+    def checked(self, text: str, kind: str, loc, where: str) -> str:
+        """A local holding ``text``'s value, checked to be finite if
+        ``kind`` is real or complex (EvalError "non-finite value <v>
+        <where>"). A constant that passes, and an unchecked local (no
+        local is assigned twice in a statement), are used as they are."""
+        isfinite = {"real": "_isfinite", "complex": "_cisfinite"}.get(kind)
+        if text in self.known and (isfinite is None
+                                   or cmath.isfinite(self.known[text])):
+            return text
+        if isfinite is None and text.isidentifier():
+            return text
+        local = self.name("t")
+        self.line(f"{local} = {text}", loc)
+        if isfinite is not None:
+            self.line(f"if not {isfinite}({local}): raise _nonfinite("
+                      f"{local}, {where!r}, {self.bind(loc)})", loc)
+        return local
+
+    def write_value(self, e, kind: str, loc, target: str) -> str:
+        return self.checked(self.promoted(e, kind), kind, loc,
+                            f"written to '{target}'")
+
+    def _Assign(self, s):
+        root, path = self.target(s.target)
+        kind = s.target.ty.kind
+        value = self.write_value(s.value, kind, s.loc, format_expr(s.target))
+        if path is not None:
+            path = f"({', '.join(path)},)"
+        else:
+            # a whole scalar field has its kind's payload type by
+            # construction, so it needs no check; a whole composite field
+            # does (path ())
+            path = "None" if kind in PAYLOAD_TYPES else "()"
+        if self.log:
+            self.line(f"W.append(({root!r}, {path}, {value}))", s.loc)
+        else:
+            self.merges.append((root, path, value))
+
+    def target(self, t):
+        """(root field, path): None for a whole field, else the texts of
+        the parts below the root. Each index is evaluated to a local here,
+        an index before the indices inside its object."""
+        if isinstance(t, Name):
+            if t.id in self.locals:   # a loop variable: lets are not written
+                _, index, root = self.locals[t.id]
+                return root, [index]
+            return t.id, None
+        if isinstance(t, Member):
+            part = repr(t.name)
+        else:
+            part = self.checked(self.expr(t.index), "int", t.loc, "")
+        root, base = self.target(t.obj)
+        return root, (base or []) + [part]
+
+    def _If(self, s):
+        cond = self.expr(s.cond)
+        if cond in self.known:
+            self.depth -= 1
+            self.block(s.then if self.known[cond] else s.orelse)
+            self.depth += 1
+            return
+        self.line(f"if {cond}:", s.loc)
+        self.block(s.then)
+        if s.orelse:
+            self.line("else:")
+            self.block(s.orelse)
+
+    def _For(self, s):
+        source = s.source.id
+        index, item = self.name("i"), self.name("l")
+        self.line(f"for {index}, {item} in enumerate("
+                  f"{self.expr(s.source)}.items):", s.loc)
+        self.locals[s.var] = (item, index, source)
+        self.block(s.body)
+        del self.locals[s.var]
+
+    def _Let(self, s):
+        value = self.expr(s.value)
+        if value not in self.known:
+            local = self.name("l")
+            self.line(f"{local} = {value}", s.loc)
+            value = local
+        self.locals[s.name] = (value, None, None)
+
+    # --- functions -----------------------------------------------------------
+
+    def guard(self, e) -> tuple:
+        """(text, fields read) of a guard or halt condition."""
+        self.start(reads_state=True)
+        return self.expr(e), dict(self.reads)
+
+    def condition(self, fn: str, text: str, loc) -> str:
+        """The one-line function ``fn`` of a state giving ``text``, which
+        reads the fields of the last ``guard``."""
+        loads = "".join(f"{local} = v[{name!r}]; "
+                        for name, local in self.reads.items())
+        return f"def {fn}(s): v = s.values; {loads}return {text}  # {loc}"
+
+    def transition(self, law: Law, fn: str) -> list:
+        self.start(reads_state=True)
+        # a write under an if or a for is logged and merged in order at
+        # the end; otherwise each write is merged by a line of its own
+        self.log = any(isinstance(n, Assign) for s in law.transition
+                       if not isinstance(s, Assign) for n in walk(s))
+        self.block(law.transition)
+        body = self.body
+        lines = self.prologue(f"def {fn}(s0, dt, rnd, time):  "
+                              f"# law {law.name}", "s0")
+        if self.reads_dt:
+            lines.append("    if dt is not None: dt = float(dt)")
+        if self.log:
+            lines.append("    W = []")
+        lines += ["    try:", *body,
+                  "    except EvalError as e:",
+                  f"        raise EvalError(e.message, e.loc, "
+                  f"law={law.name!r})",
+                  "    except ContinuousRandomError:",
+                  f"        raise ContinuousRandomError(law={law.name!r})",
+                  "    nv = v.copy()"]
+        if self.log:
+            lines.append("    _merge(_schema, nv, W)")
+        composite = {}   # checked once each, in the order of first write
+        for root, path, value in self.merges:
+            if path in ("None", "()"):
+                lines.append(f"    nv[{root!r}] = {value}")
+            else:
+                lines.append(f"    nv[{root!r}] = _set_path(nv[{root!r}], "
+                             f"{path}, {value})")
+            if path != "None":
+                composite[root] = None
+        schema = self.schema
+        for root in composite:
+            check = self.bind(schema.checker(schema.fields[root]), "_ck")
+            lines.append(f"    {check}(nv[{root!r}], {root!r})")
+        return lines + ["    return SystemState(s0.schema, time, nv)"]
+
+    def init(self, model: CausalModel) -> list:
+        self.start(reads_state=False)
+        fields = model.schema.fields
+        for name, e in model.init:
+            value = self.write_value(e, fields[name].kind, e.loc, name)
+            self.line(f"v[{name!r}] = {value}", e.loc)
+        return ["def init():", "    v = {}", *self.body, "    return v"]
+
+
+def _compile_model(model: CausalModel):
+    """Emit, compile and bind every function of ``model``: per law a guard
+    and a transition, a selector per mode with the guards inline (it
+    gives the index of the law), the halt condition and the init block."""
+    em = _Emitter(model.schema)
+    lines = []
+    guards = []
+    for i, law in enumerate(model.laws):
+        text, reads = em.guard(law.guard)
+        guards.append((text, reads, law))
+        lines += [em.condition(f"guard{i}", text, law.guard.loc),
+                  *em.transition(law, f"apply{i}")]
+    lines += _selectors(em, guards)
+    if model.halt is not None:
+        text, _ = em.guard(model.halt)
+        lines.append(em.condition("halt", text, model.halt.loc))
+    lines += em.init(model)
+    source = "\n".join(lines) + "\n"
+    n = len(model.laws)
+    names = [f"{f}{i}" for i in range(n) for f in ("guard", "apply")]
+    names += ["select_strict", "select_first", "init"]
+    if model.halt is not None:
+        names.append("halt")
+    fns = dict(zip(names, _exec(source, em.ns, f"model {model.name}", names,
+                                model)))
+    for i, law in enumerate(model.laws):
+        object.__setattr__(law, "guard_fn", fns[f"guard{i}"])
+        object.__setattr__(law, "apply_fn", fns[f"apply{i}"])
+    for name, value in (("selectors", {"strict": fns["select_strict"],
+                                       "first-match": fns["select_first"]}),
+                        ("halt_fn", fns.get("halt")), ("init_fn", fns["init"]),
+                        ("source", source)):
+        object.__setattr__(model, name, value)
+
+
+def _selectors(em: _Emitter, guards) -> list:
+    """strict: every guard is evaluated and exactly one must hold (else
+    the state is the witness); first-match: the first law whose guard
+    holds. A guard's EvalError leaves with its law's name."""
+    reads = {}
+    for _, r, _ in guards:
+        reads.update(r)
+    head = ["    v = s.values"] + [f"    {local} = v[{name!r}]"
+                                  for name, local in reads.items()]
+    strict = ["def select_strict(s):", *head]
+    first = ["def select_first(s):", *head]
+    for i, (text, _, law) in enumerate(guards):
+        loc = f"  # {law.guard.loc}"
+        if text in em.known:   # a constant guard cannot fail
+            strict.append(f"    h{i} = {text}{loc}")
+            first += [f"    if {text}:{loc}", f"        return {i}"]
+            continue
+        handler = ["    except EvalError as e:",
+                   f"        raise EvalError(e.message, e.loc, "
+                   f"law={law.name!r})"]
+        strict += ["    try:", f"        h{i} = {text}{loc}", *handler]
+        first += ["    try:", f"        if {text}:{loc}",
+                  f"            return {i}", *handler]
+    hits = [f"h{i}" for i in range(len(guards))]
+    chosen = str(len(guards) - 1)   # the one law whose guard holds
+    for i in range(len(guards) - 2, -1, -1):
+        chosen = f"{i} if h{i} else {chosen}"
+    names = "".join(f"{law.name!r}, " for _, _, law in guards)
+    strict += [f"    n = {' + '.join(hits)}",
+               "    if n == 1:",
+               f"        return {chosen}",
+               "    if n == 0:",
+               "        raise NoApplicableLawError(s)",
+               "    raise MultipleApplicableError(s, [name for name, h in "
+               f"zip(({names}), ({', '.join(hits)},)) if h])"]
+    return strict + first + ["    raise NoApplicableLawError(s)"]
+
+
+def _exec(source: str, ns: dict, what: str, names, owner=None) -> list:
+    """Compile and run ``source`` in ``ns``, and return the functions it
+    defines as ``names``, taken out of ns: nothing in ns refers back to
+    them or to what holds them, so a dropped model is freed at once. The
+    source is registered with linecache, so tracebacks show its lines,
+    until ``owner`` (default: the first function) is collected."""
+    filename = f"<cml {what} #{next(_SERIAL)}>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), ns)
+    fns = [ns.pop(name) for name in names]
+    weakref.finalize(fns[0] if owner is None else owner,
+                     linecache.cache.pop, filename, None)
+    return fns
+
+
+class Observables(tuple):
+    """(label, function of a state) pairs of an observable list; ``row``
+    gives every value of a state at once, from generated functions whose
+    source is ``source``."""
+
+    row: object
+    source: str
+
+
+# Observables per generated function: compile()'s time and memory grow
+# with the source (about 5 kB per observable while it compiles), so a
+# long list is compiled in parts of this many.
+_ROW_PART = 64
+
+
+def compile_observables(labelled, schema: StateSchema) -> Observables:
+    """Compile typechecked (label, expression) pairs once into one
+    function from a state to the tuple of their values (payloads for
+    scalar types). A real or complex value must be finite, as a write's
+    must. Each value is one call in a tuple expression."""
+    em = _Emitter(schema)
+    parts, sources = [], []
+    for first in range(0, max(len(labelled), 1), _ROW_PART):
+        em.start(reads_state=True)
+        items = []
+        for _, e in labelled[first:first + _ROW_PART]:
+            text = em.expr(e)
+            isfinite = {"real": math.isfinite,
+                        "complex": cmath.isfinite}.get(e.ty.kind)
+            if isfinite is not None:
+                text = f"{em.bind(_finite(isfinite, e), '_o')}({text})"
+            items.append(f"        {text},  # {e.loc}")
+        lines = [*em.prologue("def row(s):"), "    return (", *items, "    )"]
+        sources.append("\n".join(lines) + "\n")
+        parts.append(_exec(sources[-1], em.ns, "observables", ("row",))[0])
+    row = parts[0] if len(parts) == 1 else _joined(parts)
+    out = Observables((label, _item(row, i))
+                      for i, (label, _) in enumerate(labelled))
+    out.row, out.source = row, "".join(sources)
+    return out
+
+
+def _joined(parts):
+    def row(s):
+        values = ()
+        for part in parts:
+            values += part(s)
+        return values
+    return row
+
+
+def _item(row, i):
+    return lambda s: row(s)[i]
+
+
+def compile_observable(expr, schema: StateSchema):
+    """Compile a typechecked expression once; the function maps a state
+    to the expression's value there (a payload for a scalar type)."""
+    return compile_observables([("", expr)], schema)[0][1]
+
+
+# --- draws: one sampler per form ------------------------------------------------
 
 
 def _categorical(probs, values):
@@ -424,151 +776,13 @@ def _gauss(params, bounds, loc):
     return truncated
 
 
-def _list(e: ListLit, scope):
-    # items take the literal's element type: [1, 2.5] is a list of reals
-    kind = e.ty.element.kind
-    items = [_promoted(x, kind, scope) for x in e.items]
-    return lambda env: VList([item(env) for item in items])
-
-
-_COMPILERS = {Lit: _lit, Name: _name, Unary: _unary, Binary: _binary,
-              Member: _member, Index: _index, Call: _call,
-              RandomExpr: _random, ListLit: _list}
-
-
-# --- compiled statements: each appends its writes to env.writes ----------------
-
-
-def _compile_transition(stmts, schema: StateSchema):
-    """Closure (pre-state values, dt, random source) -> list of writes."""
-    scope = _Scope(schema)
-    body = _block(stmts, scope)
-    slots = scope.slots
-
-    def transition(values, dt, rnd):
-        env = Env(values, dt, rnd, slots)
-        body(env)
-        return env.writes
-    return transition
-
-
-def _block(stmts, scope):
-    outer = dict(scope.locals)
-    parts = [_STATEMENTS[type(s)](s, scope) for s in stmts]
-    scope.locals = outer   # a let is visible to the end of its block
-    if len(parts) == 1:
-        return parts[0]
-
-    def block(env):
-        for part in parts:
-            part(env)
-    return block
-
-
-def _write(e, kind: str, scope, loc, target: str):
-    """``e`` compiled for a write to a target of ``kind``: promoted, and
-    for a real or complex target checked to be finite."""
-    return _finite(_promoted(e, kind, scope), kind, loc,
-                   f"written to '{target}'")
-
-
-def _finite(code, kind: str, loc, where: str):
-    """``code`` checked to give a finite value if ``kind`` is real or
-    complex; else EvalError "non-finite value <v> <where>"."""
-    isfinite = {"real": math.isfinite, "complex": cmath.isfinite}.get(kind)
-    if isfinite is None or isinstance(code, _Const) and isfinite(code.value):
-        return code
-
-    def finite(env):
-        v = code(env)
-        if isfinite(v):
-            return v
-        raise EvalError(f"non-finite value {v} {where}", loc)
-    return finite
-
-
-def _assign(stmt: Assign, scope):
-    root, path = _target(stmt.target, scope)
-    kind = stmt.target.ty.kind
-    value = _write(stmt.value, kind, scope, stmt.loc,
-                   format_expr(stmt.target))
-    if path is None:
-        # a whole scalar field has its kind's payload type by construction,
-        # so it needs no check_value; a whole composite field does (path ())
-        whole = None if kind in PAYLOAD_TYPES else ()
-        return lambda env: env.writes.append((root, whole, value(env)))
-    return lambda env: env.writes.append((root, path(env), value(env)))
-
-
-def _target(t, scope: _Scope):
-    """(root field, path): path is None for a whole field, else a closure
-    giving the parts below the root, innermost index evaluated first."""
-    if isinstance(t, Name):
-        if t.id in scope.locals:   # a loop variable: lets are not written
-            slot, root = scope.locals[t.id]
-            return root, lambda env: (env.locals[slot][0],)
-        return t.id, None
-    root, base = _target(t.obj, scope)
-    if base is None:
-        base = _Const(())
-    if isinstance(t, Member):
-        name = t.name
-        return root, lambda env: base(env) + (name,)
-    index = _compile(t.index, scope)
-
-    def path(env):
-        i = index(env)
-        return base(env) + (i,)
-    return root, path
-
-
-def _if(stmt: If, scope):
-    cond = _compile(stmt.cond, scope)
-    then, orelse = _block(stmt.then, scope), _block(stmt.orelse, scope)
-    if isinstance(cond, _Const):
-        return then if cond.value else orelse
-    return lambda env: (then if cond(env) else orelse)(env)
-
-
-def _new_slot(name: str, source, scope: _Scope) -> int:
-    slot = scope.slots
-    scope.slots += 1
-    scope.locals[name] = (slot, source)
-    return slot
-
-
-def _for(stmt: For, scope: _Scope):
-    source = stmt.source.id
-    slot = _new_slot(stmt.var, source, scope)
-    body = _block(stmt.body, scope)
-    del scope.locals[stmt.var]
-
-    def loop(env):
-        slots = env.locals
-        for slots[slot] in enumerate(env.values[source].items):
-            body(env)
-    return loop
-
-
-def _let(stmt: Let, scope: _Scope):
-    value = _compile(stmt.value, scope)
-    slot = _new_slot(stmt.name, None, scope)
-
-    def let(env):
-        env.locals[slot] = value(env)
-    return let
-
-
-_STATEMENTS = {Assign: _assign, If: _if, For: _for, Let: _let}
-
-
 # --- guards and law selection ------------------------------------------------------
 
 
 def eval_guard(law: Law, s: SystemState) -> bool:
     """Evaluate a law's guard on a state. Pure: no randomness, no mutation."""
     try:
-        return law.compiled_guard(s)
+        return law.guard_fn(s)
     except EvalError as exc:
         raise EvalError(exc.message, exc.loc, law=law.name)
 
@@ -579,19 +793,10 @@ def select_law(model: CausalModel, s: SystemState, mode: str = "strict") -> Law:
     strict: exactly one guard must hold (raises with the state as witness
     otherwise); first-match: first law whose guard holds.
     """
-    if mode == "first-match":
-        for law in model.laws:
-            if eval_guard(law, s):
-                return law
-        raise NoApplicableLawError(s)
-    if mode != "strict":
+    select = model.selectors.get(mode)
+    if select is None:
         raise ValueError(f"unknown mode '{mode}'")
-    hits = [law for law in model.laws if eval_guard(law, s)]
-    if not hits:
-        raise NoApplicableLawError(s)
-    if len(hits) > 1:
-        raise MultipleApplicableError(s, [l.name for l in hits])
-    return hits[0]
+    return model.laws[select(s)]
 
 
 # --- transition application ----------------------------------------------------------
@@ -605,14 +810,12 @@ def apply_law(law: Law, s0: SystemState, dt: float, rng,
     All reads see s0; ``dt`` is available to expressions by that name.
     An ``EvalError`` or ``ContinuousRandomError`` leaves with the law's name.
     """
-    schema = s0.schema
-    try:
-        writes = law.compiled_transition(s0.values, dt, rng)
-    except EvalError as exc:
-        raise EvalError(exc.message, exc.loc, law=law.name)
-    except ContinuousRandomError:
-        raise ContinuousRandomError(law=law.name)
-    values = dict(s0.values)
+    return law.apply_fn(s0, dt, rng, s0.time if time is None else time)
+
+
+def _merge(schema: StateSchema, values: dict, writes: list):
+    """Merge logged (root, path or None, value) writes into ``values`` in
+    order, then check each composite root written, in first-write order."""
     composite = {}
     for root, path, value in writes:
         if path is None:
@@ -622,7 +825,6 @@ def apply_law(law: Law, s0: SystemState, dt: float, rng,
             composite[root] = None
     for root in composite:
         check_value(values[root], schema.fields[root], schema, where=root)
-    return SystemState(schema, s0.time if time is None else time, values)
 
 
 def _set_path(value: Value, parts: tuple, new):
@@ -659,7 +861,7 @@ def _set_path(value: Value, parts: tuple, new):
 
 def halts(model: CausalModel, s: SystemState) -> bool:
     """Whether the model's halt condition holds on ``s``."""
-    halt = model.compiled_halt
+    halt = model.halt_fn
     return halt is not None and halt(s)
 
 
@@ -670,17 +872,13 @@ def step(model: CausalModel, s0: SystemState, dt: float, rng,
     if not (dt > 0):
         raise ValueError("dt must be positive")
     law = select_law(model, s0, mode)
-    return apply_law(law, s0, dt, rng,
-                     s0.time + dt if time_after is None else time_after)
+    return law.apply_fn(s0, dt, rng,
+                        s0.time + dt if time_after is None else time_after)
 
 
 def build_initial_state(model: CausalModel) -> SystemState:
     """Evaluate the model's init block into a time-0 state."""
-    assigned: dict = {}
-    partial = SystemState(model.schema, 0.0, assigned)  # fields so far
-    for name, value in model.compiled_init:
-        assigned[name] = value(partial)
-    return make_initial_state(model.schema, assigned)
+    return make_initial_state(model.schema, model.init_fn())
 
 
 # --- determinism classification -------------------------------------------------------

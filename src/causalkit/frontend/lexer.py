@@ -1,8 +1,10 @@
-"""Tokenizer for CML source text."""
+"""Tokenizer for CML source text: one master regular expression, matched
+token after token (the "Writing a Tokenizer" recipe of the ``re`` docs)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..intrinsics import INT64_MAX
 from .ast_nodes import Diagnostic, Loc
@@ -12,12 +14,39 @@ KEYWORDS = frozenset({
     "when", "then", "if", "else", "for", "let", "in", "true", "false",
 })
 
-_TWO_CHAR = ("==", "!=", "<=", ">=", "&&", "||")
-_ONE_CHAR = "+-*/^<>=!(){}[],;:."
+# A number is digits, then a fraction only if a digit follows the '.', an
+# exponent only if a digit follows the 'e' and its sign, then an optional
+# imaginary 'i'. \d and \w are Unicode classes: \w is what str.isalnum()
+# accepts, plus '_'.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<space>[ \t\r]+)
+  | (?P<comment>//[^\n]*)
+  | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?i?)
+  | (?P<name>[^\W\d]\w*)
+  | (?P<op>==|!=|<=|>=|&&|\|\||[-+*/^<>=!(){}\[\],;:.])
+  | (?P<other>.)
+""", re.VERBOSE)
+
+_BOOLS = {"true": True, "false": False}
+
+# Loc(line, col) by (line, col): a Loc is immutable, so tokens at one place
+# of different sources share it (the 512 observables of a command are
+# tokenized one by one). Emptied when it grows past _LOCS_MAX.
+_LOCS: dict = {}
+_LOCS_MAX = 1 << 16
 
 
-@dataclass(frozen=True)
-class Token:
+def _loc(line: int, col: int) -> Loc:
+    loc = _LOCS.get((line, col))
+    if loc is None:
+        if len(_LOCS) >= _LOCS_MAX:
+            _LOCS.clear()
+        loc = _LOCS[line, col] = Loc(line, col)
+    return loc
+
+
+class Token(NamedTuple):
     kind: str   # "IDENT", "INT", "REAL", "IMAG", "EOF", a keyword, or an operator
     text: str
     value: object
@@ -28,93 +57,53 @@ def tokenize(source: str) -> tuple[list, list]:
     """Return (tokens, diagnostics). Tokens end with an EOF marker."""
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-
-    def loc():
-        return Loc(line, col)
-
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
+    add = tokens.append
+    new = tuple.__new__       # a Token without NamedTuple's Python __new__
+    locs = _LOCS
+    match = _TOKEN.match
+    line, line_start = 1, 0   # line_start: index of the line's first char
+    pos, n = 0, len(source)
+    tail = 0                  # where EOF sits; a comment does not move it
+    while pos < n:
+        m = match(source, pos)
+        start, pos = m.span()
+        group = m.lastgroup
+        if group == "space":
+            tail = pos
+            continue
+        if group == "newline":
             line += 1
-            col = 1
+            line_start = tail = pos
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if group == "comment":
             continue
-        if source.startswith("//", i):
-            i = source.find("\n", i)
-            if i < 0:
-                i = n
-            continue
-        start_loc = loc()
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = text if text in KEYWORDS else "IDENT"
-            value = {"true": True, "false": False}.get(text)
-            tokens.append(Token(kind, text, value, start_loc))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            is_real = False
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                is_real = True
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    is_real = True
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
-            if j < n and source[j] == "i":
-                j += 1
-                tokens.append(Token("IMAG", source[i:j], complex(0.0, float(text)),
-                                    start_loc))
-            elif is_real:
-                tokens.append(Token("REAL", text, float(text), start_loc))
+        tail = pos
+        text = m.group()
+        col = start - line_start + 1
+        loc = locs.get((line, col)) or _loc(line, col)
+        if group == "op":
+            add(new(Token, (text, text, None, loc)))
+        elif group == "name" and (text[0].isalpha() or text[0] == "_"):
+            add(new(Token, (text if text in KEYWORDS else "IDENT", text,
+                            _BOOLS.get(text), loc)))
+        elif group == "number":
+            if text[-1] == "i":
+                add(Token("IMAG", text, complex(0.0, float(text[:-1])), loc))
+            elif "." in text or "e" in text or "E" in text:
+                add(Token("REAL", text, float(text), loc))
             # an int64 has at most 19 digits; int() refuses strings of
             # more than 4300, so longer ones are not parsed
             elif len(text.lstrip("0")) > 19 or int(text) > INT64_MAX:
                 diags.append(Diagnostic(
                     "error", "bad-literal",
                     f"int literal outside int64 (largest is {INT64_MAX})",
-                    start_loc))
+                    loc))
             else:
-                tokens.append(Token("INT", text, int(text), start_loc))
-            col += j - i
-            i = j
-            continue
-        two = source[i:i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token(two, two, None, start_loc))
-            i += 2
-            col += 2
-            continue
-        if c in _ONE_CHAR:
-            tokens.append(Token(c, c, None, start_loc))
-            i += 1
-            col += 1
-            continue
-        diags.append(Diagnostic("error", "bad-char",
-                                f"unexpected character {c!r}", start_loc))
-        i += 1
-        col += 1
-
-    tokens.append(Token("EOF", "", None, loc()))
+                add(new(Token, ("INT", text, int(text), loc)))
+        else:   # a character no token starts with (\w takes a numeric
+            pos = tail = start + 1   # one such as '½', which starts none)
+            diags.append(Diagnostic("error", "bad-char",
+                                    f"unexpected character {text[0]!r}",
+                                    loc))
+    tokens.append(Token("EOF", "", None, _loc(line, tail - line_start + 1)))
     return tokens, diags

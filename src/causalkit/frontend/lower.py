@@ -14,7 +14,7 @@ def lower(typed: TypedModel, default_timestep: float = 1.0) -> CausalModel:
     ast = typed.ast
     laws = tuple(
         Law(name=law.name, guard=law.guard, transition=law.body,
-            uses_random=typed.uses_random[law.name], schema=typed.schema)
+            uses_random=typed.uses_random[law.name])
         for law in ast.laws)
     init = tuple((a.target.id, a.value) for a in ast.init)
     return CausalModel(name=typed.name, schema=typed.schema, laws=laws,

@@ -61,6 +61,7 @@ class _Parser:
         self.tokens = tokens
         self.diags = diags
         self.pos = 0
+        self.tok = tokens[0]  # the current token, tokens[pos]
         self.depth = 0       # open brackets and blocks
         self.blocks = 0      # open blocks
         # id(expression node) -> (node, height of its tree); holding the
@@ -69,10 +70,6 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    @property
-    def tok(self):
-        return self.tokens[self.pos]
-
     def at(self, kind: str) -> bool:
         return self.tok.kind == kind
 
@@ -80,6 +77,7 @@ class _Parser:
         t = self.tok
         if t.kind != "EOF":
             self.pos += 1
+            self.tok = self.tokens[self.pos]
         return t
 
     def error(self, message: str, loc: Loc | None = None):

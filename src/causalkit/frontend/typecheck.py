@@ -768,7 +768,7 @@ def const_fold(e: Expr, consts_val: dict):
 
 
 def _fold(e: Expr, consts_val: dict):
-    """Fold a typed expression as the compiled closure would evaluate it:
+    """Fold a typed expression as the generated code evaluates it:
     None if it reads anything but constants; a failure raises EvalError."""
     if isinstance(e, Lit):
         return e.value
@@ -783,7 +783,7 @@ def _fold(e: Expr, consts_val: dict):
         left = _fold(e.left, consts_val)
         if left is None:
             return None
-        # && and || short-circuit, as the compiled closure does
+        # && and || short-circuit, as the generated code does
         if e.op == "&&" and not left or e.op == "||" and left:
             return left
         right = _fold(e.right, consts_val)

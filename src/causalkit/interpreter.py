@@ -39,7 +39,11 @@ class RunConfig:
     seed: int = 0
     mode: str = "strict"
     record_every: int = 1
-    observables: tuple = ()  # (label, compile_observable closure) pairs
+    # (label, function of a state) pairs, as compile_observable gives, or
+    # the Observables of compile_observables
+    observables: tuple = ()
+    # state -> the tuple of the observables' values
+    observe: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.dt > 0):
@@ -48,6 +52,11 @@ class RunConfig:
             raise ValueError("max_steps must be >= 1")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        observe = getattr(self.observables, "row", None)
+        if observe is None:
+            functions = [f for _, f in self.observables]
+            observe = lambda s: tuple([f(s) for f in functions])  # noqa: E731
+        object.__setattr__(self, "observe", observe)
 
 
 @dataclass(frozen=True)
@@ -96,10 +105,6 @@ def _termination(exc) -> Termination:
         return Termination("multiple-applicable", str(exc),
                            witness=exc.witness, laws=tuple(exc.law_names))
     return Termination("eval-error", str(exc))
-
-
-def _observe(observables, s: SystemState) -> tuple:
-    return tuple([observe(s) for _, observe in observables])
 
 
 def run(model: CausalModel, init: SystemState, cfg: RunConfig) -> Trace:
@@ -187,17 +192,17 @@ class WorldTree:
     pruned_mass: float
 
     def leaves(self):
-        out = []
-
-        def walk(node):
+        """The unpruned nodes with a termination, each before the nodes
+        below it, walked with an explicit stack (a tree may be deeper than
+        the recursion limit)."""
+        out, stack = [], [self.root]
+        while stack:
+            node = stack.pop()
             if node.pruned:
-                return
+                continue
             if node.termination is not None:
                 out.append(node)
-            for c in node.children:
-                walk(c)
-
-        walk(self.root)
+            stack.extend(reversed(node.children))
         return out
 
     def leaf_weight_total(self) -> float:
@@ -496,8 +501,7 @@ class Ensemble:
         shared = True   # s is the initial state or a trie leaf
         try:
             if rows is not None:
-                rows.append(TraceRow(0, init.time,
-                                     _observe(cfg.observables, s), s))
+                rows.append(TraceRow(0, init.time, cfg.observe(s), s))
             while True:
                 entry = self._entry(s) if shared else None
                 halted = halts(model, s) if entry is None else entry.halts
@@ -513,8 +517,7 @@ class Ensemble:
                 else:
                     s, shared = self._step(entry, stream, time)
                 if rows is not None and steps % cfg.record_every == 0:
-                    rows.append(TraceRow(steps, time,
-                                         _observe(cfg.observables, s), s))
+                    rows.append(TraceRow(steps, time, cfg.observe(s), s))
         except _STEP_ERRORS as exc:
             return _termination(exc), s
 

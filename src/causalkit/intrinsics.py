@@ -5,7 +5,9 @@ An intrinsic bundles its arity, a type rule, a runtime implementation and
 a stochastic flag (stochastic intrinsics make a law count as random).
 The language built-ins are registered below; the quantum kit registers
 its numeric intrinsics on import. ``binary`` gives what an operator
-computes, for the compiler and the typechecker's constant folder alike.
+computes, for the compiler and the typechecker's constant folder alike,
+and ``inline`` the Python text the compiler emits for one that cannot
+fail.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ class Intrinsic:
     arity: int
     stochastic: bool
     check: Callable   # (arg_types: list[TypeDesc], ctx: CheckContext) -> TypeDesc
-    impl: Callable    # (args: list of values, env) -> value
+    impl: Callable    # (args: tuple of values, random source) -> value
     builtin: bool = False  # part of the language, not of a numeric kit
 
 
@@ -128,6 +130,31 @@ def binary(op: str, kind: str, loc=None):
     return power
 
 
+# the Python text of each operator that cannot fail, for operand texts
+_INLINE = {"+": "({} + {})", "-": "({} - {})", "*": "({} * {})",
+           "<": "({} < {})", "<=": "({} <= {})", ">": "({} > {})",
+           ">=": "({} >= {})", "==": "({} == {})", "!=": "({} != {})",
+           "&&": "({} and {})", "||": "({} or {})"}
+
+
+def inline(op: str, kind: str) -> str | None:
+    """The Python text of ``a op b`` (a format string over the operand
+    texts) for a typed ``op`` whose result has ``kind``, if it cannot
+    fail; else None, and the compiler calls ``binary(op, kind, loc)``.
+    Real and complex ``+ - *`` cannot fail (an overflow gives inf, which
+    a write or an observable rejects); int ``+ - *``, ``/`` and ``^`` can."""
+    if op in ("/", "^") or kind == "int" and op in ("+", "-", "*"):
+        return None
+    return _INLINE[op]
+
+
+def inline_unary(op: str, kind: str) -> str | None:
+    """``inline`` for a unary ``op``: int negation can fail."""
+    if op == "!":
+        return "(not {})"
+    return None if kind == "int" else "(-{})"
+
+
 def unary(op: str, kind: str, loc=None):
     """The function x -> ``op x`` for a typed unary ``op``; int negation
     keeps the int64 rule of ``binary`` (-(-2^63) overflows)."""
@@ -175,11 +202,11 @@ def _check_laplacian(args, ctx):
     return args[0]
 
 
-def _abs(args, env):
+def _abs(args, rnd):
     return abs(args[0])   # an int for an int, a float for a real or complex
 
 
-def _exp(args, env):
+def _exp(args, rnd):
     v = args[0]
     try:
         if type(v) is complex:
@@ -189,14 +216,14 @@ def _exp(args, env):
         raise EvalError("exp overflow")
 
 
-def _sqrt(args, env):
+def _sqrt(args, rnd):
     x = args[0]
     if x < 0:
         raise EvalError("sqrt of a negative number")
     return math.sqrt(x)
 
 
-def _sum(args, env):
+def _sum(args, rnd):
     v = args[0]
     if isinstance(v, VVector):
         return float(np.sum(v.values))
@@ -210,7 +237,7 @@ def _sum(args, env):
     return total
 
 
-def _len(args, env):
+def _len(args, rnd):
     v = args[0]
     if isinstance(v, VList):
         return len(v.items)
@@ -225,14 +252,14 @@ def neighbour_sum(a: np.ndarray) -> np.ndarray:
     return ring[:-2] + ring[2:]
 
 
-def _laplacian(args, env):
+def _laplacian(args, rnd):
     v = args[0]
     psi = v.amps
     return VCGrid((neighbour_sum(psi) - 2.0 * psi) / v.dx ** 2, v.dx)
 
 
 def _real_of(fn):
-    return lambda args, env: float(fn(args[0]))
+    return lambda args, rnd: float(fn(args[0]))
 
 
 def _register_builtins():
@@ -246,7 +273,7 @@ def _register_builtins():
         ("re", 1, _rule(*cplx, "real"), _real_of(lambda z: z.real)),
         ("im", 1, _rule(*cplx, "real"), _real_of(lambda z: z.imag)),
         ("conj", 1, _rule(*cplx, "complex"),
-         lambda args, env: args[0].conjugate()),
+         lambda args, rnd: args[0].conjugate()),
         ("exp", 1, _rule(*number, {"int": "real", "real": "real",
                                    "complex": "complex"}), _exp),
         ("cos", 1, _rule(*real, "real"), _real_of(math.cos)),
@@ -256,7 +283,7 @@ def _register_builtins():
         ("len", 1, _rule(_COLLECTION, "a collection", "int"), _len),
         ("laplacian", 1, _check_laplacian, _laplacian),
         ("complex", 2, _rule(*real, "complex"),
-         lambda args, env: complex(args[0], args[1])),
+         lambda args, rnd: complex(args[0], args[1])),
     ):
         register(Intrinsic(name, arity, False, check, impl, builtin=True))
 

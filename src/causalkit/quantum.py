@@ -1,5 +1,5 @@
-"""Numeric kits: classical mechanics stepping, 1D Schrodinger evolution,
-particle/wave collection operations, and a toy cellular-automaton world.
+"""Numeric kits: 1D Schrodinger evolution, particle/wave collection
+operations, and a toy cellular-automaton world.
 
 Importing this module registers the corresponding CML intrinsics
 (schrodinger_step, pw_propagate, pw_interact, pw_detect, ca_step,
@@ -24,30 +24,6 @@ from .errors import (
 from .intrinsics import Intrinsic, IntrinsicTypeError, neighbour_sum
 from .pw import PwCollection
 from .state import TypeDesc, VCGrid, VList, VPw, VRecord, VVector
-
-# --- classical mechanics ------------------------------------------------------
-
-
-def classical_step(particles, potential_gradient, dt: float):
-    """Velocity-Verlet step for point particles in a 1D potential.
-
-    ``particles`` is a list of (mass, position, velocity) triples;
-    ``potential_gradient`` is a callable x -> dV/dx. The force is
-    F = -dV/dx, standard mechanics sign.
-    """
-    if not (dt > 0):
-        raise ValueError("dt must be positive")
-    out = []
-    for m, x, v in particles:
-        if not (m > 0):
-            raise ValueError("mass must be positive")
-        a0 = -potential_gradient(x) / m
-        x1 = x + v * dt + 0.5 * a0 * dt * dt
-        a1 = -potential_gradient(x1) / m
-        v1 = v + 0.5 * (a0 + a1) * dt
-        out.append((m, x1, v1))
-    return out
-
 
 # --- 1D Schrodinger evolution ----------------------------------------------------
 
@@ -171,17 +147,6 @@ def schrodinger_step(grid: VCGrid, potential, dt: float, mass: float = 1.0,
     if not np.isfinite(rhs).all():
         raise SolveError("non-finite right-hand side")
     return VCGrid(solve(rhs), grid.dx)
-
-
-def discrete_hamiltonian(n: int, dx: float, potential, mass: float = 1.0,
-                         hbar: float = 1.0) -> np.ndarray:
-    """Dense periodic finite-difference Hamiltonian (for eigen-analysis)."""
-    kin = hbar ** 2 / (2.0 * mass * dx ** 2)
-    h = np.diag(2.0 * kin + np.asarray(potential, dtype=float))
-    for i in range(n):
-        h[i, (i + 1) % n] += -kin
-        h[i, (i - 1) % n] += -kin
-    return h
 
 
 # --- particle/wave collections -----------------------------------------------------
@@ -364,7 +329,7 @@ def _check_schrodinger(args, ctx):
     return TypeDesc.cgrid(psi.length, psi.dx)
 
 
-def _impl_schrodinger(args, env):
+def _impl_schrodinger(args, rnd):
     psi, v, dt, mass, hbar = args
     return schrodinger_step(psi, v.values, float(dt), float(mass),
                             float(hbar))
@@ -380,7 +345,7 @@ def _check_pw_propagate(args, ctx):
     return args[0]
 
 
-def _impl_pw_propagate(args, env):
+def _impl_pw_propagate(args, rnd):
     return VPw(pw_propagate(args[0].pw, float(args[1])))
 
 
@@ -389,8 +354,8 @@ def _check_pw_interact(args, ctx):
     return args[0]
 
 
-def _impl_pw_interact(args, env):
-    _, collapsed = pw_interact(args[0].pw, env.rnd)
+def _impl_pw_interact(args, rnd):
+    _, collapsed = pw_interact(args[0].pw, rnd)
     return VPw(collapsed)
 
 
@@ -407,7 +372,7 @@ def _check_pw_detect(args, ctx):
     return TypeDesc.int_()
 
 
-def _impl_pw_detect(args, env):
+def _impl_pw_detect(args, rnd):
     pw, nbins, lo, hi, coherent = args
     if not 1 <= nbins <= MAX_CELLS:
         raise EvalError(f"pw_detect: nbins must be in [1, {MAX_CELLS}], "
@@ -417,7 +382,7 @@ def _impl_pw_detect(args, env):
         if not math.isfinite(x):
             raise EvalError(f"pw_detect: non-finite {name} {x}")
     edges = np.linspace(lo, hi, nbins + 1)
-    return pw_detect(pw.pw, edges, env.rnd, coherent=coherent)
+    return pw_detect(pw.pw, edges, rnd, coherent=coherent)
 
 
 _CA_PARTICLE_FIELDS = ("id", "pos", "vel", "species")
@@ -453,7 +418,7 @@ def _check_ca_step(args, ctx):
     return args[0]
 
 
-def _impl_ca_step(args, env):
+def _impl_ca_step(args, rnd):
     return ca_step(args[0])
 
 
@@ -469,7 +434,7 @@ def _check_gauss_packet(args, ctx):
     return TypeDesc.cgrid(n, float(dx))
 
 
-def _impl_gauss_packet(args, env):
+def _impl_gauss_packet(args, rnd):
     n, *lengths = args
     return gaussian_packet(n, *map(float, lengths))
 
@@ -482,7 +447,7 @@ def _check_fill(args, ctx):
     return TypeDesc.vector(n)
 
 
-def _impl_fill(args, env):
+def _impl_fill(args, rnd):
     return VVector(np.full(args[0], float(args[1])))
 
 
@@ -495,7 +460,7 @@ def _check_two_slit(args, ctx):
                                   ("position", TypeDesc.real())])
 
 
-def _impl_two_slit(args, env):
+def _impl_two_slit(args, rnd):
     bins, *lengths = args
     return VPw(two_slit(bins, *map(float, lengths)))
 
@@ -508,7 +473,7 @@ def _check_pw_spins(args, ctx):
     return TypeDesc.pwcollection([("spin", TypeDesc.int_())])
 
 
-def _impl_pw_spins(args, env):
+def _impl_pw_spins(args, rnd):
     return VPw(pw_spins([spins.items for spins in args[0].items]))
 
 
@@ -520,7 +485,7 @@ def _check_pw_spin(args, ctx):
     return TypeDesc.int_()
 
 
-def _impl_pw_spin(args, env):
+def _impl_pw_spin(args, rnd):
     pw, i = args[0].pw, args[1]
     if pw.n_paths != 1:
         raise EvalError(f"pw_spin needs one path, got {pw.n_paths}")
@@ -540,7 +505,7 @@ def _check_ca_world(args, ctx):
     return TypeDesc.record_ref("CaWorld")
 
 
-def _impl_ca_world(args, env):
+def _impl_ca_world(args, rnd):
     return ca_world(args[0], float(args[1]))
 
 

@@ -139,6 +139,8 @@ class StateSchema:
     records: dict = field(default_factory=dict)  # name -> ((field, TypeDesc), ...)
     constants: dict = field(default_factory=dict)  # name -> (TypeDesc, payload)
     time_domain: Domain | None = None
+    _checkers: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)   # TypeDesc -> its checker
 
     def __post_init__(self):
         overlap = set(self.fields) & set(self.constants)
@@ -147,6 +149,14 @@ class StateSchema:
         for name, td in self.all_type_decls():
             self._check_refs_resolve(td, where=name)
         self._check_record_cycles()
+
+    def checker(self, td: TypeDesc):
+        """``check_value`` against ``td`` as a function of (value,
+        where), built once per type and kept here."""
+        check = self._checkers.get(td)
+        if check is None:
+            check = self._checkers[td] = _checker(td, self)
+        return check
 
     def all_type_decls(self):
         for name, td in self.fields.items():
@@ -247,6 +257,72 @@ class VPw(Value):
 def check_value(value, td: TypeDesc, schema: StateSchema, where: str = "value"):
     """Raise TypeMismatchError unless ``value`` has the type ``td``; a
     scalar payload must have exactly its kind's Python type."""
+    schema.checker(td)(value, where)
+
+
+def _checker(td: TypeDesc, schema: StateSchema):
+    """The check against ``td``: a generated predicate, true iff the value
+    has the type; only if it is false, ``_first_mismatch`` walks the value
+    in its own field order to raise for the first mismatch. Neither holds
+    the schema, so the schema that keeps the check is freed at once."""
+    records = schema.records
+    if td.kind in PAYLOAD_TYPES:
+        payload = PAYLOAD_TYPES[td.kind]
+        ok = lambda value: type(value) is payload  # noqa: E731
+    else:
+        ok = _predicate(td, records)
+
+    def check(value, where: str = "value"):
+        if not ok(value):
+            _first_mismatch(value, td, records, where)
+    return check
+
+
+def _predicate(td: TypeDesc, records: dict):
+    """The generated function ``x -> x has type td``. It reads its
+    constants, and the predicate of a list's element type, from a
+    namespace of its own that does not hold it."""
+    ns = {"VVector": VVector, "VCGrid": VCGrid, "VList": VList,
+          "VRecord": VRecord, "VPw": VPw}
+    text = _test(td, "x", records, ns)
+    exec(compile(f"def ok(x): return {text}\n", f"<check {td}>", "exec"), ns)
+    return ns.pop("ok")
+
+
+def _test(td: TypeDesc, x: str, records: dict, ns: dict) -> str:
+    """Python text true iff the value of the expression ``x`` has type td."""
+    def const(value):
+        name = f"k{len(ns)}"
+        ns[name] = value
+        return name
+    kind = td.kind
+    if kind in PAYLOAD_TYPES:
+        return f"type({x}) is {PAYLOAD_TYPES[kind].__name__}"
+    if kind == "vector":
+        return f"isinstance({x}, VVector) and len({x}.values) == {td.length}"
+    if kind == "cgrid":
+        return (f"isinstance({x}, VCGrid) and len({x}.amps) == {td.length}"
+                f" and {x}.dx == {const(td.dx)}")
+    if kind == "list":
+        item = const(_predicate(td.element, records))
+        return f"isinstance({x}, VList) and all(map({item}, {x}.items))"
+    if kind == "record":
+        decls = records[td.record]
+        keys = const(frozenset(n for n, _ in decls))
+        return " and ".join(
+            [f"isinstance({x}, VRecord)", f"{x}.record == {td.record!r}",
+             f"{x}.fields.keys() == {keys}"]
+            + [f"({_test(ftd, f'{x}.fields[{n!r}]', records, ns)})"
+               for n, ftd in decls])
+    if kind == "pwcollection":
+        declared = const(tuple((n, t.kind) for n, t in td.attrs))
+        return f"isinstance({x}, VPw) and {x}.pw.attr_decls == {declared}"
+    raise SchemaError(f"unknown type kind '{kind}'")
+
+
+def _first_mismatch(value, td: TypeDesc, records: dict, where: str):
+    """Raise TypeMismatchError for the first part of ``value``, in its
+    own order, that does not have its type."""
     kind = td.kind
     ok = True
     if kind in PAYLOAD_TYPES:
@@ -260,22 +336,21 @@ def check_value(value, td: TypeDesc, schema: StateSchema, where: str = "value"):
         ok = isinstance(value, VList)
         if ok:
             for item in value.items:
-                check_value(item, td.element, schema, where)
+                _first_mismatch(item, td.element, records, where)
     elif kind == "record":
         ok = isinstance(value, VRecord) and value.record == td.record
         if ok:
-            decls = dict(schema.records[td.record])
+            decls = dict(records[td.record])
             ok = set(value.fields) == set(decls)
             if ok:
                 for fname, fval in value.fields.items():
-                    check_value(fval, decls[fname], schema, f"{where}.{fname}")
-    elif kind == "pwcollection":
+                    _first_mismatch(fval, decls[fname], records,
+                                    f"{where}.{fname}")
+    else:   # a pwcollection: building the checker refused any other kind
         ok = isinstance(value, VPw)
         if ok:
             declared = tuple((n, t.kind) for n, t in td.attrs)
             ok = value.pw.attr_decls == declared
-    else:
-        raise SchemaError(f"unknown type kind '{kind}'")
     if not ok:
         raise TypeMismatchError(where, td, _describe(value))
 

@@ -234,7 +234,7 @@ class TestAnalyze:
 
         def broken_guard(state):
             raise RuntimeError("bug in a guard")
-        object.__setattr__(model.laws[0], "compiled_guard", broken_guard)
+        object.__setattr__(model.laws[0], "guard_fn", broken_guard)
         with pytest.raises(RuntimeError, match="bug in a guard"):
             analyze(model, CheckStrategy("sample", count=10, seed=1))
 

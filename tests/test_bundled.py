@@ -91,15 +91,15 @@ class TestDoubleSlit:
 class TestHarmonicOscillator:
     def test_cml_law_matches_velocity_verlet_op(self):
         # the inlined update in the .cml source must reproduce the
-        # quantum-kit integrator step for step
-        from causalkit import classical_step
+        # textbook integrator step for step: force -x, unit mass
         model, state = build_bundled_model("harmonic_oscillator")
         dt = 0.001
         trace = run(model, state, RunConfig(dt=dt, max_steps=200))
-        particles = [(1.0, 1.0, 0.0)]
+        x, v = 1.0, 0.0
         for _ in range(200):
-            particles = classical_step(particles, lambda x: x, dt)
-        _, x, v = particles[0]
+            a0 = -x
+            x1 = x + v * dt + 0.5 * a0 * dt * dt
+            x, v = x1, v + 0.5 * (a0 - x1) * dt
         assert trace.final_state.values["x"] == pytest.approx(x, abs=1e-12)
         assert trace.final_state.values["v"] == pytest.approx(v, abs=1e-12)
 

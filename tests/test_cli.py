@@ -336,3 +336,37 @@ class TestUsageErrors:
         code, _, err = invoke(["run", "builtin:nope"], capsys)
         assert code == 1
         assert "nope" in err
+
+
+class TestParserReuse:
+    """main builds its argument parser once per process."""
+
+    RUNS = (["run", "builtin:qftca_toy", "--param", "cells=5", "--param",
+             "alpha=0.35", "--observables", "world.particles[0].vel",
+             "--steps", "3"],
+            # no --param: a default list mutated by the first call would
+            # hand this one cells=5
+            ["run", "builtin:qftca_toy", "--observables",
+             "world.particles[1].pos,world.alpha", "--steps", "3"])
+
+    def test_repeated_main_calls_match_fresh_processes(self, capsys):
+        import os
+        import subprocess
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        fresh = [subprocess.run([sys.executable, "-m", "causalkit.cli",
+                                 *argv], capture_output=True, check=True,
+                                env=env).stdout.decode("utf-8")
+                 for argv in self.RUNS]
+        in_process = [invoke(argv, capsys)[1] for argv in self.RUNS]
+        assert in_process == fresh
+        assert fresh[0] != fresh[1]
+
+    def test_the_parser_is_built_once(self):
+        from causalkit.cli import build_parser
+
+        assert build_parser() is build_parser()
+        args = build_parser().parse_args(["run", "builtin:counter"])
+        assert args.param == []

@@ -323,13 +323,13 @@ def test_the_tree_walker_is_gone():
 
 def test_each_node_is_compiled_once(monkeypatch):
     calls = []
-    compile_node = engine._compile
+    emit = engine._Emitter.expr
 
-    def counting(e, scope):
+    def counting(emitter, e):
         calls.append(id(e))
-        return compile_node(e, scope)
+        return emit(emitter, e)
 
-    monkeypatch.setattr(engine, "_compile", counting)
+    monkeypatch.setattr(engine._Emitter, "expr", counting)
     model = load_model((FIXTURES / "language.cml").read_text())
     assert calls and len(calls) == len(set(calls))
     n = len(calls)

@@ -67,6 +67,23 @@ class TestParse:
             if ast is not None:
                 typecheck(ast)
 
+    def test_numeric_characters_that_are_not_digits_are_bad_chars(self):
+        # str.isdigit() accepts '²' and '①', which int() and float()
+        # refuse; no token starts with one
+        from causalkit.frontend.lexer import tokenize
+        tokens, diags = tokenize("x ² 1² ½y 1e² ①")
+        assert [(t.kind, t.text, str(t.loc)) for t in tokens] == [
+            ("IDENT", "x", "1:1"), ("INT", "1", "1:5"),
+            ("IDENT", "y", "1:9"), ("INT", "1", "1:11"),
+            ("IDENT", "e²", "1:12"), ("EOF", "", "1:16")]
+        assert [(d.code, d.message, str(d.loc)) for d in diags] == [
+            ("bad-char", "unexpected character '²'", "1:3"),
+            ("bad-char", "unexpected character '²'", "1:6"),
+            ("bad-char", "unexpected character '½'", "1:8"),
+            ("bad-char", "unexpected character '①'", "1:15")]
+        ast, diags = parse("model m { state { x: int; } init { x = 1²; } }")
+        assert ast is None and diags[0].code == "bad-char"
+
     def test_all_locations_present(self):
         ast, _ = parse(MINIMAL)
         assert ast.laws[0].guard.loc.line >= 1

@@ -17,13 +17,17 @@ from causalkit import (
     TypeMismatchError,
     VCGrid,
     ZeroNormError,
+    EvalError,
+    RunConfig,
+    apply_law,
     ca_step,
-    classical_step,
-    discrete_hamiltonian,
     gaussian_packet,
+    load_model,
+    make_initial_state,
     pw_detect,
     pw_interact,
     pw_propagate,
+    run,
     schrodinger_step,
 )
 from causalkit import quantum
@@ -31,52 +35,90 @@ from causalkit.quantum import grid_coordinates
 from conftest import FIXTURES, ca_momentum, ca_particles, ca_world_value
 
 
+def discrete_hamiltonian(n: int, dx: float, potential, mass: float = 1.0,
+                         hbar: float = 1.0) -> np.ndarray:
+    """Dense periodic finite-difference Hamiltonian, the eigensolve oracle
+    of the Crank-Nicolson step."""
+    kin = hbar ** 2 / (2.0 * mass * dx ** 2)
+    h = np.diag(2.0 * kin + np.asarray(potential, dtype=float))
+    for i in range(n):
+        h[i, (i + 1) % n] += -kin
+        h[i, (i - 1) % n] += -kin
+    return h
+
+
 def norm(grid):
     return float(np.sum(np.abs(grid.amps) ** 2) * grid.dx)
 
 
+OSCILLATOR = (Path(__file__).resolve().parent.parent / "src" / "causalkit"
+              / "models" / "harmonic_oscillator.cml").read_text()
+
+
+def oscillator(k: float = 1.0, m: float = 1.0):
+    """harmonic_oscillator.cml with spring constant k and mass m."""
+    source = OSCILLATOR
+    for name, value in (("k", k), ("m", m)):
+        old = f"const {name}: real = 1.0;"
+        assert old in source
+        source = source.replace(old, f"const {name}: real = {value!r};")
+    return load_model(source)
+
+
+def verlet(model, x: float, v: float, dt: float, steps: int = 1):
+    """(x, v) after ``steps`` applications of the model's Verlet law."""
+    s = make_initial_state(model.schema, {"x": x, "v": v})
+    for _ in range(steps):
+        s = apply_law(model.laws[0], s, dt, None)
+    return s.values["x"], s.values["v"]
+
+
 class TestClassicalStep:
+    """The velocity-Verlet step of harmonic_oscillator.cml."""
+
     def test_free_motion(self):
-        (m, x, v), = classical_step([(1.0, 0.0, 1.0)], lambda x: 0.0, 0.1)
+        x, v = verlet(oscillator(k=0.0), 0.0, 1.0, 0.1)
         assert x == pytest.approx(0.1)
         assert v == pytest.approx(1.0)
 
     def test_harmonic_one_period(self):
         # closed form x(t) = cos(t) for V = x^2/2, m = 1, x0 = 1, v0 = 0
-        particles = [(1.0, 1.0, 0.0)]
         dt = 0.001
         steps = int(round(2 * math.pi / dt))
-        for _ in range(steps):
-            particles = classical_step(particles, lambda x: x, dt)
-        _, x, v = particles[0]
+        x, v = verlet(oscillator(), 1.0, 0.0, dt, steps)
         t = steps * dt
         assert abs(x - math.cos(t)) < 1e-3
         assert abs(v + math.sin(t)) < 1e-3
 
     def test_energy_drift_velocity_verlet(self):
-        particles = [(1.0, 1.0, 0.0)]
+        model = oscillator()
         dt = 0.001
         e0 = 0.5 * 1.0 ** 2
-
-        def energy(p):
-            _, x, v = p[0]
-            return 0.5 * v * v + 0.5 * x * x
-
-        for _ in range(10_000):
-            particles = classical_step(particles, lambda x: x, dt)
-            assert abs(energy(particles) - e0) / e0 < 1e-4
+        trace = run(model, make_initial_state(model.schema,
+                                              {"x": 1.0, "v": 0.0}),
+                    RunConfig(dt=dt, max_steps=10_000))
+        assert len(trace.rows) == 10_001
+        for row in trace.rows:
+            x, v = row.snapshot.values["x"], row.snapshot.values["v"]
+            assert abs(0.5 * v * v + 0.5 * x * x - e0) / e0 < 1e-4
 
     def test_noninteracting_particles_decouple(self):
-        pair = [(1.0, 0.0, 1.0), (2.0, 5.0, -0.5)]
-        grad = lambda x: 0.3 * x
-        stepped_pair = classical_step(pair, grad, 0.05)
-        for single, joint in zip(pair, stepped_pair):
-            alone = classical_step([single], grad, 0.05)[0]
-            assert alone == joint
+        # a step depends on its own state only: two oscillators of
+        # different mass stepped in turn give what each gives alone
+        models = (oscillator(k=0.3, m=1.0), oscillator(k=0.3, m=2.0))
+        starts = ((0.0, 1.0), (5.0, -0.5))
+        states = [make_initial_state(m.schema, {"x": x, "v": v})
+                  for m, (x, v) in zip(models, starts)]
+        for _ in range(3):
+            states = [apply_law(m.laws[0], s, 0.05, None)
+                      for m, s in zip(models, states)]
+        for model, (x, v), joint in zip(models, starts, states):
+            alone = verlet(model, x, v, 0.05, 3)
+            assert alone == (joint.values["x"], joint.values["v"])
 
     def test_rejects_nonpositive_mass(self):
-        with pytest.raises(ValueError):
-            classical_step([(0.0, 0.0, 0.0)], lambda x: 0.0, 0.1)
+        with pytest.raises(EvalError, match="division by zero"):
+            verlet(oscillator(m=0.0), 0.0, 0.0, 0.1)
 
 
 class TestSchrodingerStep:

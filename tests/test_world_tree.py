@@ -141,3 +141,32 @@ def test_depth_is_not_bounded_by_the_recursion_limit():
         node = WorldNode(1.0, None if i % 2 else "y", children=[node])
     tree = WorldTree(node, 0.0)
     assert world_tree_text(tree) == dumps_indented(world_tree_to_json(tree))
+
+
+def test_leaves_of_a_tree_deeper_than_the_recursion_limit():
+    from pathlib import Path
+
+    from causalkit import RunConfig, branch_run, build_initial_state, load_model
+
+    source = (Path(__file__).parent / "fixtures" / "walk.cml").read_text()
+    model = load_model(source)
+    depth = sys.getrecursionlimit() + 100
+    tree = branch_run(model, build_initial_state(model),
+                      RunConfig(dt=1.0, max_steps=depth), depth_bound=depth,
+                      width_bound=1)
+    leaves = tree.leaves()
+    # one lineage survives each round; the last one ends at max-steps
+    assert [l.termination.kind for l in leaves] == ["max-steps"]
+    assert tree.leaf_weight_total() == 0.5 ** depth
+    assert tree.leaf_weight_total() + tree.pruned_mass == 1.0
+
+
+def test_leaves_are_listed_before_the_leaves_below_them():
+    leaf = WorldNode(0.25, "b", termination=Termination("halted"))
+    pruned = WorldNode(0.25, "c", pruned=True,
+                       termination=Termination("pruned"))
+    inner = WorldNode(0.5, "a", children=[leaf, pruned],
+                      termination=Termination("depth-bound"))
+    last = WorldNode(0.5, "d", termination=Termination("max-steps"))
+    tree = WorldTree(WorldNode(1.0, children=[inner, last]), 0.25)
+    assert tree.leaves() == [inner, leaf, last]
