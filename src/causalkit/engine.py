@@ -104,31 +104,19 @@ class CausalModel:
 
 # --- generated code ---------------------------------------------------------------
 #
-# An _Emitter walks typed AST nodes once and writes Python source. The
-# typechecker has fixed every node's type and rejected every node out of
-# place (an unknown name or function, ``dt`` or a draw outside a
-# transition), so nothing is checked again here. An expression becomes
-# Python text: a state field a local loaded once per function, a constant
-# a literal (by ``repr``) or a name bound in the module's namespace, an
-# operator that cannot fail the inline text of ``intrinsics.inline``, and
-# anything that can fail (int64 arithmetic, ``/``, ``^``, indexing, calls,
-# draws) a call of a function bound with its location. An operator whose
-# operands are all constant is folded with ``intrinsics.binary``, the
-# typechecker's folder, unless that raises (then it raises at run time).
-# Scalar texts give a payload of exactly their kind's Python type, any
-# other a Value; an int is promoted to real or complex, or a real to
-# complex, only where the static kinds differ: at a write, a list
+# An _Emitter walks the typed AST once and writes Python source; see
+# "Generated code" in docs/design_notes.md. The typechecker has fixed every
+# node's type and rejected every node out of place, so nothing is checked
+# again here. A scalar text gives a payload of exactly its kind's Python
+# type, any other a Value; an int is promoted to real or complex, or a real
+# to complex, only where the static kinds differ: at a write, a list
 # literal's item or a random value set's member.
 
 _SERIAL = itertools.count(1)
 
 
-def _no_dt(loc):
-    raise EvalError("'dt' is not available here", loc)
-
-
-def _no_rnd(loc):
-    raise EvalError("random() is not allowed here", loc)
+def _fail(message: str, loc):
+    raise EvalError(message, loc)
 
 
 def _nonfinite(value, where: str, loc) -> EvalError:
@@ -145,28 +133,19 @@ def _finite(isfinite, expr):
     return finite
 
 
-def _at_list(value, i, loc):
-    items = value.items
-    if 0 <= i < len(items):
-        return items[i]
-    raise EvalError(f"index {i} out of range (len {len(items)})", loc)
+def _indexer(attr: str, convert):
+    """(value, i, loc) -> convert(value.<attr>[i]), i checked in range."""
+    def at(value, i, loc):
+        seq = getattr(value, attr)
+        if 0 <= i < len(seq):
+            return convert(seq[i])
+        raise EvalError(f"index {i} out of range (len {len(seq)})", loc)
+    return at
 
 
-def _at_vector(value, i, loc):
-    values = value.values
-    if 0 <= i < len(values):
-        return float(values[i])
-    raise EvalError(f"index {i} out of range (len {len(values)})", loc)
-
-
-def _at_cgrid(value, i, loc):
-    amps = value.amps
-    if 0 <= i < len(amps):
-        return complex(amps[i])
-    raise EvalError(f"index {i} out of range (len {len(amps)})", loc)
-
-
-_AT = {"list": "_at_list", "vector": "_at_vector", "cgrid": "_at_cgrid"}
+_AT = {"list": _indexer("items", lambda x: x),   # a list holds values,
+       "vector": _indexer("values", float),      # a vector numpy floats,
+       "cgrid": _indexer("amps", complex)}       # a cgrid numpy complexes
 
 
 def _intrinsic_call(intr, loc):
@@ -192,54 +171,45 @@ def _intrinsic_call(intr, loc):
     return call
 
 
-def _namespace(schema: StateSchema) -> dict:
-    """What every generated module reads besides its own bound constants.
-    ``rnd`` and ``dt`` are None outside a transition, whose parameters
-    shadow them."""
-    return {"EvalError": EvalError, "ContinuousRandomError":
-            ContinuousRandomError, "NoApplicableLawError":
-            NoApplicableLawError, "MultipleApplicableError":
-            MultipleApplicableError, "SystemState": SystemState,
-            "VList": VList, "_set_path": _set_path, "_merge": _merge,
-            "_no_dt": _no_dt, "_no_rnd": _no_rnd, "_nonfinite": _nonfinite,
-            "_at_list": _at_list, "_at_vector": _at_vector,
-            "_at_cgrid": _at_cgrid, "_isfinite": math.isfinite,
-            "_cisfinite": cmath.isfinite, "_schema": schema, "rnd": None,
-            "dt": None}
-
-
 class _Emitter:
     """Python source for one model or observable list, and the namespace
-    it runs in. ``expr`` gives an expression's text; statements append
-    lines to ``body``, each with its CML ``line:col`` in a comment."""
+    it runs in: ``expr`` gives an expression's text, a statement appends
+    lines to ``body``, each with its CML ``line:col`` in a comment. ``rnd``
+    and ``dt`` are None in the namespace; a transition's parameters
+    shadow them."""
 
     def __init__(self, schema: StateSchema):
         self.schema = schema
-        self.ns = _namespace(schema)
+        self.ns = {c.__name__: c for c in (
+            EvalError, ContinuousRandomError, NoApplicableLawError,
+            MultipleApplicableError, SystemState, VList, _set_path, _merge,
+            _fail, _nonfinite)}
+        self.ns.update(_schema=schema, _isfinite=math.isfinite,
+                       _cisfinite=cmath.isfinite, rnd=None, dt=None)
         self.field_locals = {n: f"f{i}" for i, n in enumerate(schema.fields)}
         self.consts = {n: v for n, (_, v) in schema.constants.items()}
         self.known: dict = {}     # text of a folded constant -> its value
-        self.bound: dict = {}     # id or loc of a bound object -> its name
+        self.bound: dict = {}     # id or (line, col) of a bound object -> name
         self.serial = itertools.count()
-        self.start(reads_state=True)
 
-    def start(self, reads_state: bool):
-        """Begin a function. ``reads_state``: fields are read through
-        locals loaded from the state at its top, else through ``v``."""
+    def start(self, reads_state: bool = True):
+        """Begin a function; fields are read through locals loaded at its
+        top, or (``init``) through the dict ``v`` it fills."""
         self.reads_state = reads_state
         self.reads: dict = {}     # field -> its local, in first-read order
         self.locals: dict = {}    # let or loop variable -> (text, index, list)
         self.body: list = []
         self.depth = 1
-        self.log = False          # writes go to the list W
-        self.merges: list = []    # (root, path text) of each direct write
+        self.log = False          # writes are logged to the list W
+        self.merges: list = []    # (root, path text, value) of direct writes
         self.reads_dt = False
 
-    def prologue(self, head: str, state: str = "s") -> list:
-        lines = [head, f"    v = {state}.values"]
-        lines += [f"    {local} = v[{name!r}]"
-                  for name, local in self.reads.items()]
-        return lines
+    def loads(self, sep: str = "\n    ", reads=None) -> str:
+        """The lines, or ``sep``-joined statements, that load the fields
+        read into their locals."""
+        return "".join(f"{sep}{local} = v[{name!r}]"
+                       for name, local in (self.reads if reads is None
+                                           else reads).items())
 
     def line(self, text: str, loc=None):
         note = "" if loc is None else f"  # {loc}"
@@ -269,27 +239,13 @@ class _Emitter:
         self.known[text] = value
         return text
 
-    def apply(self, fn, template, *args) -> str:
-        """``fn`` over the operands' texts: folded when every operand is
-        constant (unless fn raises, which is then left to run time), else
-        the inline ``template`` or, with none, a call of ``fn``."""
-        if all(a in self.known for a in args):
-            try:
-                return self.const(fn(*(self.known[a] for a in args)))
-            except Exception:
-                pass
-        if template is None:
-            return f"{self.bind(fn, '_f')}({', '.join(args)})"
-        return template.format(*args)
-
     def promoted(self, e, kind: str) -> str:
-        """``e``'s text, giving a value of ``kind``: an int or real payload
-        is promoted to a wider kind here, and only here."""
+        """``e``'s text, giving a value of ``kind``."""
         text = self.expr(e)
         if e.ty.kind == kind or kind not in PAYLOAD_TYPES:
             return text
         t = PAYLOAD_TYPES[kind]
-        return self.apply(t, t.__name__ + "({})", text)
+        return self.apply(t, text)
 
     # --- expressions: one method per node type ---------------------------
 
@@ -310,37 +266,50 @@ class _Emitter:
         if name in self.consts:
             return self.const(self.consts[name])
         self.reads_dt = True   # the one other name a transition can read
-        return f"(dt if dt is not None else _no_dt({self.bind(e.loc)}))"
+        return (f"(dt if dt is not None else _fail("
+                f"\"'dt' is not available here\", {self.bind(e.loc)}))")
+
+    def apply(self, fn, *args) -> str:
+        """``fn`` over the operands' texts: folded when every operand is
+        constant (unless fn raises, which is then left to run time), else
+        its inline text or a call of it."""
+        if all(a in self.known for a in args):
+            try:
+                return self.const(fn(*(self.known[a] for a in args)))
+            except Exception:
+                pass
+        template = intrinsics.INLINE.get(fn)
+        if template is None:
+            return f"{self.bind(fn, '_f')}({', '.join(args)})"
+        return template.format(*args)
 
     def _Unary(self, e):
         return self.apply(intrinsics.unary(e.op, e.ty.kind, e.loc),
-                          intrinsics.inline_unary(e.op, e.ty.kind),
                           self.expr(e.operand))
 
     def _Binary(self, e):
-        op, kind = e.op, e.ty.kind
+        op = e.op
         left, right = self.expr(e.left), self.expr(e.right)
         if op in ("&&", "||"):
             if left in self.known:   # decided by the left, or the right
                 return right if self.known[left] == (op == "&&") else left
-            return intrinsics.inline(op, kind).format(left, right)
-        return self.apply(intrinsics.binary(op, kind, e.loc),
-                          intrinsics.inline(op, kind), left, right)
+            return f"({left} {'and' if op == '&&' else 'or'} {right})"
+        return self.apply(intrinsics.binary(op, e.ty.kind, e.loc), left, right)
 
     def _Member(self, e):
         return f"{self.expr(e.obj)}.fields[{e.name!r}]"
 
     def _Index(self, e):
-        obj, index = self.expr(e.obj), self.expr(e.index)
-        return f"{_AT[e.obj.ty.kind]}({obj}, {index}, {self.bind(e.loc)})"
+        at = self.bind(_AT[e.obj.ty.kind], "_at")
+        return f"{at}({self.expr(e.obj)}, {self.expr(e.index)}, " \
+               f"{self.bind(e.loc)})"
 
     def _Call(self, e):
         args = "".join(", " + self.expr(a) for a in e.args)
         call = self.bind(_intrinsic_call(intrinsics.get(e.func), e.loc), "_c")
-        text = f"{call}(rnd{args})"
         if e.func == "sum" and e.ty.kind != "int":   # an empty list sums to 0
-            return f"{PAYLOAD_TYPES[e.ty.kind].__name__}({text})"
-        return text
+            return f"{PAYLOAD_TYPES[e.ty.kind].__name__}({call}(rnd{args}))"
+        return f"{call}(rnd{args})"
 
     def _ListLit(self, e):
         # items take the literal's element type: [1, 2.5] is a list of reals
@@ -377,32 +346,30 @@ class _Emitter:
                 if not cmath.isfinite(x):
                     raise EvalError(f"random: non-finite {name} {x}", loc)
             return form(args[:n], args[n:], loc)
-        sampler = None
+        sampler = f"{self.bind(prepare, '_p')}({', '.join(args)})"
         if all(a in self.known for a in args):
             try:
                 sampler = self.bind(prepare(*(self.known[a] for a in args)),
                                     "_s")
             except EvalError:
                 pass
-        if sampler is None:
-            sampler = f"{self.bind(prepare, '_p')}({', '.join(args)})"
-        return f"({sampler}(rnd) if rnd is not None else " \
-               f"_no_rnd({self.bind(loc)}))"
+        return (f"({sampler}(rnd) if rnd is not None else "
+                f"_fail('random() is not allowed here', {self.bind(loc)}))")
 
     # --- statements: each appends lines to body ----------------------------
 
-    def block(self, stmts):
+    def block(self, stmts, depth: int = 1):
         outer = dict(self.locals)   # a let is visible to the end of its block
-        self.depth += 1
+        self.depth += depth
         size = len(self.body)
         for s in stmts:
             getattr(self, "_" + type(s).__name__)(s)
         if len(self.body) == size:
             self.line("pass")
-        self.depth -= 1
+        self.depth -= depth
         self.locals = outer
 
-    def checked(self, text: str, kind: str, loc, where: str) -> str:
+    def checked(self, text: str, kind: str, loc, where: str = "") -> str:
         """A local holding ``text``'s value, checked to be finite if
         ``kind`` is real or complex (EvalError "non-finite value <v>
         <where>"). A constant that passes, and an unchecked local (no
@@ -449,20 +416,15 @@ class _Emitter:
                 _, index, root = self.locals[t.id]
                 return root, [index]
             return t.id, None
-        if isinstance(t, Member):
-            part = repr(t.name)
-        else:
-            part = self.checked(self.expr(t.index), "int", t.loc, "")
+        part = (repr(t.name) if isinstance(t, Member)
+                else self.checked(self.expr(t.index), "int", t.loc))
         root, base = self.target(t.obj)
         return root, (base or []) + [part]
 
     def _If(self, s):
         cond = self.expr(s.cond)
         if cond in self.known:
-            self.depth -= 1
-            self.block(s.then if self.known[cond] else s.orelse)
-            self.depth += 1
-            return
+            return self.block(s.then if self.known[cond] else s.orelse, 0)
         self.line(f"if {cond}:", s.loc)
         self.block(s.then)
         if s.orelse:
@@ -470,11 +432,10 @@ class _Emitter:
             self.block(s.orelse)
 
     def _For(self, s):
-        source = s.source.id
         index, item = self.name("i"), self.name("l")
         self.line(f"for {index}, {item} in enumerate("
                   f"{self.expr(s.source)}.items):", s.loc)
-        self.locals[s.var] = (item, index, source)
+        self.locals[s.var] = (item, index, s.source.id)
         self.block(s.body)
         del self.locals[s.var]
 
@@ -488,36 +449,30 @@ class _Emitter:
 
     # --- functions -----------------------------------------------------------
 
-    def guard(self, e) -> tuple:
-        """(text, fields read) of a guard or halt condition."""
-        self.start(reads_state=True)
-        return self.expr(e), dict(self.reads)
-
-    def condition(self, fn: str, text: str, loc) -> str:
-        """The one-line function ``fn`` of a state giving ``text``, which
-        reads the fields of the last ``guard``."""
-        loads = "".join(f"{local} = v[{name!r}]; "
-                        for name, local in self.reads.items())
-        return f"def {fn}(s): v = s.values; {loads}return {text}  # {loc}"
+    def condition(self, fn: str, e) -> tuple:
+        """(the one-line function ``fn`` of a state giving ``e``, e's text,
+        the fields it reads)."""
+        self.start()
+        text = self.expr(e)
+        return (f"def {fn}(s): v = s.values{self.loads('; ')}; "
+                f"return {text}  # {e.loc}", text, self.reads)
 
     def transition(self, law: Law, fn: str) -> list:
-        self.start(reads_state=True)
+        self.start()
         # a write under an if or a for is logged and merged in order at
         # the end; otherwise each write is merged by a line of its own
         self.log = any(isinstance(n, Assign) for s in law.transition
                        if not isinstance(s, Assign) for n in walk(s))
         self.block(law.transition)
-        body = self.body
-        lines = self.prologue(f"def {fn}(s0, dt, rnd, time):  "
-                              f"# law {law.name}", "s0")
+        lines = [f"def {fn}(s0, dt, rnd, time):  # law {law.name}",
+                 f"    v = s0.values{self.loads()}"]
         if self.reads_dt:
             lines.append("    if dt is not None: dt = float(dt)")
         if self.log:
             lines.append("    W = []")
-        lines += ["    try:", *body,
+        lines += ["    try:", *self.body,
                   "    except EvalError as e:",
-                  f"        raise EvalError(e.message, e.loc, "
-                  f"law={law.name!r})",
+                  f"        raise EvalError(e.message, e.loc, law={law.name!r})",
                   "    except ContinuousRandomError:",
                   f"        raise ContinuousRandomError(law={law.name!r})",
                   "    nv = v.copy()"]
@@ -540,9 +495,9 @@ class _Emitter:
 
     def init(self, model: CausalModel) -> list:
         self.start(reads_state=False)
-        fields = model.schema.fields
         for name, e in model.init:
-            value = self.write_value(e, fields[name].kind, e.loc, name)
+            value = self.write_value(e, model.schema.fields[name].kind, e.loc,
+                                     name)
             self.line(f"v[{name!r}] = {value}", e.loc)
         return ["def init():", "    v = {}", *self.body, "    return v"]
 
@@ -550,26 +505,44 @@ class _Emitter:
 def _compile_model(model: CausalModel):
     """Emit, compile and bind every function of ``model``: per law a guard
     and a transition, a selector per mode with the guards inline (it
-    gives the index of the law), the halt condition and the init block."""
+    gives the law's index), the halt condition and the init block.
+
+    strict: every guard is evaluated and exactly one must hold (else the
+    state is the witness); first-match: the first law whose guard holds.
+    A guard's EvalError leaves with its law's name."""
     em = _Emitter(model.schema)
-    lines = []
-    guards = []
+    lines, reads, strict, first, hits = [], {}, [], [], []
     for i, law in enumerate(model.laws):
-        text, reads = em.guard(law.guard)
-        guards.append((text, reads, law))
-        lines += [em.condition(f"guard{i}", text, law.guard.loc),
-                  *em.transition(law, f"apply{i}")]
-    lines += _selectors(em, guards)
-    if model.halt is not None:
-        text, _ = em.guard(model.halt)
-        lines.append(em.condition("halt", text, model.halt.loc))
-    lines += em.init(model)
-    source = "\n".join(lines) + "\n"
-    n = len(model.laws)
-    names = [f"{f}{i}" for i in range(n) for f in ("guard", "apply")]
+        guard, text, guard_reads = em.condition(f"guard{i}", law.guard)
+        reads.update(guard_reads)
+        lines += [guard, *em.transition(law, f"apply{i}")]
+        loc = f"  # {law.guard.loc}"
+        strict += [f"        w = {law.name!r}", f"        h{i} = {text}{loc}"]
+        first += [f"        w = {law.name!r}", f"        if {text}:{loc}",
+                  f"            return {i}"]
+        hits.append(f"h{i}")
+    chosen = str(len(hits) - 1)   # the one law whose guard holds
+    for i in range(len(hits) - 2, -1, -1):
+        chosen = f"{i} if h{i} else {chosen}"
+    law_names = "".join(f"{law.name!r}, " for law in model.laws)
+    loads = em.loads(reads=reads)
+    handler = ["    except EvalError as e:",
+               "        raise EvalError(e.message, e.loc, law=w)"]
+    lines += [f"def select_strict(s):\n    v = s.values{loads}", "    try:",
+              *strict, *handler, f"    n = {' + '.join(hits)}",
+              f"    if n == 1:\n        return {chosen}",
+              "    if n == 0:\n        raise NoApplicableLawError(s)",
+              "    raise MultipleApplicableError(s, [name for name, h in "
+              f"zip(({law_names}), ({', '.join(hits)},)) if h])",
+              f"def select_first(s):\n    v = s.values{loads}", "    try:",
+              *first, *handler, "    raise NoApplicableLawError(s)"]
+    names = [f"{f}{i}" for i in range(len(hits)) for f in ("guard", "apply")]
     names += ["select_strict", "select_first", "init"]
     if model.halt is not None:
+        lines.append(em.condition("halt", model.halt)[0])
         names.append("halt")
+    lines += em.init(model)
+    source = "\n".join(lines) + "\n"
     fns = dict(zip(names, _exec(source, em.ns, f"model {model.name}", names,
                                 model)))
     for i, law in enumerate(model.laws):
@@ -580,44 +553,6 @@ def _compile_model(model: CausalModel):
                         ("halt_fn", fns.get("halt")), ("init_fn", fns["init"]),
                         ("source", source)):
         object.__setattr__(model, name, value)
-
-
-def _selectors(em: _Emitter, guards) -> list:
-    """strict: every guard is evaluated and exactly one must hold (else
-    the state is the witness); first-match: the first law whose guard
-    holds. A guard's EvalError leaves with its law's name."""
-    reads = {}
-    for _, r, _ in guards:
-        reads.update(r)
-    head = ["    v = s.values"] + [f"    {local} = v[{name!r}]"
-                                  for name, local in reads.items()]
-    strict = ["def select_strict(s):", *head]
-    first = ["def select_first(s):", *head]
-    for i, (text, _, law) in enumerate(guards):
-        loc = f"  # {law.guard.loc}"
-        if text in em.known:   # a constant guard cannot fail
-            strict.append(f"    h{i} = {text}{loc}")
-            first += [f"    if {text}:{loc}", f"        return {i}"]
-            continue
-        handler = ["    except EvalError as e:",
-                   f"        raise EvalError(e.message, e.loc, "
-                   f"law={law.name!r})"]
-        strict += ["    try:", f"        h{i} = {text}{loc}", *handler]
-        first += ["    try:", f"        if {text}:{loc}",
-                  f"            return {i}", *handler]
-    hits = [f"h{i}" for i in range(len(guards))]
-    chosen = str(len(guards) - 1)   # the one law whose guard holds
-    for i in range(len(guards) - 2, -1, -1):
-        chosen = f"{i} if h{i} else {chosen}"
-    names = "".join(f"{law.name!r}, " for _, _, law in guards)
-    strict += [f"    n = {' + '.join(hits)}",
-               "    if n == 1:",
-               f"        return {chosen}",
-               "    if n == 0:",
-               "        raise NoApplicableLawError(s)",
-               "    raise MultipleApplicableError(s, [name for name, h in "
-               f"zip(({names}), ({', '.join(hits)},)) if h])"]
-    return strict + first + ["    raise NoApplicableLawError(s)"]
 
 
 def _exec(source: str, ns: dict, what: str, names, owner=None) -> list:
@@ -641,9 +576,6 @@ class Observables(tuple):
     gives every value of a state at once, from generated functions whose
     source is ``source``."""
 
-    row: object
-    source: str
-
 
 # Observables per generated function: compile()'s time and memory grow
 # with the source (about 5 kB per observable while it compiles), so a
@@ -654,12 +586,12 @@ _ROW_PART = 64
 def compile_observables(labelled, schema: StateSchema) -> Observables:
     """Compile typechecked (label, expression) pairs once into one
     function from a state to the tuple of their values (payloads for
-    scalar types). A real or complex value must be finite, as a write's
-    must. Each value is one call in a tuple expression."""
+    scalar types), each one call in a tuple expression. A real or complex
+    value must be finite, as a write's must."""
     em = _Emitter(schema)
     parts, sources = [], []
     for first in range(0, max(len(labelled), 1), _ROW_PART):
-        em.start(reads_state=True)
+        em.start()
         items = []
         for _, e in labelled[first:first + _ROW_PART]:
             text = em.expr(e)
@@ -668,23 +600,15 @@ def compile_observables(labelled, schema: StateSchema) -> Observables:
             if isfinite is not None:
                 text = f"{em.bind(_finite(isfinite, e), '_o')}({text})"
             items.append(f"        {text},  # {e.loc}")
-        lines = [*em.prologue("def row(s):"), "    return (", *items, "    )"]
-        sources.append("\n".join(lines) + "\n")
-        parts.append(_exec(sources[-1], em.ns, "observables", ("row",))[0])
-    row = parts[0] if len(parts) == 1 else _joined(parts)
+        sources.append("\n".join([f"def row(s):\n    v = s.values{em.loads()}",
+                                  "    return (", *items, "    )\n"]))
+        parts += _exec(sources[-1], em.ns, "observables", ("row",))
+    row = parts[0] if len(parts) == 1 else (
+        lambda s: sum([part(s) for part in parts], ()))
     out = Observables((label, _item(row, i))
                       for i, (label, _) in enumerate(labelled))
     out.row, out.source = row, "".join(sources)
     return out
-
-
-def _joined(parts):
-    def row(s):
-        values = ()
-        for part in parts:
-            values += part(s)
-        return values
-    return row
 
 
 def _item(row, i):
@@ -832,28 +756,19 @@ def _set_path(value: Value, parts: tuple, new):
     each part to the value it walks into, so only an index can be wrong."""
     if not parts:
         return new
-    p = parts[0]
-    if isinstance(value, VList):
-        if not 0 <= p < len(value.items):
-            raise EvalError(f"index {p} out of range")
-        items = list(value.items)
-        items[p] = _set_path(items[p], parts[1:], new)
-        return VList(items)
+    p, rest = parts[0], parts[1:]
     if isinstance(value, VRecord):
-        fields = dict(value.fields)
-        fields[p] = _set_path(fields[p], parts[1:], new)
-        return VRecord(value.record, fields)
-    if isinstance(value, VVector):
-        if not 0 <= p < len(value.values):
-            raise EvalError(f"index {p} out of range")
-        arr = value.values.copy()
-        arr[p] = new
-        return VVector(arr)
-    if not 0 <= p < len(value.amps):   # a cgrid
+        return VRecord(value.record, {
+            **value.fields, p: _set_path(value.fields[p], rest, new)})
+    seq = (value.items if isinstance(value, VList) else value.values
+           if isinstance(value, VVector) else value.amps)
+    if not 0 <= p < len(seq):
         raise EvalError(f"index {p} out of range")
-    arr = value.amps.copy()
+    if isinstance(value, VList):
+        return VList(seq[:p] + (_set_path(seq[p], rest, new),) + seq[p + 1:])
+    arr = seq.copy()
     arr[p] = new
-    return VCGrid(arr, value.dx)
+    return VVector(arr) if isinstance(value, VVector) else VCGrid(arr, value.dx)
 
 
 # --- stepping -----------------------------------------------------------------------

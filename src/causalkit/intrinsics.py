@@ -6,7 +6,7 @@ a stochastic flag (stochastic intrinsics make a law count as random).
 The language built-ins are registered below; the quantum kit registers
 its numeric intrinsics on import. ``binary`` gives what an operator
 computes, for the compiler and the typechecker's constant folder alike,
-and ``inline`` the Python text the compiler emits for one that cannot
+and ``INLINE`` the Python text the compiler emits for one that cannot
 fail.
 """
 
@@ -90,6 +90,13 @@ def int_power(a: int, b: int, loc=None) -> int:
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "<": operator.lt, "<=": operator.le, ">": operator.gt,
               ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+# The Python text, over the operand texts, of each function ``binary`` and
+# ``unary`` give that cannot fail (a real or complex overflow gives inf,
+# which a write or an observable rejects), and of the promotions: the
+# compiler emits it in place of a call.
+INLINE = {fn: "({} %s {})" % op for op, fn in _OPERATORS.items()}
+INLINE.update({operator.not_: "(not {})", operator.neg: "(-{})",
+               float: "float({})", complex: "complex({})"})
 
 
 def binary(op: str, kind: str, loc=None):
@@ -128,31 +135,6 @@ def binary(op: str, kind: str, loc=None):
                             "exponent", loc)
         return r
     return power
-
-
-# the Python text of each operator that cannot fail, for operand texts
-_INLINE = {"+": "({} + {})", "-": "({} - {})", "*": "({} * {})",
-           "<": "({} < {})", "<=": "({} <= {})", ">": "({} > {})",
-           ">=": "({} >= {})", "==": "({} == {})", "!=": "({} != {})",
-           "&&": "({} and {})", "||": "({} or {})"}
-
-
-def inline(op: str, kind: str) -> str | None:
-    """The Python text of ``a op b`` (a format string over the operand
-    texts) for a typed ``op`` whose result has ``kind``, if it cannot
-    fail; else None, and the compiler calls ``binary(op, kind, loc)``.
-    Real and complex ``+ - *`` cannot fail (an overflow gives inf, which
-    a write or an observable rejects); int ``+ - *``, ``/`` and ``^`` can."""
-    if op in ("/", "^") or kind == "int" and op in ("+", "-", "*"):
-        return None
-    return _INLINE[op]
-
-
-def inline_unary(op: str, kind: str) -> str | None:
-    """``inline`` for a unary ``op``: int negation can fail."""
-    if op == "!":
-        return "(not {})"
-    return None if kind == "int" else "(-{})"
 
 
 def unary(op: str, kind: str, loc=None):

@@ -155,7 +155,7 @@ class StateSchema:
         where), built once per type and kept here."""
         check = self._checkers.get(td)
         if check is None:
-            check = self._checkers[td] = _checker(td, self)
+            check = self._checkers[td] = _checker(td, self.records)
         return check
 
     def all_type_decls(self):
@@ -260,99 +260,63 @@ def check_value(value, td: TypeDesc, schema: StateSchema, where: str = "value"):
     schema.checker(td)(value, where)
 
 
-def _checker(td: TypeDesc, schema: StateSchema):
-    """The check against ``td``: a generated predicate, true iff the value
-    has the type; only if it is false, ``_first_mismatch`` walks the value
-    in its own field order to raise for the first mismatch. Neither holds
-    the schema, so the schema that keeps the check is freed at once."""
-    records = schema.records
-    if td.kind in PAYLOAD_TYPES:
-        payload = PAYLOAD_TYPES[td.kind]
-        ok = lambda value: type(value) is payload  # noqa: E731
-    else:
-        ok = _predicate(td, records)
+def _checker(td: TypeDesc, records: dict):
+    """check(value, where) against ``td``: TypeMismatchError for the first
+    part of ``value``, in its own order (a record's fields in the value's
+    order), whose type is wrong. A field's check gets ``(where, field)``,
+    made into text only for the error. It holds no schema, so the schema
+    that keeps it is freed at once."""
+    kind = td.kind
+    if kind in PAYLOAD_TYPES:
+        payload = PAYLOAD_TYPES[kind]
 
-    def check(value, where: str = "value"):
+        def check(value, where):
+            if type(value) is not payload:
+                _mismatch(where, td, value)
+        return check
+    if kind == "list":
+        item = _checker(td.element, records)
+
+        def check(value, where):
+            if not isinstance(value, VList):
+                _mismatch(where, td, value)
+            for x in value.items:
+                item(x, where)
+        return check
+    if kind == "record":
+        fields = {n: _checker(f, records) for n, f in records[td.record]}
+
+        def check(value, where):
+            if not (isinstance(value, VRecord) and value.record == td.record
+                    and value.fields.keys() == fields.keys()):
+                _mismatch(where, td, value)
+            for name, x in value.fields.items():
+                fields[name](x, (where, name))
+        return check
+    if kind == "vector":
+        ok = lambda v: isinstance(v, VVector) and len(v.values) == td.length
+    elif kind == "cgrid":
+        ok = lambda v: (isinstance(v, VCGrid) and len(v.amps) == td.length
+                        and v.dx == td.dx)
+    elif kind == "pwcollection":
+        declared = tuple((n, t.kind) for n, t in td.attrs)
+        ok = lambda v: isinstance(v, VPw) and v.pw.attr_decls == declared
+    else:
+        raise SchemaError(f"unknown type kind '{kind}'")
+
+    def check(value, where):
         if not ok(value):
-            _first_mismatch(value, td, records, where)
+            _mismatch(where, td, value)
     return check
 
 
-def _predicate(td: TypeDesc, records: dict):
-    """The generated function ``x -> x has type td``. It reads its
-    constants, and the predicate of a list's element type, from a
-    namespace of its own that does not hold it."""
-    ns = {"VVector": VVector, "VCGrid": VCGrid, "VList": VList,
-          "VRecord": VRecord, "VPw": VPw}
-    text = _test(td, "x", records, ns)
-    exec(compile(f"def ok(x): return {text}\n", f"<check {td}>", "exec"), ns)
-    return ns.pop("ok")
-
-
-def _test(td: TypeDesc, x: str, records: dict, ns: dict) -> str:
-    """Python text true iff the value of the expression ``x`` has type td."""
-    def const(value):
-        name = f"k{len(ns)}"
-        ns[name] = value
-        return name
-    kind = td.kind
-    if kind in PAYLOAD_TYPES:
-        return f"type({x}) is {PAYLOAD_TYPES[kind].__name__}"
-    if kind == "vector":
-        return f"isinstance({x}, VVector) and len({x}.values) == {td.length}"
-    if kind == "cgrid":
-        return (f"isinstance({x}, VCGrid) and len({x}.amps) == {td.length}"
-                f" and {x}.dx == {const(td.dx)}")
-    if kind == "list":
-        item = const(_predicate(td.element, records))
-        return f"isinstance({x}, VList) and all(map({item}, {x}.items))"
-    if kind == "record":
-        decls = records[td.record]
-        keys = const(frozenset(n for n, _ in decls))
-        return " and ".join(
-            [f"isinstance({x}, VRecord)", f"{x}.record == {td.record!r}",
-             f"{x}.fields.keys() == {keys}"]
-            + [f"({_test(ftd, f'{x}.fields[{n!r}]', records, ns)})"
-               for n, ftd in decls])
-    if kind == "pwcollection":
-        declared = const(tuple((n, t.kind) for n, t in td.attrs))
-        return f"isinstance({x}, VPw) and {x}.pw.attr_decls == {declared}"
-    raise SchemaError(f"unknown type kind '{kind}'")
-
-
-def _first_mismatch(value, td: TypeDesc, records: dict, where: str):
-    """Raise TypeMismatchError for the first part of ``value``, in its
-    own order, that does not have its type."""
-    kind = td.kind
-    ok = True
-    if kind in PAYLOAD_TYPES:
-        ok = type(value) is PAYLOAD_TYPES[kind]
-    elif kind == "vector":
-        ok = isinstance(value, VVector) and len(value.values) == td.length
-    elif kind == "cgrid":
-        ok = (isinstance(value, VCGrid) and len(value.amps) == td.length
-              and value.dx == td.dx)
-    elif kind == "list":
-        ok = isinstance(value, VList)
-        if ok:
-            for item in value.items:
-                _first_mismatch(item, td.element, records, where)
-    elif kind == "record":
-        ok = isinstance(value, VRecord) and value.record == td.record
-        if ok:
-            decls = dict(records[td.record])
-            ok = set(value.fields) == set(decls)
-            if ok:
-                for fname, fval in value.fields.items():
-                    _first_mismatch(fval, decls[fname], records,
-                                    f"{where}.{fname}")
-    else:   # a pwcollection: building the checker refused any other kind
-        ok = isinstance(value, VPw)
-        if ok:
-            declared = tuple((n, t.kind) for n, t in td.attrs)
-            ok = value.pw.attr_decls == declared
-    if not ok:
-        raise TypeMismatchError(where, td, _describe(value))
+def _mismatch(where, td: TypeDesc, value):
+    names = []
+    while type(where) is tuple:   # (where, field) pairs, innermost last
+        where, name = where
+        names.append(name)
+    raise TypeMismatchError(".".join([where, *reversed(names)]), td,
+                            _describe(value))
 
 
 def _describe(value) -> str:

@@ -22,6 +22,7 @@ from causalkit import (
 )
 from causalkit import engine
 from causalkit.cli import main
+from causalkit.errors import EvalError
 from causalkit.engine import compile_observable
 from causalkit.frontend import parse_expression
 from causalkit.frontend.lower import compile_model
@@ -317,8 +318,39 @@ def test_the_tree_walker_is_gone():
     for name in ("eval_expr", "_eval_binary", "_eval_index", "_eval_call",
                  "_eval_random", "build_random_spec", "_exec_block",
                  "_resolve_target", "RandomSpec", "sample_random",
-                 "_random_spec"):
+                 "_random_spec", "_COMPILERS", "_STATEMENTS", "_Const",
+                 "Env", "_Scope", "_compile", "_compile_transition"):
         assert not hasattr(engine, name), name
+
+
+def test_generated_source_is_kept_and_shown_in_tracebacks():
+    import gc
+    import linecache
+    import traceback
+    import weakref
+
+    model = load_model(POWER.format(init=2, rhs="n ^ (0 - 1)"))
+    assert "def select_strict(s):" in model.source
+    apply = model.laws[0].apply_fn
+    filename = apply.__code__.co_filename
+    assert linecache.getlines(filename) == model.source.splitlines(True)
+    # a statement's lines carry its CML line:col; the failing one shows
+    assert any(line.endswith("  # 5:29") and " = _f" in line
+               for line in model.source.splitlines())
+    with pytest.raises(EvalError) as exc:
+        apply_law(model.laws[0], build_initial_state(model), 1.0, None)
+    text = "".join(traceback.format_exception(exc.value))
+    assert filename in text and "  # 5:29" in text
+    # nothing generated refers back to the model: dropping it frees it
+    # and its source at once, without waiting for the cycle collector
+    gc.disable()
+    try:
+        ref = weakref.ref(model)
+        del model, apply
+        assert ref() is None
+        assert filename not in linecache.cache
+    finally:
+        gc.enable()
 
 
 def test_each_node_is_compiled_once(monkeypatch):

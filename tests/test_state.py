@@ -324,3 +324,46 @@ def test_state_json_is_a_fixed_point(name, params, steps):
     back = state_from_json(data, model.schema)
     assert state_to_json(back) == data
     assert deep_equal(state, back)
+
+
+def test_check_value_names_the_first_mismatch_in_value_order():
+    from causalkit.state import VCGrid, VList, VRecord, VVector, check_value
+
+    p_decl = (("m", TypeDesc.real()), ("x", TypeDesc.real()))
+    w_decl = (("p", TypeDesc.record_ref("P")),
+              ("ps", TypeDesc.list_of(TypeDesc.record_ref("P"))),
+              ("n", TypeDesc.int_()), ("v", TypeDesc.vector(2)),
+              ("g", TypeDesc.cgrid(2, 0.5)))
+    schema = StateSchema(fields={"w": TypeDesc.record_ref("W")},
+                         records={"P": p_decl, "W": w_decl})
+
+    def p(m=1.0, x=2.0):
+        return VRecord("P", {"m": m, "x": x})
+
+    def w(**fields):
+        return VRecord("W", {"p": p(), "ps": VList([p(), p()]), "n": 3,
+                             "v": VVector([1.0, 2.0]),
+                             "g": VCGrid([1, 2], 0.5), **fields})
+
+    cases = [
+        (w(p=p(m=1)), "'w.p.m': expected real, got int"),
+        (w(ps=VList([p(), p(x=True)])), "'w.ps.x': expected real, got bool"),
+        (w(v=VVector([1.0])), "'w.v': expected vector(2), got vector(1)"),
+        (w(g=VCGrid([1, 2], 0.25)),
+         "'w.g': expected cgrid(2, 0.5), got cgrid(2, 0.25)"),
+        (w(ps=p()), "'w.ps': expected list(P), got P"),
+        (w(ps=VList([p(), 3])), "'w.ps': expected P, got int"),
+        (w(p=VRecord("P", {"m": 1.0})), "'w.p': expected P, got P"),
+        # fields are walked in the value's order, not the declaration's
+        (VRecord("W", {"n": 2.5, "p": p(m=1), "ps": VList([]),
+                       "v": VVector([1.0, 2.0]), "g": VCGrid([1, 2], 0.5)}),
+         "'w.n': expected int, got real"),
+        (VList([]), "'w': expected W, got list"),
+    ]
+    check_value(w(), schema.fields["w"], schema, where="w")
+    for value, message in cases:
+        with pytest.raises(TypeMismatchError) as exc:
+            check_value(value, schema.fields["w"], schema, where="w")
+        assert str(exc.value) == f"field {message}"
+    assert schema.checker(schema.fields["w"]) is schema.checker(
+        schema.fields["w"])
