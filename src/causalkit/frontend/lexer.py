@@ -66,7 +66,7 @@ def tokenize(source: str) -> tuple[list, list]:
     tail = 0                  # where EOF sits; a comment does not move it
     while pos < n:
         m = match(source, pos)
-        start, pos = m.span()
+        start, pos = pos, m.end()
         group = m.lastgroup
         if group == "space":
             tail = pos
@@ -78,7 +78,7 @@ def tokenize(source: str) -> tuple[list, list]:
         if group == "comment":
             continue
         tail = pos
-        text = m.group()
+        text = source[start:pos]
         col = start - line_start + 1
         loc = locs.get((line, col)) or _loc(line, col)
         if group == "op":
@@ -100,8 +100,10 @@ def tokenize(source: str) -> tuple[list, list]:
                     loc))
             else:
                 add(new(Token, ("INT", text, int(text), loc)))
-        else:   # a character no token starts with (\w takes a numeric
-            pos = tail = start + 1   # one such as '½', which starts none)
+        else:
+            # no token starts with this character; after a numeric one such
+            # as '½', which \w takes, the scan resumes at the next character
+            pos = tail = start + 1
             diags.append(Diagnostic("error", "bad-char",
                                     f"unexpected character {text[0]!r}",
                                     loc))

@@ -1,5 +1,5 @@
-"""Compiled closures: record member writes, the int '^' rule, step-0
-observables, and the compile-once contract."""
+"""Generated code: record member writes, the int '^' rule, step-0
+observables, the compile-once contract and the kept source."""
 
 from __future__ import annotations
 
@@ -311,7 +311,7 @@ def test_step_zero_observable_error_is_a_termination():
     assert err == "terminated: eval-error: sqrt of a negative number at 1:1\n"
 
 
-# --- compile once, no tree walker --------------------------------------------------
+# --- compile once, no tree walker or closures -----------------------------------
 
 
 def test_the_tree_walker_is_gone():
