@@ -113,6 +113,10 @@ class CausalModel:
 # literal's item or a random value set's member.
 
 _SERIAL = itertools.count(1)
+# Python allows 20 statically nested loops and trys in one function; a
+# transition's body sits in one try, and a for nested deeper than this
+# runs its body as a function defined in the loop around it.
+_MAX_LOOPS = 18
 
 
 def _fail(message: str, loc):
@@ -201,6 +205,7 @@ class _Emitter:
         self.body: list = []
         self.depth = 1
         self.log = False          # writes are logged to the list W
+        self.loops = 0            # for loops open in the function
         self.merges: list = []    # (root, path text, value) of direct writes
         self.reads_dt = False
 
@@ -433,10 +438,21 @@ class _Emitter:
 
     def _For(self, s):
         index, item = self.name("i"), self.name("l")
-        self.line(f"for {index}, {item} in enumerate("
-                  f"{self.expr(s.source)}.items):", s.loc)
+        head = f"for {index}, {item} in enumerate({self.expr(s.source)}.items):"
         self.locals[s.var] = (item, index, s.source.id)
-        self.block(s.body)
+        if self.loops < _MAX_LOOPS:
+            self.line(head, s.loc)
+            self.loops += 1
+            self.block(s.body)
+            self.loops -= 1
+        else:   # the body, as a function of its own, starts a new count
+            body = self.name("b")
+            self.line(f"def {body}({index}, {item}):", s.loc)
+            loops, self.loops = self.loops, 0
+            self.block(s.body)
+            self.loops = loops
+            self.line(head, s.loc)
+            self.line(f"    {body}({index}, {item})", s.loc)
         del self.locals[s.var]
 
     def _Let(self, s):

@@ -373,6 +373,22 @@ def test_each_node_is_compiled_once(monkeypatch):
     assert len(calls) == n
 
 
+def test_loops_nested_deeper_than_python_allows_in_one_function():
+    # Python refuses more than 20 nested loops and trys in one function;
+    # the generated transition moves the deeper loop bodies into functions
+    n = 30
+    loops = "".join(f"for q{i} in li {{ " for i in range(n))
+    model = load_model(
+        "model m { state { x: real; li: list(int); } "
+        "init { x = 0.0; li = [3]; } law L { when true; then { "
+        f"{loops} x = x + 1.0; q{n - 1} = q0 * 10 + q{n - 1}; "
+        + "} " * n + "} } }")
+    s = build_initial_state(model)
+    s = apply_law(model.laws[0], s, 1.0, None)
+    assert typed(s.values["x"]) == typed(1.0)
+    assert typed(s.values["li"]) == typed(VList([33]))
+
+
 # --- draws: one sampler per form ----------------------------------------------------
 
 
