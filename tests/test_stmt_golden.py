@@ -23,16 +23,13 @@ import hashlib
 import io
 import json
 import random
-import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
+from test_expr_golden import _expr
 
-from test_expr_golden import _expr  # noqa: E402
-
-from causalkit.cli import main  # noqa: E402
+from causalkit.cli import main
 
 FIXTURE = Path(__file__).parent / "fixtures" / "stmt_golden.json"
 

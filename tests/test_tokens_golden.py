@@ -17,16 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
+from test_expr_golden import generate
 
-from test_expr_golden import generate  # noqa: E402
-
-from causalkit.frontend.lexer import tokenize  # noqa: E402
+from causalkit.frontend.lexer import tokenize
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = Path(__file__).parent / "fixtures" / "tokens_golden.json"
