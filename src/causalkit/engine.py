@@ -13,6 +13,7 @@ emitted as the source of one Python module, compiled once; see
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import itertools
 import linecache
 import math
@@ -29,15 +30,7 @@ from .errors import (
     MultipleApplicableError,
     NoApplicableLawError,
 )
-from .frontend.ast_nodes import (
-    Assign,
-    Loc,
-    Member,
-    Name,
-    SetLit,
-    format_expr,
-    walk,
-)
+from .frontend.ast_nodes import Loc, Member, Name, SetLit, format_expr
 from .state import (
     PAYLOAD_TYPES,
     StateSchema,
@@ -47,7 +40,7 @@ from .state import (
     VRecord,
     Value,
     VVector,
-    check_value,
+    check_value,  # noqa: F401 (cmlbench/tracing.py hooks it here)
     make_initial_state,
 )
 
@@ -59,9 +52,9 @@ _MAX_TRUNCATION_TRIES = 100_000
 
 @dataclass(frozen=True)
 class Law:
-    """A guarded transition. The model that holds it compiles it and sets
-    ``guard_fn`` (state -> bool) and ``apply_fn`` (pre-state, dt, random
-    source, time -> post-state)."""
+    """A guarded transition. A model compiles the laws it is given into
+    copies of its own, with ``guard_fn`` (state -> bool) and ``apply_fn``
+    (pre-state, dt, random source, time -> post-state) set."""
 
     name: str
     guard: object                 # typed Expr, bool-valued
@@ -183,13 +176,12 @@ class _Emitter:
     shadow them."""
 
     def __init__(self, schema: StateSchema):
-        self.schema = schema
         self.ns = {c.__name__: c for c in (
             EvalError, ContinuousRandomError, NoApplicableLawError,
-            MultipleApplicableError, SystemState, VList, _set_path, _merge,
+            MultipleApplicableError, SystemState, VList, _merge,
             _fail, _nonfinite)}
-        self.ns.update(_schema=schema, _isfinite=math.isfinite,
-                       _cisfinite=cmath.isfinite, rnd=None, dt=None)
+        self.ns.update(_isfinite=math.isfinite, _cisfinite=cmath.isfinite,
+                       rnd=None, dt=None)
         self.field_locals = {n: f"f{i}" for i, n in enumerate(schema.fields)}
         self.consts = {n: v for n, (_, v) in schema.constants.items()}
         self.known: dict = {}     # text of a folded constant -> its value
@@ -204,10 +196,8 @@ class _Emitter:
         self.locals: dict = {}    # let or loop variable -> (text, index, list)
         self.body: list = []
         self.depth = 1
-        self.log = False          # writes are logged to the list W
         self.loops = 0            # for loops open in the function
-        self.merges: list = []    # (root, path text, value) of direct writes
-        self.reads_dt = False
+        self.dt_read = None       # the location of the first read of dt
 
     def loads(self, sep: str = "\n    ", reads=None) -> str:
         """The lines, or ``sep``-joined statements, that load the fields
@@ -270,9 +260,9 @@ class _Emitter:
             return self.reads.setdefault(name, self.field_locals[name])
         if name in self.consts:
             return self.const(self.consts[name])
-        self.reads_dt = True   # the one other name a transition can read
-        return (f"(dt if dt is not None else _fail("
-                f"\"'dt' is not available here\", {self.bind(e.loc)}))")
+        # dt, the one other name a transition can read
+        self.dt_read = self.dt_read or e.loc
+        return "dt"
 
     def apply(self, fn, *args) -> str:
         """``fn`` over the operands' texts: folded when every operand is
@@ -407,10 +397,7 @@ class _Emitter:
             # construction, so it needs no check; a whole composite field
             # does (path ())
             path = "None" if kind in PAYLOAD_TYPES else "()"
-        if self.log:
-            self.line(f"W.append(({root!r}, {path}, {value}))", s.loc)
-        else:
-            self.merges.append((root, path, value))
+        self.line(f"W.append(({root!r}, {path}, {value}))", s.loc)
 
     def target(self, t):
         """(root field, path): None for a whole field, else the texts of
@@ -474,40 +461,24 @@ class _Emitter:
                 f"return {text}  # {e.loc}", text, self.reads)
 
     def transition(self, law: Law, fn: str) -> list:
+        """Each write is logged to the list W, and W is merged in order
+        once the body is done. A body that reads dt takes it as a float
+        first (a None dt fails at the first read's location)."""
         self.start()
-        # a write under an if or a for is logged and merged in order at
-        # the end; otherwise each write is merged by a line of its own
-        self.log = any(isinstance(n, Assign) for s in law.transition
-                       if not isinstance(s, Assign) for n in walk(s))
         self.block(law.transition)
-        lines = [f"def {fn}(s0, dt, rnd, time):  # law {law.name}",
-                 f"    v = s0.values{self.loads()}"]
-        if self.reads_dt:
-            lines.append("    if dt is not None: dt = float(dt)")
-        if self.log:
-            lines.append("    W = []")
-        lines += ["    try:", *self.body,
-                  "    except EvalError as e:",
-                  f"        raise EvalError(e.message, e.loc, law={law.name!r})",
-                  "    except ContinuousRandomError:",
-                  f"        raise ContinuousRandomError(law={law.name!r})",
-                  "    nv = v.copy()"]
-        if self.log:
-            lines.append("    _merge(_schema, nv, W)")
-        composite = {}   # checked once each, in the order of first write
-        for root, path, value in self.merges:
-            if path in ("None", "()"):
-                lines.append(f"    nv[{root!r}] = {value}")
-            else:
-                lines.append(f"    nv[{root!r}] = _set_path(nv[{root!r}], "
-                             f"{path}, {value})")
-            if path != "None":
-                composite[root] = None
-        schema = self.schema
-        for root in composite:
-            check = self.bind(schema.checker(schema.fields[root]), "_ck")
-            lines.append(f"    {check}(nv[{root!r}], {root!r})")
-        return lines + ["    return SystemState(s0.schema, time, nv)"]
+        if self.dt_read is not None:
+            self.body.insert(0, "        dt = float(dt) if dt is not None else "
+                             f"_fail(\"'dt' is not available here\", "
+                             f"{self.bind(self.dt_read)})  # {self.dt_read}")
+        return [
+            f"def {fn}(s0, dt, rnd, time):  # law {law.name}",
+            f"    v = s0.values{self.loads()}", "    W = []", "    try:",
+            *self.body,
+            "    except EvalError as e:",
+            f"        raise EvalError(e.message, e.loc, law={law.name!r})",
+            "    except ContinuousRandomError:",
+            f"        raise ContinuousRandomError(law={law.name!r})",
+            "    return SystemState(s0.schema, time, _merge(_checks, v, W))"]
 
     def init(self, model: CausalModel) -> list:
         self.start(reads_state=False)
@@ -520,13 +491,18 @@ class _Emitter:
 
 def _compile_model(model: CausalModel):
     """Emit, compile and bind every function of ``model``: per law a guard
-    and a transition, a selector per mode with the guards inline (it
-    gives the law's index), the halt condition and the init block.
+    and a transition (set on the model's own copy of the law, so laws
+    shared by two models keep each model's code), a selector per mode
+    with the guards inline (it gives the law's index), the halt condition
+    and the init block.
 
     strict: every guard is evaluated and exactly one must hold (else the
     state is the witness); first-match: the first law whose guard holds.
     A guard's EvalError leaves with its law's name."""
     em = _Emitter(model.schema)
+    em.ns["_checks"] = {name: model.schema.checker(td)
+                        for name, td in model.schema.fields.items()
+                        if td.kind not in PAYLOAD_TYPES}
     lines, reads, strict, first, hits = [], {}, [], [], []
     for i, law in enumerate(model.laws):
         guard, text, guard_reads = em.condition(f"guard{i}", law.guard)
@@ -561,11 +537,12 @@ def _compile_model(model: CausalModel):
     source = "\n".join(lines) + "\n"
     fns = dict(zip(names, _exec(source, em.ns, f"model {model.name}", names,
                                 model)))
-    for i, law in enumerate(model.laws):
-        object.__setattr__(law, "guard_fn", fns[f"guard{i}"])
-        object.__setattr__(law, "apply_fn", fns[f"apply{i}"])
-    for name, value in (("selectors", {"strict": fns["select_strict"],
-                                       "first-match": fns["select_first"]}),
+    laws = tuple(dataclasses.replace(law, guard_fn=fns[f"guard{i}"],
+                                     apply_fn=fns[f"apply{i}"])
+                 for i, law in enumerate(model.laws))
+    selectors = {"strict": fns["select_strict"],
+                 "first-match": fns["select_first"]}
+    for name, value in (("laws", laws), ("selectors", selectors),
                         ("halt_fn", fns.get("halt")), ("init_fn", fns["init"]),
                         ("source", source)):
         object.__setattr__(model, name, value)
@@ -621,14 +598,10 @@ def compile_observables(labelled, schema: StateSchema) -> Observables:
         parts += _exec(sources[-1], em.ns, "observables", ("row",))
     row = parts[0] if len(parts) == 1 else (
         lambda s: sum([part(s) for part in parts], ()))
-    out = Observables((label, _item(row, i))
+    out = Observables((label, lambda s, i=i: row(s)[i])
                       for i, (label, _) in enumerate(labelled))
     out.row, out.source = row, "".join(sources)
     return out
-
-
-def _item(row, i):
-    return lambda s: row(s)[i]
 
 
 def compile_observable(expr, schema: StateSchema):
@@ -753,10 +726,11 @@ def apply_law(law: Law, s0: SystemState, dt: float, rng,
     return law.apply_fn(s0, dt, rng, s0.time if time is None else time)
 
 
-def _merge(schema: StateSchema, values: dict, writes: list):
-    """Merge logged (root, path or None, value) writes into ``values`` in
-    order, then check each composite root written, in first-write order."""
-    composite = {}
+def _merge(checks: dict, values: dict, writes: list) -> dict:
+    """A copy of ``values`` with the logged (root, path or None, value)
+    writes merged in order, each composite root written checked once, in
+    first-write order by its ``checks`` entry."""
+    values, composite = values.copy(), {}
     for root, path, value in writes:
         if path is None:
             values[root] = value
@@ -764,7 +738,8 @@ def _merge(schema: StateSchema, values: dict, writes: list):
             values[root] = _set_path(values[root], path, value)
             composite[root] = None
     for root in composite:
-        check_value(values[root], schema.fields[root], schema, where=root)
+        checks[root](values[root], root)
+    return values
 
 
 def _set_path(value: Value, parts: tuple, new):

@@ -3,6 +3,7 @@ token after token (the "Writing a Tokenizer" recipe of the ``re`` docs)."""
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import NamedTuple
 
@@ -30,20 +31,9 @@ _TOKEN = re.compile(r"""
 
 _BOOLS = {"true": True, "false": False}
 
-# Loc(line, col) by (line, col): a Loc is immutable, so tokens at one place
-# of different sources share it (the 512 observables of a command are
-# tokenized one by one). Emptied when it grows past _LOCS_MAX.
-_LOCS: dict = {}
-_LOCS_MAX = 1 << 16
-
-
-def _loc(line: int, col: int) -> Loc:
-    loc = _LOCS.get((line, col))
-    if loc is None:
-        if len(_LOCS) >= _LOCS_MAX:
-            _LOCS.clear()
-        loc = _LOCS[line, col] = Loc(line, col)
-    return loc
+# Tokens at one (line, col) of different sources share one immutable Loc:
+# an observable list is tokenized one observable at a time.
+_loc = functools.lru_cache(maxsize=1 << 16)(Loc)
 
 
 class Token(NamedTuple):
@@ -59,7 +49,6 @@ def tokenize(source: str) -> tuple[list, list]:
     diags: list[Diagnostic] = []
     add = tokens.append
     new = tuple.__new__       # a Token without NamedTuple's Python __new__
-    locs = _LOCS
     match = _TOKEN.match
     line, line_start = 1, 0   # line_start: index of the line's first char
     pos, n = 0, len(source)
@@ -79,8 +68,7 @@ def tokenize(source: str) -> tuple[list, list]:
             continue
         tail = pos
         text = source[start:pos]
-        col = start - line_start + 1
-        loc = locs.get((line, col)) or _loc(line, col)
+        loc = _loc(line, start - line_start + 1)
         if group == "op":
             add(new(Token, (text, text, None, loc)))
         elif group == "name" and (text[0].isalpha() or text[0] == "_"):
@@ -107,5 +95,5 @@ def tokenize(source: str) -> tuple[list, list]:
             diags.append(Diagnostic("error", "bad-char",
                                     f"unexpected character {text[0]!r}",
                                     loc))
-    tokens.append(Token("EOF", "", None, _loc(line, tail - line_start + 1)))
+    tokens.append(Token("EOF", "", None, Loc(line, tail - line_start + 1)))
     return tokens, diags

@@ -353,6 +353,31 @@ def test_generated_source_is_kept_and_shown_in_tracebacks():
         gc.enable()
 
 
+def test_models_sharing_laws_keep_their_own_code():
+    import dataclasses
+    import gc
+    import linecache
+
+    a = load_model("model m { const k: int = 1; state { n: int; } "
+                   "init { n = 0; } law L { when n < k + 1; then { "
+                   "n = n + k; } } }")
+    td, _ = a.schema.constants["k"]
+    b = dataclasses.replace(a, schema=dataclasses.replace(
+        a.schema, constants={"k": (td, 2)}))
+    c = engine.CausalModel("c", a.schema, a.laws)
+    s = build_initial_state(a)
+    for model, n in ((a, 1), (b, 2), (c, 1)):
+        assert engine.step(model, s, 1.0, None).values["n"] == n
+        assert engine.eval_guard(model.laws[0], s)
+    assert a.laws[0] is not b.laws[0] and a.laws[0] == b.laws[0]
+    # a's code and source outlive the models compiled from its laws
+    filename = a.laws[0].apply_fn.__code__.co_filename
+    del b, c
+    gc.collect()
+    assert apply_law(a.laws[0], s, 1.0, None).values["n"] == 1
+    assert linecache.getlines(filename) == a.source.splitlines(True)
+
+
 def test_each_node_is_compiled_once(monkeypatch):
     calls = []
     emit = engine._Emitter.expr
