@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .engine import (
     CausalModel,
     DeterminismVerdict,
@@ -31,18 +33,19 @@ from .frontend.ast_nodes import Call, RandomExpr, walk
 from .frontend.typecheck import const_fold
 from . import intrinsics
 from .interpreter import RunConfig, run
-from .rng import RngStream, derive_seed
+from .rng import RngStream, derive_seed, derive_seeds, first_words
 from .state import (
     PAYLOAD_TYPES,
+    StateSchema,
     SystemState,
     TypeDesc,
     sample_state,
-    sample_value,
     state_to_json,
 )
 
 _ENUMERATION_CAP = 1_000_000
 _REJECTION_TRIES = 10_000
+_CHUNK = 4096   # states drawn at once
 
 
 @dataclass(frozen=True)
@@ -106,15 +109,9 @@ def validstate(model: CausalModel, s: SystemState) -> bool:
 
 
 def unsampleable_fields(model: CausalModel) -> list:
-    """Names of fields sample_state cannot draw (no domain, grids, pw)."""
-    out = []
-    rng = RngStream(0)
-    for name, td in model.schema.fields.items():
-        try:
-            sample_value(td, model.schema, rng, name)
-        except UnsampleableFieldError:
-            out.append(name)
-    return out
+    """Names of fields sample_state cannot draw (no domain, grids, pw,
+    an interval too wide for a float)."""
+    return list(model.schema.sampler.errors)
 
 
 def _enumerate_domain(td: TypeDesc, name: str):
@@ -150,17 +147,32 @@ def enumerate_states(model: CausalModel):
 
 
 def _sampled_states(model: CausalModel, strategy: CheckStrategy):
-    rng = RngStream(0)   # re-keyed per state: the words of a new stream
-    for i in range(strategy.count):
-        rng.rekey(derive_seed(strategy.seed, i))
-        yield sample_state(model.schema, rng)
+    """The sample strategy's states: state i is drawn from words 0 to
+    k - 1 of the stream ``derive_seed(seed, i)``, k the words a state
+    takes, computed for _CHUNK keys at a time."""
+    sampler = model.schema.sampler
+    for first in range(0, strategy.count, _CHUNK):
+        keys = derive_seeds(strategy.seed, np.arange(
+            first, min(first + _CHUNK, strategy.count), dtype=np.uint64))
+        yield from sampler(first_words(keys, sampler.width))
+
+
+def _tries(schema: StateSchema, rng: RngStream):
+    """States drawn from ``rng`` one after another, k words each: the
+    first alone, as it is mostly the one taken, and the rest in chunks
+    that double up to _CHUNK."""
+    yield sample_state(schema, rng)
+    sampler, n = schema.sampler, 1
+    while True:
+        n = min(2 * n, _CHUNK)
+        yield from sampler(rng.words(n * sampler.width).reshape(
+            n, sampler.width))
 
 
 def _sampled_start(model: CausalModel, run_idx: int,
                    strategy: CheckStrategy, rng: RngStream) -> SystemState:
     rng.rekey(derive_seed(strategy.seed, run_idx))
-    for _ in range(_REJECTION_TRIES):
-        s = sample_state(model.schema, rng)
+    for s in itertools.islice(_tries(model.schema, rng), _REJECTION_TRIES):
         if validstate(model, s):
             return s
     raise NoValidInStateFoundError(

@@ -23,6 +23,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _BUFFER_WORDS = 256
 _MASK32 = np.uint64(0xFFFFFFFF)
 _KEPT_BLOCKS = 4   # WordBlocks holds at most this many blocks per key
+_NO_WORDS = np.empty(0, dtype=np.uint64)   # the buffer of a fresh stream
 
 
 def splitmix64(z: int) -> int:
@@ -101,6 +102,13 @@ def philox_block(keys: np.ndarray, block: int) -> np.ndarray:
     return np.stack([x[0], y[0], x[1], y[1]], axis=1)
 
 
+def first_words(keys: np.ndarray, k: int) -> np.ndarray:
+    """Words 0 to k - 1 of ``RngStream(key)`` for every uint64 key, one
+    row per key."""
+    blocks = [philox_block(keys, b) for b in range(-(-k // 4))]
+    return np.hstack([np.empty((len(keys), 0), np.uint64), *blocks])[:, :k]
+
+
 class WordBlocks:
     """The word streams of many keys at once: word ``pos`` of
     ``RngStream(keys[i])`` for chosen rows i, where each row asks for its
@@ -153,33 +161,57 @@ class RngStream:
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._bitgen = np.random.Philox(key=self.seed)
+        self._keyed = True    # the generator holds ``seed``'s stream
         self.draw_count = 0
-        self._buffer: np.ndarray | None = None
+        self._buffer = _NO_WORDS
         self._buffer_pos = 0
         self._fresh_state: dict | None = None
 
     def rekey(self, seed: int) -> None:
         """Restart as the stream ``RngStream(seed)`` would be, without
         building a new generator: key ``[seed, 0]``, counter 0, empty
-        buffer, ``draw_count`` 0."""
+        buffer, ``draw_count`` 0. The generator is set to the new key
+        only when a word is first drawn, so a stream re-keyed and never
+        drawn from costs no numpy call."""
         self.seed = int(seed) & _MASK64
-        if self._fresh_state is None:
-            self._fresh_state = np.random.Philox(key=0).state
-        self._fresh_state["state"]["key"][0] = self.seed
-        self._bitgen.state = self._fresh_state
+        self._keyed = False
         self.draw_count = 0
-        self._buffer = None
+        self._buffer = _NO_WORDS
+        self._buffer_pos = 0
+
+    def _refill(self, n: int) -> None:
+        """Replace the buffer with the next ``n`` words of the stream."""
+        if not self._keyed:
+            if self._fresh_state is None:
+                self._fresh_state = np.random.Philox(key=0).state
+            self._fresh_state["state"]["key"][0] = self.seed
+            self._bitgen.state = self._fresh_state
+            self._keyed = True
+        self._buffer = self._bitgen.random_raw(n)
         self._buffer_pos = 0
 
     def raw64(self) -> int:
         """Next raw 64-bit word of the stream."""
-        if self._buffer is None or self._buffer_pos >= len(self._buffer):
-            self._buffer = self._bitgen.random_raw(_BUFFER_WORDS)
-            self._buffer_pos = 0
+        if self._buffer_pos >= len(self._buffer):
+            self._refill(_BUFFER_WORDS)
         word = int(self._buffer[self._buffer_pos])
         self._buffer_pos += 1
         self.draw_count += 1
         return word
+
+    def words(self, n: int) -> np.ndarray:
+        """The next ``n`` raw words of the stream, as uint64."""
+        pos = self._buffer_pos
+        head = self._buffer[pos:pos + n]
+        if len(head) == n:
+            self._buffer_pos += n
+        else:
+            rest = n - len(head)
+            self._refill(max(rest, _BUFFER_WORDS))
+            head = np.concatenate([head, self._buffer[:rest]])
+            self._buffer_pos = rest
+        self.draw_count += n
+        return head
 
     def uniform01(self) -> float:
         """Uniform double in [0, 1), 53-bit resolution."""

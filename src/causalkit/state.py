@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -146,9 +147,17 @@ class StateSchema:
         overlap = set(self.fields) & set(self.constants)
         if overlap:
             raise SchemaError(f"names used as both field and constant: {sorted(overlap)}")
+        t = self.time_domain
+        if t is not None and not t.is_finite and not math.isfinite(t.hi - t.lo):
+            raise SchemaError("time domain width overflows")
         for name, td in self.all_type_decls():
             self._check_refs_resolve(td, where=name)
         self._check_record_cycles()
+
+    @cached_property
+    def sampler(self) -> "Sampler":
+        """Draws this schema's states from stream words; built once."""
+        return Sampler(self)
 
     def checker(self, td: TypeDesc):
         """``check_value`` against ``td`` as a function of (value,
@@ -366,55 +375,152 @@ def make_initial_state(schema: StateSchema, assignments: dict) -> SystemState:
 
 
 def sample_state(schema: StateSchema, rng: RngStream) -> SystemState:
-    """Draw a well-typed state uniformly from the declared field domains."""
-    values = {name: sample_value(td, schema, rng, name)
-              for name, td in schema.fields.items()}
-    if schema.time_domain is not None:
-        t = _sample_raw_from_domain(schema.time_domain, "real", rng)
-    else:
-        t = 0.0
-    return SystemState(schema, float(t), values)
+    """Draw a well-typed state uniformly from the declared field domains,
+    from the next ``schema.sampler.width`` words of ``rng``."""
+    sampler = schema.sampler
+    return sampler(rng.words(sampler.width)[None])[0]
 
 
-def _sample_raw_from_domain(domain: Domain, kind: str, rng: RngStream):
-    if domain.is_finite:
-        return domain.values[rng.randint_below(len(domain.values))]
-    if kind == "int":
-        lo, hi = int(domain.lo), int(domain.hi)
-        return lo + rng.randint_below(hi - lo + 1)
-    return rng.uniform(domain.lo, domain.hi)
+class Sampler:
+    """Draws the states of a schema from stream words, many at once.
+
+    A state takes ``width`` words, one per value in this order: fields in
+    declaration order, within a field vector cells, list elements and
+    record fields in order, and the time coordinate last. A word w is the
+    uniform u = (w >> 11) * 2**-53 of ``RngStream.uniform01``, and a value
+    is drawn from u as ``RngStream`` would: lo + (hi - lo) * u on a real
+    interval, lo + min(int(u * n), n - 1) on an int interval of n values,
+    the value at that index of a finite set, and u >= 0.5 for a bool with
+    no domain. ``sampler(words)`` maps an (N, width) uint64 matrix to N
+    states, one per row. ``errors`` holds, in field order, the
+    UnsampleableFieldError of each field that cannot be drawn; a sampler
+    with errors raises the first.
+    """
+
+    def __init__(self, schema: StateSchema):
+        self.schema = schema
+        self.errors = {}
+        self._fields = []   # (name, draw, first column, end column)
+        col = 0
+        for name, td in schema.fields.items():
+            try:
+                draw, width = _draw(td, schema.records, name)
+            except UnsampleableFieldError as exc:
+                self.errors[name] = exc
+                continue
+            self._fields.append((name, draw, col, col + width))
+            col += width
+        domain = schema.time_domain
+        self._time = None if domain is None else _leaf(domain, "real", "time")
+        self.width = col + (domain is not None)
+
+    def __call__(self, words: np.ndarray) -> list:
+        if self.errors:
+            raise next(iter(self.errors.values()))
+        u = (words >> 11) * 2.0**-53
+        n = len(u)
+        columns = [draw(u[:, a:b]) for _, draw, a, b in self._fields]
+        times = [0.0] * n if self._time is None else self._time(u[:, -1])
+        schema, names = self.schema, [f[0] for f in self._fields]
+        return [SystemState(schema, t, dict(zip(names, row)))
+                for t, row in zip(times, _rows(columns, n))]
 
 
-def sample_value(td: TypeDesc, schema: StateSchema, rng: RngStream, name: str):
+def _rows(columns: list, n: int):
+    """The n rows of equal-length ``columns``; n empty rows if none."""
+    return zip(*columns) if columns else [()] * n
+
+
+def _draw(td: TypeDesc, records: dict, name: str):
+    """(draw, width): ``draw(u)`` lists the values of type ``td`` drawn
+    from the rows of ``u``, an (N, width) matrix of uniforms. Raises
+    UnsampleableFieldError naming ``name`` (or ``name.field`` within a
+    record) if ``td`` cannot be drawn."""
     kind = td.kind
     if kind in ("cgrid", "pwcollection"):
         raise UnsampleableFieldError(name, f"{kind} fields are unsampleable")
-    if kind == "bool":
-        if td.domain is not None:
-            return bool(_sample_raw_from_domain(td.domain, kind, rng))
-        return rng.randint_below(2) == 1
-    if kind in ("real", "int", "complex"):
+    if kind == "bool" and td.domain is None:
+        return (lambda u: (u[:, 0] >= 0.5).tolist()), 1
+    if kind in PAYLOAD_TYPES:
         if td.domain is None:
             raise UnsampleableFieldError(name)
         if kind == "complex" and not td.domain.is_finite:
             raise UnsampleableFieldError(name, "complex needs a finite domain")
-        # a finite domain may list ints for a real or complex field
-        return PAYLOAD_TYPES[kind](_sample_raw_from_domain(td.domain, kind, rng))
+        leaf = _leaf(td.domain, kind, name)
+        return (lambda u: leaf(u[:, 0])), 1
     if kind == "vector":
         if td.domain is None or td.domain.is_finite:
             raise UnsampleableFieldError(name, "vector needs an interval domain")
-        return VVector([rng.uniform(td.domain.lo, td.domain.hi)
-                        for _ in range(td.length)])
+        lo, width = _interval(td.domain, name)
+        return (lambda u: [VVector(row) for row in lo + width * u]), td.length
     if kind == "list":
         if td.bound is None:
             raise UnsampleableFieldError(name, "list needs a length bound")
-        return VList([sample_value(td.element, schema, rng, name)
-                      for _ in range(td.bound)])
+        if td.bound == 0:
+            return (lambda u: [VList(())] * len(u)), 0
+        item, w = _draw(td.element, records, name)
+        spans = [(j * w, (j + 1) * w) for j in range(td.bound)]
+        return (lambda u: [VList(items) for items in
+                           zip(*(item(u[:, a:b]) for a, b in spans))],
+                w * td.bound)
     if kind == "record":
-        return VRecord(td.record, {
-            fname: sample_value(ftd, schema, rng, f"{name}.{fname}")
-            for fname, ftd in schema.records[td.record]})
+        rec, parts, col = td.record, [], 0
+        for fname, ftd in records[rec]:
+            draw, w = _draw(ftd, records, f"{name}.{fname}")
+            parts.append((fname, draw, col, col + w))
+            col += w
+        names = [p[0] for p in parts]
+
+        def draw_record(u):
+            columns = [draw(u[:, a:b]) for _, draw, a, b in parts]
+            return [VRecord(rec, dict(zip(names, row)))
+                    for row in _rows(columns, len(u))]
+        return draw_record, col
     raise UnsampleableFieldError(name, f"cannot sample kind '{kind}'")
+
+
+def _leaf(domain: Domain, kind: str, name: str):
+    """``leaf(u)``: the payloads of kind ``kind`` drawn from ``domain``
+    for a column ``u`` of uniforms. A finite value may be of another
+    payload type (an int in a real set) and is converted."""
+    if domain.is_finite:
+        convert = PAYLOAD_TYPES[kind]
+        table = np.empty(len(domain.values), dtype=object)
+        table[:] = [convert(v) for v in domain.values]
+        n = len(table)
+        return lambda u: table[np.minimum((u * n).astype(np.intp),
+                                          n - 1)].tolist()
+    if kind == "int":
+        lo, hi = int(domain.lo), int(domain.hi)
+        n = hi - lo + 1
+        try:
+            scale = float(n)
+        except OverflowError:
+            raise UnsampleableFieldError(name, "interval width overflows")
+        if -2**63 <= lo and hi < 2**63:
+            # offsets below 2**64 and sums in int64, both exact
+            top, base = np.uint64(n - 1), np.uint64(lo % 2**64)
+            return lambda u: (np.minimum((u * scale).astype(np.uint64), top)
+                              + base).view(np.int64).tolist()
+        return lambda u: [lo + min(int(x), n - 1)
+                          for x in (u * scale).tolist()]
+    lo, width = _interval(domain, name)
+    if kind == "bool":
+        return lambda u: (lo + width * u != 0.0).tolist()
+    return lambda u: (lo + width * u).tolist()
+
+
+def _interval(domain: Domain, name: str):
+    """(lo, hi - lo) of an interval domain as the floats that
+    ``RngStream.uniform`` computes with; UnsampleableFieldError if the
+    width is not a finite float."""
+    try:
+        lo, width = float(domain.lo), float(domain.hi - domain.lo)
+    except OverflowError:
+        lo = width = math.inf
+    if not math.isfinite(width):
+        raise UnsampleableFieldError(name, "interval width overflows")
+    return lo, width
 
 
 def deep_equal(a: SystemState, b: SystemState, tol: float = 0.0) -> bool:

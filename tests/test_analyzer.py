@@ -18,7 +18,7 @@ from causalkit import (
     state_to_json,
     validstate,
 )
-from causalkit.analyzer import enumerate_states
+from causalkit.analyzer import enumerate_states, unsampleable_fields
 from causalkit.engine import eval_guard
 from causalkit.errors import EnumerationCapError, MissingFieldError
 
@@ -226,6 +226,24 @@ class TestAnalyze:
         assert "psi" in notes and "unsampleable" in notes
         assert "downgraded to trace" in notes
         assert report.consistency.status == "pass"
+
+    def test_an_interval_wider_than_a_float_downgrades_to_trace(self):
+        # hi - lo is inf: drawn states would all hold x = inf
+        model = load_model(
+            "model wide { state { x: real in [-1e308, 1e308]; } "
+            "init { x = 0.0; } law Neg { when x < 0.0; then { x = 1.0; } } "
+            "law Pos { when x >= 0.0; then { x = -1.0; } } }")
+        assert unsampleable_fields(model) == ["x"]
+        assert str(model.schema.sampler.errors["x"]) == \
+            "field 'x' cannot be sampled: interval width overflows"
+        report = analyze(model, CheckStrategy("sample", count=50, runs=2,
+                                              steps_per_run=3, seed=1))
+        assert report.computability_notes == (
+            "field 'x' is unsampleable",
+            "sample strategy downgraded to trace (unsampleable fields)")
+        assert (report.consistency.status, report.consistency.states_checked) \
+            == ("pass", 6)
+        assert report.completeness.status == "pass-bounded"
 
     def test_non_toolkit_exception_in_a_guard_propagates(self,
                                                          load_fixture_model):

@@ -61,6 +61,15 @@ SLIT_ANALYZE = ("analyze", "builtin:double_slit", "--runs", "2", "--steps",
                 "5")
 QFTCA_ANALYZE = ("analyze", "builtin:qftca_toy", "--runs", "2", "--steps",
                  "5")
+# the benchmark's `analyze` model sampled at three seeds; 5,000 samples
+# cross a 4,096-key chunk of the sampler
+QUADRANTS_SAMPLES = tuple(
+    ("analyze", "cmlbench/models/quadrants.cml", "--samples", samples,
+     "--seed", seed)
+    for samples, seed in (("1500", "1"), ("300", "2"), ("5000", "3")))
+# the first overlapping state is sampled state 6,172, past the first chunk
+RARE_OVERLAP = ("analyze", "tests/fixtures/rare_overlap.cml", "--samples",
+                "8000", "--seed", "5")
 NAMED = {
     ENERGY_RUN: "run builtin:harmonic_oscillator energy",
     OVERLAP_SAMPLE: "analyze tests/fixtures/overlap.cml sample",
@@ -76,6 +85,9 @@ NAMED = {
     SLIT_K_HISTOGRAM: "histogram builtin:double_slit bins and k",
     SLIT_ANALYZE: "analyze builtin:double_slit",
     QFTCA_ANALYZE: "analyze builtin:qftca_toy",
+    **{argv: f"analyze cmlbench/models/quadrants.cml sample seed {argv[-1]}"
+       for argv in QUADRANTS_SAMPLES},
+    RARE_OVERLAP: "analyze tests/fixtures/rare_overlap.cml",
 }
 
 # argv of each pinned invocation; .cml paths are relative to the repo root
@@ -161,6 +173,8 @@ INVOCATIONS = (
     ("run", "tests/fixtures/varying_draws.cml", "--observables", "k,x,b,n"),
     ("histogram", "tests/fixtures/varying_draws.cml", "--observables", "k",
      "--trials", "200", "--seed", "9"),
+    *QUADRANTS_SAMPLES,
+    RARE_OVERLAP,
 )
 
 

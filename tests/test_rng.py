@@ -10,6 +10,7 @@ from causalkit.rng import (
     WordBlocks,
     categorical_indices,
     derive_seeds,
+    first_words,
     philox_block,
 )
 
@@ -112,6 +113,27 @@ class TestVectorStreams:
             assert words.uniform01(sub, pos).tolist() == \
                 [(want[i][pos] >> 11) * 2.0 ** -53 for i in sub]
 
+    def test_first_words_equal_stream_words(self):
+        keys = np.array(self.KEYS, dtype=np.uint64)
+        for k in (0, 1, 4, 7, 9):
+            got = first_words(keys, k)
+            assert got.shape == (len(keys), k) and got.dtype == np.uint64
+            for i, key in enumerate(self.KEYS):
+                s = RngStream(key)
+                assert got[i].tolist() == [s.raw64() for _ in range(k)]
+
+    def test_words_continue_the_stream(self):
+        # runs of words that end inside, at and past a 256-word buffer,
+        # between single draws
+        want = RngStream(42)
+        want = [want.raw64() for _ in range(1200)]
+        s, got = RngStream(42), []
+        for n in (3, 0, 1, 252, 5, 600, 1):
+            got.extend(s.words(n).tolist())
+            got.append(s.raw64())
+            assert s.draw_count == len(got)
+        assert got == want[:len(got)]
+
     def test_derived_seeds_equal_scalar(self):
         indices = [0, 1, 7, 2 ** 32 - 2, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1,
                    2 ** 40 + 3]
@@ -120,6 +142,44 @@ class TestVectorStreams:
             got = derive_seeds(base, np.array(indices, dtype=np.uint64))
             assert got.dtype == np.uint64
             assert got.tolist() == [derive_seed(base, i) for i in indices]
+
+
+class TestLazyRekey:
+    """``rekey`` sets the generator only when a word is first drawn, and
+    the words are ``RngStream(seed)``'s all the same."""
+
+    @staticmethod
+    def words(seed, n):
+        s = RngStream(seed)
+        return [s.raw64() for _ in range(n)]
+
+    def test_rekeyed_and_never_drawn_then_rekeyed_and_drawn(self):
+        s = RngStream(1)
+        s.rekey(2)
+        assert s.draw_count == 0 and s.seed == 2
+        s.rekey(3)
+        assert [s.raw64() for _ in range(300)] == self.words(3, 300)
+        assert s.draw_count == 300
+
+    def test_rekeyed_in_the_middle_of_a_buffer(self):
+        s = RngStream(4)
+        for _ in range(100):
+            s.raw64()
+        s.rekey(5)
+        assert s.draw_count == 0
+        assert [s.raw64() for _ in range(10)] == self.words(5, 10)
+        assert s.words(260).tolist() == self.words(5, 270)[10:]
+        assert s.draw_count == 270
+
+    def test_rekeyed_twice_with_no_draw_between(self):
+        s = RngStream(6)
+        s.raw64()
+        s.rekey(7)
+        s.rekey(8)
+        assert s.draw_count == 0
+        assert s.words(3).tolist() == self.words(8, 3)
+        assert s.uniform01() == (self.words(8, 4)[3] >> 11) * 2.0 ** -53
+        assert s.draw_count == 4
 
 
 class _FixedWord(RngStream):

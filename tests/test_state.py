@@ -1,7 +1,12 @@
+import hashlib
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalkit import (
     Domain,
@@ -9,18 +14,24 @@ from causalkit import (
     RngStream,
     SchemaError,
     StateSchema,
+    SystemState,
     TypeDesc,
     TypeMismatchError,
     UnsampleableFieldError,
     VCGrid,
     VList,
     VRecord,
+    VVector,
     deep_equal,
     make_initial_state,
     sample_state,
     state_from_json,
     state_to_json,
 )
+from causalkit.analyzer import CheckStrategy, _sampled_states, \
+    unsampleable_fields
+from causalkit.rng import derive_seed
+from causalkit.state import PAYLOAD_TYPES
 
 
 def int_schema():
@@ -367,3 +378,225 @@ def test_check_value_names_the_first_mismatch_in_value_order():
         assert str(exc.value) == f"field {message}"
     assert schema.checker(schema.fields["w"]) is schema.checker(
         schema.fields["w"])
+
+
+# every kind sample_state draws: real and int intervals, an int interval
+# over all of int64, finite int, real, complex and bool sets, a bool with no
+# domain, a vector, a bounded list of records and a time domain
+EVERY_KIND = StateSchema(
+    fields={
+        "r": TypeDesc.real(Domain(lo=-2.5, hi=3.0)),
+        "n": TypeDesc.int_(Domain(lo=-5, hi=5)),
+        "big": TypeDesc.int_(Domain(lo=-2**63, hi=2**63 - 1)),
+        "fi": TypeDesc.int_(Domain(values=(2, 4, 8))),
+        "fr": TypeDesc.real(Domain(values=(0.5, -1.25, 3))),
+        "fc": TypeDesc("complex", domain=Domain(values=(1 + 2j, -0.5j, 2))),
+        "fb": TypeDesc("bool", domain=Domain(values=(False, True, 1))),
+        "b": TypeDesc.bool_(),
+        "v": TypeDesc.vector(3, Domain(lo=-1.0, hi=1.0)),
+        "ps": TypeDesc.list_of(TypeDesc.record_ref("P"), bound=3),
+    },
+    records={"P": (("x", TypeDesc.real(Domain(lo=0.0, hi=1e300))),
+                   ("k", TypeDesc.int_(Domain(values=(1, 2, 3)))),
+                   ("on", TypeDesc.bool_()))},
+    time_domain=Domain(lo=0.0, hi=10.0))
+
+
+def _digest(states) -> str:
+    text = json.dumps([state_to_json(s) for s in states])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_sampled_states_of_every_kind_are_pinned():
+    # one stream drawn on (its words cross 256-word buffers), and the
+    # analyzer's states of one stream per key (crossing a 4,096-key chunk)
+    rng = RngStream(17)
+    assert _digest(sample_state(EVERY_KIND, rng) for _ in range(300)) == (
+        "1d203101554c4266b2519487fc2f5b70f85341a6a9048df75b1ec33ad5c7a57f")
+    assert rng.draw_count == 300 * 21
+    model = SimpleNamespace(schema=EVERY_KIND)
+    states = list(_sampled_states(model, CheckStrategy(count=4200, seed=23)))
+    assert _digest(states) == (
+        "e0aa8f4a43ed5ed97cb9955731616b21fe66382ec9cc8315aa104c7bf9c37997")
+
+
+# --- the sampler against a value-by-value oracle -----------------------------
+
+
+def oracle_state(schema: StateSchema, rng: RngStream) -> SystemState:
+    """``sample_state`` drawn one value at a time from ``rng``, in the
+    sampler's order: fields, then the time coordinate."""
+    values = {name: oracle_value(td, schema, rng, name)
+              for name, td in schema.fields.items()}
+    t = 0.0
+    if schema.time_domain is not None:
+        t = oracle_raw(schema.time_domain, "real", rng, "time")
+    return SystemState(schema, float(t), values)
+
+
+def oracle_raw(domain: Domain, kind: str, rng: RngStream, name: str):
+    if domain.is_finite:
+        return domain.values[rng.randint_below(len(domain.values))]
+    try:
+        if kind == "int":
+            lo, hi = int(domain.lo), int(domain.hi)
+            return lo + rng.randint_below(hi - lo + 1)
+        width_ok = math.isfinite(domain.hi - domain.lo)
+    except OverflowError:
+        width_ok = False
+    if not width_ok:
+        raise UnsampleableFieldError(name, "interval width overflows")
+    return rng.uniform(domain.lo, domain.hi)
+
+
+def oracle_value(td: TypeDesc, schema: StateSchema, rng: RngStream,
+                 name: str):
+    kind = td.kind
+    if kind in ("cgrid", "pwcollection"):
+        raise UnsampleableFieldError(name, f"{kind} fields are unsampleable")
+    if kind == "bool":
+        if td.domain is not None:
+            return bool(oracle_raw(td.domain, kind, rng, name))
+        return rng.randint_below(2) == 1
+    if kind in ("real", "int", "complex"):
+        if td.domain is None:
+            raise UnsampleableFieldError(name)
+        if kind == "complex" and not td.domain.is_finite:
+            raise UnsampleableFieldError(name, "complex needs a finite domain")
+        # a finite domain may list ints for a real or complex field
+        return PAYLOAD_TYPES[kind](oracle_raw(td.domain, kind, rng, name))
+    if kind == "vector":
+        if td.domain is None or td.domain.is_finite:
+            raise UnsampleableFieldError(name, "vector needs an interval domain")
+        return VVector([oracle_raw(td.domain, "real", rng, name)
+                        for _ in range(td.length)])
+    if kind == "list":
+        if td.bound is None:
+            raise UnsampleableFieldError(name, "list needs a length bound")
+        return VList([oracle_value(td.element, schema, rng, name)
+                      for _ in range(td.bound)])
+    if kind == "record":
+        return VRecord(td.record, {
+            fname: oracle_value(ftd, schema, rng, f"{name}.{fname}")
+            for fname, ftd in schema.records[td.record]})
+    raise UnsampleableFieldError(name, f"cannot sample kind '{kind}'")
+
+
+def oracle_errors(schema: StateSchema) -> dict:
+    """Field name -> message of each field the oracle cannot draw."""
+    out = {}
+    for name, td in schema.fields.items():
+        try:
+            oracle_value(td, schema, RngStream(0), name)
+        except UnsampleableFieldError as exc:
+            out[name] = str(exc)
+    return out
+
+
+def _json(states) -> str:
+    return json.dumps([state_to_json(s) for s in states])
+
+
+BOUNDS = st.sampled_from([0.0, -1.0, 1e308, 2.5, -1e308, 1e-300, -1e307])
+FINITE = {"int": st.integers(-2 ** 70, 2 ** 70),
+          "real": st.floats(allow_nan=False, allow_infinity=False)
+          | st.integers(-9, 9),
+          "complex": st.complex_numbers(allow_nan=False, allow_infinity=False,
+                                        max_magnitude=1e300),
+          "bool": st.booleans() | st.integers(0, 1)}
+
+
+@st.composite
+def interval(draw, kind):
+    if kind == "int":
+        lo = draw(st.sampled_from([0, -5, -2 ** 63, 2 ** 62, -2 ** 70,
+                                   -1e308, 2 ** 63 - 1]))
+        top = draw(st.sampled_from([0, 3, 2 ** 63 - 1, 2 ** 64, 1e308]))
+        return Domain(lo=lo, hi=max(lo, top))
+    lo, hi = sorted([draw(BOUNDS), draw(BOUNDS)])
+    return Domain(lo=lo, hi=hi)
+
+
+@st.composite
+def type_descs(draw, records, depth=0):
+    # mostly sampleable kinds, so that most schemas can be drawn
+    kinds = ["real", "int", "bool", "vector", "complex", "cgrid", "list",
+             "record"]
+    kind = draw(st.sampled_from(kinds if depth < 2 else kinds[:4]))
+    if kind == "cgrid":
+        return TypeDesc.cgrid(2, 0.5)
+    if kind == "list":
+        return TypeDesc.list_of(draw(type_descs(records, depth + 1)),
+                                bound=draw(st.sampled_from([2, 0, 3, None])))
+    if kind == "record":
+        fields = tuple((f"a{j}", draw(type_descs(records, depth + 1)))
+                       for j in range(draw(st.integers(1, 3))))
+        name = f"R{len(records)}"
+        records[name] = fields
+        return TypeDesc.record_ref(name)
+    shape = draw(st.sampled_from(["interval", "finite", "interval",
+                                  "none"]))
+    if kind == "vector":
+        domain = None if shape == "none" else draw(interval("real"))
+        return TypeDesc.vector(draw(st.integers(1, 3)), domain)
+    if shape == "none" and kind != "complex":
+        return TypeDesc(kind)
+    if shape == "finite" or kind == "complex":
+        values = draw(st.lists(FINITE[kind], min_size=1, max_size=4))
+        return TypeDesc(kind, domain=Domain(values=tuple(values)))
+    return TypeDesc(kind, domain=draw(interval(kind)))
+
+
+@st.composite
+def schemas(draw):
+    records = {}
+    fields = {f"f{i}": draw(type_descs(records))
+              for i in range(draw(st.integers(1, 4)))}
+    time = draw(st.sampled_from([None, Domain(lo=0.0, hi=3.0),
+                                 Domain(values=(1, 2.5))]))
+    return StateSchema(fields=fields, records=records, time_domain=time)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(schemas(), st.integers(0, 2 ** 64 - 1),
+       st.sampled_from([1, 2, 5, 4096, 4097, 4100]))
+def test_sampler_draws_what_the_oracle_draws(schema, seed, count):
+    # the same fields are unsampleable, with the same messages
+    errors = {n: str(e) for n, e in schema.sampler.errors.items()}
+    assert errors == oracle_errors(schema)
+    model = SimpleNamespace(schema=schema)
+    assert unsampleable_fields(model) == list(errors)
+    if errors:
+        return
+    # one stream drawn on
+    rng, want = RngStream(seed), RngStream(seed)
+    assert _json(sample_state(schema, rng) for _ in range(3)) == \
+        _json(oracle_state(schema, want) for _ in range(3))
+    assert rng.draw_count == want.draw_count == 3 * schema.sampler.width
+    # one stream per key: the first and last state of each chunk
+    states = list(_sampled_states(model, CheckStrategy(count=count,
+                                                       seed=seed)))
+    assert len(states) == count
+    for i in sorted({i for i in (0, 1, 4095, 4096) if i < count}
+                    | {count - 1}):
+        rng.rekey(derive_seed(seed, i))
+        assert _json([states[i]]) == _json([oracle_state(schema, rng)])
+
+
+@pytest.mark.parametrize("td", [
+    TypeDesc.real(Domain(lo=-1e308, hi=1e308)),
+    TypeDesc.int_(Domain(lo=-1e308, hi=1e308)),
+    TypeDesc.vector(2, Domain(lo=-1e308, hi=1e308)),
+    TypeDesc.list_of(TypeDesc.real(Domain(lo=-1e308, hi=1e308)), bound=2),
+])
+def test_an_interval_wider_than_a_float_is_unsampleable(td):
+    schema = StateSchema(fields={"x": td})
+    with pytest.raises(UnsampleableFieldError) as exc:
+        sample_state(schema, RngStream(0))
+    assert str(exc.value) == \
+        "field 'x' cannot be sampled: interval width overflows"
+
+
+def test_a_time_domain_wider_than_a_float_is_rejected():
+    with pytest.raises(SchemaError, match="time domain width overflows"):
+        StateSchema(fields={}, time_domain=Domain(lo=-1e308, hi=1e308))
