@@ -320,9 +320,12 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
 # Trials routed through the memo and the tries together; a batch's results
 # are kept until it is yielded, so memory is O(_BATCH) past the memo.
 _BATCH = 4096
-# Smaller groups at a trie node finish trial by trial: the node's array
-# operations cost more than that many walks on a trial's own stream.
+# Smaller groups at a trie node that draws finish trial by trial: the
+# node's array operations cost more than that many walks on a trial's own
+# stream.
 _MIN_GROUP = 8
+# the least and the greatest value of RngStream.uniform01
+_U_BOUNDS = np.array([0.0, 1.0 - 2.0**-53])
 
 
 class _Draw:
@@ -331,15 +334,31 @@ class _Draw:
     categorically here, ``post`` once it is known to finish here. A node
     with neither is unexplored, or live: the application draws a uniform
     or normal value there, so every trial reaching it executes for real.
+    ``replayed`` is set once a batch replayed the application here, so a
+    live node or one that fails is replayed at most once.
     """
 
-    __slots__ = ("probs", "cum", "children", "post")
+    __slots__ = ("probs", "cum", "forced", "children", "post", "replayed")
 
     def __init__(self):
         self.probs = None
         self.cum = None            # np.cumsum(probs), once a batch walks here
+        self.forced = None         # with cum: the outcome every word picks
         self.children: dict = {}   # outcome index -> _Draw
         self.post: SystemState | None = None
+        self.replayed = False
+
+
+def _record(node: _Draw, draws: list, post: SystemState | None) -> _Draw:
+    """Extend the trie below ``node`` with the categorical ``draws`` an
+    application made past it, as (probs, labels, outcome), and store
+    ``post`` (None if not known) at the node they end at; return it."""
+    for probs, _, k in draws:
+        node.probs = probs
+        # targets bind left to right: the parent's slot, then the cursor
+        node.children[k] = node = _Draw()
+    node.post = post
+    return node
 
 
 def _partition(picks: np.ndarray, rows: np.ndarray) -> list:
@@ -407,10 +426,13 @@ class Ensemble:
         together: a group of trials at one shared state takes the entry's
         halt and max-steps exits at once, and at a trie node one
         ``searchsorted`` of the node's cumulative probabilities picks
-        every trial's outcome from its own next word. A trial whose group
-        meets work not yet shared (a full memo, an entry with no selected
-        law, an unexplored or live node), or is one of fewer than
-        _MIN_GROUP at a node, finishes in ``_trial``, resumed at its
+        every trial's outcome from its own next word, unless one outcome
+        is forced. A group that reaches a node nothing has explored
+        replays the law there once (``_explore``), drawing no word, and
+        moves on. A trial whose group meets work that cannot be shared (a
+        full memo, a failing halt check or law selection, a live or
+        failing node), or is one of fewer than _MIN_GROUP at a node whose
+        outcome is not forced, finishes in ``_trial``, resumed at its
         group's state.
         """
         cfg = self.cfg
@@ -446,46 +468,52 @@ class Ensemble:
                 entry = self._entry(s)
             except _STEP_ERRORS:   # the halt check fails on every trial
                 entry = None
-            if entry is not None and entry.halts:
+            if entry is None:
+                finish(s, steps, pos, rows)
+                continue
+            if entry.halts:
                 settle(rows, (Termination("halted"), s))
                 continue
-            if entry is not None and steps >= cfg.max_steps:
+            if steps >= cfg.max_steps:
                 settle(rows, (Termination("max-steps"), s))
                 continue
-            if entry is None or entry.law is None:
-                # with no entry every trial runs on alone; with no law the
-                # first trial selects it, and the rest follow unless the
-                # selection failed
-                finish(s, steps, pos, rows[:1])
-                if entry is None or entry.law is None:
-                    finish(s, steps, pos, rows[1:])
-                else:
-                    todo.append((s, steps, pos, rows[1:]))
-                continue
-            nodes = [(entry.root, pos, rows)]
+            time = self.init.time + (steps + 1) * cfg.dt
+            # (node, words drawn, trial rows, outcome path from the root)
+            nodes = [(entry.root, pos, rows, ())]
             while nodes:
-                node, p, rows = nodes.pop()
-                while node.post is None and node.probs is None and len(rows):
-                    # unexplored or live: trials execute it one at a time
-                    # until one records what it does
-                    finish(s, steps, pos, rows[:1])
-                    rows = rows[1:]
-                if not len(rows):
-                    continue
+                node, p, rows, path = nodes.pop()
+                if node.post is None and node.probs is None:
+                    if not node.replayed:
+                        self._explore(entry, node, path, time)
+                    if node.post is None and node.probs is None:
+                        # live or failing: no trial records it, each
+                        # executes the step on its own stream
+                        finish(s, steps, pos, rows)
+                        continue
                 if node.post is not None:
                     todo.append((node.post, steps + 1, p, rows))
+                    continue
+                if node.cum is None:
+                    node.cum = np.cumsum(node.probs)
+                    # the outcome is forced if the least and the greatest
+                    # uniform pick it: the pick is monotone in the uniform
+                    least, most = categorical_indices(node.cum,
+                                                      _U_BOUNDS).tolist()
+                    node.forced = least if least == most else None
+                if node.forced is not None:
+                    parts = [(node.forced, rows)]
                 elif len(rows) < _MIN_GROUP:
                     finish(s, steps, pos, rows)
+                    continue
                 else:
-                    if node.cum is None:
-                        node.cum = np.cumsum(node.probs)
                     picks = categorical_indices(node.cum,
                                                 words.uniform01(rows, p))
-                    for k, part in _partition(picks, rows):
-                        child = node.children.get(k)
-                        if child is None:
-                            child = node.children[k] = _Draw()
-                        nodes.append((child, p + 1, part))
+                    parts = _partition(picks, rows)
+                for k, part in parts:
+                    child = node.children.get(k)
+                    if child is None:
+                        child = node.children[k] = _Draw()
+                    nodes.append((child, p + 1, part, path + (k,)))
         return out
 
     def _trial(self, stream: RngStream, rows: list | None = None,
@@ -539,14 +567,29 @@ class Ensemble:
             return node.post, True
         source = ReplaySource(prefix, stream)
         post = apply_law(entry.law, entry.state, self.cfg.dt, source, time)
-        for probs, _, k in source.draws:
-            node.probs = probs
-            # targets bind left to right: the parent's slot, then the cursor
-            node.children[k] = node = _Draw()
-        if source.live:
-            return post, False
-        node.post = post
-        return post, True
+        _record(node, source.draws, None if source.live else post)
+        return post, not source.live
+
+    def _explore(self, entry: _Entry, node: _Draw, path: tuple,
+                 time: float):
+        """Replay the entry's law down outcome ``path`` to ``node`` with no
+        stream, selecting the law first if no trial has, and record what
+        the application does there. Past ``path`` the replay takes each
+        draw's first outcome of positive probability, so a continuous
+        draw or an error may belong to that one continuation: then only
+        the categorical draws before it are recorded, and the node it
+        stopped at is marked so that no later batch replays it."""
+        source = ReplaySource(path)
+        post = None
+        try:
+            if entry.law is None:
+                entry.law = select_law(self.model, entry.state,
+                                       self.cfg.mode)
+            post = apply_law(entry.law, entry.state, self.cfg.dt, source,
+                             time)
+        except (ContinuousRandomError, *_STEP_ERRORS):
+            pass
+        _record(node, source.draws, post).replayed = True
 
 
 def run_ensemble(model: CausalModel, init: SystemState, cfg: RunConfig,

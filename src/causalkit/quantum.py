@@ -372,6 +372,23 @@ def _check_pw_detect(args, ctx):
     return TypeDesc.int_()
 
 
+# The most bins whose edges are cached: an entry holds at most 32 KiB, so
+# the CN_CACHE_SIZE entries of the cache at most 256 KiB. Wider edges are
+# built on every call.
+EDGES_CACHE_BINS = 4096
+
+
+@functools.lru_cache(maxsize=CN_CACHE_SIZE)
+def _bin_edges(lo_hex: str, hi_hex: str, nbins: int) -> np.ndarray:
+    """``np.linspace(lo, hi, nbins + 1)``, read-only, for bounds given by
+    ``float.hex``: -0.0 and 0.0 are equal keys, but linspace keeps the
+    sign of a bound."""
+    edges = np.linspace(float.fromhex(lo_hex), float.fromhex(hi_hex),
+                        nbins + 1)
+    edges.setflags(write=False)   # shared by every call that hits the cache
+    return edges
+
+
 def _impl_pw_detect(args, rnd):
     pw, nbins, lo, hi, coherent = args
     if not 1 <= nbins <= MAX_CELLS:
@@ -381,7 +398,10 @@ def _impl_pw_detect(args, rnd):
     for name, x in (("lo", lo), ("hi", hi), ("hi - lo", hi - lo)):
         if not math.isfinite(x):
             raise EvalError(f"pw_detect: non-finite {name} {x}")
-    edges = np.linspace(lo, hi, nbins + 1)
+    if nbins > EDGES_CACHE_BINS:
+        edges = np.linspace(lo, hi, nbins + 1)
+    else:
+        edges = _bin_edges(lo.hex(), hi.hex(), nbins)
     return pw_detect(pw.pw, edges, rnd, coherent=coherent)
 
 

@@ -185,29 +185,28 @@ class StateSchema:
             self._check_refs_resolve(td.element, where)
 
     def _check_record_cycles(self):
-        # DFS over record -> record references
-        visiting, done = set(), set()
-
-        def refs(td: TypeDesc):
-            if td.kind == "record":
-                yield td.record
-            elif td.kind == "list":
-                yield from refs(td.element)
-
-        def visit(name):
-            if name in done:
-                return
-            if name in visiting:
-                raise SchemaError(f"cyclic record definition through '{name}'")
-            visiting.add(name)
+        # DFS over record -> record references with an explicit stack: a
+        # recursive closure would be a reference cycle holding the schema
+        def refs(name):
             for _, td in self.records[name]:
-                for ref in refs(td):
-                    visit(ref)
-            visiting.discard(name)
-            done.add(name)
+                while td.kind == "list":
+                    td = td.element
+                if td.kind == "record":
+                    yield td.record
 
-        for name in self.records:
-            visit(name)
+        done: set = set()
+        path, stack = [], [iter(self.records)]   # path: records being visited
+        while stack:
+            name = next(stack[-1], None)
+            if name is None:
+                stack.pop()
+                if path:
+                    done.add(path.pop())
+            elif name in path:
+                raise SchemaError(f"cyclic record definition through '{name}'")
+            elif name not in done:
+                path.append(name)
+                stack.append(refs(name))
 
 
 # --- values -----------------------------------------------------------------

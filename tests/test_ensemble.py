@@ -23,7 +23,8 @@ from causalkit import (
     run,
     run_ensemble,
 )
-from causalkit.interpreter import _BATCH, Ensemble
+import causalkit.interpreter as interpreter
+from causalkit.interpreter import _BATCH, _MIN_GROUP, Ensemble
 from causalkit.state import state_to_json
 
 from conftest import fixture_source
@@ -120,6 +121,10 @@ def assert_matches_run(model, init, cfg, trials):
 
 def _kinds(pairs):
     return {term.kind for term, _ in pairs}
+
+
+def _no_trial(*args, **kwargs):
+    raise AssertionError("a trial ran on its own")
 
 
 class TestMatchesRun:
@@ -263,8 +268,6 @@ class TestSharing:
         assert len(ens.memo) == 20
 
     def test_outcome_paths_share_one_trie(self, monkeypatch):
-        import causalkit.interpreter as interpreter
-
         calls = []
 
         def counting_apply_law(*args, **kwargs):
@@ -298,11 +301,7 @@ class TestSharing:
         ens = run_ensemble(model, build_initial_state(model),
                            RunConfig(dt=1.0, max_steps=3, seed=7), 400)
         first = [(t.kind, _state_key(f)) for t, f in ens]
-
-        def no_trial(*args, **kwargs):
-            raise AssertionError("a trial ran on its own")
-
-        monkeypatch.setattr(Ensemble, "_trial", no_trial)
+        monkeypatch.setattr(Ensemble, "_trial", _no_trial)
         assert [(t.kind, _state_key(f)) for t, f in ens] == first
 
     def test_rejects_observables_and_empty_ensembles(self):
@@ -314,6 +313,186 @@ class TestSharing:
                                    observables=(("n", expr),)), 3)
         with pytest.raises(ValueError, match="trials"):
             run_ensemble(model, init, RunConfig(dt=1.0, max_steps=5), 0)
+
+
+# Guards that fail where the walk goes: none holds at x = 1, two at x = 2.
+STUCK = """
+model stuck {
+  state { x: int in [0, 3]; }
+  init { x = 0; }
+  law Step { when x == 0; then { x = random({1, 2}, FLAT); } }
+  law Two { when x == 2; then { x = 3; } }
+  law Also { when x >= 2; then { x = 3; } }
+}
+"""
+
+# The middle draw has one outcome of positive probability.
+FORCED = """
+model forced {
+  state { x: int in [0, 1000]; }
+  init { x = 0; }
+  law L {
+    when true;
+    then {
+      x = random({0, 1}, FLAT) + random({0, 10, 20}, WEIGHTS(0, 3, 0))
+          + random({0, 100}, FLAT);
+    }
+  }
+}
+"""
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """The ensemble's law selections and applications, in call order:
+    ("select", id(state), None), ("apply", id(state), None) on a trial's
+    stream, or ("replay", id(state), outcome path) with no stream. A run
+    of one trial calls neither through the interpreter."""
+    calls = []
+    select, apply = interpreter.select_law, interpreter.apply_law
+
+    def counting_select(model, s, mode):
+        calls.append(("select", id(s), None))
+        return select(model, s, mode)
+
+    def counting_apply(law, s, dt, source, time):
+        calls.append(("apply", id(s), None) if source.stream is not None
+                     else ("replay", id(s), tuple(source.prefix)))
+        return apply(law, s, dt, source, time)
+
+    monkeypatch.setattr(interpreter, "select_law", counting_select)
+    monkeypatch.setattr(interpreter, "apply_law", counting_apply)
+    return calls
+
+
+def _replayed_paths(calls, state) -> list:
+    return [path for kind, i, path in calls
+            if kind == "replay" and i == id(state)]
+
+
+class TestExploration:
+    """A group of trials at a new trie node replays the law there once,
+    with no stream; where the replay cannot say what the node does, the
+    group's trials run on one at a time, as ``run`` would."""
+
+    @staticmethod
+    def trie(ens, state, *path):
+        """The trie node at outcome ``path`` of ``state``'s entry."""
+        node = ens.memo[id(state)].root
+        for k in path:
+            node = node.children[k]
+        return node
+
+    @pytest.mark.parametrize("detector", ["on", "off"])
+    def test_double_slit_spends_no_trial(self, detector, counted,
+                                         monkeypatch):
+        # two batches, and at this seed every group of trials that draws
+        # has at least _MIN_GROUP rows; a Detect draw of a collapsed state
+        # has one outcome, so its groups of any size move on
+        monkeypatch.setattr(Ensemble, "_trial", _no_trial)
+        model, init = build_bundled_model("double_slit",
+                                          {"detector": detector})
+        pairs = list(run_ensemble(model, init,
+                                  RunConfig(dt=1.0, max_steps=5, seed=0),
+                                  8000))
+        kinds = [kind for kind, _, _ in counted]
+        finals = len({id(f) for _, f in pairs})
+        if detector == "on":
+            # one MarkPath per path, one Detect per collapsed state
+            assert finals == 128 and kinds.count("replay") == 256
+        else:
+            assert kinds.count("replay") == finals > 32
+        assert "apply" not in kinds
+
+    def test_forced_outcome_reads_no_word(self, monkeypatch):
+        # the middle draw has one outcome: every trial takes it without
+        # reading its word, and the third draw still reads each trial's
+        # third word
+        model = load_model(FORCED)
+        init = build_initial_state(model)
+        cfg = RunConfig(dt=1.0, max_steps=1, seed=3)
+        ens = run_ensemble(model, init, cfg, 400)
+        monkeypatch.setattr(Ensemble, "_trial", _no_trial)
+        pairs = list(ens)
+        assert {f.values["x"] for _, f in pairs} == {10, 11, 110, 111}
+        for first in (0, 1):
+            middle = self.trie(ens, init, first)
+            assert middle.forced == 1 and list(middle.children) == [1]
+        assert self.trie(ens, init).forced is None
+        monkeypatch.undo()
+        assert_matches_run(model, init, cfg, 400)
+
+    def test_failing_first_continuation(self, counted, monkeypatch):
+        # fallible.cml from x = -1 (the first outcomes from x = 0): y = 1 /
+        # (x + 1 + r) reads x = -1, so the first outcome r = 0 divides by
+        # zero after either outcome of the x draw, and r = 1 does not;
+        # small batches reach each failing node again and again
+        monkeypatch.setattr(interpreter, "_BATCH", 4 * _MIN_GROUP)
+        model = load_model(fixture_source("fallible.cml"))
+        init = build_initial_state(model)
+        cfg = RunConfig(dt=1.0, max_steps=30, seed=1)
+        ens = run_ensemble(model, init, cfg, 200)
+        list(ens)
+        left = self.trie(ens, init, 0, 0).post
+        assert left.values["x"] == -1
+        for first in (0, 1):
+            failed = self.trie(ens, left, first, 0)
+            assert failed.replayed and failed.post is failed.probs is None
+            assert self.trie(ens, left, first, 1).post is not None
+        # the root's replay ended at (0, 0) and marked it there
+        paths = _replayed_paths(counted, left)
+        assert paths[0] == () and (0, 0) not in paths
+        assert len(set(paths)) == len(paths)
+        assert_matches_run(model, init, cfg, 200)
+
+    def test_continuous_draw_after_a_categorical_one(self, counted,
+                                                     monkeypatch):
+        # mixed_draws.cml from k = 2 (the last outcome from k = 0): the
+        # replay takes k = 0 and then meets the uniform draw, so it records
+        # the categorical draw and marks the live node of the uniform one,
+        # which no later batch replays
+        monkeypatch.setattr(interpreter, "_BATCH", 4 * _MIN_GROUP)
+        model = load_model(fixture_source("mixed_draws.cml"))
+        init = build_initial_state(model)
+        cfg = RunConfig(dt=1.0, max_steps=10, seed=6)
+        ens = run_ensemble(model, init, cfg, 300)
+        list(ens)
+        two = self.trie(ens, init, 2).post
+        assert two.values["k"] == 2
+        assert len(self.trie(ens, two).probs) == 3
+        for k in (0, 1, 2):
+            live = self.trie(ens, two, k)
+            assert live.post is live.probs is None
+        assert sorted(_replayed_paths(counted, two)) == [(), (1,), (2,)]
+        assert_matches_run(model, init, cfg, 300)
+
+    def test_failed_selection_at_a_new_entry(self, counted, monkeypatch):
+        # x = 1 and x = 2 are new entries reached by over _MIN_GROUP
+        # trials of every batch; the walk selects at each once, and each
+        # trial there selects again on its own and fails as run does
+        monkeypatch.setattr(interpreter, "_BATCH", 4 * _MIN_GROUP)
+        model = load_model(STUCK)
+        cfg = RunConfig(dt=1.0, max_steps=5, seed=2)
+        trials = 16 * _MIN_GROUP
+        pairs = assert_matches_run(model, build_initial_state(model), cfg,
+                                   trials)
+        first = [term.kind for term, _ in pairs[:4 * _MIN_GROUP]]
+        assert min(first.count("no-applicable-law"),
+                   first.count("multiple-applicable")) >= _MIN_GROUP
+        assert [kind for kind, _, _ in counted].count("select") == \
+            3 + trials
+
+    def test_live_node_is_replayed_once(self, counted, monkeypatch):
+        # the first draw of GAUSS_WALK is continuous: the initial state's
+        # root is live, and a group of every batch reaches it
+        monkeypatch.setattr(interpreter, "_BATCH", 16)
+        model = load_model(GAUSS_WALK)
+        cfg = RunConfig(dt=1.0, max_steps=10, seed=2)
+        pairs = assert_matches_run(model, build_initial_state(model), cfg,
+                                   200)
+        assert _kinds(pairs) == {"halted"}
+        kinds = [kind for kind, _, _ in counted]
+        assert kinds.count("replay") == 1 and kinds.count("apply") == 200
 
 
 class TestMatchesBranchWeights:

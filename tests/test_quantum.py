@@ -16,6 +16,7 @@ from causalkit import (
     SolveError,
     TypeMismatchError,
     VCGrid,
+    VPw,
     ZeroNormError,
     EvalError,
     RunConfig,
@@ -465,6 +466,44 @@ class TestPwDetect:
         pw = one_particle_pw([(5.0, 0.0, 1.0)])
         with pytest.raises(PositionOutOfBinsError):
             pw_detect(pw, [0.0, 1.0], RngStream(0))
+
+
+class TestBinEdges:
+    @staticmethod
+    def detect(nbins, lo, hi, seed=3):
+        pw = VPw(one_particle_pw([(0.5 * lo + 0.5 * hi, 0.0, 1.0)]))
+        return quantum._impl_pw_detect((pw, nbins, lo, hi, True),
+                                       RngStream(seed))
+
+    def test_cached_edges_are_linspace_and_read_only(self):
+        edges = quantum._bin_edges((-60.0).hex(), (60.0).hex(), 64)
+        assert np.array_equal(edges, np.linspace(-60.0, 60.0, 65))
+        assert not edges.flags.writeable
+        with pytest.raises(ValueError):
+            edges[0] = 0.0
+        assert quantum._bin_edges((-60.0).hex(), (60.0).hex(), 64) is edges
+
+    def test_signed_zero_bounds_keep_their_own_edges(self):
+        # -0.0 == 0.0, but linspace keeps the sign of the upper bound
+        neg = quantum._bin_edges((-1.0).hex(), (-0.0).hex(), 4)
+        pos = quantum._bin_edges((-1.0).hex(), (0.0).hex(), 4)
+        assert math.copysign(1.0, neg[-1]) == -1.0
+        assert math.copysign(1.0, pos[-1]) == 1.0
+
+    def test_the_cache_holds_few_entries_of_bounded_size(self):
+        quantum._bin_edges.cache_clear()
+        for nbins in range(1, 2 * quantum.CN_CACHE_SIZE + 1):
+            assert self.detect(nbins, -1.0, 1.0) == nbins // 2
+        info = quantum._bin_edges.cache_info()
+        assert info.maxsize == info.currsize == quantum.CN_CACHE_SIZE
+        # wider edges are built per call and never enter the cache, so it
+        # holds at most CN_CACHE_SIZE * (EDGES_CACHE_BINS + 1) floats
+        for nbins in (quantum.EDGES_CACHE_BINS + 1, quantum.MAX_CELLS):
+            assert self.detect(nbins, -1.0, 1.0) == nbins // 2
+        assert quantum._bin_edges.cache_info() == info
+        assert self.detect(quantum.EDGES_CACHE_BINS, -1.0, 1.0) == \
+            quantum.EDGES_CACHE_BINS // 2
+        assert quantum._bin_edges.cache_info().misses == info.misses + 1
 
 
 class TestCaStep:

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +24,7 @@ from causalkit import (
     VList,
     VRecord,
     VVector,
+    build_bundled_model,
     deep_equal,
     make_initial_state,
     sample_state,
@@ -78,6 +81,35 @@ class TestSchemaInvariants:
             StateSchema(fields={},
                         records={"A": (("b", TypeDesc.record_ref("B")),),
                                  "B": (("a", TypeDesc.record_ref("A")),)})
+
+    def test_cycle_is_named_where_the_search_meets_it_again(self):
+        # A -> B -> C -> list of B: the search from A meets B again; D is
+        # reached twice along acyclic paths, which is no cycle
+        leaf = (("x", TypeDesc.int_()),)
+        records = {"A": (("b", TypeDesc.record_ref("B")),
+                         ("d", TypeDesc.record_ref("D"))),
+                   "B": (("d", TypeDesc.record_ref("D")),
+                         ("c", TypeDesc.record_ref("C"))),
+                   "C": (("bs", TypeDesc.list_of(TypeDesc.record_ref("B"))),),
+                   "D": leaf}
+        with pytest.raises(SchemaError, match="through 'B'"):
+            StateSchema(fields={}, records=records)
+        StateSchema(fields={}, records={**records, "C": leaf})
+        with pytest.raises(SchemaError, match="through 'S'"):
+            StateSchema(fields={}, records={"S": (
+                ("s", TypeDesc.list_of(TypeDesc.record_ref("S"))),)})
+
+    @pytest.mark.parametrize("name", ["counter", "harmonic_oscillator",
+                                      "qftca_toy", "double_slit"])
+    def test_a_dropped_schema_is_freed_without_the_collector(self, name):
+        model, init = build_bundled_model(name)
+        schema = weakref.ref(model.schema)
+        gc.disable()
+        try:
+            del model, init
+            assert schema() is None
+        finally:
+            gc.enable()
 
     def test_field_constant_overlap(self):
         with pytest.raises(SchemaError):
