@@ -179,75 +179,7 @@ def _sampled_start(model: CausalModel, run_idx: int,
         f"no valid in-state found in {_REJECTION_TRIES} draws")
 
 
-def _trace_runs(model: CausalModel, strategy: CheckStrategy, mode: str,
-                init: SystemState | None):
-    """The trace strategy: one ``run`` per trace run, in ``mode``, from a
-    sampled valid start state, or from ``init`` (default: the model's
-    initial state) if the model has unsampleable fields."""
-    can_sample = not unsampleable_fields(model)
-    if not can_sample and init is None:
-        init = build_initial_state(model)
-    rng = RngStream(0)
-    for r in range(strategy.runs):
-        start = (_sampled_start(model, r, strategy, rng) if can_sample
-                 else init)
-        cfg = RunConfig(dt=model.default_timestep,
-                        max_steps=strategy.steps_per_run,
-                        seed=derive_seed(strategy.seed ^ 0x7472616365, r),
-                        mode=mode)
-        yield run(model, start, cfg)
-
-
-# --- consistency ----------------------------------------------------------------
-
-
-def check_consistency(model: CausalModel, strategy: CheckStrategy,
-                      init: SystemState | None = None) -> ConsistencyVerdict:
-    """At most one guard may hold. enumerate/sample check arbitrary states
-    (the stronger condition); trace checks the states strict runs reach,
-    from ``init`` if the model cannot be sampled."""
-    if len(model.laws) == 1:
-        return ConsistencyVerdict("pass", states_checked=0,
-                                  message="single law: vacuously consistent")
-    if strategy.kind == "trace":
-        return _consistency_by_trace(model, strategy, init)
-    states = (enumerate_states(model) if strategy.kind == "enumerate"
-              else _sampled_states(model, strategy))
-    checked = 0
-    for s in states:
-        if halts(model, s):   # run selects no law where the model halts
-            continue
-        hits = [law.name for law in model.laws if eval_guard(law, s)]
-        if len(hits) > 1:
-            return ConsistencyVerdict("fail", states_checked=checked,
-                                      witness=s, laws=tuple(hits),
-                                      seed=strategy.seed)
-        checked += 1
-    return ConsistencyVerdict("pass", states_checked=checked,
-                              seed=strategy.seed)
-
-
-def _consistency_by_trace(model, strategy, init) -> ConsistencyVerdict:
-    checked = 0
-    for trace in _trace_runs(model, strategy, "strict", init):
-        term = trace.termination
-        if term.kind == "eval-error":
-            return ConsistencyVerdict("error", message=term.message)
-        checked += len(trace.rows) - 1
-        witness, laws = term.witness, term.laws
-        if term.kind == "max-steps":   # run selects no law at its last state
-            witness = trace.final_state
-            laws = tuple(law.name for law in model.laws
-                         if eval_guard(law, witness))
-        if len(laws) > 1:
-            return ConsistencyVerdict("fail", states_checked=checked,
-                                      witness=witness, laws=laws,
-                                      seed=strategy.seed)
-    return ConsistencyVerdict("pass", states_checked=checked,
-                              seed=strategy.seed)
-
-
-# --- completeness ----------------------------------------------------------------
+# --- consistency and completeness -------------------------------------------------
 
 
 def guard_disjunction_trivially_true(model: CausalModel) -> bool:
@@ -255,6 +187,150 @@ def guard_disjunction_trivially_true(model: CausalModel) -> bool:
     consts_val = {n: v for n, (_, v) in consts.items()}
     return any(const_fold(law.guard, consts_val) is True
                for law in model.laws)
+
+
+_OPEN = object()   # a verdict the pass is still looking for
+
+
+def _check(model: CausalModel, strategy: CheckStrategy,
+           init: SystemState | None, want) -> tuple:
+    """The (consistency, completeness) verdicts named in ``want`` (None
+    for one not asked for; the toolkit error its own check would raise),
+    from one pass over the strategy's states or runs that stops once
+    every verdict is closed. docs/design_notes.md gives the rules."""
+    laws, seed, rng = model.laws, strategy.seed, RngStream(0)
+    cons = comp = None
+    if "consistency" in want:
+        cons = _OPEN if len(laws) > 1 else ConsistencyVerdict(
+            "pass", message="single law: vacuously consistent")
+    if "completeness" in want:
+        comp = (CompletenessVerdict("pass-trivially")
+                if guard_disjunction_trivially_true(model) else _OPEN)
+    if cons is not _OPEN and comp is not _OPEN:
+        return cons, comp
+    n_cons = n_comp = 0
+    try:
+        if strategy.kind != "trace":
+            states = (enumerate_states(model) if strategy.kind == "enumerate"
+                      else _sampled_states(model, strategy))
+            for i, s in enumerate(states):
+                try:   # run selects no law where the model halts
+                    need = cons is _OPEN and not halts(model, s)
+                except CausalKitError as exc:
+                    cons, need = exc, False
+                try:
+                    hits = ([law for law in laws if eval_guard(law, s)]
+                            if need or comp is _OPEN else ())
+                except CausalKitError as exc:
+                    cons = exc if need else cons
+                    comp = exc if comp is _OPEN else comp
+                    hits, need = (), False
+                if need and len(hits) > 1:
+                    cons = ConsistencyVerdict(
+                        "fail", states_checked=n_cons, witness=s,
+                        laws=tuple(law.name for law in hits), seed=seed)
+                n_cons += need
+                if comp is _OPEN and hits:
+                    rng.rekey(derive_seed(seed ^ 0x6F7574, i))
+                    try:
+                        out = apply_law(hits[0], s, model.default_timestep,
+                                        rng)
+                        n_comp += 1
+                        if not (halts(model, out) or validstate(model, out)):
+                            comp = CompletenessVerdict(
+                                "fail", states_checked=n_comp, witness=out,
+                                producing_law=hits[0].name, seed=seed)
+                    except CausalKitError as exc:
+                        comp = exc
+                if cons is not _OPEN and comp is not _OPEN:
+                    break
+        else:
+            can_sample = not unsampleable_fields(model)
+            if not can_sample and init is None:
+                init = build_initial_state(model)
+            for r in range(strategy.runs):
+                start = (_sampled_start(model, r, strategy, rng)
+                         if can_sample else init)
+                cfg = RunConfig(dt=model.default_timestep,
+                                max_steps=strategy.steps_per_run,
+                                seed=derive_seed(seed ^ 0x7472616365, r))
+                trace = None
+                if cons is _OPEN:
+                    try:
+                        trace = run(model, start, cfg)
+                        term = trace.termination
+                        n_cons += len(trace.rows) - 1
+                        witness, names = term.witness, term.laws
+                        if term.kind == "max-steps":   # no law selected
+                            witness = trace.final_state
+                            names = tuple(law.name for law in laws
+                                          if eval_guard(law, witness))
+                        if term.kind == "eval-error":
+                            cons = ConsistencyVerdict("error",
+                                                      message=term.message)
+                        elif len(names) > 1:
+                            cons = ConsistencyVerdict(
+                                "fail", states_checked=n_cons, seed=seed,
+                                witness=witness, laws=names)
+                    except CausalKitError as exc:
+                        cons = exc
+                    # unless it ended one of these, the strict run selected
+                    # one law at every step: the law first-match selects
+                    if trace is not None and term.kind in (
+                            "multiple-applicable", "eval-error"):
+                        trace = None
+                if comp is _OPEN:
+                    try:
+                        if trace is None:
+                            trace = run(model, start,
+                                        replace(cfg, mode="first-match"))
+                        term, steps = trace.termination, len(trace.rows) - 1
+                        n_comp += steps
+                        if term.kind == "eval-error":
+                            comp = CompletenessVerdict("error",
+                                                       message=term.message)
+                        # a halted run is done; run selects no law at its
+                        # last state
+                        elif steps and (
+                                term.kind == "no-applicable-law"
+                                or term.kind == "max-steps"
+                                and not validstate(model, trace.final_state)):
+                            law = select_law(model, trace.rows[-2].snapshot,
+                                             "first-match")
+                            comp = CompletenessVerdict(
+                                "fail", states_checked=n_comp, seed=seed,
+                                witness=trace.final_state,
+                                producing_law=law.name)
+                    except CausalKitError as exc:
+                        comp = exc
+                if cons is not _OPEN and comp is not _OPEN:
+                    break
+    except CausalKitError as exc:   # the states or start states failed
+        cons = exc if cons is _OPEN else cons
+        comp = exc if comp is _OPEN else comp
+    if cons is _OPEN:
+        cons = ConsistencyVerdict("pass", states_checked=n_cons, seed=seed)
+    if comp is _OPEN:   # an applied law counts, or closes it with an error
+        comp = (CompletenessVerdict("pass-bounded", states_checked=n_comp,
+                                    seed=seed)
+                if n_comp or strategy.kind == "trace" else
+                NoValidInStateFoundError(
+                    "sampling produced no state satisfying any guard"))
+    return cons, comp
+
+
+def _raised(verdict):
+    if isinstance(verdict, CausalKitError):
+        raise verdict
+    return verdict
+
+
+def check_consistency(model: CausalModel, strategy: CheckStrategy,
+                      init: SystemState | None = None) -> ConsistencyVerdict:
+    """At most one guard may hold. enumerate/sample check arbitrary states
+    (the stronger condition); trace checks the states strict runs reach,
+    from ``init`` if the model cannot be sampled."""
+    return _raised(_check(model, strategy, init, ("consistency",))[0])
 
 
 def check_completeness(model: CausalModel, strategy: CheckStrategy,
@@ -266,55 +342,7 @@ def check_completeness(model: CausalModel, strategy: CheckStrategy,
     first-match runs, from ``init`` if the model cannot be sampled) and
     the first invalid one is returned as a witness with its producing law.
     """
-    if guard_disjunction_trivially_true(model):
-        return CompletenessVerdict("pass-trivially")
-    if strategy.kind == "trace":
-        return _completeness_by_trace(model, strategy, init)
-    states = (enumerate_states(model) if strategy.kind == "enumerate"
-              else _sampled_states(model, strategy))
-    checked = 0
-    found_valid = False
-    rng = RngStream(0)
-    for i, s in enumerate(states):
-        hits = [law for law in model.laws if eval_guard(law, s)]
-        if not hits:
-            continue
-        found_valid = True
-        rng.rekey(derive_seed(strategy.seed ^ 0x6F7574, i))
-        out = apply_law(hits[0], s, model.default_timestep, rng)
-        checked += 1
-        if not halts(model, out) and not validstate(model, out):
-            return CompletenessVerdict("fail", states_checked=checked,
-                                       witness=out,
-                                       producing_law=hits[0].name,
-                                       seed=strategy.seed)
-    if not found_valid:
-        raise NoValidInStateFoundError(
-            "sampling produced no state satisfying any guard")
-    return CompletenessVerdict("pass-bounded", states_checked=checked,
-                               seed=strategy.seed)
-
-
-def _completeness_by_trace(model, strategy, init) -> CompletenessVerdict:
-    checked = 0
-    for trace in _trace_runs(model, strategy, "first-match", init):
-        term = trace.termination
-        if term.kind == "eval-error":
-            return CompletenessVerdict("error", message=term.message)
-        steps = len(trace.rows) - 1
-        checked += steps
-        # a halted run is done; run selects no law at its last state
-        stuck = (term.kind == "no-applicable-law"
-                 or term.kind == "max-steps"
-                 and not validstate(model, trace.final_state))
-        if stuck and steps:
-            law = select_law(model, trace.rows[-2].snapshot, "first-match")
-            return CompletenessVerdict("fail", states_checked=checked,
-                                       witness=trace.final_state,
-                                       producing_law=law.name,
-                                       seed=strategy.seed)
-    return CompletenessVerdict("pass-bounded", states_checked=checked,
-                               seed=strategy.seed)
+    return _raised(_check(model, strategy, init, ("completeness",))[1])
 
 
 # --- full analysis ----------------------------------------------------------------
@@ -350,14 +378,12 @@ def analyze(model: CausalModel, strategy: CheckStrategy,
         effective = replace(strategy, kind="trace")
         notes.append("sample strategy downgraded to trace "
                      "(unsampleable fields)")
-    try:
-        consistency = check_consistency(model, effective, init)
-    except CausalKitError as exc:
-        consistency = ConsistencyVerdict("error", message=str(exc))
-    try:
-        completeness = check_completeness(model, effective, init)
-    except CausalKitError as exc:
-        completeness = CompletenessVerdict("error", message=str(exc))
+    consistency, completeness = _check(model, effective, init,
+                                       ("consistency", "completeness"))
+    if isinstance(consistency, CausalKitError):
+        consistency = ConsistencyVerdict("error", message=str(consistency))
+    if isinstance(completeness, CausalKitError):
+        completeness = CompletenessVerdict("error", message=str(completeness))
     determinism = classify_determinism(model)
     notes.extend(_intrinsic_inventory(model))
     return AnalysisReport(model_name=model.name,
@@ -368,7 +394,7 @@ def analyze(model: CausalModel, strategy: CheckStrategy,
 
 
 def report_to_json(report: AnalysisReport) -> dict:
-    def consistency_json(v: ConsistencyVerdict):
+    def verdict_json(v, laws_key: str, laws):
         out = {"status": v.status, "statesChecked": v.states_checked}
         if v.message:
             out["message"] = v.message
@@ -376,25 +402,14 @@ def report_to_json(report: AnalysisReport) -> dict:
             out["seed"] = v.seed
         if v.witness is not None:
             out["witness"] = state_to_json(v.witness)
-            out["laws"] = list(v.laws)
+            out[laws_key] = laws
         return out
 
-    def completeness_json(v: CompletenessVerdict):
-        out = {"status": v.status, "statesChecked": v.states_checked}
-        if v.message:
-            out["message"] = v.message
-        if v.seed is not None:
-            out["seed"] = v.seed
-        if v.witness is not None:
-            out["witness"] = state_to_json(v.witness)
-            out["producingLaw"] = v.producing_law
-        return out
-
-    d = report.determinism
+    c, p, d = report.consistency, report.completeness, report.determinism
     return {
         "model": report.model_name,
-        "consistency": consistency_json(report.consistency),
-        "completeness": completeness_json(report.completeness),
+        "consistency": verdict_json(c, "laws", list(c.laws)),
+        "completeness": verdict_json(p, "producingLaw", p.producing_law),
         "determinism": {"deterministic": d.deterministic,
                         "randomLaws": list(d.random_laws)},
         "computabilityNotes": list(report.computability_notes),

@@ -392,9 +392,9 @@ class Ensemble:
 
     ``memo`` maps id(pre-state) to the work shared by every trial that
     reaches that state object. Only the initial state and finished trie
-    leaves are shareable, and at most ``trials`` states are admitted. A
-    lone trial never reaches a state object twice, so one trial admits
-    none: it steps exactly like a plain loop.
+    leaves are shareable, and at most ``trials`` non-halting ones are
+    admitted. A lone trial never reaches a state object twice, so one
+    trial admits none: it steps exactly like a plain loop.
     """
 
     def __init__(self, model: CausalModel, init: SystemState,
@@ -407,6 +407,7 @@ class Ensemble:
         self.trials = trials
         self.capacity = trials if trials > 1 else 0
         self.memo: dict = {}
+        self.live = 0   # memo entries that do not halt
 
     def __iter__(self):
         for first in range(0, self.trials, _BATCH):
@@ -414,8 +415,9 @@ class Ensemble:
 
     def _entry(self, s: SystemState) -> _Entry | None:
         entry = self.memo.get(id(s))
-        if entry is None and len(self.memo) < self.capacity:
+        if entry is None and self.live < self.capacity:
             entry = self.memo[id(s)] = _Entry(s, halts(self.model, s))
+            self.live += not entry.halts
         return entry
 
     def _batch(self, first: int, n: int) -> list:

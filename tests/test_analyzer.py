@@ -18,9 +18,27 @@ from causalkit import (
     state_to_json,
     validstate,
 )
-from causalkit.analyzer import enumerate_states, unsampleable_fields
-from causalkit.engine import eval_guard
-from causalkit.errors import EnumerationCapError, MissingFieldError
+from dataclasses import replace
+
+from causalkit import analyzer
+from causalkit.analyzer import (
+    CompletenessVerdict,
+    ConsistencyVerdict,
+    _sampled_start,
+    _sampled_states,
+    enumerate_states,
+    guard_disjunction_trivially_true,
+    unsampleable_fields,
+)
+from causalkit.engine import apply_law, eval_guard, halts, select_law
+from causalkit.errors import (
+    CausalKitError,
+    EnumerationCapError,
+    MissingFieldError,
+    NoValidInStateFoundError,
+)
+from causalkit.rng import derive_seed
+from causalkit.state import Sampler
 
 from conftest import BROKEN, FIXTURES, typed
 
@@ -306,3 +324,265 @@ class TestEnumerate:
         model = load_fixture_model("partition.cml")
         with pytest.raises(UnsampleableFieldError):
             list(enumerate_states(model))
+
+
+QUADRANTS = (FIXTURES.parent.parent / "cmlbench" / "models"
+             / "quadrants.cml").read_text(encoding="utf-8")
+
+
+class TestOnePass:
+    """analyze draws each state and runs each trace run once for both
+    verdicts; a check asked for alone does only its own work."""
+
+    @staticmethod
+    def counted_runs(monkeypatch):
+        """(mode, seed, termination kind) of every run the analyzer runs."""
+        calls = []
+
+        def counting_run(model, init, cfg):
+            trace = real_run(model, init, cfg)
+            calls.append((cfg.mode, cfg.seed, trace.termination.kind))
+            return trace
+
+        real_run = analyzer.run
+        monkeypatch.setattr(analyzer, "run", counting_run)
+        return calls
+
+    def test_each_sampled_state_is_drawn_once(self, monkeypatch):
+        drawn = []
+
+        def counting_call(self, words):
+            drawn.append(len(words))
+            return real_call(self, words)
+
+        real_call = Sampler.__call__
+        monkeypatch.setattr(Sampler, "__call__", counting_call)
+        model = load_model(QUADRANTS)
+        report = analyze(model, CheckStrategy("sample", count=1500, seed=1))
+        assert drawn == [1500]
+        assert report.consistency.states_checked == 1500
+        assert report.completeness.states_checked == 1500
+
+    def test_each_trace_run_runs_once(self, monkeypatch):
+        calls = self.counted_runs(monkeypatch)
+        model = load_model(QUADRANTS)
+        strategy = CheckStrategy("trace", runs=15, steps_per_run=20, seed=4)
+        report = analyze(model, strategy)
+        assert [mode for mode, _, _ in calls] == ["strict"] * 15
+        assert report.completeness.states_checked == 15 * 20
+        del calls[:]
+        check_consistency(model, strategy)
+        check_completeness(model, strategy)
+        assert [mode for mode, _, _ in calls] == (["strict"] * 15
+                                                  + ["first-match"] * 15)
+
+    def test_multiple_applicable_run_runs_again_first_match(
+            self, load_fixture_model, monkeypatch):
+        calls = self.counted_runs(monkeypatch)
+        model = load_fixture_model("overlap.cml")
+        analyze(model, CheckStrategy("trace", runs=6, steps_per_run=30,
+                                     seed=3))
+        redone = [seed for mode, seed, kind in calls
+                  if mode == "strict" and kind == "multiple-applicable"]
+        assert redone
+        assert len(calls) == 6 + len(redone)
+        for seed in redone:
+            at = calls.index(("strict", seed, "multiple-applicable"))
+            assert calls[at + 1][:2] == ("first-match", seed)
+
+
+# --- the two passes the one pass replaced ------------------------------------------
+#
+# Consistency and completeness as they were checked one after the other,
+# each drawing its own states or running its own runs: the oracle of the
+# one pass in ``analyzer._check``.
+
+
+def _trace_runs(model, strategy, mode, init):
+    """The trace strategy: one ``run`` per trace run, in ``mode``, from a
+    sampled valid start state, or from ``init`` (default: the model's
+    initial state) if the model has unsampleable fields."""
+    can_sample = not unsampleable_fields(model)
+    if not can_sample and init is None:
+        init = build_initial_state(model)
+    rng = RngStream(0)
+    for r in range(strategy.runs):
+        start = (_sampled_start(model, r, strategy, rng) if can_sample
+                 else init)
+        cfg = RunConfig(dt=model.default_timestep,
+                        max_steps=strategy.steps_per_run,
+                        seed=derive_seed(strategy.seed ^ 0x7472616365, r),
+                        mode=mode)
+        yield run(model, start, cfg)
+
+
+def two_pass_consistency(model, strategy, init=None):
+    if len(model.laws) == 1:
+        return ConsistencyVerdict("pass", states_checked=0,
+                                  message="single law: vacuously consistent")
+    if strategy.kind == "trace":
+        return _consistency_by_trace(model, strategy, init)
+    states = (enumerate_states(model) if strategy.kind == "enumerate"
+              else _sampled_states(model, strategy))
+    checked = 0
+    for s in states:
+        if halts(model, s):   # run selects no law where the model halts
+            continue
+        hits = [law.name for law in model.laws if eval_guard(law, s)]
+        if len(hits) > 1:
+            return ConsistencyVerdict("fail", states_checked=checked,
+                                      witness=s, laws=tuple(hits),
+                                      seed=strategy.seed)
+        checked += 1
+    return ConsistencyVerdict("pass", states_checked=checked,
+                              seed=strategy.seed)
+
+
+def _consistency_by_trace(model, strategy, init):
+    checked = 0
+    for trace in _trace_runs(model, strategy, "strict", init):
+        term = trace.termination
+        if term.kind == "eval-error":
+            return ConsistencyVerdict("error", message=term.message)
+        checked += len(trace.rows) - 1
+        witness, laws = term.witness, term.laws
+        if term.kind == "max-steps":   # run selects no law at its last state
+            witness = trace.final_state
+            laws = tuple(law.name for law in model.laws
+                         if eval_guard(law, witness))
+        if len(laws) > 1:
+            return ConsistencyVerdict("fail", states_checked=checked,
+                                      witness=witness, laws=laws,
+                                      seed=strategy.seed)
+    return ConsistencyVerdict("pass", states_checked=checked,
+                              seed=strategy.seed)
+
+
+def two_pass_completeness(model, strategy, init=None):
+    if guard_disjunction_trivially_true(model):
+        return CompletenessVerdict("pass-trivially")
+    if strategy.kind == "trace":
+        return _completeness_by_trace(model, strategy, init)
+    states = (enumerate_states(model) if strategy.kind == "enumerate"
+              else _sampled_states(model, strategy))
+    checked = 0
+    found_valid = False
+    rng = RngStream(0)
+    for i, s in enumerate(states):
+        hits = [law for law in model.laws if eval_guard(law, s)]
+        if not hits:
+            continue
+        found_valid = True
+        rng.rekey(derive_seed(strategy.seed ^ 0x6F7574, i))
+        out = apply_law(hits[0], s, model.default_timestep, rng)
+        checked += 1
+        if not halts(model, out) and not validstate(model, out):
+            return CompletenessVerdict("fail", states_checked=checked,
+                                       witness=out,
+                                       producing_law=hits[0].name,
+                                       seed=strategy.seed)
+    if not found_valid:
+        raise NoValidInStateFoundError(
+            "sampling produced no state satisfying any guard")
+    return CompletenessVerdict("pass-bounded", states_checked=checked,
+                               seed=strategy.seed)
+
+
+def _completeness_by_trace(model, strategy, init):
+    checked = 0
+    for trace in _trace_runs(model, strategy, "first-match", init):
+        term = trace.termination
+        if term.kind == "eval-error":
+            return CompletenessVerdict("error", message=term.message)
+        steps = len(trace.rows) - 1
+        checked += steps
+        # a halted run is done; run selects no law at its last state
+        stuck = (term.kind == "no-applicable-law"
+                 or term.kind == "max-steps"
+                 and not validstate(model, trace.final_state))
+        if stuck and steps:
+            law = select_law(model, trace.rows[-2].snapshot, "first-match")
+            return CompletenessVerdict("fail", states_checked=checked,
+                                       witness=trace.final_state,
+                                       producing_law=law.name,
+                                       seed=strategy.seed)
+    return CompletenessVerdict("pass-bounded", states_checked=checked,
+                               seed=strategy.seed)
+
+
+def _outcome(check, *args):
+    """A check's verdict, or the type and message of what it raised."""
+    try:
+        return check(*args)
+    except CausalKitError as exc:
+        return type(exc), str(exc)
+
+
+# The halt check fails at x = -5, which no law steps to, and Up and Down
+# overlap at x = 0.
+FALLIBLE_HALT = """
+model fallible_halt {
+  state { x: int in [-5, 5]; }
+  init { x = 0; }
+  halt when 1.0 / (x + 5) > 5.0;
+  law Up { when x >= 0; then { x = x - 1; } }
+  law Down { when x <= 0; then { x = x + 1; } }
+}
+"""
+
+# A transition that fails on half of its in-states.
+FALLIBLE_LAW = """
+model fallible_law {
+  state { x: real in [-1.0, 1.0]; }
+  init { x = 0.25; }
+  law Root { when x < 0.5; then { x = sqrt(x); } }
+  law Back { when x >= 0.5; then { x = x - 1.0; } }
+}
+"""
+
+_CORPUS = ([path.name for path in sorted(FIXTURES.glob("*.cml"))]
+           + [FALLIBLE_HALT, FALLIBLE_LAW])
+
+
+def _corpus_model(entry):
+    return load_model(entry if "model" in entry
+                      else (FIXTURES / entry).read_text(encoding="utf-8"))
+
+
+def _strategies(model):
+    yield from (CheckStrategy("sample", count=200, seed=seed)
+                for seed in range(3))
+    yield CheckStrategy("trace", runs=6, steps_per_run=30, seed=1)
+    try:
+        finite = next(enumerate_states(model), None) is not None
+    except CausalKitError:
+        finite = False
+    if finite:
+        yield CheckStrategy("enumerate")
+
+
+@pytest.mark.parametrize("entry", _CORPUS, ids=lambda e: e.split()[1]
+                         if "model" in e else e)
+def test_one_pass_matches_two_passes(entry):
+    model = _corpus_model(entry)
+    for strategy in _strategies(model):
+        report = analyze(model, strategy)
+        checks = (strategy if strategy.kind != "sample"
+                  or not unsampleable_fields(model)
+                  else replace(strategy, kind="trace"))
+        verdicts = []
+        for check, verdict in ((two_pass_consistency, ConsistencyVerdict),
+                               (two_pass_completeness, CompletenessVerdict)):
+            try:
+                verdicts.append(check(model, checks))
+            except CausalKitError as exc:
+                verdicts.append(verdict("error", message=str(exc)))
+        expected = replace(report, consistency=verdicts[0],
+                           completeness=verdicts[1])
+        assert report_to_json(report) == report_to_json(expected), strategy
+        for one, two in ((check_consistency, two_pass_consistency),
+                         (check_completeness, two_pass_completeness)):
+            got, want = (_outcome(one, model, strategy),
+                         _outcome(two, model, strategy))
+            assert (got == want if isinstance(want, tuple)
+                    else not isinstance(got, tuple)), strategy

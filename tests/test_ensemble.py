@@ -404,6 +404,21 @@ class TestExploration:
             assert kinds.count("replay") == finals > 32
         assert "apply" not in kinds
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_small_ensemble_spends_no_trial(self, seed, monkeypatch):
+        # 50 trials reach the initial state, up to 43 collapsed states and
+        # as many detected leaves; the leaves halt, so they do not count
+        # against the 50 entries and the memo never fills
+        monkeypatch.setattr(Ensemble, "_trial", _no_trial)
+        model, init = build_bundled_model("double_slit", {"detector": "on"})
+        ens = run_ensemble(model, init,
+                           RunConfig(dt=1.0, max_steps=5, seed=seed), 50)
+        list(ens)
+        assert ens.live <= 50 < len(ens.memo)
+        monkeypatch.undo()
+        assert_matches_run(model, init, RunConfig(dt=1.0, max_steps=5,
+                                                  seed=seed), 50)
+
     def test_forced_outcome_reads_no_word(self, monkeypatch):
         # the middle draw has one outcome: every trial takes it without
         # reading its word, and the third draw still reads each trial's

@@ -70,6 +70,21 @@ QUADRANTS_SAMPLES = tuple(
 # the first overlapping state is sampled state 6,172, past the first chunk
 RARE_OVERLAP = ("analyze", "tests/fixtures/rare_overlap.cml", "--samples",
                 "8000", "--seed", "5")
+# a guard that raises where the law before it holds (strict trace runs end
+# eval-error, first-match runs go on), and one that raises only at halting
+# states; both under sample and trace
+GUARD_ERROR = tuple(
+    ("analyze", f"tests/fixtures/{name}.cml", "--strategy", kind, *budget,
+     "--seed", "3")
+    for name in ("guard_error", "halt_guard_error")
+    for kind, budget in (("sample", ("--samples", "200")),
+                         ("trace", ("--runs", "4", "--steps", "10"))))
+TWO_COIN_ENUMERATE = ("analyze", "tests/fixtures/two_coin.cml", "--strategy",
+                      "enumerate")
+# 50 trials: the trie memo must hold the whole ensemble
+SLIT_SMALL_HISTOGRAM = ("histogram", "builtin:double_slit", "--param",
+                        "detector=on", "--observables", "detected",
+                        "--trials", "50", "--seed", "0")
 NAMED = {
     ENERGY_RUN: "run builtin:harmonic_oscillator energy",
     OVERLAP_SAMPLE: "analyze tests/fixtures/overlap.cml sample",
@@ -88,6 +103,9 @@ NAMED = {
     **{argv: f"analyze cmlbench/models/quadrants.cml sample seed {argv[-1]}"
        for argv in QUADRANTS_SAMPLES},
     RARE_OVERLAP: "analyze tests/fixtures/rare_overlap.cml",
+    **{argv: f"analyze {argv[1]} {argv[3]}" for argv in GUARD_ERROR},
+    TWO_COIN_ENUMERATE: "analyze tests/fixtures/two_coin.cml enumerate",
+    SLIT_SMALL_HISTOGRAM: "histogram builtin:double_slit 50 trials",
 }
 
 # argv of each pinned invocation; .cml paths are relative to the repo root
@@ -175,6 +193,9 @@ INVOCATIONS = (
      "--trials", "200", "--seed", "9"),
     *QUADRANTS_SAMPLES,
     RARE_OVERLAP,
+    *GUARD_ERROR,
+    TWO_COIN_ENUMERATE,
+    SLIT_SMALL_HISTOGRAM,
 )
 
 
