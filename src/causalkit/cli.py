@@ -6,7 +6,7 @@ import argparse
 import functools
 import json
 import sys
-import weakref
+from collections import Counter
 from pathlib import Path
 
 from .analyzer import CheckStrategy, analyze, report_to_json
@@ -219,53 +219,51 @@ def _cmd_histogram(args) -> int:
     label, observe = observables[0]
     cfg = RunConfig(dt=args.dt if args.dt is not None else model.default_timestep,
                     max_steps=args.steps, seed=args.seed, mode=args.mode)
-    outcomes = []
-    # id(final state) -> (weak reference to it, outcome); the reference
-    # tells the state apart from a later one that reuses a freed id
-    seen = {}
-    for t, (term, final) in enumerate(run_ensemble(model, state, cfg,
-                                                   args.trials)):
-        if term.is_error:
-            print(f"trial {t} terminated: {term.kind}: {term.message}",
-                  file=sys.stderr)
-            return 1
-        hit = seen.get(id(final))
-        if hit is None or hit[0]() is not final:
+    pairs = list(run_ensemble(model, state, cfg, args.trials))
+    # trials that end on one trie leaf share one (termination, state) pair;
+    # count the trials per pair and observe each final state once
+    by_id = dict(zip(map(id, pairs), pairs))
+    observed: dict = {}   # id(final state) -> outcome
+    outcomes: dict = {}   # outcome -> trials, in order of the first trial
+    for key, count in Counter(map(id, pairs)).items():
+        term, final = by_id[key]
+        error = f"{term.kind}: {term.message}" if term.is_error else None
+        if not error and id(final) not in observed:
             try:
-                value = observe(final)
+                observed[id(final)] = observe(final)
             except EvalError as exc:
-                print(f"trial {t} terminated: eval-error: {exc}",
-                      file=sys.stderr)
-                return 1
-            hit = seen[id(final)] = (weakref.ref(final), value)
-        outcomes.append(hit[1])
+                error = f"eval-error: {exc}"
+        if error:
+            # the pairs come in order of their first trial, so this is the
+            # first trial that fails in either way
+            trial = [*map(id, pairs)].index(key)
+            print(f"trial {trial} terminated: {error}", file=sys.stderr)
+            return 1
+        value = observed[id(final)]
+        outcomes[value] = outcomes.get(value, 0) + count
     rows = _bin_outcomes(outcomes, args.bins)
     lines = ["bin,count,frequency"]
-    total = len(outcomes)
     for label_, count in rows:
-        lines.append(f"{label_},{count},{format_scalar(count / total)}")
+        lines.append(f"{label_},{count},{format_scalar(count / args.trials)}")
     write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _bin_outcomes(outcomes, bins):
-    """Discrete outcomes bin by value; real outcomes get uniform bins."""
-    discrete = all(isinstance(v, (int, bool)) for v in outcomes)
-    if discrete and bins is None:
-        counts: dict = {}
-        for v in outcomes:
-            counts[v] = counts.get(v, 0) + 1
-        return [(format_scalar(v), counts[v]) for v in sorted(counts)]
+    """Discrete outcomes bin by value; real outcomes get uniform bins.
+    ``outcomes`` maps each outcome to its count; of outcomes that compare
+    equal (0.0 and -0.0) it holds the first."""
+    if bins is None and all(isinstance(v, (int, bool)) for v in outcomes):
+        return [(format_scalar(v), outcomes[v]) for v in sorted(outcomes)]
     n = bins if bins is not None else 20
     lo = min(outcomes)
     hi = max(outcomes)
     if lo == hi:
-        return [(format_scalar(lo), len(outcomes))]
+        return [(format_scalar(lo), sum(outcomes.values()))]
     width = (hi - lo) / n
     counts = [0] * n
-    for v in outcomes:
-        i = min(int((v - lo) / width), n - 1)
-        counts[i] += 1
+    for v, count in outcomes.items():
+        counts[min(int((v - lo) / width), n - 1)] += count
     return [(format_scalar(lo + (i + 0.5) * width), c) for i, c in enumerate(counts)]
 
 

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for CML.
+"""Recursive-descent parser for CML; expressions by precedence climbing.
 
 ``parse`` never raises on malformed input: it returns the AST (or None)
 together with a list of diagnostics locating the first offending token.
@@ -48,6 +48,12 @@ _BUILTIN_TYPES = ("real", "int", "bool", "complex",
                   "vector", "list", "cgrid", "pwcollection")
 
 _CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
+
+# binding power of each binary operator; prefix '!' binds between '&&'
+# and the comparisons, prefix '-' and '^' tighter than all of them
+_POWERS = {"||": 1, "&&": 2, **dict.fromkeys(_CMP_OPS, 4),
+           "+": 5, "-": 5, "*": 6, "/": 6}
+_NOT_POWER = 3
 
 MAX_DEPTH = 50
 
@@ -344,8 +350,24 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------------
 
-    def expression(self) -> Expr:
-        return self.or_expr()
+    def expression(self, rbp: int = 0) -> Expr:
+        """An expression of the operators that bind tighter than ``rbp``,
+        by precedence climbing (Pratt, POPL 1973): a binary operator takes
+        as its right operand what binds tighter than itself, so each is
+        left-associative. A run of prefix '!' is read by a loop, and only
+        where ``rbp`` binds looser than '!' (``a == !b`` is an error)."""
+        if rbp < _NOT_POWER and self.at("!"):
+            nots = self.prefix_locs("!")
+            left = self.prefixed(nots, "!", self.expression(_NOT_POWER))
+        else:
+            left = self.unary_expr()
+        while _POWERS.get(self.tok.kind, 0) > rbp:
+            op_tok = self.advance()
+            right = self.expression(_POWERS[op_tok.kind])
+            if op_tok.kind in _CMP_OPS and self.tok.kind in _CMP_OPS:
+                self.error("comparisons cannot be chained")
+            left = self.binary(op_tok, left, right)
+        return left
 
     def binary(self, op_tok, left, right) -> Expr:
         return self.node(Binary(op_tok.loc, op=op_tok.kind, left=left,
@@ -363,44 +385,6 @@ class _Parser:
         while self.at(op):
             locs.append(self.advance().loc)
         return locs
-
-    def or_expr(self) -> Expr:
-        left = self.and_expr()
-        while self.at("||"):
-            left = self.binary(self.advance(), left, self.and_expr())
-        return left
-
-    def and_expr(self) -> Expr:
-        left = self.not_expr()
-        while self.at("&&"):
-            left = self.binary(self.advance(), left, self.not_expr())
-        return left
-
-    def not_expr(self) -> Expr:
-        nots = self.prefix_locs("!")
-        return self.prefixed(nots, "!", self.cmp_expr())
-
-    def cmp_expr(self) -> Expr:
-        left = self.add_expr()
-        if self.tok.kind in _CMP_OPS:
-            op_tok = self.advance()
-            right = self.add_expr()
-            if self.tok.kind in _CMP_OPS:
-                self.error("comparisons cannot be chained")
-            return self.binary(op_tok, left, right)
-        return left
-
-    def add_expr(self) -> Expr:
-        left = self.mul_expr()
-        while self.tok.kind in ("+", "-"):
-            left = self.binary(self.advance(), left, self.mul_expr())
-        return left
-
-    def mul_expr(self) -> Expr:
-        left = self.unary_expr()
-        while self.tok.kind in ("*", "/"):
-            left = self.binary(self.advance(), left, self.unary_expr())
-        return left
 
     def unary_expr(self) -> Expr:
         """Prefix '-' binds looser than '^', which is right-associative

@@ -153,7 +153,8 @@ class ReplaySource:
         if self.room is not None and len(self.draws) >= self.room:
             raise BranchSignal()
         if self.stream is None:
-            k = next(i for i, p in enumerate(probs) if p > 0.0)
+            # the first outcome of positive probability
+            k = 0 if probs[0] > 0.0 else int((probs > 0.0).nonzero()[0][0])
         else:
             k = self.stream.categorical(probs)
         if not self.live:

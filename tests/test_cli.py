@@ -275,6 +275,23 @@ class TestHistogram:
         assert err == ("trial 12 terminated: eval-error: law 'Walk': "
                        "division by zero at 6:13\n")
 
+    @pytest.mark.parametrize("seed, message", [
+        ("3", "trial 1 terminated: eval-error: division by zero at 1:3\n"),
+        ("6", "trial 1 terminated: eval-error: law 'Divide': division by "
+              "zero at 13:13\n"),
+    ])
+    def test_names_the_first_trial_of_either_failure(self, capsys, seed,
+                                                     message):
+        # observe_error.cml fails on some trials in its law and on others
+        # in the observable; whichever kind comes first is reported
+        code, out, err = invoke(
+            ["histogram", str(FIXTURES / "observe_error.cml"),
+             "--observables", "1 / x", "--trials", "200", "--seed", seed],
+            capsys)
+        assert code == 1
+        assert out == ""
+        assert err == message
+
 
 class TestUsageErrors:
     def test_no_command_exit_2(self, capsys):

@@ -406,6 +406,15 @@ class TestNesting:
     def test_unary_minus(self):
         self._too_deep(self._model("- " * self.DEEP + "1.0"), "-")
 
+    @pytest.mark.parametrize("op", ["!", "-"])
+    def test_ten_thousand_prefix_operators(self, op):
+        # prefix runs are read by a loop: no RecursionError however long
+        expr, diags = parse_expression(op * 10_000 + "x")
+        assert expr is None
+        (d,) = diags
+        assert d.code == "too-deep"
+        assert d.loc.col == 10_000 - MAX_DEPTH
+
     def test_sum(self):
         d = self._too_deep(self._model(" + ".join(["1.0"] * self.DEEP)),
                            "+")

@@ -85,6 +85,16 @@ TWO_COIN_ENUMERATE = ("analyze", "tests/fixtures/two_coin.cml", "--strategy",
 SLIT_SMALL_HISTOGRAM = ("histogram", "builtin:double_slit", "--param",
                         "detector=on", "--observables", "detected",
                         "--trials", "50", "--seed", "0")
+# real outcomes that are all 0.0 or -0.0: the one bin prints the sign of
+# the first trial's outcome, -0 at seed 3 and 0 at seed 0
+SIGNED_ZERO_HISTOGRAMS = tuple(
+    ("histogram", "tests/fixtures/signed_zero.cml", "--observables", "x",
+     "--trials", "200", "--seed", seed) for seed in ("3", "0"))
+# an observation that raises and a trial that ends eval-error: the first
+# failing trial is an observation at seed 3, a termination at seed 6
+OBSERVE_ERRORS = tuple(
+    ("histogram", "tests/fixtures/observe_error.cml", "--observables",
+     "1 / x", "--trials", "200", "--seed", seed) for seed in ("3", "6"))
 NAMED = {
     ENERGY_RUN: "run builtin:harmonic_oscillator energy",
     OVERLAP_SAMPLE: "analyze tests/fixtures/overlap.cml sample",
@@ -106,6 +116,8 @@ NAMED = {
     **{argv: f"analyze {argv[1]} {argv[3]}" for argv in GUARD_ERROR},
     TWO_COIN_ENUMERATE: "analyze tests/fixtures/two_coin.cml enumerate",
     SLIT_SMALL_HISTOGRAM: "histogram builtin:double_slit 50 trials",
+    **{argv: f"histogram {argv[1]} seed {argv[-1]}"
+       for argv in SIGNED_ZERO_HISTOGRAMS + OBSERVE_ERRORS},
 }
 
 # argv of each pinned invocation; .cml paths are relative to the repo root
@@ -196,6 +208,8 @@ INVOCATIONS = (
     *GUARD_ERROR,
     TWO_COIN_ENUMERATE,
     SLIT_SMALL_HISTOGRAM,
+    *SIGNED_ZERO_HISTOGRAMS,
+    *OBSERVE_ERRORS,
 )
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from causalkit import (
@@ -18,6 +19,7 @@ from causalkit import (
 )
 from causalkit.frontend.parser import parse_expression
 from causalkit.frontend.typecheck import check_standalone_expr
+from causalkit.interpreter import ReplaySource
 
 
 def observable(model, text):
@@ -25,6 +27,27 @@ def observable(model, text):
     td, diags = check_standalone_expr(expr, model.schema)
     assert td is not None, diags
     return (text, compile_observable(expr, model.schema))
+
+
+def one_hot(n, k):
+    probs = np.zeros(n)
+    probs[k] = 1.0
+    return probs
+
+
+@pytest.mark.parametrize("probs", [
+    one_hot(64, 32), one_hot(64, 0), one_hot(64, 63),
+    np.array([0.0, 0.0, 0.25, 0.0, 0.75]),
+    np.array([-0.0, 0.0, 5e-324, 1.0 - 5e-324]),
+    np.array([0.0, 5e-324, 0.0, 0.0]),
+], ids=["one-hot middle", "one-hot first", "one-hot last", "leading zeros",
+        "signed zero then subnormal", "lone subnormal"])
+def test_replay_without_stream_takes_the_first_positive_outcome(probs):
+    source = ReplaySource(())
+    k = source.categorical(probs)
+    assert type(k) is int
+    assert k == next(i for i, p in enumerate(probs) if p > 0.0)
+    assert source.draws == [(probs, None, k)]
 
 
 class TestRun:

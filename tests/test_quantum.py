@@ -267,20 +267,64 @@ class TestCachedOperator:
             quantum._cyclic_solver(np.full(n, 2.0 + 0j), -1 + 0j, -1 + 0j)
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_probe(probe):
+    return subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
+
+
 def test_cli_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg is loaded by the first Crank-Nicolson operator, not at
-    # import: only models that call schrodinger_step pay for it
-    src = Path(__file__).resolve().parents[1] / "src"
-    probe = ("import sys, causalkit.cli\n"
-             "print('scipy.linalg' in sys.modules)\n"
-             "from causalkit.cli import main\n"
-             "main(['run', 'builtin:schrodinger_1d', '--steps', '1', "
-             "'--out', '/dev/null'])\n"
-             "print('scipy.linalg' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", probe], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
-    assert out.split() == ["False", "True"]
+    # the Crank-Nicolson solve loads scipy's compiled LAPACK module from
+    # its file, so neither the import nor a CN run imports scipy.linalg
+    out = run_probe("import sys, causalkit.cli\n"
+                    "print('scipy.linalg' in sys.modules)\n"
+                    "from causalkit.cli import main\n"
+                    "main(['run', 'builtin:schrodinger_1d', '--steps', '1', "
+                    "'--out', '/dev/null'])\n"
+                    "print('scipy.linalg' in sys.modules)\n")
+    assert out.split() == ["False", "False"]
+
+
+GET_LAPACK_FUNCS = ("import scipy.linalg.lapack as lapack\n"
+                    "f, s = lapack.get_lapack_funcs(('gttrf', 'gttrs'), "
+                    "(np.zeros(1, complex),))\n"
+                    "print(f is gttrf, s is gttrs)\n")
+
+
+def test_gt_lapack_are_the_routines_get_lapack_funcs_returns():
+    out = run_probe("import sys\n"
+                    "import numpy as np\n"
+                    "from causalkit import quantum\n"
+                    "gttrf, gttrs = quantum._gt_lapack()\n"
+                    "print('scipy.linalg' in sys.modules)\n"
+                    + GET_LAPACK_FUNCS +
+                    "import scipy.linalg\n"
+                    "print(scipy.linalg._flapack.zgttrf is gttrf)\n")
+    assert out.split() == ["False", "True", "True", "True"]
+
+
+def test_gt_lapack_falls_back_to_the_import_without_the_file():
+    # with no suffix that names the file, _gt_lapack takes the ordinary
+    # import, whose finders keep their own list of suffixes
+    out = run_probe("import importlib.machinery, sys\n"
+                    "import numpy as np\n"
+                    "from causalkit import quantum\n"
+                    "importlib.machinery.EXTENSION_SUFFIXES = ['.absent']\n"
+                    "gttrf, gttrs = quantum._gt_lapack()\n"
+                    "print('scipy.linalg' in sys.modules)\n"
+                    + GET_LAPACK_FUNCS)
+    assert out.split() == ["True", "True", "True"]
+
+
+def test_gt_lapack_reuses_a_loaded_module():
+    # scipy.linalg is imported by this test module
+    from scipy.linalg import _flapack
+    quantum._gt_lapack.cache_clear()
+    gttrf, gttrs = quantum._gt_lapack()
+    assert gttrf is _flapack.zgttrf and gttrs is _flapack.zgttrs
 
 
 def one_particle_pw(paths):
