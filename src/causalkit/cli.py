@@ -152,7 +152,8 @@ def _load_model(args):
 
 
 def _compile_observables(spec: str, schema):
-    labelled = []
+    """The compiled observables of ``spec`` and the scalar kind of each."""
+    labelled, kinds = [], []
     for text in _split_observables(spec):
         expr, diags = parse_expression(text)
         if expr is None:
@@ -166,12 +167,13 @@ def _compile_observables(spec: str, schema):
             raise CausalKitError(
                 f"observable '{text}' must be scalar, got {td.kind}")
         labelled.append((text, expr))
-    return compile_observables(labelled, schema)
+        kinds.append(td.kind)
+    return compile_observables(labelled, schema), kinds
 
 
 def _cmd_run(args) -> int:
     model, state = _load_model(args)
-    observables = _compile_observables(args.observables, model.schema)
+    observables, _ = _compile_observables(args.observables, model.schema)
     cfg = RunConfig(dt=args.dt if args.dt is not None else model.default_timestep,
                     max_steps=args.steps, seed=args.seed, mode=args.mode,
                     record_every=args.record_every, observables=observables)
@@ -213,10 +215,13 @@ def _cmd_histogram(args) -> int:
     if args.bins is not None and args.bins < 1:
         raise ValueError("--bins must be >= 1")
     model, state = _load_model(args)
-    observables = _compile_observables(args.observables, model.schema)
+    observables, kinds = _compile_observables(args.observables, model.schema)
     if len(observables) != 1:
         raise CausalKitError("histogram needs exactly one outcome observable")
     label, observe = observables[0]
+    if kinds[0] == "complex":   # complex outcomes have no order to bin by
+        raise CausalKitError(f"histogram outcome '{label}' must be int, bool "
+                             f"or real, got complex")
     cfg = RunConfig(dt=args.dt if args.dt is not None else model.default_timestep,
                     max_steps=args.steps, seed=args.seed, mode=args.mode)
     pairs = list(run_ensemble(model, state, cfg, args.trials))

@@ -732,10 +732,10 @@ def _merge(checks: dict, values: dict, writes: list) -> dict:
     first-write order by its ``checks`` entry."""
     values, composite = values.copy(), {}
     for root, path, value in writes:
-        if path is None:
-            values[root] = value
-        else:
-            values[root] = _set_path(values[root], path, value)
+        if path:   # a part of a composite root; () is the whole root
+            value = _set_path(values[root], path, value)
+        values[root] = value
+        if path is not None:
             composite[root] = None
     for root in composite:
         checks[root](values[root], root)

@@ -72,12 +72,27 @@ class Termination:
         return self.kind not in ("halted", "max-steps")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TraceRow:
+    """One recorded row. Built once per recorded step, so ``__init__``
+    stores through the slot descriptors, as ``SystemState``'s does."""
+
     step: int
     time: float
     values: tuple                  # observable values (raw python scalars)
     snapshot: SystemState | None = None
+
+    def __init__(self, step: int, time: float, values: tuple,
+                 snapshot: SystemState | None = None):
+        _SET_STEP(self, step)
+        _SET_TIME(self, time)
+        _SET_VALUES(self, values)
+        _SET_SNAPSHOT(self, snapshot)
+
+
+_SET_STEP, _SET_TIME, _SET_VALUES, _SET_SNAPSHOT = (
+    TraceRow.step.__set__, TraceRow.time.__set__, TraceRow.values.__set__,
+    TraceRow.snapshot.__set__)
 
 
 @dataclass(frozen=True)
@@ -527,28 +542,32 @@ class Ensemble:
         (termination, final state); appends a TraceRow to ``rows``, if
         given, at step 0 and every record_every steps."""
         model, cfg, init = self.model, self.cfg, self.init
+        halt, observe, start = model.halt_fn, cfg.observe, init.time
+        dt, mode, max_steps, every = (cfg.dt, cfg.mode, cfg.max_steps,
+                                      cfg.record_every)
         if s is None:
             s = init
         shared = True   # s is the initial state or a trie leaf
         try:
             if rows is not None:
-                rows.append(TraceRow(0, init.time, cfg.observe(s), s))
+                rows.append(TraceRow(0, start, observe(s), s))
             while True:
                 entry = self._entry(s) if shared else None
-                halted = halts(model, s) if entry is None else entry.halts
+                halted = (entry.halts if entry is not None
+                          else halt is not None and halt(s))
                 if halted:
                     return Termination("halted"), s
-                if steps >= cfg.max_steps:
+                if steps >= max_steps:
                     return Termination("max-steps"), s
                 steps += 1
-                time = init.time + steps * cfg.dt
+                time = start + steps * dt
                 if entry is None:
-                    s = step(model, s, cfg.dt, stream, cfg.mode, time)
+                    s = step(model, s, dt, stream, mode, time)
                     shared = False
                 else:
                     s, shared = self._step(entry, stream, time)
-                if rows is not None and steps % cfg.record_every == 0:
-                    rows.append(TraceRow(steps, time, cfg.observe(s), s))
+                if rows is not None and steps % every == 0:
+                    rows.append(TraceRow(steps, time, observe(s), s))
         except _STEP_ERRORS as exc:
             return _termination(exc), s
 
@@ -626,6 +645,30 @@ def format_scalar(value) -> str:
     return str(value)
 
 
+# a CSV column's %-format and the argument columns it takes from the
+# column's values, by their one payload type. "%.17g" is the routine of
+# format(x, ".17g"), so each cell reads as format_scalar writes it.
+_CSV_CELLS = {
+    int: ("%d", lambda c: (c,)),
+    float: ("%.17g", lambda c: (c,)),
+    bool: ("%s", lambda c: (["true" if x else "false" for x in c],)),
+    complex: ("%.17g%+.17gi",
+              lambda c: ([z.real for z in c], [z.imag for z in c])),
+}
+
+
+def _csv_column(column) -> tuple:
+    """(%-format, argument columns) of one CSV column: by the payload type
+    its values share (an observable's static kind), else each value's
+    ``format_scalar`` text."""
+    types = set(map(type, column))
+    cell = _CSV_CELLS.get(types.pop()) if len(types) == 1 else None
+    if cell is None:
+        return "%s", ([format_scalar(x) for x in column],)
+    fmt, split = cell
+    return fmt, split(column)
+
+
 def _jsonable(value):
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
@@ -647,16 +690,23 @@ def write_trace(trace: Trace, format_: str = "csv", sink=None) -> int:
     """Serialize a trace as CSV or JSONL; returns bytes written.
 
     CSV: header ``step,time,<observables>`` and one row per recorded row,
-    floats with 17 significant digits. JSONL: one object per row plus a
-    trailing metadata object carrying the config and termination reason.
+    floats with 17 significant digits; every row is written by one
+    %-format, built per trace from its columns' payload types. JSONL: one
+    object per row plus a trailing metadata object carrying the config and
+    termination reason.
     """
     names = trace.observable_names
     if format_ == "csv":
         lines = ["step,time" + ("," + ",".join(names) if names else "")]
-        for row in trace.rows:
-            cells = [str(row.step), format_scalar(row.time)]
-            cells += [format_scalar(v) for v in row.values]
-            lines.append(",".join(cells))
+        rows = trace.rows
+        formats, args = [], []
+        for column in ([r.step for r in rows], [r.time for r in rows],
+                       *zip(*[r.values for r in rows])):
+            fmt, parts = _csv_column(column)
+            formats.append(fmt)
+            args += parts
+        line = ",".join(formats)
+        lines += [line % cells for cells in zip(*args)]
         text = "\n".join(lines) + "\n"
     elif format_ == "jsonl":
         lines = []

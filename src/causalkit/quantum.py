@@ -294,18 +294,23 @@ def ca_step(world: VRecord) -> VRecord:
     phi1 = phi + fields["alpha"] * (neighbour_sum(phi) - 2.0 * phi)
     n = len(phi)
     particles = fields["particles"].items
-    vel = [p.fields["vel"] for p in particles]
-    pos = [(p.fields["pos"] + v) % n for p, v in zip(particles, vel)]
-    by_cell: dict = {}
-    for i, cell in enumerate(pos):
-        by_cell.setdefault(cell, []).append(i)
-    for members in by_cell.values():
-        if len(members) < 2:
-            continue
-        members.sort(key=lambda i: particles[i].fields["id"])
-        vels = [vel[i] for i in members]
-        for i, v in zip(members, reversed(vels)):
-            vel[i] = v
+    vel, pos = [], []
+    for p in particles:
+        f = p.fields
+        v = f["vel"]
+        vel.append(v)
+        pos.append((f["pos"] + v) % n)
+    if len(set(pos)) < len(pos):   # some cell holds two or more particles
+        by_cell: dict = {}
+        for i, cell in enumerate(pos):
+            by_cell.setdefault(cell, []).append(i)
+        for members in by_cell.values():
+            if len(members) < 2:
+                continue
+            members.sort(key=lambda i: particles[i].fields["id"])
+            vels = [vel[i] for i in members]
+            for i, v in zip(members, reversed(vels)):
+                vel[i] = v
     moved = VList([VRecord(p.record, {**p.fields, "pos": x, "vel": v})
                    for p, x, v in zip(particles, pos, vel)])
     return VRecord(world.record, {**fields, "phi": VVector(phi1),

@@ -224,27 +224,39 @@ PAYLOAD_TYPES = {"int": int, "real": float, "bool": bool, "complex": complex}
 _SCALAR_KIND = {t: k for k, t in PAYLOAD_TYPES.items()}
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+# The composites a step builds most store through their slot descriptors,
+# as SystemState does, instead of a frozen __setattr__ per field.
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class VVector(Value):
     values: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           np.asarray(self.values, dtype=np.float64))
+    def __init__(self, values):
+        _SET_VECTOR(self, np.asarray(values, dtype=np.float64))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class VList(Value):
     items: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
+    def __init__(self, items):
+        _SET_ITEMS(self, tuple(items))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class VRecord(Value):
     record: str
     fields: dict  # name -> Value
+
+    def __init__(self, record: str, fields: dict):
+        _SET_RECORD(self, record)
+        _SET_FIELDS(self, fields)
+
+
+_SET_VECTOR, _SET_ITEMS, _SET_RECORD, _SET_FIELDS = (
+    VVector.values.__set__, VList.items.__set__, VRecord.record.__set__,
+    VRecord.fields.__set__)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -286,20 +298,27 @@ def _checker(td: TypeDesc, records: dict):
         item = _checker(td.element, records)
 
         def check(value, where):
-            if not isinstance(value, VList):
+            if type(value) is not VList:
                 _mismatch(where, td, value)
             for x in value.items:
                 item(x, where)
         return check
     if kind == "record":
-        fields = {n: _checker(f, records) for n, f in records[td.record]}
+        # name -> (payload type of a scalar field, else None; the field's
+        # check; its type), so a scalar field is checked without a call
+        fields = {n: (PAYLOAD_TYPES.get(f.kind), _checker(f, records), f)
+                  for n, f in records[td.record]}
 
         def check(value, where):
-            if not (isinstance(value, VRecord) and value.record == td.record
+            if not (type(value) is VRecord and value.record == td.record
                     and value.fields.keys() == fields.keys()):
                 _mismatch(where, td, value)
             for name, x in value.fields.items():
-                fields[name](x, (where, name))
+                payload, check_field, field_td = fields[name]
+                if payload is None:
+                    check_field(x, (where, name))
+                elif type(x) is not payload:
+                    _mismatch((where, name), field_td, x)
         return check
     if kind == "vector":
         ok = lambda v: isinstance(v, VVector) and len(v.values) == td.length
@@ -342,20 +361,32 @@ def _describe(value) -> str:
 # --- system states ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SystemState:
-    """Immutable snapshot: schema reference, time coordinate, field values."""
+    """Immutable snapshot: schema reference, time coordinate, field values.
+
+    States stay frozen: the ensemble memo keys on ``id(state)`` and trials
+    share pre-states. Each step builds one, so ``__init__`` stores through
+    the slot descriptors instead of a frozen ``__setattr__`` per field."""
 
     schema: StateSchema
     time: float
     values: dict  # field name -> payload or Value
 
-    def __post_init__(self):
-        if not math.isfinite(self.time):
+    def __init__(self, schema: StateSchema, time: float, values: dict):
+        if not math.isfinite(time):
             raise SchemaError("state time must be finite")
+        _SET_SCHEMA(self, schema)
+        _SET_TIME(self, time)
+        _SET_VALUES(self, values)
 
     def get(self, name: str):
         return self.values[name]
+
+
+_SET_SCHEMA, _SET_TIME, _SET_VALUES = (
+    SystemState.schema.__set__, SystemState.time.__set__,
+    SystemState.values.__set__)
 
 
 def make_initial_state(schema: StateSchema, assignments: dict) -> SystemState:

@@ -292,6 +292,22 @@ class TestHistogram:
         assert out == ""
         assert err == message
 
+    @pytest.mark.parametrize("outcome", ["complex(x, 0.0)",
+                                         "complex(1.0, 0.0)"])
+    def test_complex_outcome_exits_1_before_any_trial(self, capsys,
+                                                      monkeypatch, outcome):
+        # complex outcomes have no order: varying ones died in min() with
+        # a traceback, and a constant one printed one bin
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr("causalkit.cli.run_ensemble", no_trials)
+        code, out, err = invoke(
+            ["histogram", str(FIXTURES / "flat_real.cml"), "--observables",
+             outcome, "--trials", "20"], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"error: histogram outcome '{outcome}' must be int, "
+                       "bool or real, got complex\n")
+
 
 class TestUsageErrors:
     def test_no_command_exit_2(self, capsys):

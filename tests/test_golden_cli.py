@@ -95,8 +95,18 @@ SIGNED_ZERO_HISTOGRAMS = tuple(
 OBSERVE_ERRORS = tuple(
     ("histogram", "tests/fixtures/observe_error.cml", "--observables",
      "1 / x", "--trials", "200", "--seed", seed) for seed in ("3", "6"))
+# CSV rows of every scalar kind: -0 and 0, 0-0i and -0+0i, true and
+# false, and ints
+SIGNED_ZERO_RUNS = tuple(
+    ("run", "tests/fixtures/signed_zero.cml", "--observables", "x,b,z,n",
+     "--seed", seed) for seed in ("3", "4"))
+# a CSV with no observables: the header is step,time
+COUNTER_BARE = ("run", "builtin:counter", "--record-every", "3", "--steps",
+                "20")
 NAMED = {
     ENERGY_RUN: "run builtin:harmonic_oscillator energy",
+    **{argv: f"run {argv[1]} seed {argv[-1]}" for argv in SIGNED_ZERO_RUNS},
+    COUNTER_BARE: "run builtin:counter no observables",
     OVERLAP_SAMPLE: "analyze tests/fixtures/overlap.cml sample",
     ESCAPING_SAMPLE: "analyze tests/fixtures/escaping.cml sample",
     FALLIBLE_DEPTH3: "branch tests/fixtures/fallible.cml depth 3",
@@ -210,6 +220,8 @@ INVOCATIONS = (
     SLIT_SMALL_HISTOGRAM,
     *SIGNED_ZERO_HISTOGRAMS,
     *OBSERVE_ERRORS,
+    *SIGNED_ZERO_RUNS,
+    COUNTER_BARE,
 )
 
 

@@ -1,8 +1,11 @@
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalkit import (
     ContinuousRandomError,
@@ -19,7 +22,13 @@ from causalkit import (
 )
 from causalkit.frontend.parser import parse_expression
 from causalkit.frontend.typecheck import check_standalone_expr
-from causalkit.interpreter import ReplaySource
+from causalkit.interpreter import (
+    ReplaySource,
+    Termination,
+    Trace,
+    TraceRow,
+    format_scalar,
+)
 
 
 def observable(model, text):
@@ -178,6 +187,66 @@ class TestWriteTrace:
         n = write_trace(self.trace(), "csv", str(target))
         assert target.read_bytes()
         assert n == len(target.read_bytes())
+
+    def test_rows_are_frozen(self):
+        row = self.trace().rows[1]
+        for name in ("step", "time", "values", "snapshot"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(row, name, None)
+        later = dataclasses.replace(row, step=7)
+        assert later == TraceRow(7, row.time, row.values, row.snapshot) != row
+        assert TraceRow(0, 0.0, ()).snapshot is None
+
+
+def csv_oracle(names, rows) -> str:
+    """The CSV text of a trace as written cell by cell with format_scalar."""
+    lines = ["step,time" + ("," + ",".join(names) if names else "")]
+    for row in rows:
+        cells = [str(row.step), format_scalar(row.time)]
+        cells += [format_scalar(v) for v in row.values]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+REALS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 0.1, 1e16, 1e17, 123456789.0, 2.0**63])
+SCALARS = {
+    "int": st.integers(-(2**63 - 1), 2**63 - 1),
+    "real": REALS,
+    "bool": st.booleans(),
+    "complex": st.builds(complex, REALS, REALS),
+}
+# a column of one kind, as a typechecked observable gives; or of any
+# scalars, as a hand-written (label, function) pair may
+COLUMN = st.sampled_from([*SCALARS, "any"])
+
+
+@st.composite
+def traces(draw):
+    kinds = draw(st.lists(COLUMN, max_size=5))
+    cells = [st.one_of(*SCALARS.values()) if k == "any" else SCALARS[k]
+             for k in kinds]
+    rows = draw(st.lists(st.builds(
+        lambda step, time, values: TraceRow(step, time, tuple(values)),
+        st.integers(0, 10**9), REALS, st.tuples(*cells)), max_size=6))
+    cfg = RunConfig(dt=1.0, max_steps=1, observables=tuple(
+        (f"o{i}", None) for i in range(len(kinds))))
+    return Trace("m", cfg, tuple(rows), Termination("max-steps"), None)
+
+
+# one failure is shrunk, not one per distinct error: shrinking one of
+# these traces can take a minute or two
+@settings(max_examples=300, deadline=None, derandomize=True,
+          report_multiple_bugs=False)
+@given(traces())
+def test_csv_rows_match_the_per_cell_oracle(trace):
+    buf = io.BytesIO()
+    n = write_trace(trace, "csv", buf)
+    expected = csv_oracle(trace.observable_names, trace.rows)
+    # compared line by line, so a failure shows the first row apart
+    # instead of a diff of the whole text
+    assert buf.getvalue().decode().split("\n") == expected.split("\n")
+    assert n == len(expected.encode())
 
 
 class TestBranchRun:

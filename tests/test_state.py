@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -69,6 +70,47 @@ class TestMakeInitialState:
         assert good.values["p"].fields["x"] == 1.0
         with pytest.raises(TypeMismatchError):
             make_initial_state(schema, {"p": VRecord("P", {"x": 1})})
+
+
+class TestImmutability:
+    """States and the composites a step builds store through their slot
+    descriptors and stay frozen: the ensemble memo keys on id(state)."""
+
+    def test_system_state(self):
+        s = make_initial_state(int_schema(), {"n": 3})
+        for name in ("schema", "time", "values"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(s, name, None)
+        later = dataclasses.replace(s, time=2.5)
+        assert later == SystemState(s.schema, 2.5, {"n": 3}) != s
+        assert (later.schema, later.values) == (s.schema, s.values)
+        assert dataclasses.replace(s) == s
+
+    @pytest.mark.parametrize("time", [math.inf, -math.inf, math.nan])
+    def test_system_state_time_must_be_finite(self, time):
+        with pytest.raises(SchemaError, match="state time must be finite"):
+            SystemState(int_schema(), time, {"n": 0})
+        s = make_initial_state(int_schema(), {"n": 0})
+        with pytest.raises(SchemaError, match="state time must be finite"):
+            dataclasses.replace(s, time=time)
+
+    @pytest.mark.parametrize("value, name, changed", [
+        (VRecord("P", {"x": 1.0}), "fields", {"x": 2.0}),
+        (VList([1, 2]), "items", [3]),
+        (VVector([1.0, 2.0]), "values", [3.0]),
+    ])
+    def test_composites(self, value, name, changed):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, changed)
+        later = dataclasses.replace(value, **{name: changed})
+        assert type(later) is type(value)
+        assert list(getattr(later, name)) == list(changed)
+
+    def test_composites_convert_what_they_store(self):
+        assert VList([1, 2]).items == (1, 2)
+        vector = VVector([1, 2])
+        assert vector.values.dtype == np.float64
+        assert list(vector.values) == [1.0, 2.0]
 
 
 class TestSchemaInvariants:
@@ -402,6 +444,13 @@ def test_check_value_names_the_first_mismatch_in_value_order():
                        "v": VVector([1.0, 2.0]), "g": VCGrid([1, 2], 0.5)}),
          "'w.n': expected int, got real"),
         (VList([]), "'w': expected W, got list"),
+        # a record of another name, and payloads of a near type
+        (w(p=VRecord("W", {"m": 1.0, "x": 2.0})), "'w.p': expected P, got W"),
+        (w(n=True), "'w.n': expected int, got bool"),
+        (w(n=VList([])), "'w.n': expected int, got list"),
+        # an item of a list(P) in the other order, both fields wrong
+        (w(ps=VList([p(), VRecord("P", {"x": 1, "m": True})])),
+         "'w.ps.x': expected real, got int"),
     ]
     check_value(w(), schema.fields["w"], schema, where="w")
     for value, message in cases:
