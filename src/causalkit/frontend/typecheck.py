@@ -228,7 +228,11 @@ def _constant(e: Expr, td: TypeDesc, ctx: _Ctx, c):
 
 def _param_value(text: str, td: TypeDesc, ctx: _Ctx, c):
     """The payload of param ``c`` given the value ``text``, checked as its
-    initializer is; a value that is not is a BadParamError."""
+    initializer is; a value that is not, or is not a str, is a
+    BadParamError."""
+    if not isinstance(text, str):
+        raise BadParamError(f"bad value for parameter '{c.name}': expected "
+                            f"a str, got {type(text).__name__} {text!r}")
     expr, _ = parse_expression(text)
     try:
         if expr is not None:
@@ -709,6 +713,12 @@ def _random_type(e: RandomExpr, ctx: _Ctx) -> TypeDesc:
         else:
             raise _err("bad-random",
                        f"{dist.name} needs a finite value set", e.loc)
+        lo, hi = (const_fold(item, ctx.consts_val) for item in e.range_.items)
+        if lo is not None and hi is not None and not lo < hi:
+            what = "continuous FLAT" if dist.name == "FLAT" else \
+                "truncated GAUSS"
+            raise _err("bad-random", f"{what} requires lo < hi, got lo "
+                       f"{float(lo)} and hi {float(hi)}", e.range_.loc)
         return TypeDesc("real")
     # finite set range
     items = e.range_.items

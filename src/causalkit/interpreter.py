@@ -191,8 +191,24 @@ class ReplaySource:
 
 # --- branching execution -----------------------------------------------------------
 
+# payload types whose repr tells apart every value they print apart
+_REPR_KEYED = frozenset((int, float, bool, complex))
 
-@dataclass
+
+def state_key(s: SystemState):
+    """The canonical key of a state: the ``repr`` of its time and values
+    when every payload is an int, float, bool or complex, else the
+    state's identity. Equal keys mean equal futures and equal JSON text
+    (``-0.0 == 0.0`` and ``True == 1``, but their reprs differ, as their
+    JSON does). Whoever keys by it holds the state, so no id is reused
+    while the key is in use."""
+    for v in s.values.values():
+        if type(v) not in _REPR_KEYED:
+            return id(s)
+    return repr(s.time), repr(s.values)
+
+
+@dataclass(slots=True)
 class WorldNode:
     weight: float
     outcome: str | None = None          # edge label of the draw that made it
@@ -225,7 +241,7 @@ class WorldTree:
         return sum(l.weight for l in self.leaves())
 
 
-@dataclass
+@dataclass(slots=True)
 class _Lineage:
     state: SystemState
     weight: float
@@ -235,19 +251,61 @@ class _Lineage:
     serial: int      # creation order, used for deterministic pruning
 
 
+def _branch_step(model: CausalModel, cfg: RunConfig, lin: _Lineage,
+                 prefix: tuple, depth_bound: int, t0: float) -> tuple:
+    """One work item of ``branch_run``, executed from ``lin``'s state
+    ``s``: the halt and step-budget checks if ``prefix`` is empty, then a
+    step that replays ``prefix``. Returns (s, post state or None,
+    termination or None, forks); each fork is a new draw as (the outcome
+    taken, its (outcome, probability, label) triples), over the outcomes
+    of positive probability."""
+    s = lin.state
+    if not prefix:
+        try:
+            if halts(model, s):
+                return s, None, Termination("halted"), ()
+            if lin.steps >= cfg.max_steps:
+                return s, None, Termination("max-steps"), ()
+        except EvalError as exc:
+            return s, None, _termination(exc), ()
+    source = ReplaySource(prefix, room=depth_bound - lin.draws - len(prefix))
+    post = end = None
+    try:
+        post = step(model, s, cfg.dt, source, cfg.mode,
+                    t0 + (lin.steps + 1) * cfg.dt)
+    except BranchSignal:
+        end = Termination("depth-bound",
+                          f"branching depth {depth_bound} reached")
+    except _STEP_ERRORS as exc:
+        end = _termination(exc)
+    # tolist(): Python floats, compared and multiplied without a numpy
+    # scalar per outcome
+    forks = tuple(
+        (k, tuple((j, p, str(j if labels is None else labels[j]))
+                  for j, p in enumerate(probs.tolist()) if p > 0.0))
+        for probs, labels, k in source.draws)
+    return s, post, end, forks
+
+
 def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
                depth_bound: int, width_bound: int) -> WorldTree:
     """Execute like ``run`` but fork one weighted child per outcome at
     every categorical random draw.
 
     A step runs once down the first outcome of each new draw; the other
-    outcomes are queued with a replay prefix, so a k-way fork costs k
-    executions. A lineage stops branching once it has consumed
+    outcomes are queued with a replay prefix, so a k-way fork costs at
+    most k executions. A lineage stops branching once it has consumed
     depth_bound draws (leaf kind "depth-bound"). After each synchronous
     round of steps the frontier is pruned to width_bound lineages,
     dropping the lowest weights deterministically; pruned stubs stay in
     the tree and their total mass is reported. Continuous draws are not
     branchable and raise ContinuousRandomError.
+
+    A step is a function of the pre-state, the draws a lineage has taken
+    (they set its room under the depth bound) and the replay prefix, and
+    every lineage of a round has taken the same number of steps. So each
+    round executes one work item per distinct (``state_key``, draws,
+    prefix) and builds the children of an equal one from its result.
     """
     if depth_bound < 1:
         raise ValueError("depth_bound must be >= 1")
@@ -258,50 +316,30 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
     active = [_Lineage(init, 1.0, 0, 0, root, 0)]
     pruned_mass = 0.0
 
-    def settle(lin: _Lineage, term: Termination):
-        lin.node.termination = term
-        lin.node.snapshot = lin.state
-
     while active:
         survivors: list = []
-        # work items: (lineage, prefix); a non-empty prefix means the
-        # lineage takes a queued outcome of the current step
-        work = deque((lin, []) for lin in active)
+        # (state key, draws, prefix) -> _branch_step's result; an entry
+        # holds its pre-state, so an id key is not reused this round
+        memo: dict = {}
+        # work items: (lineage, prefix, key of its state); a non-empty
+        # prefix means the lineage takes a queued outcome of this step
+        work = deque((lin, (), state_key(lin.state)) for lin in active)
         while work:
-            lin, prefix = work.popleft()
-            if not prefix:
-                try:
-                    if halts(model, lin.state):
-                        settle(lin, Termination("halted"))
-                        continue
-                    if lin.steps >= cfg.max_steps:
-                        settle(lin, Termination("max-steps"))
-                        continue
-                except EvalError as exc:
-                    settle(lin, _termination(exc))
-                    continue
-            source = ReplaySource(
-                prefix, room=depth_bound - lin.draws - len(prefix))
-            end = None
-            try:
-                post = step(model, lin.state, cfg.dt, source, cfg.mode,
-                            init.time + (lin.steps + 1) * cfg.dt)
-            except BranchSignal:
-                end = Termination("depth-bound",
-                                  f"branching depth {depth_bound} reached")
-            except _STEP_ERRORS as exc:
-                end = _termination(exc)
-            # fork each new draw: this execution went on with its first
+            lin, prefix, key = work.popleft()
+            at = (key, lin.draws, prefix)
+            done = memo.get(at)
+            if done is None:
+                done = memo[at] = _branch_step(model, cfg, lin, prefix,
+                                               depth_bound, init.time)
+            _, post, end, forks = done
+            # fork each new draw: the execution went on with its first
             # outcome; queue the others, deepest draw first
-            path = list(prefix)
-            for probs, labels, k in source.draws:
+            path = prefix
+            for k, outcomes in forks:
                 parent, queued = lin, []
-                for j, p in enumerate(probs):
-                    if p <= 0.0:
-                        continue
-                    weight = parent.weight * float(p)
-                    node = WorldNode(weight=weight, outcome=str(
-                        j if labels is None else labels[j]))
+                for j, p, label in outcomes:
+                    weight = parent.weight * p
+                    node = WorldNode(weight, label)
                     parent.node.children.append(node)
                     child = _Lineage(parent.state, weight, parent.draws,
                                      parent.steps, node, serial)
@@ -309,11 +347,12 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
                     if j == k:
                         lin = child
                     else:
-                        queued.append((child, path + [j]))
-                path.append(k)
+                        queued.append((child, path + (j,), key))
+                path += (k,)
                 work.extendleft(reversed(queued))
             if end is not None:
-                settle(lin, end)
+                lin.node.termination = end
+                lin.node.snapshot = lin.state
                 continue
             lin.state = lin.node.snapshot = post
             lin.steps += 1
@@ -751,10 +790,6 @@ def write_text(text: str, sink) -> int:
     return len(data)
 
 
-# payload types whose repr tells apart every value they print apart
-_REPR_KEYED = frozenset((int, float, bool, complex))
-
-
 def world_tree_text(tree: WorldTree) -> str:
     """``json.dumps`` of the tree's JSON form with ``indent=2``, written
     straight from the nodes.
@@ -765,12 +800,10 @@ def world_tree_text(tree: WorldTree) -> str:
     any. The nodes are walked with an explicit stack, so a tree deeper
     than the recursion limit is written like any other. A leaf's state
     and termination text is built once per distinct value and depth in
-    one call: a state of scalar payloads is keyed by the ``repr`` of its
-    time and values (``-0.0 == 0.0`` and ``True == 1``, but their reprs
-    differ, as their JSON does), any other state by identity; a
-    termination without a witness by its kind, message and laws, one
-    with a witness by identity. The tree holds every keyed object, so no
-    id is reused while the call runs.
+    one call: a state is keyed by ``state_key``; a termination without a
+    witness by its kind, message and laws, one with a witness by
+    identity. The tree holds every keyed object, so no id is reused while
+    the call runs.
     """
     # (depth, key) -> a leaf's state or termination text; a state's key is
     # a pair or an id, a termination's a triple or an id, so none collide
@@ -825,12 +858,9 @@ def world_tree_text(tree: WorldTree) -> str:
             d += 2
             continue
         if node.snapshot is not None:
-            s = node.snapshot
-            key = ((repr(s.time), repr(s.values))
-                   if all(type(v) in _REPR_KEYED for v in s.values.values())
-                   else id(s))
             emit(state)
-            emit(fragment(d, key, state_to_json, s))
+            emit(fragment(d, state_key(node.snapshot), state_to_json,
+                          node.snapshot))
         emit(close)
         while stack:
             children, sibling, close_children = stack[-1]

@@ -245,13 +245,16 @@ class TestSampleRandom:
         assert self.draw_error("random({0, 1}, WEIGHTS(0.0, 0.0))", "int") == \
             "law 'Draw': random: weights sum to zero at 1:81"
 
+    # the bounds read the state (x = 0.0), so the range is checked as it
+    # draws; constant empty ranges are bad-random diagnostics
+
     def test_empty_interval_error(self):
-        assert self.draw_error("random([1.0, 1.0], FLAT)") == \
+        assert self.draw_error("random([1.0, x + 1.0], FLAT)") == \
             "law 'Draw': random: continuous FLAT requires lo < hi at 1:82"
 
     def test_empty_truncated_gauss_fails_before_a_draw(self):
         # rejected before the first of the 100,000 rejection tries
-        assert self.draw_error("random([1.0, 0.0], GAUSS(0.0, 1.0))") == \
+        assert self.draw_error("random([1.0, x], GAUSS(0.0, 1.0))") == \
             ("law 'Draw': random: truncated GAUSS requires lo < hi, got lo "
              "1.0 and hi 0.0 at 1:82")
 

@@ -195,6 +195,32 @@ class TestTypecheck:
         assert [(d.code, d.message, d.loc.line, d.loc.col) for d in diags] \
             == [("duplicate-name", "duplicate law name 'L'", 3, 3)]
 
+    @pytest.mark.parametrize("draw, message", [
+        ("random([5.0, 1.0], FLAT)",
+         "continuous FLAT requires lo < hi, got lo 5.0 and hi 1.0"),
+        ("random([1, k], FLAT)",
+         "continuous FLAT requires lo < hi, got lo 1.0 and hi 1.0"),
+        ("random([k, 0.0 - 1.0], GAUSS(0.0, 1.0))",
+         "truncated GAUSS requires lo < hi, got lo 1.0 and hi -1.0"),
+    ])
+    def test_empty_constant_range_is_located(self, draw, message):
+        # located at the range's "[", column 48 of the law's line
+        typed, diags = self.check(
+            "model m { const k: int = 1; state { x: real; } init { x = 0.0; }"
+            f"\nlaw L {{ when true; then {{ x = x + 1.0 + {draw}; }} }} }}")
+        assert typed is None
+        assert [(d.code, d.message, d.loc.line, d.loc.col) for d in diags] \
+            == [("bad-random", message, 2, 48)]
+
+    @pytest.mark.parametrize("draw", [
+        "random([0.0, 1.0], FLAT)", "random([x, 1.0], FLAT)",
+        "random([5.0, x], GAUSS(0.0, 1.0))", "random([0, 1e-300], FLAT)"])
+    def test_nonempty_or_varying_range_typechecks(self, draw):
+        typed, diags = self.check(
+            "model m { state { x: real; } init { x = 0.0; } "
+            f"law L {{ when true; then {{ x = {draw}; }} }} }}")
+        assert typed is not None, diags
+
     def errors(self, src):
         typed, diags = self.check(src)
         assert typed is None

@@ -103,6 +103,13 @@ SIGNED_ZERO_RUNS = tuple(
 # a CSV with no observables: the header is step,time
 COUNTER_BARE = ("run", "builtin:counter", "--record-every", "3", "--steps",
                 "20")
+# equal states reached after one draw and after two, so the depth bound
+# cuts them at different steps, with width pruning
+UNEVEN_BRANCH = ("branch", "tests/fixtures/uneven_draws.cml", "--depth", "7",
+                 "--width", "16")
+# a narrow, shallower walk: equal states in every round, pruned to 8
+WALK_NARROW = ("branch", "tests/fixtures/walk.cml", "--depth", "12",
+               "--width", "8", "--steps", "13", "--seed", "2")
 NAMED = {
     ENERGY_RUN: "run builtin:harmonic_oscillator energy",
     **{argv: f"run {argv[1]} seed {argv[-1]}" for argv in SIGNED_ZERO_RUNS},
@@ -128,6 +135,8 @@ NAMED = {
     SLIT_SMALL_HISTOGRAM: "histogram builtin:double_slit 50 trials",
     **{argv: f"histogram {argv[1]} seed {argv[-1]}"
        for argv in SIGNED_ZERO_HISTOGRAMS + OBSERVE_ERRORS},
+    UNEVEN_BRANCH: "branch tests/fixtures/uneven_draws.cml",
+    WALK_NARROW: "branch tests/fixtures/walk.cml narrow",
 }
 
 # argv of each pinned invocation; .cml paths are relative to the repo root
@@ -222,6 +231,8 @@ INVOCATIONS = (
     *OBSERVE_ERRORS,
     *SIGNED_ZERO_RUNS,
     COUNTER_BARE,
+    UNEVEN_BRANCH,
+    WALK_NARROW,
 )
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+from collections import deque
 
 import numpy as np
 import pytest
@@ -15,20 +16,30 @@ from causalkit import (
     build_bundled_model,
     build_initial_state,
     compile_observable,
+    list_bundled_models,
     load_model,
     run,
     world_tree_text,
     write_trace,
 )
+from causalkit.engine import halts
+from causalkit.engine import step as engine_step
+from causalkit.errors import BranchSignal, EvalError, MissingFieldError
 from causalkit.frontend.parser import parse_expression
 from causalkit.frontend.typecheck import check_standalone_expr
 from causalkit.interpreter import (
+    _STEP_ERRORS,
     ReplaySource,
     Termination,
     Trace,
     TraceRow,
+    WorldNode,
+    WorldTree,
+    _termination,
     format_scalar,
 )
+
+from conftest import FIXTURES
 
 
 def observable(model, text):
@@ -396,6 +407,167 @@ class TestBranchRun:
         for outcome, w in weights.items():
             sigma = (n * w * (1 - w)) ** 0.5
             assert abs(counts[outcome] - n * w) < 3 * sigma
+
+
+class _OracleLineage:
+    def __init__(self, state, weight, draws, steps, node, serial):
+        self.state, self.weight, self.draws = state, weight, draws
+        self.steps, self.node, self.serial = steps, node, serial
+
+
+def oracle_branch_run(model, init, cfg, depth_bound, width_bound):
+    """``branch_run``'s fork-and-replay loop with no memo: every work item
+    replays its step through a fresh ``ReplaySource``. The differential
+    tests below hold the memo to it."""
+    root = WorldNode(weight=1.0, snapshot=init)
+    serial = 1
+    active = [_OracleLineage(init, 1.0, 0, 0, root, 0)]
+    pruned_mass = 0.0
+
+    def settle(lin, term):
+        lin.node.termination = term
+        lin.node.snapshot = lin.state
+
+    while active:
+        survivors = []
+        work = deque((lin, []) for lin in active)
+        while work:
+            lin, prefix = work.popleft()
+            if not prefix:
+                try:
+                    if halts(model, lin.state):
+                        settle(lin, Termination("halted"))
+                        continue
+                    if lin.steps >= cfg.max_steps:
+                        settle(lin, Termination("max-steps"))
+                        continue
+                except EvalError as exc:
+                    settle(lin, _termination(exc))
+                    continue
+            source = ReplaySource(
+                prefix, room=depth_bound - lin.draws - len(prefix))
+            end = None
+            try:
+                post = engine_step(model, lin.state, cfg.dt, source, cfg.mode,
+                                   init.time + (lin.steps + 1) * cfg.dt)
+            except BranchSignal:
+                end = Termination("depth-bound",
+                                  f"branching depth {depth_bound} reached")
+            except _STEP_ERRORS as exc:
+                end = _termination(exc)
+            path = list(prefix)
+            for probs, labels, k in source.draws:
+                parent, queued = lin, []
+                for j, p in enumerate(probs):
+                    if p <= 0.0:
+                        continue
+                    weight = parent.weight * float(p)
+                    node = WorldNode(weight=weight, outcome=str(
+                        j if labels is None else labels[j]))
+                    parent.node.children.append(node)
+                    child = _OracleLineage(parent.state, weight, parent.draws,
+                                           parent.steps, node, serial)
+                    serial += 1
+                    if j == k:
+                        lin = child
+                    else:
+                        queued.append((child, path + [j]))
+                path.append(k)
+                work.extendleft(reversed(queued))
+            if end is not None:
+                settle(lin, end)
+                continue
+            lin.state = lin.node.snapshot = post
+            lin.steps += 1
+            lin.draws += len(path)
+            survivors.append(lin)
+        if len(survivors) > width_bound:
+            order = sorted(survivors, key=lambda l: (-l.weight, l.serial))
+            for lin in order[width_bound:]:
+                lin.node.pruned = True
+                lin.node.termination = Termination("pruned")
+                lin.node.snapshot = lin.state
+                pruned_mass += lin.weight
+            survivors = sorted(order[:width_bound], key=lambda l: l.serial)
+        active = survivors
+    return WorldTree(root, pruned_mass)
+
+
+# the fixtures that leave a field to a given start state cannot branch
+# from their init block
+GIVEN_STATE = {"double_slit.cml", "drift_particles.cml"}
+FIXTURE_MODELS = sorted(p.name for p in FIXTURES.glob("*.cml")
+                        if p.name not in GIVEN_STATE)
+BUNDLED = [(name, {}) for name in list_bundled_models()] + [
+    ("double_slit", {"detector": "on"})]
+# (depth, width, steps, mode): depth cuts mid-step, width pruning, the step
+# budget, and first-match selection where strict finds overlaps
+BOUNDS = [(3, 2, 4, "strict"), (6, 5, 7, "strict"), (9, 64, 10, "strict"),
+          (5, 3, 6, "first-match")]
+
+
+def assert_same_tree(model, init, bounds):
+    depth, width, steps, mode = bounds
+    cfg = RunConfig(dt=model.default_timestep, max_steps=steps, mode=mode)
+    try:
+        expected = world_tree_text(
+            oracle_branch_run(model, init, cfg, depth, width))
+    except ContinuousRandomError as exc:
+        with pytest.raises(ContinuousRandomError) as got:
+            branch_run(model, init, cfg, depth, width)
+        assert got.value.law == exc.law
+        return
+    assert world_tree_text(branch_run(model, init, cfg, depth, width)) \
+        == expected
+
+
+class TestBranchMemo:
+    @pytest.mark.parametrize("bounds", BOUNDS, ids=str)
+    @pytest.mark.parametrize("name", FIXTURE_MODELS)
+    def test_fixture_trees_match_the_replay_oracle(self, name, bounds):
+        model = load_model((FIXTURES / name).read_text(encoding="utf-8"))
+        assert_same_tree(model, build_initial_state(model), bounds)
+
+    @pytest.mark.parametrize("bounds", BOUNDS, ids=str)
+    @pytest.mark.parametrize("name, params", BUNDLED,
+                             ids=[f"{n}{p}" for n, p in BUNDLED])
+    def test_bundled_trees_match_the_replay_oracle(self, name, params,
+                                                   bounds):
+        model, init = build_bundled_model(name, params)
+        assert_same_tree(model, init, bounds)
+
+    def test_given_state_fixtures_cannot_branch_from_init(self):
+        for name in GIVEN_STATE:
+            model = load_model((FIXTURES / name).read_text(encoding="utf-8"))
+            with pytest.raises(MissingFieldError):
+                build_initial_state(model)
+
+    def test_equal_states_cut_at_different_depths(self):
+        # x = 1 is reached after one draw and after two; a key without
+        # the draws taken would give both lineages one depth cut
+        model = load_model(
+            (FIXTURES / "uneven_draws.cml").read_text(encoding="utf-8"))
+        init = build_initial_state(model)
+        for depth in range(2, 9):
+            assert_same_tree(model, init, (depth, 64, 8, "strict"))
+
+    def test_walk_steps_once_per_distinct_input(self, monkeypatch):
+        import causalkit.interpreter as interpreter
+
+        calls = 0
+
+        def counting_step(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return engine_step(*args, **kwargs)
+
+        monkeypatch.setattr(interpreter, "step", counting_step)
+        model = load_model((FIXTURES / "walk.cml").read_text(encoding="utf-8"))
+        branch_run(model, build_initial_state(model),
+                   RunConfig(dt=1.0, max_steps=25), depth_bound=24,
+                   width_bound=64)
+        # 2,494 work items, 301 distinct (state, draws, prefix) inputs
+        assert calls == 301
 
 
 class TestWorldTreeJson:

@@ -86,6 +86,18 @@ class TestParams:
             load_model(PARAMS, params={name: value})
         assert str(info.value) == f"bad value for parameter '{name}': {value!r}"
 
+    @pytest.mark.parametrize("value", [13, 0.5, True, None, b"3", ["3"]],
+                             ids=repr)
+    def test_value_that_is_not_source_text(self, value):
+        # the CLI passes strings; the Python API takes any object
+        what = f"expected a str, got {type(value).__name__} {value!r}"
+        with pytest.raises(BadParamError) as info:
+            load_model(PARAMS, params={"n": value})
+        assert str(info.value) == f"bad value for parameter 'n': {what}"
+        with pytest.raises(BadParamError) as info:
+            build_bundled_model("qftca_toy", {"cells": value})
+        assert str(info.value) == f"bad value for parameter 'cells': {what}"
+
     @pytest.mark.parametrize("value", ["1e999", "1e308 * 10.0", "-1e999"])
     def test_non_finite_value(self, value):
         with pytest.raises(BadParamError) as info:
