@@ -15,7 +15,7 @@ from .engine import build_initial_state, compile_observables
 from .errors import CausalKitError, CmlError, EvalError
 from .frontend import parse_expression
 from .frontend.lower import compile_model
-from .frontend.typecheck import check_standalone_expr
+from .frontend.typecheck import check_standalone_expr, standalone_context
 from .interpreter import (
     RunConfig,
     branch_run,
@@ -153,13 +153,13 @@ def _load_model(args):
 
 def _compile_observables(spec: str, schema):
     """The compiled observables of ``spec`` and the scalar kind of each."""
-    labelled, kinds = [], []
+    labelled, kinds, ctx = [], [], standalone_context(schema)
     for text in _split_observables(spec):
         expr, diags = parse_expression(text)
         if expr is None:
             raise CausalKitError(
                 f"bad observable '{text}': {diags[0].message}")
-        td, diags = check_standalone_expr(expr, schema)
+        td, diags = check_standalone_expr(expr, schema, ctx)
         if td is None:
             raise CausalKitError(
                 f"unknown observable '{text}': {diags[0].message}")

@@ -187,6 +187,8 @@ class _Emitter:
         self.known: dict = {}     # text of a folded constant -> its value
         self.bound: dict = {}     # id or (line, col) of a bound object -> name
         self.serial = itertools.count()
+        self.holes = None         # while a run's template is emitted: what
+        #                           ``vary`` was given
 
     def start(self, reads_state: bool = True):
         """Begin a function; fields are read through locals loaded at its
@@ -223,6 +225,16 @@ class _Emitter:
             self.ns[name] = obj
         return name
 
+    def vary(self, obj, prefix: str = "_k") -> str:
+        """``bind``; or, while a run's template is emitted, the loop
+        variable that holds ``obj``: an int literal, or what carries a
+        location or an observable's text, in which one observable of a run
+        differs from the next."""
+        if self.holes is None:
+            return self.bind(obj, prefix)
+        self.holes.append(obj)
+        return f"h{len(self.holes) - 1}"
+
     def const(self, value) -> str:
         t = type(value)
         if t is bool or t is int or t is float and math.isfinite(value):
@@ -248,6 +260,8 @@ class _Emitter:
         return getattr(self, "_" + type(e).__name__)(e)
 
     def _Lit(self, e):
+        if self.holes is not None and type(e.value) is int:
+            return self.vary(e.value)
         return self.const(e.value)
 
     def _Name(self, e):
@@ -275,7 +289,7 @@ class _Emitter:
                 pass
         template = intrinsics.INLINE.get(fn)
         if template is None:
-            return f"{self.bind(fn, '_f')}({', '.join(args)})"
+            return f"{self.vary(fn, '_f')}({', '.join(args)})"
         return template.format(*args)
 
     def _Unary(self, e):
@@ -297,11 +311,11 @@ class _Emitter:
     def _Index(self, e):
         at = self.bind(_AT[e.obj.ty.kind], "_at")
         return f"{at}({self.expr(e.obj)}, {self.expr(e.index)}, " \
-               f"{self.bind(e.loc)})"
+               f"{self.vary(e.loc)})"
 
     def _Call(self, e):
         args = "".join(", " + self.expr(a) for a in e.args)
-        call = self.bind(_intrinsic_call(intrinsics.get(e.func), e.loc), "_c")
+        call = self.vary(_intrinsic_call(intrinsics.get(e.func), e.loc), "_c")
         if e.func == "sum" and e.ty.kind != "int":   # an empty list sums to 0
             return f"{PAYLOAD_TYPES[e.ty.kind].__name__}({call}(rnd{args}))"
         return f"{call}(rnd{args})"
@@ -341,15 +355,15 @@ class _Emitter:
                 if not cmath.isfinite(x):
                     raise EvalError(f"random: non-finite {name} {x}", loc)
             return form(args[:n], args[n:], loc)
-        sampler = f"{self.bind(prepare, '_p')}({', '.join(args)})"
+        sampler = f"{self.vary(prepare, '_p')}({', '.join(args)})"
         if all(a in self.known for a in args):
             try:
-                sampler = self.bind(prepare(*(self.known[a] for a in args)),
+                sampler = self.vary(prepare(*(self.known[a] for a in args)),
                                     "_s")
             except EvalError:
                 pass
         return (f"({sampler}(rnd) if rnd is not None else "
-                f"_fail('random() is not allowed here', {self.bind(loc)}))")
+                f"_fail('random() is not allowed here', {self.vary(loc)}))")
 
     # --- statements: each appends lines to body ----------------------------
 
@@ -570,29 +584,65 @@ class Observables(tuple):
     source is ``source``."""
 
 
-# Observables per generated function: compile()'s time and memory grow
-# with the source (about 5 kB per observable while it compiles), so a
-# long list is compiled in parts of this many.
+# Items per generated function, an item being one observable or a run of
+# them: compile()'s time and memory grow with the source (about 5 kB per
+# item while it compiles), so a long list is compiled in parts of this many.
 _ROW_PART = 64
+
+
+def _observed(em: _Emitter, e) -> str:
+    """``e``'s text; a real or complex value is checked to be finite, as
+    a write's is."""
+    text = em.expr(e)
+    isfinite = {"real": math.isfinite, "complex": cmath.isfinite}.get(
+        e.ty.kind)
+    if isfinite is not None:
+        text = f"{em.vary(_finite(isfinite, e), '_o')}({text})"
+    return text
+
+
+def _runs(labelled, schema: StateSchema) -> list:
+    """The list as runs of adjacent observables with one template, each
+    (its first expression, the values ``vary`` took per observable). A
+    template is an observable's text with its int literals and what
+    carries its locations left as loop variables, so ``psi[0]`` and
+    ``psi[511]`` share one. It is emitted here in an emitter of its own,
+    so a list without a run compiles to the text it always had."""
+    probe, runs = _Emitter(schema), []
+    for _, e in labelled:
+        probe.start()
+        probe.holes = []
+        template = _observed(probe, e)
+        if runs and runs[-1][0] == template:
+            runs[-1][2].append(tuple(probe.holes))
+        else:
+            runs.append((template, e, [tuple(probe.holes)]))
+    return [(e, holes) for _, e, holes in runs]
 
 
 def compile_observables(labelled, schema: StateSchema) -> Observables:
     """Compile typechecked (label, expression) pairs once into one
     function from a state to the tuple of their values (payloads for
-    scalar types), each one call in a tuple expression. A real or complex
-    value must be finite, as a write's must."""
+    scalar types), in list order. An observable is one call in a tuple
+    expression, and a run of them one loop over the values they differ
+    in, bound in the namespace (see ``_runs``). A real or complex value
+    must be finite, as a write's must."""
     em = _Emitter(schema)
+    runs = _runs(labelled, schema)
     parts, sources = [], []
-    for first in range(0, max(len(labelled), 1), _ROW_PART):
+    for first in range(0, max(len(runs), 1), _ROW_PART):
         em.start()
         items = []
-        for _, e in labelled[first:first + _ROW_PART]:
-            text = em.expr(e)
-            isfinite = {"real": math.isfinite,
-                        "complex": cmath.isfinite}.get(e.ty.kind)
-            if isfinite is not None:
-                text = f"{em.bind(_finite(isfinite, e), '_o')}({text})"
-            items.append(f"        {text},  # {e.loc}")
+        for e, holes in runs[first:first + _ROW_PART]:
+            if len(holes) == 1:
+                items.append(f"        {_observed(em, e)},  # {e.loc}")
+                continue
+            em.holes = []
+            text = _observed(em, e)
+            em.holes = None
+            names = "".join(f"h{k}, " for k in range(len(holes[0])))
+            items.append(f"        *[{text} for ({names.rstrip()}) in "
+                         f"{em.bind(tuple(holes), '_r')}],  # {e.loc}")
         sources.append("\n".join([f"def row(s):\n    v = s.values{em.loads()}",
                                   "    return (", *items, "    )\n"]))
         parts += _exec(sources[-1], em.ns, "observables", ("row",))

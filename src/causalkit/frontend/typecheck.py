@@ -134,19 +134,24 @@ def typecheck(ast: ModelAst, params: dict | None = None):
     return TypedModel(ast.name, ast, schema, uses_random), diags
 
 
-def check_standalone_expr(expr: Expr, schema: StateSchema):
-    """Type an expression against a schema (observables, built guards)."""
-    diags: list[Diagnostic] = []
-    consts_td = {n: td for n, (td, _) in schema.constants.items()}
-    consts_val = {n: v for n, (_, v) in schema.constants.items()}
-    ctx = _Ctx(dict(schema.fields), consts_td, dict(schema.records), diags,
-               "random-in-observable", consts_val=consts_val)
+def standalone_context(schema: StateSchema) -> _Ctx:
+    """The context in which ``check_standalone_expr`` types expressions
+    against ``schema``; a list of them can share one."""
+    consts = schema.constants
+    return _Ctx(dict(schema.fields), {n: td for n, (td, _) in consts.items()},
+                dict(schema.records), [], "random-in-observable",
+                consts_val={n: v for n, (_, v) in consts.items()})
+
+
+def check_standalone_expr(expr: Expr, schema: StateSchema,
+                          ctx: _Ctx | None = None):
+    """Type an expression against a schema (observables, built guards),
+    in ``ctx`` if given (``standalone_context(schema)``). Returns (its
+    type, []) or (None, [the diagnostic])."""
     try:
-        td = _check_expr(expr, ctx)
+        return _check_expr(expr, ctx or standalone_context(schema)), []
     except _Fail as f:
-        diags.append(f.diag)
-        return None, diags
-    return td, diags
+        return None, [f.diag]
 
 
 # --- declaration collection ---------------------------------------------------

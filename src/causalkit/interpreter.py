@@ -5,6 +5,7 @@ halting, and branching (many-worlds style) execution.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -45,9 +46,23 @@ class RunConfig:
     # state -> the tuple of the observables' values
     observe: object = field(init=False, repr=False, compare=False)
 
+    def check_times(self, init: SystemState):
+        """Raise ValueError unless every step from ``init`` has a finite
+        time. Step k's time is init.time + k * dt, which grows with k, so
+        the last step's bounds them all."""
+        try:
+            last = init.time + self.max_steps * self.dt
+        except OverflowError:   # a step count beyond a float's range
+            last = math.inf
+        if not math.isfinite(last):
+            raise ValueError(f"time at step {self.max_steps} is not finite: "
+                             f"{init.time} + {self.max_steps} * {self.dt}")
+
     def __post_init__(self):
         if not (self.dt > 0):
             raise ValueError("dt must be positive")
+        if not math.isfinite(self.dt):
+            raise ValueError(f"dt must be finite, got {self.dt}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.record_every < 1:
@@ -311,6 +326,7 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
         raise ValueError("depth_bound must be >= 1")
     if width_bound < 1:
         raise ValueError("width_bound must be >= 1")
+    cfg.check_times(init)
     root = WorldNode(weight=1.0, snapshot=init)
     serial = 1
     active = [_Lineage(init, 1.0, 0, 0, root, 0)]
@@ -456,6 +472,7 @@ class Ensemble:
                  cfg: RunConfig, trials: int):
         if trials < 1:
             raise ValueError("trials must be >= 1")
+        cfg.check_times(init)
         self.model = model
         self.init = init
         self.cfg = cfg

@@ -330,6 +330,23 @@ class TestUsageErrors:
         assert code == 2
         assert "dt" in err
 
+    @pytest.mark.parametrize("command", [
+        ["run"], ["histogram", "--observables", "n", "--trials", "3"],
+        ["branch"]])
+    def test_non_finite_times_exit_2(self, capsys, command):
+        # an infinite dt, or a finite one whose last step's time is not
+        # finite, is a usage error before the first step
+        for dt, message in (
+                ("inf", "dt must be finite, got inf\n"),
+                ("1e308", "time at step 3 is not finite: 0.0 + 3 * 1e+308\n")):
+            code, out, err = invoke(
+                [command[0], "builtin:counter", *command[1:], "--dt", dt,
+                 "--steps", "3"], capsys)
+            assert (code, out, err) == (2, "", "usage error: " + message)
+        code, _, _ = invoke([command[0], "builtin:counter", *command[1:],
+                             "--dt", "1e307", "--steps", "3"], capsys)
+        assert code == 0
+
     def test_zero_depth_exit_2(self, capsys):
         code, _, err = invoke(["branch", "builtin:counter", "--depth", "0"],
                               capsys)

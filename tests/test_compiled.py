@@ -1,5 +1,6 @@
 """Generated code: record member writes, the int '^' rule, step-0
-observables, the compile-once contract and the kept source."""
+observables, the compile-once contract, the kept source and observable
+lists with runs of one template."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from causalkit import (
     run_ensemble,
 )
 from causalkit import engine
+from causalkit.bundled import build_bundled_model
 from causalkit.cli import main
 from causalkit.errors import EvalError
 from causalkit.engine import compile_observable
@@ -412,6 +414,101 @@ def test_loops_nested_deeper_than_python_allows_in_one_function():
     s = apply_law(model.laws[0], s, 1.0, None)
     assert typed(s.values["x"]) == typed(1.0)
     assert typed(s.values["li"]) == typed(VList([33]))
+
+
+# --- observable lists: one loop per run of one template -----------------------------
+
+
+def _labelled(model, texts) -> list:
+    out = []
+    for text in texts:
+        expr, _ = parse_expression(text)
+        assert check_standalone_expr(expr, model.schema)[0] is not None
+        out.append((text, expr))
+    return out
+
+
+def _compiles(monkeypatch) -> list:
+    """The sources engine compiles from now on."""
+    sources = []
+
+    def counting(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+    monkeypatch.setattr(engine, "compile", counting, raising=False)
+    return sources
+
+
+def _values(observe, state):
+    """(the typed values) or the EvalError's text."""
+    try:
+        return [typed(x) for x in observe(state)]
+    except EvalError as exc:
+        return str(exc)
+
+
+# each list, on the initial state of builtins.cml, as (texts, whether one
+# run of it is a loop); each value or error is that of the observable
+# compiled alone, the first to fail in list order is the one reported
+RUN_LISTS = [
+    ([f"li[{i}]" for i in range(4)], True),        # out of range at 1:3
+    (["g[0]", "g[7]", "g[8]", "g[9]"], True),
+    # lr[1] is non-finite at its own 1:20, and lr[9] would raise
+    ([f"lr[{a} - {b}] * 1e308 * 3.0"
+      for a, b in ((2, 2), (10, 9), (20, 18), (90, 81))], True),
+    (["k + 1", "k + 2", "k - 3", "k * 4", "k ^ 2", "k ^ 70"], True),
+    (["r / 1", "r / 2", "r / 0", "r / 4"], True),
+    (["-1 * k", "-20 * k", "k", "k", "k"], True),
+    (["abs2(z)", "re(z)", "im(z)", "conj(z)"], True),
+    (["sum(fill(3, 1.0))", "sum(fill(4, 1.0))", "complex(k, 1)",
+      "complex(k, 25)", "len(li) + 1", "len(li) + 10"], True),
+    (["v[0]", "re(g[1])", "v[2]", "abs2(g[3])", "v[3]"], False),
+    (["r", "k", "z", "n"], False),
+]
+
+
+@pytest.mark.parametrize("texts, loops", RUN_LISTS)
+def test_a_run_gives_the_values_and_errors_of_its_observables(texts, loops):
+    model = load_model((FIXTURES / "builtins.cml").read_text())
+    state = build_initial_state(model)
+    labelled = _labelled(model, texts)
+    expected = []
+    for _, e in labelled:
+        value = _values(lambda s: (compile_observable(e, model.schema)(s),),
+                        state)
+        if isinstance(value, str):
+            expected = value
+            break
+        expected += value
+    observables = engine.compile_observables(labelled, model.schema)
+    assert ("for (" in observables.source) == loops
+    assert _values(observables.row, state) == expected
+
+
+@pytest.mark.parametrize("cells", [8, 64, 512])
+def test_a_run_is_compiled_once_whatever_its_length(monkeypatch, cells):
+    model, state = build_bundled_model("schrodinger_1d", {})
+    labelled = _labelled(model, [f"psi[{i}]" for i in range(cells)])
+    sources = _compiles(monkeypatch)
+    observables = engine.compile_observables(labelled, model.schema)
+    assert len(sources) == 1
+    assert observables.row(state) == tuple(
+        complex(a) for a in state.values["psi"].amps[:cells])
+
+
+@pytest.mark.parametrize("texts, parts", [
+    ("x,v,0.5*v*v+0.5*x*x".split(","), 1),
+    ([f"x + {i}.5" for i in range(130)], 3),   # 64 observables a part
+])
+def test_a_list_of_distinct_shapes_is_straight_line_code(monkeypatch, texts,
+                                                         parts):
+    model, state = build_bundled_model("harmonic_oscillator", {})
+    sources = _compiles(monkeypatch)
+    observables = engine.compile_observables(_labelled(model, texts),
+                                             model.schema)
+    assert len(sources) == parts
+    assert "for " not in observables.source
+    assert observables.source.count("  # 1:") == len(texts)
 
 
 # --- draws: one sampler per form ----------------------------------------------------

@@ -110,6 +110,23 @@ UNEVEN_BRANCH = ("branch", "tests/fixtures/uneven_draws.cml", "--depth", "7",
 # a narrow, shallower walk: equal states in every round, pruned to 8
 WALK_NARROW = ("branch", "tests/fixtures/walk.cml", "--depth", "12",
                "--width", "8", "--steps", "13", "--seed", "2")
+# observable lists with runs of one shape, compiled as one loop each: the
+# benchmark's `wavepacket` list of all 512 cells; a run whose last index is
+# out of range (eval-error at 1:4); runs broken up by other shapes; and a
+# run whose third value is non-finite (at 1:15) before a later one raises
+ALL_CELLS = ("run", "builtin:schrodinger_1d", "--steps", "20",
+             "--record-every", "20", "--observables",
+             ",".join(f"psi[{i}]" for i in range(512)), "--seed", "3")
+CELL_OUT_OF_RANGE = ("run", "builtin:schrodinger_1d", "--steps", "3",
+                     "--format", "jsonl", "--observables",
+                     "psi[510],psi[511],psi[512]")
+CELLS_INTERLEAVED = ("run", "builtin:schrodinger_1d", "--steps", "20",
+                     "--record-every", "5", "--observables",
+                     "psi[0],re(psi[1]),psi[2],abs2(psi[3]),psi[4]")
+CELL_NON_FINITE = ("run", "builtin:schrodinger_1d", "--steps", "3",
+                   "--format", "jsonl", "--observables",
+                   ",".join(f"psi[{i}]*1e308*10.0"
+                            for i in (0, 1, 256, 257, 600)))
 NAMED = {
     ENERGY_RUN: "run builtin:harmonic_oscillator energy",
     **{argv: f"run {argv[1]} seed {argv[-1]}" for argv in SIGNED_ZERO_RUNS},
@@ -137,6 +154,10 @@ NAMED = {
        for argv in SIGNED_ZERO_HISTOGRAMS + OBSERVE_ERRORS},
     UNEVEN_BRANCH: "branch tests/fixtures/uneven_draws.cml",
     WALK_NARROW: "branch tests/fixtures/walk.cml narrow",
+    ALL_CELLS: "run builtin:schrodinger_1d every cell",
+    CELL_OUT_OF_RANGE: "run builtin:schrodinger_1d cell out of range",
+    CELLS_INTERLEAVED: "run builtin:schrodinger_1d cells interleaved",
+    CELL_NON_FINITE: "run builtin:schrodinger_1d non-finite cell",
 }
 
 # argv of each pinned invocation; .cml paths are relative to the repo root
@@ -233,6 +254,10 @@ INVOCATIONS = (
     COUNTER_BARE,
     UNEVEN_BRANCH,
     WALK_NARROW,
+    ALL_CELLS,
+    CELL_OUT_OF_RANGE,
+    CELLS_INTERLEAVED,
+    CELL_NON_FINITE,
 )
 
 

@@ -215,9 +215,29 @@ def reference_step(wave, potential, dt, mass, hbar):
     return y - z * (vy / (1.0 + vz))
 
 
+def _factorizations(monkeypatch) -> list:
+    """An empty operator cache for the test, and a one-item list counting
+    the operators factored from then on."""
+    monkeypatch.setattr(quantum, "_cn_operators", [])
+    count, factor = [0], quantum._cyclic_solver
+
+    def counting(*args):
+        count[0] += 1
+        return factor(*args)
+    monkeypatch.setattr(quantum, "_cyclic_solver", counting)
+    return count
+
+
+def _bits(wave, v, dt=0.05, mass=1.0, hbar=1.0) -> bytes:
+    """The bytes of a step, checked against the oracle's."""
+    out = schrodinger_step(wave, v, dt, mass, hbar).amps
+    assert out.tobytes() == reference_step(wave, v, dt, mass, hbar).tobytes()
+    return out.tobytes()
+
+
 class TestCachedOperator:
     @pytest.mark.parametrize("n", [3, 4, 64, 512])
-    def test_bit_identical_to_reference(self, n):
+    def test_bit_identical_to_reference(self, n, monkeypatch):
         # operators cycle over more keys than the cache holds, then over
         # two, so steps meet both evictions and hits; a fine grid with a
         # large dt and a deep well makes the elimination pivot
@@ -228,7 +248,7 @@ class TestCachedOperator:
         assert len(keys) > quantum.CN_CACHE_SIZE
         order = [k % len(keys) for k in range(2 * len(keys))] + [0, 5] * 10
         psi = rng.normal(size=n) + 1j * rng.normal(size=n)
-        quantum._cn_operator.cache_clear()
+        factored = _factorizations(monkeypatch)
         for k in order:
             dx, mass, hbar, dt, v = keys[k]
             wave = VCGrid(psi, dx)
@@ -236,9 +256,49 @@ class TestCachedOperator:
             assert np.array_equal(out, reference_step(wave, v, dt, mass,
                                                       hbar))
             psi = out / np.sqrt(np.sum(np.abs(out) ** 2) * dx)
-        info = quantum._cn_operator.cache_info()
-        assert info.hits > 0 and info.misses > len(keys)
-        assert info.currsize <= quantum.CN_CACHE_SIZE
+        # the cycles miss every time; then key 0 misses once, and key 5 is
+        # among the CN_CACHE_SIZE keys the cycles used last
+        assert factored[0] == 2 * len(keys) + 1
+        assert len(quantum._cn_operators) <= quantum.CN_CACHE_SIZE
+
+    def test_a_potential_mutated_in_place_gets_a_fresh_operator(
+            self, monkeypatch):
+        factored = _factorizations(monkeypatch)
+        wave = gaussian_packet(64, 0.25, sigma=2.0, k0=1.0)
+        v = np.zeros(64)
+        before = _bits(wave, v)
+        v[20:40] = 30.0   # the same array, with other bytes
+        after = _bits(wave, v)
+        assert after != before and factored[0] == 2
+        v[20:40] = 0.0    # back to the first bytes: the first operator
+        assert _bits(wave, v) == before and factored[0] == 2
+
+    def test_alternating_potentials_hit_the_cache(self, monkeypatch):
+        factored = _factorizations(monkeypatch)
+        wave = gaussian_packet(128, 0.25, sigma=2.0, k0=1.0)
+        wells = [np.zeros(128), np.where(np.arange(128) < 64, 0.0, 5.0)]
+        for k in range(20):
+            wave = VCGrid(np.frombuffer(_bits(wave, wells[k % 2]),
+                                        dtype=complex), 0.25)
+        assert factored[0] == 2
+        assert len(quantum._cn_operators) == 2
+
+    def test_the_cache_holds_at_most_cn_cache_size_operators(
+            self, monkeypatch):
+        factored = _factorizations(monkeypatch)
+        wave = gaussian_packet(16, 0.5)
+        size = quantum.CN_CACHE_SIZE
+        wells = [np.full(16, float(k)) for k in range(size + 1)]
+        for v in wells:
+            _bits(wave, v)
+        assert factored[0] == size + 1
+        assert len(quantum._cn_operators) == size
+        for v in wells[1:]:   # the latest CN_CACHE_SIZE are all kept
+            _bits(wave, v)
+        assert factored[0] == size + 1
+        _bits(wave, wells[0])   # the least recently used was dropped
+        assert factored[0] == size + 2
+        assert len(quantum._cn_operators) == size
 
     @pytest.mark.parametrize("n", [1, 2, 64])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
