@@ -9,6 +9,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from .analyzer import CheckStrategy, analyze, report_to_json
 from .bundled import build_bundled_model, list_bundled_models
 from .engine import build_initial_state, compile_observables
@@ -282,7 +284,10 @@ def main(argv=None) -> int:
             print(name)
         return 0
     try:
-        return handlers[args.command](args)
+        # a non-finite value ends a run as an eval-error, so numpy's
+        # floating-point warnings about it would only repeat it on stderr
+        with np.errstate(all="ignore"):
+            return handlers[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except CmlError as exc:

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import intrinsics
 from .errors import (
-    BranchSignal,
     ContinuousRandomError,
     EvalError,
     MultipleApplicableError,
@@ -117,7 +116,27 @@ def _fail(message: str, loc):
 
 
 def _nonfinite(value, where: str, loc) -> EvalError:
+    if isinstance(value, (VVector, VCGrid)):   # its first non-finite element
+        elements = _elements(value)
+        i = int(np.flatnonzero(~np.isfinite(elements))[0])
+        value = f"{elements[i].item()} at index {i}"
     return EvalError(f"non-finite value {value} {where}", loc)
+
+
+def _elements(value) -> np.ndarray:
+    return value.amps if type(value) is VCGrid else value.values
+
+
+def _elements_finite(value) -> bool:
+    """Whether every element of a vector or cgrid is finite (counting is
+    cheaper than ``.all()``)."""
+    elements = _elements(value)
+    return np.count_nonzero(np.isfinite(elements)) == len(elements)
+
+
+# a checked kind -> the name of its finiteness test in an _Emitter's namespace
+_FINITE = {"real": "_isfinite", "complex": "_cisfinite",
+           "vector": "_elements_finite", "cgrid": "_elements_finite"}
 
 
 def _finite(isfinite, expr):
@@ -147,8 +166,9 @@ _AT = {"list": _indexer("items", lambda x: x),   # a list holds values,
 
 def _intrinsic_call(intr, loc):
     """(random source, *args) -> ``intr``'s value at the call at ``loc``.
-    Branching signals pass through; an EvalError without a location gets
-    ``loc``; any other exception becomes EvalError "<function>: <exc>"."""
+    ContinuousRandomError passes through; an EvalError without a location
+    gets ``loc``; any other exception becomes EvalError "<function>:
+    <exc>"."""
     f, impl, stochastic = intr.name, intr.impl, intr.stochastic
 
     def call(rnd, *args):
@@ -157,7 +177,7 @@ def _intrinsic_call(intr, loc):
                             loc)
         try:
             return impl(args, rnd)
-        except (ContinuousRandomError, BranchSignal):
+        except ContinuousRandomError:
             raise
         except EvalError as exc:
             if exc.loc is not None:
@@ -179,7 +199,7 @@ class _Emitter:
         self.ns = {c.__name__: c for c in (
             EvalError, ContinuousRandomError, NoApplicableLawError,
             MultipleApplicableError, SystemState, VList, _merge,
-            _fail, _nonfinite)}
+            _fail, _nonfinite, _elements_finite)}
         self.ns.update(_isfinite=math.isfinite, _cisfinite=cmath.isfinite,
                        rnd=None, dt=None)
         self.field_locals = {n: f"f{i}" for i, n in enumerate(schema.fields)}
@@ -380,12 +400,13 @@ class _Emitter:
 
     def checked(self, text: str, kind: str, loc, where: str = "") -> str:
         """A local holding ``text``'s value, checked to be finite if
-        ``kind`` is real or complex (EvalError "non-finite value <v>
-        <where>"). A constant that passes, and an unchecked local (no
-        local is assigned twice in a statement), are used as they are."""
-        isfinite = {"real": "_isfinite", "complex": "_cisfinite"}.get(kind)
-        if text in self.known and (isfinite is None
-                                   or cmath.isfinite(self.known[text])):
+        ``kind`` is real, complex, vector or cgrid (EvalError "non-finite
+        value <v> <where>"). A constant that passes, and an unchecked
+        local (no local is assigned twice in a statement), are used as
+        they are."""
+        isfinite = _FINITE.get(kind)
+        if text in self.known and (
+                isfinite is None or self.ns[isfinite](self.known[text])):
             return text
         if isfinite is None and text.isidentifier():
             return text

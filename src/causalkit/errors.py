@@ -68,15 +68,6 @@ class MultipleApplicableError(CausalKitError):
         self.law_names = list(law_names)
 
 
-class BranchSignal(Exception):
-    """Internal control-flow signal: a replaying random source was asked
-    for more new draws than its room, the branching depth bound.
-
-    Not an error: the branching interpreter catches it and ends the
-    lineage with a "depth-bound" leaf.
-    """
-
-
 class ContinuousRandomError(CausalKitError):
     """A continuous random draw was requested in branching mode."""
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +19,6 @@ from .engine import (
     step,
 )
 from .errors import (
-    BranchSignal,
     ContinuousRandomError,
     EvalError,
     MultipleApplicableError,
@@ -163,14 +162,12 @@ class ReplaySource:
     probability and refuses continuous draws (ContinuousRandomError).
 
     Each new categorical draw is recorded in ``draws`` as (probs, labels,
-    outcome) until the first continuous draw, which sets ``live``. A step
-    asking for more than ``room`` new draws raises BranchSignal.
+    outcome) until the first continuous draw, which sets ``live``.
     """
 
-    def __init__(self, prefix, stream=None, room=None):
+    def __init__(self, prefix, stream=None):
         self.prefix = prefix
         self.stream = stream
-        self.room = room
         self.pos = 0
         self.draws: list = []
         self.live = False
@@ -180,8 +177,6 @@ class ReplaySource:
             k = self.prefix[self.pos]
             self.pos += 1
             return k
-        if self.room is not None and len(self.draws) >= self.room:
-            raise BranchSignal()
         if self.stream is None:
             # the first outcome of positive probability
             k = 0 if probs[0] > 0.0 else int((probs > 0.0).nonzero()[0][0])
@@ -261,45 +256,13 @@ class _Lineage:
     state: SystemState
     weight: float
     draws: int       # categorical draws consumed so far
-    steps: int
     node: WorldNode
     serial: int      # creation order, used for deterministic pruning
 
 
-def _branch_step(model: CausalModel, cfg: RunConfig, lin: _Lineage,
-                 prefix: tuple, depth_bound: int, t0: float) -> tuple:
-    """One work item of ``branch_run``, executed from ``lin``'s state
-    ``s``: the halt and step-budget checks if ``prefix`` is empty, then a
-    step that replays ``prefix``. Returns (s, post state or None,
-    termination or None, forks); each fork is a new draw as (the outcome
-    taken, its (outcome, probability, label) triples), over the outcomes
-    of positive probability."""
-    s = lin.state
-    if not prefix:
-        try:
-            if halts(model, s):
-                return s, None, Termination("halted"), ()
-            if lin.steps >= cfg.max_steps:
-                return s, None, Termination("max-steps"), ()
-        except EvalError as exc:
-            return s, None, _termination(exc), ()
-    source = ReplaySource(prefix, room=depth_bound - lin.draws - len(prefix))
-    post = end = None
-    try:
-        post = step(model, s, cfg.dt, source, cfg.mode,
-                    t0 + (lin.steps + 1) * cfg.dt)
-    except BranchSignal:
-        end = Termination("depth-bound",
-                          f"branching depth {depth_bound} reached")
-    except _STEP_ERRORS as exc:
-        end = _termination(exc)
-    # tolist(): Python floats, compared and multiplied without a numpy
-    # scalar per outcome
-    forks = tuple(
-        (k, tuple((j, p, str(j if labels is None else labels[j]))
-                  for j, p in enumerate(probs.tolist()) if p > 0.0))
-        for probs, labels, k in source.draws)
-    return s, post, end, forks
+def _settle(lin: _Lineage, termination: Termination):
+    lin.node.termination = termination
+    lin.node.snapshot = lin.state
 
 
 def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
@@ -307,82 +270,97 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
     """Execute like ``run`` but fork one weighted child per outcome at
     every categorical random draw.
 
-    A step runs once down the first outcome of each new draw; the other
-    outcomes are queued with a replay prefix, so a k-way fork costs at
-    most k executions. A lineage stops branching once it has consumed
-    depth_bound draws (leaf kind "depth-bound"). After each synchronous
-    round of steps the frontier is pruned to width_bound lineages,
+    Each round of steps keeps one ``_Entry`` per distinct ``state_key``,
+    and each lineage walks its entry's outcome trie depth first, forking
+    at every node that draws; ``_explore`` replays the law once at each
+    node nothing has explored, so a k-way fork costs at most k
+    applications and equal states share them. A lineage stops branching
+    once it has consumed depth_bound draws (leaf kind "depth-bound").
+    After each round the frontier is pruned to width_bound lineages,
     dropping the lowest weights deterministically; pruned stubs stay in
     the tree and their total mass is reported. Continuous draws are not
     branchable and raise ContinuousRandomError.
-
-    A step is a function of the pre-state, the draws a lineage has taken
-    (they set its room under the depth bound) and the replay prefix, and
-    every lineage of a round has taken the same number of steps. So each
-    round executes one work item per distinct (``state_key``, draws,
-    prefix) and builds the children of an equal one from its result.
     """
     if depth_bound < 1:
         raise ValueError("depth_bound must be >= 1")
     if width_bound < 1:
         raise ValueError("width_bound must be >= 1")
     cfg.check_times(init)
+    cut = Termination("depth-bound", f"branching depth {depth_bound} reached")
     root = WorldNode(weight=1.0, snapshot=init)
     serial = 1
-    active = [_Lineage(init, 1.0, 0, 0, root, 0)]
+    active = [_Lineage(init, 1.0, 0, root, 0)]
     pruned_mass = 0.0
+    steps = 0   # every lineage of a round has taken this many steps
 
     while active:
         survivors: list = []
-        # (state key, draws, prefix) -> _branch_step's result; an entry
-        # holds its pre-state, so an id key is not reused this round
-        memo: dict = {}
-        # work items: (lineage, prefix, key of its state); a non-empty
-        # prefix means the lineage takes a queued outcome of this step
-        work = deque((lin, (), state_key(lin.state)) for lin in active)
-        while work:
-            lin, prefix, key = work.popleft()
-            at = (key, lin.draws, prefix)
-            done = memo.get(at)
-            if done is None:
-                done = memo[at] = _branch_step(model, cfg, lin, prefix,
-                                               depth_bound, init.time)
-            _, post, end, forks = done
-            # fork each new draw: the execution went on with its first
-            # outcome; queue the others, deepest draw first
-            path = prefix
-            for k, outcomes in forks:
-                parent, queued = lin, []
-                for j, p, label in outcomes:
-                    weight = parent.weight * p
-                    node = WorldNode(weight, label)
-                    parent.node.children.append(node)
-                    child = _Lineage(parent.state, weight, parent.draws,
-                                     parent.steps, node, serial)
-                    serial += 1
-                    if j == k:
-                        lin = child
-                    else:
-                        queued.append((child, path + (j,), key))
-                path += (k,)
-                work.extendleft(reversed(queued))
-            if end is not None:
-                lin.node.termination = end
-                lin.node.snapshot = lin.state
+        # state key -> _Entry; an entry holds its state, so an id key is
+        # not reused this round
+        entries: dict = {}
+        time = init.time + (steps + 1) * cfg.dt
+        for lin in active:
+            s = lin.state
+            key = state_key(s)
+            entry = entries.get(key)
+            if entry is None:
+                try:
+                    entry = entries[key] = _Entry(s, halts(model, s))
+                except EvalError as exc:
+                    _settle(lin, _termination(exc))
+                    continue
+            if entry.halts:
+                _settle(lin, Termination("halted"))
                 continue
-            lin.state = lin.node.snapshot = post
-            lin.steps += 1
-            lin.draws += len(path)
-            survivors.append(lin)
+            if steps >= cfg.max_steps:
+                _settle(lin, Termination("max-steps"))
+                continue
+            # (lineage, trie node, outcome path from the root)
+            stack = [(lin, entry.root, ())]
+            while stack:
+                lin, node, path = stack.pop()
+                if node.post is None and node.probs is None \
+                        and node.error is None:
+                    _explore(model, cfg, entry, node, path, time)
+                if node.post is not None:
+                    lin.state = lin.node.snapshot = node.post
+                    lin.draws += len(path)
+                    survivors.append(lin)
+                elif node.probs is not None:
+                    if len(path) >= depth_bound - lin.draws:
+                        _settle(lin, cut)
+                        continue
+                    if node.outcomes is None:
+                        # tolist(): Python floats, compared and multiplied
+                        # without a numpy scalar per outcome
+                        labels = node.labels
+                        node.outcomes = tuple(
+                            (j, p, str(j if labels is None else labels[j]))
+                            for j, p in enumerate(node.probs.tolist())
+                            if p > 0.0)
+                    forks = []
+                    for j, p, label in node.outcomes:
+                        weight = lin.weight * p
+                        child = WorldNode(weight, label)
+                        lin.node.children.append(child)
+                        forks.append((_Lineage(s, weight, lin.draws, child,
+                                               serial),
+                                      node.children[j], path + (j,)))
+                        serial += 1
+                    stack += reversed(forks)
+                elif isinstance(node.error, ContinuousRandomError):
+                    raise node.error
+                else:
+                    _settle(lin, _termination(node.error))
         if len(survivors) > width_bound:
             order = sorted(survivors, key=lambda l: (-l.weight, l.serial))
             for lin in order[width_bound:]:
                 lin.node.pruned = True
-                lin.node.termination = Termination("pruned")
-                lin.node.snapshot = lin.state
+                _settle(lin, Termination("pruned"))
                 pruned_mass += lin.weight
             survivors = sorted(order[:width_bound], key=lambda l: l.serial)
         active = survivors
+        steps += 1
     return WorldTree(root, pruned_mass)
 
 
@@ -401,35 +379,61 @@ _U_BOUNDS = np.array([0.0, 1.0 - 2.0**-53])
 
 class _Draw:
     """Outcome-trie node: what a law application does after one prefix of
-    categorical outcomes. ``probs`` is set once it is known to draw
-    categorically here, ``post`` once it is known to finish here. A node
-    with neither is unexplored, or live: the application draws a uniform
-    or normal value there, so every trial reaching it executes for real.
-    ``replayed`` is set once a batch replayed the application here, so a
-    live node or one that fails is replayed at most once.
+    categorical outcomes. ``probs`` (and ``labels``) are set once it is
+    known to draw categorically here, ``post`` once it is known to finish
+    here, and ``error`` once a replay stopped here: it raised that error,
+    or ContinuousRandomError at a live node, where the application draws
+    a uniform or normal value, so every trial reaching it executes for
+    real. A node with none of them is unexplored; each other node is
+    replayed at most once.
     """
 
-    __slots__ = ("probs", "cum", "forced", "children", "post", "replayed")
+    __slots__ = ("probs", "labels", "cum", "forced", "outcomes", "children",
+                 "post", "error")
 
     def __init__(self):
         self.probs = None
+        self.labels = None
         self.cum = None            # np.cumsum(probs), once a batch walks here
         self.forced = None         # with cum: the outcome every word picks
-        self.children: dict = {}   # outcome index -> _Draw
+        self.outcomes = None       # once a branch forks here: the
+        #                            (outcome, probability, label) triples
+        #                            of positive probability
+        self.children = defaultdict(_Draw)   # outcome index -> _Draw
         self.post: SystemState | None = None
-        self.replayed = False
+        self.error: Exception | None = None
 
 
 def _record(node: _Draw, draws: list, post: SystemState | None) -> _Draw:
     """Extend the trie below ``node`` with the categorical ``draws`` an
     application made past it, as (probs, labels, outcome), and store
     ``post`` (None if not known) at the node they end at; return it."""
-    for probs, _, k in draws:
-        node.probs = probs
+    for probs, labels, k in draws:
+        node.probs, node.labels = probs, labels
         # targets bind left to right: the parent's slot, then the cursor
         node.children[k] = node = _Draw()
     node.post = post
     return node
+
+
+def _explore(model: CausalModel, cfg: RunConfig, entry: _Entry,
+             node: _Draw, path: tuple, time: float):
+    """Replay the entry's law down outcome ``path`` to ``node`` with no
+    stream, selecting the law first if nothing has, and record what the
+    application does there. Past ``path`` the replay takes each draw's
+    first outcome of positive probability, so a continuous draw or an
+    error may belong to that one continuation: then only the categorical
+    draws before it are recorded, and the node it stopped at keeps the
+    error, so that nothing replays it again."""
+    source = ReplaySource(path)
+    post = error = None
+    try:
+        if entry.law is None:
+            entry.law = select_law(model, entry.state, cfg.mode)
+        post = apply_law(entry.law, entry.state, cfg.dt, source, time)
+    except (ContinuousRandomError, *_STEP_ERRORS) as exc:
+        error = exc
+    _record(node, source.draws, post).error = error
 
 
 def _partition(picks: np.ndarray, rows: np.ndarray) -> list:
@@ -557,8 +561,8 @@ class Ensemble:
             while nodes:
                 node, p, rows, path = nodes.pop()
                 if node.post is None and node.probs is None:
-                    if not node.replayed:
-                        self._explore(entry, node, path, time)
+                    if node.error is None:
+                        _explore(self.model, cfg, entry, node, path, time)
                     if node.post is None and node.probs is None:
                         # live or failing: no trial records it, each
                         # executes the step on its own stream
@@ -584,10 +588,7 @@ class Ensemble:
                                                 words.uniform01(rows, p))
                     parts = _partition(picks, rows)
                 for k, part in parts:
-                    child = node.children.get(k)
-                    if child is None:
-                        child = node.children[k] = _Draw()
-                    nodes.append((child, p + 1, part, path + (k,)))
+                    nodes.append((node.children[k], p + 1, part, path + (k,)))
         return out
 
     def _trial(self, stream: RngStream, rows: list | None = None,
@@ -637,37 +638,13 @@ class Ensemble:
         while node.post is None and node.probs is not None:
             k = stream.categorical(node.probs)
             prefix.append(k)
-            child = node.children.get(k)
-            if child is None:
-                child = node.children[k] = _Draw()
-            node = child
+            node = node.children[k]
         if node.post is not None:
             return node.post, True
         source = ReplaySource(prefix, stream)
         post = apply_law(entry.law, entry.state, self.cfg.dt, source, time)
         _record(node, source.draws, None if source.live else post)
         return post, not source.live
-
-    def _explore(self, entry: _Entry, node: _Draw, path: tuple,
-                 time: float):
-        """Replay the entry's law down outcome ``path`` to ``node`` with no
-        stream, selecting the law first if no trial has, and record what
-        the application does there. Past ``path`` the replay takes each
-        draw's first outcome of positive probability, so a continuous
-        draw or an error may belong to that one continuation: then only
-        the categorical draws before it are recorded, and the node it
-        stopped at is marked so that no later batch replays it."""
-        source = ReplaySource(path)
-        post = None
-        try:
-            if entry.law is None:
-                entry.law = select_law(self.model, entry.state,
-                                       self.cfg.mode)
-            post = apply_law(entry.law, entry.state, self.cfg.dt, source,
-                             time)
-        except (ContinuousRandomError, *_STEP_ERRORS):
-            pass
-        _record(node, source.draws, post).replayed = True
 
 
 def run_ensemble(model: CausalModel, init: SystemState, cfg: RunConfig,

@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 
 import pytest
 
@@ -12,6 +13,24 @@ def invoke(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# a laplacian applied again and again overflows its cgrid at step 48
+BLOWUP = ("model blowup { state { g: cgrid(4, 0.001); n: int; } "
+          "init { g = gauss_packet(4, 0.001, 0.0, 1.0, 0.0); n = 0; } "
+          "law L { when true; then { g = laplacian(g); n = n + 1; } } }")
+BLOWUP_ERROR = ("law 'L': non-finite value (-inf+0j) at index 0 written to "
+                "'g' at 1:139")
+
+
+def invoke_unwarned(argv, capsys):
+    """``invoke``, asserting that no warning was issued, whatever the
+    warning filters say."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = invoke(argv, capsys)
+    assert caught == []
+    return result
 
 
 class TestRun:
@@ -86,6 +105,21 @@ class TestRun:
         _, out1, _ = invoke(argv, capsys)
         _, out2, _ = invoke(argv, capsys)
         assert out1 == out2
+
+
+    def test_non_finite_cgrid_write_is_an_eval_error(self, capsys,
+                                                     tmp_path):
+        f = tmp_path / "blowup.cml"
+        f.write_text(BLOWUP)
+        code, out, err = invoke_unwarned(
+            ["run", str(f), "--steps", "60", "--record-every", "20",
+             "--format", "jsonl"], capsys)
+        assert code == 1
+        lines = out.splitlines()
+        assert [json.loads(l)["step"] for l in lines[:-1]] == [0, 20, 40]
+        assert json.loads(lines[-1])["terminationReason"] == {
+            "kind": "eval-error", "message": BLOWUP_ERROR}
+        assert err == f"terminated: eval-error: {BLOWUP_ERROR}\n"
 
 
 class TestAnalyze:
@@ -184,6 +218,21 @@ class TestBranch:
         code, out, err = invoke(["branch", str(f)], capsys)
         assert code == 1
         assert "not branchable" in err
+
+
+    def test_non_finite_cgrid_write_ends_the_lineage(self, capsys,
+                                                    tmp_path):
+        f = tmp_path / "blowup.cml"
+        f.write_text(BLOWUP)
+        code, out, err = invoke_unwarned(
+            ["branch", str(f), "--steps", "60", "--depth", "2"], capsys)
+        assert (code, err) == (0, "")
+        root = json.loads(out)["root"]
+        assert root["termination"] == {"kind": "eval-error",
+                                       "message": BLOWUP_ERROR}
+        # the witness is the state before the failing step
+        assert root["state"]["time"] == 47.0
+        assert root["state"]["values"]["n"]["v"] == 47
 
 
 class TestListModels:

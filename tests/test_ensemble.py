@@ -24,6 +24,7 @@ from causalkit import (
     run_ensemble,
 )
 import causalkit.interpreter as interpreter
+from causalkit.errors import EvalError
 from causalkit.interpreter import _BATCH, _MIN_GROUP, Ensemble
 from causalkit.state import state_to_json
 
@@ -452,7 +453,8 @@ class TestExploration:
         assert left.values["x"] == -1
         for first in (0, 1):
             failed = self.trie(ens, left, first, 0)
-            assert failed.replayed and failed.post is failed.probs is None
+            assert isinstance(failed.error, EvalError)
+            assert failed.post is failed.probs is None
             assert self.trie(ens, left, first, 1).post is not None
         # the root's replay ended at (0, 0) and marked it there
         paths = _replayed_paths(counted, left)

@@ -127,6 +127,12 @@ CELL_NON_FINITE = ("run", "builtin:schrodinger_1d", "--steps", "3",
                    "--format", "jsonl", "--observables",
                    ",".join(f"psi[{i}]*1e308*10.0"
                             for i in (0, 1, 256, 257, 600)))
+# two categorical draws, then a uniform one: at depth 1 every lineage is
+# cut at the second draw (exit 0); at depth 2 the uniform draw is reached,
+# and it cannot branch (exit 1)
+CUT_BEFORE_UNIFORM = tuple(
+    ("branch", "tests/fixtures/cut_before_uniform.cml", "--depth", depth)
+    for depth in ("1", "2"))
 NAMED = {
     ENERGY_RUN: "run builtin:harmonic_oscillator energy",
     **{argv: f"run {argv[1]} seed {argv[-1]}" for argv in SIGNED_ZERO_RUNS},
@@ -158,6 +164,8 @@ NAMED = {
     CELL_OUT_OF_RANGE: "run builtin:schrodinger_1d cell out of range",
     CELLS_INTERLEAVED: "run builtin:schrodinger_1d cells interleaved",
     CELL_NON_FINITE: "run builtin:schrodinger_1d non-finite cell",
+    **{argv: f"branch {argv[1]} depth {argv[-1]}"
+       for argv in CUT_BEFORE_UNIFORM},
 }
 
 # argv of each pinned invocation; .cml paths are relative to the repo root
@@ -258,6 +266,7 @@ INVOCATIONS = (
     CELL_OUT_OF_RANGE,
     CELLS_INTERLEAVED,
     CELL_NON_FINITE,
+    *CUT_BEFORE_UNIFORM,
 )
 
 

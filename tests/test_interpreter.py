@@ -24,7 +24,7 @@ from causalkit import (
 )
 from causalkit.engine import halts
 from causalkit.engine import step as engine_step
-from causalkit.errors import BranchSignal, EvalError, MissingFieldError
+from causalkit.errors import EvalError, MissingFieldError
 from causalkit.frontend.parser import parse_expression
 from causalkit.frontend.typecheck import check_standalone_expr
 from causalkit.interpreter import (
@@ -133,6 +133,19 @@ class TestRun:
         assert "division by zero" in trace.termination.message
         # the partial trace up to the failing step is retained
         assert trace.rows[-1].step == 3
+
+    def test_non_finite_vector_write_is_an_eval_error(self):
+        # fill's argument is a product, checked by no write of its own
+        model = load_model(
+            "model m { state { v: vector(3); x: real; } "
+            "init { v = fill(3, 0.0); x = 1e300; } "
+            "law L { when true; then { v = fill(3, x * x); } } }")
+        trace = run(model, build_initial_state(model),
+                    RunConfig(dt=1.0, max_steps=5))
+        assert trace.termination == Termination(
+            "eval-error",
+            "law 'L': non-finite value inf at index 0 written to 'v' at 1:108")
+        assert trace.final_state.values["v"].values.tolist() == [0.0] * 3
 
     def test_record_every_stride(self):
         model, state = build_bundled_model("free_particle")
@@ -334,12 +347,12 @@ class TestBranchRun:
 
         calls = []
 
-        def counting_step(*args, **kwargs):
+        def counting_apply(*args, **kwargs):
             calls.append(args[1])
-            return step(*args, **kwargs)
+            return apply_law(*args, **kwargs)
 
-        step = interpreter.step
-        monkeypatch.setattr(interpreter, "step", counting_step)
+        apply_law = interpreter.apply_law
+        monkeypatch.setattr(interpreter, "apply_law", counting_apply)
         model = load_model(
             "model m { state { x: int in [0, 3]; } init { x = 0; } "
             "halt when x > 0; "
@@ -363,6 +376,49 @@ class TestBranchRun:
         assert [(l.outcome, l.termination.kind) for l in leaves] == \
             [("0", "depth-bound"), ("1", "depth-bound")]
         assert [l.weight for l in leaves] == [0.5, 0.5]
+
+    # cut_before_uniform.cml, and a variant that divides by zero between
+    # its second draw and its uniform one
+    CUT_SOURCE = (FIXTURES / "cut_before_uniform.cml").read_text(
+        encoding="utf-8")
+    CUT_VARIANTS = {
+        "uniform": CUT_SOURCE,
+        "division": CUT_SOURCE.replace(
+            "b = random({0, 1}, FLAT);",
+            "b = random({0, 1}, FLAT);\n      let y = 1.0 / (b - b);"),
+    }
+
+    @pytest.mark.parametrize("variant", CUT_VARIANTS)
+    def test_depth_cut_at_the_second_draw(self, variant):
+        model = load_model(self.CUT_VARIANTS[variant])
+        tree = branch_run(model, build_initial_state(model),
+                          RunConfig(dt=1.0, max_steps=10),
+                          depth_bound=1, width_bound=16)
+        leaves = tree.leaves()
+        assert [(l.outcome, l.termination.kind) for l in leaves] == \
+            [("0", "depth-bound"), ("1", "depth-bound")]
+        assert [l.termination.message for l in leaves] == \
+            ["branching depth 1 reached"] * 2
+
+    def test_depth_two_reaches_the_uniform_draw(self):
+        model = load_model(self.CUT_VARIANTS["uniform"])
+        with pytest.raises(ContinuousRandomError) as exc:
+            branch_run(model, build_initial_state(model),
+                       RunConfig(dt=1.0, max_steps=10),
+                       depth_bound=2, width_bound=16)
+        assert exc.value.law == "Draw"
+
+    def test_depth_two_reaches_the_division(self):
+        model = load_model(self.CUT_VARIANTS["division"])
+        tree = branch_run(model, build_initial_state(model),
+                          RunConfig(dt=1.0, max_steps=10),
+                          depth_bound=2, width_bound=16)
+        leaves = tree.leaves()
+        assert [l.outcome for l in leaves] == ["0", "1", "0", "1"]
+        for leaf in leaves:
+            assert leaf.termination.kind == "eval-error"
+            assert "division by zero" in leaf.termination.message
+            assert leaf.weight == 0.25
 
     def test_weight_conservation_across_fixtures(self, load_fixture_model):
         for name in ("psi_draw.cml", "two_coin.cml"):
@@ -416,9 +472,11 @@ class _OracleLineage:
 
 
 def oracle_branch_run(model, init, cfg, depth_bound, width_bound):
-    """``branch_run``'s fork-and-replay loop with no memo: every work item
-    replays its step through a fresh ``ReplaySource``. The differential
-    tests below hold the memo to it."""
+    """``branch_run`` as a fork-and-replay loop with no memo: every work
+    item replays its step through a fresh ``ReplaySource``, and the item
+    that recorded more draws than its room under the depth bound is cut
+    at the first draw past it. The differential tests below hold the
+    trie walk to it."""
     root = WorldNode(weight=1.0, snapshot=init)
     serial = 1
     active = [_OracleLineage(init, 1.0, 0, 0, root, 0)]
@@ -444,19 +502,26 @@ def oracle_branch_run(model, init, cfg, depth_bound, width_bound):
                 except EvalError as exc:
                     settle(lin, _termination(exc))
                     continue
-            source = ReplaySource(
-                prefix, room=depth_bound - lin.draws - len(prefix))
-            end = None
+            source = ReplaySource(prefix)
+            end = error = None
             try:
                 post = engine_step(model, lin.state, cfg.dt, source, cfg.mode,
                                    init.time + (lin.steps + 1) * cfg.dt)
-            except BranchSignal:
+            except (ContinuousRandomError, *_STEP_ERRORS) as exc:
+                error = exc
+            draws = source.draws
+            room = depth_bound - lin.draws - len(prefix)
+            if len(draws) > room:
+                # the draw past the room comes before any later error
                 end = Termination("depth-bound",
                                   f"branching depth {depth_bound} reached")
-            except _STEP_ERRORS as exc:
-                end = _termination(exc)
+                draws = draws[:room]
+            elif isinstance(error, ContinuousRandomError):
+                raise error
+            elif error is not None:
+                end = _termination(error)
             path = list(prefix)
-            for probs, labels, k in source.draws:
+            for probs, labels, k in draws:
                 parent, queued = lin, []
                 for j, p in enumerate(probs):
                     if p <= 0.0:
@@ -555,18 +620,20 @@ class TestBranchMemo:
         import causalkit.interpreter as interpreter
 
         calls = 0
+        apply_law = interpreter.apply_law
 
-        def counting_step(*args, **kwargs):
+        def counting_apply(*args, **kwargs):
             nonlocal calls
             calls += 1
-            return engine_step(*args, **kwargs)
+            return apply_law(*args, **kwargs)
 
-        monkeypatch.setattr(interpreter, "step", counting_step)
+        monkeypatch.setattr(interpreter, "apply_law", counting_apply)
         model = load_model((FIXTURES / "walk.cml").read_text(encoding="utf-8"))
         branch_run(model, build_initial_state(model),
                    RunConfig(dt=1.0, max_steps=25), depth_bound=24,
                    width_bound=64)
-        # 2,494 work items, 301 distinct (state, draws, prefix) inputs
+        # 2,494 work items of the replay oracle, 301 distinct (state, outcome
+        # path) trie nodes explored
         assert calls == 301
 
 
