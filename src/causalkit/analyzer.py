@@ -19,13 +19,15 @@ from .engine import (
     apply_law,
     build_initial_state,
     classify_determinism,
-    eval_guard,
+    eval_guard,  # noqa: F401 (cmlbench/tracing.py hooks it here)
     halts,
     select_law,
 )
 from .errors import (
     CausalKitError,
     EnumerationCapError,
+    MultipleApplicableError,
+    NoApplicableLawError,
     NoValidInStateFoundError,
     UnsampleableFieldError,
 )
@@ -101,8 +103,26 @@ class AnalysisReport:
 
 
 def validstate(model: CausalModel, s: SystemState) -> bool:
-    """Disjunction of all law guards on the state."""
-    return any(eval_guard(law, s) for law in model.laws)
+    """Disjunction of all law guards on the state, from one call of the
+    first-match selector."""
+    try:
+        model.selectors["first-match"](s)
+    except NoApplicableLawError:
+        return False
+    return True
+
+
+def _hits(model: CausalModel, s: SystemState) -> list:
+    """The laws whose guards hold on the state, in law order: what
+    ``eval_guard`` gives law by law, from one call of the strict selector,
+    which evaluates every guard (a guard's EvalError leaves it with the
+    law's name and location, as it leaves eval_guard)."""
+    try:
+        return [model.laws[model.selectors["strict"](s)]]
+    except NoApplicableLawError:
+        return []
+    except MultipleApplicableError as exc:
+        return [law for law in model.laws if law.name in exc.law_names]
 
 
 # --- state generation ---------------------------------------------------------
@@ -198,10 +218,10 @@ def _check(model: CausalModel, strategy: CheckStrategy,
     for one not asked for; the toolkit error its own check would raise),
     from one pass over the strategy's states or runs that stops once
     every verdict is closed. docs/design_notes.md gives the rules."""
-    laws, seed, rng = model.laws, strategy.seed, RngStream(0)
+    seed, rng = strategy.seed, RngStream(0)
     cons = comp = None
     if "consistency" in want:
-        cons = _OPEN if len(laws) > 1 else ConsistencyVerdict(
+        cons = _OPEN if len(model.laws) > 1 else ConsistencyVerdict(
             "pass", message="single law: vacuously consistent")
     if "completeness" in want:
         comp = (CompletenessVerdict("pass-trivially")
@@ -219,8 +239,8 @@ def _check(model: CausalModel, strategy: CheckStrategy,
                 except CausalKitError as exc:
                     cons, need = exc, False
                 try:
-                    hits = ([law for law in laws if eval_guard(law, s)]
-                            if need or comp is _OPEN else ())
+                    hits = (_hits(model, s) if need or comp is _OPEN
+                            else ())
                 except CausalKitError as exc:
                     cons = exc if need else cons
                     comp = exc if comp is _OPEN else comp
@@ -231,7 +251,8 @@ def _check(model: CausalModel, strategy: CheckStrategy,
                         laws=tuple(law.name for law in hits), seed=seed)
                 n_cons += need
                 if comp is _OPEN and hits:
-                    rng.rekey(derive_seed(seed ^ 0x6F7574, i))
+                    if hits[0].uses_random:   # the only law that reads rng
+                        rng.rekey(derive_seed(seed ^ 0x6F7574, i))
                     try:
                         out = apply_law(hits[0], s, model.default_timestep,
                                         rng)
@@ -263,8 +284,8 @@ def _check(model: CausalModel, strategy: CheckStrategy,
                         witness, names = term.witness, term.laws
                         if term.kind == "max-steps":   # no law selected
                             witness = trace.final_state
-                            names = tuple(law.name for law in laws
-                                          if eval_guard(law, witness))
+                            names = tuple(law.name for law
+                                          in _hits(model, witness))
                         if term.kind == "eval-error":
                             cons = ConsistencyVerdict("error",
                                                       message=term.message)

@@ -139,13 +139,15 @@ _FINITE = {"real": "_isfinite", "complex": "_cisfinite",
            "vector": "_elements_finite", "cgrid": "_elements_finite"}
 
 
-def _finite(isfinite, expr):
-    """x -> x, or EvalError "non-finite value <x> in observable '<expr>'"
-    at expr's location (the text is made only then)."""
+def _finite(isfinite, expr, where=None):
+    """x -> x, or EvalError "non-finite value <x> <where>" at expr's
+    location; ``where`` defaults to "in observable '<expr>'" (the text is
+    made only then)."""
     def finite(x):
         if isfinite(x):
             return x
-        raise _nonfinite(x, f"in observable '{format_expr(expr)}'", expr.loc)
+        raise _nonfinite(x, where or f"in observable '{format_expr(expr)}'",
+                         expr.loc)
     return finite
 
 
@@ -341,9 +343,20 @@ class _Emitter:
         return f"{call}(rnd{args})"
 
     def _ListLit(self, e):
-        # items take the literal's element type: [1, 2.5] is a list of reals
+        # items take the literal's element type: [1, 2.5] is a list of reals;
+        # a real, complex, vector or cgrid item is checked to be finite, as
+        # a write of it is
         kind = e.ty.element.kind
-        return f"VList([{', '.join(self.promoted(x, kind) for x in e.items)}])"
+        isfinite = self.ns[_FINITE[kind]] if kind in _FINITE else None
+        items = []
+        for x in e.items:
+            text = self.promoted(x, kind)
+            if isfinite is not None and not (
+                    text in self.known and isfinite(self.known[text])):
+                check = _finite(isfinite, x, "in a list literal")
+                text = f"{self.vary(check, '_o')}({text})"
+            items.append(text)
+        return f"VList([{', '.join(items)}])"
 
     def _RandomExpr(self, e):
         """A draw: the sampler of its form, one of the six rows of the

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, is_dataclass
 
 
 @dataclass(frozen=True)
@@ -196,35 +196,43 @@ class ModelAst:
 
 # --- traversal and structural equality (both skip locations and types) ------
 
-_IGNORED = {"loc", "ty"}
+# node class (each dataclass above) -> its fields but loc and ty, in
+# declaration order
+_FIELDS = {cls: tuple(f.name for f in dc_fields(cls)
+                      if f.name not in ("loc", "ty"))
+           for cls in list(globals().values())
+           if isinstance(cls, type) and is_dataclass(cls)}
+# node class -> those of its fields that can hold a node (not a str or bool
+# field), last first: the order in which walk stacks them
+_CHILDREN = {cls: tuple(name for name in reversed(names)
+                        if cls.__dataclass_fields__[name].type
+                        not in ("str", "bool"))
+             for cls, names in _FIELDS.items()}
 
 
 def walk(node):
     """Yield every AST node in ``node`` (a node or a list of nodes), each
-    before the nodes below it."""
-    if isinstance(node, list):
-        for item in node:
-            yield from walk(item)
-    elif hasattr(node, "__dataclass_fields__"):
-        yield node
-        for f in dc_fields(node):
-            if f.name not in _IGNORED:
-                yield from walk(getattr(node, f.name))
+    before the nodes below it, those in field order."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, list):
+            stack += node[::-1]
+        elif type(node) in _CHILDREN:
+            yield node
+            for name in _CHILDREN[type(node)]:
+                stack.append(getattr(node, name))
 
 
 def structurally_equal(a, b) -> bool:
     if type(a) is not type(b):
         return False
     if isinstance(a, (list, tuple)):
-        return len(a) == len(b) and all(
-            structurally_equal(x, y) for x, y in zip(a, b))
-    if hasattr(a, "__dataclass_fields__"):
-        for f in dc_fields(a):
-            if f.name in _IGNORED:
-                continue
-            if not structurally_equal(getattr(a, f.name), getattr(b, f.name)):
-                return False
-        return True
+        return len(a) == len(b) and all(map(structurally_equal, a, b))
+    names = _FIELDS.get(type(a))
+    if names is not None:
+        return all(structurally_equal(getattr(a, name), getattr(b, name))
+                   for name in names)
     return a == b
 
 

@@ -160,12 +160,12 @@ class RngStream:
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
-        self._bitgen = np.random.Philox(key=self.seed)
-        self._keyed = True    # the generator holds ``seed``'s stream
+        self._bitgen = None   # built at the first refill
+        self._keyed = False   # the generator holds ``seed``'s stream
         self.draw_count = 0
         self._buffer = _NO_WORDS
         self._buffer_pos = 0
-        self._fresh_state: dict | None = None
+        self._fresh_state: dict | None = None   # a counter-0 state
 
     def rekey(self, seed: int) -> None:
         """Restart as the stream ``RngStream(seed)`` would be, without
@@ -181,12 +181,13 @@ class RngStream:
 
     def _refill(self, n: int) -> None:
         """Replace the buffer with the next ``n`` words of the stream."""
-        if not self._keyed:
-            if self._fresh_state is None:
-                self._fresh_state = np.random.Philox(key=0).state
+        if self._bitgen is None:
+            self._bitgen = np.random.Philox(key=self.seed)
+            self._fresh_state = self._bitgen.state
+        elif not self._keyed:
             self._fresh_state["state"]["key"][0] = self.seed
             self._bitgen.state = self._fresh_state
-            self._keyed = True
+        self._keyed = True
         self._buffer = self._bitgen.random_raw(n)
         self._buffer_pos = 0
 

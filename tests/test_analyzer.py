@@ -34,11 +34,12 @@ from causalkit.engine import apply_law, eval_guard, halts, select_law
 from causalkit.errors import (
     CausalKitError,
     EnumerationCapError,
+    EvalError,
     MissingFieldError,
     NoValidInStateFoundError,
 )
 from causalkit.rng import derive_seed
-from causalkit.state import Sampler
+from causalkit.state import Sampler, VList, VRecord
 
 from conftest import BROKEN, FIXTURES, typed
 
@@ -268,9 +269,10 @@ class TestAnalyze:
         # an error verdict is for toolkit errors; anything else is a bug
         model = load_fixture_model("partition.cml")
 
-        def broken_guard(state):
+        def broken_selector(state):
             raise RuntimeError("bug in a guard")
-        object.__setattr__(model.laws[0], "guard_fn", broken_guard)
+        for mode in model.selectors:
+            model.selectors[mode] = broken_selector
         with pytest.raises(RuntimeError, match="bug in a guard"):
             analyze(model, CheckStrategy("sample", count=10, seed=1))
 
@@ -540,8 +542,18 @@ model fallible_law {
 }
 """
 
+# A law that draws its out-state, which has no applicable law when the
+# draw is 0.5 or more: the witness is a word of the in-state's own stream.
+DRAWN_OUT = """
+model drawn_out {
+  state { x: real in [0.0, 1.0]; }
+  init { x = 0.25; }
+  law Draw { when x < 0.5; then { x = random([0.0, 1.0], FLAT); } }
+}
+"""
+
 _CORPUS = ([path.name for path in sorted(FIXTURES.glob("*.cml"))]
-           + [FALLIBLE_HALT, FALLIBLE_LAW])
+           + [FALLIBLE_HALT, FALLIBLE_LAW, DRAWN_OUT])
 
 
 def _corpus_model(entry):
@@ -586,3 +598,48 @@ def test_one_pass_matches_two_passes(entry):
                          _outcome(two, model, strategy))
             assert (got == want if isinstance(want, tuple)
                     else not isinstance(got, tuple)), strategy
+
+
+# --- guards read through the compiled selectors ------------------------------------
+
+
+def _start_state(name, model):
+    """A start state, also of a fixture whose init leaves a field unset."""
+    if name == "double_slit.cml":
+        _, bundled = build_bundled_model("double_slit")
+        return make_initial_state(model.schema, {"pw": bundled.values["pw"],
+                                                 "detected": -1})
+    if name == "drift_particles.cml":
+        particle = VRecord("P", {"m": 1.0, "x": 0.0, "v": 1.0})
+        return make_initial_state(model.schema,
+                                  {"ps": VList([particle] * 3), "count": 0})
+    return build_initial_state(model)
+
+
+def _guard_states(entry, model):
+    """300 sampled states, or the states of a first-match run from the
+    start state of a model that cannot be sampled."""
+    if not unsampleable_fields(model):
+        return list(_sampled_states(model, CheckStrategy(count=300, seed=5)))
+    trace = run(model, _start_state(entry, model),
+                RunConfig(dt=model.default_timestep, max_steps=300,
+                          mode="first-match"))
+    return [row.snapshot for row in trace.rows]
+
+
+@pytest.mark.parametrize("entry", _CORPUS, ids=lambda e: e.split()[1]
+                         if "model" in e else e)
+def test_selector_hits_equal_the_guards_law_by_law(entry):
+    model = _corpus_model(entry)
+    seen = set()
+    for s in _guard_states(entry, model):
+        hits = _outcome(analyzer._hits, model, s)
+        assert hits == _outcome(
+            lambda: [law for law in model.laws if eval_guard(law, s)])
+        assert _outcome(validstate, model, s) == _outcome(
+            lambda: any(eval_guard(law, s) for law in model.laws))
+        seen.add(min(len(hits), 2) if isinstance(hits, list) else hits[0])
+    # no law, one, two or more, and a guard that fails
+    expected = {"flat_real.cml": {0, 1}, "overlap.cml": {1, 2},
+                "guard_error.cml": {1, EvalError}}
+    assert seen == expected.get(entry, seen)

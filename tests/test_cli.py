@@ -23,6 +23,25 @@ BLOWUP_ERROR = ("law 'L': non-finite value (-inf+0j) at index 0 written to "
                 "'g' at 1:139")
 
 
+# a list literal's item overflows at the first step: a real item, a
+# constant one and a vector item
+LIST_ITEM = {
+    "constant": ("model listc { state { lr: list(real); x: real; } "
+                 "init { lr = [0.0]; x = 1.0; } "
+                 "law L { when true; then { lr = [1e300 * 1e300]; } } }",
+                 "law 'L': non-finite value inf in a list literal at 1:118"),
+    "real": ("model listr { state { lr: list(real); x: real; } "
+             "init { lr = [0.0]; x = 1e300; } "
+             "law L { when true; then { lr = [x * x]; } } }",
+             "law 'L': non-finite value inf in a list literal at 1:116"),
+    "vector": ("model listv { state { li: list(vector(2)); x: real; } "
+               "init { li = [fill(2, 0.0)]; x = 1e300; } "
+               "law L { when true; then { li = [fill(2, x * x)]; } } }",
+               "law 'L': non-finite value inf at index 0 in a list literal "
+               "at 1:128"),
+}
+
+
 def invoke_unwarned(argv, capsys):
     """``invoke``, asserting that no warning was issued, whatever the
     warning filters say."""
@@ -120,6 +139,22 @@ class TestRun:
         assert json.loads(lines[-1])["terminationReason"] == {
             "kind": "eval-error", "message": BLOWUP_ERROR}
         assert err == f"terminated: eval-error: {BLOWUP_ERROR}\n"
+
+
+    @pytest.mark.parametrize("item", sorted(LIST_ITEM))
+    def test_non_finite_list_item_is_an_eval_error(self, capsys, tmp_path,
+                                                   item):
+        source, error = LIST_ITEM[item]
+        f = tmp_path / "lists.cml"
+        f.write_text(source)
+        code, out, err = invoke_unwarned(
+            ["run", str(f), "--steps", "2", "--format", "jsonl"], capsys)
+        assert code == 1
+        lines = out.splitlines()
+        assert [json.loads(l)["step"] for l in lines[:-1]] == [0]
+        assert json.loads(lines[-1])["terminationReason"] == {
+            "kind": "eval-error", "message": error}
+        assert err == f"terminated: eval-error: {error}\n"
 
 
 class TestAnalyze:
@@ -233,6 +268,21 @@ class TestBranch:
         # the witness is the state before the failing step
         assert root["state"]["time"] == 47.0
         assert root["state"]["values"]["n"]["v"] == 47
+
+
+    @pytest.mark.parametrize("item", sorted(LIST_ITEM))
+    def test_non_finite_list_item_ends_the_lineage(self, capsys, tmp_path,
+                                                   item):
+        source, error = LIST_ITEM[item]
+        f = tmp_path / "lists.cml"
+        f.write_text(source)
+        code, out, err = invoke_unwarned(["branch", str(f), "--steps", "2"],
+                                         capsys)
+        assert (code, err) == (0, "")
+        root = json.loads(out, parse_constant=pytest.fail)["root"]
+        assert root["termination"] == {"kind": "eval-error",
+                                       "message": error}
+        assert root["state"]["time"] == 0.0
 
 
 class TestListModels:

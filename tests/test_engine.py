@@ -62,6 +62,19 @@ class TestEvalGuard:
         assert exc.value.law == "L"
         assert "out of range" in str(exc.value)
 
+    def test_list_item_is_checked_only_where_it_is_evaluated(self):
+        model = load_model(
+            "model m { state { x: real; n: int; } init { x = 1e300; n = 0; } "
+            "law L { when n > 0 && len([x * x]) == 1; then { n = 0; } } "
+            "law M { when n == 0; then { n = 1; } } }")
+        s = make_initial_state(model.schema, {"x": 1e300, "n": 0})
+        assert select_law(model, s).name == "M"
+        with pytest.raises(EvalError) as exc:
+            select_law(model, make_initial_state(model.schema,
+                                                 {"x": 1e300, "n": 1}))
+        assert str(exc.value) == ("law 'L': non-finite value inf in a list "
+                                  "literal at 1:94")
+
     def test_guard_purity_no_draws_no_mutation(self, load_fixture_model):
         # evaluating every guard of every fixture model on sampled states
         # consumes no randomness and leaves the state unchanged

@@ -1,9 +1,12 @@
+import copy
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 from causalkit import classify_determinism, load_model, parse, typecheck
 from causalkit.frontend import format_model, lower, structurally_equal
+from causalkit.frontend.ast_nodes import Binary, Loc, walk
 from causalkit.frontend.parser import MAX_DEPTH, parse_expression
 
 from conftest import BROKEN, FIXTURES, fixture_source
@@ -107,6 +110,47 @@ class TestRoundTrip:
             ast2, diags = parse(format_model(ast1))
             assert ast2 is not None, (path.name, diags)
             assert structurally_equal(ast1, ast2), path.name
+
+
+def reference_walk(node):
+    """Every node, each before the nodes below it, those in field order:
+    the recursive walk over ``dataclasses.fields`` that ``walk`` replaced."""
+    if isinstance(node, list):
+        for item in node:
+            yield from reference_walk(item)
+    elif dataclasses.is_dataclass(node):
+        yield node
+        for f in dataclasses.fields(node):
+            if f.name not in ("loc", "ty"):
+                yield from reference_walk(getattr(node, f.name))
+
+
+SOURCES = sorted(FIXTURES.glob("*.cml")) + sorted(
+    (Path(__file__).parents[1] / "src" / "causalkit" / "models").glob("*.cml"))
+
+
+class TestWalk:
+    @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+    def test_same_nodes_in_the_same_order_as_the_recursive_walk(self, path):
+        ast, diags = parse(path.read_text())
+        assert ast is not None, diags
+        typecheck(ast)   # sets each expression's ty, which walk skips
+        for node in (ast, [law.body for law in ast.laws], ast.laws[0].guard):
+            assert [id(n) for n in walk(node)] \
+                == [id(n) for n in reference_walk(node)]
+
+    def test_structural_equality_reads_every_field_but_loc_and_ty(self):
+        ast, _ = parse(fixture_source("language.cml"))
+        moved = copy.deepcopy(ast)
+        for node in walk(moved):
+            node.loc = Loc(node.loc.line + 1, 1)
+        assert structurally_equal(ast, moved)
+        op = copy.deepcopy(ast)   # a str field
+        next(n for n in walk(op) if isinstance(n, Binary)).op = "?"
+        assert not structurally_equal(ast, op)
+        param = copy.deepcopy(ast)   # a bool field
+        param.consts[0].param = not param.consts[0].param
+        assert not structurally_equal(ast, param)
 
 
 class TestTypecheck:

@@ -182,6 +182,21 @@ class TestLazyRekey:
         assert s.draw_count == 4
 
 
+    def test_the_generator_is_built_at_the_first_draw(self, monkeypatch):
+        first, second = self.words(10, 300), self.words(11, 2)
+        built = []
+        real_philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox",
+                            lambda **kw: built.append(kw) or real_philox(**kw))
+        s = RngStream(9)
+        s.rekey(10)
+        assert built == []
+        assert [s.raw64() for _ in range(300)] == first
+        s.rekey(11)   # re-keys the generator it has
+        assert s.words(2).tolist() == second
+        assert built == [{"key": 10}]
+
+
 class _FixedWord(RngStream):
     """A stream whose every word is ``word``."""
 
