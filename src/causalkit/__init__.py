@@ -41,7 +41,6 @@ from .state import (
     VRecord,
     VVector,
     Value,
-    deep_equal,
     make_initial_state,
     sample_state,
     state_from_json,

@@ -163,6 +163,8 @@ class ReplaySource:
 
     Each new categorical draw is recorded in ``draws`` as (probs, labels,
     outcome) until the first continuous draw, which sets ``live``.
+    ``replayed`` gives a kernel the next prefix outcome before it builds
+    the draw's probabilities, so a replayed draw builds none.
     """
 
     def __init__(self, prefix, stream=None):
@@ -172,10 +174,21 @@ class ReplaySource:
         self.draws: list = []
         self.live = False
 
+    def replayed(self) -> int | None:
+        """The next prefix outcome, which ``categorical`` would return, or
+        None past the prefix. A replay re-enters the pre-state, outcome
+        prefix, dt and time of the application that first drew here,
+        which built and checked the probabilities, so a kernel given an
+        outcome skips them."""
+        pos = self.pos
+        if pos < len(self.prefix):
+            self.pos = pos + 1
+            return self.prefix[pos]
+        return None
+
     def categorical(self, probs, labels=None) -> int:
-        if self.pos < len(self.prefix):
-            k = self.prefix[self.pos]
-            self.pos += 1
+        k = self.replayed()
+        if k is not None:
             return k
         if self.stream is None:
             # the first outcome of positive probability

@@ -86,8 +86,19 @@ class PwCollection:
     def amplitudes(self) -> np.ndarray:
         return self.amps
 
-    def total_weight(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
+    def collapsed(self, idx: int) -> PwCollection:
+        """Path ``idx`` alone, its phase kept and its modulus made 1. The
+        columns are read-only views of this collection's, which
+        ``__post_init__`` has checked, so no check runs again."""
+        amp = complex(self.amps[idx])   # Python's complex division, not numpy's
+        amps = np.array([amp / abs(amp)])
+        amps.setflags(write=False)
+        one = object.__new__(PwCollection)
+        one.__dict__.update(attr_decls=self.attr_decls, amps=amps,
+                            columns={name: col[idx:idx + 1]
+                                     for name, col in self.columns.items()},
+                            normalized=True)
+        return one
 
     def attr_array(self, name: str, particle: int = 0) -> np.ndarray:
         """Values of one attribute of one particle, across all paths."""

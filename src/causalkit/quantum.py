@@ -243,20 +243,17 @@ def pw_interact(pw: PwCollection, rng):
     Returns (selected path index, collapsed one-path collection). The
     survivor keeps its phase with modulus renormalized to 1; since a path
     fixes the attributes of all particles jointly, entangled correlations
-    survive the collapse.
+    survive the collapse. A replayed draw (``rng.replayed()``) computes no
+    weights.
     """
-    amps = pw.amplitudes()
-    weights = np.abs(amps) ** 2
-    total = weights.sum()
-    if total <= 0:
-        raise ZeroNormError("all path amplitudes vanish")
-    idx = rng.categorical(weights / total)
-    amp = complex(amps[idx])   # Python's complex division, not numpy's
-    collapsed = PwCollection(pw.attr_decls, [amp / abs(amp)],
-                             {name: col[idx:idx + 1]
-                              for name, col in pw.columns.items()},
-                             normalized=True)
-    return idx, collapsed
+    idx = rng.replayed()
+    if idx is None:
+        weights = np.abs(pw.amps) ** 2
+        total = weights.sum()
+        if total <= 0:
+            raise ZeroNormError("all path amplitudes vanish")
+        idx = rng.categorical(weights / total)
+    return idx, pw.collapsed(idx)
 
 
 def pw_detect(pw: PwCollection, bin_edges, rng, coherent: bool = True) -> int:
@@ -270,16 +267,16 @@ def pw_detect(pw: PwCollection, bin_edges, rng, coherent: bool = True) -> int:
     edges = np.asarray(bin_edges, dtype=float)
     if len(edges) < 2:
         raise ValueError("need at least two bin edges")
-    if not edges[0] < edges[-1]:
-        raise PositionOutOfBinsError(
-            f"empty detection range [{edges[0]}, {edges[-1]}]")
+    lo, hi = edges[0], edges[-1]
+    if not lo < hi:
+        raise PositionOutOfBinsError(f"empty detection range [{lo}, {hi}]")
     positions = pw.attr_array("position")
-    if np.any(positions < edges[0]) or np.any(positions > edges[-1]):
-        raise PositionOutOfBinsError(
-            f"path positions outside [{edges[0]}, {edges[-1]}]")
+    # fmin and fmax skip NaN, as the comparisons ``positions < lo`` do
+    if np.fmin.reduce(positions) < lo or np.fmax.reduce(positions) > hi:
+        raise PositionOutOfBinsError(f"path positions outside [{lo}, {hi}]")
     idx = np.searchsorted(edges, positions, side="right") - 1
     idx = np.minimum(idx, len(edges) - 2)
-    amps = pw.amplitudes()
+    amps = pw.amps
     nbins = len(edges) - 1
     if coherent:
         binamps = (np.bincount(idx, weights=amps.real, minlength=nbins)
@@ -303,11 +300,16 @@ def ca_step(world: VRecord) -> VRecord:
 
     Velocity exchange permutes velocities within a cell (reversal over the
     id-sorted occupants), so total momentum is conserved exactly. Fields
-    other than phi, pos and vel are carried over unchanged.
+    other than phi, pos and vel are carried over unchanged. A field that
+    overflows is refused (EvalError), as no state may hold one.
     """
     fields = world.fields
     phi = fields["phi"].values
     phi1 = phi + fields["alpha"] * (neighbour_sum(phi) - 2.0 * phi)
+    if not all(map(math.isfinite, phi1.tolist())):   # cheapest on few cells
+        i = int(np.flatnonzero(~np.isfinite(phi1))[0])
+        raise EvalError(f"ca_step: non-finite phi value {phi1[i]} "
+                        f"at index {i}")
     n = len(phi)
     particles = fields["particles"].items
     vel, pos = [], []
@@ -335,7 +337,9 @@ def ca_step(world: VRecord) -> VRecord:
 
 def ca_world(cells: int, alpha: float) -> VRecord:
     """A zero field and two particles approaching head-on; on a 10-cell
-    ring they meet after three steps."""
+    ring they meet after three steps. A non-finite alpha is refused."""
+    if not math.isfinite(alpha):
+        raise EvalError(f"ca_world: non-finite alpha {alpha}")
     particles = VList([
         VRecord("CaParticle", {"id": i, "pos": pos % cells, "vel": vel,
                                "species": 0})
@@ -438,6 +442,9 @@ def _bin_edges(lo_hex: str, hi_hex: str, nbins: int) -> np.ndarray:
 
 
 def _impl_pw_detect(args, rnd):
+    k = rnd.replayed()   # a replayed draw builds no bins
+    if k is not None:
+        return k
     pw, nbins, lo, hi, coherent = args
     if not 1 <= nbins <= MAX_CELLS:
         raise EvalError(f"pw_detect: nbins must be in [1, {MAX_CELLS}], "

@@ -234,6 +234,11 @@ class RngStream:
             raise ValueError("n must be positive")
         return min(int(self.uniform01() * n), n - 1)
 
+    def replayed(self) -> None:
+        """A stream replays no outcome: a kernel that asks gets None and
+        builds its probability vector (see ``ReplaySource.replayed``)."""
+        return None
+
     def categorical(self, probs, labels=None) -> int:
         """Index drawn from a probability vector (assumed to sum to 1).
         ``labels`` names outcomes for ``interpreter.ReplaySource``, which

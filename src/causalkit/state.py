@@ -21,7 +21,6 @@ from .errors import (
     MissingAttributeError,
     MissingFieldError,
     SchemaError,
-    SchemaMismatchError,
     TypeMismatchError,
     UnsampleableFieldError,
 )
@@ -551,53 +550,6 @@ def _interval(domain: Domain, name: str):
     if not math.isfinite(width):
         raise UnsampleableFieldError(name, "interval width overflows")
     return lo, width
-
-
-def deep_equal(a: SystemState, b: SystemState, tol: float = 0.0) -> bool:
-    """Field-by-field equality; floats compared within absolute tolerance."""
-    if a.schema is not b.schema and a.schema != b.schema:
-        raise SchemaMismatchError("states have different schemas")
-    if not _close(a.time, b.time, tol):
-        return False
-    return all(_value_equal(a.values[n], b.values[n], tol) for n in a.schema.fields)
-
-
-def _close(x: float, y: float, tol: float) -> bool:
-    return abs(x - y) <= tol
-
-
-def _value_equal(a, b, tol: float) -> bool:
-    if type(a) is not type(b):
-        return False
-    if type(a) in (int, bool):
-        return a == b
-    if type(a) is float:
-        return _close(a, b, tol)
-    if type(a) is complex:
-        return abs(a - b) <= tol
-    if isinstance(a, VVector):
-        return _arrays_close(a.values, b.values, tol)
-    if isinstance(a, VCGrid):
-        return a.dx == b.dx and _arrays_close(a.amps, b.amps, tol)
-    if isinstance(a, VList):
-        return (len(a.items) == len(b.items)
-                and all(_value_equal(x, y, tol) for x, y in zip(a.items, b.items)))
-    if isinstance(a, VRecord):
-        return (a.record == b.record and set(a.fields) == set(b.fields)
-                and all(_value_equal(v, b.fields[k], tol) for k, v in a.fields.items()))
-    if isinstance(a, VPw):   # real attributes within tol, the rest exactly
-        pa, pb = a.pw, b.pw
-        return (pa.attr_decls == pb.attr_decls
-                and _arrays_close(pa.amps, pb.amps, tol)
-                and all(_arrays_close(pa.columns[n], pb.columns[n], tol)
-                        if k == "real"
-                        else np.array_equal(pa.columns[n], pb.columns[n])
-                        for n, k in pa.attr_decls))
-    raise TypeError(f"unsupported value type {type(a)!r}")
-
-
-def _arrays_close(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
-    return x.shape == y.shape and bool(np.all(np.abs(x - y) <= tol))
 
 
 # --- serialization ----------------------------------------------------------

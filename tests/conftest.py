@@ -73,3 +73,71 @@ def draws(model, rng, n: int) -> list:
 
     law, s = model.laws[0], build_initial_state(model)
     return [apply_law(law, s, 1.0, rng).values["x"] for _ in range(n)]
+
+
+# --- oracles: exact comparisons that only tests make ---------------------------
+
+
+def deep_equal(a, b, tol: float = 0.0) -> bool:
+    """Field-by-field equality of two states; floats compared within
+    absolute tolerance."""
+    from causalkit import SchemaMismatchError
+
+    if a.schema is not b.schema and a.schema != b.schema:
+        raise SchemaMismatchError("states have different schemas")
+    if not _close(a.time, b.time, tol):
+        return False
+    return all(_value_equal(a.values[n], b.values[n], tol)
+               for n in a.schema.fields)
+
+
+def _close(x: float, y: float, tol: float) -> bool:
+    return abs(x - y) <= tol
+
+
+def _value_equal(a, b, tol: float) -> bool:
+    import numpy as np
+    from causalkit.state import VCGrid, VList, VPw, VRecord, VVector
+
+    if type(a) is not type(b):
+        return False
+    if type(a) in (int, bool):
+        return a == b
+    if type(a) is float:
+        return _close(a, b, tol)
+    if type(a) is complex:
+        return abs(a - b) <= tol
+    if isinstance(a, VVector):
+        return _arrays_close(a.values, b.values, tol)
+    if isinstance(a, VCGrid):
+        return a.dx == b.dx and _arrays_close(a.amps, b.amps, tol)
+    if isinstance(a, VList):
+        return (len(a.items) == len(b.items)
+                and all(_value_equal(x, y, tol)
+                        for x, y in zip(a.items, b.items)))
+    if isinstance(a, VRecord):
+        return (a.record == b.record and set(a.fields) == set(b.fields)
+                and all(_value_equal(v, b.fields[k], tol)
+                        for k, v in a.fields.items()))
+    if isinstance(a, VPw):   # real attributes within tol, the rest exactly
+        pa, pb = a.pw, b.pw
+        return (pa.attr_decls == pb.attr_decls
+                and _arrays_close(pa.amps, pb.amps, tol)
+                and all(_arrays_close(pa.columns[n], pb.columns[n], tol)
+                        if k == "real"
+                        else np.array_equal(pa.columns[n], pb.columns[n])
+                        for n, k in pa.attr_decls))
+    raise TypeError(f"unsupported value type {type(a)!r}")
+
+
+def _arrays_close(x, y, tol: float) -> bool:
+    import numpy as np
+
+    return x.shape == y.shape and bool(np.all(np.abs(x - y) <= tol))
+
+
+def total_weight(pw) -> float:
+    """The sum of a pw collection's Born weights, |amplitude|^2."""
+    import numpy as np
+
+    return float(np.sum(np.abs(pw.amps) ** 2))

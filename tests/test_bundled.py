@@ -12,6 +12,8 @@ from causalkit import (
     run,
 )
 
+from conftest import total_weight
+
 
 class TestRegistry:
     def test_all_models_listed(self):
@@ -76,7 +78,7 @@ class TestDoubleSlit:
     def test_initial_amplitudes_normalized(self):
         _, state = build_bundled_model("double_slit")
         pw = state.values["pw"].pw
-        assert pw.total_weight() == pytest.approx(1.0, abs=1e-9)
+        assert total_weight(pw) == pytest.approx(1.0, abs=1e-9)
         assert pw.n_paths == 128
 
     def test_branchable_detection(self):

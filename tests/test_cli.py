@@ -42,6 +42,28 @@ LIST_ITEM = {
 }
 
 
+# a record field overflows: ca_step's diffusion of a 1e300 field with
+# alpha 1e300 at the second step, and ca_world's alpha at the first
+_CA_RECORDS = ("record CaParticle { id: int; pos: int; vel: int; "
+               "species: int; } record CaWorld { phi: vector(4); "
+               "particles: list(CaParticle); alpha: real; } ")
+RECORD_FIELD = {
+    "phi": ("model caphi { " + _CA_RECORDS +
+            "state { world: CaWorld; n: int; } "
+            "init { world = ca_world(4, 1e300); n = 0; } "
+            "law Seed { when n == 0; then { world.phi[0] = 1e300; n = 1; } } "
+            "law Step { when n > 0; then { world = ca_step(world); "
+            "n = n + 1; } } }",
+            1, "law 'Step': ca_step: non-finite phi value -inf at index 0 "
+               "at 1:337"),
+    "alpha": ("model caalpha { " + _CA_RECORDS +
+              "state { world: CaWorld; x: real; } "
+              "init { world = ca_world(4, 0.2); x = 1e300; } "
+              "law L { when true; then { world = ca_world(4, x * x); } } }",
+              0, "law 'L': ca_world: non-finite alpha inf at 1:274"),
+}
+
+
 def invoke_unwarned(argv, capsys):
     """``invoke``, asserting that no warning was issued, whatever the
     warning filters say."""
@@ -152,6 +174,23 @@ class TestRun:
         assert code == 1
         lines = out.splitlines()
         assert [json.loads(l)["step"] for l in lines[:-1]] == [0]
+        assert json.loads(lines[-1])["terminationReason"] == {
+            "kind": "eval-error", "message": error}
+        assert err == f"terminated: eval-error: {error}\n"
+
+
+    @pytest.mark.parametrize("field", sorted(RECORD_FIELD))
+    def test_non_finite_record_field_is_an_eval_error(self, capsys, tmp_path,
+                                                      field):
+        source, steps, error = RECORD_FIELD[field]
+        f = tmp_path / "records.cml"
+        f.write_text(source)
+        code, out, err = invoke_unwarned(
+            ["run", str(f), "--steps", "3", "--format", "jsonl"], capsys)
+        assert code == 1
+        lines = out.splitlines()
+        assert [json.loads(l)["step"] for l in lines[:-1]] == \
+            list(range(steps + 1))
         assert json.loads(lines[-1])["terminationReason"] == {
             "kind": "eval-error", "message": error}
         assert err == f"terminated: eval-error: {error}\n"
@@ -283,6 +322,22 @@ class TestBranch:
         assert root["termination"] == {"kind": "eval-error",
                                        "message": error}
         assert root["state"]["time"] == 0.0
+
+
+    @pytest.mark.parametrize("field", sorted(RECORD_FIELD))
+    def test_non_finite_record_field_ends_the_lineage(self, capsys, tmp_path,
+                                                      field):
+        source, steps, error = RECORD_FIELD[field]
+        f = tmp_path / "records.cml"
+        f.write_text(source)
+        code, out, err = invoke_unwarned(["branch", str(f), "--steps", "3"],
+                                         capsys)
+        assert (code, err) == (0, "")
+        root = json.loads(out, parse_constant=pytest.fail)["root"]
+        assert root["termination"] == {"kind": "eval-error",
+                                       "message": error}
+        # the witness is the state before the failing step
+        assert root["state"]["time"] == float(steps)
 
 
 class TestListModels:

@@ -18,7 +18,6 @@ from causalkit import (
     branch_run,
     build_initial_state,
     classify_determinism,
-    deep_equal,
     eval_guard,
     load_model,
     make_initial_state,
@@ -28,7 +27,7 @@ from causalkit import (
     step,
 )
 
-from conftest import draw_model, draws, fixture_source
+from conftest import deep_equal, draw_model, draws, fixture_source
 
 
 def real_state(model, **values):

@@ -24,6 +24,7 @@ from causalkit import (
     run_ensemble,
 )
 import causalkit.interpreter as interpreter
+from causalkit import quantum
 from causalkit.errors import EvalError
 from causalkit.interpreter import _BATCH, _MIN_GROUP, Ensemble
 from causalkit.state import state_to_json
@@ -404,6 +405,54 @@ class TestExploration:
         else:
             assert kinds.count("replay") == finals > 32
         assert "apply" not in kinds
+
+    @pytest.mark.parametrize("detector", ["on", "off"])
+    def test_a_replayed_draw_builds_no_vector(self, detector, counted,
+                                              monkeypatch):
+        # the kernels build a Born or bin vector only for a draw that is
+        # not replayed: once per pre-state that draws, not per outcome
+        built = []
+        detect, interact = quantum.pw_detect, quantum.pw_interact
+
+        def counting_detect(pw, edges, rng, coherent=True):
+            built.append(("bins", id(pw)))
+            return detect(pw, edges, rng, coherent)
+
+        class Spy:
+            """``rng``, noting each draw made from a vector."""
+
+            def __init__(self, pw, rng):
+                self.pw, self.rng = pw, rng
+
+            def replayed(self):
+                return self.rng.replayed()
+
+            def categorical(self, probs, labels=None):
+                built.append(("born", id(self.pw)))
+                return self.rng.categorical(probs, labels)
+
+        monkeypatch.setattr(quantum, "pw_detect", counting_detect)
+        monkeypatch.setattr(quantum, "pw_interact",
+                            lambda pw, rng: interact(pw, Spy(pw, rng)))
+        model, init = build_bundled_model("double_slit",
+                                          {"detector": detector})
+        cfg = RunConfig(dt=1.0, max_steps=5, seed=4)
+        pairs = list(run_ensemble(model, init, cfg, 2000))
+        finals = len({id(f) for _, f in pairs})
+        replays = [kind for kind, _, _ in counted].count("replay")
+        born = [pw for kind, pw in built if kind == "born"]
+        bins = [pw for kind, pw in built if kind == "bins"]
+        if detector == "on":
+            # MarkPath draws from the initial collection's weights once;
+            # each collapsed state's Detect builds its own bins once
+            assert born == [id(init.values["pw"].pw)]
+            assert len(bins) == len(set(bins)) == finals > 64
+            assert replays >= 2 * finals
+        else:
+            assert born == [] and bins == [id(init.values["pw"].pw)]
+            assert replays == finals > 32
+        monkeypatch.undo()
+        assert_matches_run(model, init, cfg, 300)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_small_ensemble_spends_no_trial(self, seed, monkeypatch):

@@ -70,6 +70,28 @@ def test_replay_without_stream_takes_the_first_positive_outcome(probs):
     assert source.draws == [(probs, None, k)]
 
 
+def test_replayed_gives_each_prefix_outcome_once():
+    # replayed() and categorical() take turns at one position: each
+    # prefix outcome is given once, by whichever asks
+    source = ReplaySource((3, 1, 4))
+    assert source.replayed() == 3
+    assert source.categorical(np.ones(5) / 5) == 1
+    assert source.replayed() == 4
+    assert source.replayed() is None and source.pos == 3
+    assert source.draws == []
+    # past the prefix the draw is new, and recorded
+    probs = np.array([0.0, 1.0])
+    assert source.categorical(probs) == 1
+    assert source.draws == [(probs, None, 1)]
+    assert source.replayed() is None
+
+
+def test_a_stream_replays_nothing():
+    stream = RngStream(7)
+    assert stream.replayed() is None
+    assert stream.draw_count == 0
+
+
 class TestRun:
     def test_counter_halts_in_exactly_ten_steps(self):
         model, state = build_bundled_model("counter")

@@ -16,12 +16,13 @@ from causalkit import (
     VVector,
     apply_law,
     build_initial_state,
-    deep_equal,
     load_model,
     make_initial_state,
     run,
     write_trace,
 )
+
+from conftest import deep_equal
 
 
 def one_shot(field_decls, init, body, dt=1.0, assignments=None):

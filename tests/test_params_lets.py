@@ -28,6 +28,8 @@ from causalkit.analyzer import CheckStrategy
 from causalkit.cli import main
 from causalkit.frontend import structurally_equal
 
+from conftest import total_weight
+
 PARAMS = """
 model p {
   param n: int = 3;
@@ -282,7 +284,7 @@ class TestConstructors:
         bins, half, sep, dist, k = 8, 30.0, 2.5, 80.0, 3.5
         pw = quantum.two_slit(bins, half, sep, dist, k)
         assert pw.n_paths == 2 * bins and pw.normalized
-        assert pw.total_weight() == pytest.approx(1.0, abs=1e-12)
+        assert total_weight(pw) == pytest.approx(1.0, abs=1e-12)
         centers = 0.5 * (np.linspace(-half, half, bins + 1)[:-1]
                          + np.linspace(-half, half, bins + 1)[1:])
         slits = pw.attr_array("slit").tolist()

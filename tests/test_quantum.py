@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from causalkit import (
@@ -22,6 +24,7 @@ from causalkit import (
     RunConfig,
     apply_law,
     ca_step,
+    ca_world,
     gaussian_packet,
     load_model,
     make_initial_state,
@@ -32,8 +35,15 @@ from causalkit import (
     schrodinger_step,
 )
 from causalkit import quantum
+from causalkit.interpreter import ReplaySource
 from causalkit.quantum import grid_coordinates
-from conftest import FIXTURES, ca_momentum, ca_particles, ca_world_value
+from conftest import (
+    FIXTURES,
+    ca_momentum,
+    ca_particles,
+    ca_world_value,
+    total_weight,
+)
 
 
 def discrete_hamiltonian(n: int, dx: float, potential, mass: float = 1.0,
@@ -469,7 +479,7 @@ class TestPwPropagate:
     def test_norm_preserved(self):
         pw = one_particle_pw([(0.0, 1.0, 0.6), (1.0, -1.0, 0.8j)])
         out = pw_propagate(pw, 2.0)
-        assert out.total_weight() == pytest.approx(pw.total_weight())
+        assert total_weight(out) == pytest.approx(total_weight(pw))
 
     def test_zero_dt_identity(self):
         pw = one_particle_pw([(0.3, 1.5, 0.5), (2.0, -0.5, 0.5)])
@@ -572,6 +582,137 @@ class TestPwDetect:
             pw_detect(pw, [0.0, 1.0], RngStream(0))
 
 
+# --- the kernels as they were before they trusted a checked collection,
+# kept as the oracle of the leaner ones
+
+
+def oracle_pw_interact(pw, rng):
+    amps = pw.amplitudes()
+    weights = np.abs(amps) ** 2
+    total = weights.sum()
+    if total <= 0:
+        raise ZeroNormError("all path amplitudes vanish")
+    idx = rng.categorical(weights / total)
+    amp = complex(amps[idx])
+    collapsed = PwCollection(pw.attr_decls, [amp / abs(amp)],
+                             {name: col[idx:idx + 1]
+                              for name, col in pw.columns.items()},
+                             normalized=True)
+    return idx, collapsed
+
+
+def oracle_pw_detect(pw, bin_edges, rng, coherent=True):
+    edges = np.asarray(bin_edges, dtype=float)
+    if len(edges) < 2:
+        raise ValueError("need at least two bin edges")
+    if not edges[0] < edges[-1]:
+        raise PositionOutOfBinsError(
+            f"empty detection range [{edges[0]}, {edges[-1]}]")
+    positions = pw.attr_array("position")
+    if np.any(positions < edges[0]) or np.any(positions > edges[-1]):
+        raise PositionOutOfBinsError(
+            f"path positions outside [{edges[0]}, {edges[-1]}]")
+    idx = np.searchsorted(edges, positions, side="right") - 1
+    idx = np.minimum(idx, len(edges) - 2)
+    amps = pw.amplitudes()
+    nbins = len(edges) - 1
+    if coherent:
+        binamps = (np.bincount(idx, weights=amps.real, minlength=nbins)
+                   + 1j * np.bincount(idx, weights=amps.imag, minlength=nbins))
+        probs = np.abs(binamps) ** 2
+    else:
+        probs = np.bincount(idx, weights=np.abs(amps) ** 2, minlength=nbins)
+    total = probs.sum()
+    if total <= 0:
+        raise ZeroNormError("all detection probabilities vanish")
+    return int(rng.categorical(probs / total))
+
+
+def outcome(kernel, *args):
+    """``kernel(*args)``, or the type and message of what it raised;
+    numpy's warnings about non-finite values are not errors here."""
+    try:
+        with np.errstate(all="ignore"):
+            return kernel(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def collection_bytes(pw):
+    """Everything a collection holds, as comparable bytes and flags."""
+    return (pw.attr_decls, pw.normalized, pw.amps.dtype, pw.amps.shape,
+            pw.amps.tobytes(), pw.amps.flags.writeable,
+            [(name, col.dtype, col.shape, col.tobytes(), col.flags.writeable)
+             for name, col in pw.columns.items()])
+
+
+EDGE_ARRAYS = [np.linspace(-1.0, 1.0, 5), np.array([0.0, 1.0]),
+               np.array([-0.0, 0.0, 0.5, 2.0]), np.linspace(-60.0, 60.0, 65)]
+# edge arrays pw_detect refuses
+REFUSED_EDGES = [np.array([1.0, 1.0]), np.array([2.0, 1.0]),
+                 np.array([np.nan, 1.0]), np.array([0.0])]
+AMPLITUDES = (st.sampled_from([0.0, 0.0j, 1.0, -1j, 0.6 + 0.8j, 5e-324,
+                               1e200, complex(np.inf, 0.0),
+                               complex(np.nan, 1.0)])
+              | st.complex_numbers(max_magnitude=10.0))
+
+
+@st.composite
+def detections(draw):
+    """(collection, edges): one or two particles on one to six paths,
+    positions on the edges, between them, outside, NaN or infinite."""
+    edges = draw(st.sampled_from(EDGE_ARRAYS) if draw(st.integers(0, 4))
+                 else st.sampled_from(REFUSED_EDGES))
+    paths = draw(st.integers(1, 6))
+    particles = draw(st.integers(1, 2))
+    inside = st.floats(-1.0, 1.0)
+    if len(edges) > 1 and edges[0] < edges[-1]:
+        inside = st.floats(edges[0], edges[-1])
+    position = st.sampled_from(edges.tolist()) | inside
+    if draw(st.booleans()):   # else every position is in range
+        position |= (st.sampled_from([np.nan, np.inf, -np.inf])
+                     | st.floats(allow_nan=True, allow_infinity=True))
+    positions = draw(st.lists(st.lists(position, min_size=particles,
+                                       max_size=particles),
+                              min_size=paths, max_size=paths))
+    amps = draw(st.lists(AMPLITUDES, min_size=paths, max_size=paths))
+    slits = [[i % 2] * particles for i in range(paths)]
+    pw = PwCollection((("slit", "int"), ("position", "real")), amps,
+                      {"slit": slits, "position": positions})
+    return pw, edges
+
+
+class TestLeanKernelsMatchTheOracle:
+    """pw_detect's one min and max, and the collapse's views of the
+    checked columns, give what the kernels that checked everything again
+    gave: the same outcome, or the same error."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(detections(), st.booleans(), st.integers(0, 2 ** 32))
+    def test_pw_detect(self, case, coherent, seed):
+        pw, edges = case
+        assert outcome(pw_detect, pw, edges, RngStream(seed), coherent) == \
+            outcome(oracle_pw_detect, pw, edges, RngStream(seed), coherent)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(detections(), st.integers(0, 2 ** 32))
+    def test_collapse(self, case, seed):
+        pw, _ = case
+        got = outcome(pw_interact, pw, RngStream(seed))
+        want = outcome(oracle_pw_interact, pw, RngStream(seed))
+        if isinstance(want[0], type):   # an error
+            assert got == want
+            return
+        assert got[0] == want[0]
+        assert collection_bytes(got[1]) == collection_bytes(want[1])
+        # a replay of the drawn path collapses to the same collection
+        # without computing the weights
+        replay = ReplaySource((want[0],))
+        idx, again = pw_interact(pw, replay)
+        assert idx == want[0] and replay.draws == []
+        assert collection_bytes(again) == collection_bytes(want[1])
+
+
 class TestBinEdges:
     @staticmethod
     def detect(nbins, lo, hi, seed=3):
@@ -632,6 +773,23 @@ class TestCaStep:
         out = ca_step(ca_world_value(phi, alpha=0.3)).fields["phi"].values
         lap = np.roll(phi, 1) + np.roll(phi, -1) - 2.0 * phi
         assert np.array_equal(out, phi + 0.3 * lap)
+
+    @pytest.mark.parametrize("phi, alpha, message", [
+        ([1e300, 0.0, 0.0], 1e300, "non-finite phi value -inf at index 0"),
+        ([0.0, np.nan, 0.0], 0.2, "non-finite phi value nan at index 0"),
+        ([0.0, 0.0, np.inf], 0.2, "non-finite phi value inf at index 0"),
+    ])
+    def test_a_field_that_is_not_finite_is_refused(self, phi, alpha,
+                                                   message):
+        with np.errstate(all="ignore"), \
+                pytest.raises(EvalError, match=f"^ca_step: {message}$"):
+            ca_step(ca_world_value(np.array(phi), alpha=alpha))
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_a_world_with_alpha_not_finite_is_refused(self, alpha):
+        with pytest.raises(EvalError,
+                           match=f"^ca_world: non-finite alpha {alpha}$"):
+            ca_world(10, alpha)
 
     def test_single_particle_displacement(self):
         world = ca_world_value(np.zeros(10), [(1, 0, 1)])

@@ -26,7 +26,6 @@ from causalkit import (
     VRecord,
     VVector,
     build_bundled_model,
-    deep_equal,
     make_initial_state,
     sample_state,
     state_from_json,
@@ -36,6 +35,8 @@ from causalkit.analyzer import CheckStrategy, _sampled_states, \
     unsampleable_fields
 from causalkit.rng import derive_seed
 from causalkit.state import PAYLOAD_TYPES
+
+from conftest import deep_equal
 
 
 def int_schema():
