@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,35 +264,19 @@ class WorldTree:
         return sum(l.weight for l in self.leaves())
 
 
-@dataclass(slots=True)
-class _Lineage:
-    state: SystemState
-    weight: float
-    draws: int       # categorical draws consumed so far
-    node: WorldNode
-    serial: int      # creation order, used for deterministic pruning
-
-
-def _settle(lin: _Lineage, termination: Termination):
-    lin.node.termination = termination
-    lin.node.snapshot = lin.state
-
-
 def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
                depth_bound: int, width_bound: int) -> WorldTree:
     """Execute like ``run`` but fork one weighted child per outcome at
     every categorical random draw.
 
-    Each round of steps keeps one ``_Entry`` per distinct ``state_key``,
-    and each lineage walks its entry's outcome trie depth first, forking
-    at every node that draws; ``_explore`` replays the law once at each
-    node nothing has explored, so a k-way fork costs at most k
-    applications and equal states share them. A lineage stops branching
-    once it has consumed depth_bound draws (leaf kind "depth-bound").
-    After each round the frontier is pruned to width_bound lineages,
-    dropping the lowest weights deterministically; pruned stubs stay in
-    the tree and their total mass is reported. Continuous draws are not
-    branchable and raise ContinuousRandomError.
+    A round of ``_advance`` steps every lineage, a (world node, creation
+    serial) pair; lineages whose states share a ``state_key`` share one
+    ``_Entry`` and its trie for the round. At a node that draws, a lineage
+    that has consumed depth_bound draws is cut ("depth-bound"), and any
+    other forks one child per outcome of positive probability. Each round
+    the frontier is pruned to width_bound lineages, dropping the lowest
+    weights deterministically; pruned stubs stay in the tree and their
+    mass is reported. A continuous draw raises ContinuousRandomError.
     """
     if depth_bound < 1:
         raise ValueError("depth_bound must be >= 1")
@@ -302,77 +286,61 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
     cut = Termination("depth-bound", f"branching depth {depth_bound} reached")
     root = WorldNode(weight=1.0, snapshot=init)
     serial = 1
-    active = [_Lineage(init, 1.0, 0, root, 0)]
+    # state key -> _Entry for one round; an entry holds its state, so an id
+    # key is not reused this round
+    entries: dict = {}
+
+    def entry_of(s):
+        key = state_key(s)
+        entry = entries.get(key)
+        if entry is None:
+            entry = entries[key] = _Entry(s, halts(model, s))
+        return entry
+
+    def fork(node, path, s, draws, lin):
+        nonlocal serial
+        if draws + len(path) >= depth_bound:
+            settle(lin, cut, s)
+            return ()
+        if node.outcomes is None:
+            # tolist(): Python floats, compared and multiplied without a
+            # numpy scalar per outcome
+            labels = node.labels
+            node.outcomes = tuple(
+                (j, p, str(j if labels is None else labels[j]))
+                for j, p in enumerate(node.probs.tolist()) if p > 0.0)
+        parent = lin[0]
+        forks = []
+        for j, p, label in node.outcomes:
+            child = WorldNode(parent.weight * p, label)
+            parent.children.append(child)
+            forks.append((node.children[j], path + (j,), (child, serial)))
+            serial += 1
+        return forks[::-1]   # the first outcome is walked first
+
+    def settle(lin, termination, s):
+        lin[0].termination = termination
+        lin[0].snapshot = s
+
+    def live(s, draws, lin, error):
+        raise error
+
+    groups = [(init, 0, (root, 0))]
     pruned_mass = 0.0
     steps = 0   # every lineage of a round has taken this many steps
-
-    while active:
-        survivors: list = []
-        # state key -> _Entry; an entry holds its state, so an id key is
-        # not reused this round
-        entries: dict = {}
-        time = init.time + (steps + 1) * cfg.dt
-        for lin in active:
-            s = lin.state
-            key = state_key(s)
-            entry = entries.get(key)
-            if entry is None:
-                try:
-                    entry = entries[key] = _Entry(s, halts(model, s))
-                except EvalError as exc:
-                    _settle(lin, _termination(exc))
-                    continue
-            if entry.halts:
-                _settle(lin, Termination("halted"))
-                continue
-            if steps >= cfg.max_steps:
-                _settle(lin, Termination("max-steps"))
-                continue
-            # (lineage, trie node, outcome path from the root)
-            stack = [(lin, entry.root, ())]
-            while stack:
-                lin, node, path = stack.pop()
-                if node.post is None and node.probs is None \
-                        and node.error is None:
-                    _explore(model, cfg, entry, node, path, time)
-                if node.post is not None:
-                    lin.state = lin.node.snapshot = node.post
-                    lin.draws += len(path)
-                    survivors.append(lin)
-                elif node.probs is not None:
-                    if len(path) >= depth_bound - lin.draws:
-                        _settle(lin, cut)
-                        continue
-                    if node.outcomes is None:
-                        # tolist(): Python floats, compared and multiplied
-                        # without a numpy scalar per outcome
-                        labels = node.labels
-                        node.outcomes = tuple(
-                            (j, p, str(j if labels is None else labels[j]))
-                            for j, p in enumerate(node.probs.tolist())
-                            if p > 0.0)
-                    forks = []
-                    for j, p, label in node.outcomes:
-                        weight = lin.weight * p
-                        child = WorldNode(weight, label)
-                        lin.node.children.append(child)
-                        forks.append((_Lineage(s, weight, lin.draws, child,
-                                               serial),
-                                      node.children[j], path + (j,)))
-                        serial += 1
-                    stack += reversed(forks)
-                elif isinstance(node.error, ContinuousRandomError):
-                    raise node.error
-                else:
-                    _settle(lin, _termination(node.error))
-        if len(survivors) > width_bound:
-            order = sorted(survivors, key=lambda l: (-l.weight, l.serial))
-            for lin in order[width_bound:]:
-                lin.node.pruned = True
-                _settle(lin, Termination("pruned"))
-                pruned_mass += lin.weight
-            survivors = sorted(order[:width_bound], key=lambda l: l.serial)
-        active = survivors
+    while groups:
+        groups = _advance(model, cfg, steps, init.time + (steps + 1) * cfg.dt,
+                          groups, entry_of, fork, settle, live)
+        entries.clear()
+        for s, _, (node, _) in groups:
+            node.snapshot = s   # the last state its lineage reached
+        if len(groups) > width_bound:
+            order = sorted(groups, key=lambda g: (-g[2][0].weight, g[2][1]))
+            for _, _, (node, _) in order[width_bound:]:
+                node.pruned = True
+                node.termination = Termination("pruned")
+                pruned_mass += node.weight
+            groups = sorted(order[:width_bound], key=lambda g: g[2][1])
         steps += 1
     return WorldTree(root, pruned_mass)
 
@@ -474,6 +442,52 @@ class _Entry:
         self.root = _Draw()
 
 
+def _advance(model: CausalModel, cfg: RunConfig, steps: int, time: float,
+             groups: list, entry_of, draw, settle, live) -> list:
+    """The frontier walk of ``branch_run`` and ``Ensemble._batch``: one
+    step of each group (state, draws taken, payload) of a round that has
+    taken ``steps`` steps, to ``time``. In ``run``'s order a group halts,
+    stops at max-steps or walks its entry's trie, exploring what nothing
+    has; a failing halt check or node ends it as ``run`` would. Returns
+    the next round's groups, in depth-first trie order. The caller gives
+    ``entry_of(s)``, an ``_Entry`` or None; ``draw(node, path, s, draws,
+    payload)``, the (child, path, payload) triples to walk on, the last
+    first; ``settle(payload, termination, s)``; and ``live(s, draws,
+    payload, error)`` for no entry (error None) or a live node."""
+    out = []
+    for s, draws, payload in groups:
+        try:
+            entry = entry_of(s)
+        except _STEP_ERRORS as exc:   # the halt check fails
+            settle(payload, _termination(exc), s)
+            continue
+        if entry is None:
+            live(s, draws, payload, None)
+            continue
+        if entry.halts:
+            settle(payload, Termination("halted"), s)
+            continue
+        if steps >= cfg.max_steps:
+            settle(payload, Termination("max-steps"), s)
+            continue
+        # (trie node, outcome path from the root, payload)
+        stack = [(entry.root, (), payload)]
+        while stack:
+            node, path, payload = stack.pop()
+            if node.post is None and node.probs is None \
+                    and node.error is None:
+                _explore(model, cfg, entry, node, path, time)
+            if node.post is not None:
+                out.append((node.post, draws + len(path), payload))
+            elif node.probs is not None:
+                stack += draw(node, path, s, draws, payload)
+            elif isinstance(node.error, ContinuousRandomError):
+                live(s, draws, payload, node.error)
+            else:
+                settle(payload, _termination(node.error), s)
+    return out
+
+
 class Ensemble:
     """Iterable over the (termination, final state) pairs of ``trials``
     seeded runs; see ``run_ensemble``.
@@ -511,20 +525,12 @@ class Ensemble:
 
     def _batch(self, first: int, n: int) -> list:
         """The (termination, final state) pairs of trials ``first`` to
-        ``first + n - 1``, in trial order.
-
-        The trials are routed through the memo and the outcome tries
-        together: a group of trials at one shared state takes the entry's
-        halt and max-steps exits at once, and at a trie node one
-        ``searchsorted`` of the node's cumulative probabilities picks
-        every trial's outcome from its own next word, unless one outcome
-        is forced. A group that reaches a node nothing has explored
-        replays the law there once (``_explore``), drawing no word, and
-        moves on. A trial whose group meets work that cannot be shared (a
-        full memo, a failing halt check or law selection, a live or
-        failing node), or is one of fewer than _MIN_GROUP at a node whose
-        outcome is not forced, finishes in ``_trial``, resumed at its
-        group's state.
+        ``first + n - 1``, in trial order, by rounds of ``_advance`` over
+        groups of trial rows; trials that end together share one pair. At
+        a node that draws, one ``searchsorted`` of its cumulative sum picks
+        each trial's outcome from its own next word, unless one outcome is
+        forced. A group with no entry or at a live node, or of fewer than
+        _MIN_GROUP where the outcome is not forced, finishes in ``_trial``.
         """
         cfg = self.cfg
         keys = derive_seeds(cfg.seed, np.arange(first, first + n,
@@ -532,8 +538,9 @@ class Ensemble:
         words = WordBlocks(keys)
         out: list = [None] * n
         stream = RngStream(0)
+        steps = 0   # every group of a round has taken this many steps
 
-        def finish(s, steps, pos, rows):
+        def finish(s, pos, rows, error=None):
             """Run trials ``rows`` on from state ``s``, reached after
             ``steps`` steps and ``pos`` words, each on its own stream."""
             words.retire(rows)
@@ -543,65 +550,37 @@ class Ensemble:
                     stream.raw64()
                 out[i] = self._trial(stream, s=s, steps=steps)
 
-        def settle(rows, result):
+        def settle(rows, termination, s):
             words.retire(rows)
+            pair = termination, s
             for i in rows.tolist():
-                out[i] = result
+                out[i] = pair
 
-        # groups of trials at one shared state: (state, steps taken, words
-        # drawn, trial rows); every trial at a state took the same path.
-        # First in, first out, so the groups move on step by step and ask
-        # for the same few blocks of words.
-        todo = deque([(self.init, 0, 0, np.arange(n))])
-        while todo:
-            s, steps, pos, rows = todo.popleft()
-            try:
-                entry = self._entry(s)
-            except _STEP_ERRORS:   # the halt check fails on every trial
-                entry = None
-            if entry is None:
-                finish(s, steps, pos, rows)
-                continue
-            if entry.halts:
-                settle(rows, (Termination("halted"), s))
-                continue
-            if steps >= cfg.max_steps:
-                settle(rows, (Termination("max-steps"), s))
-                continue
-            time = self.init.time + (steps + 1) * cfg.dt
-            # (node, words drawn, trial rows, outcome path from the root)
-            nodes = [(entry.root, pos, rows, ())]
-            while nodes:
-                node, p, rows, path = nodes.pop()
-                if node.post is None and node.probs is None:
-                    if node.error is None:
-                        _explore(self.model, cfg, entry, node, path, time)
-                    if node.post is None and node.probs is None:
-                        # live or failing: no trial records it, each
-                        # executes the step on its own stream
-                        finish(s, steps, pos, rows)
-                        continue
-                if node.post is not None:
-                    todo.append((node.post, steps + 1, p, rows))
-                    continue
-                if node.cum is None:
-                    node.cum = np.cumsum(node.probs)
-                    # the outcome is forced if the least and the greatest
-                    # uniform pick it: the pick is monotone in the uniform
-                    least, most = categorical_indices(node.cum,
-                                                      _U_BOUNDS).tolist()
-                    node.forced = least if least == most else None
-                if node.forced is not None:
-                    parts = [(node.forced, rows)]
-                elif len(rows) < _MIN_GROUP:
-                    finish(s, steps, pos, rows)
-                    continue
-                else:
-                    picks = categorical_indices(node.cum,
-                                                words.uniform01(rows, p))
-                    parts = _partition(picks, rows)
-                for k, part in parts:
-                    nodes.append((node.children[k], p + 1, part, path + (k,)))
+        def sample(node, path, s, pos, rows):
+            if node.cum is None:
+                node.cum = np.cumsum(node.probs)
+                # the outcome is forced if the least and the greatest
+                # uniform pick it: the pick is monotone in the uniform
+                least, most = categorical_indices(node.cum,
+                                                  _U_BOUNDS).tolist()
+                node.forced = least if least == most else None
+            k = node.forced
+            if k is not None:
+                return [(node.children[k], path + (k,), rows)]
+            if len(rows) < _MIN_GROUP:
+                finish(s, pos, rows)
+                return ()
+            picks = categorical_indices(
+                node.cum, words.uniform01(rows, pos + len(path)))
+            return [(node.children[k], path + (k,), part)
+                    for k, part in _partition(picks, rows)]
+
+        groups = [(self.init, 0, np.arange(n))]   # words drawn, trial rows
+        while groups:
+            groups = _advance(self.model, cfg, steps,
+                              self.init.time + (steps + 1) * cfg.dt, groups,
+                              self._entry, sample, settle, finish)
+            steps += 1
         return out
 
     def _trial(self, stream: RngStream, rows: list | None = None,
@@ -670,7 +649,8 @@ def run_ensemble(model: CausalModel, init: SystemState, cfg: RunConfig,
     step from an immutable pre-state depends only on that state and the
     categorical outcomes it draws, so the halt check, law selection and
     every explored outcome path are computed once per distinct pre-state
-    and shared by all trials that reach it. Ensembles record no rows, so
+    and shared by all trials that reach it, failures included; trials
+    that end together share one pair. Ensembles record no rows, so
     ``cfg.observables`` must be empty.
     """
     if cfg.observables:

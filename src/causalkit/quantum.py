@@ -201,20 +201,33 @@ def two_slit(bins: int, half_width: float, separation: float,
     screen bins on [-half_width, half_width], one path through each slit.
 
     The phase of each alternative is wavenumber times the straight-line
-    length from the slit to the bin center; moduli are equal.
+    length from the slit to the bin center; moduli are equal. A position
+    or amplitude that is not finite is refused.
     """
-    edges = np.linspace(-half_width, half_width, bins + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    slit_y = np.array([-0.5 * separation, 0.5 * separation])
-    lengths = np.sqrt(distance ** 2
-                      + (centers[None, :] - slit_y[:, None]) ** 2)
-    amps = np.exp(1j * wavenumber * lengths) / math.sqrt(2 * bins)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        edges = np.linspace(-half_width, half_width, bins + 1)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        slit_y = np.array([-0.5 * separation, 0.5 * separation])
+        lengths = np.sqrt(distance ** 2
+                          + (centers[None, :] - slit_y[:, None]) ** 2)
+        amps = np.exp(1j * wavenumber * lengths) / math.sqrt(2 * bins)
     # path 2b + s goes through slit s to bin b
-    return PwCollection((("slit", "int"), ("position", "real")),
-                        amps.T.ravel(),
+    amps, positions = amps.T.ravel(), np.repeat(centers, 2)[:, None]
+    _refuse_non_finite("two_slit", "position", positions)
+    _refuse_non_finite("two_slit", "amplitude", amps)
+    return PwCollection((("slit", "int"), ("position", "real")), amps,
                         {"slit": np.tile([[0], [1]], (bins, 1)),
-                         "position": np.repeat(centers, 2)[:, None]},
+                         "position": positions},
                         normalized=True)
+
+
+def _refuse_non_finite(kernel: str, name: str, values: np.ndarray):
+    """EvalError naming the first path whose ``name`` is not finite: a
+    collection holds no such value, so no kernel draws from one."""
+    if not np.isfinite(values).all():
+        at = tuple(np.argwhere(~np.isfinite(values))[0])
+        raise EvalError(f"{kernel}: non-finite {name} {values[at]} "
+                        f"on path {at[0]}")
 
 
 def pw_spins(paths) -> PwCollection:
@@ -226,12 +239,14 @@ def pw_spins(paths) -> PwCollection:
 
 def pw_propagate(pw: PwCollection, dt: float) -> PwCollection:
     """Advance every particle's position by velocity * dt on each path;
-    amplitudes are unchanged."""
+    amplitudes are unchanged. A position that overflows is refused."""
     columns = pw.columns
     if "position" not in columns or "velocity" not in columns:
         raise MissingAttributeError(
             "propagation needs 'position' and 'velocity' attributes")
-    moved = columns["position"] + columns["velocity"] * dt
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        moved = columns["position"] + columns["velocity"] * dt
+    _refuse_non_finite("pw_propagate", "position", moved)
     return PwCollection(pw.attr_decls, pw.amps,
                         {**columns, "position": moved},
                         normalized=pw.normalized)

@@ -64,6 +64,12 @@ RECORD_FIELD = {
 }
 
 
+# tests/fixtures/overflowing_slit.cml: the slit's half-width overflows at
+# step 5
+SLIT_ERROR = ("law 'Open': two_slit: non-finite position nan on path 0 "
+              "at 29:12")
+
+
 def invoke_unwarned(argv, capsys):
     """``invoke``, asserting that no warning was issued, whatever the
     warning filters say."""
@@ -194,6 +200,18 @@ class TestRun:
         assert json.loads(lines[-1])["terminationReason"] == {
             "kind": "eval-error", "message": error}
         assert err == f"terminated: eval-error: {error}\n"
+
+    def test_non_finite_path_collection_is_an_eval_error(self, capsys):
+        code, out, err = invoke_unwarned(
+            ["run", str(FIXTURES / "overflowing_slit.cml"), "--steps", "6",
+             "--format", "jsonl"], capsys)
+        assert code == 1
+        lines = out.splitlines()
+        assert [json.loads(l)["step"] for l in lines[:-1]] == \
+            [0, 1, 2, 3, 4]
+        assert json.loads(lines[-1])["terminationReason"] == {
+            "kind": "eval-error", "message": SLIT_ERROR}
+        assert err == f"terminated: eval-error: {SLIT_ERROR}\n"
 
 
 class TestAnalyze:
@@ -338,6 +356,18 @@ class TestBranch:
                                        "message": error}
         # the witness is the state before the failing step
         assert root["state"]["time"] == float(steps)
+
+    def test_non_finite_path_collection_ends_the_lineage(self, capsys):
+        code, out, err = invoke_unwarned(
+            ["branch", str(FIXTURES / "overflowing_slit.cml"), "--steps",
+             "6"], capsys)
+        assert (code, err) == (0, "")
+        assert "NaN" not in out and "Infinity" not in out
+        root = json.loads(out, parse_constant=pytest.fail)["root"]
+        assert root["termination"] == {"kind": "eval-error",
+                                       "message": SLIT_ERROR}
+        # the witness is the state before the failing step
+        assert root["state"]["time"] == 4.0
 
 
 class TestListModels:

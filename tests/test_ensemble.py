@@ -534,8 +534,8 @@ class TestExploration:
 
     def test_failed_selection_at_a_new_entry(self, counted, monkeypatch):
         # x = 1 and x = 2 are new entries reached by over _MIN_GROUP
-        # trials of every batch; the walk selects at each once, and each
-        # trial there selects again on its own and fails as run does
+        # trials of every batch; the walk selects at each once, and every
+        # group there ends with the termination of that one selection
         monkeypatch.setattr(interpreter, "_BATCH", 4 * _MIN_GROUP)
         model = load_model(STUCK)
         cfg = RunConfig(dt=1.0, max_steps=5, seed=2)
@@ -545,8 +545,26 @@ class TestExploration:
         first = [term.kind for term, _ in pairs[:4 * _MIN_GROUP]]
         assert min(first.count("no-applicable-law"),
                    first.count("multiple-applicable")) >= _MIN_GROUP
-        assert [kind for kind, _, _ in counted].count("select") == \
-            3 + trials
+        assert [kind for kind, _, _ in counted].count("select") == 3
+
+    @pytest.mark.parametrize("source, steps, kinds, paths", [
+        (STUCK, 5, {"no-applicable-law", "multiple-applicable"}, 2),
+        (FALLIBLE_HALT, 2, {"eval-error", "max-steps"}, 4)],
+        ids=["stuck", "fallible_halt"])
+    def test_failing_groups_settle_without_a_trial(self, source, steps,
+                                                   kinds, paths, monkeypatch):
+        # every group is large enough to be routed in batch: a group at a
+        # failing law selection or halt check ends on the walk's one
+        # termination, shared by its trials, as run ends
+        model = load_model(source)
+        init = build_initial_state(model)
+        cfg = RunConfig(dt=1.0, max_steps=steps, seed=5)
+        monkeypatch.setattr(Ensemble, "_trial", _no_trial)
+        pairs = list(run_ensemble(model, init, cfg, 400))
+        assert _kinds(pairs) == kinds
+        assert len({id(pair) for pair in pairs}) == paths   # one per path
+        monkeypatch.undo()
+        assert_matches_run(model, init, cfg, 400)
 
     def test_live_node_is_replayed_once(self, counted, monkeypatch):
         # the first draw of GAUSS_WALK is continuous: the initial state's
@@ -609,6 +627,38 @@ class TestMatchesBranchWeights:
         # and the bound tells the two distributions apart
         other = self._exact("on" if detector == "off" else "off")
         assert self._l1(counts, self.TRIALS, other) > 2 * bound
+
+    @staticmethod
+    def _outcome(term, final):
+        return term.kind, tuple(final.values.items())
+
+    @pytest.mark.parametrize("source, kinds, outcomes", [
+        (STUCK, {"no-applicable-law", "multiple-applicable"}, 2),
+        (fixture_source("uneven_draws.cml"), {"halted"}, 7)],
+        ids=["stuck", "uneven_draws"])
+    def test_error_and_halting_leaves(self, source, kinds, outcomes):
+        # (termination kind, final values): failing law selections, and
+        # halting states reached after different numbers of draws, which
+        # the sample and the fork policy settle on the walk's shared paths
+        model = load_model(source)
+        init = build_initial_state(model)
+        cfg = RunConfig(dt=1.0, max_steps=7, seed=29)
+        tree = branch_run(model, init, cfg, depth_bound=12,
+                          width_bound=10_000)
+        assert tree.pruned_mass == 0.0
+        exact: dict = {}
+        for leaf in tree.leaves():
+            key = self._outcome(leaf.termination, leaf.snapshot)
+            exact[key] = exact.get(key, 0.0) + leaf.weight
+        assert {kind for kind, _ in exact} == kinds
+        assert len(exact) == outcomes
+        assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
+        counts: dict = {}
+        for pair in run_ensemble(model, init, cfg, self.TRIALS):
+            key = self._outcome(*pair)
+            counts[key] = counts.get(key, 0) + 1
+        bound = 1.5 * (outcomes / self.TRIALS) ** 0.5
+        assert self._l1(counts, self.TRIALS, exact) < bound
 
 
 class TestRekey:

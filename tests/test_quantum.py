@@ -33,6 +33,7 @@ from causalkit import (
     pw_propagate,
     run,
     schrodinger_step,
+    two_slit,
 )
 from causalkit import quantum
 from causalkit.interpreter import ReplaySource
@@ -493,6 +494,43 @@ class TestPwPropagate:
                           {"position": [[0.0]]})
         with pytest.raises(MissingAttributeError):
             pw_propagate(pw, 1.0)
+
+    def test_overflowing_position_is_refused(self):
+        pw = one_particle_pw([(0.0, 1.0, 0.6), (1.0, 1e308, 0.8j)])
+        with pytest.raises(EvalError, match=r"^pw_propagate: non-finite "
+                                            r"position inf on path 1$"):
+            pw_propagate(pw, 10.0)
+
+    def test_refusal_names_the_law_and_location(self):
+        src = ("model t { state { pw: pwcollection(position: real, "
+               "velocity: real); } init { } "
+               "law Move { when true; then { pw = pw_propagate(pw, dt); } } }")
+        model = load_model(src)
+        pw = PwCollection((("position", "real"), ("velocity", "real")),
+                          [1.0], {"position": [[0.0]], "velocity": [[1e308]]})
+        init = make_initial_state(model.schema, {"pw": VPw(pw)})
+        trace = run(model, init, RunConfig(dt=10.0, max_steps=3))
+        assert trace.termination.kind == "eval-error"
+        assert trace.termination.message == (
+            "law 'Move': pw_propagate: non-finite position inf on path 0 "
+            "at 1:114")
+        assert trace.final_state is init
+
+
+class TestTwoSlit:
+    def test_paths_are_finite_and_normalized(self):
+        pw = two_slit(4, 1.0, 1.0, 10.0, 1.0)
+        assert pw.n_paths == 8 and total_weight(pw) == pytest.approx(1.0)
+        assert np.isfinite(pw.amps).all()
+
+    @pytest.mark.parametrize("args, message", [
+        ((1e300 * 1e300, 1.0, 10.0, 1.0), "position nan on path 0"),
+        ((1e308, 1.0, 10.0, 1.0), "position nan on path 0"),
+        ((1.0, 1.0, 10.0, 1e308), r"amplitude \(nan\+nanj\) on path 0")])
+    def test_non_finite_paths_are_refused(self, args, message):
+        with pytest.raises(EvalError,
+                           match=f"^two_slit: non-finite {message}$"):
+            two_slit(4, *args)
 
 
 class TestPwInteract:
