@@ -141,15 +141,45 @@ def run(model: CausalModel, init: SystemState, cfg: RunConfig) -> Trace:
     or an engine error occurs. Failures land in the termination record,
     never as exceptions.
 
-    This is the one-trial case of ``run_ensemble``'s loop, seeded with
-    ``cfg.seed`` itself. Row times are computed as init.time + stepIndex *
-    dt (not accumulated), and rows are recorded exactly at record_every
-    strides.
+    Its loop, ``_run_from``, is the one an ensemble trial runs once it
+    leaves the shared walk; here it is seeded with ``cfg.seed`` itself
+    and starts at step 0. Row times are computed as init.time +
+    stepIndex * dt (not accumulated), and rows are recorded exactly at
+    record_every strides.
     """
+    cfg.check_times(init)
     rows: list = []
-    termination, final = Ensemble(model, init, cfg, 1)._trial(
-        RngStream(cfg.seed), rows)
+    termination, final = _run_from(model, cfg, init.time, init, 0,
+                                   RngStream(cfg.seed), rows)
     return Trace(model.name, cfg, tuple(rows), termination, final)
+
+
+def _run_from(model: CausalModel, cfg: RunConfig, start: float,
+              s: SystemState, steps: int, stream: RngStream,
+              rows: list | None = None):
+    """The halt -> max-steps -> step loop of one trial drawing from
+    ``stream``, from state ``s`` reached after ``steps`` steps of a run
+    that began at time ``start``. Returns (termination, final state);
+    appends a TraceRow to ``rows``, if given, at step 0 and every
+    record_every steps."""
+    halt, observe = model.halt_fn, cfg.observe
+    dt, mode, max_steps, every = (cfg.dt, cfg.mode, cfg.max_steps,
+                                  cfg.record_every)
+    try:
+        if rows is not None:
+            rows.append(TraceRow(0, start, observe(s), s))
+        while True:
+            if halt is not None and halt(s):
+                return Termination("halted"), s
+            if steps >= max_steps:
+                return Termination("max-steps"), s
+            steps += 1
+            time = start + steps * dt
+            s = step(model, s, dt, stream, mode, time)
+            if rows is not None and steps % every == 0:
+                rows.append(TraceRow(steps, time, observe(s), s))
+    except _STEP_ERRORS as exc:
+        return _termination(exc), s
 
 
 # --- outcome enumeration -----------------------------------------------------------
@@ -157,22 +187,19 @@ def run(model: CausalModel, init: SystemState, cfg: RunConfig) -> Trace:
 
 class ReplaySource:
     """The random source of branching and of the ensemble trie: replays
-    the categorical outcomes in ``prefix``, then draws from ``stream``.
-    With no stream it takes each draw's first outcome of positive
-    probability and refuses continuous draws (ContinuousRandomError).
+    the categorical outcomes in ``prefix``, then takes each draw's first
+    outcome of positive probability, and refuses continuous draws
+    (ContinuousRandomError).
 
-    Each new categorical draw is recorded in ``draws`` as (probs, labels,
-    outcome) until the first continuous draw, which sets ``live``.
-    ``replayed`` gives a kernel the next prefix outcome before it builds
-    the draw's probabilities, so a replayed draw builds none.
+    Each draw past the prefix is recorded in ``draws`` as (probs, labels,
+    outcome). ``replayed`` gives a kernel the next prefix outcome before
+    it builds the draw's probabilities, so a replayed draw builds none.
     """
 
-    def __init__(self, prefix, stream=None):
+    def __init__(self, prefix):
         self.prefix = prefix
-        self.stream = stream
         self.pos = 0
         self.draws: list = []
-        self.live = False
 
     def replayed(self) -> int | None:
         """The next prefix outcome, which ``categorical`` would return, or
@@ -188,28 +215,16 @@ class ReplaySource:
 
     def categorical(self, probs, labels=None) -> int:
         k = self.replayed()
-        if k is not None:
-            return k
-        if self.stream is None:
-            # the first outcome of positive probability
+        if k is None:
             k = 0 if probs[0] > 0.0 else int((probs > 0.0).nonzero()[0][0])
-        else:
-            k = self.stream.categorical(probs)
-        if not self.live:
             self.draws.append((probs, labels, k))
         return k
 
     def uniform01(self) -> float:
-        return self._continuous().uniform01()
+        raise ContinuousRandomError()
 
     def normal(self, mean, sigma) -> float:
-        return self._continuous().normal(mean, sigma)
-
-    def _continuous(self) -> RngStream:
-        if self.stream is None:
-            raise ContinuousRandomError()
-        self.live = True
-        return self.stream
+        raise ContinuousRandomError()
 
 
 # --- branching execution -----------------------------------------------------------
@@ -350,9 +365,9 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
 # Trials routed through the memo and the tries together; a batch's results
 # are kept until it is yielded, so memory is O(_BATCH) past the memo.
 _BATCH = 4096
-# Smaller groups at a trie node that draws finish trial by trial: the
-# node's array operations cost more than that many walks on a trial's own
-# stream.
+# Smaller groups at a trie node that draws finish trial by trial, each
+# running plain steps on its own stream: the node's array operations cost
+# more than that many trials' steps.
 _MIN_GROUP = 8
 # the least and the greatest value of RngStream.uniform01
 _U_BOUNDS = np.array([0.0, 1.0 - 2.0**-53])
@@ -496,7 +511,7 @@ class Ensemble:
     reaches that state object. Only the initial state and finished trie
     leaves are shareable, and at most ``trials`` non-halting ones are
     admitted. A lone trial never reaches a state object twice, so one
-    trial admits none: it steps exactly like a plain loop.
+    trial admits none and runs as ``run`` does.
     """
 
     def __init__(self, model: CausalModel, init: SystemState,
@@ -530,9 +545,11 @@ class Ensemble:
         a node that draws, one ``searchsorted`` of its cumulative sum picks
         each trial's outcome from its own next word, unless one outcome is
         forced. A group with no entry or at a live node, or of fewer than
-        _MIN_GROUP where the outcome is not forced, finishes in ``_trial``.
+        _MIN_GROUP where the outcome is not forced, finishes in
+        ``_run_from``: each trial steps on its own stream, with no memo and
+        no trie.
         """
-        cfg = self.cfg
+        model, cfg, start = self.model, self.cfg, self.init.time
         keys = derive_seeds(cfg.seed, np.arange(first, first + n,
                                                 dtype=np.uint64))
         words = WordBlocks(keys)
@@ -548,7 +565,7 @@ class Ensemble:
                 stream.rekey(int(keys[i]))
                 for _ in range(pos):
                     stream.raw64()
-                out[i] = self._trial(stream, s=s, steps=steps)
+                out[i] = _run_from(model, cfg, start, s, steps, stream)
 
         def settle(rows, termination, s):
             words.retire(rows)
@@ -577,66 +594,10 @@ class Ensemble:
 
         groups = [(self.init, 0, np.arange(n))]   # words drawn, trial rows
         while groups:
-            groups = _advance(self.model, cfg, steps,
-                              self.init.time + (steps + 1) * cfg.dt, groups,
-                              self._entry, sample, settle, finish)
+            groups = _advance(model, cfg, steps, start + (steps + 1) * cfg.dt,
+                              groups, self._entry, sample, settle, finish)
             steps += 1
         return out
-
-    def _trial(self, stream: RngStream, rows: list | None = None,
-               s: SystemState | None = None, steps: int = 0):
-        """One trial drawing from ``stream``: the halt -> max-steps -> step
-        loop of every run, from the initial state or, resumed, from the
-        shared state ``s`` reached after ``steps`` steps. Returns
-        (termination, final state); appends a TraceRow to ``rows``, if
-        given, at step 0 and every record_every steps."""
-        model, cfg, init = self.model, self.cfg, self.init
-        halt, observe, start = model.halt_fn, cfg.observe, init.time
-        dt, mode, max_steps, every = (cfg.dt, cfg.mode, cfg.max_steps,
-                                      cfg.record_every)
-        if s is None:
-            s = init
-        shared = True   # s is the initial state or a trie leaf
-        try:
-            if rows is not None:
-                rows.append(TraceRow(0, start, observe(s), s))
-            while True:
-                entry = self._entry(s) if shared else None
-                halted = (entry.halts if entry is not None
-                          else halt is not None and halt(s))
-                if halted:
-                    return Termination("halted"), s
-                if steps >= max_steps:
-                    return Termination("max-steps"), s
-                steps += 1
-                time = start + steps * dt
-                if entry is None:
-                    s = step(model, s, dt, stream, mode, time)
-                    shared = False
-                else:
-                    s, shared = self._step(entry, stream, time)
-                if rows is not None and steps % every == 0:
-                    rows.append(TraceRow(steps, time, observe(s), s))
-        except _STEP_ERRORS as exc:
-            return _termination(exc), s
-
-    def _step(self, entry: _Entry, stream: RngStream, time: float):
-        """Apply the entry's law: walk the trie with the trial's own draws
-        and execute only where it is unexplored or live. Returns the
-        post-state and whether it is a (shareable) trie leaf."""
-        if entry.law is None:
-            entry.law = select_law(self.model, entry.state, self.cfg.mode)
-        node, prefix = entry.root, []
-        while node.post is None and node.probs is not None:
-            k = stream.categorical(node.probs)
-            prefix.append(k)
-            node = node.children[k]
-        if node.post is not None:
-            return node.post, True
-        source = ReplaySource(prefix, stream)
-        post = apply_law(entry.law, entry.state, self.cfg.dt, source, time)
-        _record(node, source.draws, None if source.live else post)
-        return post, not source.live
 
 
 def run_ensemble(model: CausalModel, init: SystemState, cfg: RunConfig,
@@ -649,9 +610,10 @@ def run_ensemble(model: CausalModel, init: SystemState, cfg: RunConfig,
     step from an immutable pre-state depends only on that state and the
     categorical outcomes it draws, so the halt check, law selection and
     every explored outcome path are computed once per distinct pre-state
-    and shared by all trials that reach it, failures included; trials
-    that end together share one pair. Ensembles record no rows, so
-    ``cfg.observables`` must be empty.
+    and shared by all trials that reach it together, failures included;
+    a trial that leaves the shared walk runs ``run``'s own loop on from
+    there. Trials that end together share one pair. Ensembles record no
+    rows, so ``cfg.observables`` must be empty.
     """
     if cfg.observables:
         raise ValueError("ensembles record no observables")

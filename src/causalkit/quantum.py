@@ -320,7 +320,8 @@ def ca_step(world: VRecord) -> VRecord:
     """
     fields = world.fields
     phi = fields["phi"].values
-    phi1 = phi + fields["alpha"] * (neighbour_sum(phi) - 2.0 * phi)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        phi1 = phi + fields["alpha"] * (neighbour_sum(phi) - 2.0 * phi)
     if not all(map(math.isfinite, phi1.tolist())):   # cheapest on few cells
         i = int(np.flatnonzero(~np.isfinite(phi1))[0])
         raise EvalError(f"ca_step: non-finite phi value {phi1[i]} "

@@ -6,6 +6,7 @@ the same final state, value for value and time for time.
 """
 
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -68,6 +69,17 @@ model overlap_walk {
 }
 """
 
+
+# One draw, then a deterministic count: each of the two groups of trials
+# reaches a new state object every step, all of them through the walk.
+SPLIT_COUNT = """
+model split_count {
+  state { a: int in [0, 1]; n: int in [0, 1000]; }
+  init { a = 0; n = 0; }
+  law Split { when n == 0; then { a = random({0, 1}, FLAT); n = 1; } }
+  law Count { when n > 0; then { n = n + 1; } }
+}
+"""
 
 # The halt check itself fails where x = -2.
 FALLIBLE_HALT = """
@@ -211,8 +223,9 @@ class TestMatchesRun:
                            _BATCH + 3)
 
     def test_memo_fills_mid_batch(self, monkeypatch):
-        # the walk's distinct states double every step, so its 300 memo
-        # entries run out while groups of trials are still being routed
+        # both groups add an entry every step, so the 100 memo entries run
+        # out at about step 50 of 80, while the groups are still being
+        # routed
         entries = []
 
         def counting_entry(self, s):
@@ -222,14 +235,14 @@ class TestMatchesRun:
 
         real_entry = Ensemble._entry
         monkeypatch.setattr(Ensemble, "_entry", counting_entry)
-        model = load_model(WALK)
-        cfg = RunConfig(dt=1.0, max_steps=12, seed=9)
-        ens = run_ensemble(model, build_initial_state(model), cfg, 300)
+        model = load_model(SPLIT_COUNT)
+        cfg = RunConfig(dt=1.0, max_steps=80, seed=9)
+        ens = run_ensemble(model, build_initial_state(model), cfg, 100)
         list(ens)
-        assert len(ens.memo) == 300
-        assert entries.count(True) > 300 and entries.count(False) > 0
-        monkeypatch.undo()   # run's own trials look up no entries
-        assert_matches_run(model, build_initial_state(model), cfg, 300)
+        assert len(ens.memo) == 100
+        assert entries.count(True) >= 100 and entries.count(False) == 2
+        monkeypatch.undo()
+        assert_matches_run(model, build_initial_state(model), cfg, 100)
 
     def test_more_than_one_block_of_words(self):
         model = load_model(SKEWED_DRAWS)
@@ -263,11 +276,33 @@ class TestSharing:
         assert len(ens.memo) <= 3
 
     def test_memo_never_exceeds_trials(self):
-        model = load_model(WALK)
+        # one group of 20 trials reaches a new state every step for 30
+        # steps
+        model = load_model(SPLIT_COUNT.replace("{0, 1}", "{0}"))
         ens = run_ensemble(model, build_initial_state(model),
                            RunConfig(dt=1.0, max_steps=30, seed=0), 20)
         list(ens)
         assert len(ens.memo) == 20
+
+    def test_resumed_trial_looks_up_no_entry(self, monkeypatch):
+        # small batches of the walk leave groups under _MIN_GROUP at nodes
+        # that draw; their trials step on alone, and only the walk itself
+        # asks the memo
+        callers = []
+
+        def counting_entry(self, s):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real_entry(self, s)
+
+        real_entry = Ensemble._entry
+        monkeypatch.setattr(Ensemble, "_entry", counting_entry)
+        monkeypatch.setattr(interpreter, "_BATCH", 4 * _MIN_GROUP)
+        model = load_model(WALK)
+        cfg = RunConfig(dt=1.0, max_steps=12, seed=9)
+        list(run_ensemble(model, build_initial_state(model), cfg, 200))
+        assert callers and set(callers) == {"_advance"}
+        monkeypatch.undo()
+        assert_matches_run(model, build_initial_state(model), cfg, 200)
 
     def test_outcome_paths_share_one_trie(self, monkeypatch):
         calls = []
@@ -303,7 +338,7 @@ class TestSharing:
         ens = run_ensemble(model, build_initial_state(model),
                            RunConfig(dt=1.0, max_steps=3, seed=7), 400)
         first = [(t.kind, _state_key(f)) for t, f in ens]
-        monkeypatch.setattr(Ensemble, "_trial", _no_trial)
+        monkeypatch.setattr(interpreter, "_run_from", _no_trial)
         assert [(t.kind, _state_key(f)) for t, f in ens] == first
 
     def test_rejects_observables_and_empty_ensembles(self):
@@ -346,24 +381,29 @@ model forced {
 
 @pytest.fixture
 def counted(monkeypatch):
-    """The ensemble's law selections and applications, in call order:
-    ("select", id(state), None), ("apply", id(state), None) on a trial's
-    stream, or ("replay", id(state), outcome path) with no stream. A run
-    of one trial calls neither through the interpreter."""
+    """The interpreter's law selections, replays and trial steps, in call
+    order: ("select", id(state), None) and ("replay", id(state), outcome
+    path) of the shared walk, and ("apply", id(state), None) for each step
+    a trial, or ``run``, takes on its own stream."""
     calls = []
-    select, apply = interpreter.select_law, interpreter.apply_law
+    select, apply, step = (interpreter.select_law, interpreter.apply_law,
+                           interpreter.step)
 
     def counting_select(model, s, mode):
         calls.append(("select", id(s), None))
         return select(model, s, mode)
 
     def counting_apply(law, s, dt, source, time):
-        calls.append(("apply", id(s), None) if source.stream is not None
-                     else ("replay", id(s), tuple(source.prefix)))
+        calls.append(("replay", id(s), tuple(source.prefix)))
         return apply(law, s, dt, source, time)
+
+    def counting_step(model, s, dt, rng, mode, time):
+        calls.append(("apply", id(s), None))
+        return step(model, s, dt, rng, mode, time)
 
     monkeypatch.setattr(interpreter, "select_law", counting_select)
     monkeypatch.setattr(interpreter, "apply_law", counting_apply)
+    monkeypatch.setattr(interpreter, "step", counting_step)
     return calls
 
 
@@ -391,7 +431,7 @@ class TestExploration:
         # two batches, and at this seed every group of trials that draws
         # has at least _MIN_GROUP rows; a Detect draw of a collapsed state
         # has one outcome, so its groups of any size move on
-        monkeypatch.setattr(Ensemble, "_trial", _no_trial)
+        monkeypatch.setattr(interpreter, "_run_from", _no_trial)
         model, init = build_bundled_model("double_slit",
                                           {"detector": detector})
         pairs = list(run_ensemble(model, init,
@@ -459,7 +499,7 @@ class TestExploration:
         # 50 trials reach the initial state, up to 43 collapsed states and
         # as many detected leaves; the leaves halt, so they do not count
         # against the 50 entries and the memo never fills
-        monkeypatch.setattr(Ensemble, "_trial", _no_trial)
+        monkeypatch.setattr(interpreter, "_run_from", _no_trial)
         model, init = build_bundled_model("double_slit", {"detector": "on"})
         ens = run_ensemble(model, init,
                            RunConfig(dt=1.0, max_steps=5, seed=seed), 50)
@@ -477,7 +517,7 @@ class TestExploration:
         init = build_initial_state(model)
         cfg = RunConfig(dt=1.0, max_steps=1, seed=3)
         ens = run_ensemble(model, init, cfg, 400)
-        monkeypatch.setattr(Ensemble, "_trial", _no_trial)
+        monkeypatch.setattr(interpreter, "_run_from", _no_trial)
         pairs = list(ens)
         assert {f.values["x"] for _, f in pairs} == {10, 11, 110, 111}
         for first in (0, 1):
@@ -491,7 +531,8 @@ class TestExploration:
         # fallible.cml from x = -1 (the first outcomes from x = 0): y = 1 /
         # (x + 1 + r) reads x = -1, so the first outcome r = 0 divides by
         # zero after either outcome of the x draw, and r = 1 does not;
-        # small batches reach each failing node again and again
+        # small batches reach each failing node again and again, and it
+        # keeps its error, so that no batch replays it
         monkeypatch.setattr(interpreter, "_BATCH", 4 * _MIN_GROUP)
         model = load_model(fixture_source("fallible.cml"))
         init = build_initial_state(model)
@@ -504,10 +545,11 @@ class TestExploration:
             failed = self.trie(ens, left, first, 0)
             assert isinstance(failed.error, EvalError)
             assert failed.post is failed.probs is None
-            assert self.trie(ens, left, first, 1).post is not None
-        # the root's replay ended at (0, 0) and marked it there
+        # the root's replay ended at (0, 0) and marked it there, and the
+        # replay of (1,) at (1, 0)
         paths = _replayed_paths(counted, left)
-        assert paths[0] == () and (0, 0) not in paths
+        assert paths[0] == () and (1,) in paths
+        assert (0, 0) not in paths and (1, 0) not in paths
         assert len(set(paths)) == len(paths)
         assert_matches_run(model, init, cfg, 200)
 
@@ -559,7 +601,7 @@ class TestExploration:
         model = load_model(source)
         init = build_initial_state(model)
         cfg = RunConfig(dt=1.0, max_steps=steps, seed=5)
-        monkeypatch.setattr(Ensemble, "_trial", _no_trial)
+        monkeypatch.setattr(interpreter, "_run_from", _no_trial)
         pairs = list(run_ensemble(model, init, cfg, 400))
         assert _kinds(pairs) == kinds
         assert len({id(pair) for pair in pairs}) == paths   # one per path
@@ -568,15 +610,17 @@ class TestExploration:
 
     def test_live_node_is_replayed_once(self, counted, monkeypatch):
         # the first draw of GAUSS_WALK is continuous: the initial state's
-        # root is live, and a group of every batch reaches it
+        # root is live, and a group of every batch reaches it; each trial
+        # then takes its four steps on its own stream
         monkeypatch.setattr(interpreter, "_BATCH", 16)
         model = load_model(GAUSS_WALK)
+        init = build_initial_state(model)
         cfg = RunConfig(dt=1.0, max_steps=10, seed=2)
-        pairs = assert_matches_run(model, build_initial_state(model), cfg,
-                                   200)
-        assert _kinds(pairs) == {"halted"}
+        list(run_ensemble(model, init, cfg, 200))
         kinds = [kind for kind, _, _ in counted]
-        assert kinds.count("replay") == 1 and kinds.count("apply") == 200
+        assert kinds.count("replay") == 1 and kinds.count("apply") == 4 * 200
+        pairs = assert_matches_run(model, init, cfg, 200)
+        assert _kinds(pairs) == {"halted"}
 
 
 class TestMatchesBranchWeights:
