@@ -21,6 +21,7 @@ from .engine import (
     classify_determinism,
     eval_guard,  # noqa: F401 (cmlbench/tracing.py hooks it here)
     halts,
+    quiet_numpy,
     select_law,
 )
 from .errors import (
@@ -212,6 +213,7 @@ def guard_disjunction_trivially_true(model: CausalModel) -> bool:
 _OPEN = object()   # a verdict the pass is still looking for
 
 
+@quiet_numpy
 def _check(model: CausalModel, strategy: CheckStrategy,
            init: SystemState | None, want) -> tuple:
     """The (consistency, completeness) verdicts named in ``want`` (None

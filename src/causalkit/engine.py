@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import itertools
 import linecache
 import math
@@ -866,6 +867,18 @@ def step(model: CausalModel, s0: SystemState, dt: float, rng,
                         s0.time + dt if time_after is None else time_after)
 
 
+def quiet_numpy(fn):
+    """``fn`` run under ``np.errstate(all="ignore")``, a new one on each
+    call, for the entry points that run model code: the write checks
+    refuse what overflows, so numpy's warnings would only come first."""
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return fn(*args, **kwargs)
+    return quiet
+
+
+@quiet_numpy
 def build_initial_state(model: CausalModel) -> SystemState:
     """Evaluate the model's init block into a time-0 state."""
     return make_initial_state(model.schema, model.init_fn())

@@ -15,6 +15,7 @@ from .engine import (
     CausalModel,
     apply_law,
     halts,
+    quiet_numpy,
     select_law,
     step,
 )
@@ -136,6 +137,7 @@ def _termination(exc) -> Termination:
     return Termination("eval-error", str(exc))
 
 
+@quiet_numpy
 def run(model: CausalModel, init: SystemState, cfg: RunConfig) -> Trace:
     """Drive the model from ``init`` until it halts, exhausts max_steps,
     or an engine error occurs. Failures land in the termination record,
@@ -279,6 +281,7 @@ class WorldTree:
         return sum(l.weight for l in self.leaves())
 
 
+@quiet_numpy
 def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
                depth_bound: int, width_bound: int) -> WorldTree:
     """Execute like ``run`` but fork one weighted child per outcome at
@@ -538,6 +541,7 @@ class Ensemble:
             self.live += not entry.halts
         return entry
 
+    @quiet_numpy
     def _batch(self, first: int, n: int) -> list:
         """The (termination, final state) pairs of trials ``first`` to
         ``first + n - 1``, in trial order, by rounds of ``_advance`` over

@@ -316,12 +316,13 @@ def ca_step(world: VRecord) -> VRecord:
     Velocity exchange permutes velocities within a cell (reversal over the
     id-sorted occupants), so total momentum is conserved exactly. Fields
     other than phi, pos and vel are carried over unchanged. A field that
-    overflows is refused (EvalError), as no state may hold one.
+    overflows is refused (EvalError), as no state may hold one. Like
+    laplacian, it enters no np.errstate: the entry points that run model
+    code hold one for their whole call.
     """
     fields = world.fields
     phi = fields["phi"].values
-    with np.errstate(over="ignore", invalid="ignore"):   # refused below
-        phi1 = phi + fields["alpha"] * (neighbour_sum(phi) - 2.0 * phi)
+    phi1 = phi + fields["alpha"] * (neighbour_sum(phi) - 2.0 * phi)
     if not all(map(math.isfinite, phi1.tolist())):   # cheapest on few cells
         i = int(np.flatnonzero(~np.isfinite(phi1))[0])
         raise EvalError(f"ca_step: non-finite phi value {phi1[i]} "

@@ -133,6 +133,12 @@ CELL_NON_FINITE = ("run", "builtin:schrodinger_1d", "--steps", "3",
 CUT_BEFORE_UNIFORM = tuple(
     ("branch", "tests/fixtures/cut_before_uniform.cml", "--depth", depth)
     for depth in ("1", "2"))
+# a diffusing field, which qftca_toy's zero field never is: a ring short
+# enough for ca_step's Python-float path, and one long enough for numpy's
+CA_FIELD = tuple(
+    ("run", "tests/fixtures/ca_field.cml", "--param", f"cells={cells}",
+     "--steps", "300", "--observables",
+     "world.phi[0],world.phi[5],sum(world.phi)") for cells in ("13", "64"))
 NAMED = {
     ENERGY_RUN: "run builtin:harmonic_oscillator energy",
     **{argv: f"run {argv[1]} seed {argv[-1]}" for argv in SIGNED_ZERO_RUNS},
@@ -166,6 +172,7 @@ NAMED = {
     CELL_NON_FINITE: "run builtin:schrodinger_1d non-finite cell",
     **{argv: f"branch {argv[1]} depth {argv[-1]}"
        for argv in CUT_BEFORE_UNIFORM},
+    **{argv: f"run {argv[1]} {argv[3]}" for argv in CA_FIELD},
 }
 
 # argv of each pinned invocation; .cml paths are relative to the repo root
@@ -267,6 +274,7 @@ INVOCATIONS = (
     CELLS_INTERLEAVED,
     CELL_NON_FINITE,
     *CUT_BEFORE_UNIFORM,
+    *CA_FIELD,
 )
 
 

@@ -19,6 +19,7 @@ from causalkit import (
     list_bundled_models,
     load_model,
     run,
+    run_ensemble,
     world_tree_text,
     write_trace,
 )
@@ -673,3 +674,71 @@ class TestWorldTreeJson:
         for child in root["children"]:
             assert child["termination"]["kind"] == "halted"
             assert "state" in child
+
+
+# a cgrid driven past 1e308 by an intrinsic: numpy overflows inside it,
+# then the write check refuses the non-finite result
+LAPLACIAN_OVERFLOW = """model lap {
+  state { g: cgrid(8, 0.5); n: int; }
+  init { g = gauss_packet(8, 0.5, 0.0, 1.0, 0.0); n = 0; }
+  law Seed { when n == 0; then { g[0] = complex(1e307, 0.0); n = 1; } }
+  law Lap { when n > 0; then { g = laplacian(g); n = n + 1; } }
+}"""
+SCHRODINGER_OVERFLOW = """model schr {
+  state { g: cgrid(8, 0.5); n: int; }
+  init { g = gauss_packet(8, 0.5, 0.0, 1.0, 0.0); n = 0; }
+  law Seed { when n == 0; then { g[0] = complex(1.5e308, 0.0); n = 1; } }
+  law Evolve { when n > 0; then {
+    g = schrodinger_step(g, fill(8, 0.0), dt, 1.0, 1.0); n = n + 1; } }
+}"""
+CA_OVERFLOW = """model ca {
+  record CaParticle { id: int; pos: int; vel: int; species: int; }
+  record CaWorld { phi: vector(3); particles: list(CaParticle); alpha: real; }
+  state { world: CaWorld; n: int; }
+  init { world = ca_world(3, 1e300); n = 0; }
+  law Seed { when n == 0; then { world.phi[0] = 1e300; n = 1; } }
+  law Step { when n > 0; then { world = ca_step(world); n = n + 1; } }
+}"""
+
+
+class TestNumpyWarningsStayInside:
+    """Called from Python, as under ``cml``, a numpy floating-point warning
+    inside an intrinsic is neither printed nor raised (the tests turn
+    warnings into errors): the run ends with the message ``cml`` prints,
+    and the caller's error state is left as it was."""
+
+    @pytest.fixture(autouse=True)
+    def _errstate_is_restored(self):
+        before = np.geterr()
+        yield
+        assert np.geterr() == before
+
+    @pytest.mark.parametrize("source, message", [
+        (LAPLACIAN_OVERFLOW, "law 'Lap': non-finite value (inf+nanj) at "
+                             "index 0 written to 'g' at 5:32"),
+        (SCHRODINGER_OVERFLOW, "law 'Evolve': schrodinger_step: non-finite "
+                               "right-hand side at 6:9"),
+        (CA_OVERFLOW, "law 'Step': ca_step: non-finite phi value -inf at "
+                      "index 0 at 7:41"),
+    ], ids=["laplacian", "schrodinger_step", "ca_step"])
+    def test_a_run_ends_with_the_write_checks_message(self, source, message):
+        model = load_model(source)
+        init = build_initial_state(model)
+        cfg = RunConfig(dt=1.0, max_steps=5)
+        assert run(model, init, cfg).termination.message == message
+        assert [term.message for term, _ in
+                run_ensemble(model, init, cfg, 2)] == [message] * 2
+        tree = branch_run(model, init, cfg, depth_bound=4, width_bound=8)
+        assert [leaf.termination.message for leaf in tree.leaves()] == \
+            [message]
+
+    def test_an_init_ends_with_the_write_checks_message(self):
+        model = load_model("""model packet {
+  state { g: cgrid(8, 0.5); }
+  init { g = gauss_packet(8, 0.5, 1e308, 1.0, 0.0); }
+  law Stay { when true; then { g = g; } }
+}""")
+        with pytest.raises(EvalError, match=(
+                r"^non-finite value \(nan\+nanj\) at index 0 written to "
+                r"'g' at 3:14$")):
+            build_initial_state(model)

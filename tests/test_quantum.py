@@ -789,6 +789,37 @@ class TestBinEdges:
         assert quantum._bin_edges.cache_info().misses == info.misses + 1
 
 
+@st.composite
+def rings(draw):
+    """A field of 1 to 80 cells, with up to four cells set to edge cases
+    of IEEE arithmetic."""
+    n = draw(st.integers(1, 80))
+    phi = draw(st.lists(st.one_of(st.floats(-10.0, 10.0),
+                                  st.sampled_from([0.0, -0.0, 5e-324])),
+                        min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 4))):
+        phi[draw(st.integers(0, n - 1))] = draw(st.one_of(
+            st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                             1e308, -1.7976931348623157e308, math.nan,
+                             math.inf, -math.inf]),
+            st.floats()))
+    return np.array(phi)
+
+
+def numpy_diffusion(phi, alpha):
+    """The field's bytes after the diffusion, computed with rolled copies
+    rather than ``intrinsics.neighbour_sum``'s padded ring, or the text of
+    the EvalError that refuses it. The left neighbour is added first, as
+    in ``neighbour_sum``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi1 = phi + alpha * ((np.roll(phi, 1) + np.roll(phi, -1))
+                              - 2.0 * phi)
+    if not np.isfinite(phi1).all():
+        i = int(np.flatnonzero(~np.isfinite(phi1))[0])
+        return f"ca_step: non-finite phi value {phi1[i]} at index {i}"
+    return phi1.tobytes()
+
+
 class TestCaStep:
     def test_empty_world_zero_field(self):
         out = ca_step(ca_world_value(np.zeros(8)))
@@ -806,12 +837,17 @@ class TestCaStep:
         # diffusion smooths: variance decreases
         assert phi.var() < rng.normal(size=16).var() * 10
 
-    def test_diffusion_matches_the_rolled_laplacian(self):
-        phi = np.random.default_rng(4).normal(size=11)
+    # one or two cells are their own neighbours; 500 is past the
+    # differential test's rings
+    @pytest.mark.parametrize("cells", [1, 2, 11, 500])
+    def test_diffusion_matches_the_rolled_laplacian(self, cells):
+        phi = np.random.default_rng(4).normal(size=cells)
         out = ca_step(ca_world_value(phi, alpha=0.3)).fields["phi"].values
         lap = np.roll(phi, 1) + np.roll(phi, -1) - 2.0 * phi
         assert np.array_equal(out, phi + 0.3 * lap)
 
+    # called bare, a kernel runs under its caller's error state; run and
+    # the other entry points ignore numpy's warnings, as here
     @pytest.mark.parametrize("phi, alpha, message", [
         ([1e300, 0.0, 0.0], 1e300, "non-finite phi value -inf at index 0"),
         ([0.0, np.nan, 0.0], 0.2, "non-finite phi value nan at index 0"),
@@ -819,8 +855,22 @@ class TestCaStep:
     ])
     def test_a_field_that_is_not_finite_is_refused(self, phi, alpha,
                                                    message):
-        with pytest.raises(EvalError, match=f"^ca_step: {message}$"):
+        with np.errstate(all="ignore"), \
+                pytest.raises(EvalError, match=f"^ca_step: {message}$"):
             ca_step(ca_world_value(np.array(phi), alpha=alpha))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rings(), st.one_of(st.sampled_from([0.0, 0.2, 0.5, -0.3]),
+                              st.floats(-1e300, 1e300)))
+    def test_the_field_matches_the_rolled_expression(self, phi, alpha):
+        try:
+            with np.errstate(all="ignore"):
+                got = ca_step(ca_world_value(phi, alpha=alpha))
+        except EvalError as exc:
+            assert str(exc) == numpy_diffusion(phi, alpha)
+            return
+        assert got.fields["phi"].values.tobytes() == \
+            numpy_diffusion(phi, alpha)
 
     @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
     def test_a_world_with_alpha_not_finite_is_refused(self, alpha):
