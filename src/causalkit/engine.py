@@ -2,7 +2,8 @@
 
 One causal step reads the pre-state, picks the applicable law, and builds
 the post-state. All reads inside a transition see the pre-state
-(simultaneous update); writes are collected and merged at the end.
+(simultaneous update); each write is stored into the post-state where it
+stands.
 
 When a model (or an observable list) is built, its guards, transitions,
 law selectors, halt condition, ``init`` expressions and observables are
@@ -38,7 +39,6 @@ from .state import (
     VCGrid,
     VList,
     VRecord,
-    Value,
     VVector,
     check_value,  # noqa: F401 (cmlbench/tracing.py hooks it here)
     make_initial_state,
@@ -152,19 +152,31 @@ def _finite(isfinite, expr, where=None):
     return finite
 
 
-def _indexer(attr: str, convert):
-    """(value, i, loc) -> convert(value.<attr>[i]), i checked in range."""
+def _indexer(attr: str, convert, copy, rebuild):
+    """at(value, i, loc) -> convert(value.<attr>[i]), and put(value, i,
+    new, loc) -> rebuild(value, value.<attr> copied, new at i); i checked."""
     def at(value, i, loc):
         seq = getattr(value, attr)
         if 0 <= i < len(seq):
             return convert(seq[i])
         raise EvalError(f"index {i} out of range (len {len(seq)})", loc)
-    return at
+
+    def put(value, i, new, loc):
+        seq = getattr(value, attr)
+        if 0 <= i < len(seq):
+            seq = copy(seq)
+            seq[i] = new
+            return rebuild(value, seq)
+        raise EvalError(f"index {i} out of range (len {len(seq)})", loc)
+    return at, put
 
 
-_AT = {"list": _indexer("items", lambda x: x),   # a list holds values,
-       "vector": _indexer("values", float),      # a vector numpy floats,
-       "cgrid": _indexer("amps", complex)}       # a cgrid numpy complexes
+# kind -> its at and its put: a list holds values, a vector numpy floats,
+# a cgrid numpy complexes
+_AT, _PUT = (dict(zip(("list", "vector", "cgrid"), fns)) for fns in zip(
+    _indexer("items", lambda x: x, list, lambda v, s: VList(s)),
+    _indexer("values", float, np.ndarray.copy, lambda v, s: VVector(s)),
+    _indexer("amps", complex, np.ndarray.copy, lambda v, s: VCGrid(s, v.dx))))
 
 
 def _intrinsic_call(intr, loc):
@@ -201,11 +213,13 @@ class _Emitter:
     def __init__(self, schema: StateSchema):
         self.ns = {c.__name__: c for c in (
             EvalError, ContinuousRandomError, NoApplicableLawError,
-            MultipleApplicableError, SystemState, VList, _merge,
+            MultipleApplicableError, SystemState, VList, VRecord,
             _fail, _nonfinite, _elements_finite)}
         self.ns.update(_isfinite=math.isfinite, _cisfinite=cmath.isfinite,
                        rnd=None, dt=None)
         self.field_locals = {n: f"f{i}" for i, n in enumerate(schema.fields)}
+        self.checks = {n: schema.checker(td) for n, td in schema.fields.items()
+                       if td.kind not in PAYLOAD_TYPES}   # composite fields
         self.consts = {n: v for n, (_, v) in schema.constants.items()}
         self.known: dict = {}     # text of a folded constant -> its value
         self.bound: dict = {}     # id or (line, col) of a bound object -> name
@@ -223,6 +237,7 @@ class _Emitter:
         self.depth = 1
         self.loops = 0            # for loops open in the function
         self.dt_read = None       # the location of the first read of dt
+        self.written: dict = {}   # composite root -> written at the top
 
     def loads(self, sep: str = "\n    ", reads=None) -> str:
         """The lines, or ``sep``-joined statements, that load the fields
@@ -436,31 +451,47 @@ class _Emitter:
                             f"written to '{target}'")
 
     def _Assign(self, s):
-        root, path = self.target(s.target)
-        kind = s.target.ty.kind
-        value = self.write_value(s.value, kind, s.loc, format_expr(s.target))
-        if path is not None:
-            path = f"({', '.join(path)},)"
-        else:
-            # a whole scalar field has its kind's payload type by
-            # construction, so it needs no check; a whole composite field
-            # does (path ())
-            path = "None" if kind in PAYLOAD_TYPES else "()"
-        self.line(f"W.append(({root!r}, {path}, {value}))", s.loc)
+        """The value stored into the post-state dict ``n``, a path by
+        rebuilding its root from ``n``: writes merge in source order."""
+        root, parts = self.target(s.target)
+        value = self.write_value(s.value, s.target.ty.kind, s.loc,
+                                 format_expr(s.target))
+        if parts:
+            value = self.rebuild(f"n[{root!r}]", parts, value, s.loc)
+        self.line(f"n[{root!r}] = {value}", s.loc)
+        if root in self.checks:   # depth 2 is the top of the body
+            self.written[root] = self.written.get(root) or self.depth == 2
 
     def target(self, t):
-        """(root field, path): None for a whole field, else the texts of
-        the parts below the root. Each index is evaluated to a local here,
-        an index before the indices inside its object."""
+        """(root field, a (container kind, text, location) per part below
+        it). Each index is evaluated to a local here, an index before the
+        indices inside its object."""
         if isinstance(t, Name):
             if t.id in self.locals:   # a loop variable: lets are not written
                 _, index, root = self.locals[t.id]
-                return root, [index]
-            return t.id, None
+                return root, [("list", index, t.loc)]
+            return t.id, []
         part = (repr(t.name) if isinstance(t, Member)
                 else self.checked(self.expr(t.index), "int", t.loc))
         root, base = self.target(t.obj)
-        return root, (base or []) + [part]
+        return root, base + [(t.obj.ty.kind, part, t.loc)]
+
+    def rebuild(self, obj: str, parts, value: str, loc) -> str:
+        """A copy of ``obj`` with ``value`` at ``parts``, each container on
+        the way a local: a record member in a ``VRecord`` copy, an element
+        through its kind's put, a list element on the way read by ``_AT``."""
+        (kind, part, at), local = parts[0], self.name("o")
+        self.line(f"{local} = {obj}", loc)
+        if len(parts) > 1:
+            inner = (f"{local}.fields[{part}]" if kind == "record" else
+                     f"{self.bind(_AT['list'], '_at')}({local}, {part}, "
+                     f"{self.bind(at)})")
+            value = self.rebuild(inner, parts[1:], value, loc)
+        if kind == "record":
+            return f"VRecord({local}.record, {{**{local}.fields, " \
+                   f"{part}: {value}}})"
+        return f"{self.bind(_PUT[kind], '_put')}({local}, {part}, {value}, " \
+               f"{self.bind(at)})"
 
     def _If(self, s):
         cond = self.expr(s.cond)
@@ -510,24 +541,29 @@ class _Emitter:
                 f"return {text}  # {e.loc}", text, self.reads)
 
     def transition(self, law: Law, fn: str) -> list:
-        """Each write is logged to the list W, and W is merged in order
-        once the body is done. A body that reads dt takes it as a float
-        first (a None dt fails at the first read's location)."""
+        """The body writes into ``n``, a copy of the pre-state's values;
+        then each composite root written is type-checked once, in
+        first-write order (one written only under an ``if`` or a ``for``
+        only if its value is new). A body that reads dt takes it as a
+        float first (a None dt fails at the first read's location)."""
         self.start()
         self.block(law.transition)
         if self.dt_read is not None:
             self.body.insert(0, "        dt = float(dt) if dt is not None else "
                              f"_fail(\"'dt' is not available here\", "
                              f"{self.bind(self.dt_read)})  # {self.dt_read}")
+        checks = [("    " if always else f"    if n[{r!r}] is not v[{r!r}]: ")
+                  + f"{self.bind(self.checks[r], '_t')}(n[{r!r}], {r!r})"
+                  for r, always in self.written.items()]
         return [
             f"def {fn}(s0, dt, rnd, time):  # law {law.name}",
-            f"    v = s0.values{self.loads()}", "    W = []", "    try:",
+            f"    v = s0.values{self.loads()}", "    n = v.copy()", "    try:",
             *self.body,
             "    except EvalError as e:",
             f"        raise EvalError(e.message, e.loc, law={law.name!r})",
             "    except ContinuousRandomError:",
             f"        raise ContinuousRandomError(law={law.name!r})",
-            "    return SystemState(s0.schema, time, _merge(_checks, v, W))"]
+            *checks, "    return SystemState(s0.schema, time, n)"]
 
     def init(self, model: CausalModel) -> list:
         self.start(reads_state=False)
@@ -549,9 +585,6 @@ def _compile_model(model: CausalModel):
     state is the witness); first-match: the first law whose guard holds.
     A guard's EvalError leaves with its law's name."""
     em = _Emitter(model.schema)
-    em.ns["_checks"] = {name: model.schema.checker(td)
-                        for name, td in model.schema.fields.items()
-                        if td.kind not in PAYLOAD_TYPES}
     lines, reads, strict, first, hits = [], {}, [], [], []
     for i, law in enumerate(model.laws):
         guard, text, guard_reads = em.condition(f"guard{i}", law.guard)
@@ -809,42 +842,6 @@ def apply_law(law: Law, s0: SystemState, dt: float, rng,
     An ``EvalError`` or ``ContinuousRandomError`` leaves with the law's name.
     """
     return law.apply_fn(s0, dt, rng, s0.time if time is None else time)
-
-
-def _merge(checks: dict, values: dict, writes: list) -> dict:
-    """A copy of ``values`` with the logged (root, path or None, value)
-    writes merged in order, each composite root written checked once, in
-    first-write order by its ``checks`` entry."""
-    values, composite = values.copy(), {}
-    for root, path, value in writes:
-        if path:   # a part of a composite root; () is the whole root
-            value = _set_path(values[root], path, value)
-        values[root] = value
-        if path is not None:
-            composite[root] = None
-    for root in composite:
-        checks[root](values[root], root)
-    return values
-
-
-def _set_path(value: Value, parts: tuple, new):
-    """``value`` with ``new`` at ``parts``. The typechecker has matched
-    each part to the value it walks into, so only an index can be wrong."""
-    if not parts:
-        return new
-    p, rest = parts[0], parts[1:]
-    if isinstance(value, VRecord):
-        return VRecord(value.record, {
-            **value.fields, p: _set_path(value.fields[p], rest, new)})
-    seq = (value.items if isinstance(value, VList) else value.values
-           if isinstance(value, VVector) else value.amps)
-    if not 0 <= p < len(seq):
-        raise EvalError(f"index {p} out of range")
-    if isinstance(value, VList):
-        return VList(seq[:p] + (_set_path(seq[p], rest, new),) + seq[p + 1:])
-    arr = seq.copy()
-    arr[p] = new
-    return VVector(arr) if isinstance(value, VVector) else VCGrid(arr, value.dx)
 
 
 # --- stepping -----------------------------------------------------------------------

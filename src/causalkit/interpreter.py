@@ -67,6 +67,8 @@ class RunConfig:
             raise ValueError("max_steps must be >= 1")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        if self.mode not in ("strict", "first-match"):
+            raise ValueError(f"unknown mode '{self.mode}'")
         observe = getattr(self.observables, "row", None)
         if observe is None:
             functions = [f for _, f in self.observables]

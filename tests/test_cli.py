@@ -370,6 +370,32 @@ class TestBranch:
         assert root["state"]["time"] == 4.0
 
 
+class TestIndexWrite:
+    """tests/fixtures/index_write.cml writes li[3] of a 3-item list, then
+    draws: the write fails where it stands, so the draw never runs."""
+
+    MODEL = str(FIXTURES / "index_write.cml")
+    ERROR = "law 'L': index 3 out of range (len 3) at 16:9"
+
+    def test_run(self, capsys):
+        code, _, err = invoke(["run", self.MODEL], capsys)
+        assert (code, err) == (1, f"terminated: eval-error: {self.ERROR}\n")
+
+    def test_histogram(self, capsys):
+        code, out, err = invoke(["histogram", self.MODEL, "--observables",
+                                 "n", "--trials", "10"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"trial 0 terminated: eval-error: {self.ERROR}\n"
+
+    def test_branch_writes_one_leaf_and_no_fork(self, capsys):
+        code, out, _ = invoke(["branch", self.MODEL], capsys)
+        root = json.loads(out)["root"]
+        assert code == 0
+        assert "children" not in root and root["weight"] == 1.0
+        assert root["termination"] == {"kind": "eval-error",
+                                       "message": self.ERROR}
+
+
 class TestListModels:
     def test_lists_all(self, capsys):
         code, out, _ = invoke(["list-models"], capsys)
@@ -530,6 +556,35 @@ class TestUsageErrors:
         code, _, _ = invoke([command[0], "builtin:counter", *command[1:],
                              "--dt", "1e307", "--steps", "3"], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["run", "builtin:counter", "--param", "foo"], 1,
+         "error: bad --param 'foo', expected KEY=VALUE"),
+        (["run", "{missing}"], 1,
+         "error: cannot read '{missing}': No such file or directory"),
+        (["run", "builtin:counter", "--observables", "x+"], 1,
+         "error: bad observable 'x+': expected an expression, found 'end "
+         "of input'"),
+        (["run", str(FIXTURES / "ca_field.cml"), "--observables",
+          "world.phi"], 1,
+         "error: observable 'world.phi' must be scalar, got vector"),
+        (["histogram", "builtin:counter", "--observables", "n,n"], 1,
+         "error: histogram needs exactly one outcome observable"),
+        (["run", "builtin:counter", "--steps", "0"], 2,
+         "usage error: max_steps must be >= 1"),
+        (["run", "builtin:counter", "--record-every", "0"], 2,
+         "usage error: record_every must be >= 1"),
+        (["branch", "builtin:counter", "--width", "0"], 2,
+         "usage error: width_bound must be >= 1"),
+        (["run", "builtin:counter", "--steps", "9" * 400], 2,
+         f"usage error: time at step {'9' * 400} is not finite: "
+         f"0.0 + {'9' * 400} * 1.0"),
+    ])
+    def test_refusals(self, capsys, tmp_path, argv, code, message):
+        missing = str(tmp_path / "missing.cml")
+        argv = [a.format(missing=missing) for a in argv]
+        assert invoke(argv, capsys) == (
+            code, "", message.format(missing=missing) + "\n")
 
     def test_zero_depth_exit_2(self, capsys):
         code, _, err = invoke(["branch", "builtin:counter", "--depth", "0"],

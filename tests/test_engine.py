@@ -186,6 +186,32 @@ class TestApplyLaw:
         assert exc.value.law == "L"
 
 
+MERGE_MODEL = (
+    "model merge { record CaParticle { id: int; pos: int; vel: int; "
+    "species: int; } record CaWorld { phi: vector(4); "
+    "particles: list(CaParticle); alpha: real; } "
+    "state { li: list(int); vr: vector(4); w: CaWorld; } "
+    "init { li = [1, 2, 3]; vr = fill(4, 0.25); w = ca_world(4, 0.2); } "
+    "law L { when true; then { %s } } }")
+
+
+@pytest.mark.parametrize("body, read, expected", [
+    ("li = [7, 8, 9]; li[0] = li[2];", lambda v: list(v["li"].items),
+     [3, 8, 9]),
+    ("vr[0] = 1.0; vr[0] = 2.0;", lambda v: v["vr"].values[0], 2.0),
+    ("w.phi = fill(4, 1.0); w.phi[1] = 0.0;",
+     lambda v: v["w"].fields["phi"].values.tolist(), [1.0, 0.0, 1.0, 1.0]),
+])
+def test_writes_to_one_root_merge_in_source_order(body, read, expected):
+    # a read sees the pre-state, a later write to a root builds on the
+    # earlier ones, and the pre-state's values are left as they were
+    model = load_model(MERGE_MODEL % body)
+    s0 = build_initial_state(model)
+    s1 = apply_law(model.laws[0], s0, 1.0, RngStream(0))
+    assert read(s1.values) == expected
+    assert deep_equal(s0, build_initial_state(model))
+
+
 class TestStep:
     def test_counter_step(self):
         model = load_model(fixture_source("guard_true.cml"))
@@ -273,6 +299,17 @@ class TestSampleRandom:
     def test_gauss_requires_positive_sigma(self):
         assert self.draw_error("random(GAUSS(0.0, 0.0))") == \
             "law 'Draw': random: GAUSS sigma must be > 0 at 1:82"
+
+    def test_negative_weight_error(self):
+        # the weight reads the state (x = 0), so it is checked as it draws
+        assert self.draw_error("random({0, 1}, WEIGHTS(x - 1, 1))", "int") == \
+            "law 'Draw': random: weights must be >= 0 at 1:81"
+
+    def test_improbable_truncated_gauss_error(self):
+        # every one of the 100,000 rejection tries misses [100, 101]
+        assert self.draw_error("random([100.0, 101.0], GAUSS(0.0, 1.0))") == \
+            ("law 'Draw': random: truncated GAUSS: acceptance region too "
+             "improbable at 1:82")
 
     def test_gauss_unbounded_and_truncated(self):
         rng = RngStream(103)

@@ -133,6 +133,12 @@ class TestRun:
         assert len(trace.rows) == 1
         assert trace.final_state.values["n"] == 5
 
+    def test_an_unknown_mode_is_refused_when_the_config_is_built(self):
+        # refused before any run, so a model that halts at its initial
+        # state cannot hide it
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            RunConfig(dt=1.0, max_steps=3, mode="bogus")
+
     def test_csv_floats_have_17_significant_digits(self):
         model, state = build_bundled_model("free_particle")
         cfg = RunConfig(dt=0.1, max_steps=3,
@@ -228,6 +234,10 @@ class TestWriteTrace:
         for line in lines[:-1]:
             row = json.loads(line)
             assert set(row) == {"step", "time", "values"}
+
+    def test_unknown_format_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown trace format 'xml'$"):
+            write_trace(self.trace(), "xml", io.BytesIO())
 
     def test_file_sink(self, tmp_path):
         target = tmp_path / "trace.csv"

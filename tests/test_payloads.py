@@ -74,6 +74,11 @@ def _models():
     return bundled + _loadable_fixtures()
 
 
+# fixture -> the eval-error it ends on by design; every other model runs
+# its four steps without one
+FAILING = {"index_write.cml": "law 'L': index 3 out of range (len 3) at 16:9"}
+
+
 def test_every_state_holds_exact_payload_types():
     sampled = 0
     loaded = _models()
@@ -82,7 +87,9 @@ def test_every_state_holds_exact_payload_types():
         cfg = RunConfig(dt=model.default_timestep, max_steps=4,
                         record_every=1)
         trace = run(model, init, cfg)
-        assert trace.termination.kind != "eval-error", name
+        term = trace.termination
+        error = term.message if term.kind == "eval-error" else None
+        assert error == FAILING.get(name), name
         for row in trace.rows:
             _assert_state(row.snapshot)
         _assert_state(trace.final_state)

@@ -13,7 +13,12 @@ program, with
 
     PYTHONPATH=src python tests/test_stmt_golden.py
 
-which writes the fixture only if it does not exist yet.
+which writes the fixture only if it does not exist yet. A deliberate
+change of behaviour re-pins only the cases it alters, by index:
+
+    PYTHONPATH=src python tests/test_stmt_golden.py 2 5 6
+
+and lists those indices in CHANGES.md, with why each one changed.
 """
 
 from __future__ import annotations
@@ -231,11 +236,20 @@ def test_statements_match_the_reference(chunk, tmp_path):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
-    if FIXTURE.exists():
-        raise SystemExit(f"{FIXTURE} exists; delete it to re-pin")
+    repin = [int(a) for a in sys.argv[1:]]
+    if FIXTURE.exists() and not repin:
+        raise SystemExit(f"{FIXTURE} exists; delete it to re-pin, or name "
+                         "the indices of the cases to re-pin")
+    cases = generate()
     with tempfile.TemporaryDirectory() as tmp:
-        pins = [outcome(source, seed, Path(tmp))
-                for source, seed in generate()]
+        if repin:
+            pins = _cases()
+            for i in repin:
+                pins[i] = outcome(*cases[i], Path(tmp))
+        else:
+            pins = [outcome(source, seed, Path(tmp))
+                    for source, seed in cases]
     FIXTURE.write_text(json.dumps(pins, indent=1) + "\n", encoding="utf-8")
