@@ -44,8 +44,6 @@ from .state import (
     make_initial_state,
 )
 
-_MAX_TRUNCATION_TRIES = 100_000
-
 
 # --- model structure ----------------------------------------------------------
 
@@ -375,35 +373,30 @@ class _Emitter:
         return f"VList([{', '.join(items)}])"
 
     def _RandomExpr(self, e):
-        """A draw: the sampler of its form, one of the six rows of the
-        ``random`` table in docs/cml.md, which the typechecker has fixed.
-        Each draw evaluates the parameters, then the range, checks that
-        each is finite and lets the form check the rest of what depends
-        on their values. A form whose parameters and range are all
-        constant is prepared once (unless that fails, which is then left
-        to the draw)."""
-        loc, dist, range_ = e.loc, e.dist.name, e.range_
+        """A draw: the sampler its form's entry in ``intrinsics.DRAWS``
+        builds, the form the typechecker has fixed. Each draw evaluates
+        the parameters, then the range, checks that each is finite and
+        lets the form check the rest of what depends on their values. A
+        form whose parameters and range are all constant is prepared once
+        (unless that fails, which is then left to the draw)."""
+        loc, range_ = e.loc, e.range_
+        draw = intrinsics.DRAWS[e.dist.name, e.shape]
         args = [self.expr(a) for a in e.dist.args]
         n = len(args)
-        if range_ is None:
-            form, names = _gauss, ("mean", "sigma")
-        elif isinstance(range_, SetLit):
+        names = draw.names * n if draw.arity is None else draw.names
+        if isinstance(range_, SetLit):
             kind = range_.ty.element.kind
             args += [self.promoted(x, kind) for x in range_.items]
-            form, name = {"FLAT": (_flat_set, ""),
-                          "WEIGHTS": (_weights, "weight"),
-                          "PSI": (_psi, "amplitude")}[dist]
-            names = (name,) * n + ("value",) * len(range_.items)
-        else:
+            names += ("value",) * len(range_.items)
+        elif range_ is not None:
             args += [self.expr(x) for x in range_.items]
-            form = _flat_interval if dist == "FLAT" else _gauss
-            names = ("mean", "sigma")[:n] + ("lo", "hi")
+            names += ("lo", "hi")
 
         def prepare(*args):
             for name, x in zip(names, args):
                 if not cmath.isfinite(x):
                     raise EvalError(f"random: non-finite {name} {x}", loc)
-            return form(args[:n], args[n:], loc)
+            return draw.build(args[:n], args[n:], loc)
         sampler = f"{self.vary(prepare, '_p')}({', '.join(args)})"
         if all(a in self.known for a in args):
             try:
@@ -726,85 +719,6 @@ def compile_observable(expr, schema: StateSchema):
     """Compile a typechecked expression once; the function maps a state
     to the expression's value there (a payload for a scalar type)."""
     return compile_observables([("", expr)], schema)[0][1]
-
-
-# --- draws: one sampler per form ------------------------------------------------
-
-
-def _categorical(probs, values):
-    """A finite set's sampler. The outcome is drawn by index, so a
-    branching source records the probabilities and the values."""
-    return lambda rnd: values[rnd.categorical(probs, values)]
-
-
-def _normalized(probs, exact_sum: float, what: str, loc):
-    """probs() / its sum. ``exact_sum``, taken in Python first, must be
-    finite (numpy would warn as it overflowed), and the sum positive."""
-    if not math.isfinite(exact_sum):
-        raise EvalError(f"random: non-finite {what} sum {exact_sum}", loc)
-    p = probs()
-    total = p.sum()
-    if total <= 0:
-        raise EvalError(f"random: {what}s sum to zero", loc)
-    return p / total
-
-
-def _flat_set(params, values, loc):
-    return _categorical(np.full(len(values), 1.0 / len(values)), values)
-
-
-def _weights(params, values, loc):
-    w = np.array([float(x) for x in params])
-    if np.any(w < 0):
-        raise EvalError("random: weights must be >= 0", loc)
-    probs = _normalized(lambda: w, sum(params), "weight", loc)
-    return _categorical(probs, values)
-
-
-def _psi(params, values, loc):
-    amps = [complex(x) for x in params]
-    exact = sum(a.real * a.real + a.imag * a.imag for a in amps)
-    probs = _normalized(lambda: np.abs(np.array(amps)) ** 2, exact,
-                        "amplitude", loc)
-    return _categorical(probs, values)
-
-
-def _flat_interval(params, bounds, loc):
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not lo < hi:
-        raise EvalError("random: continuous FLAT requires lo < hi", loc)
-    width = hi - lo
-    if not math.isfinite(width):
-        raise EvalError(f"random: non-finite interval width {width}", loc)
-    return lambda rnd: lo + width * rnd.uniform01()
-
-
-def _gauss(params, bounds, loc):
-    """Unbounded, or truncated to ``bounds`` by rejection."""
-    mean, sigma = params
-    if not sigma > 0:
-        raise EvalError("random: GAUSS sigma must be > 0", loc)
-    mean, sigma = float(mean), float(sigma)
-    if not bounds:
-        def sample(rnd):
-            x = rnd.normal(mean, sigma)
-            if not math.isfinite(x):
-                raise EvalError(f"random: non-finite draw {x}", loc)
-            return x
-        return sample
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not lo < hi:
-        raise EvalError(f"random: truncated GAUSS requires lo < hi, got "
-                        f"lo {lo} and hi {hi}", loc)
-
-    def truncated(rnd):
-        for _ in range(_MAX_TRUNCATION_TRIES):
-            x = rnd.normal(mean, sigma)
-            if lo <= x <= hi:
-                return x
-        raise EvalError(
-            "random: truncated GAUSS: acceptance region too improbable", loc)
-    return truncated
 
 
 # --- guards and law selection ------------------------------------------------------

@@ -88,7 +88,7 @@ class SetLit(Expr):
 
 @dataclass
 class DistExpr(Expr):
-    name: str = ""  # FLAT | GAUSS | WEIGHTS | PSI
+    name: str = ""  # a distribution of intrinsics.DRAWS
     args: list = field(default_factory=list)
 
 
@@ -96,6 +96,11 @@ class DistExpr(Expr):
 class RandomExpr(Expr):
     range_: Expr | None = None  # ListLit interval or SetLit, or None
     dist: DistExpr = None
+
+    @property
+    def shape(self) -> str:   # with dist.name, the key of intrinsics.DRAWS
+        return ("none" if self.range_ is None else
+                "set" if isinstance(self.range_, SetLit) else "interval")
 
 
 # --- statements -------------------------------------------------------------

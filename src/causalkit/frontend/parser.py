@@ -13,6 +13,7 @@ each operator) is never deeper than its source.
 
 from __future__ import annotations
 
+from ..intrinsics import DRAWS
 from .ast_nodes import (
     Assign,
     Binary,
@@ -42,7 +43,7 @@ from .ast_nodes import (
 )
 from .lexer import tokenize
 
-DIST_NAMES = ("FLAT", "GAUSS", "WEIGHTS", "PSI")
+DIST_NAMES = tuple(dict.fromkeys(name for name, _ in DRAWS))
 
 _BUILTIN_TYPES = ("real", "int", "bool", "complex",
                   "vector", "list", "cgrid", "pwcollection")
@@ -478,7 +479,7 @@ class _Parser:
             dist = self.node(DistExpr(dist_arg.loc, name=dist_arg.func,
                                       args=dist_arg.args), *dist_arg.args)
         else:
-            self.error("expected a distribution (FLAT, GAUSS, WEIGHTS, PSI)",
+            self.error(f"expected a distribution ({', '.join(DIST_NAMES)})",
                        dist_arg.loc)
         if range_ is not None and not isinstance(range_, (ListLit, SetLit)):
             self.error("random range must be [lo, hi] or {v, ...}", range_.loc)

@@ -37,7 +37,7 @@ from .ast_nodes import (
 )
 from .parser import parse_expression
 
-_NUMERIC = ("int", "real", "complex")
+_NUMERIC = ("int", "real", "complex")   # each kind widens to the next
 _SCALAR_TYPE_NAMES = ("real", "int", "bool", "complex")
 
 RESERVED_NAMES = ("dt", "random", "true", "false")
@@ -611,10 +611,7 @@ def _join_numeric(a: TypeDesc, b: TypeDesc, loc: Loc, what: str) -> str:
     if a.kind not in _NUMERIC or b.kind not in _NUMERIC:
         raise _err("type-mismatch",
                    f"{what} needs numeric operands, got {a} and {b}", loc)
-    for kind in ("complex", "real", "int"):
-        if a.kind == kind or b.kind == kind:
-            return kind
-    raise _err("internal", "unreachable", loc)
+    return max(a.kind, b.kind, key=_NUMERIC.index)
 
 
 def _binary_type(e: Binary, ctx: _Ctx) -> TypeDesc:
@@ -689,85 +686,51 @@ def _call_type(e: Call, ctx: _Ctx) -> TypeDesc:
 
 
 def _random_type(e: RandomExpr, ctx: _Ctx) -> TypeDesc:
+    """A draw, whatever its form: its parameters, its range and the
+    range's items, then what its form's entry in ``intrinsics.DRAWS``
+    asks of the parameters, and a constant interval's lo < hi."""
     if ctx.ban is not None:
         raise _err(ctx.ban, "random() is not allowed here", e.loc)
-    dist = e.dist
+    dist, range_, shape = e.dist, e.range_, e.shape
     for a in dist.args:
         _check_expr(a, ctx)
-    if e.range_ is None:
-        if dist.name != "GAUSS":
-            raise _err("bad-random",
-                       f"{dist.name} needs an explicit value range", e.loc)
-        _gauss_args(dist)
-        return TypeDesc("real")
-    if isinstance(e.range_, ListLit):
-        if len(e.range_.items) != 2:
+    if shape == "interval":
+        if len(range_.items) != 2:
             raise _err("bad-random", "interval range must be [lo, hi]",
-                       e.range_.loc)
-        for item in e.range_.items:
-            _check_expr(item, ctx)
-            if item.ty.kind not in ("int", "real"):
+                       range_.loc)
+        for item in range_.items:
+            if _check_expr(item, ctx).kind not in ("int", "real"):
                 raise _err("type-mismatch", "range bounds must be real",
                            item.loc)
-        e.range_.ty = TypeDesc.list_of(TypeDesc("real"))
-        if dist.name == "FLAT":
-            if dist.args:
-                raise _err("bad-random", "FLAT takes no parameters", dist.loc)
-        elif dist.name == "GAUSS":
-            _gauss_args(dist)
-        else:
-            raise _err("bad-random",
-                       f"{dist.name} needs a finite value set", e.loc)
-        lo, hi = (const_fold(item, ctx.consts_val) for item in e.range_.items)
-        if lo is not None and hi is not None and not lo < hi:
-            what = "continuous FLAT" if dist.name == "FLAT" else \
-                "truncated GAUSS"
-            raise _err("bad-random", f"{what} requires lo < hi, got lo "
-                       f"{float(lo)} and hi {float(hi)}", e.range_.loc)
-        return TypeDesc("real")
-    # finite set range
-    items = e.range_.items
-    kinds = []
-    for item in items:
-        td = _check_expr(item, ctx)
-        if td.kind not in ("int", "real", "bool"):
-            raise _err("type-mismatch",
-                       "set elements must be int, real, or bool", item.loc)
-        kinds.append(td.kind)
-    if "bool" in kinds and any(k != "bool" for k in kinds):
-        raise _err("type-mismatch", "set elements disagree", e.range_.loc)
-    result = "bool" if kinds[0] == "bool" else \
-        ("real" if "real" in kinds else "int")
-    e.range_.ty = TypeDesc.list_of(TypeDesc(result))
-    if dist.name == "FLAT":
-        if dist.args:
-            raise _err("bad-random", "FLAT takes no parameters", dist.loc)
-    elif dist.name == "WEIGHTS":
-        if len(dist.args) != len(items):
-            raise _err("bad-random",
-                       "WEIGHTS needs one weight per value", dist.loc)
-        for a in dist.args:
-            if a.ty.kind not in ("int", "real"):
-                raise _err("type-mismatch", "weights must be real", a.loc)
-    elif dist.name == "PSI":
-        if len(dist.args) != len(items):
-            raise _err("bad-random",
-                       "PSI needs one amplitude per value", dist.loc)
-        for a in dist.args:
-            if a.ty.kind not in _NUMERIC:
-                raise _err("type-mismatch", "amplitudes must be numeric",
-                           a.loc)
-    else:
-        raise _err("bad-random", "GAUSS needs an interval range", e.loc)
-    return TypeDesc(result)
-
-
-def _gauss_args(dist: DistExpr):
-    if len(dist.args) != 2:
-        raise _err("bad-random", "GAUSS takes (mean, sigma)", dist.loc)
+        range_.ty = TypeDesc.list_of(TypeDesc("real"))
+    elif shape == "set":
+        kinds = []
+        for item in range_.items:
+            kinds.append(_check_expr(item, ctx).kind)
+            if kinds[-1] not in ("int", "real", "bool"):
+                raise _err("type-mismatch",
+                           "set elements must be int, real, or bool", item.loc)
+        if "bool" in kinds and any(k != "bool" for k in kinds):
+            raise _err("type-mismatch", "set elements disagree", range_.loc)
+        elem = "bool" if "bool" in kinds else max(kinds, key=_NUMERIC.index)
+        range_.ty = TypeDesc.list_of(TypeDesc(elem))
+    draw = intrinsics.DRAWS.get((dist.name, shape))
+    if draw is None:
+        needs = {"none": "an explicit value range", "interval":
+                 "a finite value set", "set": "an interval range"}[shape]
+        raise _err("bad-random", f"{dist.name} needs {needs}", e.loc)
+    if len(dist.args) != (len(range_.items) if draw.arity is None
+                          else draw.arity):
+        raise _err("bad-random", draw.arity_error, dist.loc)
     for a in dist.args:
-        if a.ty.kind not in ("int", "real"):
-            raise _err("type-mismatch", "GAUSS parameters must be real", a.loc)
+        if a.ty.kind not in draw.kinds:
+            raise _err("type-mismatch", draw.kind_error, a.loc)
+    if shape == "interval":
+        lo, hi = (const_fold(item, ctx.consts_val) for item in range_.items)
+        if lo is not None and hi is not None and not lo < hi:
+            raise _err("bad-random", f"{draw.what} requires lo < hi, got lo "
+                       f"{float(lo)} and hi {float(hi)}", range_.loc)
+    return range_.ty.element if shape == "set" else TypeDesc("real")
 
 
 # --- constant folding ------------------------------------------------------------

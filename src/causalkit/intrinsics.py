@@ -1,5 +1,5 @@
-"""The one table of functions callable from CML, and of its binary
-operators.
+"""The one table of functions callable from CML, of its binary
+operators, and of its draw forms.
 
 An intrinsic bundles its arity, a type rule, a runtime implementation and
 a stochastic flag (stochastic intrinsics make a law count as random).
@@ -7,7 +7,8 @@ The language built-ins are registered below; the quantum kit registers
 its numeric intrinsics on import. ``binary`` gives what an operator
 computes, for the compiler and the typechecker's constant folder alike,
 and ``INLINE`` the Python text the compiler emits for one that cannot
-fail.
+fail. ``DRAWS`` holds the six forms of ``random(...)``, which the parser,
+the typechecker and the compiler all read.
 """
 
 from __future__ import annotations
@@ -271,3 +272,121 @@ def _register_builtins():
 
 
 _register_builtins()
+
+
+# --- draws: one entry per form of random(...) -----------------------------------
+
+
+_MAX_TRUNCATION_TRIES = 100_000
+
+
+def _categorical(probs, values):
+    """A finite set's sampler. The outcome is drawn by index, so a
+    branching source records the probabilities and the values."""
+    return lambda rnd: values[rnd.categorical(probs, values)]
+
+
+def _normalized(probs, exact_sum: float, what: str, loc):
+    """probs() / its sum. ``exact_sum``, taken in Python first, must be
+    finite (numpy would warn as it overflowed), and the sum positive."""
+    if not math.isfinite(exact_sum):
+        raise EvalError(f"random: non-finite {what} sum {exact_sum}", loc)
+    p = probs()
+    total = p.sum()
+    if total <= 0:
+        raise EvalError(f"random: {what}s sum to zero", loc)
+    return p / total
+
+
+def _flat_set(params, values, loc):
+    return _categorical(np.full(len(values), 1.0 / len(values)), values)
+
+
+def _weights(params, values, loc):
+    w = np.array([float(x) for x in params])
+    if np.any(w < 0):
+        raise EvalError("random: weights must be >= 0", loc)
+    probs = _normalized(lambda: w, sum(params), "weight", loc)
+    return _categorical(probs, values)
+
+
+def _psi(params, values, loc):
+    amps = [complex(x) for x in params]
+    exact = sum(a.real * a.real + a.imag * a.imag for a in amps)
+    probs = _normalized(lambda: np.abs(np.array(amps)) ** 2, exact,
+                        "amplitude", loc)
+    return _categorical(probs, values)
+
+
+def _flat_interval(params, bounds, loc):
+    lo, hi = float(bounds[0]), float(bounds[1])
+    if not lo < hi:
+        raise EvalError("random: continuous FLAT requires lo < hi", loc)
+    width = hi - lo
+    if not math.isfinite(width):
+        raise EvalError(f"random: non-finite interval width {width}", loc)
+    return lambda rnd: lo + width * rnd.uniform01()
+
+
+def _gauss(params, bounds, loc):
+    """Unbounded, or truncated to ``bounds`` by rejection."""
+    mean, sigma = params
+    if not sigma > 0:
+        raise EvalError("random: GAUSS sigma must be > 0", loc)
+    mean, sigma = float(mean), float(sigma)
+    if not bounds:
+        def sample(rnd):
+            x = rnd.normal(mean, sigma)
+            if not math.isfinite(x):
+                raise EvalError(f"random: non-finite draw {x}", loc)
+            return x
+        return sample
+    lo, hi = float(bounds[0]), float(bounds[1])
+    if not lo < hi:
+        raise EvalError(f"random: truncated GAUSS requires lo < hi, got "
+                        f"lo {lo} and hi {hi}", loc)
+
+    def truncated(rnd):
+        for _ in range(_MAX_TRUNCATION_TRIES):
+            x = rnd.normal(mean, sigma)
+            if lo <= x <= hi:
+                return x
+        raise EvalError(
+            "random: truncated GAUSS: acceptance region too improbable", loc)
+    return truncated
+
+
+@dataclass(frozen=True)
+class Draw:
+    """A form of ``random(range, distribution)``. ``build`` maps (the
+    parameters, the set's values or the interval's bounds, a location) to
+    the form's sampler (random source -> value), or raises EvalError."""
+
+    arity: int | None      # parameter count; None: one per value of the set
+    arity_error: str       # the typechecker's text for another count
+    names: tuple           # in run-time messages; arity None: one for all
+    build: Callable
+    kinds: tuple = ()      # the kinds a parameter may have, and the
+    kind_error: str = ""   # typechecker's text for another
+    what: str = ""         # an interval form's name in its lo < hi message
+
+
+# keyed by (distribution, range shape), the shape "none", "interval" or
+# "set"; each entry is a row of the `random` table in docs/cml.md
+DRAWS = {
+    ("FLAT", "set"): Draw(0, "FLAT takes no parameters", (), _flat_set),
+    ("FLAT", "interval"): Draw(0, "FLAT takes no parameters", (),
+                               _flat_interval, what="continuous FLAT"),
+    ("GAUSS", "none"): Draw(2, "GAUSS takes (mean, sigma)", ("mean", "sigma"),
+                            _gauss, _REAL, "GAUSS parameters must be real"),
+    ("GAUSS", "interval"): Draw(2, "GAUSS takes (mean, sigma)",
+                                ("mean", "sigma"), _gauss, _REAL,
+                                "GAUSS parameters must be real",
+                                "truncated GAUSS"),
+    ("WEIGHTS", "set"): Draw(None, "WEIGHTS needs one weight per value",
+                             ("weight",), _weights, _REAL,
+                             "weights must be real"),
+    ("PSI", "set"): Draw(None, "PSI needs one amplitude per value",
+                         ("amplitude",), _psi, _NUMBER,
+                         "amplitudes must be numeric"),
+}

@@ -379,9 +379,6 @@ class SystemState:
         _SET_TIME(self, time)
         _SET_VALUES(self, values)
 
-    def get(self, name: str):
-        return self.values[name]
-
 
 _SET_SCHEMA, _SET_TIME, _SET_VALUES = (
     SystemState.schema.__set__, SystemState.time.__set__,

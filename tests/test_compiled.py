@@ -5,6 +5,7 @@ lists with runs of one template."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import time
 
@@ -21,7 +22,7 @@ from causalkit import (
     run,
     run_ensemble,
 )
-from causalkit import engine
+from causalkit import engine, intrinsics
 from causalkit.bundled import build_bundled_model
 from causalkit.cli import main
 from causalkit.errors import EvalError
@@ -520,13 +521,14 @@ def test_a_list_of_distinct_shapes_is_straight_line_code(monkeypatch, texts,
 ])
 def test_a_constant_draw_is_prepared_once(monkeypatch, draw, prepared):
     calls = []
-    flat_set = engine._flat_set
+    flat_set = intrinsics.DRAWS["FLAT", "set"]
 
     def counting(params, values, loc):
         calls.append(values)
-        return flat_set(params, values, loc)
+        return flat_set.build(params, values, loc)
 
-    monkeypatch.setattr(engine, "_flat_set", counting)
+    monkeypatch.setitem(intrinsics.DRAWS, ("FLAT", "set"),
+                        dataclasses.replace(flat_set, build=counting))
     model = load_model("model w { state { x: int; } init { x = 0; } "
                        f"law S {{ when true; then {{ x = x + {draw}; }} }} }}")
     trace = run(model, build_initial_state(model),

@@ -15,6 +15,17 @@ MINIMAL = ("model M { state { n: int in [0, 100]; } init { n = 0; } "
            "law Inc { when true; then { n = n + 1; } } }")
 
 
+def diagnostics(source):
+    """(code, message, line, col) of every diagnostic the parser and,
+    if the source parses, the typechecker give."""
+    ast, diags = parse(source)
+    if ast is not None:
+        typed, tdiags = typecheck(ast)
+        assert typed is None
+        diags = diags + tdiags
+    return [(d.code, d.message, d.loc.line, d.loc.col) for d in diags]
+
+
 class TestParse:
     def test_minimal_model(self):
         ast, diags = parse(MINIMAL)
@@ -371,6 +382,57 @@ class TestLower:
         assert [l.name for l in model.laws] == ["Down", "Up"]
 
 
+# (code, message, line, col) of the one diagnostic each broken fixture gives
+BROKEN_DIAGNOSTICS = {
+    '01_missing_semicolon_guard':
+        ('syntax', "expected ';', found 'then'", 4, 24),
+    '02_bad_char': ('bad-char', "unexpected character '@'", 4, 18),
+    '03_unclosed_brace':
+        ('syntax', "expected '}', found 'end of input'", 5, 1),
+    '04_missing_state': ('syntax', 'model has no state block', 1, 1),
+    '05_missing_init': ('syntax', 'model has no init block', 1, 1),
+    '06_no_laws': ('no-laws', 'model declares no laws', 1, 1),
+    '07_unknown_name': ('unknown-name', "unknown name 'y'", 4, 16),
+    '08_guard_not_bool':
+        ('type-mismatch', "guard of law 'L' must be bool, got int", 4, 18),
+    '09_random_in_guard':
+        ('random-in-guard', 'random() is not allowed here', 4, 16),
+    '10_assign_const':
+        ('assign-to-constant', "cannot assign to constant 'k'", 5, 29),
+    '11_type_mismatch_assign':
+        ('type-mismatch', 'assignment: expected int, got bool', 4, 29),
+    '12_dup_law': ('duplicate-name', "duplicate law name 'L'", 5, 3),
+    '13_dup_field': ('duplicate-name', "duplicate field 'x'", 4, 5),
+    '14_unknown_type': ('unknown-name', "unknown type 'flux'", 2, 14),
+    '15_bad_domain_order':
+        ('bad-domain', 'empty interval domain [2.0, -2.0]', 2, 22),
+    '16_domain_on_grid':
+        ('bad-domain', 'type cgrid(8, 0.5) cannot carry a domain', 2, 33),
+    '17_unknown_function':
+        ('unknown-intrinsic', "unknown function 'frobnicate'", 4, 33),
+    '18_chained_comparison':
+        ('syntax', 'comparisons cannot be chained', 4, 24),
+    '19_random_in_init':
+        ('random-in-init', 'random() is not allowed here', 3, 14),
+    '20_weights_arity':
+        ('bad-random', 'WEIGHTS needs one weight per value', 4, 48),
+    '21_vector_length_zero': ('bad-type', 'vector length must be >= 1', 2, 14),
+    '22_cgrid_dx_zero': ('bad-type', 'cgrid dx must be > 0', 2, 16),
+    '23_for_over_scalar':
+        ('type-mismatch', "'for' needs a list field, got real", 4, 38),
+    '24_assign_unknown':
+        ('unknown-name', "cannot assign to unknown name 'q'", 4, 29),
+    '25_cyclic_records':
+        ('bad-schema', "cyclic record definition through 'A'", 1, 1),
+    '26_dt_in_guard':
+        ('unknown-name', "'dt' is only available in transition blocks", 4, 16),
+    '27_empty_set': ('syntax', 'value set cannot be empty', 4, 40),
+    '28_empty_flat_range':
+        ('bad-random',
+         'continuous FLAT requires lo < hi, got lo 5.0 and hi 1.0', 4, 40),
+}
+
+
 class TestBrokenCorpus:
     @pytest.mark.parametrize("path", sorted(BROKEN.glob("*.cml")),
                              ids=lambda p: p.stem)
@@ -388,6 +450,123 @@ class TestBrokenCorpus:
             assert 1 <= d.loc.line <= nlines, path.name
             assert d.loc.col >= 1, path.name
             assert d.message
+
+    def test_every_fixture_is_pinned(self):
+        assert sorted(BROKEN_DIAGNOSTICS) == \
+            sorted(p.stem for p in BROKEN.glob("*.cml"))
+
+    @pytest.mark.parametrize("stem", sorted(BROKEN_DIAGNOSTICS))
+    def test_diagnostic_is_pinned(self, stem):
+        assert diagnostics((BROKEN / f"{stem}.cml").read_text()) == \
+            [BROKEN_DIAGNOSTICS[stem]]
+
+
+class TestDrawDiagnostics:
+    """Each diagnostic a ``random(...)`` form can give, with its location:
+    the range's shape and the distribution pick the form; a missing form,
+    a wrong parameter count and a wrong parameter kind each have their
+    own text. Checks run in this order: the parameters, the range and its
+    items, the form, its arity, its parameter kinds, a constant lo < hi."""
+
+    MODEL = ("model m { const k: int = 1; state { x: real; } "
+             "init { x = 0.0; }\nlaw L { when true; then { x = %s; } } }")
+
+    @pytest.mark.parametrize("draw, code, message, col", [
+        ("random(FLAT)", "bad-random",
+         "FLAT needs an explicit value range", 31),
+        ("random(WEIGHTS(1, 2))", "bad-random",
+         "WEIGHTS needs an explicit value range", 31),
+        ("random(PSI(1))", "bad-random",
+         "PSI needs an explicit value range", 31),
+        ("random(FLAT(y))", "unknown-name", "unknown name 'y'", 43),
+        ("random(GAUSS(1))", "bad-random", "GAUSS takes (mean, sigma)", 38),
+        ("random(GAUSS(0, 1, 2))", "bad-random",
+         "GAUSS takes (mean, sigma)", 38),
+        ("random(GAUSS(0, true))", "type-mismatch",
+         "GAUSS parameters must be real", 47),
+        ("random([0, 1, 2], FLAT)", "bad-random",
+         "interval range must be [lo, hi]", 38),
+        ("random([0], GAUSS(0, 1))", "bad-random",
+         "interval range must be [lo, hi]", 38),
+        ("random([0, true], FLAT)", "type-mismatch",
+         "range bounds must be real", 42),
+        ("random([0, true], WEIGHTS(1))", "type-mismatch",
+         "range bounds must be real", 42),
+        ("random([0, 1], FLAT(1))", "bad-random",
+         "FLAT takes no parameters", 46),
+        ("random([0, 1], GAUSS(1))", "bad-random",
+         "GAUSS takes (mean, sigma)", 46),
+        ("random([0, 1], GAUSS(true, 1))", "type-mismatch",
+         "GAUSS parameters must be real", 52),
+        ("random([1, 0], GAUSS(true, 1))", "type-mismatch",
+         "GAUSS parameters must be real", 52),
+        ("random([0, 1], WEIGHTS(1, 2))", "bad-random",
+         "WEIGHTS needs a finite value set", 31),
+        ("random([0, 1], PSI(1, 1))", "bad-random",
+         "PSI needs a finite value set", 31),
+        ("random([1, 1], GAUSS(0, 1))", "bad-random",
+         "truncated GAUSS requires lo < hi, got lo 1.0 and hi 1.0", 38),
+        ("random({1i, 2}, FLAT)", "type-mismatch",
+         "set elements must be int, real, or bool", 39),
+        ("random({1, true}, FLAT)", "type-mismatch",
+         "set elements disagree", 38),
+        ("random({1, true}, GAUSS(0, 1))", "type-mismatch",
+         "set elements disagree", 38),
+        ("random({1, 2}, FLAT(1))", "bad-random",
+         "FLAT takes no parameters", 46),
+        ("random({1, 2}, WEIGHTS(1))", "bad-random",
+         "WEIGHTS needs one weight per value", 46),
+        ("random({1, 2}, WEIGHTS(1, true))", "type-mismatch",
+         "weights must be real", 57),
+        ("random({1, 2}, PSI(1))", "bad-random",
+         "PSI needs one amplitude per value", 46),
+        ("random({1, 2}, PSI(1, true))", "type-mismatch",
+         "amplitudes must be numeric", 53),
+        ("random({1, 2}, GAUSS(0, 1))", "bad-random",
+         "GAUSS needs an interval range", 31),
+        ("random()", "syntax",
+         "random takes (range, distribution) or (distribution)", 31),
+        ("random({1}, FLAT, FLAT)", "syntax",
+         "random takes (range, distribution) or (distribution)", 31),
+        ("random(x, FLAT)", "syntax",
+         "random range must be [lo, hi] or {v, ...}", 38),
+        ("random({1, 2}, UNIFORM)", "syntax",
+         "expected a distribution (FLAT, GAUSS, WEIGHTS, PSI)", 46),
+        ("random({1, 2}, FLAT + 1)", "syntax",
+         "expected a distribution (FLAT, GAUSS, WEIGHTS, PSI)", 51),
+    ])
+    def test_diagnostic_is_pinned(self, draw, code, message, col):
+        assert diagnostics(self.MODEL % draw) == [(code, message, 2, col)]
+
+    @pytest.mark.parametrize("source, code, col", [
+        ("model m { state { x: real; } "
+         "init { x = random([0.0, 1.0], FLAT); }\n"
+         "law L { when true; then { } } }", "random-in-init", 41),
+        ("model m { state { x: int; } init { x = 0; }\n"
+         "law L { when random({1, 2}, FLAT) > 1; then { } } }",
+         "random-in-guard", 14),
+    ], ids=["init", "guard"])
+    def test_a_banned_draw_is_located(self, source, code, col):
+        line = 1 if code == "random-in-init" else 2
+        assert diagnostics(source) == \
+            [(code, "random() is not allowed here", line, col)]
+
+
+class TestParserDiagnostics:
+    @pytest.mark.parametrize("source, message, col", [
+        ("model m { state { x: int; }\n  state { y: int; } init { x = 0; } "
+         "law L { when true; then { } } }", "duplicate state block", 3),
+        ("model m { state { x: int; } init { x = 0; }\n  init { x = 1; } "
+         "law L { when true; then { } } }", "duplicate init block", 3),
+        ("model m { state { x: int; } init { x = 0; } halt when x > 1;\n"
+         "  halt when x > 2; law L { when true; then { } } }",
+         "duplicate halt declaration", 3),
+        ("model m { record R {\n  a: int in [0, 1]; } state { x: int; } "
+         "init { x = 0; } law L { when true; then { } } }",
+         "domains are only allowed on state fields", 10),
+    ], ids=["state", "init", "halt", "record-domain"])
+    def test_diagnostic_is_pinned(self, source, message, col):
+        assert diagnostics(source) == [("syntax", message, 2, col)]
 
 
 class TestIntLiterals:

@@ -315,6 +315,35 @@ class TestStateJson:
         back = state_from_json(data, schema)
         assert deep_equal(s, back, tol=0.0)
 
+    def test_complex_values_round_trip(self):
+        schema = StateSchema(
+            fields={"z": TypeDesc("complex"),
+                    "zs": TypeDesc.list_of(TypeDesc("complex")),
+                    "p": TypeDesc.record_ref("P")},
+            records={"P": (("amp", TypeDesc("complex")),
+                           ("n", TypeDesc.int_()))})
+        s = make_initial_state(schema, {
+            "z": 1.5 - 2j,
+            "zs": VList([0j, -0.25 + 1e-300j]),
+            "p": VRecord("P", {"amp": 3j, "n": 2}),
+        })
+        data = state_to_json(s)
+        assert data["values"]["z"] == {"kind": "complex", "re": 1.5,
+                                       "im": -2.0}
+        back = state_from_json(data, schema)
+        assert state_to_json(back) == data
+        assert deep_equal(s, back, tol=0.0)
+        assert type(back.values["p"].fields["amp"]) is complex
+
+    def test_a_missing_field_is_named(self):
+        schema = StateSchema(fields={"x": TypeDesc.real(),
+                                     "y": TypeDesc.int_()})
+        data = {"time": 0.0, "values": {"x": {"kind": "real", "v": 1.0}}}
+        with pytest.raises(MissingFieldError) as exc:
+            state_from_json(data, schema)
+        assert str(exc.value) == "missing value for field 'y'"
+        assert exc.value.name == "y"
+
 
 PW_TYPE = TypeDesc.pwcollection([("slit", TypeDesc.int_()),
                                   ("position", TypeDesc.real())])
