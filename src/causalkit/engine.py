@@ -38,6 +38,7 @@ from .state import (
     SystemState,
     VCGrid,
     VList,
+    VPw,
     VRecord,
     VVector,
     check_value,  # noqa: F401 (cmlbench/tracing.py hooks it here)
@@ -211,13 +212,12 @@ class _Emitter:
     def __init__(self, schema: StateSchema):
         self.ns = {c.__name__: c for c in (
             EvalError, ContinuousRandomError, NoApplicableLawError,
-            MultipleApplicableError, SystemState, VList, VRecord,
-            _fail, _nonfinite, _elements_finite)}
+            MultipleApplicableError, SystemState, VList, VRecord, VVector,
+            VCGrid, VPw, _fail, _nonfinite, _elements_finite)}
         self.ns.update(_isfinite=math.isfinite, _cisfinite=cmath.isfinite,
                        rnd=None, dt=None)
         self.field_locals = {n: f"f{i}" for i, n in enumerate(schema.fields)}
-        self.checks = {n: schema.checker(td) for n, td in schema.fields.items()
-                       if td.kind not in PAYLOAD_TYPES}   # composite fields
+        self.schema = schema
         self.consts = {n: v for n, (_, v) in schema.constants.items()}
         self.known: dict = {}     # text of a folded constant -> its value
         self.bound: dict = {}     # id or (line, col) of a bound object -> name
@@ -452,7 +452,8 @@ class _Emitter:
         if parts:
             value = self.rebuild(f"n[{root!r}]", parts, value, s.loc)
         self.line(f"n[{root!r}] = {value}", s.loc)
-        if root in self.checks:   # depth 2 is the top of the body
+        if self.schema.fields[root].kind not in PAYLOAD_TYPES:
+            # a composite root; depth 2 is the top of the body
             self.written[root] = self.written.get(root) or self.depth == 2
 
     def target(self, t):
@@ -533,21 +534,56 @@ class _Emitter:
         return (f"def {fn}(s): v = s.values{self.loads('; ')}; "
                 f"return {text}  # {e.loc}", text, self.reads)
 
+    def passes(self, td, x: str) -> str:
+        """A test that the value ``x`` has type ``td``, made of the walk's
+        own predicates (``state._checker``), so it holds exactly where the
+        walk passes. A list's items are tested through ``all``, a function
+        of its own, so lists nested past Python's static block limit
+        compile."""
+        kind = td.kind
+        if kind in PAYLOAD_TYPES:
+            return f"type({x}) is {PAYLOAD_TYPES[kind].__name__}"
+        if kind == "list":
+            item = self.name("x")
+            return (f"type({x}) is VList and all("
+                    f"{self.passes(td.element, item)} for {item} in {x}.items)")
+        if kind == "record":
+            members = self.schema.records[td.record]
+            keys = self.bind(frozenset(n for n, _ in members), "_r")
+            return " and ".join([
+                f"type({x}) is VRecord and {x}.record == {td.record!r} and "
+                f"{x}.fields.keys() == {keys}",
+                *(self.passes(f, f"{x}.fields[{n!r}]") for n, f in members)])
+        if kind == "vector":
+            return f"isinstance({x}, VVector) and len({x}.values) == {td.length}"
+        if kind == "cgrid":
+            return (f"isinstance({x}, VCGrid) and len({x}.amps) == {td.length}"
+                    f" and {x}.dx == {self.const(td.dx)}")
+        declared = tuple((n, t.kind) for n, t in td.attrs)
+        return f"isinstance({x}, VPw) and {x}.pw.attr_decls == {declared!r}"
+
     def transition(self, law: Law, fn: str) -> list:
         """The body writes into ``n``, a copy of the pre-state's values;
         then each composite root written is type-checked once, in
         first-write order (one written only under an ``if`` or a ``for``
-        only if its value is new). A body that reads dt takes it as a
-        float first (a None dt fails at the first read's location)."""
+        only if its value is new): by its ``passes`` test, and only where
+        that fails by the walk, which names the error. A body that reads
+        dt takes it as a float first (a None dt fails at the first read's
+        location)."""
         self.start()
         self.block(law.transition)
         if self.dt_read is not None:
             self.body.insert(0, "        dt = float(dt) if dt is not None else "
                              f"_fail(\"'dt' is not available here\", "
                              f"{self.bind(self.dt_read)})  # {self.dt_read}")
-        checks = [("    " if always else f"    if n[{r!r}] is not v[{r!r}]: ")
-                  + f"{self.bind(self.checks[r], '_t')}(n[{r!r}], {r!r})"
-                  for r, always in self.written.items()]
+        checks = []
+        for r, always in self.written.items():
+            td = self.schema.fields[r]
+            new = "" if always else f"w is not v[{r!r}] and "
+            checks += [f"    w = n[{r!r}]",
+                       f"    if {new}not ({self.passes(td, 'w')}):",
+                       f"        {self.bind(self.schema.checker(td), '_t')}"
+                       f"(w, {r!r})"]
         return [
             f"def {fn}(s0, dt, rnd, time):  # law {law.name}",
             f"    v = s0.values{self.loads()}", "    n = v.copy()", "    try:",
@@ -770,7 +806,8 @@ def halts(model: CausalModel, s: SystemState) -> bool:
 def step(model: CausalModel, s0: SystemState, dt: float, rng,
          mode: str = "strict", time_after: float | None = None) -> SystemState:
     """One causal step: select the law, apply it, stamp ``time_after``
-    (default s0.time + dt). ``run``, ensembles and branching step here."""
+    (default s0.time + dt). ``run``'s loop makes the same step through
+    the selector and transitions it binds once."""
     if not (dt > 0):
         raise ValueError("dt must be positive")
     law = select_law(model, s0, mode)

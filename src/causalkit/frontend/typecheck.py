@@ -471,7 +471,7 @@ def _check_target(target: Expr, ctx: _Ctx) -> TypeDesc:
         base = _check_target(target.obj, ctx)
         _expect_kind(_check_expr(target.index, ctx), "int", target.index.loc,
                      "list index")
-        target.ty = _element_type(base, target.loc, ctx, writing=True)
+        target.ty = _element_type(base, target.loc)
         return target.ty
     raise _err("bad-target", "invalid assignment target", target.loc)
 
@@ -540,7 +540,7 @@ def _infer(e: Expr, ctx: _Ctx) -> TypeDesc:
     if isinstance(e, Index):
         base = _check_expr(e.obj, ctx)
         _expect_kind(_check_expr(e.index, ctx), "int", e.index.loc, "index")
-        return _element_type(base, e.loc, ctx, writing=False)
+        return _element_type(base, e.loc)
     if isinstance(e, Unary):
         td = _check_expr(e.operand, ctx)
         if e.op == "-":
@@ -597,7 +597,7 @@ def _member_type(base: TypeDesc, name: str, loc: Loc, ctx: _Ctx) -> TypeDesc:
                f"record '{base.record}' has no field '{name}'", loc)
 
 
-def _element_type(base: TypeDesc, loc: Loc, ctx: _Ctx, writing: bool) -> TypeDesc:
+def _element_type(base: TypeDesc, loc: Loc) -> TypeDesc:
     if base.kind == "list":
         return base.element
     if base.kind == "vector":

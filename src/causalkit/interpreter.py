@@ -11,14 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (
-    CausalModel,
-    apply_law,
-    halts,
-    quiet_numpy,
-    select_law,
-    step,
-)
+from .engine import CausalModel, apply_law, halts, quiet_numpy, select_law
 from .errors import (
     ContinuousRandomError,
     EvalError,
@@ -165,10 +158,12 @@ def _run_from(model: CausalModel, cfg: RunConfig, start: float,
     ``stream``, from state ``s`` reached after ``steps`` steps of a run
     that began at time ``start``. Returns (termination, final state);
     appends a TraceRow to ``rows``, if given, at step 0 and every
-    record_every steps."""
+    record_every steps. A step calls the mode's selector and the chosen
+    law's transition directly, as ``engine.step`` does."""
     halt, observe = model.halt_fn, cfg.observe
-    dt, mode, max_steps, every = (cfg.dt, cfg.mode, cfg.max_steps,
-                                  cfg.record_every)
+    select = model.selectors[cfg.mode]
+    applies = [law.apply_fn for law in model.laws]
+    dt, max_steps, every = cfg.dt, cfg.max_steps, cfg.record_every
     try:
         if rows is not None:
             rows.append(TraceRow(0, start, observe(s), s))
@@ -179,7 +174,7 @@ def _run_from(model: CausalModel, cfg: RunConfig, start: float,
                 return Termination("max-steps"), s
             steps += 1
             time = start + steps * dt
-            s = step(model, s, dt, stream, mode, time)
+            s = applies[select(s)](s, dt, stream, time)
             if rows is not None and steps % every == 0:
                 rows.append(TraceRow(steps, time, observe(s), s))
     except _STEP_ERRORS as exc:

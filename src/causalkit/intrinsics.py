@@ -230,8 +230,12 @@ def _len(args, rnd):
 
 
 def neighbour_sum(a: np.ndarray) -> np.ndarray:
-    """a[i - 1] + a[i + 1] on a periodic grid, through one padded ring."""
-    ring = np.concatenate((a[-1:], a, a[:1]))
+    """a[i - 1] + a[i + 1] on a periodic grid, through one padded ring
+    filled in place: the middle, then the two wrap cells."""
+    ring = np.empty(len(a) + 2, a.dtype)
+    ring[1:-1] = a
+    ring[0] = a[-1]
+    ring[-1] = a[0]
     return ring[:-2] + ring[2:]
 
 

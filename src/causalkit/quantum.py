@@ -322,7 +322,12 @@ def ca_step(world: VRecord) -> VRecord:
     """
     fields = world.fields
     phi = fields["phi"].values
-    phi1 = phi + fields["alpha"] * (neighbour_sum(phi) - 2.0 * phi)
+    # phi + alpha * (neighbour_sum(phi) - 2 phi), in place: + and * commute
+    # exactly, so the operations and operands are the same
+    phi1 = neighbour_sum(phi)
+    phi1 -= 2.0 * phi
+    phi1 *= fields["alpha"]
+    phi1 += phi
     if not all(map(math.isfinite, phi1.tolist())):   # cheapest on few cells
         i = int(np.flatnonzero(~np.isfinite(phi1))[0])
         raise EvalError(f"ca_step: non-finite phi value {phi1[i]} "

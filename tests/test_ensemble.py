@@ -25,7 +25,7 @@ from causalkit import (
     run_ensemble,
 )
 import causalkit.interpreter as interpreter
-from causalkit import quantum
+from causalkit import engine, quantum
 from causalkit.errors import EvalError
 from causalkit.interpreter import _BATCH, _MIN_GROUP, Ensemble
 from causalkit.state import state_to_json
@@ -384,10 +384,14 @@ def counted(monkeypatch):
     """The interpreter's law selections, replays and trial steps, in call
     order: ("select", id(state), None) and ("replay", id(state), outcome
     path) of the shared walk, and ("apply", id(state), None) for each step
-    a trial, or ``run``, takes on its own stream."""
+    a trial, or ``run``, takes on its own stream. ``_run_from`` calls a
+    law's transition directly, so a step is counted there: each model
+    built while the fixture is active gets laws whose transitions count
+    the calls given an ``RngStream``."""
     calls = []
-    select, apply, step = (interpreter.select_law, interpreter.apply_law,
-                           interpreter.step)
+    select, apply, compile_model = (interpreter.select_law,
+                                    interpreter.apply_law,
+                                    engine._compile_model)
 
     def counting_select(model, s, mode):
         calls.append(("select", id(s), None))
@@ -397,13 +401,22 @@ def counted(monkeypatch):
         calls.append(("replay", id(s), tuple(source.prefix)))
         return apply(law, s, dt, source, time)
 
-    def counting_step(model, s, dt, rng, mode, time):
-        calls.append(("apply", id(s), None))
-        return step(model, s, dt, rng, mode, time)
+    def counting(transition):
+        def step(s, dt, rnd, time):
+            if isinstance(rnd, RngStream):
+                calls.append(("apply", id(s), None))
+            return transition(s, dt, rnd, time)
+        return step
+
+    def counting_compile(model):
+        compile_model(model)
+        object.__setattr__(model, "laws", tuple(
+            replace(law, apply_fn=counting(law.apply_fn))
+            for law in model.laws))
 
     monkeypatch.setattr(interpreter, "select_law", counting_select)
     monkeypatch.setattr(interpreter, "apply_law", counting_apply)
-    monkeypatch.setattr(interpreter, "step", counting_step)
+    monkeypatch.setattr(engine, "_compile_model", counting_compile)
     return calls
 
 

@@ -838,8 +838,8 @@ class TestCaStep:
         assert phi.var() < rng.normal(size=16).var() * 10
 
     # one or two cells are their own neighbours; 500 is past the
-    # differential test's rings
-    @pytest.mark.parametrize("cells", [1, 2, 11, 500])
+    # differential test's rings, and 4,096 a long ring
+    @pytest.mark.parametrize("cells", [1, 2, 11, 500, 4096])
     def test_diffusion_matches_the_rolled_laplacian(self, cells):
         phi = np.random.default_rng(4).normal(size=cells)
         out = ca_step(ca_world_value(phi, alpha=0.3)).fields["phi"].values
