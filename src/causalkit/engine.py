@@ -41,7 +41,7 @@ from .state import (
     VPw,
     VRecord,
     VVector,
-    check_value,  # noqa: F401 (cmlbench/tracing.py hooks it here)
+    check_value,
     make_initial_state,
 )
 
@@ -215,7 +215,7 @@ class _Emitter:
             MultipleApplicableError, SystemState, VList, VRecord, VVector,
             VCGrid, VPw, _fail, _nonfinite, _elements_finite)}
         self.ns.update(_isfinite=math.isfinite, _cisfinite=cmath.isfinite,
-                       rnd=None, dt=None)
+                       check_value=check_value, rnd=None, dt=None)
         self.field_locals = {n: f"f{i}" for i, n in enumerate(schema.fields)}
         self.schema = schema
         self.consts = {n: v for n, (_, v) in schema.constants.items()}
@@ -536,10 +536,10 @@ class _Emitter:
 
     def passes(self, td, x: str) -> str:
         """A test that the value ``x`` has type ``td``, made of the walk's
-        own predicates (``state._checker``), so it holds exactly where the
-        walk passes. A list's items are tested through ``all``, a function
-        of its own, so lists nested past Python's static block limit
-        compile."""
+        own predicates (``state.check_value``), so it holds exactly where
+        the walk passes. A list's items are tested through ``all``, a
+        function of its own, so lists nested past Python's static block
+        limit compile."""
         kind = td.kind
         if kind in PAYLOAD_TYPES:
             return f"type({x}) is {PAYLOAD_TYPES[kind].__name__}"
@@ -567,9 +567,9 @@ class _Emitter:
         then each composite root written is type-checked once, in
         first-write order (one written only under an ``if`` or a ``for``
         only if its value is new): by its ``passes`` test, and only where
-        that fails by the walk, which names the error. A body that reads
-        dt takes it as a float first (a None dt fails at the first read's
-        location)."""
+        that fails by ``check_value`` with the field's type bound, which
+        names the error. A body that reads dt takes it as a float first (a
+        None dt fails at the first read's location)."""
         self.start()
         self.block(law.transition)
         if self.dt_read is not None:
@@ -582,8 +582,8 @@ class _Emitter:
             new = "" if always else f"w is not v[{r!r}] and "
             checks += [f"    w = n[{r!r}]",
                        f"    if {new}not ({self.passes(td, 'w')}):",
-                       f"        {self.bind(self.schema.checker(td), '_t')}"
-                       f"(w, {r!r})"]
+                       f"        check_value(w, {self.bind(td, '_t')}, "
+                       f"s0.schema, {r!r})"]
         return [
             f"def {fn}(s0, dt, rnd, time):  # law {law.name}",
             f"    v = s0.values{self.loads()}", "    n = v.copy()", "    try:",

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .jsontext import _float, _string, dumps_indented
 from .rng import RngStream, WordBlocks, categorical_indices, derive_seeds
-from .state import SystemState, state_to_json
+from .state import SystemState, check_values, state_to_json
 
 # --- configuration and traces ---------------------------------------------------
 
@@ -136,7 +136,8 @@ def _termination(exc) -> Termination:
 def run(model: CausalModel, init: SystemState, cfg: RunConfig) -> Trace:
     """Drive the model from ``init`` until it halts, exhausts max_steps,
     or an engine error occurs. Failures land in the termination record,
-    never as exceptions.
+    never as exceptions; a start state that does not fit the model's
+    schema, or whose step times overflow, is refused before any step.
 
     Its loop, ``_run_from``, is the one an ensemble trial runs once it
     leaves the shared walk; here it is seeded with ``cfg.seed`` itself
@@ -145,6 +146,7 @@ def run(model: CausalModel, init: SystemState, cfg: RunConfig) -> Trace:
     record_every strides.
     """
     cfg.check_times(init)
+    check_values(model.schema, init.values)
     rows: list = []
     termination, final = _run_from(model, cfg, init.time, init, 0,
                                    RngStream(cfg.seed), rows)
@@ -298,6 +300,7 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
     if width_bound < 1:
         raise ValueError("width_bound must be >= 1")
     cfg.check_times(init)
+    check_values(model.schema, init.values)
     cut = Termination("depth-bound", f"branching depth {depth_bound} reached")
     root = WorldNode(weight=1.0, snapshot=init)
     serial = 1
@@ -519,6 +522,7 @@ class Ensemble:
         if trials < 1:
             raise ValueError("trials must be >= 1")
         cfg.check_times(init)
+        check_values(model.schema, init.values)
         self.model = model
         self.init = init
         self.cfg = cfg

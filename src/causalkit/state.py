@@ -4,9 +4,10 @@ A schema declares the fields of the system state (with optional sampling
 domains) and so fixes each field's type: an int, real, bool or complex
 value is a plain Python ``int``, ``float``, ``bool`` or ``complex``
 payload, and only composite values (vectors, lists, records, grids, path
-collections) are ``Value`` objects. Values are checked against their
-declared type at construction, so any state obtained through this module
-is well-typed.
+collections) are ``Value`` objects. A ``SystemState`` built directly
+checks only its time; ``check_values`` checks the values that enter from
+the host: in ``make_initial_state``, ``state_from_json`` and the start
+state of ``run``, ``branch_run`` and ``run_ensemble``.
 """
 
 from __future__ import annotations
@@ -139,8 +140,6 @@ class StateSchema:
     records: dict = field(default_factory=dict)  # name -> ((field, TypeDesc), ...)
     constants: dict = field(default_factory=dict)  # name -> (TypeDesc, payload)
     time_domain: Domain | None = None
-    _checkers: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)   # TypeDesc -> its checker
 
     def __post_init__(self):
         overlap = set(self.fields) & set(self.constants)
@@ -157,14 +156,6 @@ class StateSchema:
     def sampler(self) -> "Sampler":
         """Draws this schema's states from stream words; built once."""
         return Sampler(self)
-
-    def checker(self, td: TypeDesc):
-        """``check_value`` against ``td`` as a function of (value,
-        where), built once per type and kept here."""
-        check = self._checkers.get(td)
-        if check is None:
-            check = self._checkers[td] = _checker(td, self.records)
-        return check
 
     def all_type_decls(self):
         for name, td in self.fields.items():
@@ -274,75 +265,41 @@ class VPw(Value):
 
 
 def check_value(value, td: TypeDesc, schema: StateSchema, where: str = "value"):
-    """Raise TypeMismatchError unless ``value`` has the type ``td``; a
+    """Raise TypeMismatchError for the first part of ``value``, in its own
+    order (a record's members in the value's order), whose type is wrong,
+    named by its path joined with ``.`` (a list's items by the list's). A
     scalar payload must have exactly its kind's Python type."""
-    schema.checker(td)(value, where)
+    _check(value, td, schema.records, where)
 
 
-def _checker(td: TypeDesc, records: dict):
-    """check(value, where) against ``td``: TypeMismatchError for the first
-    part of ``value``, in its own order (a record's fields in the value's
-    order), whose type is wrong. A field's check gets ``(where, field)``,
-    made into text only for the error. It holds no schema, so the schema
-    that keeps it is freed at once."""
+def _check(value, td: TypeDesc, records: dict, where: str):
     kind = td.kind
     if kind in PAYLOAD_TYPES:
-        payload = PAYLOAD_TYPES[kind]
-
-        def check(value, where):
-            if type(value) is not payload:
-                _mismatch(where, td, value)
-        return check
-    if kind == "list":
-        item = _checker(td.element, records)
-
-        def check(value, where):
-            if type(value) is not VList:
-                _mismatch(where, td, value)
-            for x in value.items:
-                item(x, where)
-        return check
-    if kind == "record":
-        # name -> (payload type of a scalar field, else None; the field's
-        # check; its type), so a scalar field is checked without a call
-        fields = {n: (PAYLOAD_TYPES.get(f.kind), _checker(f, records), f)
-                  for n, f in records[td.record]}
-
-        def check(value, where):
-            if not (type(value) is VRecord and value.record == td.record
-                    and value.fields.keys() == fields.keys()):
-                _mismatch(where, td, value)
-            for name, x in value.fields.items():
-                payload, check_field, field_td = fields[name]
-                if payload is None:
-                    check_field(x, (where, name))
-                elif type(x) is not payload:
-                    _mismatch((where, name), field_td, x)
-        return check
-    if kind == "vector":
-        ok = lambda v: isinstance(v, VVector) and len(v.values) == td.length
+        ok = type(value) is PAYLOAD_TYPES[kind]
+    elif kind == "list":
+        ok = type(value) is VList
+    elif kind == "record":
+        members = dict(records[td.record])
+        ok = (type(value) is VRecord and value.record == td.record
+              and value.fields.keys() == members.keys())
+    elif kind == "vector":
+        ok = isinstance(value, VVector) and len(value.values) == td.length
     elif kind == "cgrid":
-        ok = lambda v: (isinstance(v, VCGrid) and len(v.amps) == td.length
-                        and v.dx == td.dx)
+        ok = (isinstance(value, VCGrid) and len(value.amps) == td.length
+              and value.dx == td.dx)
     elif kind == "pwcollection":
-        declared = tuple((n, t.kind) for n, t in td.attrs)
-        ok = lambda v: isinstance(v, VPw) and v.pw.attr_decls == declared
+        ok = isinstance(value, VPw) and value.pw.attr_decls == tuple(
+            (n, t.kind) for n, t in td.attrs)
     else:
         raise SchemaError(f"unknown type kind '{kind}'")
-
-    def check(value, where):
-        if not ok(value):
-            _mismatch(where, td, value)
-    return check
-
-
-def _mismatch(where, td: TypeDesc, value):
-    names = []
-    while type(where) is tuple:   # (where, field) pairs, innermost last
-        where, name = where
-        names.append(name)
-    raise TypeMismatchError(".".join([where, *reversed(names)]), td,
-                            _describe(value))
+    if not ok:
+        raise TypeMismatchError(where, td, _describe(value))
+    if kind == "list":
+        for x in value.items:
+            _check(x, td.element, records, where)
+    elif kind == "record":
+        for name, x in value.fields.items():
+            _check(x, members[name], records, f"{where}.{name}")
 
 
 def _describe(value) -> str:
@@ -385,19 +342,25 @@ _SET_SCHEMA, _SET_TIME, _SET_VALUES = (
     SystemState.values.__set__)
 
 
-def make_initial_state(schema: StateSchema, assignments: dict) -> SystemState:
-    """Build the time-0 state from a complete set of field assignments."""
-    for name in assignments:
+def check_values(schema: StateSchema, values: dict) -> dict:
+    """``values`` in schema order, checked as every value from the host
+    is: an undeclared name is a SchemaError, a missing one a
+    MissingFieldError, and each value goes through ``check_value``."""
+    for name in values:
         if name not in schema.fields:
             raise SchemaError(f"assignment to unknown field '{name}'")
-    values = {}
+    out = {}
     for name, td in schema.fields.items():
-        if name not in assignments:
+        if name not in values:
             raise MissingFieldError(name)
-        v = assignments[name]
-        check_value(v, td, schema, where=name)
-        values[name] = v
-    return SystemState(schema, 0.0, values)
+        check_value(values[name], td, schema, where=name)
+        out[name] = values[name]
+    return out
+
+
+def make_initial_state(schema: StateSchema, assignments: dict) -> SystemState:
+    """Build the time-0 state from a complete set of field assignments."""
+    return SystemState(schema, 0.0, check_values(schema, assignments))
 
 
 def sample_state(schema: StateSchema, rng: RngStream) -> SystemState:
@@ -622,13 +585,8 @@ def state_to_json(state: SystemState) -> dict:
 def state_from_json(data: dict, schema: StateSchema) -> SystemState:
     for name, v in data["values"].items():
         _check_finite(v, name)
-    values = {n: value_from_json(v) for n, v in data["values"].items()}
-    state = SystemState(schema, float(data["time"]), values)
-    for name, td in schema.fields.items():
-        if name not in values:
-            raise MissingFieldError(name)
-        check_value(values[name], td, schema, where=name)
-    return state
+    return SystemState(schema, float(data["time"]), check_values(
+        schema, {n: value_from_json(v) for n, v in data["values"].items()}))
 
 
 def _check_finite(data, where: str):

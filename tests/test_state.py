@@ -34,7 +34,12 @@ from causalkit import (
 from causalkit.analyzer import CheckStrategy, _sampled_states, \
     unsampleable_fields
 from causalkit.rng import derive_seed
-from causalkit.state import PAYLOAD_TYPES
+from causalkit.state import (
+    PAYLOAD_TYPES,
+    check_value,
+    value_from_json,
+    value_to_json,
+)
 
 from conftest import deep_equal
 
@@ -344,6 +349,27 @@ class TestStateJson:
         assert str(exc.value) == "missing value for field 'y'"
         assert exc.value.name == "y"
 
+    def test_an_undeclared_field_is_refused(self):
+        # as make_initial_state refuses it; kept, every post-state of a
+        # run would carry it
+        data = state_to_json(make_initial_state(int_schema(), {"n": 3}))
+        data["values"]["zzz"] = {"kind": "int", "v": 3}
+        with pytest.raises(SchemaError) as exc:
+            state_from_json(data, int_schema())
+        assert str(exc.value) == "assignment to unknown field 'zzz'"
+
+    def test_fields_come_back_in_schema_order(self):
+        schema = StateSchema(fields={"x": TypeDesc.real(),
+                                     "n": TypeDesc.int_(),
+                                     "b": TypeDesc.bool_()})
+        data = state_to_json(make_initial_state(
+            schema, {"x": 1.5, "n": 2, "b": True}))
+        backwards = {"time": 0.0,
+                     "values": dict(reversed(data["values"].items()))}
+        back = state_to_json(state_from_json(backwards, schema))
+        assert list(back["values"]) == ["x", "n", "b"]
+        assert json.dumps(back) == json.dumps(data)
+
 
 PW_TYPE = TypeDesc.pwcollection([("slit", TypeDesc.int_()),
                                   ("position", TypeDesc.real())])
@@ -487,8 +513,6 @@ def test_check_value_names_the_first_mismatch_in_value_order():
         with pytest.raises(TypeMismatchError) as exc:
             check_value(value, schema.fields["w"], schema, where="w")
         assert str(exc.value) == f"field {message}"
-    assert schema.checker(schema.fields["w"]) is schema.checker(
-        schema.fields["w"])
 
 
 # every kind sample_state draws: real and int intervals, an int interval
@@ -711,3 +735,42 @@ def test_an_interval_wider_than_a_float_is_unsampleable(td):
 def test_a_time_domain_wider_than_a_float_is_rejected():
     with pytest.raises(SchemaError, match="time domain width overflows"):
         StateSchema(fields={}, time_domain=Domain(lo=-1e308, hi=1e308))
+
+
+# refusals of the Python API that no CML source reaches
+@pytest.mark.parametrize("make, error, text", [
+    (lambda: Domain(lo=0.0, hi=1.0, values=(0.5,)), SchemaError,
+     "domain is either an interval or a finite set"),
+    (lambda: Domain(lo=0.0), SchemaError, "interval domain needs both bounds"),
+    (lambda: TypeDesc.pwcollection([]), SchemaError,
+     "pwcollection needs at least one attribute"),
+    (lambda: TypeDesc.pwcollection([("v", TypeDesc.vector(2))]), SchemaError,
+     "pwcollection attributes must be scalar, got vector"),
+    (lambda: TypeDesc.list_of(TypeDesc.int_(), bound=-1), SchemaError,
+     "list bound must be >= 0"),
+    (lambda: StateSchema(fields={"l": TypeDesc("list")}), SchemaError,
+     "l: list has no element type"),
+    (lambda: sample_state(StateSchema(fields={"z": TypeDesc(
+        "complex", domain=Domain(lo=0.0, hi=1.0))}), RngStream(0)),
+     UnsampleableFieldError,
+     "field 'z' cannot be sampled: complex needs a finite domain"),
+    # int bounds whose width no float holds
+    (lambda: sample_state(StateSchema(fields={"x": TypeDesc.real(
+        Domain(lo=0, hi=10**400))}), RngStream(0)),
+     UnsampleableFieldError,
+     "field 'x' cannot be sampled: interval width overflows"),
+    (lambda: value_to_json(object()), TypeError,
+     "unsupported value type <class 'object'>"),
+    (lambda: value_from_json({"kind": "tensor"}), ValueError,
+     "unknown value kind 'tensor'"),
+    (lambda: check_value(1, TypeDesc("tensor"), int_schema()), SchemaError,
+     "unknown type kind 'tensor'"),
+], ids=["set-and-bounds", "one-bound", "no-pw-attribute", "pw-vector",
+        "negative-bound", "list-no-element", "complex-interval",
+        "wide-int-bounds", "to-json-object", "from-json-tensor",
+        "walk-tensor"])
+def test_api_refusals(make, error, text):
+    with pytest.raises(error) as exc:
+        make()
+    assert type(exc.value) is error
+    assert str(exc.value) == text

@@ -14,7 +14,14 @@ import json
 import numpy as np
 import pytest
 
-from causalkit import load_model
+from causalkit import (
+    RunConfig,
+    branch_run,
+    engine,
+    load_model,
+    run,
+    run_ensemble,
+)
 from causalkit.bundled import build_bundled_model, list_bundled_models
 from causalkit.engine import CausalModel, Law
 from causalkit.errors import TypeMismatchError
@@ -179,13 +186,13 @@ def test_the_emitted_check_matches_the_walk(spelling, monkeypatch):
     schema, name = TYPES[spelling]
     td = schema.fields[name]
     walks = []
-    walk = schema.checker(td)
 
-    def counting(value, where):
+    def counting(value, td, schema, where):
         walks.append(where)
-        walk(value, where)
+        check_value(value, td, schema, where)
 
-    monkeypatch.setitem(schema._checkers, td, counting)
+    # apply<i> binds the walk through engine's name, as tracing hooks it
+    monkeypatch.setattr(engine, "check_value", counting)
     write = writer(schema, name)
     value = valid(td, schema.records)
     assert write(value).values[name] is value
@@ -202,3 +209,23 @@ def test_the_emitted_check_matches_the_walk(spelling, monkeypatch):
             write(bad)
         assert str(exc.value) == PINNED[spelling][label], label
     assert walks == [name] * len(cases)
+
+
+@pytest.mark.parametrize("td, message", [
+    (TypeDesc.vector(2), "field 'v': expected vector(2), got list"),
+    (TypeDesc.cgrid(2, 0.5), "field 'v': expected cgrid(2, 0.5), got list"),
+    (TypeDesc.real(), "field 'v': expected real, got list"),
+])
+def test_a_raw_start_state_is_checked_before_any_step(td, message):
+    # a SystemState built directly checks only its time; the entry points
+    # check its values, so the law's write never sees a wrong type
+    model = load_model(f"model keep {{ state {{ v: {td}; }} init {{ }} "
+                       "law Keep { when true; then { v = v; } } }")
+    init = SystemState(model.schema, 0.0, {"v": VList([1.0, 2.0])})
+    cfg = RunConfig(dt=1.0, max_steps=3)
+    for enter in (lambda: run(model, init, cfg),
+                  lambda: branch_run(model, init, cfg, 4, 4),
+                  lambda: list(run_ensemble(model, init, cfg, 2))):
+        with pytest.raises(TypeMismatchError) as exc:
+            enter()
+        assert str(exc.value) == message
