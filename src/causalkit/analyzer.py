@@ -19,9 +19,9 @@ from .engine import (
     apply_law,
     build_initial_state,
     classify_determinism,
+    entry_point,
     eval_guard,  # noqa: F401 (cmlbench/tracing.py hooks it here)
     halts,
-    quiet_numpy,
     select_law,
 )
 from .errors import (
@@ -171,11 +171,12 @@ def _sampled_states(model: CausalModel, strategy: CheckStrategy):
     """The sample strategy's states: state i is drawn from words 0 to
     k - 1 of the stream ``derive_seed(seed, i)``, k the words a state
     takes, computed for _CHUNK keys at a time."""
-    sampler = model.schema.sampler
+    schema = model.schema
+    sampler = schema.sampler
     for first in range(0, strategy.count, _CHUNK):
         keys = derive_seeds(strategy.seed, np.arange(
             first, min(first + _CHUNK, strategy.count), dtype=np.uint64))
-        yield from sampler(first_words(keys, sampler.width))
+        yield from sampler(schema, first_words(keys, sampler.width))
 
 
 def _tries(schema: StateSchema, rng: RngStream):
@@ -186,7 +187,7 @@ def _tries(schema: StateSchema, rng: RngStream):
     sampler, n = schema.sampler, 1
     while True:
         n = min(2 * n, _CHUNK)
-        yield from sampler(rng.words(n * sampler.width).reshape(
+        yield from sampler(schema, rng.words(n * sampler.width).reshape(
             n, sampler.width))
 
 
@@ -213,7 +214,7 @@ def guard_disjunction_trivially_true(model: CausalModel) -> bool:
 _OPEN = object()   # a verdict the pass is still looking for
 
 
-@quiet_numpy
+@entry_point
 def _check(model: CausalModel, strategy: CheckStrategy,
            init: SystemState | None, want) -> tuple:
     """The (consistency, completeness) verdicts named in ``want`` (None

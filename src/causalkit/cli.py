@@ -9,11 +9,9 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 from .analyzer import CheckStrategy, analyze, report_to_json
 from .bundled import build_bundled_model, list_bundled_models
-from .engine import build_initial_state, compile_observables
+from .engine import build_initial_state, compile_observables, entry_point
 from .errors import CausalKitError, CmlError, EvalError
 from .frontend import parse_expression
 from .frontend.lower import compile_model
@@ -173,6 +171,7 @@ def _compile_observables(spec: str, schema):
     return compile_observables(labelled, schema), kinds
 
 
+@entry_point
 def _cmd_run(args) -> int:
     model, state = _load_model(args)
     observables, _ = _compile_observables(args.observables, model.schema)
@@ -189,6 +188,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
+@entry_point
 def _cmd_analyze(args) -> int:
     model, state = _load_model(args)
     strategy = CheckStrategy(kind=args.strategy, count=args.samples,
@@ -201,6 +201,7 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+@entry_point
 def _cmd_branch(args) -> int:
     model, state = _load_model(args)
     cfg = RunConfig(dt=args.dt if args.dt is not None else model.default_timestep,
@@ -211,6 +212,7 @@ def _cmd_branch(args) -> int:
     return 0
 
 
+@entry_point
 def _cmd_histogram(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
@@ -284,10 +286,10 @@ def main(argv=None) -> int:
             print(name)
         return 0
     try:
-        # a non-finite value ends a run as an eval-error, so numpy's
-        # floating-point warnings about it would only repeat it on stderr
-        with np.errstate(all="ignore"):
-            return handlers[args.command](args)
+        # each handler is an entry point: numpy's warnings would only
+        # repeat a non-finite value's eval-error on stderr, and the
+        # collector stays paused while the command writes its output
+        return handlers[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except CmlError as exc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
+import gc
 import itertools
 import linecache
 import math
@@ -815,18 +816,28 @@ def step(model: CausalModel, s0: SystemState, dt: float, rng,
                         s0.time + dt if time_after is None else time_after)
 
 
-def quiet_numpy(fn):
-    """``fn`` run under ``np.errstate(all="ignore")``, a new one on each
-    call, for the entry points that run model code: the write checks
-    refuse what overflows, so numpy's warnings would only come first."""
+def entry_point(fn):
+    """``fn`` run as an entry point: under ``np.errstate(all="ignore")``,
+    a new one on each call, since the write checks refuse what overflows
+    and numpy's warnings would only come first; and with the cycle
+    collector paused, since the values a run builds form no reference
+    cycles. A collector that was off before the call (turned off by the
+    caller, or by an entry point this call is nested in) is left off."""
     @functools.wraps(fn)
-    def quiet(*args, **kwargs):
-        with np.errstate(all="ignore"):
-            return fn(*args, **kwargs)
-    return quiet
+    def entered(*args, **kwargs):
+        pause = gc.isenabled()
+        if pause:
+            gc.disable()
+        try:
+            with np.errstate(all="ignore"):
+                return fn(*args, **kwargs)
+        finally:
+            if pause:
+                gc.enable()
+    return entered
 
 
-@quiet_numpy
+@entry_point
 def build_initial_state(model: CausalModel) -> SystemState:
     """Evaluate the model's init block into a time-0 state."""
     return make_initial_state(model.schema, model.init_fn())

@@ -33,6 +33,7 @@ class UnsampleableFieldError(CausalKitError):
     def __init__(self, name: str, reason: str = "no declared domain"):
         super().__init__(f"field '{name}' cannot be sampled: {reason}")
         self.name = name
+        self.reason = reason
 
 
 class EvalError(CausalKitError):

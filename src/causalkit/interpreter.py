@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import CausalModel, apply_law, halts, quiet_numpy, select_law
+from .engine import CausalModel, apply_law, entry_point, halts, select_law
 from .errors import (
     ContinuousRandomError,
     EvalError,
@@ -132,7 +132,7 @@ def _termination(exc) -> Termination:
     return Termination("eval-error", str(exc))
 
 
-@quiet_numpy
+@entry_point
 def run(model: CausalModel, init: SystemState, cfg: RunConfig) -> Trace:
     """Drive the model from ``init`` until it halts, exhausts max_steps,
     or an engine error occurs. Failures land in the termination record,
@@ -280,7 +280,7 @@ class WorldTree:
         return sum(l.weight for l in self.leaves())
 
 
-@quiet_numpy
+@entry_point
 def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
                depth_bound: int, width_bound: int) -> WorldTree:
     """Execute like ``run`` but fork one weighted child per outcome at
@@ -341,7 +341,9 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
         lin[0].snapshot = s
 
     def live(s, draws, lin, error):
-        raise error
+        # a new one: raised, ``error`` would hold these frames, and the
+        # trie that keeps it would be in a cycle with them
+        raise ContinuousRandomError(error.law)
 
     groups = [(init, 0, (root, 0))]
     pruned_mass = 0.0
@@ -380,11 +382,15 @@ class _Draw:
     """Outcome-trie node: what a law application does after one prefix of
     categorical outcomes. ``probs`` (and ``labels``) are set once it is
     known to draw categorically here, ``post`` once it is known to finish
-    here, and ``error`` once a replay stopped here: it raised that error,
-    or ContinuousRandomError at a live node, where the application draws
-    a uniform or normal value, so every trial reaching it executes for
-    real. A node with none of them is unexplored; each other node is
-    replayed at most once.
+    here, and ``error`` once a replay stopped here: the Termination of
+    the step error it raised, or a ContinuousRandomError at a live node,
+    where the application draws a uniform or normal value, so every
+    trial reaching it executes for real. A node with none of them is
+    unexplored; each other node is replayed at most once.
+
+    ``error`` is never an exception that was raised: its traceback's
+    frames would lead back to the batch that holds every trial's result,
+    a reference cycle through the memo that only the collector frees.
     """
 
     __slots__ = ("probs", "labels", "cum", "forced", "outcomes", "children",
@@ -400,7 +406,7 @@ class _Draw:
         #                            of positive probability
         self.children = defaultdict(_Draw)   # outcome index -> _Draw
         self.post: SystemState | None = None
-        self.error: Exception | None = None
+        self.error: Termination | ContinuousRandomError | None = None
 
 
 def _record(node: _Draw, draws: list, post: SystemState | None) -> _Draw:
@@ -422,16 +428,18 @@ def _explore(model: CausalModel, cfg: RunConfig, entry: _Entry,
     application does there. Past ``path`` the replay takes each draw's
     first outcome of positive probability, so a continuous draw or an
     error may belong to that one continuation: then only the categorical
-    draws before it are recorded, and the node it stopped at keeps the
-    error, so that nothing replays it again."""
+    draws before it are recorded, and the node it stopped at keeps what
+    the error was, so that nothing replays it again."""
     source = ReplaySource(path)
     post = error = None
     try:
         if entry.law is None:
             entry.law = select_law(model, entry.state, cfg.mode)
         post = apply_law(entry.law, entry.state, cfg.dt, source, time)
-    except (ContinuousRandomError, *_STEP_ERRORS) as exc:
-        error = exc
+    except ContinuousRandomError as exc:
+        error = ContinuousRandomError(exc.law)
+    except _STEP_ERRORS as exc:
+        error = _termination(exc)
     _record(node, source.draws, post).error = error
 
 
@@ -502,7 +510,7 @@ def _advance(model: CausalModel, cfg: RunConfig, steps: int, time: float,
             elif isinstance(node.error, ContinuousRandomError):
                 live(s, draws, payload, node.error)
             else:
-                settle(payload, _termination(node.error), s)
+                settle(payload, node.error, s)
     return out
 
 
@@ -542,7 +550,7 @@ class Ensemble:
             self.live += not entry.halts
         return entry
 
-    @quiet_numpy
+    @entry_point
     def _batch(self, first: int, n: int) -> list:
         """The (termination, final state) pairs of trials ``first`` to
         ``first + n - 1``, in trial order, by rounds of ``_advance`` over
@@ -679,6 +687,7 @@ def termination_to_json(t: Termination) -> dict:
     return out
 
 
+@entry_point
 def write_trace(trace: Trace, format_: str = "csv", sink=None) -> int:
     """Serialize a trace as CSV or JSONL; returns bytes written.
 
@@ -744,6 +753,7 @@ def write_text(text: str, sink) -> int:
     return len(data)
 
 
+@entry_point
 def world_tree_text(tree: WorldTree) -> str:
     """``json.dumps`` of the tree's JSON form with ``indent=2``, written
     straight from the nodes.

@@ -367,7 +367,7 @@ def sample_state(schema: StateSchema, rng: RngStream) -> SystemState:
     """Draw a well-typed state uniformly from the declared field domains,
     from the next ``schema.sampler.width`` words of ``rng``."""
     sampler = schema.sampler
-    return sampler(rng.words(sampler.width)[None])[0]
+    return sampler(schema, rng.words(sampler.width)[None])[0]
 
 
 class Sampler:
@@ -380,14 +380,18 @@ class Sampler:
     is drawn from u as ``RngStream`` would: lo + (hi - lo) * u on a real
     interval, lo + min(int(u * n), n - 1) on an int interval of n values,
     the value at that index of a finite set, and u >= 0.5 for a bool with
-    no domain. ``sampler(words)`` maps an (N, width) uint64 matrix to N
-    states, one per row. ``errors`` holds, in field order, the
-    UnsampleableFieldError of each field that cannot be drawn; a sampler
-    with errors raises the first.
+    no domain. ``sampler(schema, words)`` maps an (N, width) uint64 matrix
+    to N states of ``schema``, the schema it was built for, one per row.
+    ``errors`` holds, in field order, the UnsampleableFieldError of each
+    field that cannot be drawn; a sampler with errors raises the first.
+
+    The schema caches its sampler, so the sampler holds neither the schema
+    nor a raised error, whose traceback holds the frame that built it:
+    either would be a reference cycle that keeps a dropped schema alive
+    until the collector runs.
     """
 
     def __init__(self, schema: StateSchema):
-        self.schema = schema
         self.errors = {}
         self._fields = []   # (name, draw, first column, end column)
         col = 0
@@ -395,7 +399,7 @@ class Sampler:
             try:
                 draw, width = _draw(td, schema.records, name)
             except UnsampleableFieldError as exc:
-                self.errors[name] = exc
+                self.errors[name] = UnsampleableFieldError(exc.name, exc.reason)
                 continue
             self._fields.append((name, draw, col, col + width))
             col += width
@@ -403,14 +407,15 @@ class Sampler:
         self._time = None if domain is None else _leaf(domain, "real", "time")
         self.width = col + (domain is not None)
 
-    def __call__(self, words: np.ndarray) -> list:
-        if self.errors:
-            raise next(iter(self.errors.values()))
+    def __call__(self, schema: StateSchema, words: np.ndarray) -> list:
+        if self.errors:   # the first, raised afresh
+            error = next(iter(self.errors.values()))
+            raise UnsampleableFieldError(error.name, error.reason)
         u = (words >> 11) * 2.0**-53
         n = len(u)
         columns = [draw(u[:, a:b]) for _, draw, a, b in self._fields]
         times = [0.0] * n if self._time is None else self._time(u[:, -1])
-        schema, names = self.schema, [f[0] for f in self._fields]
+        names = [f[0] for f in self._fields]
         return [SystemState(schema, t, dict(zip(names, row)))
                 for t, row in zip(times, _rows(columns, n))]
 
@@ -547,34 +552,122 @@ def value_to_json(v):
     raise TypeError(f"unsupported value type {type(v)!r}")
 
 
-def value_from_json(data):
-    kind = data["kind"]
+def value_from_json(data, where: str = "value"):
+    """The value that ``value_to_json`` writes as ``data``. A JSON object
+    that no value is written as (a member missing, an unknown kind, a
+    payload whose JSON type does not fit its kind) is a TypeMismatchError
+    naming ``where``, the value's path as ``check_value`` names it; no
+    payload is converted but an integer for a real (see ``_real``)."""
+    if type(data) is not dict:
+        raise TypeMismatchError(where, "a value object", _got(data))
+    kind = data.get("kind", _NOTHING)
     if kind == "complex":
-        return complex(data["re"], data["im"])
-    if kind in PAYLOAD_TYPES:
-        return PAYLOAD_TYPES[kind](data["v"])
+        return complex(_real(data.get("re", _NOTHING), where),
+                       _real(data.get("im", _NOTHING), where))
+    if kind == "real":
+        return _real(data.get("v", _NOTHING), where)
+    if kind in ("int", "bool"):
+        return _member(data, "v", PAYLOAD_TYPES[kind], where, kind)
     if kind == "vector":
-        return VVector(data["v"])
+        return VVector(_reals(data.get("v", _NOTHING), where))
     if kind == "list":
-        return VList([value_from_json(x) for x in data["items"]])
+        items = _member(data, "items", list, where, "a list of items")
+        return VList([value_from_json(x, where) for x in items])
     if kind == "record":
-        return VRecord(data["record"],
-                       {k: value_from_json(x) for k, x in data["fields"].items()})
+        fields = _member(data, "fields", dict, where, "an object of fields")
+        return VRecord(_member(data, "record", str, where, "a record name"),
+                       {k: value_from_json(x, f"{where}.{k}")
+                        for k, x in fields.items()})
     if kind == "cgrid":
-        return VCGrid(np.array(data["re"]) + 1j * np.array(data["im"]), data["dx"])
+        re = _reals(data.get("re", _NOTHING), where)
+        im = _reals(data.get("im", _NOTHING), where)
+        if len(re) != len(im):
+            raise TypeMismatchError(where, "as many im as re parts",
+                                    f"{len(im)} and {len(re)}")
+        return VCGrid(np.array(re) + 1j * np.array(im),
+                      _real(data.get("dx", _NOTHING), where))
     if kind == "pw":
-        decls = tuple((n, k) for n, k in data["attrs"])
-        paths = data["paths"]
-        names = {n for p in paths for d in p["particles"] for n in d}
-        try:   # an undeclared name is left to PwCollection to reject
-            columns = {n: [[d[n] for d in p["particles"]] for p in paths]
-                       for n in names.union(n for n, _ in decls)}
-        except KeyError as exc:
-            raise MissingAttributeError(f"path lacks attribute {exc}")
-        return VPw(PwCollection(decls,
-                                [complex(*p["amp"]) for p in paths], columns,
-                                normalized=data.get("normalized", False)))
-    raise ValueError(f"unknown value kind '{kind}'")
+        return VPw(_pw_from_json(data, where))
+    raise TypeMismatchError(where, "a value kind", _got(kind))
+
+
+def _pw_from_json(data: dict, where: str) -> PwCollection:
+    attrs = _member(data, "attrs", list, where, "a list of attributes")
+    if not attrs or any(type(a) is not list or len(a) != 2
+                        or type(a[0]) is not str or type(a[1]) is not str
+                        for a in attrs):
+        raise TypeMismatchError(where, "[name, kind] attribute pairs",
+                                _got(attrs))
+    paths = _member(data, "paths", list, where, "a list of paths")
+    amps, particles = [], []
+    for p in paths:
+        if type(p) is not dict:
+            raise TypeMismatchError(where, "a path object", _got(p))
+        amp = _member(p, "amp", list, where, "an [re, im] amplitude")
+        if len(amp) != 2:
+            raise TypeMismatchError(where, "an [re, im] amplitude", _got(amp))
+        amps.append(complex(_real(amp[0], where), _real(amp[1], where)))
+        ps = _member(p, "particles", list, where, "a list of particles")
+        for d in ps:
+            if type(d) is not dict:
+                raise TypeMismatchError(where, "a particle object", _got(d))
+            for x in d.values():
+                if type(x) not in (int, float, bool):
+                    raise TypeMismatchError(where, "an attribute value",
+                                            _got(x))
+        particles.append(ps)
+    counts = sorted({len(ps) for ps in particles})
+    if len(counts) != 1 or counts[0] == 0:
+        raise TypeMismatchError(where, "one particle count >= 1 on every path",
+                                counts)
+    names = {n for ps in particles for d in ps for n in d}
+    try:   # an undeclared name is left to PwCollection to reject
+        columns = {n: [[d[n] for d in ps] for ps in particles]
+                   for n in names.union(n for n, _ in attrs)}
+    except KeyError as exc:
+        raise MissingAttributeError(f"path lacks attribute {exc}")
+    normalized = data.get("normalized", False)
+    if type(normalized) is not bool:
+        raise TypeMismatchError(where, "a bool for normalized", _got(normalized))
+    return PwCollection(tuple((n, k) for n, k in attrs), amps, columns,
+                        normalized=normalized)
+
+
+_NOTHING = object()   # what a JSON object lacks
+
+
+def _got(x) -> str:
+    if x is _NOTHING:
+        return "nothing"
+    if isinstance(x, dict):
+        return "an object"
+    if isinstance(x, list):
+        return "an array"
+    return repr(x)
+
+
+def _member(data: dict, key: str, type_, where: str, expected: str):
+    """``data[key]``, of exactly ``type_``; else a TypeMismatchError."""
+    x = data.get(key, _NOTHING)
+    if type(x) is not type_:
+        raise TypeMismatchError(where, expected, _got(x))
+    return x
+
+
+def _real(x, where: str) -> float:
+    """A JSON number as a real: a float, or an integer of at most 2**53
+    in magnitude, which converts exactly."""
+    if type(x) is float:
+        return x
+    if type(x) is int and abs(x) <= 2**53:
+        return float(x)
+    raise TypeMismatchError(where, "a real number", _got(x))
+
+
+def _reals(x, where: str) -> list:
+    if type(x) is not list:
+        raise TypeMismatchError(where, "an array of real numbers", _got(x))
+    return [_real(v, where) for v in x]
 
 
 def state_to_json(state: SystemState) -> dict:
@@ -583,10 +676,21 @@ def state_to_json(state: SystemState) -> dict:
 
 
 def state_from_json(data: dict, schema: StateSchema) -> SystemState:
-    for name, v in data["values"].items():
+    """The state that ``state_to_json`` writes as ``data``, its values
+    checked as ``make_initial_state`` checks them. JSON that no state is
+    written as is a TypeMismatchError naming ``time``, ``values`` or the
+    field (see ``value_from_json``)."""
+    if type(data) is not dict:
+        raise TypeMismatchError("state", "a state object", _got(data))
+    time = _real(data.get("time", _NOTHING), "time")
+    values = data.get("values", _NOTHING)
+    if type(values) is not dict:
+        raise TypeMismatchError("values", "an object of field values",
+                                _got(values))
+    for name, v in values.items():
         _check_finite(v, name)
-    return SystemState(schema, float(data["time"]), check_values(
-        schema, {n: value_from_json(v) for n, v in data["values"].items()}))
+    return SystemState(schema, time, check_values(
+        schema, {n: value_from_json(v, n) for n, v in values.items()}))
 
 
 def _check_finite(data, where: str):

@@ -353,9 +353,9 @@ class TestOnePass:
     def test_each_sampled_state_is_drawn_once(self, monkeypatch):
         drawn = []
 
-        def counting_call(self, words):
+        def counting_call(self, schema, words):
             drawn.append(len(words))
-            return real_call(self, words)
+            return real_call(self, schema, words)
 
         real_call = Sampler.__call__
         monkeypatch.setattr(Sampler, "__call__", counting_call)

@@ -147,10 +147,20 @@ class TestSchemaInvariants:
             StateSchema(fields={}, records={"S": (
                 ("s", TypeDesc.list_of(TypeDesc.record_ref("S"))),)})
 
+    @pytest.mark.parametrize("sampled", [False, True])
     @pytest.mark.parametrize("name", ["counter", "harmonic_oscillator",
-                                      "qftca_toy", "double_slit"])
-    def test_a_dropped_schema_is_freed_without_the_collector(self, name):
+                                      "qftca_toy", "double_slit",
+                                      "schrodinger_1d"])
+    def test_a_dropped_schema_is_freed_without_the_collector(self, name,
+                                                             sampled):
         model, init = build_bundled_model(name)
+        if sampled:
+            # the schema caches its sampler; one that cannot draw every
+            # field keeps its errors and raises the first
+            try:
+                sample_state(model.schema, RngStream(0))
+            except UnsampleableFieldError:
+                assert model.schema.sampler.errors
         schema = weakref.ref(model.schema)
         gc.disable()
         try:
@@ -306,6 +316,83 @@ class TestDeepEqual:
 
 
 class TestStateJson:
+    @pytest.mark.parametrize("data, message", [
+        ({"values": {"n": {"kind": "int", "v": 1}}},
+         "field 'time': expected a real number, got nothing"),
+        ({"time": "0", "values": {"n": {"kind": "int", "v": 1}}},
+         "field 'time': expected a real number, got '0'"),
+        ({"time": 0.0}, "field 'values': expected an object of field "
+                        "values, got nothing"),
+        ({"time": 0.0, "values": {"n": {"v": 1}}},
+         "field 'n': expected a value kind, got nothing"),
+        ({"time": 0.0, "values": {"n": {"kind": "tensor", "v": 1}}},
+         "field 'n': expected a value kind, got 'tensor'"),
+        ({"time": 0.0, "values": {"n": {"kind": "int", "v": "x"}}},
+         "field 'n': expected int, got 'x'"),
+        ({"time": 0.0, "values": {"n": {"kind": "int", "v": 1.5}}},
+         "field 'n': expected int, got 1.5"),
+        ({"time": 0.0, "values": {"n": {"kind": "int", "v": True}}},
+         "field 'n': expected int, got True"),
+        ({"time": 0.0, "values": {"n": {"kind": "int"}}},
+         "field 'n': expected int, got nothing"),
+        ({"time": 0.0, "values": {"n": [1]}},
+         "field 'n': expected a value object, got an array"),
+    ], ids=["no-time", "string-time", "no-values", "no-kind",
+            "unknown-kind", "string-int", "fractional-int", "bool-int",
+            "no-payload", "not-an-object"])
+    def test_malformed_json_is_refused_naming_the_field(self, data, message):
+        with pytest.raises(TypeMismatchError) as exc:
+            state_from_json(data, int_schema())
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("value, message", [
+        ({"kind": "real", "v": "1"}, "field 'f': expected a real number, "
+                                     "got '1'"),
+        ({"kind": "real", "v": 2**53 + 1}, "field 'f': expected a real "
+                                           "number, got 9007199254740993"),
+        ({"kind": "bool", "v": 1}, "field 'f': expected bool, got 1"),
+        ({"kind": "complex", "re": 1.0}, "field 'f': expected a real "
+                                         "number, got nothing"),
+        ({"kind": "vector", "v": [1.0, None]},
+         "field 'f': expected a real number, got None"),
+        ({"kind": "list", "items": [{"kind": "int", "v": 1.0}]},
+         "field 'f': expected int, got 1.0"),
+        ({"kind": "record", "record": "P", "fields": {"n": {"kind": "int",
+                                                           "v": "2"}}},
+         "field 'f.n': expected int, got '2'"),
+        ({"kind": "cgrid", "dx": 0.5, "re": [1.0, 0.0], "im": [0.0]},
+         "field 'f': expected as many im as re parts, got 1 and 2"),
+        ({"kind": "pw", "attrs": [["slit", "int"]], "paths": []},
+         "field 'f': expected one particle count >= 1 on every path, "
+         "got []"),
+        ({"kind": "pw", "attrs": [["slit", "int"]], "paths": [
+            {"amp": [1.0], "particles": [{"slit": 0}]}]},
+         "field 'f': expected an [re, im] amplitude, got an array"),
+        ({"kind": "pw", "attrs": [["slit", "int"]], "paths": [
+            {"amp": [1.0, 0.0], "particles": [{"slit": 0}]},
+            {"amp": [0.0, 1.0], "particles": []}]},
+         "field 'f': expected one particle count >= 1 on every path, "
+         "got [0, 1]"),
+    ], ids=["string-real", "inexact-real", "int-bool", "no-im",
+            "null-cell", "list-item", "record-member", "ragged-cgrid",
+            "no-paths", "short-amp", "ragged-particles"])
+    def test_a_payload_that_does_not_fit_its_kind_is_refused(self, value,
+                                                             message):
+        with pytest.raises(TypeMismatchError) as exc:
+            state_from_json({"time": 0.0, "values": {"f": value}},
+                            int_schema())
+        assert str(exc.value) == message
+
+    def test_an_integer_real_is_read_exactly(self):
+        schema = StateSchema(fields={"x": TypeDesc.real(),
+                                     "v": TypeDesc.vector(2)})
+        state = state_from_json({"time": 1, "values": {
+            "x": {"kind": "real", "v": -3},
+            "v": {"kind": "vector", "v": [2**53, 0.5]}}}, schema)
+        assert state.time == 1.0 and type(state.time) is float
+        assert state.values["x"] == -3.0 and type(state.values["x"]) is float
+        assert state.values["v"].values.tolist() == [2.0**53, 0.5]
+
     def test_round_trip(self):
         schema = StateSchema(
             fields={"x": TypeDesc.real(),
@@ -761,8 +848,8 @@ def test_a_time_domain_wider_than_a_float_is_rejected():
      "field 'x' cannot be sampled: interval width overflows"),
     (lambda: value_to_json(object()), TypeError,
      "unsupported value type <class 'object'>"),
-    (lambda: value_from_json({"kind": "tensor"}), ValueError,
-     "unknown value kind 'tensor'"),
+    (lambda: value_from_json({"kind": "tensor"}), TypeMismatchError,
+     "field 'value': expected a value kind, got 'tensor'"),
     (lambda: check_value(1, TypeDesc("tensor"), int_schema()), SchemaError,
      "unknown type kind 'tensor'"),
 ], ids=["set-and-bounds", "one-bound", "no-pw-attribute", "pw-vector",
