@@ -167,16 +167,16 @@ def enumerate_states(model: CausalModel):
         yield SystemState(schema, 0.0, dict(zip(names, combo)))
 
 
-def _sampled_states(model: CausalModel, strategy: CheckStrategy):
-    """The sample strategy's states: state i is drawn from words 0 to
-    k - 1 of the stream ``derive_seed(seed, i)``, k the words a state
-    takes, computed for _CHUNK keys at a time."""
-    schema = model.schema
-    sampler = schema.sampler
+def _sampled_blocks(model: CausalModel, strategy: CheckStrategy):
+    """(the index of its first state, its words) of each block of the
+    sample strategy's states: state i is drawn from words 0 to k - 1 of
+    the stream ``derive_seed(seed, i)``, k the words a state takes, one
+    row of words per state, computed for _CHUNK keys at a time."""
+    width = model.schema.sampler.width
     for first in range(0, strategy.count, _CHUNK):
         keys = derive_seeds(strategy.seed, np.arange(
             first, min(first + _CHUNK, strategy.count), dtype=np.uint64))
-        yield from sampler(schema, first_words(keys, sampler.width))
+        yield first, first_words(keys, width)
 
 
 def _tries(schema: StateSchema, rng: RngStream):
@@ -232,40 +232,80 @@ def _check(model: CausalModel, strategy: CheckStrategy,
     if cons is not _OPEN and comp is not _OPEN:
         return cons, comp
     n_cons = n_comp = 0
+
+    def visit(i: int, s: SystemState) -> bool:
+        """Check state i of enumerate or sample; whether a verdict is
+        still open after it."""
+        nonlocal cons, comp, n_cons, n_comp
+        try:   # run selects no law where the model halts
+            need = cons is _OPEN and not halts(model, s)
+        except CausalKitError as exc:
+            cons, need = exc, False
+        try:
+            hits = _hits(model, s) if need or comp is _OPEN else ()
+        except CausalKitError as exc:
+            cons = exc if need else cons
+            comp = exc if comp is _OPEN else comp
+            hits, need = (), False
+        if need and len(hits) > 1:
+            cons = ConsistencyVerdict(
+                "fail", states_checked=n_cons, witness=s,
+                laws=tuple(law.name for law in hits), seed=seed)
+        n_cons += need
+        if comp is _OPEN and hits:
+            if hits[0].uses_random:   # the only law that reads rng
+                rng.rekey(derive_seed(seed ^ 0x6F7574, i))
+            try:
+                out = apply_law(hits[0], s, model.default_timestep, rng)
+                n_comp += 1
+                if not (halts(model, out) or validstate(model, out)):
+                    comp = CompletenessVerdict(
+                        "fail", states_checked=n_comp, witness=out,
+                        producing_law=hits[0].name, seed=seed)
+            except CausalKitError as exc:
+                comp = exc
+        return cons is _OPEN or comp is _OPEN
+
+    def fast_forward(first: int, words: np.ndarray):
+        """The sample states drawn from ``words`` (state ``first`` on)
+        checked in columns: the rows before the next one that may close
+        an open verdict are counted from masks, and that row is checked
+        by visit, rebuilt from its own words."""
+        nonlocal n_cons, n_comp
+        schema, n = model.schema, len(words)
+        c = model.columns(schema.sampler.columns(words)[0],
+                          model.default_timestep, n)
+        need = ~c.halt
+        closes_cons = need & c.multiple
+        closes_comp = c.applied & ~(c.finite & (c.post_halt | c.post_valid))
+        j = 0
+        while True:
+            may = ((closes_cons[j:] & (cons is _OPEN))
+                   | (closes_comp[j:] & (comp is _OPEN)))
+            end = j + (int(may.argmax()) if may.any() else len(may))
+            if cons is _OPEN:
+                n_cons += int(np.count_nonzero(need[j:end]))
+            if comp is _OPEN:
+                n_comp += int(np.count_nonzero(c.applied[j:end]))
+            if end == n or not visit(first + end, schema.sampler(
+                    schema, words[end:end + 1])[0]):
+                return
+            j = end + 1
+
     try:
-        if strategy.kind != "trace":
-            states = (enumerate_states(model) if strategy.kind == "enumerate"
-                      else _sampled_states(model, strategy))
-            for i, s in enumerate(states):
-                try:   # run selects no law where the model halts
-                    need = cons is _OPEN and not halts(model, s)
-                except CausalKitError as exc:
-                    cons, need = exc, False
-                try:
-                    hits = (_hits(model, s) if need or comp is _OPEN
-                            else ())
-                except CausalKitError as exc:
-                    cons = exc if need else cons
-                    comp = exc if comp is _OPEN else comp
-                    hits, need = (), False
-                if need and len(hits) > 1:
-                    cons = ConsistencyVerdict(
-                        "fail", states_checked=n_cons, witness=s,
-                        laws=tuple(law.name for law in hits), seed=seed)
-                n_cons += need
-                if comp is _OPEN and hits:
-                    if hits[0].uses_random:   # the only law that reads rng
-                        rng.rekey(derive_seed(seed ^ 0x6F7574, i))
-                    try:
-                        out = apply_law(hits[0], s, model.default_timestep,
-                                        rng)
-                        n_comp += 1
-                        if not (halts(model, out) or validstate(model, out)):
-                            comp = CompletenessVerdict(
-                                "fail", states_checked=n_comp, witness=out,
-                                producing_law=hits[0].name, seed=seed)
-                    except CausalKitError as exc:
-                        comp = exc
+        if strategy.kind == "enumerate":
+            for i, s in enumerate(enumerate_states(model)):
+                if not visit(i, s):
+                    break
+        elif strategy.kind == "sample":
+            schema = model.schema
+            for first, words in _sampled_blocks(model, strategy):
+                if model.columns is not None:
+                    fast_forward(first, words)
+                else:
+                    for j, s in enumerate(schema.sampler(schema, words)):
+                        if not visit(first + j, s):
+                            break
                 if cons is not _OPEN and comp is not _OPEN:
                     break
         else:

@@ -8,7 +8,9 @@ stands.
 When a model (or an observable list) is built, its guards, transitions,
 law selectors, halt condition, ``init`` expressions and observables are
 emitted as the source of one Python module, compiled once; see
-"Generated code" below.
+"Generated code" below. The column forms of its checks, which the
+analyzer's sample strategy reads, are emitted on first use (see
+``CausalModel.columns``).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import linecache
 import math
 import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from .errors import (
     MultipleApplicableError,
     NoApplicableLawError,
 )
-from .frontend.ast_nodes import Loc, Member, Name, SetLit, format_expr
+from .frontend.ast_nodes import Assign, Loc, Member, Name, SetLit, format_expr
 from .state import (
     PAYLOAD_TYPES,
     StateSchema,
@@ -93,6 +96,14 @@ class CausalModel:
             if l.name == name:
                 return l
         raise KeyError(name)
+
+    @functools.cached_property
+    def columns(self):
+        """``columns(v, dt, n)``: the :class:`Columns` of a batch of ``n``
+        states, ``v`` mapping each field to the array of its values, for a
+        model ``_compile_columns`` covers; None for any other. Emitted and
+        compiled on first use, so only what reads it pays for it."""
+        return _compile_columns(self)
 
 
 # --- generated code ---------------------------------------------------------------
@@ -226,6 +237,8 @@ class _Emitter:
         self.holes = None         # while a run's template is emitted: what
         #                           ``vary`` was given
 
+    column = 0   # the INLINE text used: over payloads
+
     def start(self, reads_state: bool = True):
         """Begin a function; fields are read through locals loaded at its
         top, or (``init``) through the dict ``v`` it fills."""
@@ -324,7 +337,7 @@ class _Emitter:
                 return self.const(fn(*(self.known[a] for a in args)))
             except Exception:
                 pass
-        template = intrinsics.INLINE.get(fn)
+        template = intrinsics.INLINE.get(fn, (None, None))[self.column]
         if template is None:
             return f"{self.vary(fn, '_f')}({', '.join(args)})"
         return template.format(*args)
@@ -339,7 +352,7 @@ class _Emitter:
         if op in ("&&", "||"):
             if left in self.known:   # decided by the left, or the right
                 return right if self.known[left] == (op == "&&") else left
-            return f"({left} {'and' if op == '&&' else 'or'} {right})"
+            return intrinsics.INLINE[op][self.column].format(left, right)
         return self.apply(intrinsics.binary(op, e.ty.kind, e.loc), left, right)
 
     def _Member(self, e):
@@ -658,6 +671,134 @@ def _compile_model(model: CausalModel):
                         ("halt_fn", fns.get("halt")), ("init_fn", fns["init"]),
                         ("source", source)):
         object.__setattr__(model, name, value)
+
+
+# --- column functions ----------------------------------------------------------------
+#
+# The analyzer's sample strategy checks a batch of states at once where a
+# model allows it; see "Column fast-forward" in docs/design_notes.md.
+
+
+class _Uncovered(Exception):
+    """Raised by a _ColumnEmitter at what has no column text."""
+
+
+# An int a column function reads lies within +-2**53, where int64 and
+# float64 hold it exactly: numpy's comparisons of it with a float, and its
+# promotion to one, then give Python's results.
+_EXACT = 2 ** 53
+_COLUMN_KINDS = ("int", "real", "bool")
+
+
+class _ColumnEmitter(_Emitter):
+    """Column texts: a field read is the numpy array of that field's
+    values over a batch of states, an operator its ``INLINE`` column
+    text. Anything else raises _Uncovered: a value of a kind but int,
+    real and bool, an int constant beyond +-2**53, a call, an index, a
+    draw (what ``vary`` would bind), and a statement but an assignment
+    to a field."""
+
+    column = 1
+
+    def expr(self, e) -> str:
+        if e.ty.kind not in _COLUMN_KINDS:
+            raise _Uncovered
+        return super().expr(e)
+
+    def const(self, value) -> str:
+        if type(value) is int and abs(value) > _EXACT:
+            raise _Uncovered
+        return super().const(value)
+
+    def vary(self, obj, prefix: str = "_k"):
+        raise _Uncovered
+
+    def writes(self, law: Law) -> str:
+        """A tuple of (field, value) pairs, one per assignment of the
+        law's body, in order; a field assigned twice is not covered."""
+        pairs = {}
+        for s in law.transition:
+            if (type(s) is not Assign or type(s.target) is not Name
+                    or s.target.id in pairs):
+                raise _Uncovered
+            value = self.promoted(s.value, s.target.ty.kind)
+            pairs[s.target.id] = f"({s.target.id!r}, {value}), "
+        return f"({''.join(pairs.values())})"
+
+
+class Columns(NamedTuple):
+    """A model's checks over a batch of states, each an array with one
+    entry per state."""
+
+    halt: np.ndarray        # the halt condition holds
+    applied: np.ndarray     # some guard holds: first-match selects a law
+    multiple: np.ndarray    # more than one holds: strict selection fails
+    post: dict              # field -> its values after the writes of the
+    #                         first law whose guard holds (none if none)
+    finite: np.ndarray      # every real is finite after
+    post_halt: np.ndarray   # the halt condition holds after
+    post_valid: np.ndarray  # some guard holds after
+
+
+def _compile_columns(model: CausalModel):
+    """The column function of ``model`` (see ``CausalModel.columns``), or
+    None unless: every field is an int, real or bool the sampler can
+    draw, an int's domain within +-2**53; no law draws; and the guards,
+    the halt condition and each law body, all plain assignments to
+    fields, have column texts. Two functions are emitted: ``conditions``
+    gives the halt condition and every guard over a batch, ``writes``
+    every law's (field, value) pairs."""
+    schema = model.schema
+    if schema.sampler.errors or any(law.uses_random for law in model.laws):
+        return None
+    for td in schema.fields.values():
+        if td.kind not in _COLUMN_KINDS:
+            return None
+        if td.kind == "int" and any(abs(x) > _EXACT for x in (
+                td.domain.values or (td.domain.lo, td.domain.hi))):
+            return None
+    em = _ColumnEmitter(schema)
+    try:
+        em.start()
+        guards = "".join(f"{em.expr(law.guard)}, " for law in model.laws)
+        halt = "False" if model.halt is None else em.expr(model.halt)
+        source = (f"def conditions(v):{em.loads()}\n"
+                  f"    return {halt}, ({guards})\n")
+        em.start()
+        writes = "".join(f"{em.writes(law)}, " for law in model.laws)
+        source += f"def writes(v, dt):{em.loads()}\n    return ({writes})\n"
+    except _Uncovered:
+        return None
+    em.ns["np"] = np
+    conditions, writes = _exec(source, em.ns, f"columns {model.name}",
+                               ("conditions", "writes"), model)
+    reals = frozenset(n for n, td in schema.fields.items()
+                      if td.kind == "real")
+    return functools.partial(_columns, conditions, writes, reals)
+
+
+def _columns(conditions, writes, reals, v, dt, n) -> Columns:
+    """The checks of one batch, law by law: a law's writes are taken
+    where its guard is the first that holds. A law writes a field once,
+    so a write that is not finite leaves its real not finite after."""
+    halt, guards = conditions(v)
+    applied, multiple = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    post = dict(v)
+    for g, pairs in zip(guards, writes(v, np.float64(dt))):
+        at = g & ~applied
+        multiple |= g & applied
+        applied |= g
+        for name, x in pairs:
+            post[name] = np.where(at, x, post[name])
+    finite = np.ones(n, dtype=bool)
+    for name in reals:
+        finite &= np.isfinite(post[name])
+    post_halt, post_guards = conditions(post)
+    post_valid = np.zeros(n, dtype=bool)
+    for g in post_guards:
+        post_valid |= g
+    return Columns(halt | np.zeros(n, dtype=bool), applied, multiple, post,
+                   finite, post_halt | np.zeros(n, dtype=bool), post_valid)
 
 
 def _exec(source: str, ns: dict, what: str, names, owner=None) -> list:

@@ -6,9 +6,10 @@ a stochastic flag (stochastic intrinsics make a law count as random).
 The language built-ins are registered below; the quantum kit registers
 its numeric intrinsics on import. ``binary`` gives what an operator
 computes, for the compiler and the typechecker's constant folder alike,
-and ``INLINE`` the Python text the compiler emits for one that cannot
-fail. ``DRAWS`` holds the six forms of ``random(...)``, which the parser,
-the typechecker and the compiler all read.
+and ``INLINE`` the Python texts the compiler emits for one that cannot
+fail, over payloads and over numpy columns. ``DRAWS`` holds the six
+forms of ``random(...)``, which the parser, the typechecker and the
+compiler all read.
 """
 
 from __future__ import annotations
@@ -91,13 +92,22 @@ def int_power(a: int, b: int, loc=None) -> int:
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "<": operator.lt, "<=": operator.le, ">": operator.gt,
               ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
-# The Python text, over the operand texts, of each function ``binary`` and
-# ``unary`` give that cannot fail (a real or complex overflow gives inf,
-# which a write or an observable rejects), and of the promotions: the
-# compiler emits it in place of a call.
-INLINE = {fn: "({} %s {})" % op for op, fn in _OPERATORS.items()}
-INLINE.update({operator.not_: "(not {})", operator.neg: "(-{})",
-               float: "float({})", complex: "complex({})"})
+# The Python texts, over the operand texts, of each function ``binary``
+# and ``unary`` give that cannot fail (a real or complex overflow gives
+# inf, which a write or an observable rejects), of the promotions and of
+# ``&&`` and ``||`` (keyed by their spelling: their callers evaluate them):
+# the compiler emits one in place of a call. Each entry is (the text over
+# payloads, the text over numpy columns of int64, float64 or bool values,
+# or None where there is none); numpy computes IEEE + - *, negation,
+# comparisons and an exact int-to-float promotion to the same bits as
+# Python, and ``&``, ``|`` and ``~`` are the bool columns' and, or, not.
+INLINE = {fn: ("({} %s {})" % op,) * 2 for op, fn in _OPERATORS.items()}
+INLINE.update({"&&": ("({} and {})", "({} & {})"),
+               "||": ("({} or {})", "({} | {})"),
+               operator.not_: ("(not {})", "(~{})"),
+               operator.neg: ("(-{})",) * 2,
+               float: ("float({})", "np.float64({})"),
+               complex: ("complex({})", None)})
 
 
 def binary(op: str, kind: str, loc=None):

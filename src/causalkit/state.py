@@ -12,6 +12,7 @@ state of ``run``, ``branch_run`` and ``run_ensemble``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -264,15 +265,18 @@ class VPw(Value):
     pw: PwCollection
 
 
-def check_value(value, td: TypeDesc, schema: StateSchema, where: str = "value"):
+def check_value(value, td: TypeDesc, schema: StateSchema, where: str = "value",
+                finite: bool = False):
     """Raise TypeMismatchError for the first part of ``value``, in its own
     order (a record's members in the value's order), whose type is wrong,
     named by its path joined with ``.`` (a list's items by the list's). A
-    scalar payload must have exactly its kind's Python type."""
-    _check(value, td, schema.records, where)
+    scalar payload must have exactly its kind's Python type. With
+    ``finite``, a part that holds a non-finite number is wrong too (see
+    ``_first_nonfinite``)."""
+    _check(value, td, schema.records, where, finite)
 
 
-def _check(value, td: TypeDesc, records: dict, where: str):
+def _check(value, td: TypeDesc, records: dict, where: str, finite: bool):
     kind = td.kind
     if kind in PAYLOAD_TYPES:
         ok = type(value) is PAYLOAD_TYPES[kind]
@@ -296,10 +300,36 @@ def _check(value, td: TypeDesc, records: dict, where: str):
         raise TypeMismatchError(where, td, _describe(value))
     if kind == "list":
         for x in value.items:
-            _check(x, td.element, records, where)
+            _check(x, td.element, records, where, finite)
     elif kind == "record":
         for name, x in value.fields.items():
-            _check(x, members[name], records, f"{where}.{name}")
+            _check(x, members[name], records, f"{where}.{name}", finite)
+    elif finite:
+        bad = _first_nonfinite(value, kind)
+        if bad is not None:
+            raise TypeMismatchError(where, "a finite value", bad)
+
+
+def _first_nonfinite(value, kind: str):
+    """The first number of a well-typed ``value`` of ``kind`` that is not
+    finite, in the order ``state_to_json`` writes them (a complex's real
+    part before its imaginary one); None if there is none."""
+    if kind in ("real", "complex"):
+        if cmath.isfinite(value):
+            return None
+        numbers = np.array([value]).view(np.float64)
+    elif kind == "vector":
+        numbers = value.values
+    elif kind == "cgrid":
+        numbers = np.concatenate([value.amps.real, value.amps.imag])
+    elif kind == "pwcollection":
+        pw = value.pw
+        numbers = np.concatenate([pw.amps.view(np.float64)] + [
+            pw.columns[n].ravel() for n, k in pw.attr_decls if k == "real"])
+    else:
+        return None
+    bad = np.flatnonzero(~np.isfinite(numbers))
+    return numbers[bad[0]].item() if len(bad) else None
 
 
 def _describe(value) -> str:
@@ -345,7 +375,8 @@ _SET_SCHEMA, _SET_TIME, _SET_VALUES = (
 def check_values(schema: StateSchema, values: dict) -> dict:
     """``values`` in schema order, checked as every value from the host
     is: an undeclared name is a SchemaError, a missing one a
-    MissingFieldError, and each value goes through ``check_value``."""
+    MissingFieldError, and each value goes through ``check_value``, which
+    refuses a non-finite number as well as a wrong type."""
     for name in values:
         if name not in schema.fields:
             raise SchemaError(f"assignment to unknown field '{name}'")
@@ -353,7 +384,7 @@ def check_values(schema: StateSchema, values: dict) -> dict:
     for name, td in schema.fields.items():
         if name not in values:
             raise MissingFieldError(name)
-        check_value(values[name], td, schema, where=name)
+        check_value(values[name], td, schema, where=name, finite=True)
         out[name] = values[name]
     return out
 
@@ -381,9 +412,10 @@ class Sampler:
     interval, lo + min(int(u * n), n - 1) on an int interval of n values,
     the value at that index of a finite set, and u >= 0.5 for a bool with
     no domain. ``sampler(schema, words)`` maps an (N, width) uint64 matrix
-    to N states of ``schema``, the schema it was built for, one per row.
-    ``errors`` holds, in field order, the UnsampleableFieldError of each
-    field that cannot be drawn; a sampler with errors raises the first.
+    to N states of ``schema``, the schema it was built for, one per row,
+    built from what ``columns`` draws from the same words. ``errors``
+    holds, in field order, the UnsampleableFieldError of each field that
+    cannot be drawn; a sampler with errors raises the first.
 
     The schema caches its sampler, so the sampler holds neither the schema
     nor a raised error, whose traceback holds the frame that built it:
@@ -407,17 +439,26 @@ class Sampler:
         self._time = None if domain is None else _leaf(domain, "real", "time")
         self.width = col + (domain is not None)
 
-    def __call__(self, schema: StateSchema, words: np.ndarray) -> list:
+    def columns(self, words: np.ndarray) -> tuple:
+        """(field name -> its values, the times) drawn from the rows of
+        ``words``: a scalar field's values as a numpy array of its kind's
+        dtype (or of objects, or a list, where an int does not fit
+        int64), a composite field's as a list; the times as an array, or
+        None without a time domain."""
         if self.errors:   # the first, raised afresh
             error = next(iter(self.errors.values()))
             raise UnsampleableFieldError(error.name, error.reason)
         u = (words >> 11) * 2.0**-53
-        n = len(u)
-        columns = [draw(u[:, a:b]) for _, draw, a, b in self._fields]
-        times = [0.0] * n if self._time is None else self._time(u[:, -1])
-        names = [f[0] for f in self._fields]
-        return [SystemState(schema, t, dict(zip(names, row)))
-                for t, row in zip(times, _rows(columns, n))]
+        columns = {name: draw(u[:, a:b]) for name, draw, a, b in self._fields}
+        return columns, None if self._time is None else self._time(u[:, -1])
+
+    def __call__(self, schema: StateSchema, words: np.ndarray) -> list:
+        columns, times = self.columns(words)
+        n = len(words)
+        times = [0.0] * n if times is None else times.tolist()
+        rows = _rows([_listed(c) for c in columns.values()], n)
+        return [SystemState(schema, t, dict(zip(columns, row)))
+                for t, row in zip(times, rows)]
 
 
 def _rows(columns: list, n: int):
@@ -425,16 +466,22 @@ def _rows(columns: list, n: int):
     return zip(*columns) if columns else [()] * n
 
 
+def _listed(values) -> list:
+    """A draw's values as a list: an array's as payloads."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
 def _draw(td: TypeDesc, records: dict, name: str):
-    """(draw, width): ``draw(u)`` lists the values of type ``td`` drawn
-    from the rows of ``u``, an (N, width) matrix of uniforms. Raises
+    """(draw, width): ``draw(u)`` gives the values of type ``td`` drawn
+    from the rows of ``u``, an (N, width) matrix of uniforms, as
+    ``Sampler.columns`` gives a field's. Raises
     UnsampleableFieldError naming ``name`` (or ``name.field`` within a
     record) if ``td`` cannot be drawn."""
     kind = td.kind
     if kind in ("cgrid", "pwcollection"):
         raise UnsampleableFieldError(name, f"{kind} fields are unsampleable")
     if kind == "bool" and td.domain is None:
-        return (lambda u: (u[:, 0] >= 0.5).tolist()), 1
+        return (lambda u: u[:, 0] >= 0.5), 1
     if kind in PAYLOAD_TYPES:
         if td.domain is None:
             raise UnsampleableFieldError(name)
@@ -455,7 +502,7 @@ def _draw(td: TypeDesc, records: dict, name: str):
         item, w = _draw(td.element, records, name)
         spans = [(j * w, (j + 1) * w) for j in range(td.bound)]
         return (lambda u: [VList(items) for items in
-                           zip(*(item(u[:, a:b]) for a, b in spans))],
+                           zip(*(_listed(item(u[:, a:b])) for a, b in spans))],
                 w * td.bound)
     if kind == "record":
         rec, parts, col = td.record, [], 0
@@ -466,24 +513,32 @@ def _draw(td: TypeDesc, records: dict, name: str):
         names = [p[0] for p in parts]
 
         def draw_record(u):
-            columns = [draw(u[:, a:b]) for _, draw, a, b in parts]
+            columns = [_listed(draw(u[:, a:b])) for _, draw, a, b in parts]
             return [VRecord(rec, dict(zip(names, row)))
                     for row in _rows(columns, len(u))]
         return draw_record, col
     raise UnsampleableFieldError(name, f"cannot sample kind '{kind}'")
 
 
+# the dtype of each scalar kind's column of payloads
+_DTYPES = {"int": np.int64, "real": np.float64, "bool": np.bool_,
+           "complex": np.complex128}
+
+
 def _leaf(domain: Domain, kind: str, name: str):
     """``leaf(u)``: the payloads of kind ``kind`` drawn from ``domain``
-    for a column ``u`` of uniforms. A finite value may be of another
-    payload type (an int in a real set) and is converted."""
+    for a column ``u`` of uniforms, as ``Sampler.columns`` gives them. A
+    finite value may be of another payload type (an int in a real set)
+    and is converted."""
     if domain.is_finite:
-        convert = PAYLOAD_TYPES[kind]
-        table = np.empty(len(domain.values), dtype=object)
-        table[:] = [convert(v) for v in domain.values]
+        values = [PAYLOAD_TYPES[kind](v) for v in domain.values]
+        try:
+            table = np.array(values, dtype=_DTYPES[kind])
+        except OverflowError:   # an int outside int64
+            table = np.empty(len(values), dtype=object)
+            table[:] = values
         n = len(table)
-        return lambda u: table[np.minimum((u * n).astype(np.intp),
-                                          n - 1)].tolist()
+        return lambda u: table[np.minimum((u * n).astype(np.intp), n - 1)]
     if kind == "int":
         lo, hi = int(domain.lo), int(domain.hi)
         n = hi - lo + 1
@@ -495,13 +550,13 @@ def _leaf(domain: Domain, kind: str, name: str):
             # offsets below 2**64 and sums in int64, both exact
             top, base = np.uint64(n - 1), np.uint64(lo % 2**64)
             return lambda u: (np.minimum((u * scale).astype(np.uint64), top)
-                              + base).view(np.int64).tolist()
+                              + base).view(np.int64)
         return lambda u: [lo + min(int(x), n - 1)
                           for x in (u * scale).tolist()]
     lo, width = _interval(domain, name)
     if kind == "bool":
-        return lambda u: (lo + width * u != 0.0).tolist()
-    return lambda u: (lo + width * u).tolist()
+        return lambda u: lo + width * u != 0.0
+    return lambda u: lo + width * u
 
 
 def _interval(domain: Domain, name: str):
@@ -694,10 +749,17 @@ def state_from_json(data: dict, schema: StateSchema) -> SystemState:
 
 
 def _check_finite(data, where: str):
-    """TypeMismatchError naming field ``where`` if its JSON ``data`` holds
-    ``inf`` or ``nan`` anywhere, which no state holds."""
+    """TypeMismatchError naming ``where``, a record member by its path as
+    ``check_value`` names it, if its JSON ``data`` holds ``inf`` or
+    ``nan`` anywhere, which no state holds. ``check_values`` refuses the
+    same numbers in built values; this refuses them before a value is
+    built, so none reaches a path collection's int column."""
     if isinstance(data, dict):
-        data = list(data.values())
+        members = data.get("fields") if data.get("kind") == "record" else None
+        if isinstance(members, dict):
+            for name, x in members.items():
+                _check_finite(x, f"{where}.{name}")
+        data = [x for x in data.values() if x is not members]
     if isinstance(data, list):
         for x in data:
             _check_finite(x, where)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from causalkit import (
@@ -24,8 +26,8 @@ from causalkit import analyzer
 from causalkit.analyzer import (
     CompletenessVerdict,
     ConsistencyVerdict,
+    _sampled_blocks,
     _sampled_start,
-    _sampled_states,
     enumerate_states,
     guard_disjunction_trivially_true,
     unsampleable_fields,
@@ -41,7 +43,9 @@ from causalkit.errors import (
 from causalkit.rng import derive_seed
 from causalkit.state import Sampler, VList, VRecord
 
-from conftest import BROKEN, FIXTURES, typed
+from causalkit.cli import main
+
+from conftest import BROKEN, FIXTURES, fixture_source, typed
 
 
 class TestValidstate:
@@ -269,12 +273,15 @@ class TestAnalyze:
         # an error verdict is for toolkit errors; anything else is a bug
         model = load_fixture_model("partition.cml")
 
-        def broken_selector(state):
+        def broken(*args):
             raise RuntimeError("bug in a guard")
         for mode in model.selectors:
-            model.selectors[mode] = broken_selector
-        with pytest.raises(RuntimeError, match="bug in a guard"):
-            analyze(model, CheckStrategy("sample", count=10, seed=1))
+            model.selectors[mode] = broken
+        # the column pass's guards, then the per-state path's
+        for columns in (broken, None):
+            model.__dict__["columns"] = columns
+            with pytest.raises(RuntimeError, match="bug in a guard"):
+                analyze(model, CheckStrategy("sample", count=10, seed=1))
 
     def test_enumeration_cap_is_an_error_verdict(self):
         model = load_model(
@@ -353,12 +360,13 @@ class TestOnePass:
     def test_each_sampled_state_is_drawn_once(self, monkeypatch):
         drawn = []
 
-        def counting_call(self, schema, words):
+        def counting_columns(self, words):
             drawn.append(len(words))
-            return real_call(self, schema, words)
+            return real_columns(self, words)
 
-        real_call = Sampler.__call__
-        monkeypatch.setattr(Sampler, "__call__", counting_call)
+        # every state the sampler builds is drawn through its columns
+        real_columns = Sampler.columns
+        monkeypatch.setattr(Sampler, "columns", counting_columns)
         model = load_model(QUADRANTS)
         report = analyze(model, CheckStrategy("sample", count=1500, seed=1))
         assert drawn == [1500]
@@ -393,11 +401,87 @@ class TestOnePass:
             assert calls[at + 1][:2] == ("first-match", seed)
 
 
+class TestRefusals:
+    """The analyzer's refusals: their type and text, and what `cml
+    analyze` exits with."""
+
+    NO_VALID = str(FIXTURES / "no_valid_state.cml")
+
+    @pytest.mark.parametrize("kwargs, text", [
+        ({"kind": "bogus"}, "unknown strategy 'bogus'"),
+        ({"count": 0}, "strategy budgets must be >= 1"),
+        ({"runs": 0}, "strategy budgets must be >= 1"),
+        ({"steps_per_run": 0}, "strategy budgets must be >= 1"),
+    ])
+    def test_a_strategy_refuses_what_it_cannot_bound(self, kwargs, text):
+        with pytest.raises(ValueError) as exc:
+            CheckStrategy(**kwargs)
+        assert str(exc.value) == text
+
+    @pytest.mark.parametrize("flags", [("--samples", "0"), ("--runs", "0"),
+                                       ("--steps", "0")])
+    def test_cml_analyze_exits_2_on_a_zero_budget(self, flags, capsys):
+        assert main(["analyze", self.NO_VALID, *flags]) == 2
+        assert capsys.readouterr().err == \
+            "usage error: strategy budgets must be >= 1\n"
+
+    def test_cml_analyze_exits_2_on_an_unknown_strategy(self, capsys):
+        # argparse refuses it first, and exits
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", self.NO_VALID, "--strategy", "bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --strategy: invalid choice:" in err
+        assert "bogus" in err
+
+    def test_no_valid_start_state_for_a_trace(self, capsys):
+        model = load_model(fixture_source("no_valid_state.cml"))
+        strategy = CheckStrategy("trace", runs=2, steps_per_run=3)
+        text = "no valid in-state found in 10000 draws"
+        for check in (check_consistency, check_completeness):
+            with pytest.raises(NoValidInStateFoundError) as exc:
+                check(model, strategy)
+            assert str(exc.value) == text
+        assert main(["analyze", self.NO_VALID, "--strategy", "trace"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        for part in ("consistency", "completeness"):
+            assert report[part] == {"status": "error", "statesChecked": 0,
+                                    "message": text}
+
+    def test_no_sampled_state_satisfies_a_guard(self, capsys, monkeypatch):
+        # the column pass counts every state, none checked per state
+        built = []
+        monkeypatch.setattr(Sampler, "__call__",
+                            lambda *args: built.append(args))
+        model = load_model(fixture_source("no_valid_state.cml"))
+        assert model.columns is not None
+        strategy = CheckStrategy("sample", count=300, seed=2)
+        with pytest.raises(NoValidInStateFoundError) as exc:
+            check_completeness(model, strategy)
+        text = "sampling produced no state satisfying any guard"
+        assert str(exc.value) == text
+        assert check_consistency(model, strategy).states_checked == 300
+        assert main(["analyze", self.NO_VALID, "--samples", "300"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["completeness"] == {"status": "error",
+                                          "statesChecked": 0,
+                                          "message": text}
+        assert report["consistency"]["statesChecked"] == 300
+        assert built == []
+
+
 # --- the two passes the one pass replaced ------------------------------------------
 #
 # Consistency and completeness as they were checked one after the other,
 # each drawing its own states or running its own runs: the oracle of the
 # one pass in ``analyzer._check``.
+
+
+def _sampled_states(model, strategy):
+    """The sample strategy's states, in order, each built on its own."""
+    schema = model.schema
+    for _, words in _sampled_blocks(model, strategy):
+        yield from schema.sampler(schema, words)
 
 
 def _trace_runs(model, strategy, mode, init):

@@ -79,6 +79,19 @@ GUARD_ERROR = tuple(
     for name in ("guard_error", "halt_guard_error")
     for kind, budget in (("sample", ("--samples", "200")),
                          ("trace", ("--runs", "4", "--steps", "10"))))
+# the sample strategy on the models its column pass covers: a write that
+# overflows to inf (completeness error), a halt with an int read in
+# comparisons and a bool toggled by !, out-states on -0.0 at a >= 0.0
+# guard (6,000 samples: the failing state is drawn past the first 4,096),
+# and no state that satisfies any guard
+COLUMN_SAMPLES = tuple(
+    ("analyze", f"tests/fixtures/{name}.cml", "--strategy", "sample",
+     "--samples", samples, "--seed", seed)
+    for name, samples, seed in (("overflow_write", "1500", "1"),
+                                ("toggling_halt", "1500", "1"),
+                                ("negative_zero", "1500", "3"),
+                                ("negative_zero", "6000", "25"),
+                                ("no_valid_state", "1500", "1")))
 TWO_COIN_ENUMERATE = ("analyze", "tests/fixtures/two_coin.cml", "--strategy",
                       "enumerate")
 # 50 trials: the trie memo must hold the whole ensemble
@@ -161,6 +174,8 @@ NAMED = {
     RARE_OVERLAP: "analyze tests/fixtures/rare_overlap.cml",
     **{argv: f"analyze {argv[1]} {argv[3]}" for argv in GUARD_ERROR},
     TWO_COIN_ENUMERATE: "analyze tests/fixtures/two_coin.cml enumerate",
+    **{argv: f"analyze {argv[1]} {argv[5]} samples"
+       for argv in COLUMN_SAMPLES},
     SLIT_SMALL_HISTOGRAM: "histogram builtin:double_slit 50 trials",
     **{argv: f"histogram {argv[1]} seed {argv[-1]}"
        for argv in SIGNED_ZERO_HISTOGRAMS + OBSERVE_ERRORS},
@@ -275,6 +290,7 @@ INVOCATIONS = (
     CELL_NON_FINITE,
     *CUT_BEFORE_UNIFORM,
     *CA_FIELD,
+    *COLUMN_SAMPLES,
 )
 
 

@@ -31,8 +31,7 @@ from causalkit import (
     state_from_json,
     state_to_json,
 )
-from causalkit.analyzer import CheckStrategy, _sampled_states, \
-    unsampleable_fields
+from causalkit.analyzer import CheckStrategy, unsampleable_fields
 from causalkit.rng import derive_seed
 from causalkit.state import (
     PAYLOAD_TYPES,
@@ -42,6 +41,7 @@ from causalkit.state import (
 )
 
 from conftest import deep_equal
+from test_analyzer import _sampled_states
 
 
 def int_schema():
@@ -469,7 +469,7 @@ def _pw_json(amp, position):
 
 
 # JSON text allows NaN and Infinity; no state may hold them
-@pytest.mark.parametrize("td, text, message", [
+NON_FINITE = [
     (TypeDesc.real(), '{"kind": "real", "v": NaN}',
      "field 'f': expected a finite value, got nan"),
     (TypeDesc("complex"), '{"kind": "complex", "re": 1.0, "im": -Infinity}',
@@ -487,12 +487,63 @@ def _pw_json(amp, position):
      '{"kind": "list", "items": [{"kind": "real", "v": 1.0}, '
      '{"kind": "real", "v": -Infinity}]}',
      "field 'f': expected a finite value, got -inf"),
-])
+]
+
+
+@pytest.mark.parametrize("td, text, message", NON_FINITE)
 def test_state_from_json_rejects_non_finite_values(td, text, message):
     data = {"time": 0.0, "values": {"f": json.loads(text)}}
     with pytest.raises(TypeMismatchError) as exc:
         state_from_json(data, StateSchema(fields={"f": td}))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("td, text, message", NON_FINITE)
+def test_make_initial_state_rejects_what_state_from_json_does(td, text,
+                                                              message):
+    value = value_from_json(json.loads(text), "f")
+    with pytest.raises(TypeMismatchError) as exc:
+        make_initial_state(StateSchema(fields={"f": td}), {"f": value})
+    assert str(exc.value) == message
+
+
+def test_a_non_finite_record_member_is_named_by_its_path():
+    schema = StateSchema(fields={"r": TypeDesc.record_ref("R")},
+                         records={"R": (("m", TypeDesc.real()),)})
+    value = VRecord("R", {"m": math.nan})
+    with pytest.raises(TypeMismatchError) as exc:
+        make_initial_state(schema, {"r": value})
+    text = "field 'r.m': expected a finite value, got nan"
+    assert str(exc.value) == text
+    data = {"time": 0.0, "values": {"r": value_to_json(value)}}
+    with pytest.raises(TypeMismatchError) as exc:
+        state_from_json(data, schema)
+    assert str(exc.value) == text
+
+
+def _oscillator_runs():
+    from causalkit import RunConfig, branch_run, run, run_ensemble
+
+    cfg = RunConfig(dt=0.01, max_steps=3)
+    return {"run": lambda model, s: run(model, s, cfg),
+            "branch_run": lambda model, s: branch_run(model, s, cfg, 2, 4),
+            "run_ensemble": lambda model, s: list(run_ensemble(model, s,
+                                                               cfg, 3))}
+
+
+@pytest.mark.parametrize("entry", ["make_initial_state", "run", "branch_run",
+                                   "run_ensemble"])
+def test_every_host_entry_point_refuses_a_non_finite_start(entry):
+    # the same text as state_from_json's, before any step is taken
+    model, _ = build_bundled_model("harmonic_oscillator")
+    values = {"x": math.nan, "v": 0.0}
+    with pytest.raises(TypeMismatchError) as exc:
+        if entry == "make_initial_state":
+            make_initial_state(model.schema, values)
+        else:
+            _oscillator_runs()[entry](model,
+                                      SystemState(model.schema, 0.0, values))
+    assert str(exc.value) == "field 'x': expected a finite value, got nan"
 
 
 def test_state_from_json_rejects_a_cgrid_of_another_dx():
