@@ -136,19 +136,19 @@ def unsampleable_fields(model: CausalModel) -> list:
 
 
 def _enumerate_domain(td: TypeDesc, name: str):
+    """The values of a field of ``td`` that enumerate takes: its value
+    set's payloads, the ints of an int interval, or both bools."""
+    domain = td.domain
+    if domain is not None and domain.is_finite and td.kind in PAYLOAD_TYPES:
+        return domain.values
     if td.kind == "bool":
-        if td.domain is not None and td.domain.is_finite:
-            return [bool(v) for v in td.domain.values]
-        return [False, True]
-    if td.domain is None:
+        return (False, True)
+    if domain is None:
         raise UnsampleableFieldError(name, "no domain to enumerate")
-    if td.domain.is_finite:
-        if td.kind not in ("int", "real"):
-            raise UnsampleableFieldError(name, f"cannot enumerate {td.kind}")
-        return [PAYLOAD_TYPES[td.kind](v) for v in td.domain.values]
+    if domain.is_finite:
+        raise UnsampleableFieldError(name, f"cannot enumerate {td.kind}")
     if td.kind == "int":
-        lo, hi = int(td.domain.lo), int(td.domain.hi)
-        return list(range(lo, hi + 1))
+        return range(domain.lo, domain.hi + 1)
     raise UnsampleableFieldError(name, "interval domains are not enumerable")
 
 
@@ -158,8 +158,8 @@ def enumerate_states(model: CausalModel):
     names = list(schema.fields)
     domains = [_enumerate_domain(schema.fields[n], n) for n in names]
     total = 1
-    for d in domains:
-        total *= len(d)
+    for d in domains:   # len() of a range stops at 2**63
+        total *= d.stop - d.start if type(d) is range else len(d)
         if total > _ENUMERATION_CAP:
             raise EnumerationCapError(
                 f"enumeration exceeds {_ENUMERATION_CAP} states")

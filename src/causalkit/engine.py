@@ -192,9 +192,9 @@ _AT, _PUT = (dict(zip(("list", "vector", "cgrid"), fns)) for fns in zip(
 
 def _intrinsic_call(intr, loc):
     """(random source, *args) -> ``intr``'s value at the call at ``loc``.
-    ContinuousRandomError passes through; an EvalError without a location
-    gets ``loc``; any other exception becomes EvalError "<function>:
-    <exc>"."""
+    A kit function's EvalError (it carries no location) gets ``loc``, and
+    any other exception (a kit function draws only by ``categorical``,
+    which no source refuses) becomes EvalError "<function>: <exc>"."""
     f, impl, stochastic = intr.name, intr.impl, intr.stochastic
 
     def call(rnd, *args):
@@ -203,11 +203,7 @@ def _intrinsic_call(intr, loc):
                             loc)
         try:
             return impl(args, rnd)
-        except ContinuousRandomError:
-            raise
         except EvalError as exc:
-            if exc.loc is not None:
-                raise
             raise EvalError(exc.message, loc)
         except Exception as exc:
             raise EvalError(f"{f}: {exc}", loc)

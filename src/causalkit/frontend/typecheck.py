@@ -349,20 +349,12 @@ def _attach_domain(td: TypeDesc, dom, ctx: _Ctx) -> TypeDesc:
             if td.kind in ("bool", "complex"):
                 raise _err("bad-domain",
                            f"{td.kind} fields need a finite value set", dom.loc)
-            lo, hi = fold(dom.items[0]), fold(dom.items[1])
-            domain = Domain(lo=float(lo), hi=float(hi))
+            domain = Domain(lo=fold(dom.items[0]), hi=fold(dom.items[1]))
         else:
-            values = tuple(fold(e) for e in dom.items)
-            for v in values:
-                if td.kind == "int" and not isinstance(v, int):
-                    raise _err("bad-domain", "int domain needs integer values",
-                               dom.loc)
-            domain = Domain(values=values)
+            domain = Domain(values=tuple(fold(e) for e in dom.items))
+        return replace(td, domain=domain)   # TypeDesc converts it
     except SchemaError as exc:
         raise _err("bad-domain", str(exc), dom.loc)
-    return TypeDesc(td.kind, length=td.length, dx=td.dx, element=td.element,
-                    bound=td.bound, record=td.record, attrs=td.attrs,
-                    domain=domain)
 
 
 # --- init block ---------------------------------------------------------------
@@ -767,8 +759,5 @@ def _fold(e: Expr, consts_val: dict):
         right = _fold(e.right, consts_val)
         if right is None or e.op in ("&&", "||"):
             return right
-        try:
-            return intrinsics.binary(e.op, e.ty.kind, e.loc)(left, right)
-        except OverflowError as exc:   # an int too large for a float
-            raise EvalError(str(exc), e.loc)
+        return intrinsics.binary(e.op, e.ty.kind, e.loc)(left, right)
     return None

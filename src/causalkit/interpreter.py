@@ -65,8 +65,13 @@ class RunConfig:
         observe = getattr(self.observables, "row", None)
         if observe is None:
             functions = [f for _, f in self.observables]
-            observe = lambda s: tuple([f(s) for f in functions])  # noqa: E731
+            observe = (lambda s: tuple([f(s) for f in functions])
+                       ) if functions else _observe_nothing
         object.__setattr__(self, "observe", observe)
+
+
+def _observe_nothing(s: SystemState) -> tuple:   # builds no list per row
+    return ()
 
 
 @dataclass(frozen=True)

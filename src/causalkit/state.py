@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -36,7 +37,7 @@ class Domain:
 
     lo: float | None = None
     hi: float | None = None
-    values: tuple | None = None  # raw payloads (floats/ints/bools)
+    values: tuple | None = None  # a field's holds its kind's payloads (of)
 
     def __post_init__(self):
         if self.values is not None:
@@ -47,12 +48,41 @@ class Domain:
         else:
             if self.lo is None or self.hi is None:
                 raise SchemaError("interval domain needs both bounds")
+            if isinstance(self.lo, complex) or isinstance(self.hi, complex):
+                raise SchemaError("interval bounds must be real")
             if not (self.lo <= self.hi):
                 raise SchemaError(f"empty interval domain [{self.lo}, {self.hi}]")
 
     @property
     def is_finite(self) -> bool:
         return self.values is not None
+
+    def of(self, kind: str) -> "Domain":
+        """This domain as a field of ``kind`` holds it, the one place a
+        domain is converted: a set holds the kind's payloads (1.0 for 1 in
+        a real set, True for 1 in a bool set), an int interval the exact
+        ints ceil(lo) to floor(hi); a real or vector interval keeps its
+        bounds (``_interval`` converts them). SchemaError for a complex or
+        non-int value where the kind holds none, or an int interval of no
+        int."""
+        convert = PAYLOAD_TYPES.get(kind, float if kind == "vector" else None)
+        if self.is_finite and convert is not None:
+            if kind == "int" and not all(isinstance(v, numbers.Integral)
+                                         for v in self.values):
+                raise SchemaError("int domain needs integer values")
+            if kind in ("real", "vector") and any(
+                    isinstance(v, complex) for v in self.values):
+                raise SchemaError(f"{kind} domain needs real values")
+            return Domain(values=tuple(convert(v) for v in self.values))
+        if kind != "int" or self.is_finite:
+            return self
+        try:
+            lo, hi = math.ceil(self.lo), math.floor(self.hi)
+        except OverflowError:
+            raise SchemaError("int domain bounds must be finite")
+        if lo > hi:
+            raise SchemaError(f"int domain [{self.lo}, {self.hi}] holds no int")
+        return Domain(lo=lo, hi=hi)
 
 
 @dataclass(frozen=True)
@@ -69,6 +99,8 @@ class TypeDesc:
     domain: Domain | None = None
 
     def __post_init__(self):
+        if self.domain is not None:
+            object.__setattr__(self, "domain", self.domain.of(self.kind))
         if self.kind in ("vector", "cgrid"):
             if self.length is None or self.length < 1:
                 raise SchemaError(f"{self.kind} length must be >= 1")
@@ -147,8 +179,11 @@ class StateSchema:
         if overlap:
             raise SchemaError(f"names used as both field and constant: {sorted(overlap)}")
         t = self.time_domain
-        if t is not None and not t.is_finite and not math.isfinite(t.hi - t.lo):
-            raise SchemaError("time domain width overflows")
+        if t is not None:
+            t = t.of("real")
+            object.__setattr__(self, "time_domain", t)
+            if not t.is_finite and not math.isfinite(t.hi - t.lo):
+                raise SchemaError("time domain width overflows")
         for name, td in self.all_type_decls():
             self._check_refs_resolve(td, where=name)
         self._check_record_cycles()
@@ -265,18 +300,16 @@ class VPw(Value):
     pw: PwCollection
 
 
-def check_value(value, td: TypeDesc, schema: StateSchema, where: str = "value",
-                finite: bool = False):
+def check_value(value, td: TypeDesc, schema: StateSchema, where: str = "value"):
     """Raise TypeMismatchError for the first part of ``value``, in its own
-    order (a record's members in the value's order), whose type is wrong,
-    named by its path joined with ``.`` (a list's items by the list's). A
-    scalar payload must have exactly its kind's Python type. With
-    ``finite``, a part that holds a non-finite number is wrong too (see
-    ``_first_nonfinite``)."""
-    _check(value, td, schema.records, where, finite)
+    order (a record's members in the value's order), whose type is wrong
+    or that holds a non-finite number (see ``_first_nonfinite``), named
+    by its path joined with ``.`` (a list's items by the list's). A
+    scalar payload must have exactly its kind's Python type."""
+    _check(value, td, schema.records, where)
 
 
-def _check(value, td: TypeDesc, records: dict, where: str, finite: bool):
+def _check(value, td: TypeDesc, records: dict, where: str):
     kind = td.kind
     if kind in PAYLOAD_TYPES:
         ok = type(value) is PAYLOAD_TYPES[kind]
@@ -300,11 +333,11 @@ def _check(value, td: TypeDesc, records: dict, where: str, finite: bool):
         raise TypeMismatchError(where, td, _describe(value))
     if kind == "list":
         for x in value.items:
-            _check(x, td.element, records, where, finite)
+            _check(x, td.element, records, where)
     elif kind == "record":
         for name, x in value.fields.items():
-            _check(x, members[name], records, f"{where}.{name}", finite)
-    elif finite:
+            _check(x, members[name], records, f"{where}.{name}")
+    else:
         bad = _first_nonfinite(value, kind)
         if bad is not None:
             raise TypeMismatchError(where, "a finite value", bad)
@@ -375,8 +408,7 @@ _SET_SCHEMA, _SET_TIME, _SET_VALUES = (
 def check_values(schema: StateSchema, values: dict) -> dict:
     """``values`` in schema order, checked as every value from the host
     is: an undeclared name is a SchemaError, a missing one a
-    MissingFieldError, and each value goes through ``check_value``, which
-    refuses a non-finite number as well as a wrong type."""
+    MissingFieldError, and each value goes through ``check_value``."""
     for name in values:
         if name not in schema.fields:
             raise SchemaError(f"assignment to unknown field '{name}'")
@@ -384,7 +416,7 @@ def check_values(schema: StateSchema, values: dict) -> dict:
     for name, td in schema.fields.items():
         if name not in values:
             raise MissingFieldError(name)
-        check_value(values[name], td, schema, where=name, finite=True)
+        check_value(values[name], td, schema, where=name)
         out[name] = values[name]
     return out
 
@@ -527,20 +559,18 @@ _DTYPES = {"int": np.int64, "real": np.float64, "bool": np.bool_,
 
 def _leaf(domain: Domain, kind: str, name: str):
     """``leaf(u)``: the payloads of kind ``kind`` drawn from ``domain``
-    for a column ``u`` of uniforms, as ``Sampler.columns`` gives them. A
-    finite value may be of another payload type (an int in a real set)
-    and is converted."""
+    (a field's, which holds them: see ``Domain.of``) for a column ``u``
+    of uniforms, as ``Sampler.columns`` gives them."""
     if domain.is_finite:
-        values = [PAYLOAD_TYPES[kind](v) for v in domain.values]
         try:
-            table = np.array(values, dtype=_DTYPES[kind])
+            table = np.array(domain.values, dtype=_DTYPES[kind])
         except OverflowError:   # an int outside int64
-            table = np.empty(len(values), dtype=object)
-            table[:] = values
+            table = np.empty(len(domain.values), dtype=object)
+            table[:] = domain.values
         n = len(table)
         return lambda u: table[np.minimum((u * n).astype(np.intp), n - 1)]
     if kind == "int":
-        lo, hi = int(domain.lo), int(domain.hi)
+        lo, hi = domain.lo, domain.hi
         n = hi - lo + 1
         try:
             scale = float(n)
@@ -732,9 +762,9 @@ def state_to_json(state: SystemState) -> dict:
 
 def state_from_json(data: dict, schema: StateSchema) -> SystemState:
     """The state that ``state_to_json`` writes as ``data``, its values
-    checked as ``make_initial_state`` checks them. JSON that no state is
-    written as is a TypeMismatchError naming ``time``, ``values`` or the
-    field (see ``value_from_json``)."""
+    checked as ``make_initial_state`` checks them, a non-finite number
+    included. JSON that no state is written as is a TypeMismatchError
+    naming ``time``, ``values`` or the field (see ``value_from_json``)."""
     if type(data) is not dict:
         raise TypeMismatchError("state", "a state object", _got(data))
     time = _real(data.get("time", _NOTHING), "time")
@@ -742,26 +772,5 @@ def state_from_json(data: dict, schema: StateSchema) -> SystemState:
     if type(values) is not dict:
         raise TypeMismatchError("values", "an object of field values",
                                 _got(values))
-    for name, v in values.items():
-        _check_finite(v, name)
     return SystemState(schema, time, check_values(
         schema, {n: value_from_json(v, n) for n, v in values.items()}))
-
-
-def _check_finite(data, where: str):
-    """TypeMismatchError naming ``where``, a record member by its path as
-    ``check_value`` names it, if its JSON ``data`` holds ``inf`` or
-    ``nan`` anywhere, which no state holds. ``check_values`` refuses the
-    same numbers in built values; this refuses them before a value is
-    built, so none reaches a path collection's int column."""
-    if isinstance(data, dict):
-        members = data.get("fields") if data.get("kind") == "record" else None
-        if isinstance(members, dict):
-            for name, x in members.items():
-                _check_finite(x, f"{where}.{name}")
-        data = [x for x in data.values() if x is not members]
-    if isinstance(data, list):
-        for x in data:
-            _check_finite(x, where)
-    elif isinstance(data, float) and not math.isfinite(data):
-        raise TypeMismatchError(where, "a finite value", data)

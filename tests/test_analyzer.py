@@ -39,6 +39,7 @@ from causalkit.errors import (
     EvalError,
     MissingFieldError,
     NoValidInStateFoundError,
+    UnsampleableFieldError,
 )
 from causalkit.rng import derive_seed
 from causalkit.state import Sampler, VList, VRecord
@@ -106,6 +107,22 @@ class TestConsistency:
         verdict = check_consistency(model, CheckStrategy("enumerate"))
         assert verdict.status == "pass"
         assert verdict.states_checked == 12  # 6 ints x 2 bools
+
+    @pytest.mark.parametrize("state, text", [
+        ("x: real;", "field 'x' cannot be sampled: no domain to enumerate"),
+        ("x: real in [0.0, 1.0];",
+         "field 'x' cannot be sampled: interval domains are not enumerable"),
+        ("v: vector(2) in {0.0, 1.0};",
+         "field 'v' cannot be sampled: cannot enumerate vector"),
+        ("v: vector(2) in [0.0, 1.0];",
+         "field 'v' cannot be sampled: interval domains are not enumerable"),
+    ])
+    def test_what_enumerate_refuses(self, state, text):
+        model = load_model(f"model m {{ state {{ {state} }} init {{ }} "
+                           "law L { when true; then { } } }")
+        with pytest.raises(UnsampleableFieldError) as exc:
+            list(enumerate_states(model))
+        assert str(exc.value) == text
 
     def test_strategy_monotonicity(self):
         # if enumerate passes on an all-finite model, sampling passes too
@@ -283,10 +300,15 @@ class TestAnalyze:
             with pytest.raises(RuntimeError, match="bug in a guard"):
                 analyze(model, CheckStrategy("sample", count=10, seed=1))
 
-    def test_enumeration_cap_is_an_error_verdict(self):
+    # the product of widths, and one width past what len() of a range takes
+    @pytest.mark.parametrize("fields", [
+        "a: int in [0, 999]; b: int in [0, 999];",
+        "a: int in [-9223372036854775807, 9223372036854775807]; "
+        "b: int in [0, 1];"])
+    def test_enumeration_cap_is_an_error_verdict(self, fields):
         model = load_model(
-            "model big { state { a: int in [0, 999]; b: int in [0, 999]; "
-            "c: int in [0, 1]; } init { a = 0; b = 0; c = 0; } "
+            f"model big {{ state {{ {fields} c: int in [0, 1]; }} "
+            "init { a = 0; b = 0; c = 0; } "
             "law L { when c == 0; then { } } law M { when c == 1; then { } } }")
         with pytest.raises(EnumerationCapError):
             list(enumerate_states(model))
@@ -443,6 +465,25 @@ class TestRefusals:
                 check(model, strategy)
             assert str(exc.value) == text
         assert main(["analyze", self.NO_VALID, "--strategy", "trace"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        for part in ("consistency", "completeness"):
+            assert report[part] == {"status": "error", "statesChecked": 0,
+                                    "message": text}
+
+    def test_a_guard_that_fails_on_a_traces_final_state(self, capsys):
+        # the run uses its whole budget and evaluates no guard at its last
+        # state; the consistency check's strict selection there and the
+        # completeness check's first-match selection both raise
+        path = str(FIXTURES / "final_guard_error.cml")
+        model = load_model(fixture_source("final_guard_error.cml"))
+        strategy = CheckStrategy("trace", runs=2, steps_per_run=3)
+        text = "law 'Step': division by zero at 12:13"
+        for check in (check_consistency, check_completeness):
+            with pytest.raises(EvalError) as exc:
+                check(model, strategy)
+            assert str(exc.value) == text
+        assert main(["analyze", path, "--strategy", "trace", "--runs", "2",
+                     "--steps", "3"]) == 0
         report = json.loads(capsys.readouterr().out)
         for part in ("consistency", "completeness"):
             assert report[part] == {"status": "error", "statesChecked": 0,

@@ -268,6 +268,27 @@ class TestAnalyze:
         assert report["consistency"]["status"] == "pass"
         assert report["consistency"]["statesChecked"] == 4
 
+    # each domain holds only states where one guard holds: its exact int
+    # bounds past 2**53, the ints within fractional bounds, a complex set
+    @pytest.mark.parametrize("name, strategy, cons, comp", [
+        ("wide_int_bounds", "enumerate", 3, 3),
+        ("wide_int_bounds", "sample", 200, 200),
+        ("fractional_int_bounds", "enumerate", 2, 2),
+        ("fractional_int_bounds", "sample", 200, 200),
+        ("complex_set", "enumerate", 2, 2),
+    ])
+    def test_states_come_from_the_declared_domain(self, capsys, name,
+                                                  strategy, cons, comp):
+        code, out, err = invoke(
+            ["analyze", str(FIXTURES / f"{name}.cml"), "--strategy",
+             strategy, "--samples", "200"], capsys)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["consistency"] == {"status": "pass",
+                                         "statesChecked": cons, "seed": 0}
+        assert report["completeness"] == {"status": "pass-bounded",
+                                          "statesChecked": comp, "seed": 0}
+
 
 class TestBranch:
     def test_psi_draw_leaves(self, capsys):

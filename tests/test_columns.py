@@ -254,7 +254,8 @@ COVERED = _covered()
 
 def test_the_column_pass_covers_these_fixtures():
     assert [p.name for p in COVERED] == [
-        "escaping.cml", "guard_true.cml", "negative_zero.cml",
+        "escaping.cml", "fractional_int_bounds.cml", "guard_true.cml",
+        "negative_zero.cml",
         "no_valid_state.cml", "overflow_write.cml", "overlap.cml",
         "partition.cml", "rare_overlap.cml", "swap.cml", "toggling_halt.cml",
         "quadrants.cml"]
@@ -300,6 +301,21 @@ def test_what_the_column_pass_leaves_per_state(source):
     model = load_model(source)
     assert model.columns is None
     assert "columns" not in model.source   # no command but analyze emits it
+
+
+def test_a_complex_value_in_a_guard_leaves_the_model_per_state():
+    # no field is complex, but a guard computes one from a constant
+    source = ("model m { const c: complex = 1i; "
+              "state { x: real in [-1.0, 1.0]; } init { x = 0.0; } "
+              "law Pos { when x + c != c - 1.0 && x >= 0.0; "
+              "then { x = x - 0.5; } } "
+              "law Neg { when x < 0.25; then { x = x + 0.5; } } }")
+    model = load_model(source)
+    assert model.columns is None
+    strategy = CheckStrategy("sample", count=300, seed=4)
+    got = report_to_json(analyze(model, strategy))
+    assert got["consistency"]["status"] == "fail"
+    assert got == _oracle(model, strategy)
 
 
 def test_the_column_function_is_emitted_once_and_kept():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from causalkit import (
     VList,
     apply_law,
     branch_run,
+    build_bundled_model,
     build_initial_state,
     classify_determinism,
     eval_guard,
@@ -345,3 +347,73 @@ class TestClassifyDeterminism:
         verdict = classify_determinism(model)
         assert not verdict.deterministic
         assert verdict.random_laws == ("Draw",)
+        assert str(verdict) == "nondeterministic(Draw)"
+
+    def test_a_deterministic_verdict_prints_as_such(self, load_fixture_model):
+        verdict = classify_determinism(load_fixture_model("guard_true.cml"))
+        assert str(verdict) == "deterministic"
+
+
+# refusals that only a bare host call reaches: the CLI and RunConfig refuse
+# the same first
+class TestHostRefusals:
+    SOURCE = ("model m { state { x: real in [-1.0, 1.0]; } init { x = 0.0; } "
+              "law Drift { when x >= 0.0; then { x = x - dt; } } "
+              "law Kick { when x < 0.0; "
+              "then { x = random([0.0, 1.0], FLAT); } } }")
+
+    @pytest.mark.parametrize("change, text", [
+        ({"laws": ()}, "a causal model needs at least one law"),
+        ({"default_timestep": 0.0}, "timestep must be positive"),
+        ({"default_timestep": math.nan}, "timestep must be positive"),
+        ("twice", "law names must be unique"),
+    ])
+    def test_a_causal_model_refuses(self, change, text):
+        model = load_model(self.SOURCE)
+        if change == "twice":
+            change = {"laws": (model.laws[0], model.laws[0])}
+        with pytest.raises(ValueError) as exc:
+            dataclasses.replace(model, **change)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == text
+
+    def test_an_unknown_law_name_is_a_key_error(self):
+        with pytest.raises(KeyError) as exc:
+            load_model(self.SOURCE).law("Nope")
+        assert exc.value.args == ("Nope",)
+
+    def test_a_law_that_reads_dt_needs_one(self):
+        model = load_model(self.SOURCE)
+        s0 = build_initial_state(model)
+        with pytest.raises(EvalError) as exc:
+            apply_law(model.law("Drift"), s0, None, RngStream(0))
+        assert str(exc.value) == \
+            "law 'Drift': 'dt' is not available here at 1:105"
+
+    def test_a_law_that_draws_needs_a_random_source(self):
+        model = load_model(self.SOURCE)
+        s0 = make_initial_state(model.schema, {"x": -0.5})
+        with pytest.raises(EvalError) as exc:
+            apply_law(model.law("Kick"), s0, 1.0, None)
+        assert str(exc.value) == \
+            "law 'Kick': random() is not allowed here at 1:149"
+
+    def test_a_stochastic_intrinsic_needs_a_random_source(self):
+        model, init = build_bundled_model("double_slit")
+        with pytest.raises(EvalError) as exc:
+            apply_law(model.law("Detect"), init, 1.0, None)
+        assert str(exc.value) == ("law 'Detect': stochastic intrinsic "
+                                  "'pw_detect' is not allowed here at 21:18")
+
+    def test_select_law_refuses_an_unknown_mode(self):
+        model = load_model(self.SOURCE)
+        with pytest.raises(ValueError) as exc:
+            select_law(model, build_initial_state(model), "sideways")
+        assert str(exc.value) == "unknown mode 'sideways'"
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan])
+    def test_step_refuses_a_dt_that_is_not_positive(self, dt):
+        model = load_model(self.SOURCE)
+        with pytest.raises(ValueError) as exc:
+            step(model, build_initial_state(model), dt, RngStream(0))
+        assert str(exc.value) == "dt must be positive"

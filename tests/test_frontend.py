@@ -430,6 +430,12 @@ BROKEN_DIAGNOSTICS = {
     '28_empty_flat_range':
         ('bad-random',
          'continuous FLAT requires lo < hi, got lo 5.0 and hi 1.0', 4, 40),
+    '29_complex_interval_bounds':
+        ('bad-domain', 'interval bounds must be real', 2, 22),
+    '30_complex_value_for_real':
+        ('bad-domain', 'real domain needs real values', 2, 22),
+    '31_int_interval_without_int':
+        ('bad-domain', 'int domain [0.2, 0.8] holds no int', 2, 21),
 }
 
 

@@ -94,6 +94,13 @@ COLUMN_SAMPLES = tuple(
                                 ("no_valid_state", "1500", "1")))
 TWO_COIN_ENUMERATE = ("analyze", "tests/fixtures/two_coin.cml", "--strategy",
                       "enumerate")
+# domains whose states only their exact payloads bound: int bounds past
+# 2**53, fractional int bounds and a complex value set
+DOMAIN_ANALYZE = tuple(
+    ("analyze", f"tests/fixtures/{name}.cml", "--strategy", kind,
+     "--samples", "300", "--seed", "2")
+    for name in ("wide_int_bounds", "fractional_int_bounds", "complex_set")
+    for kind in ("enumerate", "sample"))
 # 50 trials: the trie memo must hold the whole ensemble
 SLIT_SMALL_HISTOGRAM = ("histogram", "builtin:double_slit", "--param",
                         "detector=on", "--observables", "detected",
@@ -174,6 +181,7 @@ NAMED = {
     RARE_OVERLAP: "analyze tests/fixtures/rare_overlap.cml",
     **{argv: f"analyze {argv[1]} {argv[3]}" for argv in GUARD_ERROR},
     TWO_COIN_ENUMERATE: "analyze tests/fixtures/two_coin.cml enumerate",
+    **{argv: f"analyze {argv[1]} {argv[3]}" for argv in DOMAIN_ANALYZE},
     **{argv: f"analyze {argv[1]} {argv[5]} samples"
        for argv in COLUMN_SAMPLES},
     SLIT_SMALL_HISTOGRAM: "histogram builtin:double_slit 50 trials",
@@ -291,6 +299,7 @@ INVOCATIONS = (
     *CUT_BEFORE_UNIFORM,
     *CA_FIELD,
     *COLUMN_SAMPLES,
+    *DOMAIN_ANALYZE,
 )
 
 

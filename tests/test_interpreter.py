@@ -106,6 +106,14 @@ class TestRun:
         for row in trace.rows:
             assert row.time == row.step * 1.0
 
+    def test_configs_without_observables_share_one_empty_row(self):
+        # as the analyzer's trace runs build theirs, one per run
+        model, state = build_bundled_model("counter")
+        first, second = (RunConfig(dt=1.0, max_steps=n) for n in (3, 5))
+        assert first.observe is second.observe
+        trace = run(model, state, first)
+        assert [row.values for row in trace.rows] == [()] * 4
+
     def test_no_applicable_law_witness(self):
         model = load_model(
             "model m { state { x: real in [-5.0, 5.0]; } init { x = 2.0; } "

@@ -314,6 +314,18 @@ class TestConstructors:
         assert term.message == "law 'L': pw_spin needs one path, got 2 " \
             "at 1:132"
 
+    @pytest.mark.parametrize("particle", [2, -1])
+    def test_pw_spin_refuses_a_particle_out_of_range(self, particle):
+        model = load_model(
+            "model m { state { pw: pwcollection(spin: int); s: int; } "
+            "init { pw = pw_spins([[1, -1]]); s = 0; } "
+            f"law L {{ when true; then {{ s = pw_spin(pw, {particle}); }} }} }}")
+        term = run(model, build_initial_state(model),
+                   CFG).termination
+        assert term.kind == "eval-error"
+        assert term.message == \
+            f"law 'L': particle {particle} out of range (2) at 1:130"
+
     def test_ca_world_needs_the_world_records(self):
         assert _errors("model m { state { x: real; } "
                        "init { x = ca_world(10, 0.2).alpha; } "

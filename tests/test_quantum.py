@@ -325,6 +325,29 @@ class TestCachedOperator:
         with pytest.raises(SolveError):
             schrodinger_step(wave, v, 0.01)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_grid_of_one_or_two_cells_is_solved_densely(self, n):
+        # the periodic neighbours of a cell are one cell (n = 2) or the
+        # cell itself (n = 1), so H's off-diagonal doubles up
+        rng = np.random.default_rng(n)
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        v, dx, dt = rng.uniform(-5.0, 5.0, n), 0.5, 0.1
+        kin = 1.0 / (2.0 * dx ** 2)
+        shift = np.roll(np.eye(n), 1, axis=0)
+        h = np.diag(2.0 * kin + v) - kin * (shift + shift.T)
+        a = 0.5j * dt * h
+        want = np.linalg.solve(np.eye(n) + a, (np.eye(n) - a) @ psi)
+        out = schrodinger_step(VCGrid(psi, dx), v, dt).amps
+        assert np.allclose(out, want, rtol=1e-13, atol=1e-13)
+        assert np.sum(np.abs(out) ** 2) == pytest.approx(
+            np.sum(np.abs(psi) ** 2), rel=1e-13)
+
+    def test_a_singular_dense_system_raises(self):
+        with pytest.raises(SolveError) as exc:
+            quantum._cyclic_solver(np.array([0j]), 0j, 0j)(np.array([1j]))
+        assert type(exc.value) is SolveError
+        assert str(exc.value) == "Singular matrix"
+
     def test_singular_factorization_raises(self):
         diag = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
         with pytest.raises(SolveError, match="singular matrix"):

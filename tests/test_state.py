@@ -507,6 +507,29 @@ def test_make_initial_state_rejects_what_state_from_json_does(td, text,
     assert str(exc.value) == message
 
 
+# a non-finite payload where its kind holds none reads as any other
+# wrong payload there does (1.5 for the int, a dx of 0.7 for the cgrid)
+NON_FINITE_OF_ANOTHER_KIND = [
+    (TypeDesc.int_(), '{"kind": "int", "v": NaN}',
+     "field 'f': expected int, got nan"),
+    (TypeDesc.cgrid(2, 0.5),
+     '{"kind": "cgrid", "dx": NaN, "re": [0.0, 0.0], "im": [0.0, 0.0]}',
+     "field 'f': expected cgrid(2, 0.5), got cgrid(2, nan)"),
+    (PW_TYPE, _pw_json("[1.0, 0.0]", "0.0").replace('"slit": 0', '"slit": NaN'),
+     "field 'slit': expected int, got nan"),
+]
+
+
+@pytest.mark.parametrize("td, text, message", NON_FINITE_OF_ANOTHER_KIND,
+                         ids=["int", "cgrid-dx", "pw-int-attribute"])
+def test_state_from_json_refuses_a_non_finite_payload_as_a_wrong_one(
+        td, text, message):
+    data = {"time": 0.0, "values": {"f": json.loads(text)}}
+    with pytest.raises(TypeMismatchError) as exc:
+        state_from_json(data, StateSchema(fields={"f": td}))
+    assert str(exc.value) == message
+
+
 def test_a_non_finite_record_member_is_named_by_its_path():
     schema = StateSchema(fields={"r": TypeDesc.record_ref("R")},
                          records={"R": (("m", TypeDesc.real()),)})
@@ -870,6 +893,62 @@ def test_an_interval_wider_than_a_float_is_unsampleable(td):
         "field 'x' cannot be sampled: interval width overflows"
 
 
+@pytest.mark.parametrize("td, want", [
+    # an int interval holds the ints within its bounds, exactly
+    (TypeDesc.int_(Domain(lo=0.5, hi=2.5)), Domain(lo=1, hi=2)),
+    (TypeDesc.int_(Domain(lo=2 ** 53 + 1, hi=2 ** 53 + 3)),
+     Domain(lo=2 ** 53 + 1, hi=2 ** 53 + 3)),
+    (TypeDesc.int_(Domain(lo=-2.0, hi=-1.5)), Domain(lo=-2, hi=-2)),
+    # a value set holds its kind's payloads
+    (TypeDesc.real(Domain(values=(1, 2.5))), Domain(values=(1.0, 2.5))),
+    (TypeDesc.int_(Domain(values=(np.int64(3), True))), Domain(values=(3, 1))),
+    (TypeDesc("bool", domain=Domain(values=(0, 1))),
+     Domain(values=(False, True))),
+    (TypeDesc("complex", domain=Domain(values=(1, 2.5, 1j))),
+     Domain(values=(1 + 0j, 2.5 + 0j, 1j))),
+    (TypeDesc.vector(2, Domain(values=(1,))), Domain(values=(1.0,))),
+    # a real interval keeps its bounds as given
+    (TypeDesc.real(Domain(lo=0, hi=2 ** 60 + 1)), Domain(lo=0, hi=2 ** 60 + 1)),
+])
+def test_a_field_domain_holds_its_kinds_payloads(td, want):
+    got = td.domain
+    assert got == want
+    assert [type(x) for x in got.values or (got.lo, got.hi)] == \
+        [type(x) for x in want.values or (want.lo, want.hi)]
+
+
+@pytest.mark.parametrize("make, text", [
+    (lambda: TypeDesc.int_(Domain(lo=0.2, hi=0.8)),
+     "int domain [0.2, 0.8] holds no int"),
+    (lambda: TypeDesc.int_(Domain(values=(1, 1.5))),
+     "int domain needs integer values"),
+    (lambda: TypeDesc.real(Domain(values=(1j, 2.0))),
+     "real domain needs real values"),
+    (lambda: TypeDesc.real(Domain(lo=1j, hi=2j)),
+     "interval bounds must be real"),
+])
+def test_a_domain_its_field_cannot_hold_is_refused(make, text):
+    with pytest.raises(SchemaError) as exc:
+        make()
+    assert str(exc.value) == text
+
+
+def test_an_int_set_past_int64_is_drawn_exactly():
+    # its table holds Python ints, not int64s
+    schema = StateSchema(fields={"n": TypeDesc.int_(
+        Domain(values=(2 ** 70, -2 ** 70 - 1)))})
+    rng = RngStream(5)
+    drawn = [sample_state(schema, rng).values["n"] for _ in range(40)]
+    assert set(drawn) == {2 ** 70, -2 ** 70 - 1}
+    assert {type(n) for n in drawn} == {int}
+
+
+def test_the_time_domain_holds_reals():
+    schema = StateSchema(fields={}, time_domain=Domain(values=(1, 2.5)))
+    assert [type(t) for t in schema.time_domain.values] == [float, float]
+    assert sample_state(schema, RngStream(0)).time in (1.0, 2.5)
+
+
 def test_a_time_domain_wider_than_a_float_is_rejected():
     with pytest.raises(SchemaError, match="time domain width overflows"):
         StateSchema(fields={}, time_domain=Domain(lo=-1e308, hi=1e308))
@@ -897,6 +976,12 @@ def test_a_time_domain_wider_than_a_float_is_rejected():
         Domain(lo=0, hi=10**400))}), RngStream(0)),
      UnsampleableFieldError,
      "field 'x' cannot be sampled: interval width overflows"),
+    (lambda: TypeDesc.int_(Domain(lo=0, hi=math.inf)), SchemaError,
+     "int domain bounds must be finite"),
+    (lambda: TypeDesc.vector(2, Domain(values=(1.0, 2j))), SchemaError,
+     "vector domain needs real values"),
+    (lambda: StateSchema(fields={}, time_domain=Domain(values=(1j,))),
+     SchemaError, "real domain needs real values"),
     (lambda: value_to_json(object()), TypeError,
      "unsupported value type <class 'object'>"),
     (lambda: value_from_json({"kind": "tensor"}), TypeMismatchError,
@@ -905,7 +990,8 @@ def test_a_time_domain_wider_than_a_float_is_rejected():
      "unknown type kind 'tensor'"),
 ], ids=["set-and-bounds", "one-bound", "no-pw-attribute", "pw-vector",
         "negative-bound", "list-no-element", "complex-interval",
-        "wide-int-bounds", "to-json-object", "from-json-tensor",
+        "wide-int-bounds", "infinite-int-bound", "complex-in-vector-set",
+        "complex-time", "to-json-object", "from-json-tensor",
         "walk-tensor"])
 def test_api_refusals(make, error, text):
     with pytest.raises(error) as exc:
