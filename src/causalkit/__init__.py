@@ -20,7 +20,6 @@ from .errors import (
     NoApplicableLawError,
     PositionOutOfBinsError,
     SchemaError,
-    SchemaMismatchError,
     SinkError,
     SolveError,
     TypeMismatchError,

@@ -27,6 +27,7 @@ from .interpreter import (
     write_trace,
 )
 from .jsontext import IndentedEncoder
+from .state import PAYLOAD_TYPES
 
 
 @functools.cache
@@ -163,7 +164,7 @@ def _compile_observables(spec: str, schema):
         if td is None:
             raise CausalKitError(
                 f"unknown observable '{text}': {diags[0].message}")
-        if td.kind not in ("real", "int", "bool", "complex"):
+        if td.kind not in PAYLOAD_TYPES:
             raise CausalKitError(
                 f"observable '{text}' must be scalar, got {td.kind}")
         labelled.append((text, expr))
@@ -171,13 +172,20 @@ def _compile_observables(spec: str, schema):
     return compile_observables(labelled, schema), kinds
 
 
+def _run_config(args, model, **kw) -> RunConfig:
+    """The RunConfig of the run flags (``--dt`` or the model's timestep,
+    ``--steps``, ``--seed``, ``--mode``) and of ``kw``."""
+    dt = args.dt if args.dt is not None else model.default_timestep
+    return RunConfig(dt=dt, max_steps=args.steps, seed=args.seed,
+                     mode=args.mode, **kw)
+
+
 @entry_point
 def _cmd_run(args) -> int:
     model, state = _load_model(args)
     observables, _ = _compile_observables(args.observables, model.schema)
-    cfg = RunConfig(dt=args.dt if args.dt is not None else model.default_timestep,
-                    max_steps=args.steps, seed=args.seed, mode=args.mode,
-                    record_every=args.record_every, observables=observables)
+    cfg = _run_config(args, model, record_every=args.record_every,
+                      observables=observables)
     trace = run(model, state, cfg)
     write_trace(trace, args.format, args.out)
     if trace.termination.is_error:
@@ -204,9 +212,8 @@ def _cmd_analyze(args) -> int:
 @entry_point
 def _cmd_branch(args) -> int:
     model, state = _load_model(args)
-    cfg = RunConfig(dt=args.dt if args.dt is not None else model.default_timestep,
-                    max_steps=args.steps, seed=args.seed, mode=args.mode)
-    tree = branch_run(model, state, cfg, args.depth, args.width)
+    tree = branch_run(model, state, _run_config(args, model), args.depth,
+                      args.width)
     text = world_tree_text(tree) + "\n"
     write_text(text, args.out)
     return 0
@@ -226,9 +233,8 @@ def _cmd_histogram(args) -> int:
     if kinds[0] == "complex":   # complex outcomes have no order to bin by
         raise CausalKitError(f"histogram outcome '{label}' must be int, bool "
                              f"or real, got complex")
-    cfg = RunConfig(dt=args.dt if args.dt is not None else model.default_timestep,
-                    max_steps=args.steps, seed=args.seed, mode=args.mode)
-    pairs = list(run_ensemble(model, state, cfg, args.trials))
+    pairs = list(run_ensemble(model, state, _run_config(args, model),
+                              args.trials))
     # trials that end on one trie leaf share one (termination, state) pair;
     # count the trials per pair and observe each final state once
     by_id = dict(zip(map(id, pairs), pairs))

@@ -25,10 +25,6 @@ class TypeMismatchError(CausalKitError):
         self.got = got
 
 
-class SchemaMismatchError(CausalKitError):
-    """Two states do not share a schema."""
-
-
 class UnsampleableFieldError(CausalKitError):
     def __init__(self, name: str, reason: str = "no declared domain"):
         super().__init__(f"field '{name}' cannot be sampled: {reason}")

@@ -45,9 +45,6 @@ from .lexer import tokenize
 
 DIST_NAMES = tuple(dict.fromkeys(name for name, _ in DRAWS))
 
-_BUILTIN_TYPES = ("real", "int", "bool", "complex",
-                  "vector", "list", "cgrid", "pwcollection")
-
 _CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
 
 # binding power of each binary operator; prefix '!' binds between '&&'

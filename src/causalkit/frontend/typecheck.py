@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 from .. import intrinsics
 from ..errors import BadParamError, EvalError, SchemaError
-from ..quantum import MAX_CELLS
+from ..intrinsics import NUMERIC
 from ..state import PAYLOAD_TYPES, Domain, StateSchema, TypeDesc
 from .ast_nodes import (
     Assign,
@@ -36,9 +36,6 @@ from .ast_nodes import (
     walk,
 )
 from .parser import parse_expression
-
-_NUMERIC = ("int", "real", "complex")   # each kind widens to the next
-_SCALAR_TYPE_NAMES = ("real", "int", "bool", "complex")
 
 RESERVED_NAMES = ("dt", "random", "true", "false")
 
@@ -109,13 +106,10 @@ def typecheck(ast: ModelAst, params: dict | None = None):
     if ast.halt is not None:
         _expect_bool(ast.halt, ctx("random-in-halt"), "halt condition")
 
-    seen = set()
     uses_random = {}
     for law in ast.laws:
-        if law.name in seen:
-            diags.append(Diagnostic("error", "duplicate-name",
-                                    f"duplicate law name '{law.name}'", law.loc))
-        seen.add(law.name)
+        _new_name(law.name, law.loc, uses_random, diags,
+                  f"law name '{law.name}'")
         typed = _expect_bool(law.guard, ctx("random-in-guard"),
                              f"guard of law '{law.name}'")
         # folding reads the types, so only a guard that typechecked folds
@@ -157,22 +151,35 @@ def check_standalone_expr(expr: Expr, schema: StateSchema,
 # --- declaration collection ---------------------------------------------------
 
 
+def _new_name(name: str, loc: Loc, seen, diags: list, what: str,
+              reserved: tuple = ()) -> bool:
+    """Whether a declaration of ``name`` may join ``seen``, the names
+    declared before it; if not, its diagnostic is kept: ``duplicate
+    <what>`` if ``seen`` holds it, else ``'<name>' is reserved`` if
+    ``reserved`` does."""
+    if name in seen:
+        diags.append(Diagnostic("error", "duplicate-name", f"duplicate {what}",
+                                loc))
+    elif name in reserved:
+        diags.append(Diagnostic("error", "reserved-name",
+                                f"'{name}' is reserved", loc))
+    else:
+        return True
+    return False
+
+
 def _collect_records(ast: ModelAst, const_ctx: _Ctx) -> dict:
     names = {r.name for r in ast.records}
     diags = const_ctx.diags
     records: dict = {}
     for r in ast.records:
-        if r.name in records:
-            diags.append(Diagnostic("error", "duplicate-name",
-                                    f"duplicate record '{r.name}'", r.loc))
+        if not _new_name(r.name, r.loc, records, diags, f"record '{r.name}'"):
             continue
         fields = []
         seen = set()
         for f in r.fields:
-            if f.name in seen:
-                diags.append(Diagnostic("error", "duplicate-name",
-                                        f"duplicate field '{f.name}' in record '{r.name}'",
-                                        f.loc))
+            if not _new_name(f.name, f.loc, seen, diags,
+                             f"field '{f.name}' in record '{r.name}'"):
                 continue
             seen.add(f.name)
             try:
@@ -196,17 +203,12 @@ def _collect_consts(ast: ModelAst, diags, params: dict) -> _Ctx:
     ctx = _Ctx({}, {}, {}, diags, "not-constant")
     consts_td, consts_val = ctx.consts, ctx.consts_val
     for c in ast.consts:
-        if c.name in consts_td:
-            diags.append(Diagnostic("error", "duplicate-name",
-                                    f"duplicate constant '{c.name}'", c.loc))
-            continue
-        if c.name in RESERVED_NAMES:
-            diags.append(Diagnostic("error", "reserved-name",
-                                    f"'{c.name}' is reserved", c.loc))
+        if not _new_name(c.name, c.loc, consts_td, diags,
+                         f"constant '{c.name}'", RESERVED_NAMES):
             continue
         try:
             td = _resolve_type(c.type_, record_names, ctx)
-            if td.kind not in _SCALAR_TYPE_NAMES:
+            if td.kind not in PAYLOAD_TYPES:
                 raise _err("bad-type", "constants must be scalar", c.loc)
             value = _constant(c.value, td, ctx, c)
             if c.name in params:
@@ -266,13 +268,8 @@ def _collect_fields(ast: ModelAst, bound_ctx: _Ctx) -> dict:
     records, diags = bound_ctx.records, bound_ctx.diags
     fields: dict = {}
     for f in ast.state_fields:
-        if f.name in fields:
-            diags.append(Diagnostic("error", "duplicate-name",
-                                    f"duplicate field '{f.name}'", f.loc))
-            continue
-        if f.name in RESERVED_NAMES:
-            diags.append(Diagnostic("error", "reserved-name",
-                                    f"'{f.name}' is reserved", f.loc))
+        if not _new_name(f.name, f.loc, fields, diags, f"field '{f.name}'",
+                         RESERVED_NAMES):
             continue
         try:
             td = _resolve_type(f.type_, set(records), bound_ctx)
@@ -288,7 +285,7 @@ def _resolve_type(t: TypeExpr, record_names: set, ctx: _Ctx) -> TypeDesc:
     """The type ``t`` names; its lengths, dx and list bound are constant
     expressions, folded in ``ctx``."""
     try:
-        if t.name in _SCALAR_TYPE_NAMES:
+        if t.name in PAYLOAD_TYPES:
             return TypeDesc(t.name)
         if t.name in ("vector", "cgrid"):
             arity = 1 if t.name == "vector" else 2
@@ -296,9 +293,6 @@ def _resolve_type(t: TypeExpr, record_names: set, ctx: _Ctx) -> TypeDesc:
                 raise _err("bad-type", f"{t.name} takes {arity} argument"
                            f"{'s' if arity > 1 else ''}", t.loc)
             length = _const_arg(t.args[0], ("int",), f"{t.name} length", ctx)
-            if length > MAX_CELLS:
-                raise _err("bad-type", f"{t.name} length must be at most "
-                           f"{MAX_CELLS}", t.loc)
             if t.name == "vector":
                 return TypeDesc.vector(length)
             dx = _const_arg(t.args[1], ("int", "real"), "cgrid dx", ctx)
@@ -342,17 +336,13 @@ def _attach_domain(td: TypeDesc, dom, ctx: _Ctx) -> TypeDesc:
             raise _err("bad-domain", "domain bounds must be constant", e.loc)
         return raw
 
-    if td.kind not in ("real", "int", "bool", "complex", "vector"):
-        raise _err("bad-domain", f"type {td} cannot carry a domain", dom.loc)
     try:
+        td.check_domain_shape(dom.kind != "interval")
         if dom.kind == "interval":
-            if td.kind in ("bool", "complex"):
-                raise _err("bad-domain",
-                           f"{td.kind} fields need a finite value set", dom.loc)
             domain = Domain(lo=fold(dom.items[0]), hi=fold(dom.items[1]))
         else:
             domain = Domain(values=tuple(fold(e) for e in dom.items))
-        return replace(td, domain=domain)   # TypeDesc converts it
+        return replace(td, domain=domain)   # TypeDesc checks and converts it
     except SchemaError as exc:
         raise _err("bad-domain", str(exc), dom.loc)
 
@@ -536,7 +526,7 @@ def _infer(e: Expr, ctx: _Ctx) -> TypeDesc:
     if isinstance(e, Unary):
         td = _check_expr(e.operand, ctx)
         if e.op == "-":
-            if td.kind not in _NUMERIC:
+            if td.kind not in NUMERIC:
                 raise _err("type-mismatch", f"cannot negate {td}", e.loc)
             return TypeDesc(td.kind)
         _expect_kind(td, "bool", e.loc, "operand of '!'")
@@ -600,10 +590,10 @@ def _element_type(base: TypeDesc, loc: Loc) -> TypeDesc:
 
 
 def _join_numeric(a: TypeDesc, b: TypeDesc, loc: Loc, what: str) -> str:
-    if a.kind not in _NUMERIC or b.kind not in _NUMERIC:
+    if a.kind not in NUMERIC or b.kind not in NUMERIC:
         raise _err("type-mismatch",
                    f"{what} needs numeric operands, got {a} and {b}", loc)
-    return max(a.kind, b.kind, key=_NUMERIC.index)
+    return max(a.kind, b.kind, key=NUMERIC.index)
 
 
 def _binary_type(e: Binary, ctx: _Ctx) -> TypeDesc:
@@ -646,7 +636,7 @@ def _list_lit_type(e: ListLit, ctx: _Ctx) -> TypeDesc:
     for td, item in zip(kinds[1:], e.items[1:]):
         if _same_shape(td, elem):
             continue
-        if td.kind in _NUMERIC and elem.kind in _NUMERIC:
+        if td.kind in NUMERIC and elem.kind in NUMERIC:
             elem = TypeDesc(_join_numeric(td, elem, item.loc, "list literal"))
             continue
         raise _err("type-mismatch", "list literal elements disagree", item.loc)
@@ -704,7 +694,7 @@ def _random_type(e: RandomExpr, ctx: _Ctx) -> TypeDesc:
                            "set elements must be int, real, or bool", item.loc)
         if "bool" in kinds and any(k != "bool" for k in kinds):
             raise _err("type-mismatch", "set elements disagree", range_.loc)
-        elem = "bool" if "bool" in kinds else max(kinds, key=_NUMERIC.index)
+        elem = "bool" if "bool" in kinds else max(kinds, key=NUMERIC.index)
         range_.ty = TypeDesc.list_of(TypeDesc(elem))
     draw = intrinsics.DRAWS.get((dist.name, shape))
     if draw is None:

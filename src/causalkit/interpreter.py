@@ -21,7 +21,7 @@ from .errors import (
 )
 from .jsontext import _float, _string, dumps_indented
 from .rng import RngStream, WordBlocks, categorical_indices, derive_seeds
-from .state import SystemState, check_values, state_to_json
+from .state import PAYLOAD_TYPES, SystemState, check_values, state_to_json
 
 # --- configuration and traces ---------------------------------------------------
 
@@ -235,8 +235,8 @@ class ReplaySource:
 
 # --- branching execution -----------------------------------------------------------
 
-# payload types whose repr tells apart every value they print apart
-_REPR_KEYED = frozenset((int, float, bool, complex))
+# scalar payload types: the repr of each tells apart what it prints apart
+_REPR_KEYED = frozenset(PAYLOAD_TYPES.values())
 
 
 def state_key(s: SystemState):

@@ -161,7 +161,7 @@ def unary(op: str, kind: str, loc=None):
 
 # --- language built-ins ---------------------------------------------------------
 
-_NUMBER = ("int", "real", "complex")
+NUMERIC = ("int", "real", "complex")   # each kind widens to the next
 _REAL = ("int", "real")
 _COLLECTION = ("list", "vector", "cgrid")
 
@@ -184,7 +184,7 @@ def _rule(kinds: tuple, what: str, result):
 
 def _check_sum(args, ctx):
     td = args[0]
-    if td.kind == "list" and td.element.kind in _NUMBER:
+    if td.kind == "list" and td.element.kind in NUMERIC:
         return TypeDesc(td.element.kind)
     _want(td, ("vector", "cgrid"), "a numeric list")
     return TypeDesc("real" if td.kind == "vector" else "complex")
@@ -260,7 +260,7 @@ def _real_of(fn):
 
 
 def _register_builtins():
-    number = (_NUMBER, "a number")
+    number = (NUMERIC, "a number")
     real = (_REAL, "int or real")
     cplx = (("complex",), "complex")
     for name, arity, check, impl in (
@@ -401,6 +401,6 @@ DRAWS = {
                              ("weight",), _weights, _REAL,
                              "weights must be real"),
     ("PSI", "set"): Draw(None, "PSI needs one amplitude per value",
-                         ("amplitude",), _psi, _NUMBER,
+                         ("amplitude",), _psi, NUMERIC,
                          "amplitudes must be numeric"),
 }

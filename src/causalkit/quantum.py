@@ -27,7 +27,7 @@ from .errors import (
 )
 from .intrinsics import Intrinsic, IntrinsicTypeError, neighbour_sum
 from .pw import PwCollection
-from .state import TypeDesc, VCGrid, VList, VPw, VRecord, VVector
+from .state import MAX_CELLS, TypeDesc, VCGrid, VList, VPw, VRecord, VVector
 
 # --- 1D Schrodinger evolution ----------------------------------------------------
 
@@ -373,11 +373,6 @@ def ca_world(cells: int, alpha: float) -> VRecord:
 # --- intrinsic registration ----------------------------------------------------------
 
 
-# the longest vector or cgrid, and the most cells or bins an intrinsic
-# builds: 16 MiB of complex cells
-MAX_CELLS = 2 ** 20
-
-
 def _want(cond: bool, msg: str):
     if not cond:
         raise IntrinsicTypeError(msg)
@@ -491,12 +486,12 @@ def _want_ca_world(records: dict, name: str, cells=None, exact=False):
     id, pos, vel and species, and ``alpha: real``. ``exact``: no other
     fields, and R is CaParticle, as ``ca_world`` builds them."""
     fields = dict(records[name])
-    phi, parts, alpha = (fields.get(f, TypeDesc("missing"))
-                         for f in ("phi", "particles", "alpha"))
-    _want(phi.kind == "vector" and cells in (None, phi.length),
+    # a field the record lacks is None
+    phi, parts, alpha = (fields.get(f) for f in ("phi", "particles", "alpha"))
+    _want(phi and phi.kind == "vector" and cells in (None, phi.length),
           f"record {name} needs phi: vector({cells or 'n'})")
-    _want(alpha.kind == "real", f"record {name} needs alpha: real")
-    _want(parts.kind == "list" and parts.element.kind == "record",
+    _want(alpha and alpha.kind == "real", f"record {name} needs alpha: real")
+    _want(parts and parts.kind == "list" and parts.element.kind == "record",
           f"record {name} needs particles: list of a particle record")
     particle = parts.element.record
     kinds = {f: td.kind for f, td in records.get(particle, ())}

@@ -30,10 +30,22 @@ from .errors import (
 from .pw import ATTR_KINDS, PwCollection
 from .rng import RngStream
 
+# the exact Python type of each scalar kind's payload, and back (bool is
+# a subclass of int, so payloads are told apart by exact type)
+PAYLOAD_TYPES = {"int": int, "real": float, "bool": bool, "complex": complex}
+_SCALAR_KIND = {t: k for k, t in PAYLOAD_TYPES.items()}
+# every kind of TypeDesc, and those whose fields may declare a domain
+_KINDS = (*PAYLOAD_TYPES, "vector", "cgrid", "list", "record", "pwcollection")
+_DOMAIN_KINDS = (*PAYLOAD_TYPES, "vector")
+# the longest vector or cgrid, and the most cells or bins an intrinsic
+# builds: 16 MiB of complex cells
+MAX_CELLS = 2 ** 20
+
 
 @dataclass(frozen=True)
 class Domain:
-    """Sampling/enumeration domain: a closed interval or a finite value set."""
+    """Sampling/enumeration domain as written: a closed interval or a
+    finite value set. ``of`` checks and converts it for a field's kind."""
 
     lo: float | None = None
     hi: float | None = None
@@ -45,13 +57,8 @@ class Domain:
                 raise SchemaError("finite domain must be non-empty")
             if self.lo is not None or self.hi is not None:
                 raise SchemaError("domain is either an interval or a finite set")
-        else:
-            if self.lo is None or self.hi is None:
-                raise SchemaError("interval domain needs both bounds")
-            if isinstance(self.lo, complex) or isinstance(self.hi, complex):
-                raise SchemaError("interval bounds must be real")
-            if not (self.lo <= self.hi):
-                raise SchemaError(f"empty interval domain [{self.lo}, {self.hi}]")
+        elif self.lo is None or self.hi is None:
+            raise SchemaError("interval domain needs both bounds")
 
     @property
     def is_finite(self) -> bool:
@@ -59,12 +66,17 @@ class Domain:
 
     def of(self, kind: str) -> "Domain":
         """This domain as a field of ``kind`` holds it, the one place a
-        domain is converted: a set holds the kind's payloads (1.0 for 1 in
-        a real set, True for 1 in a bool set), an int interval the exact
-        ints ceil(lo) to floor(hi); a real or vector interval keeps its
-        bounds (``_interval`` converts them). SchemaError for a complex or
-        non-int value where the kind holds none, or an int interval of no
-        int."""
+        domain is converted: an interval's bounds must be real and lo <=
+        hi; a set holds the kind's payloads (1.0 for 1 in a real set, True
+        for 1 in a bool set), an int interval the exact ints ceil(lo) to
+        floor(hi); a real or vector interval keeps its bounds (``_interval``
+        converts them). SchemaError for a complex or non-int value where
+        the kind holds none, or an int interval of no int."""
+        if not self.is_finite:
+            if isinstance(self.lo, complex) or isinstance(self.hi, complex):
+                raise SchemaError("interval bounds must be real")
+            if not (self.lo <= self.hi):
+                raise SchemaError(f"empty interval domain [{self.lo}, {self.hi}]")
         convert = PAYLOAD_TYPES.get(kind, float if kind == "vector" else None)
         if self.is_finite and convert is not None:
             if kind == "int" and not all(isinstance(v, numbers.Integral)
@@ -99,11 +111,14 @@ class TypeDesc:
     domain: Domain | None = None
 
     def __post_init__(self):
-        if self.domain is not None:
-            object.__setattr__(self, "domain", self.domain.of(self.kind))
+        if self.kind not in _KINDS:
+            raise SchemaError(f"unknown type kind '{self.kind}'")
         if self.kind in ("vector", "cgrid"):
             if self.length is None or self.length < 1:
                 raise SchemaError(f"{self.kind} length must be >= 1")
+            if self.length > MAX_CELLS:
+                raise SchemaError(f"{self.kind} length must be at most "
+                                  f"{MAX_CELLS}")
         if self.kind == "cgrid":
             if self.dx is None or not (self.dx > 0):
                 raise SchemaError("cgrid dx must be > 0")
@@ -116,6 +131,18 @@ class TypeDesc:
                         f"pwcollection attributes must be scalar, got {td.kind}")
         if self.bound is not None and self.bound < 0:
             raise SchemaError("list bound must be >= 0")
+        if self.domain is not None:
+            self.check_domain_shape(self.domain.is_finite)
+            object.__setattr__(self, "domain", self.domain.of(self.kind))
+
+    def check_domain_shape(self, finite: bool):
+        """SchemaError unless a field of this type may carry a value set
+        (``finite``) or an interval; the typechecker asks before it folds
+        the bounds, so a domain's shape is reported before its bounds."""
+        if self.kind not in _DOMAIN_KINDS:
+            raise SchemaError(f"type {self} cannot carry a domain")
+        if not finite and self.kind in ("bool", "complex"):
+            raise SchemaError(f"{self.kind} fields need a finite value set")
 
     @classmethod
     def real(cls, domain: Domain | None = None):
@@ -244,12 +271,6 @@ class Value:
     __slots__ = ()
 
 
-# the exact Python type of each scalar kind's payload, and back (bool is
-# a subclass of int, so payloads are told apart by exact type)
-PAYLOAD_TYPES = {"int": int, "real": float, "bool": bool, "complex": complex}
-_SCALAR_KIND = {t: k for k, t in PAYLOAD_TYPES.items()}
-
-
 # The composites a step builds most store through their slot descriptors,
 # as SystemState does, instead of a frozen __setattr__ per field.
 
@@ -324,11 +345,9 @@ def _check(value, td: TypeDesc, records: dict, where: str):
     elif kind == "cgrid":
         ok = (isinstance(value, VCGrid) and len(value.amps) == td.length
               and value.dx == td.dx)
-    elif kind == "pwcollection":
+    else:   # a pwcollection
         ok = isinstance(value, VPw) and value.pw.attr_decls == tuple(
             (n, t.kind) for n, t in td.attrs)
-    else:
-        raise SchemaError(f"unknown type kind '{kind}'")
     if not ok:
         raise TypeMismatchError(where, td, _describe(value))
     if kind == "list":
@@ -517,8 +536,6 @@ def _draw(td: TypeDesc, records: dict, name: str):
     if kind in PAYLOAD_TYPES:
         if td.domain is None:
             raise UnsampleableFieldError(name)
-        if kind == "complex" and not td.domain.is_finite:
-            raise UnsampleableFieldError(name, "complex needs a finite domain")
         leaf = _leaf(td.domain, kind, name)
         return (lambda u: leaf(u[:, 0])), 1
     if kind == "vector":
@@ -536,20 +553,18 @@ def _draw(td: TypeDesc, records: dict, name: str):
         return (lambda u: [VList(items) for items in
                            zip(*(_listed(item(u[:, a:b])) for a, b in spans))],
                 w * td.bound)
-    if kind == "record":
-        rec, parts, col = td.record, [], 0
-        for fname, ftd in records[rec]:
-            draw, w = _draw(ftd, records, f"{name}.{fname}")
-            parts.append((fname, draw, col, col + w))
-            col += w
-        names = [p[0] for p in parts]
+    rec, parts, col = td.record, [], 0   # a record
+    for fname, ftd in records[rec]:
+        draw, w = _draw(ftd, records, f"{name}.{fname}")
+        parts.append((fname, draw, col, col + w))
+        col += w
+    names = [p[0] for p in parts]
 
-        def draw_record(u):
-            columns = [_listed(draw(u[:, a:b])) for _, draw, a, b in parts]
-            return [VRecord(rec, dict(zip(names, row)))
-                    for row in _rows(columns, len(u))]
-        return draw_record, col
-    raise UnsampleableFieldError(name, f"cannot sample kind '{kind}'")
+    def draw_record(u):
+        columns = [_listed(draw(u[:, a:b])) for _, draw, a, b in parts]
+        return [VRecord(rec, dict(zip(names, row)))
+                for row in _rows(columns, len(u))]
+    return draw_record, col
 
 
 # the dtype of each scalar kind's column of payloads
@@ -584,8 +599,6 @@ def _leaf(domain: Domain, kind: str, name: str):
         return lambda u: [lo + min(int(x), n - 1)
                           for x in (u * scale).tolist()]
     lo, width = _interval(domain, name)
-    if kind == "bool":
-        return lambda u: lo + width * u != 0.0
     return lambda u: lo + width * u
 
 
@@ -768,6 +781,8 @@ def state_from_json(data: dict, schema: StateSchema) -> SystemState:
     if type(data) is not dict:
         raise TypeMismatchError("state", "a state object", _got(data))
     time = _real(data.get("time", _NOTHING), "time")
+    if not math.isfinite(time):
+        raise TypeMismatchError("time", "a finite value", time)
     values = data.get("values", _NOTHING)
     if type(values) is not dict:
         raise TypeMismatchError("values", "an object of field values",

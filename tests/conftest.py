@@ -78,11 +78,13 @@ def draws(model, rng, n: int) -> list:
 # --- oracles: exact comparisons that only tests make ---------------------------
 
 
+class SchemaMismatchError(Exception):
+    """``deep_equal`` was given two states that do not share a schema."""
+
+
 def deep_equal(a, b, tol: float = 0.0) -> bool:
     """Field-by-field equality of two states; floats compared within
     absolute tolerance."""
-    from causalkit import SchemaMismatchError
-
     if a.schema is not b.schema and a.schema != b.schema:
         raise SchemaMismatchError("states have different schemas")
     if not _close(a.time, b.time, tol):

@@ -1,4 +1,5 @@
 import json
+import runpy
 import sys
 import warnings
 
@@ -423,6 +424,16 @@ class TestListModels:
         assert code == 0
         names = out.strip().splitlines()
         assert "double_slit" in names and len(names) == 7
+
+    def test_run_as_a_script(self, capsys, monkeypatch):
+        # `python -m causalkit.cli` exits with main's status; the module is
+        # taken out of sys.modules first, as runpy warns of a loaded one
+        monkeypatch.delitem(sys.modules, "causalkit.cli")
+        monkeypatch.setattr(sys, "argv", ["cml", "list-models"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("causalkit.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == invoke(["list-models"], capsys)[1]
 
 
 class TestHistogram:

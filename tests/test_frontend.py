@@ -6,7 +6,18 @@ import pytest
 
 from causalkit import classify_determinism, load_model, parse, typecheck
 from causalkit.frontend import format_model, lower, structurally_equal
-from causalkit.frontend.ast_nodes import Binary, Loc, walk
+from causalkit.frontend.ast_nodes import (
+    Assign,
+    Binary,
+    DistExpr,
+    Expr,
+    Lit,
+    Loc,
+    Name,
+    Stmt,
+    format_expr,
+    walk,
+)
 from causalkit.frontend.parser import MAX_DEPTH, parse_expression
 
 from conftest import BROKEN, FIXTURES, fixture_source
@@ -162,6 +173,25 @@ class TestWalk:
         param = copy.deepcopy(ast)   # a bool field
         param.consts[0].param = not param.consts[0].param
         assert not structurally_equal(ast, param)
+        shorter = copy.deepcopy(ast)   # a list field
+        shorter.laws[0].body.pop()
+        assert not structurally_equal(ast, shorter)
+        renamed = copy.deepcopy(ast)   # a node of another class
+        renamed.laws[0].guard = Lit(renamed.laws[0].guard.loc, value=True,
+                                    kind="bool")
+        assert not structurally_equal(ast, renamed)
+
+    def test_a_node_of_no_known_class_is_not_formatted(self):
+        with pytest.raises(TypeError) as exc:
+            format_expr(Expr(Loc(1, 1)))
+        assert str(exc.value) == \
+            "cannot format <class 'causalkit.frontend.ast_nodes.Expr'>"
+        ast, _ = parse(MINIMAL)
+        ast.laws[0].body = [Stmt(Loc(1, 1))]
+        with pytest.raises(TypeError) as exc:
+            format_model(ast)
+        assert str(exc.value) == \
+            "cannot format <class 'causalkit.frontend.ast_nodes.Stmt'>"
 
 
 class TestTypecheck:
@@ -333,6 +363,135 @@ class TestTypecheck:
             == [("type-mismatch", "domain bound must be numeric, got bool",
                  30)]
 
+
+# each declaration, statement and expression diagnostic of the typechecker
+# that no broken fixture gives: (code, message, line, col)
+_MODEL = "model m { %s state { %s } init { %s }\nlaw L { when %s; then { %s } } }"
+TYPECHECK_DIAGNOSTICS = {
+    "duplicate-record": (
+        _MODEL % ("record R { a: int; } record R { b: int; }", "x: int;",
+                  "x = 0;", "true", ""),
+        ("duplicate-name", "duplicate record 'R'", 1, 32)),
+    "duplicate-member": (
+        _MODEL % ("record R { a: int; a: real; }", "x: int;", "x = 0;",
+                  "true", ""),
+        ("duplicate-name", "duplicate field 'a' in record 'R'", 1, 30)),
+    "duplicate-constant": (
+        _MODEL % ("const k: int = 1; const k: int = 2;", "x: int;", "x = 0;",
+                  "true", ""),
+        ("duplicate-name", "duplicate constant 'k'", 1, 29)),
+    "reserved-constant": (
+        _MODEL % ("const dt: real = 1.0;", "x: int;", "x = 0;", "true", ""),
+        ("reserved-name", "'dt' is reserved", 1, 11)),
+    "reserved-field": (
+        _MODEL % ("", "dt: real;", "", "true", ""),
+        ("reserved-name", "'dt' is reserved", 1, 20)),
+    "vector-constant": (
+        _MODEL % ("const v: vector(2) = 1.0;", "x: int;", "x = 0;", "true",
+                  ""),
+        ("bad-type", "constants must be scalar", 1, 11)),
+    "cgrid-arity": (
+        _MODEL % ("", "g: cgrid(8);", "", "true", ""),
+        ("bad-type", "cgrid takes 2 arguments", 1, 23)),
+    "vector-arity": (
+        _MODEL % ("", "g: vector(8, 2);", "", "true", ""),
+        ("bad-type", "vector takes 1 argument", 1, 23)),
+    "real-length": (
+        _MODEL % ("", "v: vector(1.5);", "", "true", ""),
+        ("bad-type", "vector length must be an int constant", 1, 30)),
+    "call-in-domain": (
+        _MODEL % ("", "x: real in [0, sqrt(2.0)];", "x = 0.0;", "true", ""),
+        ("bad-domain", "domain bounds must be constant", 1, 35)),
+    # a bool or complex field's domain must be a set, before its bounds
+    # are checked as an interval's
+    "bool-interval": (
+        _MODEL % ("", "b: bool in [true, false];", "b = true;", "true", ""),
+        ("bad-domain", "bool fields need a finite value set", 1, 31)),
+    "complex-interval": (
+        _MODEL % ("", "c: complex in [1i, 2i];", "c = 1i;", "true", ""),
+        ("bad-domain", "complex fields need a finite value set", 1, 34)),
+    # a domain's shape is checked before its bounds are
+    "bool-interval-of-ints": (
+        _MODEL % ("", "b: bool in [1, 2];", "b = true;", "true", ""),
+        ("bad-domain", "bool fields need a finite value set", 1, 31)),
+    "grid-domain-bound-not-constant": (
+        _MODEL % ("", "g: cgrid(8, 0.5) in [0, sqrt(2.0)];", "", "true", ""),
+        ("bad-domain", "type cgrid(8, 0.5) cannot carry a domain", 1, 40)),
+    "init-index": (
+        _MODEL % ("", "v: vector(2);", "v[0] = 1.0;", "true", ""),
+        ("bad-init", "init assigns whole fields only", 1, 44)),
+    "init-constant": (
+        _MODEL % ("const k: int = 1;", "x: int;", "k = 2; x = 0;", "true",
+                  ""),
+        ("assign-to-constant", "cannot assign to constant 'k'", 1, 54)),
+    "for-unknown-field": (
+        _MODEL % ("", "x: int;", "x = 0;", "true", "for y in zz { }"),
+        ("unknown-name", "unknown field 'zz'", 2, 36)),
+    "not-of-int": (
+        _MODEL % ("", "x: bool;", "x = !1;", "true", ""),
+        ("type-mismatch", "operand of '!' must be bool, got int", 1, 42)),
+    "negate-bool": (
+        _MODEL % ("", "x: bool;", "x = -true;", "true", ""),
+        ("type-mismatch", "cannot negate bool", 1, 42)),
+    "read-before-init": (
+        _MODEL % ("", "x: int; y: int;", "x = y; y = 0;", "true", ""),
+        ("unknown-name", "field 'y' read before initialization", 1, 49)),
+    "missing-member": (
+        _MODEL % ("record R { a: int; }", "r: R; x: int;", "x = 0;",
+                  "r.zz > 0", ""),
+        ("unknown-name", "record 'R' has no field 'zz'", 2, 16)),
+    "index-real": (
+        _MODEL % ("", "x: real;", "x = 0.0;", "x[0] > 0.0", ""),
+        ("type-mismatch", "cannot index real", 2, 15)),
+    "bool-order": (
+        _MODEL % ("", "x: int;", "x = 0;", "true < false", ""),
+        ("type-mismatch", "ordering needs int or real, got bool", 2, 14)),
+    "complex-power": (
+        _MODEL % ("", "x: complex;", "x = 1i ^ 2;", "true", ""),
+        ("type-mismatch", "'^' is not defined for complex (use exp/conj)",
+         1, 48)),
+    "empty-list": (
+        _MODEL % ("", "xs: list(int);", "xs = [];", "true", ""),
+        ("bad-expr", "cannot infer the type of an empty list", 1, 49)),
+    "list-items-disagree": (
+        _MODEL % ("", "xs: list(int);", "xs = [1, true];", "true", ""),
+        ("type-mismatch", "list literal elements disagree", 1, 53)),
+    "stochastic-call-in-guard": (
+        _MODEL % ("", "x: int;", "x = 0;", "pw_interact(1) == 1", ""),
+        ("random-in-guard",
+         "stochastic intrinsic 'pw_interact' is not allowed here", 2, 14)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TYPECHECK_DIAGNOSTICS))
+def test_typecheck_diagnostic_is_pinned(name):
+    source, want = TYPECHECK_DIAGNOSTICS[name]
+    assert diagnostics(source) == [want]
+
+
+# what no parsed source holds: a statement or expression of no known
+# kind, a distribution outside random(), an assignment to a literal
+@pytest.mark.parametrize("node, code, message, col", [
+    (Stmt(Loc(2, 26)), "internal",
+     "unknown statement <class 'causalkit.frontend.ast_nodes.Stmt'>", 26),
+    (Assign(Loc(2, 26), Name(Loc(2, 26), id="x"), Expr(Loc(2, 30))),
+     "internal",
+     "unknown expression <class 'causalkit.frontend.ast_nodes.Expr'>", 30),
+    (Assign(Loc(2, 26), Name(Loc(2, 26), id="x"),
+            DistExpr(Loc(2, 30), name="FLAT")),
+     "bad-expr", "distributions are only valid inside random()", 30),
+    (Assign(Loc(2, 26), Lit(Loc(2, 26), value=1, kind="int"),
+            Lit(Loc(2, 30), value=1, kind="int")),
+     "bad-target", "invalid assignment target", 26),
+], ids=["statement", "expression", "distribution", "target"])
+def test_a_hand_built_ast_gets_a_located_diagnostic(node, code, message, col):
+    ast, _ = parse("model m { state { x: int; } init { x = 0; }\n"
+                   "law L { when true; then { x = 1; } } }")
+    ast.laws[0].body = [node]
+    typed, diags = typecheck(ast)
+    assert typed is None
+    assert [(d.code, d.message, d.loc.line, d.loc.col) for d in diags] == \
+        [(code, message, 2, col)]
 
 class TestLower:
     def test_uses_random_flags(self):

@@ -25,7 +25,7 @@ from causalkit import (
 )
 from causalkit.engine import halts
 from causalkit.engine import step as engine_step
-from causalkit.errors import EvalError, MissingFieldError
+from causalkit.errors import EvalError, MissingFieldError, SinkError
 from causalkit.frontend.parser import parse_expression
 from causalkit.frontend.typecheck import check_standalone_expr
 from causalkit.interpreter import (
@@ -246,6 +246,21 @@ class TestWriteTrace:
     def test_unknown_format_is_refused(self):
         with pytest.raises(ValueError, match="^unknown trace format 'xml'$"):
             write_trace(self.trace(), "xml", io.BytesIO())
+
+    def test_text_sink(self):
+        # a sink that takes no bytes is given the text, and the count is
+        # still of the UTF-8 bytes
+        buf, data = io.StringIO(), io.BytesIO()
+        n = write_trace(self.trace(), "csv", buf)
+        write_trace(self.trace(), "csv", data)
+        assert buf.getvalue().encode() == data.getvalue()
+        assert n == len(data.getvalue())
+
+    def test_a_sink_that_cannot_be_written_is_refused(self):
+        with pytest.raises(SinkError) as exc:
+            write_trace(self.trace(), "csv", 42)
+        assert type(exc.value) is SinkError
+        assert str(exc.value) == "cannot write to 42"
 
     def test_file_sink(self, tmp_path):
         target = tmp_path / "trace.csv"

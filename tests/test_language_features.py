@@ -8,7 +8,6 @@ import pytest
 from causalkit import (
     RngStream,
     RunConfig,
-    SchemaMismatchError,
     SinkError,
     StateSchema,
     TypeDesc,
@@ -22,7 +21,7 @@ from causalkit import (
     write_trace,
 )
 
-from conftest import deep_equal
+from conftest import SchemaMismatchError, deep_equal
 
 
 def one_shot(field_decls, init, body, dt=1.0, assignments=None):

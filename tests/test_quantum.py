@@ -353,6 +353,23 @@ class TestCachedOperator:
         with pytest.raises(SolveError, match="singular matrix"):
             quantum._cyclic_solver(diag, 0j, 0j)
 
+    @pytest.mark.parametrize("dx, mass", [(1e-150, 1.0), (0.5, 1e-300)],
+                             ids=["tiny-dx", "tiny-mass"])
+    def test_an_overflowing_factor_raises(self, dx, mass):
+        # the kinetic term hbar^2 / (2 m dx^2) overflows the elimination
+        with pytest.raises(SolveError) as exc:
+            schrodinger_step(VCGrid(np.ones(8), dx), np.zeros(8), 0.01,
+                             mass=mass)
+        assert type(exc.value) is SolveError
+        assert str(exc.value) == "non-finite tridiagonal factor"
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan])
+    def test_a_step_that_is_not_positive_raises(self, dt):
+        with pytest.raises(ValueError) as exc:
+            schrodinger_step(VCGrid(np.ones(8), 0.5), np.zeros(8), dt)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "dt must be positive"
+
     @pytest.mark.parametrize("n", [3, 4, 16])
     def test_singular_cyclic_system_raises(self, n):
         # the periodic second difference: the modified tridiagonal factor
@@ -419,6 +436,23 @@ def test_gt_lapack_reuses_a_loaded_module():
     quantum._gt_lapack.cache_clear()
     gttrf, gttrs = quantum._gt_lapack()
     assert gttrf is _flapack.zgttrf and gttrs is _flapack.zgttrs
+
+
+def test_gt_lapack_loads_the_module_from_its_file(monkeypatch):
+    # the file load in this process (the probes above run it in a child):
+    # the routines it gives factor and solve, and the module it loaded is
+    # left out of sys.modules
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    gttrf, gttrs = quantum._gt_lapack.__wrapped__()
+    assert "scipy.linalg._flapack" not in sys.modules
+    band, diag = np.full(2, 1 + 0j), np.array([4, 5, 6], dtype=complex)
+    *factors, info = gttrf(band, diag, band)
+    assert info == 0
+    rhs = np.array([1, 2j, 3], dtype=complex)
+    x, info = gttrs(*factors, rhs)
+    assert info == 0
+    a = np.diag(diag) + np.diag(band, 1) + np.diag(band, -1)
+    assert np.allclose(a @ x, rhs, rtol=0, atol=1e-14)
 
 
 def one_particle_pw(paths):

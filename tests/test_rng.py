@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,6 +75,14 @@ class TestStreamBehavior:
         s = RngStream(8)
         seen = {s.randint_below(5) for _ in range(1000)}
         assert seen == {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_randint_below_an_empty_range_is_refused(self, n):
+        s = RngStream(8)
+        with pytest.raises(ValueError) as exc:
+            s.randint_below(n)
+        assert str(exc.value) == "n must be positive"
+        assert s.draw_count == 0
 
     def test_categorical_degenerate(self):
         s = RngStream(9)

@@ -35,7 +35,6 @@ from causalkit.analyzer import CheckStrategy, unsampleable_fields
 from causalkit.rng import derive_seed
 from causalkit.state import (
     PAYLOAD_TYPES,
-    check_value,
     value_from_json,
     value_to_json,
 )
@@ -176,7 +175,7 @@ class TestSchemaInvariants:
 
     def test_bad_domain(self):
         with pytest.raises(SchemaError):
-            Domain(lo=2.0, hi=-2.0)
+            TypeDesc.real(Domain(lo=2.0, hi=-2.0))
         with pytest.raises(SchemaError):
             Domain(values=())
 
@@ -337,9 +336,19 @@ class TestStateJson:
          "field 'n': expected int, got nothing"),
         ({"time": 0.0, "values": {"n": [1]}},
          "field 'n': expected a value object, got an array"),
+        # a time is finite, as a value is
+        ({"time": math.inf, "values": {"n": {"kind": "int", "v": 1}}},
+         "field 'time': expected a finite value, got inf"),
+        ({"time": math.nan, "values": {"n": {"kind": "int", "v": 1}}},
+         "field 'time': expected a finite value, got nan"),
+        (json.loads('{"time": 1e400, "values": {"n": {"kind": "int", '
+                    '"v": 1}}}'),
+         "field 'time': expected a finite value, got inf"),
+        ([], "field 'state': expected a state object, got an array"),
     ], ids=["no-time", "string-time", "no-values", "no-kind",
             "unknown-kind", "string-int", "fractional-int", "bool-int",
-            "no-payload", "not-an-object"])
+            "no-payload", "not-an-object", "infinite-time", "nan-time",
+            "overflowing-time", "not-a-state"])
     def test_malformed_json_is_refused_naming_the_field(self, data, message):
         with pytest.raises(TypeMismatchError) as exc:
             state_from_json(data, int_schema())
@@ -373,9 +382,25 @@ class TestStateJson:
             {"amp": [0.0, 1.0], "particles": []}]},
          "field 'f': expected one particle count >= 1 on every path, "
          "got [0, 1]"),
+        ({"kind": "vector", "v": 1.0},
+         "field 'f': expected an array of real numbers, got 1.0"),
+        ({"kind": "cgrid", "dx": 0.5, "re": {}, "im": []},
+         "field 'f': expected an array of real numbers, got an object"),
+        ({"kind": "pw", "attrs": [["slit"]], "paths": []},
+         "field 'f': expected [name, kind] attribute pairs, got an array"),
+        ({"kind": "pw", "attrs": [["slit", "int"]], "paths": [1]},
+         "field 'f': expected a path object, got 1"),
+        ({"kind": "pw", "attrs": [["slit", "int"]], "paths": [
+            {"amp": [1.0, 0.0], "particles": [1]}]},
+         "field 'f': expected a particle object, got 1"),
+        ({"kind": "pw", "attrs": [["slit", "int"]], "normalized": 1,
+          "paths": [{"amp": [1.0, 0.0], "particles": [{"slit": 0}]}]},
+         "field 'f': expected a bool for normalized, got 1"),
     ], ids=["string-real", "inexact-real", "int-bool", "no-im",
             "null-cell", "list-item", "record-member", "ragged-cgrid",
-            "no-paths", "short-amp", "ragged-particles"])
+            "no-paths", "short-amp", "ragged-particles", "scalar-vector",
+            "object-cgrid", "one-part-attr", "scalar-path",
+            "scalar-particle", "int-normalized"])
     def test_a_payload_that_does_not_fit_its_kind_is_refused(self, value,
                                                              message):
         with pytest.raises(TypeMismatchError) as exc:
@@ -750,16 +775,11 @@ def oracle_value(td: TypeDesc, schema: StateSchema, rng: RngStream,
     kind = td.kind
     if kind in ("cgrid", "pwcollection"):
         raise UnsampleableFieldError(name, f"{kind} fields are unsampleable")
-    if kind == "bool":
-        if td.domain is not None:
-            return bool(oracle_raw(td.domain, kind, rng, name))
+    if kind == "bool" and td.domain is None:
         return rng.randint_below(2) == 1
-    if kind in ("real", "int", "complex"):
+    if kind in PAYLOAD_TYPES:
         if td.domain is None:
             raise UnsampleableFieldError(name)
-        if kind == "complex" and not td.domain.is_finite:
-            raise UnsampleableFieldError(name, "complex needs a finite domain")
-        # a finite domain may list ints for a real or complex field
         return PAYLOAD_TYPES[kind](oracle_raw(td.domain, kind, rng, name))
     if kind == "vector":
         if td.domain is None or td.domain.is_finite:
@@ -837,7 +857,8 @@ def type_descs(draw, records, depth=0):
         return TypeDesc.vector(draw(st.integers(1, 3)), domain)
     if shape == "none" and kind != "complex":
         return TypeDesc(kind)
-    if shape == "finite" or kind == "complex":
+    # a bool or complex field's domain is a value set
+    if shape == "finite" or kind in ("bool", "complex"):
         values = draw(st.lists(FINITE[kind], min_size=1, max_size=4))
         return TypeDesc(kind, domain=Domain(values=tuple(values)))
     return TypeDesc(kind, domain=draw(interval(kind)))
@@ -967,10 +988,16 @@ def test_a_time_domain_wider_than_a_float_is_rejected():
      "list bound must be >= 0"),
     (lambda: StateSchema(fields={"l": TypeDesc("list")}), SchemaError,
      "l: list has no element type"),
-    (lambda: sample_state(StateSchema(fields={"z": TypeDesc(
-        "complex", domain=Domain(lo=0.0, hi=1.0))}), RngStream(0)),
-     UnsampleableFieldError,
-     "field 'z' cannot be sampled: complex needs a finite domain"),
+    (lambda: TypeDesc("complex", domain=Domain(lo=0.0, hi=1.0)), SchemaError,
+     "complex fields need a finite value set"),
+    # a bool interval, on which the sampler and enumerate would disagree
+    (lambda: TypeDesc("bool", domain=Domain(lo=1.0, hi=1.0)), SchemaError,
+     "bool fields need a finite value set"),
+    (lambda: TypeDesc("cgrid", length=8, dx=0.5,
+                      domain=Domain(lo=0.0, hi=1.0)),
+     SchemaError, "type cgrid(8, 0.5) cannot carry a domain"),
+    (lambda: TypeDesc.vector(2 ** 20 + 1), SchemaError,
+     "vector length must be at most 1048576"),
     # int bounds whose width no float holds
     (lambda: sample_state(StateSchema(fields={"x": TypeDesc.real(
         Domain(lo=0, hi=10**400))}), RngStream(0)),
@@ -986,13 +1013,13 @@ def test_a_time_domain_wider_than_a_float_is_rejected():
      "unsupported value type <class 'object'>"),
     (lambda: value_from_json({"kind": "tensor"}), TypeMismatchError,
      "field 'value': expected a value kind, got 'tensor'"),
-    (lambda: check_value(1, TypeDesc("tensor"), int_schema()), SchemaError,
-     "unknown type kind 'tensor'"),
+    (lambda: TypeDesc("tensor"), SchemaError, "unknown type kind 'tensor'"),
 ], ids=["set-and-bounds", "one-bound", "no-pw-attribute", "pw-vector",
         "negative-bound", "list-no-element", "complex-interval",
-        "wide-int-bounds", "infinite-int-bound", "complex-in-vector-set",
+        "bool-interval", "cgrid-domain", "long-vector", "wide-int-bounds",
+        "infinite-int-bound", "complex-in-vector-set",
         "complex-time", "to-json-object", "from-json-tensor",
-        "walk-tensor"])
+        "unknown-kind"])
 def test_api_refusals(make, error, text):
     with pytest.raises(error) as exc:
         make()
