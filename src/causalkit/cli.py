@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -275,11 +276,15 @@ def _bin_outcomes(outcomes, bins):
     hi = max(outcomes)
     if lo == hi:
         return [(format_scalar(lo), sum(outcomes.values()))]
-    width = (hi - lo) / n
+    # binned at scale h: 1 leaves every value as it is (an int stays
+    # exact), 0.5 keeps hi - lo finite where it overflows a float
+    h = 1 if math.isfinite(hi - lo) else 0.5
+    width = (hi * h - lo * h) / n
     counts = [0] * n
     for v, count in outcomes.items():
-        counts[min(int((v - lo) / width), n - 1)] += count
-    return [(format_scalar(lo + (i + 0.5) * width), c) for i, c in enumerate(counts)]
+        counts[min(int((v * h - lo * h) / width), n - 1)] += count
+    return [(format_scalar((lo * h + (i + 0.5) * width) / h), c)
+            for i, c in enumerate(counts)]
 
 
 def main(argv=None) -> int:

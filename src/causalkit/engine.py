@@ -35,7 +35,9 @@ from .errors import (
     MultipleApplicableError,
     NoApplicableLawError,
 )
-from .frontend.ast_nodes import Assign, Loc, Member, Name, SetLit, format_expr
+from .frontend.ast_nodes import (
+    Assign, Loc, Member, Name, SetLit, format_expr, walk)
+from .frontend.typecheck import retyped
 from .state import (
     PAYLOAD_TYPES,
     StateSchema,
@@ -110,11 +112,12 @@ class CausalModel:
 #
 # An _Emitter walks the typed AST once and writes Python source; see
 # "Generated code" in docs/design_notes.md. The typechecker has fixed every
-# node's type and rejected every node out of place, so nothing is checked
-# again here. A scalar text gives a payload of exactly its kind's Python
-# type, any other a Value; an int is promoted to real or complex, or a real
-# to complex, only where the static kinds differ: at a write, a list
-# literal's item or a random value set's member.
+# node's type, folded every constant expression and rejected every node out
+# of place, so nothing is checked or evaluated again here. A scalar text
+# gives a payload of exactly its kind's Python type, any other a Value; an
+# int is promoted to real or complex, or a real to complex, only where the
+# static kinds differ: at a write, a list literal's item or a random value
+# set's member.
 
 _SERIAL = itertools.count(1)
 # Python allows 20 statically nested loops and trys in one function; a
@@ -226,8 +229,6 @@ class _Emitter:
                        check_value=check_value, rnd=None, dt=None)
         self.field_locals = {n: f"f{i}" for i, n in enumerate(schema.fields)}
         self.schema = schema
-        self.consts = {n: v for n, (_, v) in schema.constants.items()}
-        self.known: dict = {}     # text of a folded constant -> its value
         self.bound: dict = {}     # id or (line, col) of a bound object -> name
         self.serial = itertools.count()
         self.holes = None         # while a run's template is emitted: what
@@ -282,33 +283,45 @@ class _Emitter:
         return f"h{len(self.holes) - 1}"
 
     def const(self, value) -> str:
+        """A payload's text; while a run's template is emitted, an int is a
+        hole (``vary``)."""
         t = type(value)
+        if t is int and self.holes is not None:
+            return self.vary(value)
         if t is bool or t is int or t is float and math.isfinite(value):
             text = repr(value)
-            if text.startswith("-"):
-                text = f"({text})"
-        else:
-            text = self.bind(value)
-        self.known[text] = value
-        return text
+            return f"({text})" if text.startswith("-") else text
+        return self.bind(value)
+
+    def folded(self, e, kind: str):
+        """The payload of ``kind`` (an int promoted to real or complex, a
+        real to complex) that ``promoted`` gives as a constant's text for
+        ``e``; None if it gives another: ``e`` is not constant, or is an
+        int, a hole while a run's template is emitted."""
+        value = e.const
+        if value is None or type(value) is int and self.holes is not None:
+            return None
+        if e.ty.kind == kind or kind not in PAYLOAD_TYPES:
+            return value
+        return PAYLOAD_TYPES[kind](value)
 
     def promoted(self, e, kind: str) -> str:
         """``e``'s text, giving a value of ``kind``."""
-        text = self.expr(e)
         if e.ty.kind == kind or kind not in PAYLOAD_TYPES:
-            return text
-        t = PAYLOAD_TYPES[kind]
-        return self.apply(t, text)
+            return self.expr(e)
+        value = self.folded(e, kind)
+        if value is None:
+            return self.apply(PAYLOAD_TYPES[kind], self.expr(e))
+        return self.const(value)
 
     # --- expressions: one method per node type ---------------------------
 
     def expr(self, e) -> str:
+        """``e``'s text: that of the constant the typechecker folded it to
+        (a literal's, typed or not), else its node type's."""
+        if e.const is not None:
+            return self.const(e.const)
         return getattr(self, "_" + type(e).__name__)(e)
-
-    def _Lit(self, e):
-        if self.holes is not None and type(e.value) is int:
-            return self.vary(e.value)
-        return self.const(e.value)
 
     def _Name(self, e):
         name = e.id
@@ -318,21 +331,15 @@ class _Emitter:
             if not self.reads_state:
                 return f"v[{name!r}]"
             return self.reads.setdefault(name, self.field_locals[name])
-        if name in self.consts:
-            return self.const(self.consts[name])
+        if name in self.schema.constants:   # a name never typed
+            return self.const(self.schema.constants[name][1])
         # dt, the one other name a transition can read
         self.dt_read = self.dt_read or e.loc
         return "dt"
 
     def apply(self, fn, *args) -> str:
-        """``fn`` over the operands' texts: folded when every operand is
-        constant (unless fn raises, which is then left to run time), else
-        its inline text or a call of it."""
-        if all(a in self.known for a in args):
-            try:
-                return self.const(fn(*(self.known[a] for a in args)))
-            except Exception:
-                pass
+        """``fn`` over the operands' texts: its inline text or a call of
+        it."""
         template = intrinsics.INLINE.get(fn, (None, None))[self.column]
         if template is None:
             return f"{self.vary(fn, '_f')}({', '.join(args)})"
@@ -346,8 +353,8 @@ class _Emitter:
         op = e.op
         left, right = self.expr(e.left), self.expr(e.right)
         if op in ("&&", "||"):
-            if left in self.known:   # decided by the left, or the right
-                return right if self.known[left] == (op == "&&") else left
+            if e.left.const is not None:   # true && x, false || x: x
+                return right
             return intrinsics.INLINE[op][self.column].format(left, right)
         return self.apply(intrinsics.binary(op, e.ty.kind, e.loc), left, right)
 
@@ -374,9 +381,9 @@ class _Emitter:
         isfinite = self.ns[_FINITE[kind]] if kind in _FINITE else None
         items = []
         for x in e.items:
-            text = self.promoted(x, kind)
+            text, value = self.promoted(x, kind), self.folded(x, kind)
             if isfinite is not None and not (
-                    text in self.known and isfinite(self.known[text])):
+                    value is not None and isfinite(value)):
                 check = _finite(isfinite, x, "in a list literal")
                 text = f"{self.vary(check, '_o')}({text})"
             items.append(text)
@@ -394,12 +401,15 @@ class _Emitter:
         args = [self.expr(a) for a in e.dist.args]
         n = len(args)
         names = draw.names * n if draw.arity is None else draw.names
+        items = () if range_ is None else range_.items
+        values = [x.const for x in (*e.dist.args, *items)]
         if isinstance(range_, SetLit):
             kind = range_.ty.element.kind
-            args += [self.promoted(x, kind) for x in range_.items]
-            names += ("value",) * len(range_.items)
+            args += [self.promoted(x, kind) for x in items]
+            names += ("value",) * len(items)
+            values[n:] = [self.folded(x, kind) for x in items]
         elif range_ is not None:
-            args += [self.expr(x) for x in range_.items]
+            args += [self.expr(x) for x in items]
             names += ("lo", "hi")
 
         def prepare(*args):
@@ -408,10 +418,9 @@ class _Emitter:
                     raise EvalError(f"random: non-finite {name} {x}", loc)
             return draw.build(args[:n], args[n:], loc)
         sampler = f"{self.vary(prepare, '_p')}({', '.join(args)})"
-        if all(a in self.known for a in args):
+        if None not in values:
             try:
-                sampler = self.vary(prepare(*(self.known[a] for a in args)),
-                                    "_s")
+                sampler = self.vary(prepare(*values), "_s")
             except EvalError:
                 pass
         return (f"({sampler}(rnd) if rnd is not None else "
@@ -430,15 +439,16 @@ class _Emitter:
         self.depth -= depth
         self.locals = outer
 
-    def checked(self, text: str, kind: str, loc, where: str = "") -> str:
+    def checked(self, text: str, kind: str, loc, where: str = "",
+                value=None) -> str:
         """A local holding ``text``'s value, checked to be finite if
         ``kind`` is real, complex, vector or cgrid (EvalError "non-finite
-        value <v> <where>"). A constant that passes, and an unchecked
-        local (no local is assigned twice in a statement), are used as
-        they are."""
+        value <v> <where>"). The text of a constant ``value`` that passes
+        (a promotion keeps it finite), and an unchecked local (no local is
+        assigned twice in a statement), are used as they are."""
         isfinite = _FINITE.get(kind)
-        if text in self.known and (
-                isfinite is None or self.ns[isfinite](self.known[text])):
+        if value is not None and (
+                isfinite is None or self.ns[isfinite](value)):
             return text
         if isfinite is None and text.isidentifier():
             return text
@@ -451,7 +461,7 @@ class _Emitter:
 
     def write_value(self, e, kind: str, loc, target: str) -> str:
         return self.checked(self.promoted(e, kind), kind, loc,
-                            f"written to '{target}'")
+                            f"written to '{target}'", value=e.const)
 
     def _Assign(self, s):
         """The value stored into the post-state dict ``n``, a path by
@@ -476,7 +486,8 @@ class _Emitter:
                 return root, [("list", index, t.loc)]
             return t.id, []
         part = (repr(t.name) if isinstance(t, Member)
-                else self.checked(self.expr(t.index), "int", t.loc))
+                else self.checked(self.expr(t.index), "int", t.loc,
+                                  value=t.index.const))
         root, base = self.target(t.obj)
         return root, base + [(t.obj.ty.kind, part, t.loc)]
 
@@ -498,10 +509,9 @@ class _Emitter:
                f"{self.bind(at)})"
 
     def _If(self, s):
-        cond = self.expr(s.cond)
-        if cond in self.known:
-            return self.block(s.then if self.known[cond] else s.orelse, 0)
-        self.line(f"if {cond}:", s.loc)
+        if s.cond.const is not None:
+            return self.block(s.then if s.cond.const else s.orelse, 0)
+        self.line(f"if {self.expr(s.cond)}:", s.loc)
         self.block(s.then)
         if s.orelse:
             self.line("else:")
@@ -527,12 +537,10 @@ class _Emitter:
         del self.locals[s.var]
 
     def _Let(self, s):
-        value = self.expr(s.value)
-        if value not in self.known:
-            local = self.name("l")
+        if s.value.const is None:   # a constant is folded where it is read
+            value, local = self.expr(s.value), self.name("l")
             self.line(f"{local} = {value}", s.loc)
-            value = local
-        self.locals[s.name] = (value, None, None)
+            self.locals[s.name] = (local, None, None)
 
     # --- functions -----------------------------------------------------------
 
@@ -622,7 +630,24 @@ def _compile_model(model: CausalModel):
 
     strict: every guard is evaluated and exactly one must hold (else the
     state is the witness); first-match: the first law whose guard holds.
-    A guard's EvalError leaves with its law's name."""
+    A guard's EvalError leaves with its law's name.
+
+    Parts typed under other constant values than the schema's (a
+    constant's name folded to another payload object) are typed again as
+    copies, so a model folds its own."""
+    consts = model.schema.constants
+    if any(type(n) is Name and n.const is not None and n.id in consts
+           and n.const is not consts[n.id][1] for n in walk(
+               [[law.guard, law.transition] for law in model.laws]
+               + [e for _, e in model.init] + [model.halt])):
+        again = functools.partial(retyped, schema=model.schema)
+        object.__setattr__(model, "laws", tuple(dataclasses.replace(
+            law, guard=again(law.guard), transition=again(law.transition))
+            for law in model.laws))
+        object.__setattr__(model, "init", tuple(
+            (name, again(e)) for name, e in model.init))
+        if model.halt is not None:
+            object.__setattr__(model, "halt", again(model.halt))
     em = _Emitter(model.schema)
     lines, reads, strict, first, hits = [], {}, [], [], []
     for i, law in enumerate(model.laws):

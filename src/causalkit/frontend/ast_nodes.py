@@ -31,13 +31,20 @@ class Diagnostic:
 @dataclass
 class Expr:
     loc: Loc
-    ty: object = field(default=None, repr=False, compare=False)  # set by typecheck
+    # set by typecheck: the type, and the payload of a constant expression
+    # or the message of the evaluation in it that failed
+    ty: object = field(default=None, repr=False, compare=False)
+    const: object = field(default=None, repr=False, compare=False)
+    const_error: str | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
 class Lit(Expr):
     value: object = None   # int | float | bool | complex
     kind: str = ""         # "int" | "real" | "bool" | "complex"
+
+    def __post_init__(self):   # a literal is constant, typed or not
+        self.const = self.value
 
 
 @dataclass
@@ -201,10 +208,10 @@ class ModelAst:
 
 # --- traversal and structural equality (both skip locations and types) ------
 
-# node class (each dataclass above) -> its fields but loc and ty, in
-# declaration order
+# node class (each dataclass above) -> its fields but loc and those the
+# typechecker sets (compare=False), in declaration order
 _FIELDS = {cls: tuple(f.name for f in dc_fields(cls)
-                      if f.name not in ("loc", "ty"))
+                      if f.name != "loc" and f.compare)
            for cls in list(globals().values())
            if isinstance(cls, type) and is_dataclass(cls)}
 # node class -> those of its fields that can hold a node (not a str or bool

@@ -6,6 +6,7 @@ assignments only to state fields).
 from __future__ import annotations
 
 import cmath
+import copy
 from dataclasses import dataclass, field, replace
 
 from .. import intrinsics
@@ -67,7 +68,7 @@ class _Ctx:
     # are banned, and this is the diagnostic code a draw gets
     ban: str | None
     locals: dict = field(default_factory=dict)   # loop variable -> TypeDesc
-    lets: dict = field(default_factory=dict)     # let name -> TypeDesc
+    lets: dict = field(default_factory=dict)     # let name -> its typed value
     init_assigned: set | None = None  # init context: fields readable so far
     consts_val: dict = field(default_factory=dict)  # name -> payload
 
@@ -112,8 +113,7 @@ def typecheck(ast: ModelAst, params: dict | None = None):
                   f"law name '{law.name}'")
         typed = _expect_bool(law.guard, ctx("random-in-guard"),
                              f"guard of law '{law.name}'")
-        # folding reads the types, so only a guard that typechecked folds
-        if typed and const_fold(law.guard, consts_val) is False:
+        if typed and law.guard.const is False:
             diags.append(Diagnostic("warning", "guard-never-true",
                                     f"guard of law '{law.name}' is constantly false",
                                     law.guard.loc))
@@ -146,6 +146,22 @@ def check_standalone_expr(expr: Expr, schema: StateSchema,
         return _check_expr(expr, ctx or standalone_context(schema)), []
     except _Fail as f:
         return None, [f.diag]
+
+
+def retyped(node, schema: StateSchema):
+    """A copy of the typed expression or statement list ``node``, typed
+    and folded again against ``schema``: how a model runs laws typed under
+    other constant values with its own. A type rule that its values break
+    raises ValueError."""
+    node, ctx = copy.deepcopy(node), replace(standalone_context(schema),
+                                             ban=None)
+    try:
+        (_check_block if isinstance(node, list) else _check_expr)(node, ctx)
+    except _Fail as fail:
+        ctx.diags.append(fail.diag)
+    if ctx.diags:
+        raise ValueError(f"{ctx.diags[0].message} at {ctx.diags[0].loc}")
+    return node
 
 
 # --- declaration collection ---------------------------------------------------
@@ -222,13 +238,10 @@ def _collect_consts(ast: ModelAst, diags, params: dict) -> _Ctx:
 
 def _constant(e: Expr, td: TypeDesc, ctx: _Ctx, c):
     """The payload of constant ``c`` with initializer ``e`` of type ``td``."""
+    what = f"initializer of constant '{c.name}'"
     value_td = _check_expr(e, ctx)
-    raw = _fold_constant(e, ctx.consts_val,
-                         f"initializer of constant '{c.name}'")
-    if raw is None:
-        raise _err("not-constant",
-                   f"initializer of constant '{c.name}' is not constant",
-                   e.loc)
+    raw = _fold_constant(e, what, _err("not-constant",
+                                       f"{what} is not constant", e.loc))
     _require_assignable(value_td, td, c.loc, f"constant '{c.name}'")
     return PAYLOAD_TYPES[td.kind](raw)
 
@@ -249,14 +262,15 @@ def _param_value(text: str, td: TypeDesc, ctx: _Ctx, c):
     raise BadParamError(f"bad value for parameter '{c.name}': {text!r}")
 
 
-def _fold_constant(e: Expr, consts_val: dict, what: str):
-    """Fold the typed constant expression ``e``, or None if it reads
-    anything but constants; a failing evaluation or a non-finite value is
-    a bad-constant diagnostic about ``what``."""
-    try:
-        raw = _fold(e, consts_val)
-    except EvalError as exc:
-        raise _err("bad-constant", f"{what}: {exc.message}", e.loc)
+def _fold_constant(e: Expr, what: str, unfolded: _Fail):
+    """What the typed constant expression ``e`` folded to; ``unfolded`` if
+    it reads anything but constants. A failing evaluation or a non-finite
+    value is a bad-constant diagnostic about ``what``."""
+    if e.const_error is not None:
+        raise _err("bad-constant", f"{what}: {e.const_error}", e.loc)
+    raw = e.const
+    if raw is None:
+        raise unfolded
     if isinstance(raw, (float, complex)) and not cmath.isfinite(raw):
         raise _err("bad-constant", f"{what}: non-finite value {raw}", e.loc)
     return raw
@@ -315,13 +329,11 @@ def _resolve_type(t: TypeExpr, record_names: set, ctx: _Ctx) -> TypeDesc:
 
 def _const_arg(e: Expr, kinds: tuple, what: str, ctx: _Ctx):
     """A type argument: a constant of one of ``kinds``, folded."""
-    td = _check_expr(e, ctx)
-    raw = _fold_constant(e, ctx.consts_val, what) if td.kind in kinds \
-        else None
-    if raw is None:
-        raise _err("bad-type", f"{what} must be an {' or '.join(kinds)} "
-                   "constant", e.loc)
-    return raw
+    wrong = _err("bad-type", f"{what} must be an {' or '.join(kinds)} "
+                 "constant", e.loc)
+    if _check_expr(e, ctx).kind not in kinds:
+        raise wrong
+    return _fold_constant(e, what, wrong)
 
 
 def _attach_domain(td: TypeDesc, dom, ctx: _Ctx) -> TypeDesc:
@@ -331,10 +343,8 @@ def _attach_domain(td: TypeDesc, dom, ctx: _Ctx) -> TypeDesc:
             want = "bool" if td.kind == "bool" else "numeric"
             raise _err("type-mismatch",
                        f"domain bound must be {want}, got {bound_td}", e.loc)
-        raw = _fold_constant(e, ctx.consts_val, "domain bound")
-        if raw is None:
-            raise _err("bad-domain", "domain bounds must be constant", e.loc)
-        return raw
+        return _fold_constant(e, "domain bound", _err(
+            "bad-domain", "domain bounds must be constant", e.loc))
 
     try:
         td.check_domain_shape(dom.kind != "interval")
@@ -389,9 +399,9 @@ def _check_stmt(stmt, ctx: _Ctx):
             value_td = _check_expr(stmt.value, ctx)
             _require_assignable(value_td, target_td, stmt.loc, "assignment")
         elif isinstance(stmt, Let):
-            td = _check_expr(stmt.value, ctx)
+            _check_expr(stmt.value, ctx)
             _check_new_name(stmt.name, stmt.loc, ctx, "let")
-            ctx.lets[stmt.name] = td
+            ctx.lets[stmt.name] = stmt.value
         elif isinstance(stmt, For):
             _check_for(stmt, ctx)
         elif isinstance(stmt, If):
@@ -506,9 +516,35 @@ def _expect_kind(td: TypeDesc, kind: str, loc: Loc, what: str):
 
 
 def _check_expr(e: Expr, ctx: _Ctx) -> TypeDesc:
-    td = _infer(e, ctx)
-    e.ty = td
-    return td
+    """Type ``e``, then fold it from its operands: ``e.const`` is its
+    payload, None if it reads anything but constants (a let reads as its
+    value), and ``e.const_error`` the message of an evaluation in it that
+    failed, kept as a string (the exception would hold this frame, a
+    reference cycle). && and || short-circuit, as a run does."""
+    e.ty = _infer(e, ctx)
+    e.const = e.const_error = None
+    if isinstance(e, Lit):
+        e.const = e.value
+    elif isinstance(e, Name):
+        let = ctx.lets.get(e.id)
+        e.const = ctx.consts_val.get(e.id) if let is None else let.const
+    elif isinstance(e, (Unary, Binary)):
+        args = [e.operand] if isinstance(e, Unary) else [e.left, e.right]
+        if e.op in ("&&", "||") and e.left.const == (e.op == "||"):
+            args = [e.left]   # a left that decides is the value
+        stop = next((x for x in args if x.const is None), None)
+        if stop is not None:   # not constant, or failed
+            e.const_error = stop.const_error
+        elif e.op in ("&&", "||"):
+            e.const = args[-1].const
+        else:
+            fn = (intrinsics.unary if len(args) == 1 else intrinsics.binary)(
+                e.op, e.ty.kind, e.loc)
+            try:
+                e.const = fn(*(x.const for x in args))
+            except EvalError as exc:
+                e.const_error = exc.message
+    return e.ty
 
 
 def _infer(e: Expr, ctx: _Ctx) -> TypeDesc:
@@ -552,7 +588,7 @@ def _lookup(e: Name, ctx: _Ctx) -> TypeDesc:
     if e.id in ctx.locals:
         return ctx.locals[e.id]
     if e.id in ctx.lets:
-        return ctx.lets[e.id]
+        return ctx.lets[e.id].ty
     if e.id in ctx.consts:
         return ctx.consts[e.id]
     if e.id in ctx.fields:
@@ -656,9 +692,7 @@ def _call_type(e: Call, ctx: _Ctx) -> TypeDesc:
         raise _err("bad-arity", f"{f} takes {intr.arity} "
                    f"argument{'s' if intr.arity != 1 else ''}", e.loc)
     try:
-        check_ctx = intrinsics.CheckContext(
-            e.args, lambda ex: const_fold(ex, ctx.consts_val), ctx.records)
-        td = intr.check(args, check_ctx)
+        td = intr.check(args, intrinsics.CheckContext(e.args, ctx.records))
     except intrinsics.IntrinsicTypeError as exc:
         raise _err("type-mismatch", f"{f}: {exc}", e.loc)
     if td.kind == "record" and td.record not in ctx.records:
@@ -708,46 +742,8 @@ def _random_type(e: RandomExpr, ctx: _Ctx) -> TypeDesc:
         if a.ty.kind not in draw.kinds:
             raise _err("type-mismatch", draw.kind_error, a.loc)
     if shape == "interval":
-        lo, hi = (const_fold(item, ctx.consts_val) for item in range_.items)
+        lo, hi = (item.const for item in range_.items)
         if lo is not None and hi is not None and not lo < hi:
             raise _err("bad-random", f"{draw.what} requires lo < hi, got lo "
                        f"{float(lo)} and hi {float(hi)}", range_.loc)
     return range_.ty.element if shape == "set" else TypeDesc("real")
-
-
-# --- constant folding ------------------------------------------------------------
-
-
-def const_fold(e: Expr, consts_val: dict):
-    """Fold a typed expression to a payload, or None if it is not
-    constant or fails. ``consts_val`` maps constant names to payloads."""
-    try:
-        return _fold(e, consts_val)
-    except EvalError:
-        return None
-
-
-def _fold(e: Expr, consts_val: dict):
-    """Fold a typed expression as the generated code evaluates it:
-    None if it reads anything but constants; a failure raises EvalError."""
-    if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, Name):
-        return consts_val.get(e.id)
-    if isinstance(e, Unary):
-        x = _fold(e.operand, consts_val)
-        if x is None:
-            return None
-        return intrinsics.unary(e.op, e.ty.kind, e.loc)(x)
-    if isinstance(e, Binary):
-        left = _fold(e.left, consts_val)
-        if left is None:
-            return None
-        # && and || short-circuit, as the generated code does
-        if e.op == "&&" and not left or e.op == "||" and left:
-            return left
-        right = _fold(e.right, consts_val)
-        if right is None or e.op in ("&&", "||"):
-            return right
-        return intrinsics.binary(e.op, e.ty.kind, e.loc)(left, right)
-    return None

@@ -5,9 +5,10 @@ An intrinsic bundles its arity, a type rule, a runtime implementation and
 a stochastic flag (stochastic intrinsics make a law count as random).
 The language built-ins are registered below; the quantum kit registers
 its numeric intrinsics on import. ``binary`` gives what an operator
-computes, for the compiler and the typechecker's constant folder alike,
-and ``INLINE`` the Python texts the compiler emits for one that cannot
-fail, over payloads and over numpy columns. ``DRAWS`` holds the six
+computes: the typechecker folds each constant expression with it, and
+the compiler emits the value it found, or else a call of the function
+or, for one that cannot fail, its ``INLINE`` text, over payloads and
+over numpy columns. ``DRAWS`` holds the six
 forms of ``random(...)``, which the parser, the typechecker and the
 compiler all read.
 """
@@ -32,16 +33,15 @@ class IntrinsicTypeError(Exception):
 
 @dataclass
 class CheckContext:
-    """Lets a type rule inspect argument expressions (constant folding)
-    and the model's record declarations."""
+    """Lets a type rule read the constants its arguments folded to and
+    the model's record declarations."""
 
-    exprs: list
-    fold_expr: Callable
+    exprs: list     # the typed argument expressions
     records: dict   # name -> ((field, TypeDesc), ...)
 
     def fold(self, i: int):
-        """Literal value of argument i, or None if not a constant."""
-        return self.fold_expr(self.exprs[i])
+        """The payload argument i folded to, or None if not a constant."""
+        return self.exprs[i].const
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ INLINE.update({"&&": ("({} and {})", "({} & {})"),
 
 def binary(op: str, kind: str, loc=None):
     """The function (a, b) -> ``a op b`` for a typed ``op`` whose result
-    has ``kind``, the one rule for the compiler and the constant folder;
+    has ``kind``, the one rule for the typechecker's fold and a run;
     a failure, such as an int result outside int64, is an EvalError at
     ``loc``. ``&&`` and ``||`` short-circuit, so their callers evaluate
     them."""
@@ -196,7 +196,10 @@ def _check_laplacian(args, ctx):
 
 
 def _abs(args, rnd):
-    return abs(args[0])   # an int for an int, a float for a real or complex
+    r = abs(args[0])   # an int for an int, a float for a real or complex
+    if type(r) is int and r > INT64_MAX:   # abs of the least int64
+        raise EvalError("int abs overflows int64")
+    return r
 
 
 def _exp(args, rnd):
@@ -223,10 +226,13 @@ def _sum(args, rnd):
     if isinstance(v, VCGrid):
         return complex(np.sum(v.amps))
     # a list's items share one kind, so their sum has it (the compiler
-    # promotes the int 0 that an empty list of reals or complexes sums to)
+    # promotes the int 0 that an empty list of reals or complexes sums to);
+    # an int sum keeps the int64 rule at each addition, as a chain of '+'
     total = 0
     for item in v.items:
         total = total + item
+        if type(total) is int and not INT64_MIN <= total <= INT64_MAX:
+            raise EvalError("int sum overflows int64")
     return total
 
 

@@ -493,6 +493,23 @@ class TestHistogram:
         assert len(rows) == 4
         assert sum(int(r.split(",")[1]) for r in rows) == 300
 
+    def test_real_outcomes_whose_range_overflows_a_float(self, capsys):
+        # hi - lo is inf: the bins are taken at half scale, so the two
+        # outcomes land in the first and the last of the 20 bins
+        # (this printed "cannot convert float NaN to integer", exit 2)
+        code, out, err = invoke(
+            ["histogram", str(FIXTURES / "wide_outcomes.cml"),
+             "--observables", "x", "--trials", "50", "--seed", "1"], capsys)
+        assert (code, err) == (0, "")
+        rows = [r.split(",") for r in out.strip().splitlines()[1:]]
+        assert len(rows) == 20
+        filled = [i for i, r in enumerate(rows) if r[1] != "0"]
+        assert filled == [0, 19]
+        assert sum(int(r[1]) for r in rows) == 50
+        # each label is its bin's finite midpoint
+        mids = [float(r[0]) for r in rows]
+        assert mids == sorted(mids) and -1.7e308 < mids[0] < mids[-1] < 1.7e308
+
     @pytest.mark.parametrize("halfwidth, shown", [("0", "[0.0, 0.0]"),
                                                   ("-1", "[1.0, -1.0]")])
     def test_degenerate_screen_is_an_eval_error(self, capsys, halfwidth,

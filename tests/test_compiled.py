@@ -1,12 +1,27 @@
 """Generated code: record member writes, the int '^' rule, step-0
-observables, the compile-once contract, the kept source and observable
-lists with runs of one template."""
+observables, the compile-once contract, the kept source, observable
+lists with runs of one template, and the generated source of every
+bundled model, fixture and benchmark observable list, pinned.
+
+The pinned sources are digests in `fixtures/source_golden.json`. After
+adding a model or a fixture, pin it with
+
+    PYTHONPATH=src python tests/test_compiled.py
+
+which records digests only for sources not yet in the fixture. Run it
+before changing the program, so the new digests come from the
+reference tree.
+"""
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import io
+import json
+import linecache
+import re
 import time
 
 import pytest
@@ -23,14 +38,16 @@ from causalkit import (
     run_ensemble,
 )
 from causalkit import engine, intrinsics
-from causalkit.bundled import build_bundled_model
-from causalkit.cli import main
+from causalkit.bundled import build_bundled_model, list_bundled_models
+from causalkit.cli import _compile_observables, main
+from causalkit.analyzer import guard_disjunction_trivially_true
 from causalkit.errors import EvalError
-from causalkit.engine import compile_observable
+from causalkit.engine import Law, compile_observable
 from causalkit.frontend import parse_expression
+from causalkit.frontend.ast_nodes import Assign, Lit, Loc, Name
 from causalkit.frontend.lower import compile_model
 from causalkit.frontend.typecheck import check_standalone_expr
-from causalkit.state import VList, VRecord
+from causalkit.state import TypeDesc, VList, VRecord
 
 from conftest import FIXTURES, typed
 
@@ -381,6 +398,78 @@ def test_models_sharing_laws_keep_their_own_code():
     assert linecache.getlines(filename) == a.source.splitlines(True)
 
 
+def with_constant(model, name: str, value):
+    """``model`` rebuilt on a copy of its schema that gives constant
+    ``name`` the payload ``value``."""
+    td, _ = model.schema.constants[name]
+    return dataclasses.replace(model, schema=dataclasses.replace(
+        model.schema, constants={**model.schema.constants,
+                                 name: (td, value)}))
+
+
+def test_a_model_on_other_constants_folds_its_own_everywhere():
+    a = load_model("model m { const k: int = 1; state { n: int; } "
+                   "init { n = k; } halt when n >= 3 * k + 1; "
+                   "law L { when k > 0; then { let j = k + 1; "
+                   "if j > 2 { n = n + j; } else { n = n + 1; } } } }")
+    b = with_constant(a, "k", 2)
+    # init, halt, the let and the if all read b's k: 2, 5, 8, halted
+    s = build_initial_state(b)
+    assert s.values["n"] == 2 and not engine.halts(b, s)
+    s = engine.step(b, s, 1.0, None)
+    assert s.values["n"] == 5 and not engine.halts(b, s)
+    s = engine.step(b, s, 1.0, None)
+    assert s.values["n"] == 8 and engine.halts(b, s)
+    # b typed copies of a's parts; a keeps its own folds and code
+    assert b.laws[0] == a.laws[0] and b.laws[0].guard is not a.laws[0].guard
+    assert b.init == a.init and b.init[0][1] is not a.init[0][1]
+    assert b.halt == a.halt and b.halt is not a.halt
+    s = build_initial_state(a)
+    assert s.values["n"] == 1
+    assert engine.step(a, s, 1.0, None).values["n"] == 2
+    # a model on its laws' own constants shares their nodes
+    c = engine.CausalModel("c", a.schema, a.laws, a.init, a.halt)
+    assert c.laws[0].guard is a.laws[0].guard and c.halt is a.halt
+
+
+def test_a_guard_on_other_constants_is_judged_on_them():
+    a = load_model("model m { const k: int = 1; state { n: int; } "
+                   "init { n = 0; } law L { when k > 1; then { n = 1; } } }")
+    assert not guard_disjunction_trivially_true(a)
+    assert guard_disjunction_trivially_true(with_constant(a, "k", 2))
+
+
+@pytest.mark.parametrize("law, init, k, message", [
+    # in a statement, and in an expression typed alone
+    ("v = fill(k, 1.0);", "fill(2, 0.0)", 3,
+     r"assignment: expected vector\(2\), got vector\(3\) at 1:"),
+    ("v = v;", "fill(k, 0.0)", 0,
+     r"fill: n must be an int constant >= 1 at 1:"),
+])
+def test_a_type_rule_broken_by_other_constants_is_refused(law, init, k,
+                                                          message):
+    a = load_model("model m { const k: int = 2; state { v: vector(2); } "
+                   f"init {{ v = {init}; }} law L {{ when true; then {{ "
+                   f"{law} }} }} }}")
+    with pytest.raises(ValueError, match="^" + message):
+        with_constant(a, "k", k)
+
+
+def test_a_node_never_typed_emits_as_it_stands():
+    # a hand-built literal guard is constant, a constant's name reads the
+    # schema's payload (not dt, the one other name)
+    a = load_model("model m { const k: int = 5; state { n: int; } "
+                   "init { n = 0; } law L { when n < 1; then { n = 1; } } }")
+    loc, td = Loc(1, 1), a.schema.fields["n"]
+    law = Law("H", Lit(loc, ty=TypeDesc.bool_(), value=True, kind="bool"),
+              [Assign(loc, Name(loc, ty=td, id="n"),
+                      Name(loc, ty=td, id="k"))])
+    model = engine.CausalModel("h", a.schema, (law,))
+    assert guard_disjunction_trivially_true(model)
+    s = build_initial_state(a)
+    assert apply_law(model.laws[0], s, None, None).values["n"] == 5
+
+
 def test_each_node_is_compiled_once(monkeypatch):
     calls = []
     emit = engine._Emitter.expr
@@ -558,3 +647,83 @@ def test_an_invalid_constant_draw_fails_only_when_it_runs():
     assert [row.snapshot.values["n"] for row in trace.rows] == [0, 1]
     assert trace.termination.message == \
         "law 'B': random: GAUSS sigma must be > 0 at 1:134"
+
+
+# --- the generated source, pinned ---------------------------------------------------
+
+SOURCE_GOLDEN = FIXTURES / "source_golden.json"
+# a name the emitter makes: a bound object (_k3, _at1, ...), a local or a
+# loop variable (t7, o2, l5, ...) or a template's hole (h0)
+_GENERATED = re.compile(r"\b(_put|_at|_[a-z]|[a-z])(\d+)\b")
+# pin name -> (model, observable list): the lists of the benchmark's
+# `trajectories` and `wavepacket` commands, and a run whose observables
+# differ in an int promoted to real
+OBSERVABLES = {
+    "builtin:harmonic_oscillator observables": (
+        "harmonic_oscillator", "x,v,0.5*v*v+0.5*x*x"),
+    "builtin:qftca_toy observables": (
+        "qftca_toy", "world.particles[0].vel + world.particles[1].vel"),
+    "builtin:schrodinger_1d observables": (
+        "schrodinger_1d", ",".join(f"psi[{i}]" for i in range(512))),
+    "builtin:harmonic_oscillator promoted int items": (
+        "harmonic_oscillator", "sum([x, 1]),sum([x, 2]),sum([x, 3])"),
+}
+
+
+def _renumbered(source: str) -> str:
+    """``source`` with each generated name numbered by its first
+    appearance among the names of its prefix, so that a change in how
+    many names are made before it leaves the text alone."""
+    seen: dict = {}   # prefix -> {name: its new name}
+
+    def renamed(m):
+        names = seen.setdefault(m.group(1), {})
+        return names.setdefault(m.group(0), f"{m.group(1)}{len(names)}")
+    return _GENERATED.sub(renamed, source)
+
+
+def _generated_sources() -> dict:
+    """Pin name -> the generated source it names, renumbered."""
+    sources = {}
+    for name in list_bundled_models():
+        for params in ([{"detector": "off"}, {"detector": "on"}]
+                       if name == "double_slit" else [{}]):
+            model, _ = build_bundled_model(name, params)
+            label = "".join(f" {k}={v}" for k, v in params.items())
+            sources[f"builtin:{name}{label}"] = model.source
+    for path in sorted(FIXTURES.glob("*.cml")):
+        model, _ = compile_model(path.read_text(encoding="utf-8"))
+        if model is not None:
+            sources[f"tests/fixtures/{path.name}"] = model.source
+    for label, (name, spec) in OBSERVABLES.items():
+        model, _ = build_bundled_model(name, {})
+        observables, _ = _compile_observables(spec, model.schema)
+        sources[label] = observables.source
+    quadrants = FIXTURES.parent.parent / "cmlbench" / "models" / \
+        "quadrants.cml"
+    model = load_model(quadrants.read_text(encoding="utf-8"))
+    conditions = model.columns.args[0]
+    sources["cmlbench/models/quadrants.cml columns"] = "".join(
+        linecache.getlines(conditions.__code__.co_filename))
+    return {k: _renumbered(v) for k, v in sources.items()}
+
+
+def _digests() -> dict:
+    return {k: hashlib.sha256(v.encode("utf-8")).hexdigest()
+            for k, v in _generated_sources().items()}
+
+
+def test_every_generated_source_matches_its_pinned_digest():
+    pinned = json.loads(SOURCE_GOLDEN.read_text(encoding="utf-8"))
+    assert _digests() == pinned
+
+
+if __name__ == "__main__":
+    records = json.loads(SOURCE_GOLDEN.read_text(encoding="utf-8")) \
+        if SOURCE_GOLDEN.exists() else {}
+    added = {k: v for k, v in _digests().items() if k not in records}
+    records.update(added)
+    SOURCE_GOLDEN.write_text(json.dumps(records, indent=2, sort_keys=True)
+                             + "\n", encoding="utf-8")
+    print(f"{len(added)} added, {len(records) - len(added)} kept in "
+          f"{SOURCE_GOLDEN}")

@@ -109,8 +109,9 @@ def test_unknown_name_is_unknown_intrinsic(name):
 
 def _scalar_model(init: str, body: str) -> str:
     return ("model m {\n"
-            "  state { x: real; y: real; }\n"
-            f"  init {{ x = {init}; y = 0.0; }}\n"
+            "  state { x: real; y: real; a: int; l: list(int); }\n"
+            f"  init {{ x = {init}; y = 0.0; a = -9223372036854775807 - 1; "
+            "l = [9223372036854775807, 1]; }\n"
             "  law S {\n"
             "    when true;\n"
             f"    then {{ {body} }}\n"
@@ -129,6 +130,10 @@ def _run(src: str, steps: int = 5):
     ("1000.0", "y = exp(x);", "law 'S': exp overflow at 6:16"),
     ("1000.0", "y = re(exp(complex(x, 0)));",
      "law 'S': exp overflow at 6:19"),
+    # int results keep the int64 rule: abs of the least int64, and a sum
+    # that overflows at its last addition
+    ("0.0", "a = abs(a);", "law 'S': int abs overflows int64 at 6:16"),
+    ("0.0", "a = sum(l);", "law 'S': int sum overflows int64 at 6:16"),
 ])
 def test_runtime_messages(init, body, message):
     term = _run(_scalar_model(init, body)).termination

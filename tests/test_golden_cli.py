@@ -159,6 +159,11 @@ CA_FIELD = tuple(
     ("run", "tests/fixtures/ca_field.cml", "--param", f"cells={cells}",
      "--steps", "300", "--observables",
      "world.phi[0],world.phi[5],sum(world.phi)") for cells in ("13", "64"))
+# every path of the constant folder, to its run's eval-error at 46:19
+FOLDED_CONSTANTS = (
+    ("run", "tests/fixtures/folded_constants.cml", "--observables",
+     "n,x,z,b,u,s", "--seed", "1"),
+    ("analyze", "tests/fixtures/folded_constants.cml"))
 NAMED = {
     ENERGY_RUN: "run builtin:harmonic_oscillator energy",
     **{argv: f"run {argv[1]} seed {argv[-1]}" for argv in SIGNED_ZERO_RUNS},
@@ -196,6 +201,7 @@ NAMED = {
     **{argv: f"branch {argv[1]} depth {argv[-1]}"
        for argv in CUT_BEFORE_UNIFORM},
     **{argv: f"run {argv[1]} {argv[3]}" for argv in CA_FIELD},
+    **{argv: f"{argv[0]} {argv[1]}" for argv in FOLDED_CONSTANTS},
 }
 
 # argv of each pinned invocation; .cml paths are relative to the repo root
@@ -300,6 +306,7 @@ INVOCATIONS = (
     *CA_FIELD,
     *COLUMN_SAMPLES,
     *DOMAIN_ANALYZE,
+    *FOLDED_CONSTANTS,
 )
 
 

@@ -258,6 +258,21 @@ class TestLet:
                f"law L {{ when true; then {{ {body} }} }} }}")
         assert [(e[0], e[1]) for e in _errors(src)] == [(code, message)]
 
+    def test_a_let_bound_to_a_constant_is_a_constant_where_read(self):
+        # a constant length, and a constant interval checked before a run
+        src = ("model m {{ const c: int = 2; state {{ x: real; v: vector(4); "
+               "}} init {{ x = 0.0; v = fill(4, 0.0); }} law L {{ when true; "
+               "then {{ let k = c * 2; v = fill(k, 1.0); "
+               "x = random([{lo}, k], FLAT); }} }} }}")
+        model = load_model(src.format(lo="0.0"))
+        trace = run(model, build_initial_state(model),
+                    RunConfig(dt=1.0, max_steps=2))
+        assert trace.termination.kind == "max-steps"
+        assert list(trace.final_state.values["v"].values) == [1.0] * 4
+        assert [e[:2] for e in _errors(src.format(lo="5.0"))] == [
+            ("bad-random", "continuous FLAT requires lo < hi, got lo 5.0 and "
+             "hi 4.0")]
+
     def test_let_in_init_is_a_syntax_error(self):
         assert _errors("model m { state { x: int; } init { let d = 1; } "
                        "law L { when true; then { } } }")[0][0] == "syntax"
