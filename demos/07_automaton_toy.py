@@ -11,7 +11,7 @@ from causalkit import RunConfig, build_bundled_model, run
 
 def render(world_value, cells):
     occupied = {}
-    for p in world_value.fields["particles"].items:
+    for p in world_value.fields["particles"]:
         pos = p.fields["pos"]
         vel = p.fields["vel"]
         occupied[pos] = ">" if vel > 0 else ("<" if vel < 0 else "o")
@@ -26,7 +26,7 @@ def main():
     for row in trace.rows:
         world = row.snapshot.values["world"]
         momentum = sum(p.fields["vel"]
-                       for p in world.fields["particles"].items)
+                       for p in world.fields["particles"])
         print(f"  step {row.step:2d}  {render(world, cells)}  "
               f"total momentum {momentum:+d}")
 

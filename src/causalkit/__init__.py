@@ -35,11 +35,8 @@ from .state import (
     SystemState,
     TypeDesc,
     VCGrid,
-    VList,
-    VPw,
     VRecord,
     VVector,
-    Value,
     make_initial_state,
     sample_state,
     state_from_json,

@@ -22,6 +22,7 @@ import gc
 import itertools
 import linecache
 import math
+import operator
 import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -36,15 +37,14 @@ from .errors import (
     NoApplicableLawError,
 )
 from .frontend.ast_nodes import (
-    Assign, Loc, Member, Name, SetLit, format_expr, walk)
+    Assign, Call, Loc, Member, Name, RandomExpr, SetLit, format_expr, walk)
 from .frontend.typecheck import retyped
+from .pw import PwCollection
 from .state import (
     PAYLOAD_TYPES,
     StateSchema,
     SystemState,
     VCGrid,
-    VList,
-    VPw,
     VRecord,
     VVector,
     check_value,
@@ -59,14 +59,22 @@ from .state import (
 class Law:
     """A guarded transition. A model compiles the laws it is given into
     copies of its own, with ``guard_fn`` (state -> bool) and ``apply_fn``
-    (pre-state, dt, random source, time -> post-state) set."""
+    (pre-state, dt, random source, time -> post-state) set.
+    ``uses_random`` is read off the transition: whether it draws, by
+    ``random(...)`` or a stochastic intrinsic."""
 
     name: str
     guard: object                 # typed Expr, bool-valued
     transition: list              # typed statements
-    uses_random: bool = False
+    uses_random: bool = field(init=False)
     guard_fn: object = field(default=None, repr=False, compare=False)
     apply_fn: object = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "uses_random", any(
+            isinstance(n, RandomExpr) or isinstance(n, Call)
+            and getattr(intrinsics.get(n.func), "stochastic", False)
+            for n in walk(self.transition)))
 
 
 @dataclass(frozen=True)
@@ -114,7 +122,8 @@ class CausalModel:
 # "Generated code" in docs/design_notes.md. The typechecker has fixed every
 # node's type, folded every constant expression and rejected every node out
 # of place, so nothing is checked or evaluated again here. A scalar text
-# gives a payload of exactly its kind's Python type, any other a Value; an
+# gives a payload of exactly its kind's Python type, a list text a tuple, a
+# pwcollection text a PwCollection and any other its wrapper; an
 # int is promoted to real or complex, or a real to complex, only where the
 # static kinds differ: at a write, a list literal's item or a random value
 # set's member.
@@ -166,17 +175,18 @@ def _finite(isfinite, expr, where=None):
     return finite
 
 
-def _indexer(attr: str, convert, copy, rebuild):
-    """at(value, i, loc) -> convert(value.<attr>[i]), and put(value, i,
-    new, loc) -> rebuild(value, value.<attr> copied, new at i); i checked."""
+def _indexer(elements, convert, copy, rebuild):
+    """at(value, i, loc) -> convert(elements(value)[i]), and put(value, i,
+    new, loc) -> rebuild(value, elements(value) copied, new at i); i
+    checked."""
     def at(value, i, loc):
-        seq = getattr(value, attr)
+        seq = elements(value)
         if 0 <= i < len(seq):
             return convert(seq[i])
         raise EvalError(f"index {i} out of range (len {len(seq)})", loc)
 
     def put(value, i, new, loc):
-        seq = getattr(value, attr)
+        seq = elements(value)
         if 0 <= i < len(seq):
             seq = copy(seq)
             seq[i] = new
@@ -185,12 +195,15 @@ def _indexer(attr: str, convert, copy, rebuild):
     return at, put
 
 
-# kind -> its at and its put: a list holds values, a vector numpy floats,
-# a cgrid numpy complexes
+# kind -> its at and its put: a list is the tuple of its values (``tuple``
+# gives a tuple itself), a vector holds numpy floats, a cgrid numpy
+# complexes
 _AT, _PUT = (dict(zip(("list", "vector", "cgrid"), fns)) for fns in zip(
-    _indexer("items", lambda x: x, list, lambda v, s: VList(s)),
-    _indexer("values", float, np.ndarray.copy, lambda v, s: VVector(s)),
-    _indexer("amps", complex, np.ndarray.copy, lambda v, s: VCGrid(s, v.dx))))
+    _indexer(tuple, lambda x: x, list, lambda v, s: tuple(s)),
+    _indexer(operator.attrgetter("values"), float, np.ndarray.copy,
+             lambda v, s: VVector(s)),
+    _indexer(operator.attrgetter("amps"), complex, np.ndarray.copy,
+             lambda v, s: VCGrid(s, v.dx))))
 
 
 def _intrinsic_call(intr, loc):
@@ -223,8 +236,8 @@ class _Emitter:
     def __init__(self, schema: StateSchema):
         self.ns = {c.__name__: c for c in (
             EvalError, ContinuousRandomError, NoApplicableLawError,
-            MultipleApplicableError, SystemState, VList, VRecord, VVector,
-            VCGrid, VPw, _fail, _nonfinite, _elements_finite)}
+            MultipleApplicableError, SystemState, VRecord, VVector, VCGrid,
+            PwCollection, _fail, _nonfinite, _elements_finite)}
         self.ns.update(_isfinite=math.isfinite, _cisfinite=cmath.isfinite,
                        check_value=check_value, rnd=None, dt=None)
         self.field_locals = {n: f"f{i}" for i, n in enumerate(schema.fields)}
@@ -387,7 +400,7 @@ class _Emitter:
                 check = _finite(isfinite, x, "in a list literal")
                 text = f"{self.vary(check, '_o')}({text})"
             items.append(text)
-        return f"VList([{', '.join(items)}])"
+        return f"({', '.join(items)}{',' * (len(items) == 1)})"
 
     def _RandomExpr(self, e):
         """A draw: the sampler its form's entry in ``intrinsics.DRAWS``
@@ -519,7 +532,7 @@ class _Emitter:
 
     def _For(self, s):
         index, item = self.name("i"), self.name("l")
-        head = f"for {index}, {item} in enumerate({self.expr(s.source)}.items):"
+        head = f"for {index}, {item} in enumerate({self.expr(s.source)}):"
         self.locals[s.var] = (item, index, s.source.id)
         if self.loops < _MAX_LOOPS:
             self.line(head, s.loc)
@@ -563,8 +576,8 @@ class _Emitter:
             return f"type({x}) is {PAYLOAD_TYPES[kind].__name__}"
         if kind == "list":
             item = self.name("x")
-            return (f"type({x}) is VList and all("
-                    f"{self.passes(td.element, item)} for {item} in {x}.items)")
+            return (f"type({x}) is tuple and all("
+                    f"{self.passes(td.element, item)} for {item} in {x})")
         if kind == "record":
             members = self.schema.records[td.record]
             keys = self.bind(frozenset(n for n, _ in members), "_r")
@@ -578,7 +591,8 @@ class _Emitter:
             return (f"isinstance({x}, VCGrid) and len({x}.amps) == {td.length}"
                     f" and {x}.dx == {self.const(td.dx)}")
         declared = tuple((n, t.kind) for n, t in td.attrs)
-        return f"isinstance({x}, VPw) and {x}.pw.attr_decls == {declared!r}"
+        return (f"isinstance({x}, PwCollection) and "
+                f"{x}.attr_decls == {declared!r}")
 
     def transition(self, law: Law, fn: str) -> list:
         """The body writes into ``n``, a copy of the pre-state's values;

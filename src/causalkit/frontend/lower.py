@@ -12,10 +12,8 @@ def lower(typed: TypedModel, default_timestep: float = 1.0) -> CausalModel:
     """Package a typechecked model for the engine, laws in declaration order;
     constructing it compiles every guard, transition and expression."""
     ast = typed.ast
-    laws = tuple(
-        Law(name=law.name, guard=law.guard, transition=law.body,
-            uses_random=typed.uses_random[law.name])
-        for law in ast.laws)
+    laws = tuple(Law(name=law.name, guard=law.guard, transition=law.body)
+                 for law in ast.laws)
     init = tuple((a.target.id, a.value) for a in ast.init)
     return CausalModel(name=typed.name, schema=typed.schema, laws=laws,
                        init=init, halt=ast.halt,

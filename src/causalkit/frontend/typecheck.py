@@ -34,7 +34,6 @@ from .ast_nodes import (
     SetLit,
     TypeExpr,
     Unary,
-    walk,
 )
 from .parser import parse_expression
 
@@ -55,7 +54,6 @@ class TypedModel:
     name: str
     ast: ModelAst
     schema: StateSchema
-    uses_random: dict  # law name -> bool
 
 
 @dataclass
@@ -107,10 +105,10 @@ def typecheck(ast: ModelAst, params: dict | None = None):
     if ast.halt is not None:
         _expect_bool(ast.halt, ctx("random-in-halt"), "halt condition")
 
-    uses_random = {}
+    seen = set()
     for law in ast.laws:
-        _new_name(law.name, law.loc, uses_random, diags,
-                  f"law name '{law.name}'")
+        _new_name(law.name, law.loc, seen, diags, f"law name '{law.name}'")
+        seen.add(law.name)
         typed = _expect_bool(law.guard, ctx("random-in-guard"),
                              f"guard of law '{law.name}'")
         if typed and law.guard.const is False:
@@ -118,14 +116,10 @@ def typecheck(ast: ModelAst, params: dict | None = None):
                                     f"guard of law '{law.name}' is constantly false",
                                     law.guard.loc))
         _check_block(law.body, ctx(None))
-        uses_random[law.name] = any(
-            isinstance(n, RandomExpr) or isinstance(n, Call)
-            and getattr(intrinsics.get(n.func), "stochastic", False)
-            for n in walk(law.body))
 
     if any(d.severity == "error" for d in diags):
         return None, diags
-    return TypedModel(ast.name, ast, schema, uses_random), diags
+    return TypedModel(ast.name, ast, schema), diags
 
 
 def standalone_context(schema: StateSchema) -> _Ctx:

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvalError
-from .state import TypeDesc, VCGrid, VList, VVector
+from .state import TypeDesc, VCGrid, VVector
 
 
 class IntrinsicTypeError(Exception):
@@ -229,7 +229,7 @@ def _sum(args, rnd):
     # promotes the int 0 that an empty list of reals or complexes sums to);
     # an int sum keeps the int64 rule at each addition, as a chain of '+'
     total = 0
-    for item in v.items:
+    for item in v:
         total = total + item
         if type(total) is int and not INT64_MIN <= total <= INT64_MAX:
             raise EvalError("int sum overflows int64")
@@ -238,8 +238,8 @@ def _sum(args, rnd):
 
 def _len(args, rnd):
     v = args[0]
-    if isinstance(v, VList):
-        return len(v.items)
+    if type(v) is tuple:
+        return len(v)
     if isinstance(v, VVector):
         return len(v.values)
     return len(v.amps)

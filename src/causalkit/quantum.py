@@ -27,7 +27,7 @@ from .errors import (
 )
 from .intrinsics import Intrinsic, IntrinsicTypeError, neighbour_sum
 from .pw import PwCollection
-from .state import MAX_CELLS, TypeDesc, VCGrid, VList, VPw, VRecord, VVector
+from .state import MAX_CELLS, TypeDesc, VCGrid, VRecord, VVector
 
 # --- 1D Schrodinger evolution ----------------------------------------------------
 
@@ -333,7 +333,7 @@ def ca_step(world: VRecord) -> VRecord:
         raise EvalError(f"ca_step: non-finite phi value {phi1[i]} "
                         f"at index {i}")
     n = len(phi)
-    particles = fields["particles"].items
+    particles = fields["particles"]
     vel, pos = [], []
     for p in particles:
         f = p.fields
@@ -351,7 +351,7 @@ def ca_step(world: VRecord) -> VRecord:
             vels = [vel[i] for i in members]
             for i, v in zip(members, reversed(vels)):
                 vel[i] = v
-    moved = VList([VRecord(p.record, {**p.fields, "pos": x, "vel": v})
+    moved = tuple([VRecord(p.record, {**p.fields, "pos": x, "vel": v})
                    for p, x, v in zip(particles, pos, vel)])
     return VRecord(world.record, {**fields, "phi": VVector(phi1),
                                   "particles": moved})
@@ -362,10 +362,10 @@ def ca_world(cells: int, alpha: float) -> VRecord:
     ring they meet after three steps. A non-finite alpha is refused."""
     if not math.isfinite(alpha):
         raise EvalError(f"ca_world: non-finite alpha {alpha}")
-    particles = VList([
+    particles = tuple(
         VRecord("CaParticle", {"id": i, "pos": pos % cells, "vel": vel,
                                "species": 0})
-        for i, pos, vel in ((1, 2, 1), (2, 8, -1))])
+        for i, pos, vel in ((1, 2, 1), (2, 8, -1)))
     return VRecord("CaWorld", {"phi": VVector(np.zeros(cells)),
                                "particles": particles, "alpha": alpha})
 
@@ -415,7 +415,7 @@ def _check_pw_propagate(args, ctx):
 
 
 def _impl_pw_propagate(args, rnd):
-    return VPw(pw_propagate(args[0].pw, float(args[1])))
+    return pw_propagate(args[0], float(args[1]))
 
 
 def _check_pw_interact(args, ctx):
@@ -424,8 +424,7 @@ def _check_pw_interact(args, ctx):
 
 
 def _impl_pw_interact(args, rnd):
-    _, collapsed = pw_interact(args[0].pw, rnd)
-    return VPw(collapsed)
+    return pw_interact(args[0], rnd)[1]
 
 
 def _check_pw_detect(args, ctx):
@@ -474,7 +473,7 @@ def _impl_pw_detect(args, rnd):
         edges = np.linspace(lo, hi, nbins + 1)
     else:
         edges = _bin_edges(lo.hex(), hi.hex(), nbins)
-    return pw_detect(pw.pw, edges, rnd, coherent=coherent)
+    return pw_detect(pw, edges, rnd, coherent=coherent)
 
 
 _CA_PARTICLE_FIELDS = ("id", "pos", "vel", "species")
@@ -554,7 +553,7 @@ def _check_two_slit(args, ctx):
 
 def _impl_two_slit(args, rnd):
     bins, *lengths = args
-    return VPw(two_slit(bins, *map(float, lengths)))
+    return two_slit(bins, *map(float, lengths))
 
 
 def _check_pw_spins(args, ctx):
@@ -566,7 +565,7 @@ def _check_pw_spins(args, ctx):
 
 
 def _impl_pw_spins(args, rnd):
-    return VPw(pw_spins([spins.items for spins in args[0].items]))
+    return pw_spins(args[0])
 
 
 def _check_pw_spin(args, ctx):
@@ -578,7 +577,7 @@ def _check_pw_spin(args, ctx):
 
 
 def _impl_pw_spin(args, rnd):
-    pw, i = args[0].pw, args[1]
+    pw, i = args
     if pw.n_paths != 1:
         raise EvalError(f"pw_spin needs one path, got {pw.n_paths}")
     spins = pw.columns["spin"][0]

@@ -1,10 +1,13 @@
 """Typed value universe, state schemas, and system states.
 
 A schema declares the fields of the system state (with optional sampling
-domains) and so fixes each field's type: an int, real, bool or complex
-value is a plain Python ``int``, ``float``, ``bool`` or ``complex``
-payload, and only composite values (vectors, lists, records, grids, path
-collections) are ``Value`` objects. A ``SystemState`` built directly
+domains) and so fixes each field's type. A value is tagless where its
+Python type says all: an int, real, bool or complex value is a plain
+``int``, ``float``, ``bool`` or ``complex`` payload, a list the ``tuple``
+of its items and a path collection its ``PwCollection``. Only three
+kinds are wrapped: a vector (``VVector``, since an ndarray's ``==`` is
+elementwise), a cgrid (``VCGrid``, which carries its ``dx``) and a record
+(``VRecord``, which carries its name). A ``SystemState`` built directly
 checks only its time; ``check_values`` checks the values that enter from
 the host: in ``make_initial_state``, ``state_from_json`` and the start
 state of ``run``, ``branch_run`` and ``run_ensemble``.
@@ -265,18 +268,12 @@ class StateSchema:
 # --- values -----------------------------------------------------------------
 
 
-class Value:
-    """Base of the composite values. Instances are immutable by convention."""
-
-    __slots__ = ()
-
-
 # The composites a step builds most store through their slot descriptors,
 # as SystemState does, instead of a frozen __setattr__ per field.
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
-class VVector(Value):
+class VVector:
     values: np.ndarray
 
     def __init__(self, values):
@@ -284,41 +281,27 @@ class VVector(Value):
 
 
 @dataclass(frozen=True, slots=True, init=False)
-class VList(Value):
-    items: tuple
-
-    def __init__(self, items):
-        _SET_ITEMS(self, tuple(items))
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class VRecord(Value):
+class VRecord:
     record: str
-    fields: dict  # name -> Value
+    fields: dict  # name -> value
 
     def __init__(self, record: str, fields: dict):
         _SET_RECORD(self, record)
         _SET_FIELDS(self, fields)
 
 
-_SET_VECTOR, _SET_ITEMS, _SET_RECORD, _SET_FIELDS = (
-    VVector.values.__set__, VList.items.__set__, VRecord.record.__set__,
-    VRecord.fields.__set__)
+_SET_VECTOR, _SET_RECORD, _SET_FIELDS = (
+    VVector.values.__set__, VRecord.record.__set__, VRecord.fields.__set__)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class VCGrid(Value):
+class VCGrid:
     amps: np.ndarray
     dx: float
 
     def __post_init__(self):
         object.__setattr__(self, "amps",
                            np.asarray(self.amps, dtype=np.complex128))
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class VPw(Value):
-    pw: PwCollection
 
 
 def check_value(value, td: TypeDesc, schema: StateSchema, where: str = "value"):
@@ -335,7 +318,7 @@ def _check(value, td: TypeDesc, records: dict, where: str):
     if kind in PAYLOAD_TYPES:
         ok = type(value) is PAYLOAD_TYPES[kind]
     elif kind == "list":
-        ok = type(value) is VList
+        ok = type(value) is tuple
     elif kind == "record":
         members = dict(records[td.record])
         ok = (type(value) is VRecord and value.record == td.record
@@ -346,12 +329,12 @@ def _check(value, td: TypeDesc, records: dict, where: str):
         ok = (isinstance(value, VCGrid) and len(value.amps) == td.length
               and value.dx == td.dx)
     else:   # a pwcollection
-        ok = isinstance(value, VPw) and value.pw.attr_decls == tuple(
+        ok = isinstance(value, PwCollection) and value.attr_decls == tuple(
             (n, t.kind) for n, t in td.attrs)
     if not ok:
         raise TypeMismatchError(where, td, _describe(value))
     if kind == "list":
-        for x in value.items:
+        for x in value:
             _check(x, td.element, records, where)
     elif kind == "record":
         for name, x in value.fields.items():
@@ -375,9 +358,9 @@ def _first_nonfinite(value, kind: str):
     elif kind == "cgrid":
         numbers = np.concatenate([value.amps.real, value.amps.imag])
     elif kind == "pwcollection":
-        pw = value.pw
-        numbers = np.concatenate([pw.amps.view(np.float64)] + [
-            pw.columns[n].ravel() for n, k in pw.attr_decls if k == "real"])
+        numbers = np.concatenate([value.amps.view(np.float64)] + [
+            value.columns[n].ravel()
+            for n, k in value.attr_decls if k == "real"])
     else:
         return None
     bad = np.flatnonzero(~np.isfinite(numbers))
@@ -391,8 +374,12 @@ def _describe(value) -> str:
         return f"cgrid({len(value.amps)}, {value.dx})"
     if isinstance(value, VRecord):
         return value.record
-    if isinstance(value, Value):
-        return type(value).__name__.lstrip("V").lower()
+    if isinstance(value, PwCollection):
+        return "pw"
+    if type(value) is tuple:
+        return "list"
+    if isinstance(value, list):   # the likeliest host mistake
+        return "a Python list; a list value is a tuple"
     return _SCALAR_KIND.get(type(value), type(value).__name__)
 
 
@@ -409,7 +396,7 @@ class SystemState:
 
     schema: StateSchema
     time: float
-    values: dict  # field name -> payload or Value
+    values: dict  # field name -> value
 
     def __init__(self, schema: StateSchema, time: float, values: dict):
         if not math.isfinite(time):
@@ -547,11 +534,11 @@ def _draw(td: TypeDesc, records: dict, name: str):
         if td.bound is None:
             raise UnsampleableFieldError(name, "list needs a length bound")
         if td.bound == 0:
-            return (lambda u: [VList(())] * len(u)), 0
+            return (lambda u: [()] * len(u)), 0
         item, w = _draw(td.element, records, name)
         spans = [(j * w, (j + 1) * w) for j in range(td.bound)]
-        return (lambda u: [VList(items) for items in
-                           zip(*(_listed(item(u[:, a:b])) for a, b in spans))],
+        return (lambda u: list(zip(*(_listed(item(u[:, a:b]))
+                                     for a, b in spans))),
                 w * td.bound)
     rec, parts, col = td.record, [], 0   # a record
     for fname, ftd in records[rec]:
@@ -626,8 +613,8 @@ def value_to_json(v):
         return {"kind": kind, "v": v}
     if isinstance(v, VVector):
         return {"kind": "vector", "v": [float(x) for x in v.values]}
-    if isinstance(v, VList):
-        return {"kind": "list", "items": [value_to_json(x) for x in v.items]}
+    if type(v) is tuple:
+        return {"kind": "list", "items": [value_to_json(x) for x in v]}
     if isinstance(v, VRecord):
         return {"kind": "record", "record": v.record,
                 "fields": {k: value_to_json(x) for k, x in v.fields.items()}}
@@ -635,18 +622,17 @@ def value_to_json(v):
         return {"kind": "cgrid", "dx": v.dx,
                 "re": [float(x) for x in v.amps.real],
                 "im": [float(x) for x in v.amps.imag]}
-    if isinstance(v, VPw):
-        pw = v.pw
-        names = [n for n, _ in pw.attr_decls]
+    if isinstance(v, PwCollection):
+        names = [n for n, _ in v.attr_decls]
         # per path, per attribute: that attribute's value for each particle
-        rows = zip(*(pw.columns[n].tolist() for n in names))
+        rows = zip(*(v.columns[n].tolist() for n in names))
         return {"kind": "pw",
-                "attrs": [[n, k] for n, k in pw.attr_decls],
-                "normalized": pw.normalized,
+                "attrs": [[n, k] for n, k in v.attr_decls],
+                "normalized": v.normalized,
                 "paths": [{"amp": [a.real, a.imag],
                            "particles": [dict(zip(names, values))
                                          for values in zip(*row)]}
-                          for a, row in zip(pw.amps.tolist(), rows)]}
+                          for a, row in zip(v.amps.tolist(), rows)]}
     raise TypeError(f"unsupported value type {type(v)!r}")
 
 
@@ -670,7 +656,7 @@ def value_from_json(data, where: str = "value"):
         return VVector(_reals(data.get("v", _NOTHING), where))
     if kind == "list":
         items = _member(data, "items", list, where, "a list of items")
-        return VList([value_from_json(x, where) for x in items])
+        return tuple([value_from_json(x, where) for x in items])
     if kind == "record":
         fields = _member(data, "fields", dict, where, "an object of fields")
         return VRecord(_member(data, "record", str, where, "a record name"),
@@ -685,7 +671,7 @@ def value_from_json(data, where: str = "value"):
         return VCGrid(np.array(re) + 1j * np.array(im),
                       _real(data.get("dx", _NOTHING), where))
     if kind == "pw":
-        return VPw(_pw_from_json(data, where))
+        return _pw_from_json(data, where)
     raise TypeMismatchError(where, "a value kind", _got(kind))
 
 

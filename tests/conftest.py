@@ -25,10 +25,10 @@ def load_fixture_model():
 def typed(value):
     """``value`` with the exact Python type of every scalar payload made
     explicit, so that ``==`` tells 1 from 1.0 and True from 1."""
-    from causalkit.state import VList, VRecord
+    from causalkit.state import VRecord
 
-    if isinstance(value, VList):
-        return [typed(v) for v in value.items]
+    if type(value) is tuple:
+        return [typed(v) for v in value]
     if isinstance(value, VRecord):
         return (value.record, {k: typed(v) for k, v in value.fields.items()})
     return (type(value).__name__, value)
@@ -37,21 +37,21 @@ def typed(value):
 def ca_world_value(phi, particles=(), alpha=0.2):
     """A CaWorld record with the field ``phi`` and one CaParticle per
     (id, pos, vel) or (id, pos, vel, species) tuple."""
-    from causalkit.state import VList, VRecord, VVector
+    from causalkit.state import VRecord, VVector
 
     def particle(id, pos, vel, species=0):
         return VRecord("CaParticle", {"id": id, "pos": pos, "vel": vel,
                                       "species": species})
     return VRecord("CaWorld", {"phi": VVector(phi),
-                               "particles": VList([particle(*p)
-                                                   for p in particles]),
+                               "particles": tuple(particle(*p)
+                                                  for p in particles),
                                "alpha": alpha})
 
 
 def ca_particles(world):
     """[pos, vel] of each particle of a CaWorld record."""
     return [[p.fields["pos"], p.fields["vel"]]
-            for p in world.fields["particles"].items]
+            for p in world.fields["particles"]]
 
 
 def ca_momentum(world) -> int:
@@ -99,7 +99,8 @@ def _close(x: float, y: float, tol: float) -> bool:
 
 def _value_equal(a, b, tol: float) -> bool:
     import numpy as np
-    from causalkit.state import VCGrid, VList, VPw, VRecord, VVector
+    from causalkit.pw import PwCollection
+    from causalkit.state import VCGrid, VRecord, VVector
 
     if type(a) is not type(b):
         return False
@@ -113,22 +114,20 @@ def _value_equal(a, b, tol: float) -> bool:
         return _arrays_close(a.values, b.values, tol)
     if isinstance(a, VCGrid):
         return a.dx == b.dx and _arrays_close(a.amps, b.amps, tol)
-    if isinstance(a, VList):
-        return (len(a.items) == len(b.items)
-                and all(_value_equal(x, y, tol)
-                        for x, y in zip(a.items, b.items)))
+    if type(a) is tuple:
+        return (len(a) == len(b)
+                and all(_value_equal(x, y, tol) for x, y in zip(a, b)))
     if isinstance(a, VRecord):
         return (a.record == b.record and set(a.fields) == set(b.fields)
                 and all(_value_equal(v, b.fields[k], tol)
                         for k, v in a.fields.items()))
-    if isinstance(a, VPw):   # real attributes within tol, the rest exactly
-        pa, pb = a.pw, b.pw
-        return (pa.attr_decls == pb.attr_decls
-                and _arrays_close(pa.amps, pb.amps, tol)
-                and all(_arrays_close(pa.columns[n], pb.columns[n], tol)
+    if isinstance(a, PwCollection):   # reals within tol, the rest exactly
+        return (a.attr_decls == b.attr_decls
+                and _arrays_close(a.amps, b.amps, tol)
+                and all(_arrays_close(a.columns[n], b.columns[n], tol)
                         if k == "real"
-                        else np.array_equal(pa.columns[n], pb.columns[n])
-                        for n, k in pa.attr_decls))
+                        else np.array_equal(a.columns[n], b.columns[n])
+                        for n, k in a.attr_decls))
     raise TypeError(f"unsupported value type {type(a)!r}")
 
 

@@ -42,7 +42,7 @@ from causalkit.errors import (
     UnsampleableFieldError,
 )
 from causalkit.rng import derive_seed
-from causalkit.state import Sampler, VList, VRecord
+from causalkit.state import Sampler, VRecord
 
 from causalkit.cli import main
 
@@ -737,7 +737,7 @@ def _start_state(name, model):
     if name == "drift_particles.cml":
         particle = VRecord("P", {"m": 1.0, "x": 0.0, "v": 1.0})
         return make_initial_state(model.schema,
-                                  {"ps": VList([particle] * 3), "count": 0})
+                                  {"ps": (particle,) * 3, "count": 0})
     return build_initial_state(model)
 
 

@@ -77,7 +77,7 @@ class TestDoubleSlit:
 
     def test_initial_amplitudes_normalized(self):
         _, state = build_bundled_model("double_slit")
-        pw = state.values["pw"].pw
+        pw = state.values["pw"]
         assert total_weight(pw) == pytest.approx(1.0, abs=1e-9)
         assert pw.n_paths == 128
 
@@ -157,7 +157,7 @@ class TestQftcaToy:
     def test_default_head_on_configuration(self):
         model, state = build_bundled_model("qftca_toy")
         world = state.values["world"]
-        particles = world.fields["particles"].items
+        particles = world.fields["particles"]
         assert [(p.fields["pos"], p.fields["vel"])
                 for p in particles] == [(2, 1), (8, -1)]
 
@@ -172,7 +172,7 @@ class TestQftcaToy:
         for row in trace.rows:
             world = row.snapshot.values["world"]
             total = sum(p.fields["vel"]
-                        for p in world.fields["particles"].items)
+                        for p in world.fields["particles"])
             assert total == 0
 
 

@@ -10,7 +10,13 @@ adding a model or a fixture, pin it with
 
 which records digests only for sources not yet in the fixture. Run it
 before changing the program, so the new digests come from the
-reference tree.
+reference tree. After a change meant to alter some generated sources,
+re-pin exactly those with
+
+    PYTHONPATH=src python tests/test_compiled.py --repin KEY [KEY ...]
+
+which refuses a key that names no generated source and leaves every
+other digest as it is.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from causalkit.frontend import parse_expression
 from causalkit.frontend.ast_nodes import Assign, Lit, Loc, Name
 from causalkit.frontend.lower import compile_model
 from causalkit.frontend.typecheck import check_standalone_expr
-from causalkit.state import TypeDesc, VList, VRecord
+from causalkit.state import TypeDesc, VRecord
 
 from conftest import FIXTURES, typed
 
@@ -78,12 +84,12 @@ def _p(m, x, v):
 def test_record_member_writes():
     model = load_model(RECORDS)
     s = make_initial_state(model.schema, {
-        "ps": VList([_p(1, 0, 1), _p(2, 1, -0.5), _p(3, 2, 0.25)]),
+        "ps": (_p(1, 0, 1), _p(2, 1, -0.5), _p(3, 2, 0.25)),
         "w": VRecord("W", {"p": _p(1, 0, 0), "n": 0}),
         "count": 0})
     for _ in range(2):
         s = apply_law(model.laws[0], s, 0.5, RngStream(0))
-    ps = [p.fields for p in s.values["ps"].items]
+    ps = [p.fields for p in s.values["ps"]]
     assert [typed(p["x"]) for p in ps] == [typed(1.0), typed(1.0), typed(2.25)]
     assert typed(ps[1]["v"]) == typed(-0.5)
     w = s.values["w"].fields
@@ -98,10 +104,10 @@ def test_list_literal_items_take_the_element_type():
         "init { lr = [1, 2.5]; lz = [2, 0.5i]; } "
         "law L { when true; then { lr = [3, lr[1]]; } } }")
     s = build_initial_state(model)
-    assert typed(s.values["lr"]) == typed(VList([1.0, 2.5]))
-    assert typed(s.values["lz"]) == typed(VList([2 + 0j, 0.5j]))
+    assert typed(s.values["lr"]) == typed((1.0, 2.5))
+    assert typed(s.values["lz"]) == typed((2 + 0j, 0.5j))
     s = apply_law(model.laws[0], s, 1.0, None)
-    assert typed(s.values["lr"]) == typed(VList([3.0, 2.5]))
+    assert typed(s.values["lr"]) == typed((3.0, 2.5))
 
 
 # --- the int '^' rule ------------------------------------------------------------
@@ -503,7 +509,7 @@ def test_loops_nested_deeper_than_python_allows_in_one_function():
     s = build_initial_state(model)
     s = apply_law(model.laws[0], s, 1.0, None)
     assert typed(s.values["x"]) == typed(1.0)
-    assert typed(s.values["li"]) == typed(VList([33]))
+    assert typed(s.values["li"]) == typed((33,))
 
 
 # --- observable lists: one loop per run of one template -----------------------------
@@ -719,11 +725,25 @@ def test_every_generated_source_matches_its_pinned_digest():
 
 
 if __name__ == "__main__":
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        description="Pin the digests of generated sources not yet pinned.")
+    parser.add_argument("--repin", nargs="+", default=[], metavar="KEY",
+                        help="also pin these keys again")
+    args = parser.parse_args()
+    digests = _digests()
+    unknown = [k for k in args.repin if k not in digests]
+    if unknown:
+        parser.error(f"no generated source is named {', '.join(unknown)}")
     records = json.loads(SOURCE_GOLDEN.read_text(encoding="utf-8")) \
         if SOURCE_GOLDEN.exists() else {}
-    added = {k: v for k, v in _digests().items() if k not in records}
+    added = {k: v for k, v in digests.items() if k not in records}
+    repinned = {k: digests[k] for k in args.repin if k in records}
     records.update(added)
+    records.update(repinned)
     SOURCE_GOLDEN.write_text(json.dumps(records, indent=2, sort_keys=True)
                              + "\n", encoding="utf-8")
-    print(f"{len(added)} added, {len(records) - len(added)} kept in "
+    print(f"{len(added)} added, {len(repinned)} re-pinned, "
+          f"{len(records) - len(added) - len(repinned)} kept in "
           f"{SOURCE_GOLDEN}")

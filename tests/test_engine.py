@@ -14,7 +14,6 @@ from causalkit import (
     StateSchema,
     SystemState,
     TypeDesc,
-    VList,
     apply_law,
     branch_run,
     build_bundled_model,
@@ -56,7 +55,7 @@ class TestEvalGuard:
             "init { ok = false; } "
             "law L { when xs[5] > 0.0; then { ok = true; } } }")
         s = make_initial_state(model.schema, {
-            "xs": VList([1.0, 2.0, 3.0]),
+            "xs": (1.0, 2.0, 3.0),
             "ok": False})
         with pytest.raises(EvalError) as exc:
             eval_guard(model.laws[0], s)
@@ -169,11 +168,11 @@ class TestApplyLaw:
             return VRecord("P", {"m": float(m), "x": x, "v": v})
 
         s0 = make_initial_state(model.schema, {
-            "ps": VList([particle(1, 0.0, 1.0), particle(1, 5.0, -2.0),
-                         particle(2, 1.0, 0.0)]),
+            "ps": (particle(1, 0.0, 1.0), particle(1, 5.0, -2.0),
+                   particle(2, 1.0, 0.0)),
             "count": 0})
         s1 = apply_law(model.law("Drift"), s0, 0.5, RngStream(0))
-        xs = [p.fields["x"] for p in s1.values["ps"].items]
+        xs = [p.fields["x"] for p in s1.values["ps"]]
         assert xs == [0.5, 4.0, 1.0]
         assert s1.values["count"] == 1
 
@@ -198,7 +197,7 @@ MERGE_MODEL = (
 
 
 @pytest.mark.parametrize("body, read, expected", [
-    ("li = [7, 8, 9]; li[0] = li[2];", lambda v: list(v["li"].items),
+    ("li = [7, 8, 9]; li[0] = li[2];", lambda v: list(v["li"]),
      [3, 8, 9]),
     ("vr[0] = 1.0; vr[0] = 2.0;", lambda v: v["vr"].values[0], 2.0),
     ("w.phi = fill(4, 1.0); w.phi[1] = 0.0;",

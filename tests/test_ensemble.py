@@ -497,11 +497,11 @@ class TestExploration:
         if detector == "on":
             # MarkPath draws from the initial collection's weights once;
             # each collapsed state's Detect builds its own bins once
-            assert born == [id(init.values["pw"].pw)]
+            assert born == [id(init.values["pw"])]
             assert len(bins) == len(set(bins)) == finals > 64
             assert replays >= 2 * finals
         else:
-            assert born == [] and bins == [id(init.values["pw"].pw)]
+            assert born == [] and bins == [id(init.values["pw"])]
             assert replays == finals > 32
         monkeypatch.undo()
         assert_matches_run(model, init, cfg, 300)

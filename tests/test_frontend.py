@@ -4,7 +4,17 @@ from pathlib import Path
 
 import pytest
 
-from causalkit import classify_determinism, load_model, parse, typecheck
+from causalkit import (
+    CausalModel,
+    CheckStrategy,
+    Law,
+    analyze,
+    classify_determinism,
+    load_model,
+    parse,
+    report_to_json,
+    typecheck,
+)
 from causalkit.frontend import format_model, lower, structurally_equal
 from causalkit.frontend.ast_nodes import (
     Assign,
@@ -533,6 +543,20 @@ class TestLower:
         model = load_model(src)
         assert model.law("Hit").uses_random
         assert not model.law("Idle").uses_random
+
+    def test_hand_built_law_reads_its_draws_off_its_transition(self):
+        # a Law built without the typechecker's lowering still knows that
+        # it draws, so determinism is not misreported
+        model = load_model(fixture_source("walk.cml"))
+        rebuilt = CausalModel(model.name, model.schema, tuple(
+            Law(l.name, l.guard, l.transition) for l in model.laws),
+            model.init, model.halt)
+        assert rebuilt.law("Step").uses_random
+        assert str(classify_determinism(rebuilt)) == "nondeterministic(Step)"
+        report = analyze(rebuilt, CheckStrategy("sample", count=10))
+        assert report_to_json(report)["determinism"]["deterministic"] is False
+        inc = load_model(MINIMAL).law("Inc")
+        assert not Law(inc.name, inc.guard, inc.transition).uses_random
 
     def test_law_order_and_count_preserved(self):
         ast, _ = parse(fixture_source("partition.cml"))

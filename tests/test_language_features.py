@@ -149,12 +149,11 @@ class TestStatements:
                "law L { when true; then { "
                "for r in rs { r.x = r.x * 2.0; } } } }")
         model = load_model(src)
-        from causalkit import VList, VRecord
+        from causalkit import VRecord
         state = make_initial_state(model.schema, {
-            "rs": VList([VRecord("R", {"x": 1.0}),
-                         VRecord("R", {"x": 3.0})])})
+            "rs": (VRecord("R", {"x": 1.0}), VRecord("R", {"x": 3.0}))})
         out = apply_law(model.laws[0], state, 1.0, RngStream(0))
-        assert [r.fields["x"] for r in out.values["rs"].items] == [2.0, 6.0]
+        assert [r.fields["x"] for r in out.values["rs"]] == [2.0, 6.0]
 
     def test_whole_loop_variable_assignment(self):
         # P_i = f(P_i) style: assigning the loop variable replaces the element
@@ -162,25 +161,23 @@ class TestStatements:
                "law L { when true; then { "
                "for x in xs { x = x + 10.0; } } } }")
         model = load_model(src)
-        from causalkit import VList
-        state = make_initial_state(model.schema, {
-            "xs": VList([1.0, 2.0, 3.0])})
+        state = make_initial_state(model.schema, {"xs": (1.0, 2.0, 3.0)})
         out = apply_law(model.laws[0], state, 1.0, RngStream(0))
-        assert list(out.values["xs"].items) == [11.0, 12.0, 13.0]
+        assert list(out.values["xs"]) == [11.0, 12.0, 13.0]
 
 
 class TestPwIntrinsics:
     def test_pw_propagate_through_cml(self):
-        from causalkit import PwCollection, VPw
+        from causalkit import PwCollection
         src = ("model t { state { pw: pwcollection(position: real, "
                "velocity: real); } init { } "
                "law Move { when true; then { pw = pw_propagate(pw, dt); } } }")
         model = load_model(src)
         pw = PwCollection((("position", "real"), ("velocity", "real")),
                           [1.0], {"position": [[0.0]], "velocity": [[2.0]]})
-        state = make_initial_state(model.schema, {"pw": VPw(pw)})
+        state = make_initial_state(model.schema, {"pw": pw})
         out = apply_law(model.laws[0], state, 0.5, RngStream(0))
-        assert out.values["pw"].pw.attr_array("position").tolist() == [1.0]
+        assert out.values["pw"].attr_array("position").tolist() == [1.0]
         assert not model.laws[0].uses_random
 
     def test_pw_propagate_requires_attributes(self):

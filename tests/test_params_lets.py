@@ -315,7 +315,7 @@ class TestConstructors:
     def test_bundled_double_slit_params_reach_the_paths(self):
         _, state = build_bundled_model("double_slit", {"bins": "4",
                                                        "halfwidth": "30"})
-        positions = state.values["pw"].pw.attr_array("position").tolist()
+        positions = state.values["pw"].attr_array("position").tolist()
         assert positions == [-22.5, -22.5, -7.5, -7.5, 7.5, 7.5, 22.5, 22.5]
 
     def test_pw_spin_needs_one_path(self):
@@ -406,7 +406,7 @@ class TestConstructors:
                 ("type-mismatch", f"ca_step: {message}", 6, 33)]
 
     def test_ca_step_keeps_other_records_and_fields(self):
-        from causalkit import VList, VRecord, VVector, make_initial_state
+        from causalkit import VRecord, VVector, make_initial_state
         model = load_model(
             "model m {\n"
             "  record Ion { id: int; pos: int; vel: int; species: int; "
@@ -418,13 +418,13 @@ class TestConstructors:
         ion = VRecord("Ion", {"id": 1, "pos": 0, "vel": 1, "species": 0,
                               "charge": -1})
         ring = VRecord("Ring", {"phi": VVector(np.ones(3)),
-                                "particles": VList([ion]), "alpha": 0.5,
+                                "particles": (ion,), "alpha": 0.5,
                                 "label": 7})
         trace = run(model, make_initial_state(model.schema, {"w": ring}), CFG)
         assert trace.termination.kind == "max-steps"
         world = trace.final_state.values["w"]
         assert world.record == "Ring" and world.fields["label"] == 7
-        (ion,) = world.fields["particles"].items
+        (ion,) = world.fields["particles"]
         assert ion.record == "Ion"
         assert (ion.fields["pos"], ion.fields["charge"]) == (2, -1)
 
@@ -478,4 +478,4 @@ class TestConstructors:
         assert len(world.fields["phi"].values) == 5
         assert world.fields["alpha"] == 0.35
         assert [(p.fields["pos"], p.fields["vel"])
-                for p in world.fields["particles"].items] == [(2, 1), (3, -1)]
+                for p in world.fields["particles"]] == [(2, 1), (3, -1)]

@@ -13,7 +13,6 @@ from causalkit import (
     MissingFieldError,
     RngStream,
     RunConfig,
-    VList,
     VRecord,
     branch_run,
     build_bundled_model,
@@ -43,7 +42,7 @@ def _assert_payloads(value, td, schema, where):
     if td.kind in EXACT:
         assert type(value) is EXACT[td.kind], (where, type(value), value)
     elif td.kind == "list":
-        for i, item in enumerate(value.items):
+        for i, item in enumerate(value):
             _assert_payloads(item, td.element, schema, f"{where}[{i}]")
     elif td.kind == "record":
         for name, ftd in schema.records[td.record]:
@@ -113,7 +112,7 @@ def test_an_empty_list_sums_to_its_element_kind():
     model = load_model(
         "model m { state { l: list(real); x: real; } init { x = 1.0; } "
         "law L { when true; then { x = sum(l); } } }")
-    state = make_initial_state(model.schema, {"l": VList([]), "x": 1.0})
+    state = make_initial_state(model.schema, {"l": (), "x": 1.0})
     trace = run(model, state, RunConfig(dt=1.0, max_steps=1))
     x = trace.final_state.values["x"]
     assert type(x) is float and x == 0.0

@@ -18,7 +18,6 @@ from causalkit import (
     SolveError,
     TypeMismatchError,
     VCGrid,
-    VPw,
     ZeroNormError,
     EvalError,
     RunConfig,
@@ -565,7 +564,7 @@ class TestPwPropagate:
         model = load_model(src)
         pw = PwCollection((("position", "real"), ("velocity", "real")),
                           [1.0], {"position": [[0.0]], "velocity": [[1e308]]})
-        init = make_initial_state(model.schema, {"pw": VPw(pw)})
+        init = make_initial_state(model.schema, {"pw": pw})
         trace = run(model, init, RunConfig(dt=10.0, max_steps=3))
         assert trace.termination.kind == "eval-error"
         assert trace.termination.message == (
@@ -811,7 +810,7 @@ class TestLeanKernelsMatchTheOracle:
 class TestBinEdges:
     @staticmethod
     def detect(nbins, lo, hi, seed=3):
-        pw = VPw(one_particle_pw([(0.5 * lo + 0.5 * hi, 0.0, 1.0)]))
+        pw = one_particle_pw([(0.5 * lo + 0.5 * hi, 0.0, 1.0)])
         return quantum._impl_pw_detect((pw, nbins, lo, hi, True),
                                        RngStream(seed))
 
@@ -881,7 +880,7 @@ class TestCaStep:
     def test_empty_world_zero_field(self):
         out = ca_step(ca_world_value(np.zeros(8)))
         assert np.all(out.fields["phi"].values == 0.0)
-        assert out.fields["particles"].items == ()
+        assert out.fields["particles"] == ()
 
     def test_field_diffusion_conserves_total(self):
         rng = np.random.default_rng(3)
@@ -958,14 +957,14 @@ class TestCaStep:
             world = ca_step(world)
 
     def test_record_names_and_other_fields_are_kept(self):
-        from causalkit.state import VList, VRecord
+        from causalkit.state import VRecord
         world = ca_world_value(np.zeros(4), [(1, 0, 1, 7)])
-        ion = VRecord("Ion", {**world.fields["particles"].items[0].fields,
+        ion = VRecord("Ion", {**world.fields["particles"][0].fields,
                               "charge": -1})
-        world = VRecord("Ring", {**world.fields, "particles": VList([ion]),
+        world = VRecord("Ring", {**world.fields, "particles": (ion,),
                                  "label": 3})
         out = ca_step(world)
-        (moved,) = out.fields["particles"].items
+        (moved,) = out.fields["particles"]
         assert out.record == "Ring" and out.fields["label"] == 3
         assert moved.record == "Ion"
         assert moved.fields == {"id": 1, "pos": 1, "vel": 1, "species": 7,

@@ -33,8 +33,6 @@ from causalkit.state import (
     SystemState,
     TypeDesc,
     VCGrid,
-    VList,
-    VPw,
     VRecord,
     VVector,
     check_value,
@@ -85,16 +83,16 @@ def valid(td: TypeDesc, records: dict):
     if kind == "cgrid":
         return VCGrid(np.zeros(td.length), td.dx)
     if kind == "list":
-        return VList([valid(td.element, records)])
+        return (valid(td.element, records),)
     if kind == "record":
         return VRecord(td.record, {n: valid(f, records)
                                    for n, f in records[td.record]})
     return _pw(tuple((n, t.kind) for n, t in td.attrs))
 
 
-def _pw(decls) -> VPw:
-    return VPw(PwCollection(decls, [1.0],
-                            {n: [[PAYLOAD_TYPES[k](0)]] for n, k in decls}))
+def _pw(decls) -> PwCollection:
+    return PwCollection(decls, [1.0],
+                        {n: [[PAYLOAD_TYPES[k](0)]] for n, k in decls})
 
 
 # a payload of a near type for each scalar kind
@@ -123,7 +121,7 @@ def mutations(td: TypeDesc, records: dict) -> list:
     if kind == "list":
         item = valid(td.element, records)
         return [("a vector", VVector([0.0])), *(
-            (f"item: {label}", VList([item, bad]))
+            (f"item: {label}", (item, bad))
             for label, bad in mutations(td.element, records))]
     members = valid(td, records).fields
     names = list(members)
@@ -221,7 +219,7 @@ def test_a_raw_start_state_is_checked_before_any_step(td, message):
     # check its values, so the law's write never sees a wrong type
     model = load_model(f"model keep {{ state {{ v: {td}; }} init {{ }} "
                        "law Keep { when true; then { v = v; } } }")
-    init = SystemState(model.schema, 0.0, {"v": VList([1.0, 2.0])})
+    init = SystemState(model.schema, 0.0, {"v": (1.0, 2.0)})
     cfg = RunConfig(dt=1.0, max_steps=3)
     for enter in (lambda: run(model, init, cfg),
                   lambda: branch_run(model, init, cfg, 4, 4),
