@@ -297,6 +297,9 @@ def main(argv=None) -> int:
             print(name)
         return 0
     try:
+        # a seed past 64 bits would be masked to one that is not
+        if not 0 <= args.seed < 2 ** 64:
+            raise ValueError("--seed must be in [0, 2**64 - 1]")
         # each handler is an entry point: numpy's warnings would only
         # repeat a non-finite value's eval-error on stderr, and the
         # collector stays paused while the command writes its output

@@ -5,18 +5,20 @@ the post-state. All reads inside a transition see the pre-state
 (simultaneous update); each write is stored into the post-state where it
 stands.
 
-When a model (or an observable list) is built, its guards, transitions,
-law selectors, halt condition, ``init`` expressions and observables are
-emitted as the source of one Python module, compiled once; see
-"Generated code" below. The column forms of its checks, which the
-analyzer's sample strategy reads, are emitted on first use (see
-``CausalModel.columns``).
+When a model is built, only its ``init`` block is emitted and compiled,
+as every command reads it. Its step code (the transitions, the law
+selectors and the halt condition) is emitted as the source of one
+Python module and compiled on the first read of any part of it, once
+per model (``_StepCode``); a law's lone guard, which only
+``eval_guard`` reads, on that law's first ``eval_guard`` call; and the
+column forms of its checks, which the analyzer's sample strategy reads,
+on first use (``CausalModel.columns``). An observable list is compiled
+when it is built. See "Generated code" below.
 """
 
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import functools
 import gc
 import itertools
@@ -58,23 +60,53 @@ from .state import (
 @dataclass(frozen=True)
 class Law:
     """A guarded transition. A model compiles the laws it is given into
-    copies of its own, with ``guard_fn`` (state -> bool) and ``apply_fn``
-    (pre-state, dt, random source, time -> post-state) set.
-    ``uses_random`` is read off the transition: whether it draws, by
-    ``random(...)`` or a stochastic intrinsic."""
+    copies of its own, each with ``code``, the model's step code and the
+    law's index in it; a copy's ``apply_fn`` (pre-state, dt, random
+    source, time -> post-state) is its transition there, compiled on the
+    first read. ``uses_random`` is read off the transition: whether it
+    draws, by ``random(...)`` or a stochastic intrinsic."""
 
     name: str
     guard: object                 # typed Expr, bool-valued
     transition: list              # typed statements
     uses_random: bool = field(init=False)
-    guard_fn: object = field(default=None, repr=False, compare=False)
     apply_fn: object = field(default=None, repr=False, compare=False)
+    code: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "uses_random", any(
             isinstance(n, RandomExpr) or isinstance(n, Call)
             and getattr(intrinsics.get(n.func), "stochastic", False)
             for n in walk(self.transition)))
+        if self.apply_fn is None and self.code is not None:
+            del self.__dict__["apply_fn"]   # read through _Transition
+
+    @functools.cached_property
+    def guard_fn(self):
+        """The lone guard (state -> bool), which only ``eval_guard``
+        reads: the line the step code's emission wrote for it, compiled
+        on first use."""
+        code, i = self.code
+        code.fns   # emits the line
+        return _exec(code.guards[i], code.ns, f"guard {self.name}",
+                     ("guard",), self)[0]
+
+
+class _Transition:
+    """``Law.apply_fn`` of a model's copy of a law that has none of its
+    own: its transition in the step code, which this first read
+    compiles, then kept on the copy, so that later reads are plain
+    attribute reads (as with ``functools.cached_property``)."""
+
+    def __get__(self, law, owner=None):
+        if law is None:
+            return None   # the field's default
+        code, i = law.code
+        fn = law.__dict__["apply_fn"] = code.fns[f"apply{i}"]
+        return fn
+
+
+Law.apply_fn = _Transition()
 
 
 @dataclass(frozen=True)
@@ -85,11 +117,8 @@ class CausalModel:
     init: tuple = ()              # ((field name, Expr), ...)
     halt: object | None = None
     default_timestep: float = 1.0
-    # mode -> state -> the applicable law; the generated module's source
-    selectors: dict = field(init=False, repr=False, compare=False)
-    halt_fn: object = field(init=False, repr=False, compare=False)
     init_fn: object = field(init=False, repr=False, compare=False)
-    source: str = field(init=False, repr=False, compare=False)
+    code: object = field(init=False, repr=False, compare=False)  # _StepCode
 
     def __post_init__(self):
         if not self.laws:
@@ -106,6 +135,26 @@ class CausalModel:
             if l.name == name:
                 return l
         raise KeyError(name)
+
+    @functools.cached_property
+    def selectors(self) -> dict:
+        """mode -> state -> the index of the applicable law, from the step
+        code."""
+        fns = self.code.fns
+        return {"strict": fns["select_strict"],
+                "first-match": fns["select_first"]}
+
+    @functools.cached_property
+    def halt_fn(self):
+        """The halt condition (state -> bool) from the step code, or None
+        for a model that never halts."""
+        return None if self.halt is None else self.code.fns["halt"]
+
+    @property
+    def source(self) -> str:
+        """The step code's Python source."""
+        self.code.fns
+        return self.code.source
 
     @functools.cached_property
     def columns(self):
@@ -636,15 +685,10 @@ class _Emitter:
 
 
 def _compile_model(model: CausalModel):
-    """Emit, compile and bind every function of ``model``: per law a guard
-    and a transition (set on the model's own copy of the law, so laws
-    shared by two models keep each model's code), a selector per mode
-    with the guards inline (it gives the law's index), the halt condition
-    and the init block.
-
-    strict: every guard is evaluated and exactly one must hold (else the
-    state is the witness); first-match: the first law whose guard holds.
-    A guard's EvalError leaves with its law's name.
+    """Emit and compile ``model``'s init block, and give the model its
+    step code (``_StepCode``, compiled on first use) and its own copies
+    of the laws, which reach that code, so laws shared by two models keep
+    each model's code.
 
     Parts typed under other constant values than the schema's (a
     constant's name folded to another payload object) are typed again as
@@ -655,57 +699,82 @@ def _compile_model(model: CausalModel):
                [[law.guard, law.transition] for law in model.laws]
                + [e for _, e in model.init] + [model.halt])):
         again = functools.partial(retyped, schema=model.schema)
-        object.__setattr__(model, "laws", tuple(dataclasses.replace(
-            law, guard=again(law.guard), transition=again(law.transition))
+        object.__setattr__(model, "laws", tuple(
+            Law(law.name, again(law.guard), again(law.transition))
             for law in model.laws))
         object.__setattr__(model, "init", tuple(
             (name, again(e)) for name, e in model.init))
         if model.halt is not None:
             object.__setattr__(model, "halt", again(model.halt))
     em = _Emitter(model.schema)
-    lines, reads, strict, first, hits = [], {}, [], [], []
-    for i, law in enumerate(model.laws):
-        guard, text, guard_reads = em.condition(f"guard{i}", law.guard)
-        reads.update(guard_reads)
-        lines += [guard, *em.transition(law, f"apply{i}")]
-        loc = f"  # {law.guard.loc}"
-        strict += [f"        w = {law.name!r}", f"        h{i} = {text}{loc}"]
-        first += [f"        w = {law.name!r}", f"        if {text}:{loc}",
-                  f"            return {i}"]
-        hits.append(f"h{i}")
-    chosen = str(len(hits) - 1)   # the one law whose guard holds
-    for i in range(len(hits) - 2, -1, -1):
-        chosen = f"{i} if h{i} else {chosen}"
-    law_names = "".join(f"{law.name!r}, " for law in model.laws)
-    loads = em.loads(reads=reads)
-    handler = ["    except EvalError as e:",
-               "        raise EvalError(e.message, e.loc, law=w)"]
-    lines += [f"def select_strict(s):\n    v = s.values{loads}", "    try:",
-              *strict, *handler, f"    n = {' + '.join(hits)}",
-              f"    if n == 1:\n        return {chosen}",
-              "    if n == 0:\n        raise NoApplicableLawError(s)",
-              "    raise MultipleApplicableError(s, [name for name, h in "
-              f"zip(({law_names}), ({', '.join(hits)},)) if h])",
-              f"def select_first(s):\n    v = s.values{loads}", "    try:",
-              *first, *handler, "    raise NoApplicableLawError(s)"]
-    names = [f"{f}{i}" for i in range(len(hits)) for f in ("guard", "apply")]
-    names += ["select_strict", "select_first", "init"]
-    if model.halt is not None:
-        lines.append(em.condition("halt", model.halt)[0])
-        names.append("halt")
-    lines += em.init(model)
-    source = "\n".join(lines) + "\n"
-    fns = dict(zip(names, _exec(source, em.ns, f"model {model.name}", names,
-                                model)))
-    laws = tuple(dataclasses.replace(law, guard_fn=fns[f"guard{i}"],
-                                     apply_fn=fns[f"apply{i}"])
-                 for i, law in enumerate(model.laws))
-    selectors = {"strict": fns["select_strict"],
-                 "first-match": fns["select_first"]}
-    for name, value in (("laws", laws), ("selectors", selectors),
-                        ("halt_fn", fns.get("halt")), ("init_fn", fns["init"]),
-                        ("source", source)):
-        object.__setattr__(model, name, value)
+    init = "\n".join(em.init(model)) + "\n"
+    object.__setattr__(model, "init_fn", _exec(
+        init, em.ns, f"init {model.name}", ("init",), model)[0])
+    code = _StepCode(model)
+    object.__setattr__(model, "code", code)
+    object.__setattr__(model, "laws", tuple(
+        Law(law.name, law.guard, law.transition, code=(code, i))
+        for i, law in enumerate(model.laws)))
+
+
+class _StepCode:
+    """A model's step code: per law a transition, a selector per mode
+    with the guards inline (it gives the law's index) and the halt
+    condition, emitted as one module and compiled on the first read of
+    ``fns``, which also sets ``source``, ``ns`` and ``guards`` (per law
+    the line of its lone guard, compiled only by ``Law.guard_fn``). The
+    model and its law copies hold it, and it holds neither, so a dropped
+    model is freed at once.
+
+    strict: every guard is evaluated and exactly one must hold (else the
+    state is the witness); first-match: the first law whose guard holds.
+    A guard's EvalError leaves with its law's name."""
+
+    def __init__(self, model: CausalModel):
+        self.name, self.schema = model.name, model.schema
+        self.laws, self.halt = model.laws, model.halt
+
+    @functools.cached_property
+    def fns(self) -> dict:
+        em = _Emitter(self.schema)
+        lines, reads, strict, first, hits, guards = [], {}, [], [], [], []
+        for i, law in enumerate(self.laws):
+            guard, text, guard_reads = em.condition("guard", law.guard)
+            guards.append(guard + "\n")
+            reads.update(guard_reads)
+            lines += em.transition(law, f"apply{i}")
+            loc = f"  # {law.guard.loc}"
+            strict += [f"        w = {law.name!r}",
+                       f"        h{i} = {text}{loc}"]
+            first += [f"        w = {law.name!r}", f"        if {text}:{loc}",
+                      f"            return {i}"]
+            hits.append(f"h{i}")
+        chosen = str(len(hits) - 1)   # the one law whose guard holds
+        for i in range(len(hits) - 2, -1, -1):
+            chosen = f"{i} if h{i} else {chosen}"
+        law_names = "".join(f"{law.name!r}, " for law in self.laws)
+        loads = em.loads(reads=reads)
+        handler = ["    except EvalError as e:",
+                   "        raise EvalError(e.message, e.loc, law=w)"]
+        lines += [f"def select_strict(s):\n    v = s.values{loads}",
+                  "    try:", *strict, *handler,
+                  f"    n = {' + '.join(hits)}",
+                  f"    if n == 1:\n        return {chosen}",
+                  "    if n == 0:\n        raise NoApplicableLawError(s)",
+                  "    raise MultipleApplicableError(s, [name for name, h in "
+                  f"zip(({law_names}), ({', '.join(hits)},)) if h])",
+                  f"def select_first(s):\n    v = s.values{loads}",
+                  "    try:", *first, *handler,
+                  "    raise NoApplicableLawError(s)"]
+        names = [f"apply{i}" for i in range(len(hits))]
+        names += ["select_strict", "select_first"]
+        if self.halt is not None:
+            lines.append(em.condition("halt", self.halt)[0])
+            names.append("halt")
+        self.source = "\n".join(lines) + "\n"
+        self.ns, self.guards = em.ns, guards
+        return dict(zip(names, _exec(self.source, em.ns, f"step {self.name}",
+                                     names, self)))
 
 
 # --- column functions ----------------------------------------------------------------
@@ -938,7 +1007,9 @@ def compile_observable(expr, schema: StateSchema):
 
 
 def eval_guard(law: Law, s: SystemState) -> bool:
-    """Evaluate a law's guard on a state. Pure: no randomness, no mutation."""
+    """Evaluate a law's guard on a state. Pure: no randomness, no mutation.
+    The law's lone guard is compiled on the first call and kept on the
+    law (``Law.guard_fn``)."""
     try:
         return law.guard_fn(s)
     except EvalError as exc:

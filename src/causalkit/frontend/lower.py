@@ -10,7 +10,8 @@ from .typecheck import TypedModel, typecheck
 
 def lower(typed: TypedModel, default_timestep: float = 1.0) -> CausalModel:
     """Package a typechecked model for the engine, laws in declaration order;
-    constructing it compiles every guard, transition and expression."""
+    constructing it compiles the init block, and the rest is compiled on
+    first use (see ``engine``)."""
     ast = typed.ast
     laws = tuple(Law(name=law.name, guard=law.guard, transition=law.body)
                  for law in ast.laws)

@@ -9,6 +9,9 @@ from causalkit.cli import main
 
 from conftest import BROKEN, FIXTURES
 
+MODELS = FIXTURES.parent.parent / "cmlbench" / "models"
+QUADRANTS, WALK = MODELS / "quadrants.cml", MODELS / "walk.cml"
+
 
 def invoke(argv, capsys):
     code = main(argv)
@@ -635,6 +638,19 @@ class TestUsageErrors:
         assert invoke(argv, capsys) == (
             code, "", message.format(missing=missing) + "\n")
 
+    @pytest.mark.parametrize("command", [
+        ["run"], ["analyze"], ["branch"],
+        ["histogram", "--observables", "n", "--trials", "3"]])
+    def test_seed_outside_64_bits_exit_2(self, capsys, command):
+        # RngStream masks a seed to 64 bits, so 2**64 would run as 0 and
+        # -1 as 2**64 - 1; the command line refuses both
+        argv = [command[0], "builtin:counter", *command[1:], "--steps", "3"]
+        for seed in (-1, 2 ** 64, 2 ** 70):
+            assert invoke([*argv, "--seed", str(seed)], capsys) == (
+                2, "", "usage error: --seed must be in [0, 2**64 - 1]\n")
+        for seed in (0, 2 ** 64 - 1):
+            assert invoke([*argv, "--seed", str(seed)], capsys)[0] == 0
+
     def test_zero_depth_exit_2(self, capsys):
         code, _, err = invoke(["branch", "builtin:counter", "--depth", "0"],
                               capsys)
@@ -674,6 +690,49 @@ class TestUsageErrors:
         code, _, err = invoke(["run", "builtin:nope"], capsys)
         assert code == 1
         assert "nope" in err
+
+
+class TestHashSeed:
+    """A command's bytes do not depend on the order Python's string hash
+    gives sets and dicts of names: every command below, each run in one
+    fresh process per ``PYTHONHASHSEED``, gives the same output."""
+
+    RUNS = (
+        ["analyze", str(QUADRANTS), "--strategy", "sample", "--samples",
+         "1500", "--seed", "7"],
+        ["analyze", str(QUADRANTS), "--strategy", "trace", "--runs", "15",
+         "--steps", "100", "--seed", "7"],
+        ["branch", str(WALK), "--steps", "30", "--depth", "8", "--width",
+         "64"],
+        ["histogram", "builtin:double_slit", "--param", "detector=on",
+         "--observables", "detected", "--trials", "2000"],
+        ["run", "builtin:qftca_toy", "--format", "jsonl", "--steps", "40",
+         "--observables", "world.particles[0].vel"],
+    )
+    SCRIPT = ("import contextlib, io, json, sys\n"
+              "from causalkit.cli import main\n"
+              "outs = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    out = io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out):\n"
+              "        outs.append([main(argv), out.getvalue()])\n"
+              "print(json.dumps(outs))\n")
+
+    def test_output_bytes_do_not_depend_on_the_hash_seed(self):
+        import os
+        import subprocess
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for hash_seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            outputs.append(json.loads(subprocess.run(
+                [sys.executable, "-c", self.SCRIPT, json.dumps(self.RUNS)],
+                capture_output=True, check=True, env=env).stdout))
+        assert [code for code, _ in outputs[0]] == [0] * len(self.RUNS)
+        assert all(out for _, out in outputs[0])
+        assert outputs[0] == outputs[1]
 
 
 class TestParserReuse:

@@ -29,6 +29,7 @@ import json
 import linecache
 import re
 import time
+from collections import Counter
 
 import pytest
 
@@ -50,7 +51,7 @@ from causalkit.analyzer import guard_disjunction_trivially_true
 from causalkit.errors import EvalError
 from causalkit.engine import Law, compile_observable
 from causalkit.frontend import parse_expression
-from causalkit.frontend.ast_nodes import Assign, Lit, Loc, Name
+from causalkit.frontend.ast_nodes import Assign, Lit, Loc, Name, walk
 from causalkit.frontend.lower import compile_model
 from causalkit.frontend.typecheck import check_standalone_expr
 from causalkit.state import TypeDesc, VRecord
@@ -367,16 +368,85 @@ def test_generated_source_is_kept_and_shown_in_tracebacks():
         apply_law(model.laws[0], build_initial_state(model), 1.0, None)
     text = "".join(traceback.format_exception(exc.value))
     assert filename in text and "  # 5:29" in text
-    # nothing generated refers back to the model: dropping it frees it
-    # and its source at once, without waiting for the cycle collector
+    # nothing generated refers back to the model: dropping it frees it at
+    # once, without waiting for the cycle collector; its source goes with
+    # the last law that reaches its step code (the traceback holds one)
     gc.disable()
     try:
         ref = weakref.ref(model)
         del model, apply
         assert ref() is None
+        assert filename in linecache.cache
+        del exc
         assert filename not in linecache.cache
     finally:
         gc.enable()
+
+
+QUADRANTS = FIXTURES.parent.parent / "cmlbench" / "models" / "quadrants.cml"
+
+
+def _compiled(monkeypatch) -> Counter:
+    """What engine compiles from now on, counted by the first word of
+    each module's label: init, step, guard, columns or observables."""
+    counts = Counter()
+    compile_ = engine._exec
+
+    def counting(source, ns, what, *args):
+        counts[what.split()[0]] += 1
+        return compile_(source, ns, what, *args)
+    monkeypatch.setattr(engine, "_exec", counting)
+    return counts
+
+
+@pytest.mark.parametrize("argv, compiled", [
+    # the sample strategy checks quadrants' states in columns only
+    (["analyze", str(QUADRANTS), "--strategy", "sample", "--samples", "1500"],
+     {"init": 1, "columns": 1}),
+    (["analyze", str(QUADRANTS), "--strategy", "trace", "--runs", "15"],
+     {"init": 1, "step": 1}),
+    (["run", "builtin:harmonic_oscillator", "--steps", "2000",
+      "--observables", "x"], {"init": 1, "step": 1, "observables": 1}),
+])
+def test_a_command_compiles_what_it_runs_once(monkeypatch, argv, compiled):
+    counts = _compiled(monkeypatch)
+    code, out, err = _cml(argv)
+    assert (code, err) == (0, "")
+    assert counts == compiled
+
+
+def test_a_lone_guard_is_compiled_on_its_first_evaluation(monkeypatch):
+    model = load_model(QUADRANTS.read_text(encoding="utf-8"))
+    s = build_initial_state(model)
+    counts = _compiled(monkeypatch)
+    law = model.laws[1]
+    assert not engine.eval_guard(law, s) and not engine.eval_guard(law, s)
+    # the guard's line is written with the step code, then compiled alone
+    assert counts == {"step": 1, "guard": 1}
+    engine.eval_guard(model.laws[0], s)
+    assert counts == {"step": 1, "guard": 2}
+
+
+def test_a_law_copy_compiles_its_step_code_without_its_model():
+    import gc
+    import weakref
+
+    model = load_model(QUADRANTS.read_text(encoding="utf-8"))
+    s = build_initial_state(model)
+    law = model.laws[0]
+    assert "apply_fn" not in vars(law)   # not compiled yet
+    gc.disable()
+    try:
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+        assert apply_law(law, s, 1.0, None).values["x"] == 0.125
+    finally:
+        gc.enable()
+    # a law built by hand has no transition, as the field's default says
+    bare = Law(law.name, law.guard, law.transition)
+    assert bare.apply_fn is None and Law.apply_fn is None
+    assert dataclasses.replace(law).apply_fn is law.apply_fn
 
 
 def test_models_sharing_laws_keep_their_own_code():
@@ -476,7 +546,7 @@ def test_a_node_never_typed_emits_as_it_stands():
     assert apply_law(model.laws[0], s, None, None).values["n"] == 5
 
 
-def test_each_node_is_compiled_once(monkeypatch):
+def test_each_node_is_emitted_at_most_once_at_first_use(monkeypatch):
     calls = []
     emit = engine._Emitter.expr
 
@@ -486,12 +556,24 @@ def test_each_node_is_compiled_once(monkeypatch):
 
     monkeypatch.setattr(engine._Emitter, "expr", counting)
     model = load_model((FIXTURES / "language.cml").read_text())
-    assert calls and len(calls) == len(set(calls))
+    # building the model emits its init block only
+    assert calls and set(calls) <= {id(node) for node in walk(
+        [e for _, e in model.init])}
     n = len(calls)
     s = build_initial_state(model)
     for law in model.laws:
         engine.eval_guard(law, s)
+    # the first guard emitted the step code: the guards, the transitions
+    # and the halt condition, each node once
+    step = {id(node) for node in walk([[law.guard, law.transition]
+                                       for law in model.laws] + [model.halt])}
+    assert {id(law.guard) for law in model.laws} <= set(calls[n:]) <= step
+    assert len(calls) == len(set(calls))
+    n = len(calls)
+    for law in model.laws:
+        engine.eval_guard(law, s)
     s = apply_law(model.law("Even"), s, 1.0, RngStream(0))
+    engine.select_law(model, s, "first-match")
     engine.halts(model, s)
     assert len(calls) == n
 
@@ -688,6 +770,13 @@ def _renumbered(source: str) -> str:
     return _GENERATED.sub(renamed, source)
 
 
+def _model_source(model) -> str:
+    """The source a model generates: its step code's, then its init
+    block's."""
+    init = model.init_fn.__code__.co_filename
+    return model.source + "".join(linecache.getlines(init))
+
+
 def _generated_sources() -> dict:
     """Pin name -> the generated source it names, renumbered."""
     sources = {}
@@ -696,18 +785,16 @@ def _generated_sources() -> dict:
                        if name == "double_slit" else [{}]):
             model, _ = build_bundled_model(name, params)
             label = "".join(f" {k}={v}" for k, v in params.items())
-            sources[f"builtin:{name}{label}"] = model.source
+            sources[f"builtin:{name}{label}"] = _model_source(model)
     for path in sorted(FIXTURES.glob("*.cml")):
         model, _ = compile_model(path.read_text(encoding="utf-8"))
         if model is not None:
-            sources[f"tests/fixtures/{path.name}"] = model.source
+            sources[f"tests/fixtures/{path.name}"] = _model_source(model)
     for label, (name, spec) in OBSERVABLES.items():
         model, _ = build_bundled_model(name, {})
         observables, _ = _compile_observables(spec, model.schema)
         sources[label] = observables.source
-    quadrants = FIXTURES.parent.parent / "cmlbench" / "models" / \
-        "quadrants.cml"
-    model = load_model(quadrants.read_text(encoding="utf-8"))
+    model = load_model(QUADRANTS.read_text(encoding="utf-8"))
     conditions = model.columns.args[0]
     sources["cmlbench/models/quadrants.cml columns"] = "".join(
         linecache.getlines(conditions.__code__.co_filename))
