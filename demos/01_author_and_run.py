@@ -61,13 +61,14 @@ model gappy {
 def main():
     model = load_model(BOUNCER)
     state = build_initial_state(model)
-    trace = run(model, state, RunConfig(dt=1.0, max_steps=12))
+    # a trace row holds what the run observed: here the two fields printed
+    trace = run(model, state, RunConfig(dt=1.0, max_steps=12, observables=(
+        ("x", lambda s: s.values["x"]), ("up", lambda s: s.values["up"]))))
     print("bouncer trajectory (x, up):")
     for row in trace.rows:
-        s = row.snapshot
-        bar = "#" * int(s.values["x"])
-        print(f"  step {row.step:2d}  x={s.values['x']:4.1f} "
-              f"up={str(s.values['up']):5s} |{bar}")
+        x, up = row.values
+        bar = "#" * int(x)
+        print(f"  step {row.step:2d}  x={x:4.1f} up={str(up):5s} |{bar}")
     print(f"termination: {trace.termination.kind}")
     print()
 

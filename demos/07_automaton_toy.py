@@ -21,10 +21,11 @@ def render(world_value, cells):
 def main():
     model, state = build_bundled_model("qftca_toy")
     cells = len(state.values["world"].fields["phi"].values)
-    trace = run(model, state, RunConfig(dt=1.0, max_steps=12))
+    trace = run(model, state, RunConfig(dt=1.0, max_steps=12, observables=(
+        ("world", lambda s: s.values["world"]),)))
     print("ring evolution ('>' right-mover, '<' left-mover):")
     for row in trace.rows:
-        world = row.snapshot.values["world"]
+        world, = row.values
         momentum = sum(p.fields["vel"]
                        for p in world.fields["particles"])
         print(f"  step {row.step:2d}  {render(world, cells)}  "

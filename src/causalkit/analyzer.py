@@ -356,8 +356,12 @@ def _check(model: CausalModel, strategy: CheckStrategy,
                                 term.kind == "no-applicable-law"
                                 or term.kind == "max-steps"
                                 and not validstate(model, trace.final_state)):
-                            law = select_law(model, trace.rows[-2].snapshot,
-                                             "first-match")
+                            # the last law's in-state ends a run 1 step shorter
+                            before = start if steps == 1 else run(
+                                model, start, replace(
+                                    cfg, mode="first-match",
+                                    max_steps=steps - 1)).final_state
+                            law = select_law(model, before, "first-match")
                             comp = CompletenessVerdict(
                                 "fail", states_checked=n_comp, seed=seed,
                                 witness=trace.final_state,

@@ -189,10 +189,9 @@ def _cmd_run(args) -> int:
                       observables=observables)
     trace = run(model, state, cfg)
     write_trace(trace, args.format, args.out)
-    if trace.termination.is_error:
-        t = trace.termination
-        msg = t.message or t.kind
-        print(f"terminated: {t.kind}: {msg}", file=sys.stderr)
+    t = trace.termination
+    if t.is_error:
+        print(f"terminated: {t.kind}: {t.message or t.kind}", file=sys.stderr)
         return 1
     return 0
 
@@ -204,9 +203,8 @@ def _cmd_analyze(args) -> int:
                              runs=args.runs, steps_per_run=args.steps,
                              seed=args.seed)
     report = analyze(model, strategy, state)
-    text = json.dumps(report_to_json(report), indent=2,
-                      cls=IndentedEncoder) + "\n"
-    write_text(text, args.out)
+    write_text(json.dumps(report_to_json(report), indent=2,
+                          cls=IndentedEncoder) + "\n", args.out)
     return 0
 
 
@@ -215,8 +213,7 @@ def _cmd_branch(args) -> int:
     model, state = _load_model(args)
     tree = branch_run(model, state, _run_config(args, model), args.depth,
                       args.width)
-    text = world_tree_text(tree) + "\n"
-    write_text(text, args.out)
+    write_text(world_tree_text(tree) + "\n", args.out)
     return 0
 
 
@@ -276,9 +273,11 @@ def _bin_outcomes(outcomes, bins):
     hi = max(outcomes)
     if lo == hi:
         return [(format_scalar(lo), sum(outcomes.values()))]
-    # binned at scale h: 1 leaves every value as it is (an int stays
-    # exact), 0.5 keeps hi - lo finite where it overflows a float
+    # binned at h, a power of two (exact): 1 leaves an int exact, 0.5 keeps
+    # an overflowing hi - lo finite, a larger h makes a narrow width normal
     h = 1 if math.isfinite(hi - lo) else 0.5
+    while (hi * h - lo * h) / n < 2.0 ** -1022:
+        h *= 2
     width = (hi * h - lo * h) / n
     counts = [0] * n
     for v, count in outcomes.items():

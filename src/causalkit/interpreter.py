@@ -89,29 +89,26 @@ class Termination:
 
 @dataclass(frozen=True, slots=True, init=False)
 class TraceRow:
-    """One recorded row. Built once per recorded step, so ``__init__``
-    stores through the slot descriptors, as ``SystemState``'s does."""
+    """What a run observed at one recorded step. Built once per such step,
+    so ``__init__`` stores through the slot descriptors."""
 
     step: int
     time: float
     values: tuple                  # observable values (raw python scalars)
-    snapshot: SystemState | None = None
 
-    def __init__(self, step: int, time: float, values: tuple,
-                 snapshot: SystemState | None = None):
+    def __init__(self, step: int, time: float, values: tuple):
         _SET_STEP(self, step)
         _SET_TIME(self, time)
         _SET_VALUES(self, values)
-        _SET_SNAPSHOT(self, snapshot)
 
 
-_SET_STEP, _SET_TIME, _SET_VALUES, _SET_SNAPSHOT = (
-    TraceRow.step.__set__, TraceRow.time.__set__, TraceRow.values.__set__,
-    TraceRow.snapshot.__set__)
+_SET_STEP, _SET_TIME, _SET_VALUES = (
+    TraceRow.step.__set__, TraceRow.time.__set__, TraceRow.values.__set__)
 
 
 @dataclass(frozen=True)
 class Trace:
+    """A run's rows, what it observed, and the one state it ended at."""
     model_name: str
     config: RunConfig
     rows: tuple
@@ -148,7 +145,7 @@ def run(model: CausalModel, init: SystemState, cfg: RunConfig) -> Trace:
     leaves the shared walk; here it is seeded with ``cfg.seed`` itself
     and starts at step 0. Row times are computed as init.time +
     stepIndex * dt (not accumulated), and rows are recorded exactly at
-    record_every strides.
+    record_every strides. A row holds no state: observe what you need.
     """
     cfg.check_times(init)
     check_values(model.schema, init.values)
@@ -173,7 +170,7 @@ def _run_from(model: CausalModel, cfg: RunConfig, start: float,
     dt, max_steps, every = cfg.dt, cfg.max_steps, cfg.record_every
     try:
         if rows is not None:
-            rows.append(TraceRow(0, start, observe(s), s))
+            rows.append(TraceRow(0, start, observe(s)))
         while True:
             if halt is not None and halt(s):
                 return Termination("halted"), s
@@ -183,7 +180,7 @@ def _run_from(model: CausalModel, cfg: RunConfig, start: float,
             time = start + steps * dt
             s = applies[select(s)](s, dt, stream, time)
             if rows is not None and steps % every == 0:
-                rows.append(TraceRow(steps, time, observe(s), s))
+                rows.append(TraceRow(steps, time, observe(s)))
     except _STEP_ERRORS as exc:
         return _termination(exc), s
 
@@ -581,8 +578,7 @@ class Ensemble:
             words.retire(rows)
             for i in rows.tolist():
                 stream.rekey(int(keys[i]))
-                for _ in range(pos):
-                    stream.raw64()
+                stream.words(pos)
                 out[i] = _run_from(model, cfg, start, s, steps, stream)
 
         def settle(rows, termination, s):

@@ -275,14 +275,15 @@ def test_criterion_7_numerics():
         model, state = build_bundled_model("harmonic_oscillator")
         dt = 0.001
         ten_periods = int(round(10 * 2 * math.pi / dt))
-        cfg = RunConfig(dt=dt, max_steps=ten_periods, seed=0, record_every=1)
+        cfg = RunConfig(dt=dt, max_steps=ten_periods, seed=0, record_every=1,
+                        observables=(("x", lambda s: s.values["x"]),
+                                     ("v", lambda s: s.values["v"])))
         trace = run(model, state, cfg)
         e0 = 0.5  # x0 = 1, v0 = 0
         worst = 0.0
         x_at_2pi = None
         for row in trace.rows:
-            x = row.snapshot.values["x"]
-            v = row.snapshot.values["v"]
+            x, v = row.values
             energy = 0.5 * v * v + 0.5 * x * x
             worst = max(worst, abs(energy - e0) / e0)
             if x_at_2pi is None and row.time >= 2 * math.pi:

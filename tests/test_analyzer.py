@@ -525,7 +525,7 @@ def _sampled_states(model, strategy):
         yield from schema.sampler(schema, words)
 
 
-def _trace_runs(model, strategy, mode, init):
+def _trace_runs(model, strategy, mode, init, observables=()):
     """The trace strategy: one ``run`` per trace run, in ``mode``, from a
     sampled valid start state, or from ``init`` (default: the model's
     initial state) if the model has unsampleable fields."""
@@ -539,7 +539,7 @@ def _trace_runs(model, strategy, mode, init):
         cfg = RunConfig(dt=model.default_timestep,
                         max_steps=strategy.steps_per_run,
                         seed=derive_seed(strategy.seed ^ 0x7472616365, r),
-                        mode=mode)
+                        mode=mode, observables=observables)
         yield run(model, start, cfg)
 
 
@@ -616,8 +616,11 @@ def two_pass_completeness(model, strategy, init=None):
 
 
 def _completeness_by_trace(model, strategy, init):
+    # each row observes its state: the oracle reads the last law's
+    # pre-state off the row before the last
     checked = 0
-    for trace in _trace_runs(model, strategy, "first-match", init):
+    for trace in _trace_runs(model, strategy, "first-match", init,
+                             (("state", lambda s: s),)):
         term = trace.termination
         if term.kind == "eval-error":
             return CompletenessVerdict("error", message=term.message)
@@ -628,7 +631,7 @@ def _completeness_by_trace(model, strategy, init):
                  or term.kind == "max-steps"
                  and not validstate(model, trace.final_state))
         if stuck and steps:
-            law = select_law(model, trace.rows[-2].snapshot, "first-match")
+            law = select_law(model, trace.rows[-2].values[0], "first-match")
             return CompletenessVerdict("fail", states_checked=checked,
                                        witness=trace.final_state,
                                        producing_law=law.name,
@@ -725,6 +728,57 @@ def test_one_pass_matches_two_passes(entry):
                     else not isinstance(got, tuple)), strategy
 
 
+# Laws that draw and step out of every guard: Low, High and Start after one
+# step, Climb after one step or more.
+JUMP_OUT = """
+model jump_out {
+  state { x: int in [0, 20]; }
+  init { x = 0; }
+  law Low { when x < 3; then { x = 10 + random({0, 3}, FLAT); } }
+  law High { when x >= 3 && x < 5; then { x = 12 + random({0, 1}, FLAT); } }
+}
+"""
+CLIMB_OUT = """
+model climb_out {
+  state { x: int in [0, 20]; }
+  init { x = 0; }
+  law Start { when x == 0; then { x = random({1, 9}, WEIGHTS(3, 1)); } }
+  law Climb { when x >= 1 && x < 6; then { x = x + random({1, 2}, FLAT); } }
+}
+"""
+
+
+@pytest.mark.parametrize("source, steps_per_run, seed, want", [
+    (JUMP_OUT, 30, 0, (1, 1.0, 12, "High")),
+    (JUMP_OUT, 30, 2, (1, 1.0, 13, "Low")),
+    (CLIMB_OUT, 30, 5, (4, 4.0, 6, "Climb")),
+    # the run ends max-steps at a state no guard holds
+    (CLIMB_OUT, 2, 0, (4, 2.0, 7, "Climb")),
+], ids=["one step, High", "one step, Low", "four steps",
+        "two steps to max-steps"])
+def test_trace_names_the_law_that_stepped_out(monkeypatch, source,
+                                              steps_per_run, seed, want):
+    # the law applied to the state before the failing run's last: the
+    # first-match run one step shorter ends there, and a run of one step
+    # started there
+    model = load_model(source)
+    strategy = CheckStrategy("trace", runs=4, steps_per_run=steps_per_run,
+                             seed=seed)
+    calls = TestOnePass.counted_runs(monkeypatch)
+    report = analyze(model, strategy)
+    verdict = report.completeness
+    checked, time, x, law = want
+    assert (verdict.status, verdict.states_checked, verdict.witness.time,
+            verdict.witness.values["x"], verdict.producing_law) == (
+        "fail", checked, time, x, law)
+    # only a failure after more than one step runs again, once
+    shorter = [kind for mode, _, kind in calls if mode == "first-match"]
+    assert shorter == ([] if time == 1.0 else ["max-steps"])
+    for check in (check_completeness, two_pass_completeness):
+        alone = replace(report, completeness=check(model, strategy))
+        assert report_to_json(alone) == report_to_json(report)
+
+
 # --- guards read through the compiled selectors ------------------------------------
 
 
@@ -748,8 +802,9 @@ def _guard_states(entry, model):
         return list(_sampled_states(model, CheckStrategy(count=300, seed=5)))
     trace = run(model, _start_state(entry, model),
                 RunConfig(dt=model.default_timestep, max_steps=300,
-                          mode="first-match"))
-    return [row.snapshot for row in trace.rows]
+                          mode="first-match",
+                          observables=(("state", lambda s: s),)))
+    return [row.values[0] for row in trace.rows]
 
 
 @pytest.mark.parametrize("entry", _CORPUS, ids=lambda e: e.split()[1]

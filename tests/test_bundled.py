@@ -167,10 +167,11 @@ class TestQftcaToy:
 
     def test_momentum_invariant_through_interpreter(self):
         model, state = build_bundled_model("qftca_toy")
-        cfg = RunConfig(dt=1.0, max_steps=30, seed=0)
+        cfg = RunConfig(dt=1.0, max_steps=30, seed=0, observables=(
+            ("world", lambda s: s.values["world"]),))
         trace = run(model, state, cfg)
         for row in trace.rows:
-            world = row.snapshot.values["world"]
+            world, = row.values
             total = sum(p.fields["vel"]
                         for p in world.fields["particles"])
             assert total == 0

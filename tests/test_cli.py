@@ -513,6 +513,24 @@ class TestHistogram:
         mids = [float(r[0]) for r in rows]
         assert mids == sorted(mids) and -1.7e308 < mids[0] < mids[-1] < 1.7e308
 
+    def test_real_outcomes_too_narrow_to_split(self, capsys):
+        # hi - lo is 6 * 5e-324, so a 20th of it is no float: the bins are
+        # taken at a power-of-two scale where their width is a normal float
+        # (this died with "ZeroDivisionError: float division by zero")
+        code, out, err = invoke(
+            ["histogram", str(WALK), "--trials", "50", "--steps", "3",
+             "--observables", "x * 5e-324"], capsys)
+        assert (code, err) == (0, "")
+        rows = [r.split(",") for r in out.strip().splitlines()[1:]]
+        assert len(rows) == 20
+        assert sum(int(r[1]) for r in rows) == 50
+        assert all(-3 * 5e-324 <= float(r[0]) <= 3 * 5e-324 for r in rows)
+        assert [(r[0], r[1]) for r in rows if r[1] != "0"] == [
+            ("-1.4821969375237396e-323", "6"),
+            ("-4.9406564584124654e-324", "19"),
+            ("4.9406564584124654e-324", "18"),
+            ("1.4821969375237396e-323", "7")]
+
     @pytest.mark.parametrize("halfwidth, shown", [("0", "[0.0, 0.0]"),
                                                   ("-1", "[1.0, -1.0]")])
     def test_degenerate_screen_is_an_eval_error(self, capsys, halfwidth,

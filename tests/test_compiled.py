@@ -720,8 +720,9 @@ def test_an_invalid_constant_draw_fails_only_when_it_runs():
         "law A { when n == 0; then { n = 1; } } "
         "law B { when n == 1; then { n = random({0, 1}, WEIGHTS(0, 0)); } } }")
     trace = run(model, build_initial_state(model),
-                RunConfig(dt=1.0, max_steps=3, record_every=1))
-    assert [row.snapshot.values["n"] for row in trace.rows] == [0, 1]
+                RunConfig(dt=1.0, max_steps=3, record_every=1,
+                          observables=(("n", lambda s: s.values["n"]),)))
+    assert [row.values for row in trace.rows] == [(0,), (1,)]
     assert trace.termination.message == \
         "law 'B': random: weights sum to zero at 1:116"
     # (an empty constant range is not left to the draw: it is a bad-random
@@ -731,8 +732,9 @@ def test_an_invalid_constant_draw_fails_only_when_it_runs():
         "law A { when n == 0; then { n = 1; } } "
         "law B { when n == 1; then { x = random([0.0, 1.0], GAUSS(0, 0)); } } }")
     trace = run(model, build_initial_state(model),
-                RunConfig(dt=1.0, max_steps=3, record_every=1))
-    assert [row.snapshot.values["n"] for row in trace.rows] == [0, 1]
+                RunConfig(dt=1.0, max_steps=3, record_every=1,
+                          observables=(("n", lambda s: s.values["n"]),)))
+    assert [row.values for row in trace.rows] == [(0,), (1,)]
     assert trace.termination.message == \
         "law 'B': random: GAUSS sigma must be > 0 at 1:134"
 

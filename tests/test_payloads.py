@@ -4,6 +4,7 @@ kind's, and a write of a non-finite real or complex ends the run."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -88,12 +89,13 @@ def test_every_state_holds_exact_payload_types():
         _assert_state(init)
         cfg = RunConfig(dt=model.default_timestep, max_steps=4,
                         record_every=1)
-        trace = run(model, init, cfg)
+        trace = run(model, init, replace(
+            cfg, observables=(("state", lambda s: s),)))
         term = trace.termination
         error = term.message if term.kind == "eval-error" else None
         assert error == FAILING.get(name), name
         for row in trace.rows:
-            _assert_state(row.snapshot)
+            _assert_state(row.values[0])
         _assert_state(trace.final_state)
         try:
             tree = branch_run(model, init, cfg, depth_bound=4, width_bound=8)

@@ -107,10 +107,12 @@ class TestClassicalStep:
         e0 = 0.5 * 1.0 ** 2
         trace = run(model, make_initial_state(model.schema,
                                               {"x": 1.0, "v": 0.0}),
-                    RunConfig(dt=dt, max_steps=10_000))
+                    RunConfig(dt=dt, max_steps=10_000, observables=(
+                        ("x", lambda s: s.values["x"]),
+                        ("v", lambda s: s.values["v"]))))
         assert len(trace.rows) == 10_001
         for row in trace.rows:
-            x, v = row.snapshot.values["x"], row.snapshot.values["v"]
+            x, v = row.values
             assert abs(0.5 * v * v + 0.5 * x * x - e0) / e0 < 1e-4
 
     def test_noninteracting_particles_decouple(self):

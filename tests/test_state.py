@@ -672,8 +672,9 @@ def test_every_state_a_run_reaches_passes_the_host_door(label):
         name = label.rsplit("/", 1)[1]
         model = load_model(fixture_source(name))
         start = _start_state(name, model)
-    trace = run(model, start, RunConfig(dt=1.0, max_steps=4, seed=3))
-    states = [row.snapshot for row in trace.rows] + [trace.final_state]
+    trace = run(model, start, RunConfig(dt=1.0, max_steps=4, seed=3,
+                                        observables=(("state", lambda s: s),)))
+    states = [row.values[0] for row in trace.rows] + [trace.final_state]
     if not model.schema.sampler.errors:
         states.append(sample_state(model.schema, RngStream(7)))
     for s in states:
