@@ -253,7 +253,7 @@ def _check(model: CausalModel, strategy: CheckStrategy,
             if hits[0].uses_random:   # the only law that reads rng
                 rng.rekey(derive_seed(seed ^ 0x6F7574, i))
             try:
-                out = apply_law(hits[0], s, model.default_timestep, rng)
+                out = apply_law(model, hits[0], s, model.default_timestep, rng)
                 n_comp += 1
                 if not (halts(model, out) or validstate(model, out)):
                     comp = CompletenessVerdict(

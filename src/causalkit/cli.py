@@ -28,7 +28,7 @@ from .interpreter import (
     write_trace,
 )
 from .jsontext import IndentedEncoder
-from .state import PAYLOAD_TYPES
+from .state import MAX_CELLS, PAYLOAD_TYPES
 
 
 @functools.cache
@@ -143,6 +143,12 @@ def _load_model(args):
         text = Path(src).read_text(encoding="utf-8")
     except OSError as exc:
         raise CausalKitError(f"cannot read '{src}': {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        # the first bad byte's line:col in the text read_text would give
+        lines = exc.object[:exc.start].decode("utf-8").replace(
+            "\r\n", "\n").replace("\r", "\n").split("\n")
+        raise CausalKitError(f"cannot read '{src}': not UTF-8 text at "
+                             f"{len(lines)}:{len(lines[-1]) + 1}")
     model, diags = compile_model(text, params=params)
     errors = [d for d in diags if d.severity == "error"]
     if model is None or errors:
@@ -221,8 +227,8 @@ def _cmd_branch(args) -> int:
 def _cmd_histogram(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
-    if args.bins is not None and args.bins < 1:
-        raise ValueError("--bins must be >= 1")
+    if args.bins is not None and not 1 <= args.bins <= MAX_CELLS:
+        raise ValueError(f"--bins must be in [1, {MAX_CELLS}]")
     model, state = _load_model(args)
     observables, kinds = _compile_observables(args.observables, model.schema)
     if len(observables) != 1:

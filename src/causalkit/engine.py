@@ -5,15 +5,16 @@ the post-state. All reads inside a transition see the pre-state
 (simultaneous update); each write is stored into the post-state where it
 stands.
 
-When a model is built, only its ``init`` block is emitted and compiled,
-as every command reads it. Its step code (the transitions, the law
-selectors and the halt condition) is emitted as the source of one
-Python module and compiled on the first read of any part of it, once
-per model (``_StepCode``); a law's lone guard, which only
-``eval_guard`` reads, on that law's first ``eval_guard`` call; and the
-column forms of its checks, which the analyzer's sample strategy reads,
-on first use (``CausalModel.columns``). An observable list is compiled
-when it is built. See "Generated code" below.
+A ``Law`` is its source, and its model owns what is compiled of it, so
+the host calls take the model first. Building a model emits and
+compiles only its ``init`` block, which every command reads. Its step
+code (the transitions, the law selectors and the halt condition) is one
+Python module, compiled on the first read of any part of it, once per
+model (``_StepCode``); a law's lone guard, which only ``eval_guard``
+reads, on that law's first ``eval_guard`` call; and the column forms of
+its checks, which the analyzer's sample strategy reads, on first use
+(``CausalModel.columns``). An observable list is compiled when it is
+built. See "Generated code" below.
 """
 
 from __future__ import annotations
@@ -59,54 +60,21 @@ from .state import (
 
 @dataclass(frozen=True)
 class Law:
-    """A guarded transition. A model compiles the laws it is given into
-    copies of its own, each with ``code``, the model's step code and the
-    law's index in it; a copy's ``apply_fn`` (pre-state, dt, random
-    source, time -> post-state) is its transition there, compiled on the
-    first read. ``uses_random`` is read off the transition: whether it
-    draws, by ``random(...)`` or a stochastic intrinsic."""
+    """A guarded transition, as its source states it. ``uses_random`` is
+    read off the transition: whether it draws, by ``random(...)`` or a
+    stochastic intrinsic. What is compiled of a law belongs to the model
+    that holds it (``CausalModel.transitions``, ``eval_guard``)."""
 
     name: str
     guard: object                 # typed Expr, bool-valued
     transition: list              # typed statements
     uses_random: bool = field(init=False)
-    apply_fn: object = field(default=None, repr=False, compare=False)
-    code: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "uses_random", any(
             isinstance(n, RandomExpr) or isinstance(n, Call)
             and getattr(intrinsics.get(n.func), "stochastic", False)
             for n in walk(self.transition)))
-        if self.apply_fn is None and self.code is not None:
-            del self.__dict__["apply_fn"]   # read through _Transition
-
-    @functools.cached_property
-    def guard_fn(self):
-        """The lone guard (state -> bool), which only ``eval_guard``
-        reads: the line the step code's emission wrote for it, compiled
-        on first use."""
-        code, i = self.code
-        code.fns   # emits the line
-        return _exec(code.guards[i], code.ns, f"guard {self.name}",
-                     ("guard",), self)[0]
-
-
-class _Transition:
-    """``Law.apply_fn`` of a model's copy of a law that has none of its
-    own: its transition in the step code, which this first read
-    compiles, then kept on the copy, so that later reads are plain
-    attribute reads (as with ``functools.cached_property``)."""
-
-    def __get__(self, law, owner=None):
-        if law is None:
-            return None   # the field's default
-        code, i = law.code
-        fn = law.__dict__["apply_fn"] = code.fns[f"apply{i}"]
-        return fn
-
-
-Law.apply_fn = _Transition()
 
 
 @dataclass(frozen=True)
@@ -135,6 +103,22 @@ class CausalModel:
             if l.name == name:
                 return l
         raise KeyError(name)
+
+    def _index(self, law: Law) -> int:
+        """The index of ``law``, found by its name; ValueError unless it is
+        the model's law of that name or equal to it."""
+        for i, own in enumerate(self.laws):
+            if own is law or own.name == law.name and own == law:
+                return i
+        raise ValueError(
+            f"law '{law.name}' is not a law of model '{self.name}'")
+
+    @functools.cached_property
+    def transitions(self) -> list:
+        """Per law, its transition (pre-state, dt, random source, time ->
+        post-state) from the step code."""
+        fns = self.code.fns
+        return [fns[f"apply{i}"] for i in range(len(self.laws))]
 
     @functools.cached_property
     def selectors(self) -> dict:
@@ -686,9 +670,7 @@ class _Emitter:
 
 def _compile_model(model: CausalModel):
     """Emit and compile ``model``'s init block, and give the model its
-    step code (``_StepCode``, compiled on first use) and its own copies
-    of the laws, which reach that code, so laws shared by two models keep
-    each model's code.
+    step code (``_StepCode``, compiled on first use).
 
     Parts typed under other constant values than the schema's (a
     constant's name folded to another payload object) are typed again as
@@ -710,11 +692,7 @@ def _compile_model(model: CausalModel):
     init = "\n".join(em.init(model)) + "\n"
     object.__setattr__(model, "init_fn", _exec(
         init, em.ns, f"init {model.name}", ("init",), model)[0])
-    code = _StepCode(model)
-    object.__setattr__(model, "code", code)
-    object.__setattr__(model, "laws", tuple(
-        Law(law.name, law.guard, law.transition, code=(code, i))
-        for i, law in enumerate(model.laws)))
+    object.__setattr__(model, "code", _StepCode(model))
 
 
 class _StepCode:
@@ -722,9 +700,9 @@ class _StepCode:
     with the guards inline (it gives the law's index) and the halt
     condition, emitted as one module and compiled on the first read of
     ``fns``, which also sets ``source``, ``ns`` and ``guards`` (per law
-    the line of its lone guard, compiled only by ``Law.guard_fn``). The
-    model and its law copies hold it, and it holds neither, so a dropped
-    model is freed at once.
+    the line of its lone guard, compiled on its first ``guard`` call).
+    Only the model holds it, and it holds the model's fields, not the
+    model, so a dropped model is freed at once, and the source with it.
 
     strict: every guard is evaluated and exactly one must hold (else the
     state is the witness); first-match: the first law whose guard holds.
@@ -733,6 +711,19 @@ class _StepCode:
     def __init__(self, model: CausalModel):
         self.name, self.schema = model.name, model.schema
         self.laws, self.halt = model.laws, model.halt
+        self.lone: dict = {}   # law index -> its compiled lone guard
+
+    def guard(self, i: int):
+        """Law ``i``'s lone guard (state -> bool), which only
+        ``eval_guard`` reads: the line the emission wrote for it,
+        compiled in the step code's namespace on first use."""
+        fn = self.lone.get(i)
+        if fn is None:
+            self.fns   # emits the line
+            fn = self.lone[i] = _exec(self.guards[i], self.ns,
+                                      f"guard {self.laws[i].name}",
+                                      ("guard",), self)[0]
+        return fn
 
     @functools.cached_property
     def fns(self) -> dict:
@@ -1006,12 +997,12 @@ def compile_observable(expr, schema: StateSchema):
 # --- guards and law selection ------------------------------------------------------
 
 
-def eval_guard(law: Law, s: SystemState) -> bool:
-    """Evaluate a law's guard on a state. Pure: no randomness, no mutation.
-    The law's lone guard is compiled on the first call and kept on the
-    law (``Law.guard_fn``)."""
+def eval_guard(model: CausalModel, law: Law, s: SystemState) -> bool:
+    """Evaluate a law of ``model`` on a state. Pure: no randomness, no
+    mutation. The law's lone guard is compiled on the first call
+    (``_StepCode.guard``)."""
     try:
-        return law.guard_fn(s)
+        return model.code.guard(model._index(law))(s)
     except EvalError as exc:
         raise EvalError(exc.message, exc.loc, law=law.name)
 
@@ -1031,15 +1022,16 @@ def select_law(model: CausalModel, s: SystemState, mode: str = "strict") -> Law:
 # --- transition application ----------------------------------------------------------
 
 
-def apply_law(law: Law, s0: SystemState, dt: float, rng,
+def apply_law(model: CausalModel, law: Law, s0: SystemState, dt: float, rng,
               time: float | None = None) -> SystemState:
-    """Apply a law's transition to s0 and return s1 at ``time`` (default
+    """Apply a law of ``model`` to s0 and return s1 at ``time`` (default
     s0's time).
 
     All reads see s0; ``dt`` is available to expressions by that name.
     An ``EvalError`` or ``ContinuousRandomError`` leaves with the law's name.
     """
-    return law.apply_fn(s0, dt, rng, s0.time if time is None else time)
+    return model.transitions[model._index(law)](
+        s0, dt, rng, s0.time if time is None else time)
 
 
 # --- stepping -----------------------------------------------------------------------
@@ -1058,9 +1050,8 @@ def step(model: CausalModel, s0: SystemState, dt: float, rng,
     the selector and transitions it binds once."""
     if not (dt > 0):
         raise ValueError("dt must be positive")
-    law = select_law(model, s0, mode)
-    return law.apply_fn(s0, dt, rng,
-                        s0.time + dt if time_after is None else time_after)
+    return apply_law(model, select_law(model, s0, mode), s0, dt, rng,
+                     s0.time + dt if time_after is None else time_after)
 
 
 def entry_point(fn):

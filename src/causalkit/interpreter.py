@@ -166,7 +166,7 @@ def _run_from(model: CausalModel, cfg: RunConfig, start: float,
     law's transition directly, as ``engine.step`` does."""
     halt, observe = model.halt_fn, cfg.observe
     select = model.selectors[cfg.mode]
-    applies = [law.apply_fn for law in model.laws]
+    applies = model.transitions
     dt, max_steps, every = cfg.dt, cfg.max_steps, cfg.record_every
     try:
         if rows is not None:
@@ -437,7 +437,7 @@ def _explore(model: CausalModel, cfg: RunConfig, entry: _Entry,
     try:
         if entry.law is None:
             entry.law = select_law(model, entry.state, cfg.mode)
-        post = apply_law(entry.law, entry.state, cfg.dt, source, time)
+        post = apply_law(model, entry.law, entry.state, cfg.dt, source, time)
     except ContinuousRandomError as exc:
         error = ContinuousRandomError(exc.law)
     except _STEP_ERRORS as exc:

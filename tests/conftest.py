@@ -72,7 +72,7 @@ def draws(model, rng, n: int) -> list:
     from causalkit import apply_law, build_initial_state
 
     law, s = model.laws[0], build_initial_state(model)
-    return [apply_law(law, s, 1.0, rng).values["x"] for _ in range(n)]
+    return [apply_law(model, law, s, 1.0, rng).values["x"] for _ in range(n)]
 
 
 # --- oracles: exact comparisons that only tests make ---------------------------

@@ -170,7 +170,7 @@ def test_criterion_3_consistency_completeness():
                                                   seed=4))
         assert verdict.status == "fail"
         hits = [l.name for l in overlap.laws
-                if eval_guard(l, verdict.witness)]
+                if eval_guard(overlap, l, verdict.witness)]
         assert len(hits) >= 2  # witness replays
 
         partition = load_model(fixture_source("partition.cml"))

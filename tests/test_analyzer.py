@@ -90,7 +90,7 @@ class TestConsistency:
         assert -1.0 < x < 1.0  # interval-intersection oracle
         # replay: the witness itself makes >= 2 guards true
         hits = [l.name for l in model.laws
-                if eval_guard(l, verdict.witness)]
+                if eval_guard(model, l, verdict.witness)]
         assert len(hits) >= 2
 
     def test_single_law_vacuous(self, load_fixture_model):
@@ -555,7 +555,8 @@ def two_pass_consistency(model, strategy, init=None):
     for s in states:
         if halts(model, s):   # run selects no law where the model halts
             continue
-        hits = [law.name for law in model.laws if eval_guard(law, s)]
+        hits = [law.name for law in model.laws
+                if eval_guard(model, law, s)]
         if len(hits) > 1:
             return ConsistencyVerdict("fail", states_checked=checked,
                                       witness=s, laws=tuple(hits),
@@ -576,7 +577,7 @@ def _consistency_by_trace(model, strategy, init):
         if term.kind == "max-steps":   # run selects no law at its last state
             witness = trace.final_state
             laws = tuple(law.name for law in model.laws
-                         if eval_guard(law, witness))
+                         if eval_guard(model, law, witness))
         if len(laws) > 1:
             return ConsistencyVerdict("fail", states_checked=checked,
                                       witness=witness, laws=laws,
@@ -596,12 +597,12 @@ def two_pass_completeness(model, strategy, init=None):
     found_valid = False
     rng = RngStream(0)
     for i, s in enumerate(states):
-        hits = [law for law in model.laws if eval_guard(law, s)]
+        hits = [law for law in model.laws if eval_guard(model, law, s)]
         if not hits:
             continue
         found_valid = True
         rng.rekey(derive_seed(strategy.seed ^ 0x6F7574, i))
-        out = apply_law(hits[0], s, model.default_timestep, rng)
+        out = apply_law(model, hits[0], s, model.default_timestep, rng)
         checked += 1
         if not halts(model, out) and not validstate(model, out):
             return CompletenessVerdict("fail", states_checked=checked,
@@ -815,9 +816,9 @@ def test_selector_hits_equal_the_guards_law_by_law(entry):
     for s in _guard_states(entry, model):
         hits = _outcome(analyzer._hits, model, s)
         assert hits == _outcome(
-            lambda: [law for law in model.laws if eval_guard(law, s)])
+            lambda: [law for law in model.laws if eval_guard(model, law, s)])
         assert _outcome(validstate, model, s) == _outcome(
-            lambda: any(eval_guard(law, s) for law in model.laws))
+            lambda: any(eval_guard(model, law, s) for law in model.laws))
         seen.add(min(len(hits), 2) if isinstance(hits, list) else hits[0])
     # no law, one, two or more, and a guard that fails
     expected = {"flat_real.cml": {0, 1}, "overlap.cml": {1, 2},

@@ -656,6 +656,20 @@ class TestUsageErrors:
         assert invoke(argv, capsys) == (
             code, "", message.format(missing=missing) + "\n")
 
+    @pytest.mark.parametrize("text, where", [
+        (b"// " + b"x" * 87 + b"\xff\nmodel m {}", "1:91"),
+        # \r\n and a lone \r end a line; a column counts characters
+        (b"model m {\r\n\r  // \xc3\xa9\xe9\n}", "3:7"),
+    ])
+    def test_a_model_file_that_is_not_utf8_is_unreadable(self, capsys,
+                                                         tmp_path, text,
+                                                         where):
+        path = tmp_path / "bad.cml"
+        path.write_bytes(text)
+        assert invoke(["run", str(path)], capsys) == (
+            1, "", f"error: cannot read '{path}': not UTF-8 text at "
+                   f"{where}\n")
+
     @pytest.mark.parametrize("command", [
         ["run"], ["analyze"], ["branch"],
         ["histogram", "--observables", "n", "--trials", "3"]])
@@ -679,6 +693,8 @@ class TestUsageErrors:
         (["--trials", "-5"], "--trials"),
         (["--bins", "0"], "--bins"),
         (["--bins", "-3"], "--bins"),
+        (["--bins", "1048577"], "--bins"),
+        (["--bins", "1099511627776"], "--bins"),
         (["--trials", "0", "--bins", "4"], "--trials"),
     ])
     def test_histogram_nonpositive_trials_or_bins_exit_2(self, capsys,

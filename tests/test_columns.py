@@ -119,7 +119,8 @@ def assert_columns_match_the_per_state_functions(model, count: int):
         if not hits:
             continue
         try:
-            out = apply_law(hits[0], s, model.default_timestep, None)
+            out = apply_law(model, hits[0], s, model.default_timestep,
+                            None)
         except EvalError as exc:
             assert "non-finite value" in exc.message
             assert not c.finite[i]

@@ -27,6 +27,7 @@ import hashlib
 import io
 import json
 import linecache
+import pickle
 import re
 import time
 from collections import Counter
@@ -89,7 +90,7 @@ def test_record_member_writes():
         "w": VRecord("W", {"p": _p(1, 0, 0), "n": 0}),
         "count": 0})
     for _ in range(2):
-        s = apply_law(model.laws[0], s, 0.5, RngStream(0))
+        s = apply_law(model, model.laws[0], s, 0.5, RngStream(0))
     ps = [p.fields for p in s.values["ps"]]
     assert [typed(p["x"]) for p in ps] == [typed(1.0), typed(1.0), typed(2.25)]
     assert typed(ps[1]["v"]) == typed(-0.5)
@@ -107,7 +108,7 @@ def test_list_literal_items_take_the_element_type():
     s = build_initial_state(model)
     assert typed(s.values["lr"]) == typed((1.0, 2.5))
     assert typed(s.values["lz"]) == typed((2 + 0j, 0.5j))
-    s = apply_law(model.laws[0], s, 1.0, None)
+    s = apply_law(model, model.laws[0], s, 1.0, None)
     assert typed(s.values["lr"]) == typed((3.0, 2.5))
 
 
@@ -179,7 +180,8 @@ def test_int_power_in_range():
     assert typed(trace.final_state.values["n"]) == typed(-2 ** 63)
     model = _power_model(-1, "n ^ 1000000001")
     s = build_initial_state(model)
-    assert typed(apply_law(model.laws[0], s, 1.0, None).values["n"]) == typed(-1)
+    s = apply_law(model, model.laws[0], s, 1.0, None)
+    assert typed(s.values["n"]) == typed(-1)
 
 
 def test_int_power_hang_case_is_bounded():
@@ -358,26 +360,25 @@ def test_generated_source_is_kept_and_shown_in_tracebacks():
 
     model = load_model(POWER.format(init=2, rhs="n ^ (0 - 1)"))
     assert "def select_strict(s):" in model.source
-    apply = model.laws[0].apply_fn
+    apply = model.transitions[0]
     filename = apply.__code__.co_filename
     assert linecache.getlines(filename) == model.source.splitlines(True)
     # a statement's lines carry its CML line:col; the failing one shows
     assert any(line.endswith("  # 5:29") and " = _f" in line
                for line in model.source.splitlines())
     with pytest.raises(EvalError) as exc:
-        apply_law(model.laws[0], build_initial_state(model), 1.0, None)
+        apply_law(model, model.laws[0], build_initial_state(model), 1.0, None)
     text = "".join(traceback.format_exception(exc.value))
     assert filename in text and "  # 5:29" in text
     # nothing generated refers back to the model: dropping it frees it at
-    # once, without waiting for the cycle collector; its source goes with
-    # the last law that reaches its step code (the traceback holds one)
+    # once, without waiting for the cycle collector, and its source with it
     gc.disable()
     try:
         ref = weakref.ref(model)
-        del model, apply
-        assert ref() is None
+        del apply, exc
         assert filename in linecache.cache
-        del exc
+        del model
+        assert ref() is None
         assert filename not in linecache.cache
     finally:
         gc.enable()
@@ -420,33 +421,63 @@ def test_a_lone_guard_is_compiled_on_its_first_evaluation(monkeypatch):
     s = build_initial_state(model)
     counts = _compiled(monkeypatch)
     law = model.laws[1]
-    assert not engine.eval_guard(law, s) and not engine.eval_guard(law, s)
+    assert not engine.eval_guard(model, law, s)
+    assert not engine.eval_guard(model, law, s)
     # the guard's line is written with the step code, then compiled alone
     assert counts == {"step": 1, "guard": 1}
-    engine.eval_guard(model.laws[0], s)
+    engine.eval_guard(model, model.laws[0], s)
     assert counts == {"step": 1, "guard": 2}
 
 
-def test_a_law_copy_compiles_its_step_code_without_its_model():
+def test_a_model_compiles_its_step_code_on_first_use_and_frees_it():
     import gc
     import weakref
 
     model = load_model(QUADRANTS.read_text(encoding="utf-8"))
     s = build_initial_state(model)
-    law = model.laws[0]
-    assert "apply_fn" not in vars(law)   # not compiled yet
+    assert "fns" not in vars(model.code)   # not compiled yet
+    assert apply_law(model, model.laws[0], s, 1.0, None).values["x"] == 0.125
+    assert engine.eval_guard(model, model.laws[0], s)
+    filenames = {fn.__code__.co_filename
+                 for fn in (model.transitions[0], model.code.guard(0))}
+    assert all(name in linecache.cache for name in filenames)
     gc.disable()
     try:
         ref = weakref.ref(model)
         del model
         assert ref() is None
-        assert apply_law(law, s, 1.0, None).values["x"] == 0.125
+        assert not any(name in linecache.cache for name in filenames)
     finally:
         gc.enable()
-    # a law built by hand has no transition, as the field's default says
-    bare = Law(law.name, law.guard, law.transition)
-    assert bare.apply_fn is None and Law.apply_fn is None
-    assert dataclasses.replace(law).apply_fn is law.apply_fn
+
+
+def test_a_model_keeps_the_laws_it_is_given():
+    a = load_model(QUADRANTS.read_text(encoding="utf-8"))
+    laws = tuple(Law(law.name, law.guard, law.transition) for law in a.laws)
+    b = engine.CausalModel("b", a.schema, laws, a.init, a.halt)
+    assert all(own is law for own, law in zip(b.laws, laws))
+    assert [law.uses_random for law in b.laws] == [False] * len(laws)
+
+
+def test_a_law_of_another_model_is_refused():
+    a = load_model(QUADRANTS.read_text(encoding="utf-8"))
+    b = load_model(POWER.format(init=2, rhs="n + 1"))
+    s = build_initial_state(a)
+    # a hand-built law equal to the model's is its law, and so is a
+    # pickled copy: a law holds no compiled code
+    for law in (Law(a.laws[0].name, a.laws[0].guard, a.laws[0].transition),
+                pickle.loads(pickle.dumps(a.laws[0]))):
+        assert law is not a.laws[0] and engine.eval_guard(a, law, s)
+        assert apply_law(a, law, s, 1.0, None).values["x"] == 0.125
+    message = f"^law '{b.laws[0].name}' is not a law of model 'quadrants'$"
+    with pytest.raises(ValueError, match=message):
+        engine.eval_guard(a, b.laws[0], s)
+    with pytest.raises(ValueError, match=message):
+        apply_law(a, b.laws[0], s, 1.0, None)
+    # a law of the model's name that differs from it is refused too
+    other = Law(a.laws[0].name, a.laws[1].guard, a.laws[0].transition)
+    with pytest.raises(ValueError, match="is not a law of model"):
+        apply_law(a, other, s, 1.0, None)
 
 
 def test_models_sharing_laws_keep_their_own_code():
@@ -464,13 +495,15 @@ def test_models_sharing_laws_keep_their_own_code():
     s = build_initial_state(a)
     for model, n in ((a, 1), (b, 2), (c, 1)):
         assert engine.step(model, s, 1.0, None).values["n"] == n
-        assert engine.eval_guard(model.laws[0], s)
-    assert a.laws[0] is not b.laws[0] and a.laws[0] == b.laws[0]
-    # a's code and source outlive the models compiled from its laws
-    filename = a.laws[0].apply_fn.__code__.co_filename
+        assert apply_law(model, a.laws[0], s, 1.0, None).values["n"] == n
+        assert engine.eval_guard(model, model.laws[0], s)
+    assert c.laws[0] is a.laws[0]
+    assert b.laws[0] is not a.laws[0] and b.laws[0] == a.laws[0]
+    # a's code and source outlive the models built on its laws
+    filename = a.transitions[0].__code__.co_filename
     del b, c
     gc.collect()
-    assert apply_law(a.laws[0], s, 1.0, None).values["n"] == 1
+    assert apply_law(a, a.laws[0], s, 1.0, None).values["n"] == 1
     assert linecache.getlines(filename) == a.source.splitlines(True)
 
 
@@ -543,7 +576,7 @@ def test_a_node_never_typed_emits_as_it_stands():
     model = engine.CausalModel("h", a.schema, (law,))
     assert guard_disjunction_trivially_true(model)
     s = build_initial_state(a)
-    assert apply_law(model.laws[0], s, None, None).values["n"] == 5
+    assert apply_law(model, model.laws[0], s, None, None).values["n"] == 5
 
 
 def test_each_node_is_emitted_at_most_once_at_first_use(monkeypatch):
@@ -562,7 +595,7 @@ def test_each_node_is_emitted_at_most_once_at_first_use(monkeypatch):
     n = len(calls)
     s = build_initial_state(model)
     for law in model.laws:
-        engine.eval_guard(law, s)
+        engine.eval_guard(model, law, s)
     # the first guard emitted the step code: the guards, the transitions
     # and the halt condition, each node once
     step = {id(node) for node in walk([[law.guard, law.transition]
@@ -571,8 +604,8 @@ def test_each_node_is_emitted_at_most_once_at_first_use(monkeypatch):
     assert len(calls) == len(set(calls))
     n = len(calls)
     for law in model.laws:
-        engine.eval_guard(law, s)
-    s = apply_law(model.law("Even"), s, 1.0, RngStream(0))
+        engine.eval_guard(model, law, s)
+    s = apply_law(model, model.law("Even"), s, 1.0, RngStream(0))
     engine.select_law(model, s, "first-match")
     engine.halts(model, s)
     assert len(calls) == n
@@ -589,7 +622,7 @@ def test_loops_nested_deeper_than_python_allows_in_one_function():
         f"{loops} x = x + 1.0; q{n - 1} = q0 * 10 + q{n - 1}; "
         + "} " * n + "} } }")
     s = build_initial_state(model)
-    s = apply_law(model.laws[0], s, 1.0, None)
+    s = apply_law(model, model.laws[0], s, 1.0, None)
     assert typed(s.values["x"]) == typed(1.0)
     assert typed(s.values["li"]) == typed((33,))
 

@@ -40,14 +40,14 @@ class TestEvalGuard:
     def test_constant_true(self, load_fixture_model):
         model = load_fixture_model("guard_true.cml")
         s = real_state(model, x=3.0)
-        assert eval_guard(model.laws[0], s) is True
+        assert eval_guard(model, model.laws[0], s) is True
 
     def test_boundary(self):
         model = load_model(
             "model m { state { n: int in [0, 200]; } init { n = 0; } "
             "law L { when n < 100; then { n = n + 1; } } }")
         s = make_initial_state(model.schema, {"n": 100})
-        assert eval_guard(model.laws[0], s) is False
+        assert eval_guard(model, model.laws[0], s) is False
 
     def test_index_out_of_range_is_eval_error(self):
         model = load_model(
@@ -58,7 +58,7 @@ class TestEvalGuard:
             "xs": (1.0, 2.0, 3.0),
             "ok": False})
         with pytest.raises(EvalError) as exc:
-            eval_guard(model.laws[0], s)
+            eval_guard(model, model.laws[0], s)
         assert exc.value.law == "L"
         assert "out of range" in str(exc.value)
 
@@ -87,7 +87,7 @@ class TestEvalGuard:
                 before = rng.draw_count
                 snapshot = dict(s.values)
                 for law in model.laws:
-                    eval_guard(law, s)
+                    eval_guard(model, law, s)
                 assert rng.draw_count == before
                 assert s.values == snapshot
 
@@ -127,7 +127,7 @@ class TestApplyLaw:
             "model m { state { n: int in [0, 100]; } init { n = 7; } "
             "law Inc { when true; then { n = n + 1; } } }")
         s0 = build_initial_state(model)
-        s1 = apply_law(model.laws[0], s0, 1.0, RngStream(0))
+        s1 = apply_law(model, model.laws[0], s0, 1.0, RngStream(0))
         assert s1.values["n"] == 8
         assert s1.time == s0.time  # time advance is the interpreter's job
         assert s0.values["n"] == 7  # s0 untouched
@@ -138,7 +138,7 @@ class TestApplyLaw:
         for _ in range(1000):
             a, b = rng.uniform(-10, 10), rng.uniform(-10, 10)
             s0 = real_state(model, a=a, b=b)
-            s1 = apply_law(model.laws[0], s0, 1.0, rng)
+            s1 = apply_law(model, model.laws[0], s0, 1.0, rng)
             assert s1.values["a"] == b
             assert s1.values["b"] == a
 
@@ -149,7 +149,7 @@ class TestApplyLaw:
         s0 = build_initial_state(model)
         rng = RngStream(1)
         for _ in range(200):
-            s1 = apply_law(model.laws[0], s0, 1.0, rng)
+            s1 = apply_law(model, model.laws[0], s0, 1.0, rng)
             assert s1.values["n"] == 0
 
     def test_dt_available_in_transition(self):
@@ -157,7 +157,7 @@ class TestApplyLaw:
             "model m { state { x: real in [0.0, 10.0]; } init { x = 0.0; } "
             "law L { when true; then { x = x + dt; } } }")
         s0 = build_initial_state(model)
-        s1 = apply_law(model.laws[0], s0, 0.25, RngStream(0))
+        s1 = apply_law(model, model.laws[0], s0, 0.25, RngStream(0))
         assert s1.values["x"] == 0.25
 
     def test_for_loop_updates_each_element(self, load_fixture_model):
@@ -171,7 +171,7 @@ class TestApplyLaw:
             "ps": (particle(1, 0.0, 1.0), particle(1, 5.0, -2.0),
                    particle(2, 1.0, 0.0)),
             "count": 0})
-        s1 = apply_law(model.law("Drift"), s0, 0.5, RngStream(0))
+        s1 = apply_law(model, model.law("Drift"), s0, 0.5, RngStream(0))
         xs = [p.fields["x"] for p in s1.values["ps"]]
         assert xs == [0.5, 4.0, 1.0]
         assert s1.values["count"] == 1
@@ -182,7 +182,7 @@ class TestApplyLaw:
             "law L { when true; then { x = 1.0 / x; } } }")
         s0 = build_initial_state(model)
         with pytest.raises(EvalError) as exc:
-            apply_law(model.laws[0], s0, 1.0, RngStream(0))
+            apply_law(model, model.laws[0], s0, 1.0, RngStream(0))
         assert "division by zero" in str(exc.value)
         assert exc.value.law == "L"
 
@@ -208,7 +208,7 @@ def test_writes_to_one_root_merge_in_source_order(body, read, expected):
     # earlier ones, and the pre-state's values are left as they were
     model = load_model(MERGE_MODEL % body)
     s0 = build_initial_state(model)
-    s1 = apply_law(model.laws[0], s0, 1.0, RngStream(0))
+    s1 = apply_law(model, model.laws[0], s0, 1.0, RngStream(0))
     assert read(s1.values) == expected
     assert deep_equal(s0, build_initial_state(model))
 
@@ -385,7 +385,7 @@ class TestHostRefusals:
         model = load_model(self.SOURCE)
         s0 = build_initial_state(model)
         with pytest.raises(EvalError) as exc:
-            apply_law(model.law("Drift"), s0, None, RngStream(0))
+            apply_law(model, model.law("Drift"), s0, None, RngStream(0))
         assert str(exc.value) == \
             "law 'Drift': 'dt' is not available here at 1:105"
 
@@ -393,14 +393,14 @@ class TestHostRefusals:
         model = load_model(self.SOURCE)
         s0 = make_initial_state(model.schema, {"x": -0.5})
         with pytest.raises(EvalError) as exc:
-            apply_law(model.law("Kick"), s0, 1.0, None)
+            apply_law(model, model.law("Kick"), s0, 1.0, None)
         assert str(exc.value) == \
             "law 'Kick': random() is not allowed here at 1:149"
 
     def test_a_stochastic_intrinsic_needs_a_random_source(self):
         model, init = build_bundled_model("double_slit")
         with pytest.raises(EvalError) as exc:
-            apply_law(model.law("Detect"), init, 1.0, None)
+            apply_law(model, model.law("Detect"), init, 1.0, None)
         assert str(exc.value) == ("law 'Detect': stochastic intrinsic "
                                   "'pw_detect' is not allowed here at 21:18")
 

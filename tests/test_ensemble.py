@@ -307,7 +307,7 @@ class TestSharing:
         calls = []
 
         def counting_apply_law(*args, **kwargs):
-            calls.append(args[0].name)
+            calls.append(args[1].name)
             return apply_law(*args, **kwargs)
 
         apply_law = interpreter.apply_law
@@ -384,21 +384,21 @@ def counted(monkeypatch):
     order: ("select", id(state), None) and ("replay", id(state), outcome
     path) of the shared walk, and ("apply", id(state), None) for each step
     a trial, or ``run``, takes on its own stream. ``_run_from`` calls a
-    law's transition directly, so a step is counted there: each model
-    built while the fixture is active gets laws whose transitions count
-    the calls given an ``RngStream``."""
+    law's transition directly, so a step is counted there: while the
+    fixture is active, a model's transitions count the calls given an
+    ``RngStream``."""
     calls = []
-    select, apply, compile_model = (interpreter.select_law,
-                                    interpreter.apply_law,
-                                    engine._compile_model)
+    select, apply, transitions = (interpreter.select_law,
+                                  interpreter.apply_law,
+                                  engine.CausalModel.transitions.func)
 
     def counting_select(model, s, mode):
         calls.append(("select", id(s), None))
         return select(model, s, mode)
 
-    def counting_apply(law, s, dt, source, time):
+    def counting_apply(model, law, s, dt, source, time):
         calls.append(("replay", id(s), tuple(source.prefix)))
-        return apply(law, s, dt, source, time)
+        return apply(model, law, s, dt, source, time)
 
     def counting(transition):
         def step(s, dt, rnd, time):
@@ -407,15 +407,10 @@ def counted(monkeypatch):
             return transition(s, dt, rnd, time)
         return step
 
-    def counting_compile(model):
-        compile_model(model)
-        object.__setattr__(model, "laws", tuple(
-            replace(law, apply_fn=counting(law.apply_fn))
-            for law in model.laws))
-
     monkeypatch.setattr(interpreter, "select_law", counting_select)
     monkeypatch.setattr(interpreter, "apply_law", counting_apply)
-    monkeypatch.setattr(engine, "_compile_model", counting_compile)
+    monkeypatch.setattr(engine.CausalModel, "transitions", property(
+        lambda model: [counting(t) for t in transitions(model)]))
     return calls
 
 

@@ -427,7 +427,7 @@ class TestBranchRun:
         calls = []
 
         def counting_apply(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(args[2])
             return apply_law(*args, **kwargs)
 
         apply_law = interpreter.apply_law

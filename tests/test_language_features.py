@@ -33,7 +33,7 @@ def one_shot(field_decls, init, body, dt=1.0, assignments=None):
         state = make_initial_state(model.schema, assignments)
     else:
         state = build_initial_state(model)
-    return apply_law(model.laws[0], state, dt, RngStream(0))
+    return apply_law(model, model.laws[0], state, dt, RngStream(0))
 
 
 class TestExpressions:
@@ -74,7 +74,7 @@ class TestExpressions:
         amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
         state = make_initial_state(model.schema,
                                    {"psi": VCGrid(amps, 0.5)})
-        out = apply_law(model.laws[0], state, 1.0, RngStream(0))
+        out = apply_law(model, model.laws[0], state, 1.0, RngStream(0))
         expected = (np.roll(amps, 1) + np.roll(amps, -1) - 2 * amps) / 0.25
         np.testing.assert_allclose(out.values["psi"].amps, expected)
 
@@ -100,7 +100,7 @@ class TestExpressions:
         model = load_model(src)
         state = build_initial_state(model)
         rng = RngStream(4)
-        draws = [apply_law(model.laws[0], state, 1.0, rng).values["x"]
+        draws = [apply_law(model, model.laws[0], state, 1.0, rng).values["x"]
                  for _ in range(5000)]
         assert abs(sum(draws) / len(draws)) < 0.05
 
@@ -114,7 +114,7 @@ class TestExpressions:
         state = build_initial_state(model)
         rng = RngStream(5)
         for _ in range(500):
-            out = apply_law(model.laws[0], state, 1.0, rng)
+            out = apply_law(model, model.laws[0], state, 1.0, rng)
             assert 0.25 <= out.values["x"] < 0.75
 
 
@@ -126,10 +126,10 @@ class TestStatements:
                "if x > 0.0 { x = x - 1.0; } else { x = x + 1.0; } } } }")
         model = load_model(src)
         s = build_initial_state(model)
-        s = apply_law(model.laws[0], s, 1.0, RngStream(0))
+        s = apply_law(model, model.laws[0], s, 1.0, RngStream(0))
         assert s.values["x"] == 2.0
         down = make_initial_state(model.schema, {"x": -3.0})
-        out = apply_law(model.laws[0], down, 1.0, RngStream(0))
+        out = apply_law(model, model.laws[0], down, 1.0, RngStream(0))
         assert out.values["x"] == -2.0
 
     def test_elif_chain(self):
@@ -139,7 +139,7 @@ class TestStatements:
                "if n < 3 { tag = 1; } else if n < 7 { tag = 2; } "
                "else { tag = 3; } } } }")
         model = load_model(src)
-        s = apply_law(model.laws[0], build_initial_state(model), 1.0,
+        s = apply_law(model, model.laws[0], build_initial_state(model), 1.0,
                       RngStream(0))
         assert s.values["tag"] == 2
 
@@ -152,7 +152,7 @@ class TestStatements:
         from causalkit import VRecord
         state = make_initial_state(model.schema, {
             "rs": (VRecord("R", {"x": 1.0}), VRecord("R", {"x": 3.0}))})
-        out = apply_law(model.laws[0], state, 1.0, RngStream(0))
+        out = apply_law(model, model.laws[0], state, 1.0, RngStream(0))
         assert [r.fields["x"] for r in out.values["rs"]] == [2.0, 6.0]
 
     def test_whole_loop_variable_assignment(self):
@@ -162,7 +162,7 @@ class TestStatements:
                "for x in xs { x = x + 10.0; } } } }")
         model = load_model(src)
         state = make_initial_state(model.schema, {"xs": (1.0, 2.0, 3.0)})
-        out = apply_law(model.laws[0], state, 1.0, RngStream(0))
+        out = apply_law(model, model.laws[0], state, 1.0, RngStream(0))
         assert list(out.values["xs"]) == [11.0, 12.0, 13.0]
 
 
@@ -176,7 +176,7 @@ class TestPwIntrinsics:
         pw = PwCollection((("position", "real"), ("velocity", "real")),
                           [1.0], {"position": [[0.0]], "velocity": [[2.0]]})
         state = make_initial_state(model.schema, {"pw": pw})
-        out = apply_law(model.laws[0], state, 0.5, RngStream(0))
+        out = apply_law(model, model.laws[0], state, 0.5, RngStream(0))
         assert out.values["pw"].attr_array("position").tolist() == [1.0]
         assert not model.laws[0].uses_random
 

@@ -80,7 +80,7 @@ def verlet(model, x: float, v: float, dt: float, steps: int = 1):
     """(x, v) after ``steps`` applications of the model's Verlet law."""
     s = make_initial_state(model.schema, {"x": x, "v": v})
     for _ in range(steps):
-        s = apply_law(model.laws[0], s, dt, None)
+        s = apply_law(model, model.laws[0], s, dt, None)
     return s.values["x"], s.values["v"]
 
 
@@ -123,7 +123,7 @@ class TestClassicalStep:
         states = [make_initial_state(m.schema, {"x": x, "v": v})
                   for m, (x, v) in zip(models, starts)]
         for _ in range(3):
-            states = [apply_law(m.laws[0], s, 0.05, None)
+            states = [apply_law(m, m.laws[0], s, 0.05, None)
                       for m, s in zip(models, states)]
         for model, (x, v), joint in zip(models, starts, states):
             alone = verlet(model, x, v, 0.05, 3)

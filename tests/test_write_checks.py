@@ -169,7 +169,7 @@ def writer(schema: StateSchema, name: str):
     law = Law("W", Lit(loc, ty=TypeDesc.bool_(), value=True, kind="bool"),
               [Assign(loc, Name(loc, ty=td, id=name),
                       Name(loc, ty=td, id=name))])
-    apply = CausalModel("writes", schema, (law,)).laws[0].apply_fn
+    apply = CausalModel("writes", schema, (law,)).transitions[0]
     return lambda value: apply(SystemState(schema, 0.0, {name: value}),
                                1.0, None, 1.0)
 
