@@ -76,9 +76,10 @@ def tokenize(source: str) -> tuple[list, list]:
                             _BOOLS.get(text), loc)))
         elif group == "number":
             if text[-1] == "i":
-                add(Token("IMAG", text, complex(0.0, float(text[:-1])), loc))
+                add(new(Token, ("IMAG", text, complex(0.0, float(text[:-1])),
+                                loc)))
             elif "." in text or "e" in text or "E" in text:
-                add(Token("REAL", text, float(text), loc))
+                add(new(Token, ("REAL", text, float(text), loc)))
             # an int64 has at most 19 digits; int() refuses strings of
             # more than 4300, so longer ones are not parsed
             elif len(text.lstrip("0")) > 19 or int(text) > INT64_MAX:
@@ -95,5 +96,5 @@ def tokenize(source: str) -> tuple[list, list]:
             diags.append(Diagnostic("error", "bad-char",
                                     f"unexpected character {text[0]!r}",
                                     loc))
-    tokens.append(Token("EOF", "", None, Loc(line, tail - line_start + 1)))
+    add(new(Token, ("EOF", "", None, _loc(line, tail - line_start + 1))))
     return tokens, diags

@@ -19,7 +19,7 @@ from .errors import (
     NoApplicableLawError,
     SinkError,
 )
-from .jsontext import _float, _string, dumps_indented
+from .jsontext import _float, _scalar, _string, dumps_indented
 from .rng import RngStream, WordBlocks, categorical_indices, derive_seeds
 from .state import PAYLOAD_TYPES, SystemState, check_values, state_to_json
 
@@ -290,12 +290,15 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
 
     A round of ``_advance`` steps every lineage, a (world node, creation
     serial) pair; lineages whose states share a ``state_key`` share one
-    ``_Entry`` and its trie for the round. At a node that draws, a lineage
-    that has consumed depth_bound draws is cut ("depth-bound"), and any
-    other forks one child per outcome of positive probability. Each round
-    the frontier is pruned to width_bound lineages, dropping the lowest
-    weights deterministically; pruned stubs stay in the tree and their
-    mass is reported. A continuous draw raises ContinuousRandomError.
+    ``_Entry`` and its trie for the round, found by the state's identity
+    first, so a state object that many lineages reached is keyed once.
+    At a node that draws, a lineage that has consumed depth_bound draws
+    is cut ("depth-bound"), and any other forks one child per outcome of
+    positive probability. Each round the frontier is pruned to
+    width_bound lineages, dropping the lowest weights deterministically;
+    pruned stubs stay in the tree, all sharing one "pruned" termination,
+    and their mass is reported. A continuous draw raises
+    ContinuousRandomError.
     """
     if depth_bound < 1:
         raise ValueError("depth_bound must be >= 1")
@@ -304,17 +307,21 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
     cfg.check_times(init)
     check_values(model.schema, init.values)
     cut = Termination("depth-bound", f"branching depth {depth_bound} reached")
+    pruned = Termination("pruned")      # frozen, so every stub shares it
     root = WorldNode(weight=1.0, snapshot=init)
     serial = 1
-    # state key -> _Entry for one round; an entry holds its state, so an id
-    # key is not reused this round
+    # id of a state, or its state key -> _Entry for one round; the round's
+    # groups hold every state keyed by id, so no id is reused this round
     entries: dict = {}
 
     def entry_of(s):
-        key = state_key(s)
-        entry = entries.get(key)
+        entry = entries.get(id(s))
         if entry is None:
-            entry = entries[key] = _Entry(s, halts(model, s))
+            key = state_key(s)
+            entry = entries.get(key)
+            if entry is None:
+                entry = entries[key] = _Entry(s, halts(model, s))
+            entries[id(s)] = entry
         return entry
 
     def fork(node, path, s, draws, lin):
@@ -360,7 +367,7 @@ def branch_run(model: CausalModel, init: SystemState, cfg: RunConfig,
             order = sorted(groups, key=lambda g: (-g[2][0].weight, g[2][1]))
             for _, _, (node, _) in order[width_bound:]:
                 node.pruned = True
-                node.termination = Termination("pruned")
+                node.termination = pruned
                 pruned_mass += node.weight
             groups = sorted(order[:width_bound], key=lambda g: g[2][1])
         steps += 1
@@ -754,6 +761,13 @@ def write_text(text: str, sink) -> int:
     return len(data)
 
 
+def _termination_key(t: Termination):
+    """Equal keys mean equal text: a witness is keyed by identity."""
+    if t.witness is not None:
+        return id(t)
+    return t.kind, t.message, tuple(t.laws)
+
+
 @entry_point
 def world_tree_text(tree: WorldTree) -> str:
     """``json.dumps`` of the tree's JSON form with ``indent=2``, written
@@ -763,23 +777,33 @@ def world_tree_text(tree: WorldTree) -> str:
     any, ``"pruned": true`` or else its ``termination`` if any, its
     ``state`` if it is a leaf with a snapshot, and its ``children`` if
     any. The nodes are walked with an explicit stack, so a tree deeper
-    than the recursion limit is written like any other. A leaf's state
-    and termination text is built once per distinct value and depth in
-    one call: a state is keyed by ``state_key``; a termination without a
-    witness by its kind, message and laws, one with a witness by
-    identity. The tree holds every keyed object, so no id is reused while
-    the call runs.
+    than the recursion limit is written like any other.
+
+    Text is built once per distinct value in one call. A positive weight
+    of type ``float`` is formatted once; any other weight is formatted
+    each time, so 0.0 and -0.0, NaN, and 1, 1.0 and True never share a
+    text. A leaf's state and termination text is built once per depth
+    and object, found by identity first; on a miss, by value: a state by
+    ``state_key``, a termination without a witness by its kind, message
+    and laws (one with a witness only by identity), so equal but distinct
+    objects share one text too. The tree holds every keyed object, so no
+    id is reused while the call runs.
     """
-    # (depth, key) -> a leaf's state or termination text; a state's key is
-    # a pair or an id, a termination's a triple or an id, so none collide
+    # (depth, id or value key) -> a leaf's state or termination text; an
+    # id is an int, a state's value key a pair and a termination's a
+    # triple, and an id is only ever the key of its own object
     fragments: dict = {}
     layouts: dict = {}
+    weights: dict = {}      # a positive float -> its text
 
-    def fragment(d: int, key, to_json, leaf) -> str:
-        text = fragments.get((d, key))
+    def fragment(d: int, leaf, value_key, to_json) -> str:
+        """A leaf's text, on a miss by identity."""
+        key = (d, value_key(leaf))
+        text = fragments.get(key)
         if text is None:
-            text = fragments[d, key] = dumps_indented(
+            text = fragments[key] = dumps_indented(
                 to_json(leaf)).replace("\n", "\n" + "  " * d)
+        fragments[d, id(leaf)] = text
         return text
 
     def layout(d: int) -> tuple:
@@ -793,7 +817,7 @@ def world_tree_text(tree: WorldTree) -> str:
             "," + inner, pad + "]" + outer + "}")
         return text
 
-    out = ['{\n  "prunedMass": ', _float(tree.pruned_mass), ',\n  "root": ']
+    out = ['{\n  "prunedMass": ', _scalar(tree.pruned_mass), ',\n  "root": ']
     emit = out.append
     # one entry per node whose children are being written: (iterator over
     # the rest of them, text before the next one, text after the last one)
@@ -803,7 +827,11 @@ def world_tree_text(tree: WorldTree) -> str:
         (head, outcome, pruned, termination, state, close, children_,
          sibling, close_children) = layouts.get(d) or layout(d)
         emit(head)
-        emit(_float(node.weight))
+        w = node.weight
+        if type(w) is float and w > 0.0:
+            emit(weights.get(w) or weights.setdefault(w, _float(w)))
+        else:
+            emit(_scalar(w))
         if node.outcome is not None:
             emit(outcome)
             emit(_string(node.outcome))
@@ -811,10 +839,9 @@ def world_tree_text(tree: WorldTree) -> str:
             emit(pruned)
         elif node.termination is not None:
             t = node.termination
-            key = (id(t) if t.witness is not None
-                   else (t.kind, t.message, tuple(t.laws)))
             emit(termination)
-            emit(fragment(d, key, termination_to_json, t))
+            emit(fragments.get((d, id(t)))
+                 or fragment(d, t, _termination_key, termination_to_json))
         if node.children:
             emit(children_)
             children = iter(node.children)
@@ -822,10 +849,11 @@ def world_tree_text(tree: WorldTree) -> str:
             stack.append((children, sibling, close_children))
             d += 2
             continue
-        if node.snapshot is not None:
+        s = node.snapshot
+        if s is not None:
             emit(state)
-            emit(fragment(d, state_key(node.snapshot), state_to_json,
-                          node.snapshot))
+            emit(fragments.get((d, id(s)))
+                 or fragment(d, s, state_key, state_to_json))
         emit(close)
         while stack:
             children, sibling, close_children = stack[-1]

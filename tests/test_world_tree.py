@@ -3,10 +3,13 @@ JSON form, here built by the dict oracle below."""
 
 import json
 import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalkit import RunConfig, branch_run, build_initial_state, load_model
 from causalkit.interpreter import (
     Termination,
     WorldNode,
@@ -75,8 +78,17 @@ STATES = SCALAR_STATES | VECTOR_STATES
 # non-ASCII text
 OUTCOMES = [None, "-1", "1", "True", '"', "\\", "a\nb", "\x00\x1f", "é",
             "\U0001f600"]
-WEIGHTS = [1.0, 0.5, 0.25, -0.0, 1e-320, 0.1 + 0.2, float("nan"),
-           float("inf")]
+# weights that compare equal but print apart (0.0 and -0.0; 1, 1.0 and
+# True) and ones that do not compare equal to themselves (NaN)
+WEIGHTS = [1.0, 0.5, 0.25, 0.0, -0.0, 1, True, 1e-320, 0.1 + 0.2,
+           float("nan"), float("inf")]
+
+
+def weight(rnd):
+    """A weight from WEIGHTS, or an equal float built afresh."""
+    if rnd.random() < 0.2:
+        return float(str(rnd.choice([0.5, 0.25, 0.1 + 0.2])))
+    return rnd.choice(WEIGHTS)
 
 
 @st.composite
@@ -102,16 +114,22 @@ def trees(draw):
     # the same values again, as fresh objects and at any time
     states += [SystemState(SCHEMA, rnd.choice(TIMES), dict(s.values))
                for s in states]
+    # one termination and one snapshot shared by nodes at any depth, as
+    # branch_run's pruned stubs share theirs
+    stub = (Termination("pruned"), rnd.choice(states))
     nodes = []
     for i in range(rnd.randint(1, 40)):
-        node = WorldNode(rnd.choice(WEIGHTS), rnd.choice(OUTCOMES),
-                         rnd.choice([None] + states),
-                         termination=rnd.choice([None] + terms),
-                         pruned=rnd.random() < 0.2)
+        if rnd.random() < 0.3:
+            termination, snapshot = stub
+        else:
+            termination = rnd.choice([None] + terms)
+            snapshot = rnd.choice([None] + states)
+        node = WorldNode(weight(rnd), rnd.choice(OUTCOMES), snapshot,
+                         termination=termination, pruned=rnd.random() < 0.2)
         if nodes:
             nodes[rnd.randrange(i)].children.append(node)
         nodes.append(node)
-    return WorldTree(nodes[0], rnd.choice(WEIGHTS))
+    return WorldTree(nodes[0], weight(rnd))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -132,6 +150,49 @@ def test_repeated_leaves_share_text_but_not_across_calls():
         t = tree(x)
         assert world_tree_text(t) == json.dumps(world_tree_to_json(t),
                                                 indent=2)
+
+
+@pytest.mark.parametrize("tree", [
+    WorldTree(WorldNode(1), 0.0),
+    WorldTree(WorldNode(1.0), 0),
+    WorldTree(WorldNode(True), False),
+    WorldTree(WorldNode(1.0, children=[WorldNode(1), WorldNode(True),
+                                       WorldNode(0.0), WorldNode(-0.0)]),
+              -0.0),
+], ids=["int weight", "int mass", "bools", "equal weights"])
+def test_weights_of_any_json_number_type(tree):
+    assert world_tree_text(tree) == json.dumps(world_tree_to_json(tree),
+                                               indent=2)
+
+
+def test_pruned_stubs_share_one_termination():
+    source = (Path(__file__).parent / "fixtures" / "walk.cml").read_text()
+    model = load_model(source)
+    tree = branch_run(model, build_initial_state(model),
+                      RunConfig(dt=1.0, max_steps=9), depth_bound=8,
+                      width_bound=4)
+    stubs, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        if node.pruned:
+            stubs.append(node)
+    assert stubs and tree.pruned_mass > 0.0
+    assert len({id(n.termination) for n in stubs}) == 1
+    t = stubs[0].termination
+    assert (t.kind, t.message, t.witness) == ("pruned", "", None)
+    assert world_tree_text(tree) == json.dumps(world_tree_to_json(tree),
+                                               indent=2)
+
+
+def test_terminations_that_differ_only_by_witness():
+    leaves = [WorldNode(0.25, termination=Termination(
+        "no-applicable-law", "none apply",
+        witness=SystemState(SCHEMA, 0.0, {"v": x})))
+        for x in (0.0, -0.0, 1.0, 0.0)]
+    tree = WorldTree(WorldNode(1.0, children=leaves), 0.0)
+    assert world_tree_text(tree) == json.dumps(world_tree_to_json(tree),
+                                               indent=2)
 
 
 def test_depth_is_not_bounded_by_the_recursion_limit():
