@@ -137,6 +137,11 @@ WALK_NARROW = ("branch", "tests/fixtures/walk.cml", "--depth", "12",
 ALL_CELLS = ("run", "builtin:schrodinger_1d", "--steps", "20",
              "--record-every", "20", "--observables",
              ",".join(f"psi[{i}]" for i in range(512)), "--seed", "3")
+# the size of the benchmark's wavepacket command: 1,000 Crank-Nicolson
+# steps, every cell recorded at the first and the last
+WAVEPACKET = ("run", "builtin:schrodinger_1d", "--steps", "1000",
+              "--record-every", "1000", "--observables",
+              ",".join(f"psi[{i}]" for i in range(512)))
 CELL_OUT_OF_RANGE = ("run", "builtin:schrodinger_1d", "--steps", "3",
                      "--format", "jsonl", "--observables",
                      "psi[510],psi[511],psi[512]")
@@ -195,6 +200,7 @@ NAMED = {
     UNEVEN_BRANCH: "branch tests/fixtures/uneven_draws.cml",
     WALK_NARROW: "branch tests/fixtures/walk.cml narrow",
     ALL_CELLS: "run builtin:schrodinger_1d every cell",
+    WAVEPACKET: "run builtin:schrodinger_1d 1000 steps",
     CELL_OUT_OF_RANGE: "run builtin:schrodinger_1d cell out of range",
     CELLS_INTERLEAVED: "run builtin:schrodinger_1d cells interleaved",
     CELL_NON_FINITE: "run builtin:schrodinger_1d non-finite cell",
@@ -299,6 +305,7 @@ INVOCATIONS = (
     UNEVEN_BRANCH,
     WALK_NARROW,
     ALL_CELLS,
+    WAVEPACKET,
     CELL_OUT_OF_RANGE,
     CELLS_INTERLEAVED,
     CELL_NON_FINITE,

@@ -740,13 +740,24 @@ LAPLACIAN_OVERFLOW = """model lap {
   law Seed { when n == 0; then { g[0] = complex(1e307, 0.0); n = 1; } }
   law Lap { when n > 0; then { g = laplacian(g); n = n + 1; } }
 }"""
-SCHRODINGER_OVERFLOW = """model schr {
-  state { g: cgrid(8, 0.5); n: int; }
-  init { g = gauss_packet(8, 0.5, 0.0, 1.0, 0.0); n = 0; }
-  law Seed { when n == 0; then { g[0] = complex(1.5e308, 0.0); n = 1; } }
-  law Evolve { when n > 0; then {
-    g = schrodinger_step(g, fill(8, 0.0), dt, 1.0, 1.0); n = n + 1; } }
-}"""
+
+
+def schrodinger_model(psi="g", potential="fill(8, 0.0)", mass="1.0",
+                      hbar="1.0") -> str:
+    """A model whose law Evolve calls schrodinger_step(psi, potential, dt,
+    mass, hbar) at 6:9, once law Seed has set g[0] to 1.5e308 (w is
+    1e308). With dt = 1.0 the right-hand side of g overflows; with dt =
+    0.5 it is finite, and the solve overflows."""
+    return f"""model schr {{
+  state {{ g: cgrid(8, 0.5); w: real; n: int; }}
+  init {{ g = gauss_packet(8, 0.5, 0.0, 1.0, 0.0); w = 1e308; n = 0; }}
+  law Seed {{ when n == 0; then {{ g[0] = complex(1.5e308, 0.0); n = 1; }} }}
+  law Evolve {{ when n > 0; then {{
+    g = schrodinger_step({psi}, {potential}, dt, {mass}, {hbar}); n = n + 1; }} }}
+}}"""
+
+
+SCHRODINGER_OVERFLOW = schrodinger_model()
 CA_OVERFLOW = """model ca {
   record CaParticle { id: int; pos: int; vel: int; species: int; }
   record CaWorld { phi: vector(3); particles: list(CaParticle); alpha: real; }
@@ -781,6 +792,30 @@ class TestNumpyWarningsStayInside:
         model = load_model(source)
         init = build_initial_state(model)
         cfg = RunConfig(dt=1.0, max_steps=5)
+        assert run(model, init, cfg).termination.message == message
+        assert [term.message for term, _ in
+                run_ensemble(model, init, cfg, 2)] == [message] * 2
+        tree = branch_run(model, init, cfg, depth_bound=4, width_bound=8)
+        assert [leaf.termination.message for leaf in tree.leaves()] == \
+            [message]
+
+    @pytest.mark.parametrize("source, dt, message", [
+        (schrodinger_model(psi="laplacian(g)"), 1.0,
+         "non-finite wavefunction"),
+        (schrodinger_model(potential="fill(8, w * 10.0)"), 1.0,
+         "non-finite potential"),
+        (SCHRODINGER_OVERFLOW, 1.0, "non-finite right-hand side"),
+        (SCHRODINGER_OVERFLOW, 0.5,
+         "non-finite value (inf+nanj) at index 0 written to 'g' at 6:5"),
+    ], ids=["psi", "potential", "right-hand side", "solve"])
+    def test_each_schrodinger_step_failure_keeps_its_text(self, source, dt,
+                                                          message):
+        if not message.startswith("non-finite value"):
+            message = f"schrodinger_step: {message} at 6:9"
+        message = f"law 'Evolve': {message}"
+        model = load_model(source)
+        init = build_initial_state(model)
+        cfg = RunConfig(dt=dt, max_steps=5)
         assert run(model, init, cfg).termination.message == message
         assert [term.message for term, _ in
                 run_ensemble(model, init, cfg, 2)] == [message] * 2

@@ -326,6 +326,28 @@ class TestCachedOperator:
         with pytest.raises(SolveError):
             schrodinger_step(wave, v, 0.01)
 
+    @pytest.mark.parametrize("cell, potential, dt, message", [
+        (complex(math.inf, 0.0), 0.0, 1.0, "non-finite wavefunction"),
+        (1.0, math.inf, 1.0, "non-finite potential"),
+        (1.5e308, 0.0, 1.0, "non-finite right-hand side"),
+        (1.5e308, 0.0, 0.5, None),
+    ], ids=["psi", "potential", "right-hand side", "solve"])
+    def test_each_failure_keeps_its_text(self, cell, potential, dt,
+                                         message):
+        # the cases of test_interpreter's schrodinger_model, called from
+        # Python under an error state that lets numpy overflow quietly
+        psi = np.zeros(8, dtype=complex)
+        psi[0] = cell
+        v = np.full(8, potential)
+        with np.errstate(all="ignore"):
+            if message is None:
+                out = schrodinger_step(VCGrid(psi, 0.5), v, dt)
+                assert not np.isfinite(out.amps).all()
+                return
+            with pytest.raises(SolveError) as exc:
+                schrodinger_step(VCGrid(psi, 0.5), v, dt)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_a_grid_of_one_or_two_cells_is_solved_densely(self, n):
         # the periodic neighbours of a cell are one cell (n = 2) or the
