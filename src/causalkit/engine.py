@@ -506,8 +506,13 @@ class _Emitter:
         return local
 
     def write_value(self, e, kind: str, loc, target: str) -> str:
-        return self.checked(self.promoted(e, kind), kind, loc,
-                            f"written to '{target}'", value=e.const)
+        """``checked``; a direct call of a kernel that refuses its own
+        non-finite result (``Intrinsic.checks_result``) is not scanned."""
+        text = self.promoted(e, kind)
+        if type(e) is Call and intrinsics.get(e.func).checks_result:
+            kind = None   # no test; a promotion keeps a value finite
+        return self.checked(text, kind, loc, f"written to '{target}'",
+                            value=e.const)
 
     def _Assign(self, s):
         """The value stored into the post-state dict ``n``, a path by

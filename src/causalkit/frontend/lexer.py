@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from typing import NamedTuple
 
 from ..intrinsics import INT64_MAX
@@ -75,11 +76,19 @@ def tokenize(source: str) -> tuple[list, list]:
             add(new(Token, (text if text in KEYWORDS else "IDENT", text,
                             _BOOLS.get(text), loc)))
         elif group == "number":
-            if text[-1] == "i":
-                add(new(Token, ("IMAG", text, complex(0.0, float(text[:-1])),
-                                loc)))
-            elif "." in text or "e" in text or "E" in text:
-                add(new(Token, ("REAL", text, float(text), loc)))
+            imag = text[-1] == "i"
+            if imag or "." in text or "e" in text or "E" in text:
+                x = float(text[:-1] if imag else text)
+                if x > sys.float_info.max:   # it parsed to inf
+                    diags.append(Diagnostic(
+                        "error", "bad-literal",
+                        f"{'imaginary' if imag else 'real'} literal "
+                        f"overflows a float (largest is {sys.float_info.max})",
+                        loc))
+                elif imag:
+                    add(new(Token, ("IMAG", text, complex(0.0, x), loc)))
+                else:
+                    add(new(Token, ("REAL", text, x, loc)))
             # an int64 has at most 19 digits; int() refuses strings of
             # more than 4300, so longer ones are not parsed
             elif len(text.lstrip("0")) > 19 or int(text) > INT64_MAX:

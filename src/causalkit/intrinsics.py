@@ -1,8 +1,9 @@
 """The one table of functions callable from CML, of its binary
 operators, and of its draw forms.
 
-An intrinsic bundles its arity, a type rule, a runtime implementation and
-a stochastic flag (stochastic intrinsics make a law count as random).
+An intrinsic bundles its arity, a type rule, a runtime implementation, a
+stochastic flag (stochastic intrinsics make a law count as random) and
+what its implementation promises (``Intrinsic.checks_result``).
 The language built-ins are registered below; the quantum kit registers
 its numeric intrinsics on import. ``binary`` gives what an operator
 computes: the typechecker folds each constant expression with it, and
@@ -46,12 +47,20 @@ class CheckContext:
 
 @dataclass(frozen=True)
 class Intrinsic:
+    """A function callable from CML, with what it declares of itself.
+
+    ``checks_result`` is a contract: ``impl`` refuses a non-finite result
+    itself (it raises), so the compiler emits no finiteness scan for a
+    write whose value is a direct call of it.
+    """
+
     name: str
     arity: int
     stochastic: bool
     check: Callable   # (arg_types: list[TypeDesc], ctx: CheckContext) -> TypeDesc
     impl: Callable    # (args: tuple of values, random source) -> value
     builtin: bool = False  # part of the language, not of a numeric kit
+    checks_result: bool = False
 
 
 _REGISTRY: dict[str, Intrinsic] = {}

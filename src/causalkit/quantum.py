@@ -143,13 +143,20 @@ def _cn_operator(n, dx, mass, hbar, dt, v):
     diagonal 1 - sigma*hdiag, the off-diagonal sigma*hoff and the solver of
     the left-hand matrix. An operator is found again by comparing the
     potential's bytes, not by hashing them: on 2 vCPU, hashing the 4 KiB of
-    512 cells takes about 1.4 us, comparing them about 0.1 us."""
+    512 cells takes about 1.4 us, comparing them about 0.1 us. The
+    constants and the potential are checked, before any arithmetic, only
+    when an operator is built: one found again was built from equal ones."""
     key, v_bytes = (n, dx, mass, hbar, dt), v.tobytes()
     for i, entry in enumerate(_cn_operators):
         if entry[0] == key and entry[1] == v_bytes:
             if i:
                 _cn_operators.insert(0, _cn_operators.pop(i))
             return entry[2]
+    if not (dt > 0):
+        raise ValueError("dt must be positive")
+    for name, x in (("mass", mass), ("hbar", hbar)):
+        if x == 0 or not math.isfinite(x):
+            raise ValueError(f"{name} must be finite and non-zero, got {x}")
     if not np.isfinite(v).all():
         raise SolveError("non-finite potential")
     kin = hbar ** 2 / (2.0 * mass * dx ** 2)
@@ -170,26 +177,49 @@ def schrodinger_step(grid: VCGrid, potential, dt: float, mass: float = 1.0,
     """One Crank-Nicolson step with periodic boundary.
 
     The Cayley form (1 + i dt H / 2hbar)^-1 (1 - i dt H / 2hbar) is
-    unitary for Hermitian H, so the norm is conserved to solver roundoff.
-    The operator is factored once per (grid, constants, dt, potential).
+    unitary for Hermitian H, so the norm is conserved to solver roundoff;
+    a negative mass or hbar keeps it so. The operator is factored once
+    per (grid, constants, dt, potential). A dt that is not positive, or
+    a zero or non-finite mass or hbar, is a ValueError. A non-finite
+    potential or psi is a SolveError before any arithmetic, and so is a
+    step whose result is not finite (see ``_cn_solve``).
     """
     v = np.asarray(potential, dtype=float)
     psi = grid.amps
-    n = len(psi)
-    if len(v) != n:
+    if len(v) != len(psi):
         raise ValueError("potential grid length does not match psi")
-    if not (dt > 0):
-        raise ValueError("dt must be positive")
-    coef, off, solve = _cn_operator(n, grid.dx, mass, hbar, dt, v)
+    operator = _cn_operator(len(psi), grid.dx, mass, hbar, dt, v)
     if not np.isfinite(psi).all():
         raise SolveError("non-finite wavefunction")
-    rhs = coef * psi   # - off * (psi[i - 1] + psi[i + 1]), in place
+    return _cn_solve(grid, operator)
+
+
+def _cn_rhs(psi, coef, off):
+    """(1 - i dt H / 2hbar) psi: coef * psi - off * (psi[i - 1] + psi[i + 1]),
+    in place."""
+    rhs = coef * psi
     neighbours = neighbour_sum(psi)
     neighbours *= off
     rhs -= neighbours
-    if not np.isfinite(rhs).all():
-        raise SolveError("non-finite right-hand side")
-    return VCGrid(solve(rhs), grid.dx)
+    return rhs
+
+
+def _cn_solve(grid: VCGrid, operator) -> VCGrid:
+    """``grid`` advanced by a ``_cn_operator``. psi is not scanned: only
+    the result is, once. A non-finite psi or right-hand side always makes
+    the result non-finite through the solve, so a result that is not finite
+    is a SolveError named for its first cause: a non-finite psi, else a
+    non-finite right-hand side (computed again), else the solve."""
+    coef, off, solve = operator
+    psi = grid.amps
+    y = solve(_cn_rhs(psi, coef, off))
+    if not np.isfinite(y.view(float)).all():   # both parts of each cell
+        if not np.isfinite(psi).all():
+            raise SolveError("non-finite wavefunction")
+        if not np.isfinite(_cn_rhs(psi, coef, off)).all():
+            raise SolveError("non-finite right-hand side")
+        raise SolveError("non-finite solution")
+    return VCGrid(y, grid.dx)
 
 
 # --- particle/wave collections -----------------------------------------------------
@@ -399,9 +429,12 @@ def _check_schrodinger(args, ctx):
 
 
 def _impl_schrodinger(args, rnd):
+    # psi is not scanned on entry: generated code calls this under its
+    # entry point's np.errstate, and _cn_solve refuses a non-finite result
     psi, v, dt, mass, hbar = args
-    return schrodinger_step(psi, v.values, float(dt), float(mass),
-                            float(hbar))
+    operator = _cn_operator(len(psi.amps), psi.dx, float(mass), float(hbar),
+                            float(dt), v.values)
+    return _cn_solve(psi, operator)
 
 
 def _check_pw_propagate(args, ctx):
@@ -601,8 +634,11 @@ def _impl_ca_world(args, rnd):
 
 
 def _register_all():
-    for name, arity, stochastic, check, impl in (
-        ("schrodinger_step", 5, False, _check_schrodinger, _impl_schrodinger),
+    # a row may end with checks_result: True if the kernel refuses its own
+    # non-finite result
+    for name, arity, stochastic, check, impl, *checks_result in (
+        ("schrodinger_step", 5, False, _check_schrodinger, _impl_schrodinger,
+         True),
         ("pw_propagate", 2, False, _check_pw_propagate, _impl_pw_propagate),
         ("pw_interact", 1, True, _check_pw_interact, _impl_pw_interact),
         ("pw_detect", 5, True, _check_pw_detect, _impl_pw_detect),
@@ -614,7 +650,8 @@ def _register_all():
         ("pw_spin", 2, False, _check_pw_spin, _impl_pw_spin),
         ("ca_world", 2, False, _check_ca_world, _impl_ca_world),
     ):
-        intrinsics.register(Intrinsic(name, arity, stochastic, check, impl))
+        intrinsics.register(Intrinsic(name, arity, stochastic, check, impl,
+                                      checks_result=any(checks_result)))
 
 
 _register_all()

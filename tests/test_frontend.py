@@ -797,6 +797,59 @@ class TestIntLiterals:
         assert capsys.readouterr().err == f"{path}:2:19: {self.MESSAGE}\n"
 
 
+class TestRealLiterals:
+    """A real or imaginary literal is a finite float: one past the largest
+    is a located ``bad-literal`` diagnostic, never inf."""
+
+    LARGEST = "1.7976931348623157e308"
+
+    @staticmethod
+    def _model(guard="x < 1.0", update="x + 1.0"):
+        return ("model m {\n"
+                "  state { x: real; z: complex; V: vector(4); }\n"
+                "  init { x = 0.0; z = 0i; V = fill(4, 0.0); }\n"
+                f"  law L {{ when {guard}; then {{ x = {update}; }} }} }}\n")
+
+    @staticmethod
+    def _message(kind):
+        return (f"{kind} literal overflows a float (largest is "
+                "1.7976931348623157e+308)")
+
+    @pytest.mark.parametrize("guard, update, literal, kind", [
+        ("x < 1e309", "x + 1.0", "1e309", "real"),
+        ("x < 1.0", "x + 1.8e308", "1.8e308", "real"),
+        ("x < 1.0", "abs(z + 2e400i)", "2e400i", "imaginary"),
+        ("x < 1.0", "sum(fill(4, 1e309))", "1e309", "real"),
+    ], ids=["guard", "assigned", "imaginary", "kit-argument"])
+    def test_rejected_with_location(self, guard, update, literal, kind):
+        source = self._model(guard, update)
+        col = source.splitlines()[3].index(literal) + 1
+        ast, diags = parse(source)
+        assert ast is None
+        assert [(d.code, d.message, d.loc.line, d.loc.col) for d in diags] \
+            == [("bad-literal", self._message(kind), 4, col)]
+
+    @pytest.mark.parametrize("literal", [LARGEST, "1e-400", LARGEST + "i"])
+    def test_finite_literals_accepted(self, literal):
+        model = load_model(self._model(update=f"x + abs({literal})"))
+        assert model.laws[0].name == "L"
+
+    def test_cli_reports_the_location_and_exits_1(self, tmp_path, capsys):
+        from causalkit.cli import main
+        path = tmp_path / "big.cml"
+        path.write_text(self._model("x < 1e309"), encoding="utf-8")
+        assert main(["run", str(path), "--steps", "1"]) == 1
+        assert capsys.readouterr().err == \
+            f"{path}:4:20: {self._message('real')}\n"
+
+    def test_an_observable_is_refused(self, capsys):
+        from causalkit.cli import main
+        assert main(["run", "builtin:counter", "--steps", "1",
+                     "--observables", "1e309"]) == 1
+        assert capsys.readouterr().err == \
+            f"error: bad observable '1e309': {self._message('real')}\n"
+
+
 class TestParseExpression:
     def test_standalone(self):
         expr, diags = parse_expression("0.5 * x * x + 0.5 * v * v")

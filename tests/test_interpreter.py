@@ -805,14 +805,18 @@ class TestNumpyWarningsStayInside:
         (schrodinger_model(potential="fill(8, w * 10.0)"), 1.0,
          "non-finite potential"),
         (SCHRODINGER_OVERFLOW, 1.0, "non-finite right-hand side"),
-        (SCHRODINGER_OVERFLOW, 0.5,
-         "non-finite value (inf+nanj) at index 0 written to 'g' at 6:5"),
-    ], ids=["psi", "potential", "right-hand side", "solve"])
+        # the one text that moved: the write check's "non-finite value
+        # (inf+nanj) at index 0 written to 'g' at 6:5" before the kernel
+        # refused its own result
+        (SCHRODINGER_OVERFLOW, 0.5, "non-finite solution"),
+        (schrodinger_model(mass="0.0"), 1.0,
+         "mass must be finite and non-zero, got 0.0"),
+        (schrodinger_model(hbar="0.0"), 1.0,
+         "hbar must be finite and non-zero, got 0.0"),
+    ], ids=["psi", "potential", "right-hand side", "solve", "mass", "hbar"])
     def test_each_schrodinger_step_failure_keeps_its_text(self, source, dt,
                                                           message):
-        if not message.startswith("non-finite value"):
-            message = f"schrodinger_step: {message} at 6:9"
-        message = f"law 'Evolve': {message}"
+        message = f"law 'Evolve': schrodinger_step: {message} at 6:9"
         model = load_model(source)
         init = build_initial_state(model)
         cfg = RunConfig(dt=dt, max_steps=5)

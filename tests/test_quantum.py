@@ -330,7 +330,8 @@ class TestCachedOperator:
         (complex(math.inf, 0.0), 0.0, 1.0, "non-finite wavefunction"),
         (1.0, math.inf, 1.0, "non-finite potential"),
         (1.5e308, 0.0, 1.0, "non-finite right-hand side"),
-        (1.5e308, 0.0, 0.5, None),
+        # a non-finite result was returned before the step refused it
+        (1.5e308, 0.0, 0.5, "non-finite solution"),
     ], ids=["psi", "potential", "right-hand side", "solve"])
     def test_each_failure_keeps_its_text(self, cell, potential, dt,
                                          message):
@@ -340,10 +341,6 @@ class TestCachedOperator:
         psi[0] = cell
         v = np.full(8, potential)
         with np.errstate(all="ignore"):
-            if message is None:
-                out = schrodinger_step(VCGrid(psi, 0.5), v, dt)
-                assert not np.isfinite(out.amps).all()
-                return
             with pytest.raises(SolveError) as exc:
                 schrodinger_step(VCGrid(psi, 0.5), v, dt)
         assert str(exc.value) == message
@@ -392,6 +389,24 @@ class TestCachedOperator:
             schrodinger_step(VCGrid(np.ones(8), 0.5), np.zeros(8), dt)
         assert type(exc.value) is ValueError
         assert str(exc.value) == "dt must be positive"
+
+    @pytest.mark.parametrize("name, bad", [
+        (name, bad) for name in ("mass", "hbar")
+        for bad in (0.0, -0.0, math.inf, -math.inf, math.nan)])
+    def test_a_zero_or_non_finite_mass_or_hbar_raises(self, name, bad):
+        # refused before any arithmetic: a zero was a ZeroDivisionError
+        with pytest.raises(ValueError) as exc:
+            schrodinger_step(VCGrid(np.ones(8), 0.5), np.zeros(8), 0.01,
+                             **{name: bad})
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == \
+            f"{name} must be finite and non-zero, got {bad}"
+
+    def test_a_negative_mass_and_hbar_stay_unitary(self):
+        wave = gaussian_packet(64, 0.25)
+        out = schrodinger_step(wave, np.zeros(64), 0.01, mass=-2.0,
+                               hbar=-0.5)
+        assert abs(norm(out) - norm(wave)) < 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 16])
     def test_singular_cyclic_system_raises(self, n):
