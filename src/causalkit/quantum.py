@@ -25,6 +25,7 @@ from .errors import (
     SolveError,
     ZeroNormError,
 )
+from .engine import entry_point
 from .intrinsics import Intrinsic, IntrinsicTypeError, neighbour_sum
 from .pw import PwCollection
 from .state import MAX_CELLS, TypeDesc, VCGrid, VRecord, VVector
@@ -154,7 +155,7 @@ def _cn_operator(n, dx, mass, hbar, dt, v):
             return entry[2]
     if not (dt > 0):
         raise ValueError("dt must be positive")
-    for name, x in (("mass", mass), ("hbar", hbar)):
+    for name, x in (("dx", dx), ("mass", mass), ("hbar", hbar)):
         if x == 0 or not math.isfinite(x):
             raise ValueError(f"{name} must be finite and non-zero, got {x}")
     if not np.isfinite(v).all():
@@ -172,6 +173,7 @@ def _cn_operator(n, dx, mass, hbar, dt, v):
     return operator
 
 
+@entry_point
 def schrodinger_step(grid: VCGrid, potential, dt: float, mass: float = 1.0,
                      hbar: float = 1.0) -> VCGrid:
     """One Crank-Nicolson step with periodic boundary.
@@ -180,17 +182,17 @@ def schrodinger_step(grid: VCGrid, potential, dt: float, mass: float = 1.0,
     unitary for Hermitian H, so the norm is conserved to solver roundoff;
     a negative mass or hbar keeps it so. The operator is factored once
     per (grid, constants, dt, potential). A dt that is not positive, or
-    a zero or non-finite mass or hbar, is a ValueError. A non-finite
-    potential or psi is a SolveError before any arithmetic, and so is a
-    step whose result is not finite (see ``_cn_solve``).
+    a zero or non-finite dx, mass or hbar, is a ValueError. A non-finite
+    potential is a SolveError before any arithmetic; a non-finite psi, or
+    a step whose result is not finite, is one after it (see
+    ``_cn_solve``). An entry point, as the kit's call is made inside one,
+    so the caller's numpy error state changes no result or text.
     """
     v = np.asarray(potential, dtype=float)
     psi = grid.amps
     if len(v) != len(psi):
         raise ValueError("potential grid length does not match psi")
     operator = _cn_operator(len(psi), grid.dx, mass, hbar, dt, v)
-    if not np.isfinite(psi).all():
-        raise SolveError("non-finite wavefunction")
     return _cn_solve(grid, operator)
 
 

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BROKEN = FIXTURES / "broken"
+# the directory the suite imports causalkit from: src/, or site-packages
+# when the suite runs against an installed package. A child process is
+# given it as PYTHONPATH, so that it runs the same package
+PACKAGE_PATH = str(Path(importlib.util.find_spec("causalkit").origin)
+                   .parents[1])
 
 
 def fixture_source(name: str) -> str:

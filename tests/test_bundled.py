@@ -161,9 +161,13 @@ class TestQftcaToy:
         assert [(p.fields["pos"], p.fields["vel"])
                 for p in particles] == [(2, 1), (8, -1)]
 
-    def test_cells_param(self):
-        model, state = build_bundled_model("qftca_toy", {"cells": "16"})
-        assert len(state.values["world"].fields["phi"].values) == 16
+    @pytest.mark.parametrize("cells", [16, 64])
+    def test_cells_param(self, cells):
+        model, state = build_bundled_model("qftca_toy",
+                                           {"cells": str(cells)})
+        assert len(state.values["world"].fields["phi"].values) == cells
+        trace = run(model, state, RunConfig(dt=1.0, max_steps=2))
+        assert trace.termination.kind == "max-steps"
 
     def test_momentum_invariant_through_interpreter(self):
         model, state = build_bundled_model("qftca_toy")

@@ -1,13 +1,15 @@
 import json
+import re
 import runpy
 import sys
 import warnings
 
 import pytest
 
+from causalkit import list_bundled_models
 from causalkit.cli import main
 
-from conftest import BROKEN, FIXTURES
+from conftest import BROKEN, FIXTURES, PACKAGE_PATH
 
 MODELS = FIXTURES.parent.parent / "cmlbench" / "models"
 QUADRANTS, WALK = MODELS / "quadrants.cml", MODELS / "walk.cml"
@@ -106,7 +108,8 @@ class TestRun:
             code, out, err = invoke(["run", str(path)], capsys)
             assert code == 1, path.name
             first = err.splitlines()[0]
-            assert first.startswith(str(path) + ":"), path.name
+            assert re.match(rf"{re.escape(str(path))}:\d+:\d+: ", first), \
+                path.name
 
     def test_run_cml_file(self, capsys):
         code, out, err = invoke(
@@ -439,6 +442,26 @@ class TestListModels:
         assert capsys.readouterr().out == invoke(["list-models"], capsys)[1]
 
 
+# each command on a bundled model, with its options after the model
+COMMANDS = (
+    ("run", "--steps", "2"),
+    # run indexes the model's selectors by mode
+    ("run", "--steps", "2", "--mode", "first-match"),
+    ("analyze", "--samples", "50", "--runs", "2", "--steps", "5"),
+    # the trace strategy compiles the step code on its first read
+    ("analyze", "--strategy", "trace", "--runs", "2", "--steps", "5"),
+    ("branch", "--steps", "2", "--depth", "2"),
+    ("histogram", "--trials", "20", "--steps", "2", "--observables", "0"),
+)
+
+
+@pytest.mark.parametrize("name", list_bundled_models())
+def test_every_command_takes_every_bundled_model(name, capsys):
+    for command, *options in COMMANDS:
+        code, _, err = invoke([command, f"builtin:{name}", *options], capsys)
+        assert (code, err) == (0, ""), (command, *options)
+
+
 class TestHistogram:
     def test_single_trial_single_bin(self, capsys):
         code, out, _ = invoke(
@@ -755,12 +778,11 @@ class TestHashSeed:
     def test_output_bytes_do_not_depend_on_the_hash_seed(self):
         import os
         import subprocess
-        from pathlib import Path
 
-        src = str(Path(__file__).resolve().parent.parent / "src")
         outputs = []
         for hash_seed in ("0", "12345"):
-            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            env = dict(os.environ, PYTHONPATH=PACKAGE_PATH,
+                       PYTHONHASHSEED=hash_seed)
             outputs.append(json.loads(subprocess.run(
                 [sys.executable, "-c", self.SCRIPT, json.dumps(self.RUNS)],
                 capture_output=True, check=True, env=env).stdout))
@@ -783,10 +805,8 @@ class TestParserReuse:
     def test_repeated_main_calls_match_fresh_processes(self, capsys):
         import os
         import subprocess
-        from pathlib import Path
 
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=PACKAGE_PATH)
         fresh = [subprocess.run([sys.executable, "-m", "causalkit.cli",
                                  *argv], capture_output=True, check=True,
                                 env=env).stdout.decode("utf-8")

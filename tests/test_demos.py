@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import PACKAGE_PATH
+
 ROOT = Path(__file__).resolve().parents[1]
 
 DIGESTS = {
@@ -44,7 +46,7 @@ def test_every_demo_is_pinned():
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_demo_stdout_is_unchanged(name):
     pythonpath = os.pathsep.join(
-        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+        filter(None, (PACKAGE_PATH, os.environ.get("PYTHONPATH"))))
     out = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
                          check=True, capture_output=True, cwd=ROOT,
                          env={**os.environ, "PYTHONPATH": pythonpath}).stdout

@@ -1,6 +1,9 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import deque
 
@@ -41,7 +44,22 @@ from causalkit.interpreter import (
     format_scalar,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, PACKAGE_PATH
+
+
+# runs argv[1:] with stdout to /dev/null and prints its exit code and its
+# own peak RSS (ru_maxrss from wait4, KiB on Linux; RUSAGE_CHILDREN would
+# give the largest of every child waited for). A process's ru_maxrss
+# starts from the peak of the image it was spawned from, so the command is
+# spawned from this small process, not from the suite: spawned from a
+# process that had touched 160 MB, `python -c pass` read 180 MiB
+PEAK_RSS = (
+    "import os, sys\n"
+    "pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ,\n"
+    "                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull,\n"
+    "                                    os.O_WRONLY, 0)])\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
 
 
 def observable(model, text):
@@ -133,6 +151,20 @@ class TestRun:
             tracemalloc.stop()
         assert rows == 501
         assert held / rows < 1024
+
+    def test_a_long_cml_run_peaks_under_80_mib(self):
+        # the same through `cml run`: 20,000 rows of one number each keep
+        # its peak RSS under 80 MiB, where rows that held their 512-cell
+        # state took about 208 MiB
+        result = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS, sys.executable, "-m",
+             "causalkit.cli", "run", "builtin:schrodinger_1d", "--steps",
+             "20000", "--observables", "abs2(psi[0])"],
+            capture_output=True, check=True, text=True,
+            env={**os.environ, "PYTHONPATH": PACKAGE_PATH})
+        code, peak = map(int, result.stdout.split())
+        assert code == 0, result.stderr
+        assert peak / 1024 < 80
 
     def test_no_applicable_law_witness(self):
         model = load_model(

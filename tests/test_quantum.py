@@ -39,6 +39,7 @@ from causalkit.interpreter import ReplaySource
 from causalkit.quantum import grid_coordinates
 from conftest import (
     FIXTURES,
+    PACKAGE_PATH,
     ca_momentum,
     ca_particles,
     ca_world_value,
@@ -315,7 +316,8 @@ class TestCachedOperator:
     @pytest.mark.parametrize("n", [1, 2, 64])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_psi_or_potential_raises(self, n, bad):
-        # checked before any arithmetic, so no RuntimeWarning escapes
+        # no RuntimeWarning escapes: the potential is refused before any
+        # arithmetic, psi after the solve, inside the entry point
         wave = gaussian_packet(n, 0.25)
         psi = wave.amps.copy()
         psi[n // 2] = complex(0.0, bad)
@@ -333,14 +335,16 @@ class TestCachedOperator:
         # a non-finite result was returned before the step refused it
         (1.5e308, 0.0, 0.5, "non-finite solution"),
     ], ids=["psi", "potential", "right-hand side", "solve"])
+    @pytest.mark.parametrize("caller", ["ignore", "raise"])
     def test_each_failure_keeps_its_text(self, cell, potential, dt,
-                                         message):
+                                         message, caller):
         # the cases of test_interpreter's schrodinger_model, called from
-        # Python under an error state that lets numpy overflow quietly
+        # Python: the step is an entry point with an error state of its
+        # own, so a caller's that raises on overflow changes no text
         psi = np.zeros(8, dtype=complex)
         psi[0] = cell
         v = np.full(8, potential)
-        with np.errstate(all="ignore"):
+        with np.errstate(all=caller):
             with pytest.raises(SolveError) as exc:
                 schrodinger_step(VCGrid(psi, 0.5), v, dt)
         assert str(exc.value) == message
@@ -391,13 +395,14 @@ class TestCachedOperator:
         assert str(exc.value) == "dt must be positive"
 
     @pytest.mark.parametrize("name, bad", [
-        (name, bad) for name in ("mass", "hbar")
+        (name, bad) for name in ("dx", "mass", "hbar")
         for bad in (0.0, -0.0, math.inf, -math.inf, math.nan)])
-    def test_a_zero_or_non_finite_mass_or_hbar_raises(self, name, bad):
+    def test_a_zero_or_non_finite_constant_raises(self, name, bad):
         # refused before any arithmetic: a zero was a ZeroDivisionError
+        constants = {"dx": 0.5, "mass": 1.0, "hbar": 1.0, name: bad}
+        grid = VCGrid(np.ones(8), constants.pop("dx"))
         with pytest.raises(ValueError) as exc:
-            schrodinger_step(VCGrid(np.ones(8), 0.5), np.zeros(8), 0.01,
-                             **{name: bad})
+            schrodinger_step(grid, np.zeros(8), 0.01, **constants)
         assert type(exc.value) is ValueError
         assert str(exc.value) == \
             f"{name} must be finite and non-zero, got {bad}"
@@ -416,13 +421,11 @@ class TestCachedOperator:
             quantum._cyclic_solver(np.full(n, 2.0 + 0j), -1 + 0j, -1 + 0j)
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
 def run_probe(probe):
     return subprocess.run([sys.executable, "-c", probe], check=True,
                           capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
+                          env={**os.environ,
+                               "PYTHONPATH": PACKAGE_PATH}).stdout
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():

@@ -662,12 +662,22 @@ def test_every_state_a_run_reaches_passes_the_host_door(label):
     # a value of a type the host could not give back (a stray Python
     # list, a wrapper) fails here, wherever a kernel, a transition or the
     # sampler made it
-    from causalkit import RunConfig, load_model, run
+    from causalkit import (RunConfig, apply_law, eval_guard, load_model,
+                           run, select_law, step)
     from causalkit.state import check_values
     if label.startswith("builtin:"):
         name, _, param = label[len("builtin:"):].partition(" detector=")
         model, start = build_bundled_model(
             name, {"detector": param} if param else {})
+        # the host calls: the law select_law picks holds by eval_guard,
+        # and apply_law of it, stamped at the time step stamps, is the
+        # state step gives
+        law, dt = select_law(model, start), model.default_timestep
+        assert eval_guard(model, law, start) is True
+        applied = apply_law(model, law, start, dt, RngStream(0),
+                            start.time + dt)
+        stepped = step(model, start, dt, RngStream(0))
+        assert state_to_json(applied) == state_to_json(stepped)
     else:
         name = label.rsplit("/", 1)[1]
         model = load_model(fixture_source(name))
@@ -682,6 +692,11 @@ def test_every_state_a_run_reaches_passes_the_host_door(label):
         data = json.dumps(state_to_json(s))
         back = state_from_json(json.loads(data), model.schema)
         assert json.dumps(state_to_json(back)) == data
+    # the same JSON with an undeclared field added is refused
+    data = state_to_json(start)
+    data["values"]["zzz"] = {"kind": "int", "v": 3}
+    with pytest.raises(SchemaError, match="unknown field 'zzz'"):
+        state_from_json(data, model.schema)
 
 
 def test_check_value_names_the_first_mismatch_in_value_order():
