@@ -68,6 +68,7 @@ from .interpreter import (
     RunConfig,
     Termination,
     Trace,
+    TraceWriter,
     WorldTree,
     branch_run,
     run,

@@ -318,9 +318,9 @@ def _check(model: CausalModel, strategy: CheckStrategy,
                 trace = None
                 if cons is _OPEN:
                     try:
-                        trace = run(model, start, cfg)
+                        trace = run(model, start, cfg, rows=False)
                         term = trace.termination
-                        n_cons += len(trace.rows) - 1
+                        n_cons += trace.steps
                         witness, names = term.witness, term.laws
                         if term.kind == "max-steps":   # no law selected
                             witness = trace.final_state
@@ -344,8 +344,9 @@ def _check(model: CausalModel, strategy: CheckStrategy,
                     try:
                         if trace is None:
                             trace = run(model, start,
-                                        replace(cfg, mode="first-match"))
-                        term, steps = trace.termination, len(trace.rows) - 1
+                                        replace(cfg, mode="first-match"),
+                                        rows=False)
+                        term, steps = trace.termination, trace.steps
                         n_comp += steps
                         if term.kind == "eval-error":
                             comp = CompletenessVerdict("error",
@@ -360,7 +361,8 @@ def _check(model: CausalModel, strategy: CheckStrategy,
                             before = start if steps == 1 else run(
                                 model, start, replace(
                                     cfg, mode="first-match",
-                                    max_steps=steps - 1)).final_state
+                                    max_steps=steps - 1),
+                                rows=False).final_state
                             law = select_law(model, before, "first-match")
                             comp = CompletenessVerdict(
                                 "fail", states_checked=n_comp, seed=seed,

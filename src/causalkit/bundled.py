@@ -9,7 +9,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .engine import build_initial_state
-from .errors import BadParamError, UnknownModelError
+from .errors import BadParamError, CausalKitError, UnknownModelError
 from .frontend import load_model
 
 # name -> (source file, or one per `detector` value; default timestep)
@@ -25,8 +25,15 @@ _MODELS = {
 }
 
 
+def _source(filename: str):
+    return resources.files("causalkit") / "models" / filename
+
+
 def list_bundled_models():
-    return list(_MODELS)
+    """The bundled models whose source files are all there."""
+    return [name for name, (files, _) in _MODELS.items()
+            if all(_source(f).is_file() for f in (
+                files.values() if isinstance(files, dict) else [files]))]
 
 
 def build_bundled_model(name: str, params: dict | None = None):
@@ -39,6 +46,10 @@ def build_bundled_model(name: str, params: dict | None = None):
         filename = filename.get(params.pop("detector", "off").lower())
         if filename is None:
             raise BadParamError("detector must be 'on' or 'off'")
-    source = (resources.files("causalkit") / "models" / filename).read_text()
+    try:
+        source = _source(filename).read_text()
+    except OSError as exc:
+        raise CausalKitError(f"cannot read bundled model '{name}' source "
+                             f"'{filename}': {exc.strerror}")
     model = load_model(source, default_timestep=dt, params=params)
     return model, build_initial_state(model)

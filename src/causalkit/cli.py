@@ -19,13 +19,14 @@ from .frontend.lower import compile_model
 from .frontend.typecheck import check_standalone_expr, standalone_context
 from .interpreter import (
     RunConfig,
+    TraceWriter,
     branch_run,
     format_scalar,
     run,
     run_ensemble,
     world_tree_text,
     write_text,
-    write_trace,
+    write_trace,  # noqa: F401 (cmlbench/tracing.py hooks it here)
 )
 from .jsontext import IndentedEncoder
 from .state import MAX_CELLS, PAYLOAD_TYPES
@@ -193,9 +194,9 @@ def _cmd_run(args) -> int:
     observables, _ = _compile_observables(args.observables, model.schema)
     cfg = _run_config(args, model, record_every=args.record_every,
                       observables=observables)
-    trace = run(model, state, cfg)
-    write_trace(trace, args.format, args.out)
-    t = trace.termination
+    with TraceWriter(model.name, cfg, args.format, args.out) as writer:
+        t = run(model, state, cfg, rows=writer.row).termination
+        writer.finish(t)
     if t.is_error:
         print(f"terminated: {t.kind}: {t.message or t.kind}", file=sys.stderr)
         return 1

@@ -108,12 +108,14 @@ _SET_STEP, _SET_TIME, _SET_VALUES = (
 
 @dataclass(frozen=True)
 class Trace:
-    """A run's rows, what it observed, and the one state it ended at."""
+    """A run's rows, what it observed, and the one state it ended at,
+    after ``steps`` steps."""
     model_name: str
     config: RunConfig
     rows: tuple
     termination: Termination
     final_state: SystemState
+    steps: int
 
     @property
     def observable_names(self):
@@ -135,7 +137,8 @@ def _termination(exc) -> Termination:
 
 
 @entry_point
-def run(model: CausalModel, init: SystemState, cfg: RunConfig) -> Trace:
+def run(model: CausalModel, init: SystemState, cfg: RunConfig,
+        rows=True) -> Trace:
     """Drive the model from ``init`` until it halts, exhausts max_steps,
     or an engine error occurs. Failures land in the termination record,
     never as exceptions; a start state that does not fit the model's
@@ -146,43 +149,54 @@ def run(model: CausalModel, init: SystemState, cfg: RunConfig) -> Trace:
     and starts at step 0. Row times are computed as init.time +
     stepIndex * dt (not accumulated), and rows are recorded exactly at
     record_every strides. A row holds no state: observe what you need.
+
+    ``rows`` is where the rows go. True keeps them, as the trace's
+    TraceRows; a callable, such as ``TraceWriter.row``, is given each as
+    ``rows(step, time, values)`` when it is recorded; False records none
+    and observes nothing, for a caller that reads only the termination,
+    the final state and the step count. Only True leaves rows in the trace.
     """
     cfg.check_times(init)
     check_values(model.schema, init.values)
-    rows: list = []
-    termination, final = _run_from(model, cfg, init.time, init, 0,
-                                   RngStream(cfg.seed), rows)
-    return Trace(model.name, cfg, tuple(rows), termination, final)
+    kept: list = []
+    if rows is True:
+        def rows(step, time, values):
+            kept.append(TraceRow(step, time, values))
+    elif rows is False:
+        rows = None
+    termination, final, steps = _run_from(
+        model, cfg, init.time, init, 0, RngStream(cfg.seed), rows)
+    return Trace(model.name, cfg, tuple(kept), termination, final, steps)
 
 
 def _run_from(model: CausalModel, cfg: RunConfig, start: float,
-              s: SystemState, steps: int, stream: RngStream,
-              rows: list | None = None):
+              s: SystemState, steps: int, stream: RngStream, rows=None):
     """The halt -> max-steps -> step loop of one trial drawing from
     ``stream``, from state ``s`` reached after ``steps`` steps of a run
-    that began at time ``start``. Returns (termination, final state);
-    appends a TraceRow to ``rows``, if given, at step 0 and every
-    record_every steps. A step calls the mode's selector and the chosen
-    law's transition directly, as ``engine.step`` does."""
+    that began at time ``start``. Returns (termination, final state, the
+    steps taken to it); gives ``rows``, if given, each recorded row as
+    ``rows(step, time, values)``, at step 0 and every record_every steps.
+    A step calls the mode's selector and the chosen law's transition
+    directly, as ``engine.step`` does."""
     halt, observe = model.halt_fn, cfg.observe
     select = model.selectors[cfg.mode]
     applies = model.transitions
     dt, max_steps, every = cfg.dt, cfg.max_steps, cfg.record_every
     try:
         if rows is not None:
-            rows.append(TraceRow(0, start, observe(s)))
+            rows(0, start, observe(s))
         while True:
             if halt is not None and halt(s):
-                return Termination("halted"), s
+                return Termination("halted"), s, steps
             if steps >= max_steps:
-                return Termination("max-steps"), s
-            steps += 1
-            time = start + steps * dt
+                return Termination("max-steps"), s, steps
+            time = start + (steps + 1) * dt
             s = applies[select(s)](s, dt, stream, time)
+            steps += 1
             if rows is not None and steps % every == 0:
-                rows.append(TraceRow(steps, time, observe(s)))
+                rows(steps, time, observe(s))
     except _STEP_ERRORS as exc:
-        return _termination(exc), s
+        return _termination(exc), s, steps
 
 
 # --- outcome enumeration -----------------------------------------------------------
@@ -586,7 +600,7 @@ class Ensemble:
             for i in rows.tolist():
                 stream.rekey(int(keys[i]))
                 stream.words(pos)
-                out[i] = _run_from(model, cfg, start, s, steps, stream)
+                out[i] = _run_from(model, cfg, start, s, steps, stream)[:2]
 
         def settle(rows, termination, s):
             words.retire(rows)
@@ -695,48 +709,126 @@ def termination_to_json(t: Termination) -> dict:
     return out
 
 
+# rows a TraceWriter holds and formats at once
+_BLOCK = 4096
+
+
+class TraceWriter:
+    """Writes a run's trace as CSV or JSONL while the run records it: give
+    ``row`` to ``run`` as its rows, then call ``finish`` with the run's
+    termination. Used as a context manager, it closes the file it opened
+    even if the run raises.
+
+    Rows are formatted in blocks of _BLOCK, a CSV block by one %-format
+    of its columns' payload types, and each block is written to ``out``
+    as ``write_text`` takes it; a path is opened once. Nothing is written
+    before the first block or ``finish``: the CSV header goes first, and
+    the JSONL metadata line last. A sink that fails raises SinkError,
+    from ``row`` too, so a run it fails in ends with it.
+    """
+
+    def __init__(self, model_name: str, cfg: RunConfig, format_: str = "csv",
+                 out=None):
+        if format_ not in ("csv", "jsonl"):
+            raise ValueError(f"unknown trace format '{format_}'")
+        self.model_name, self.cfg, self.format = model_name, cfg, format_
+        self.names = [label for label, _ in cfg.observables]
+        self.out = out
+        self.file = None         # the file opened at ``out``, if a path
+        self.block: list = []    # (step, time, values) of unwritten rows
+        self.head = ("step,time" + "".join("," + n for n in self.names)
+                     + "\n") if format_ == "csv" else ""
+        self.written = 0         # bytes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def row(self, step: int, time: float, values: tuple):
+        block = self.block
+        block.append((step, time, values))
+        if len(block) == _BLOCK:
+            self._write(self._lines())
+
+    def finish(self, termination: Termination) -> int:
+        """Write the rows left and, for JSONL, the metadata line; close the
+        file. Returns the bytes written in all."""
+        text = self._lines()
+        if self.format == "jsonl":
+            cfg = self.cfg
+            text += json.dumps({
+                "model": self.model_name,
+                "config": {"dt": cfg.dt, "maxSteps": cfg.max_steps,
+                           "seed": cfg.seed, "mode": cfg.mode,
+                           "recordEvery": cfg.record_every,
+                           "observables": self.names},
+                "terminationReason": termination_to_json(termination)}) + "\n"
+        self._write(text)
+        self.close()
+        return self.written
+
+    def close(self):
+        if self.file is not None:
+            file, self.file = self.file, None
+            try:
+                file.close()
+            except OSError as exc:
+                raise SinkError(str(exc))
+
+    def _lines(self) -> str:
+        """The text of the rows held, after the header if it is not yet
+        written; the block is emptied."""
+        block, head, self.head = self.block, self.head, ""
+        if not block:
+            return head
+        if self.format == "csv":
+            steps, times, values = zip(*block)
+            formats, args = [], []
+            for column in (steps, times, *zip(*values)):
+                fmt, parts = _csv_column(column)
+                formats.append(fmt)
+                args += parts
+            line = ",".join(formats) + "\n"
+            text = head + "".join([line % cells for cells in zip(*args)])
+        else:
+            names = self.names
+            text = "".join([json.dumps(
+                {"step": step, "time": time,
+                 "values": {n: _jsonable(v) for n, v in zip(names, values)}})
+                + "\n" for step, time, values in block])
+        block.clear()
+        return text
+
+    def _write(self, text: str):
+        out = self.out
+        if isinstance(out, (str, bytes)) or hasattr(out, "__fspath__"):
+            if self.file is None:
+                try:
+                    self.file = open(out, "wb")
+                except OSError as exc:
+                    raise SinkError(str(exc))
+            out = self.file
+        self.written += write_text(text, out)
+
+
 @entry_point
 def write_trace(trace: Trace, format_: str = "csv", sink=None) -> int:
     """Serialize a trace as CSV or JSONL; returns bytes written.
 
     CSV: header ``step,time,<observables>`` and one row per recorded row,
     floats with 17 significant digits; every row is written by one
-    %-format, built per trace from its columns' payload types. JSONL: one
-    object per row plus a trailing metadata object carrying the config and
-    termination reason.
+    %-format, built per block of rows from its columns' payload types.
+    JSONL: one object per row plus a trailing metadata object carrying
+    the config and termination reason. ``TraceWriter`` writes the same
+    text while a run records its rows.
     """
-    names = trace.observable_names
-    if format_ == "csv":
-        lines = ["step,time" + ("," + ",".join(names) if names else "")]
-        rows = trace.rows
-        formats, args = [], []
-        for column in ([r.step for r in rows], [r.time for r in rows],
-                       *zip(*[r.values for r in rows])):
-            fmt, parts = _csv_column(column)
-            formats.append(fmt)
-            args += parts
-        line = ",".join(formats)
-        lines += [line % cells for cells in zip(*args)]
-        text = "\n".join(lines) + "\n"
-    elif format_ == "jsonl":
-        lines = []
+    with TraceWriter(trace.model_name, trace.config, format_,
+                     sink) as writer:
         for row in trace.rows:
-            lines.append(json.dumps(
-                {"step": row.step, "time": row.time,
-                 "values": {n: _jsonable(v) for n, v in zip(names, row.values)}}))
-        meta = {"model": trace.model_name,
-                "config": {"dt": trace.config.dt,
-                           "maxSteps": trace.config.max_steps,
-                           "seed": trace.config.seed,
-                           "mode": trace.config.mode,
-                           "recordEvery": trace.config.record_every,
-                           "observables": list(names)},
-                "terminationReason": termination_to_json(trace.termination)}
-        lines.append(json.dumps(meta))
-        text = "\n".join(lines) + "\n"
-    else:
-        raise ValueError(f"unknown trace format '{format_}'")
-    return write_text(text, sink)
+            writer.row(row.step, row.time, row.values)
+        return writer.finish(trace.termination)
 
 
 def write_text(text: str, sink) -> int:

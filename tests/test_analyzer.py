@@ -22,7 +22,7 @@ from causalkit import (
 )
 from dataclasses import replace
 
-from causalkit import analyzer
+from causalkit import analyzer, interpreter
 from causalkit.analyzer import (
     CompletenessVerdict,
     ConsistencyVerdict,
@@ -367,11 +367,14 @@ class TestOnePass:
 
     @staticmethod
     def counted_runs(monkeypatch):
-        """(mode, seed, termination kind) of every run the analyzer runs."""
+        """(mode, seed, termination kind) of every run the analyzer runs;
+        each of them records no rows."""
         calls = []
 
-        def counting_run(model, init, cfg):
-            trace = real_run(model, init, cfg)
+        def counting_run(model, init, cfg, rows=True):
+            assert rows is False
+            trace = real_run(model, init, cfg, rows=rows)
+            assert trace.rows == ()
             calls.append((cfg.mode, cfg.seed, trace.termination.kind))
             return trace
 
@@ -421,6 +424,48 @@ class TestOnePass:
         for seed in redone:
             at = calls.index(("strict", seed, "multiple-applicable"))
             assert calls[at + 1][:2] == ("first-match", seed)
+
+    def test_eval_error_run_runs_again_first_match(
+            self, load_fixture_model, monkeypatch):
+        # a strict run of guard_error that meets x = 0.0 ends eval-error,
+        # which closes consistency: that run alone is run again first-match
+        # for completeness, as is every run after it. At seed 3 the first
+        # run halts and the second meets x = 0.0.
+        calls = self.counted_runs(monkeypatch)
+        model = load_fixture_model("guard_error.cml")
+        report = analyze(model, CheckStrategy("trace", runs=4,
+                                              steps_per_run=10, seed=3))
+        assert report.consistency.status == "error"
+        assert [(mode, kind) for mode, _, kind in calls[:2]] == [
+            ("strict", "halted"), ("strict", "eval-error")]
+        assert calls[2][:2] == ("first-match", calls[1][1])
+        assert [mode for mode, _, _ in calls[2:]] == ["first-match"] * 3
+        assert len({seed for _, seed, _ in calls}) == 4
+
+    def test_trace_runs_build_no_row_and_observe_nothing(self, monkeypatch):
+        built, observed = [], []
+
+        def counting_row(*args):
+            built.append(args)
+            return real_row(*args)
+
+        def counting_observe(s):
+            observed.append(s)
+            return ()
+
+        real_row = interpreter.TraceRow
+        monkeypatch.setattr(interpreter, "TraceRow", counting_row)
+        monkeypatch.setattr(interpreter, "_observe_nothing", counting_observe)
+        model = load_model(QUADRANTS)
+        report = analyze(model, CheckStrategy("trace", runs=15,
+                                              steps_per_run=20, seed=4))
+        assert report.consistency.states_checked == 15 * 20
+        assert report.completeness.states_checked == 15 * 20
+        assert built == [] and observed == []
+        # the counters see what a run that keeps its rows builds
+        trace = run(model, build_initial_state(model),
+                    RunConfig(dt=1.0, max_steps=3))
+        assert len(built) == len(observed) == len(trace.rows) == 4
 
 
 class TestRefusals:

@@ -12,6 +12,10 @@ from causalkit import (
     run,
 )
 
+from causalkit import bundled
+from causalkit.cli import main
+from causalkit.errors import CausalKitError
+
 from conftest import total_weight
 
 
@@ -32,6 +36,23 @@ class TestRegistry:
             build_bundled_model("double_slit", {"unknown_knob": "1"})
         with pytest.raises(BadParamError):
             build_bundled_model("counter", {"detector": "on"})
+
+    def test_a_model_without_its_source_file(self, monkeypatch, capsys):
+        # it is not listed, and building it is a toolkit error that names
+        # the model and the file, so `cml run` prints it and exits 1
+        monkeypatch.setitem(bundled._MODELS, "ghost", ("ghost.cml", 1.0))
+        monkeypatch.setitem(bundled._MODELS, "half", (
+            {"off": "counter.cml", "on": "missing.cml"}, 1.0))
+        assert "ghost" not in list_bundled_models()
+        assert "half" not in list_bundled_models()
+        assert "counter" in list_bundled_models()
+        text = ("cannot read bundled model 'ghost' source 'ghost.cml': "
+                "No such file or directory")
+        with pytest.raises(CausalKitError) as exc:
+            build_bundled_model("ghost")
+        assert str(exc.value) == text
+        assert main(["run", "builtin:ghost"]) == 1
+        assert capsys.readouterr() == ("", f"error: {text}\n")
 
     def test_every_model_runs_to_non_error_termination(self):
         for name in list_bundled_models():

@@ -153,6 +153,50 @@ class TestRun:
         assert code == 0
         assert target.read_text().startswith("step,time")
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("argv", [
+        # 5,001 rows, more than one block of the streaming writer
+        ["run", "builtin:free_particle", "--steps", "5000", "--observables",
+         "x,v"],
+        # an observable that overflows at step 4,495: eval-error
+        ["run", "builtin:free_particle", "--dt", "4", "--steps", "8000",
+         "--observables", "x,x*1e304"],
+    ], ids=["two blocks", "eval-error"])
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, fmt,
+                                             argv):
+        argv = [*argv, "--format", fmt]
+        code, out, err = invoke(argv, capsys)
+        target = tmp_path / f"trace.{fmt}"
+        assert invoke([*argv, "--out", str(target)], capsys) == (
+            code, "", err)
+        assert target.read_bytes() == out.encode()
+
+    def test_a_sink_that_fails_partway_ends_the_command(self, capsys,
+                                                        monkeypatch):
+        # the second 4,096-row block cannot be written: the command ends
+        # with the sink's error, not with a termination record
+        class Failing:
+            def __init__(self):
+                self.texts = []
+
+            def write(self, text):
+                if self.texts:
+                    raise OSError(28, "No space left on device")
+                self.texts.append(text)
+
+            def flush(self):
+                pass
+
+        stdout = Failing()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(["run", "builtin:free_particle", "--steps", "10000",
+                     "--observables", "x"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: [Errno 28] No space left on device\n")
+        assert stdout.texts[0].startswith("step,time,x\n0,0,0\n")
+        assert stdout.texts[0].count("\n") == 1 + 4096
+
     def test_byte_identical_with_same_seed(self, capsys):
         argv = ["run", "builtin:entangled_pair", "--steps", "5",
                 "--seed", "3", "--observables", "s1,s2"]

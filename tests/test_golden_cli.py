@@ -169,6 +169,28 @@ FOLDED_CONSTANTS = (
     ("run", "tests/fixtures/folded_constants.cml", "--observables",
      "n,x,z,b,u,s", "--seed", "1"),
     ("analyze", "tests/fixtures/folded_constants.cml"))
+# the trace writer's edges: a CSV run that ends eval-error after its rows;
+# a max-steps run whose last step (10) is not a multiple of --record-every;
+# runs of more rows than one 4,096-row block of the streaming writer, in
+# CSV and JSONL, one with a stride; and an observable that overflows at
+# step 4,495, past the first block (eval-error at 1:2)
+TRACE_EDGES = (
+    ("run", "tests/fixtures/final_guard_error.cml", "--steps", "12",
+     "--observables", "n"),
+    ("run", "builtin:free_particle", "--steps", "10", "--record-every", "4",
+     "--observables", "x"),
+    ("run", "builtin:free_particle", "--steps", "10000", "--observables",
+     "x,v"),
+    ("run", "builtin:free_particle", "--steps", "20000", "--record-every",
+     "3", "--observables", "x"),
+    ("run", "builtin:free_particle", "--steps", "5000", "--format", "jsonl",
+     "--observables", "x"),
+    ("run", "builtin:free_particle", "--dt", "4", "--steps", "8000",
+     "--observables", "x,x*1e304"),
+    ("run", "builtin:free_particle", "--dt", "4", "--steps", "8000",
+     "--format", "jsonl", "--record-every", "7", "--observables",
+     "x,x*1e304"),
+)
 NAMED = {
     ENERGY_RUN: "run builtin:harmonic_oscillator energy",
     **{argv: f"run {argv[1]} seed {argv[-1]}" for argv in SIGNED_ZERO_RUNS},
@@ -208,6 +230,7 @@ NAMED = {
        for argv in CUT_BEFORE_UNIFORM},
     **{argv: f"run {argv[1]} {argv[3]}" for argv in CA_FIELD},
     **{argv: f"{argv[0]} {argv[1]}" for argv in FOLDED_CONSTANTS},
+    **{argv: " ".join(argv[1:]) for argv in TRACE_EDGES},
 }
 
 # argv of each pinned invocation; .cml paths are relative to the repo root
@@ -314,6 +337,7 @@ INVOCATIONS = (
     *COLUMN_SAMPLES,
     *DOMAIN_ANALYZE,
     *FOLDED_CONSTANTS,
+    *TRACE_EDGES,
 )
 
 

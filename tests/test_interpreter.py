@@ -27,6 +27,7 @@ from causalkit import (
     world_tree_text,
     write_trace,
 )
+from causalkit import interpreter
 from causalkit.engine import halts
 from causalkit.engine import step as engine_step
 from causalkit.errors import EvalError, MissingFieldError, SinkError
@@ -165,6 +166,50 @@ class TestRun:
         code, peak = map(int, result.stdout.split())
         assert code == 0, result.stderr
         assert peak / 1024 < 80
+
+    def test_a_100000_step_cml_run_peaks_under_60_mib(self):
+        # the trace is streamed in blocks of rows, so five times the rows
+        # of the run above take no more memory; held whole, they peaked at
+        # about 81 MiB
+        result = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS, sys.executable, "-m",
+             "causalkit.cli", "run", "builtin:schrodinger_1d", "--steps",
+             "100000", "--observables", "abs2(psi[0])"],
+            capture_output=True, check=True, text=True,
+            env={**os.environ, "PYTHONPATH": PACKAGE_PATH})
+        code, peak = map(int, result.stdout.split())
+        assert code == 0, result.stderr
+        assert peak / 1024 < 60
+
+    def test_rows_go_to_the_sink_given(self):
+        # a callable is given each row as it is recorded, and False records
+        # none; the steps and the final state are the same either way
+        model, state = build_bundled_model("free_particle")
+        cfg = RunConfig(dt=0.5, max_steps=7, record_every=3,
+                        observables=(observable(model, "x"),))
+        kept = run(model, state, cfg)
+        given = []
+        streamed = run(model, state, cfg,
+                       rows=lambda *row: given.append(row))
+        bare = run(model, state, cfg, rows=False)
+        assert given == [(r.step, r.time, r.values) for r in kept.rows]
+        assert [r.step for r in kept.rows] == [0, 3, 6]
+        assert streamed.rows == bare.rows == ()
+        assert kept.steps == streamed.steps == bare.steps == 7
+        assert kept.final_state.values == bare.final_state.values
+
+    def test_steps_count_the_steps_applied(self):
+        # a step that raises is not taken: the run ends at the state
+        # before it, as many steps in
+        model = load_model(
+            "model m { state { n: int in [0, 9]; x: real; } "
+            "init { n = 0; x = 0.0; } "
+            "law L { when true; then { x = 1.0 / (3 - n); n = n + 1; } } }")
+        trace = run(model, build_initial_state(model),
+                    RunConfig(dt=1.0, max_steps=10))
+        assert trace.termination.kind == "eval-error"
+        assert trace.steps == 3 == trace.final_state.values["n"]
+        assert len(trace.rows) == 4
 
     def test_no_applicable_law_witness(self):
         model = load_model(
@@ -320,6 +365,15 @@ class TestWriteTrace:
         assert target.read_bytes()
         assert n == len(target.read_bytes())
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device that refuses every write")
+    def test_a_file_that_cannot_take_the_text_is_refused(self):
+        # a short trace fits the file's buffer, so the device refuses it
+        # when the file is closed
+        with pytest.raises(SinkError) as exc:
+            write_trace(self.trace(), "csv", "/dev/full")
+        assert str(exc.value) == "[Errno 28] No space left on device"
+
     def test_rows_are_frozen(self):
         # a row is what the run observed: its three fields, and no state
         row = self.trace().rows[1]
@@ -366,7 +420,8 @@ def traces(draw):
         st.integers(0, 10**9), REALS, st.tuples(*cells)), max_size=6))
     cfg = RunConfig(dt=1.0, max_steps=1, observables=tuple(
         (f"o{i}", None) for i in range(len(kinds))))
-    return Trace("m", cfg, tuple(rows), Termination("max-steps"), None)
+    return Trace("m", cfg, tuple(rows), Termination("max-steps"), None,
+                 len(rows))
 
 
 # one failure is shrunk, not one per distinct error: shrinking one of
@@ -375,13 +430,18 @@ def traces(draw):
           report_multiple_bugs=False)
 @given(traces())
 def test_csv_rows_match_the_per_cell_oracle(trace):
-    buf = io.BytesIO()
-    n = write_trace(trace, "csv", buf)
     expected = csv_oracle(trace.observable_names, trace.rows)
-    # compared line by line, so a failure shows the first row apart
-    # instead of a diff of the whole text
-    assert buf.getvalue().decode().split("\n") == expected.split("\n")
-    assert n == len(expected.encode())
+    # in one block, and in blocks of two rows, each of which picks its
+    # columns' formats from its own values
+    for block in (interpreter._BLOCK, 2):
+        buf = io.BytesIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(interpreter, "_BLOCK", block)
+            n = write_trace(trace, "csv", buf)
+        # compared line by line, so a failure shows the first row apart
+        # instead of a diff of the whole text
+        assert buf.getvalue().decode().split("\n") == expected.split("\n")
+        assert n == len(expected.encode())
 
 
 class TestBranchRun:
